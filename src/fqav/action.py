@@ -85,6 +85,29 @@ class FiniteGroupAction:
         return [g for g in self.elements if not g.is_identity()]
 
 
+def bfs_closure(identity, gens, cap, overflow):
+    """Breadth-first closure of ``gens`` under right composition, starting at
+    ``identity``.  Each level is ordered by ``sort_key``, so the element order
+    depends only on the generator list.  The exception ``overflow`` is
+    raised as soon as the closure holds more than ``cap`` elements."""
+    elements = [identity]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for e in frontier:
+            for h in gens:
+                c = e.compose(h)
+                if c not in seen:
+                    seen.add(c)
+                    new.append(c)
+                    if len(seen) > cap:
+                        raise overflow
+        frontier = sorted(new, key=type(identity).sort_key)
+        elements.extend(frontier)
+    return elements
+
+
 def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
     """Breadth-first closure under composition (lexicographic tie-break per
     level); a finite closed set under composition containing the generators
@@ -99,22 +122,8 @@ def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
             raise InputError("holonomy is not an automorphism", code="not-automorphism")
     ident = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
     gens_sorted = sorted(set(gens), key=AffineAutomorphism.sort_key)
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = set()
-        for e in frontier:
-            for h in gens_sorted:
-                c = e.compose(h)
-                if c not in seen and c not in new:
-                    new.add(c)
-        frontier = sorted(new, key=AffineAutomorphism.sort_key)
-        for c in frontier:
-            seen.add(c)
-            elements.append(c)
-        if len(elements) > cap:
-            raise InputError("group order exceeds cap", code="cap-exceeded")
+    elements = bfs_closure(ident, gens_sorted, cap,
+                           InputError("group order exceeds cap", code="cap-exceeded"))
     holonomies = []
     hol_seen = set()
     for g in elements:

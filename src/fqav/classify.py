@@ -156,14 +156,16 @@ def irregularity(group: FiniteGroupAction) -> int:
     return d // 2
 
 
-def classification_report(group: FiniteGroupAction) -> ClassificationReport:
+def classification_report(group: FiniteGroupAction, cyclo_field=None) -> ClassificationReport:
+    """``cyclo_field`` is the field the Reid-Tai ages are computed in;
+    ``cyclo_field_for(group)`` when omitted."""
     n = group.variety.n
     quasi = is_quasietale(group)
     kappa, q_fano = kappa_anticanonical(group)
     decomposition = decompose(group)
     q_circle = decomposition.total_abelian_dim
     q_x = irregularity(group)
-    rt_holds, rt_witness = reid_tai(group)
+    rt_holds, rt_witness = reid_tai(group, cyclo_field)
     m = descend_multiplication(group)
 
     # independent computations must agree

@@ -40,9 +40,14 @@ PROVENANCE = {
 }
 
 
+def _is_int(x):
+    """JSON integers only: json.loads gives true/false as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_fraction(text):
     try:
-        if isinstance(text, int):
+        if _is_int(text):
             return Fraction(text)
         # only "p" or "p/q" strings; decimals and floats are rejected
         if not isinstance(text, str) or "." in text or "e" in text.lower():
@@ -68,16 +73,21 @@ def parse_input(text):
         raise InputError(f"invalid JSON: {exc}", code="bad-json")
     if not isinstance(doc, dict):
         raise InputError("top level must be an object", code="bad-schema")
-    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise InputError("unsupported schema_version", code="bad-schema")
     factors_doc = doc.get("factors")
     if not isinstance(factors_doc, list) or not factors_doc:
         raise InputError("factors: nonempty list required", code="bad-schema")
     factors = []
     for i, fd in enumerate(factors_doc):
-        if not isinstance(fd, dict) or "cm" not in fd:
-            raise InputError(f"factors[{i}]: object with 'cm' required", code="bad-schema")
-        factors.append(EllipticFactor(fd["cm"], fd.get("label", "")))
+        if not isinstance(fd, dict) or not isinstance(fd.get("cm"), str):
+            raise InputError(f"factors[{i}]: object with string 'cm' required",
+                             code="bad-schema")
+        label = fd.get("label", "")
+        if not isinstance(label, str):
+            raise InputError(f"factors[{i}]: label must be a string", code="bad-schema")
+        factors.append(EllipticFactor(fd["cm"], label))
     variety = AbelianVarietyModel(tuple(factors))
     n = variety.n
 
@@ -86,6 +96,8 @@ def parse_input(text):
         raise InputError("generators: nonempty list required", code="bad-schema")
     gens = []
     for i, gd in enumerate(gens_doc):
+        if not isinstance(gd, dict):
+            raise InputError(f"generators[{i}]: object required", code="bad-schema")
         hol = gd.get("holonomy")
         if (not isinstance(hol, list) or len(hol) != n
                 or any(not isinstance(r, list) or len(r) != n for r in hol)):
@@ -96,7 +108,7 @@ def parse_input(text):
             row = []
             for pair in r:
                 if not isinstance(pair, list) or len(pair) != 2 \
-                        or not all(isinstance(x, int) for x in pair):
+                        or not all(_is_int(x) for x in pair):
                     raise InputError(f"generators[{i}]: blocks must be [c,d] int pairs",
                                      code="bad-schema")
                 row.append((pair[0], pair[1]))
@@ -113,7 +125,7 @@ def parse_input(text):
     if not isinstance(options, dict):
         raise InputError("options must be an object", code="bad-schema")
     cap = options.get("group_cap", DEFAULT_GROUP_CAP)
-    if not isinstance(cap, int) or cap < 1:
+    if not _is_int(cap) or cap < 1:
         raise InputError("options.group_cap must be a positive integer", code="bad-schema")
     return variety, gens, {"group_cap": cap}
 
@@ -213,7 +225,7 @@ def build_report(variety, gens, options, command, m_override=None):
         return doc
     field = CycloField(m_override) if m_override else cyclo_field_for(group)
     if command in ("classify", "report"):
-        doc["classification"] = _classification_doc(classification_report(group))
+        doc["classification"] = _classification_doc(classification_report(group, field))
     if command in ("ramification", "report"):
         doc["ramification"] = _ramification_doc(ramification_data(group))
     if command in ("reidtai", "report"):

@@ -10,8 +10,8 @@ needed below the top level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .action import bfs_closure
 from .errors import CertificateError
 from .linalg import (
     Lattice,
@@ -19,6 +19,7 @@ from .linalg import (
     determinant,
     identity_matrix,
     integer_kernel,
+    intersect_lattices,
     mat_mul,
     mat_sub,
     mat_transpose,
@@ -65,27 +66,22 @@ def mat_eq_identity(m):
 
 
 def close_elements(gens, cap=100000):
-    """Breadth-first closure of lattice elements under composition."""
+    """Closure of lattice elements under composition.  Generators are taken in
+    ``sort_key`` order, and one already in the closure of the generators kept
+    so far is skipped: it would add nothing to the subgroup."""
     if not gens:
         return []
-    n = gens[0].rank
-    ident = LatticeElement.of(identity_matrix(n))
-    gens_sorted = sorted(set(gens), key=LatticeElement.sort_key)
+    ident = LatticeElement.of(identity_matrix(gens[0].rank))
+    kept = []
     elements = [ident]
     seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = set()
-        for e in frontier:
-            for h in gens_sorted:
-                c = e.compose(h)
-                if c not in seen and c not in new:
-                    new.add(c)
-        frontier = sorted(new, key=LatticeElement.sort_key)
-        seen.update(frontier)
-        elements.extend(frontier)
-        if len(elements) > cap:
-            raise CertificateError("lattice-level closure exceeded cap")
+    for g in sorted(set(gens), key=LatticeElement.sort_key):
+        if g in seen:
+            continue
+        kept.append(g)
+        elements = bfs_closure(
+            ident, kept, cap, CertificateError("lattice-level closure exceeded cap"))
+        seen = set(elements)
     return elements
 
 
@@ -95,12 +91,19 @@ def element_fixed_solution(e: LatticeElement):
     return solve_affine_mod_lattice(m, e.translation)
 
 
+def fixed_solutions(elements):
+    """The fixed-locus solve of every nontrivial element, one solve each; a
+    stage passes this map to each of its certificates."""
+    return {e: element_fixed_solution(e) for e in elements if not e.is_identity()}
+
+
+def _solution_dim(sol):
+    return sol.kernel.rank // 2 if sol.nonempty else None
+
+
 def element_fixed_dim(e: LatticeElement):
     """Complex dimension of the fixed locus, or None if empty."""
-    sol = element_fixed_solution(e)
-    if not sol.nonempty:
-        return None
-    return sol.kernel.rank // 2
+    return _solution_dim(element_fixed_solution(e))
 
 
 @dataclass(frozen=True)
@@ -154,12 +157,15 @@ class DecompositionResult:
 # ---------------------------------------------------------------------------
 # stage operations at the lattice level
 
-def lattice_ramification_subgroup(elements):
-    """Closure of the elements whose fixed locus has codimension 1."""
+def lattice_ramification_subgroup(elements, fixed=None):
+    """Closure of the elements whose fixed locus has codimension 1.
+    ``fixed`` is the stage's ``fixed_solutions`` map, computed when omitted."""
     if not elements:
         return []
+    if fixed is None:
+        fixed = fixed_solutions(elements)
     n = elements[0].rank // 2
-    gens = [e for e in elements if not e.is_identity() and element_fixed_dim(e) == n - 1]
+    gens = [e for e, sol in fixed.items() if _solution_dim(sol) == n - 1]
     if not gens:
         return [e for e in elements if e.is_identity()]
     closed = close_elements(gens)
@@ -170,37 +176,47 @@ def lattice_ramification_subgroup(elements):
     return closed
 
 
-def check_normal(elements, subgroup):
+def check_normal(generators, subgroup, group_order):
+    """Certify that the subgroup N is normal in G = <generators>, a group of
+    order ``group_order``: s N s^-1 lies in N for every generator s.  The
+    elements g with g N g^-1 in N are closed under products, so they are all
+    of G once they contain the generators."""
     sub = set(subgroup)
-    by_key = {e: e for e in elements}
-    for g in elements:
-        g_inv = _element_inverse(g, elements)
+    for s in generators:
+        s_inv = _element_inverse(s, group_order)
         for h in subgroup:
-            if g.compose(h).compose(g_inv) not in sub:
+            if s.compose(h).compose(s_inv) not in sub:
                 raise CertificateError("ramification subgroup is not normal")
 
 
-def _element_inverse(g, elements):
-    for h in elements:
-        if g.compose(h).is_identity():
-            return h
+def _element_inverse(g, group_order):
+    """g^-1 = g^(k-1) for the order k of g, which divides the group order."""
+    power = g
+    for _ in range(group_order):
+        following = power.compose(g)
+        if following.is_identity():
+            return power
+        power = following
     raise CertificateError("group not closed under inversion")
 
 
-def lattice_quasietale_outside(elements, subgroup):
-    """True iff every g outside the subgroup has fixed loci (of all its
-    N-translates hg) of codimension >= 2."""
+def lattice_quasietale_outside(elements, subgroup, fixed=None):
+    """True iff every element outside the subgroup N has a fixed locus of
+    codimension >= 2.  The translates h g (h in N, g not in N) are exactly
+    the elements outside N, so each is checked once.  ``fixed`` is the
+    stage's ``fixed_solutions`` map, computed when omitted."""
     sub = set(subgroup)
     if not elements:
         return True
+    if fixed is None:
+        fixed = fixed_solutions(elements)
     n = elements[0].rank // 2
-    for g in elements:
-        if g in sub:
+    for x in elements:
+        if x in sub:
             continue
-        for h in subgroup:
-            d = element_fixed_dim(h.compose(g))
-            if d is not None and d > n - 2:
-                return False
+        d = _solution_dim(fixed[x])
+        if d is not None and d > n - 2:
+            return False
     return True
 
 
@@ -233,11 +249,15 @@ def lattice_poincare_complement(b: Lattice, holonomies, seed_form):
     return c, index
 
 
-def lattice_kappa(elements):
+def lattice_kappa(elements, fixed=None):
     """n - dim of the intersection of the codimension-1 fixed-locus lattices;
-    the anticanonical Kodaira dimension of the quotient by this group."""
+    the anticanonical Kodaira dimension of the quotient by this group.
+    ``fixed`` is a ``fixed_solutions`` map covering the elements, computed
+    when omitted."""
     if not elements:
         return 0
+    if fixed is None:
+        fixed = fixed_solutions(elements)
     n2 = elements[0].rank
     n = n2 // 2
     common = Lattice.full(n2)
@@ -245,18 +265,13 @@ def lattice_kappa(elements):
     for e in elements:
         if e.is_identity():
             continue
-        sol = element_fixed_solution(e)
+        sol = fixed[e]
         if sol.nonempty and sol.kernel.rank == n2 - 2:
             found = True
-            common = _intersect(common, sol.kernel)
+            common = intersect_lattices(common, sol.kernel)
     if not found:
         return 0
     return n - common.rank // 2
-
-
-def _intersect(l1, l2):
-    from .linalg import intersect_lattices
-    return intersect_lattices(l1, l2)
 
 
 def split_action(n_elements, b: Lattice, c: Lattice, ker_mu_order):
@@ -349,16 +364,18 @@ def _compose_embedding(outer, local_basis):
                  for row in local_basis)
 
 
-def _decompose_level(elements, embedding, ambient_rank, seed_form, factors, stages):
+def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
+                     factors, stages):
     n2 = len(embedding)
     n = n2 // 2
     current_lattice = Lattice.from_vectors(ambient_rank, [list(v) for v in embedding]) \
         if n2 else Lattice.zero(ambient_rank)
 
-    n_sub = lattice_ramification_subgroup(elements)
+    fixed = fixed_solutions(elements)
+    n_sub = lattice_ramification_subgroup(elements, fixed)
     n_nontrivial = [e for e in n_sub if not e.is_identity()]
-    check_normal(elements, n_sub)
-    qout = lattice_quasietale_outside(elements, n_sub)
+    check_normal(generators, n_sub, len(elements))
+    qout = lattice_quasietale_outside(elements, n_sub, fixed)
     if not qout:
         raise CertificateError("quotient by the ramification subgroup is not quasietale")
 
@@ -372,7 +389,7 @@ def _decompose_level(elements, embedding, ambient_rank, seed_form, factors, stag
     b = lattice_invariant_fixed_torus(n_sub)
     if b.rank == 0:
         # Q-Fano remainder: quotient of the current lattice by N
-        kappa = lattice_kappa(n_sub)
+        kappa = lattice_kappa(n_sub, fixed)
         if kappa != n:
             raise CertificateError("final part fails the Q-Fano kappa certificate")
         stages.append(StageCertificate(len(n_sub), 1, qout, True, None))
@@ -395,25 +412,35 @@ def _decompose_level(elements, embedding, ambient_rank, seed_form, factors, stag
     ct = c.basis_rows()
     next_embedding = _compose_embedding(embedding, ct)
     next_form = mat_mul(ct, mat_mul(seed_form, mat_transpose(ct)))
-    next_elements = close_elements(n_c) if n_c else \
-        [LatticeElement.of(identity_matrix(c.rank))]
-    return _decompose_level(tuple(next_elements), next_embedding, ambient_rank,
+    # split_action certified n_c closed, so it is the next stage group and
+    # generates itself
+    next_elements = tuple(n_c) if n_c else (LatticeElement.of(identity_matrix(c.rank)),)
+    return _decompose_level(next_elements, next_elements, next_embedding, ambient_rank,
                             next_form, factors, stages)
 
 
-def decompose_lattice_action(elements, ambient_rank, seed_form) -> DecompositionResult:
+def decompose_lattice_action(elements, ambient_rank, seed_form,
+                             generators=None) -> DecompositionResult:
+    """Decompose the closed group ``elements``; ``generators`` generate it
+    (all of ``elements`` when omitted) and feed the normality certificate."""
     factors = []
     stages = []
     embedding = tuple(tuple(r) for r in identity_matrix(ambient_rank))
-    fano = _decompose_level(tuple(elements), embedding, ambient_rank, seed_form,
+    elements = tuple(elements)
+    generators = elements if generators is None else tuple(generators)
+    fano = _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
                             factors, stages)
     total = sum(lat.rank for lat in factors) // 2
     return DecompositionResult(tuple(factors), total, fano, tuple(stages))
 
 
-def group_to_lattice_elements(group):
+def to_lattice_elements(automorphisms):
     return [LatticeElement.of(rational_rep(g.holonomy), g.translation)
-            for g in group.elements]
+            for g in automorphisms]
+
+
+def group_to_lattice_elements(group):
+    return to_lattice_elements(group.elements)
 
 
 def decompose(group) -> DecompositionResult:
@@ -421,7 +448,8 @@ def decompose(group) -> DecompositionResult:
     quotient of the modeled variety by the given closed group."""
     elements = group_to_lattice_elements(group)
     seed = standard_symplectic_form(group.variety)
-    return decompose_lattice_action(elements, group.variety.ambient_rank, seed)
+    return decompose_lattice_action(elements, group.variety.ambient_rank, seed,
+                                    to_lattice_elements(group.generators))
 
 
 def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:

@@ -49,6 +49,26 @@ class TestClosure:
             close_group([g], cap=3)
         assert exc.value.code == "cap-exceeded"
 
+    def test_cap_checked_per_new_element(self, ei_squared, monkeypatch):
+        gens = [automorphism(ei_squared, [[(0, 1), (0, 0)], [(0, 0), (1, 0)]]),
+                automorphism(ei_squared, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]]),
+                automorphism(ei_squared, [[(1, 0), (0, 0)], [(0, 0), (1, 0)]],
+                             ["1/2", 0, 0, 0])]
+        composed = []
+        original = AffineAutomorphism.compose
+
+        def counting(self, other):
+            composed.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(AffineAutomorphism, "compose", counting)
+        with pytest.raises(InputError) as exc:
+            close_group(gens, cap=2)
+        assert exc.value.code == "cap-exceeded"
+        # the first level takes one composition per generator; the third
+        # element exceeds the cap after the second
+        assert len(composed) == 2 < len(gens)
+
     def test_translation_only_generator_of_finite_order(self, ei_squared):
         g = automorphism(ei_squared,
                          [[(1, 0), (0, 0)], [(0, 0), (1, 0)]],

@@ -58,6 +58,28 @@ class TestParse:
             parse_input(json.dumps(doc))
         assert exc.value.code == "bad-rational"
 
+    @pytest.mark.parametrize("edit, code", [
+        (lambda d: d.update(generators=[1]), "bad-schema"),
+        (lambda d: d["factors"][0].update(label=[1]), "bad-schema"),
+        (lambda d: d["factors"][0].update(cm=["zeta4"]), "bad-schema"),
+        (lambda d: d["generators"][0].update(
+            holonomy=[[[True, False], [0, 0]], [[0, 0], [1, 0]]]), "bad-schema"),
+        (lambda d: d["generators"][0]["translation"].__setitem__(0, True), "bad-rational"),
+        (lambda d: d.update(options={"group_cap": True}), "bad-schema"),
+        (lambda d: d.update(schema_version=True), "bad-schema"),
+    ], ids=["generator-not-object", "label-not-string", "cm-not-string",
+            "bool-holonomy", "bool-translation", "bool-group-cap", "bool-schema-version"])
+    def test_malformed_node_exits_one(self, edit, code, tmp_path, capsys):
+        doc = json.loads(load("bielliptic.json"))
+        edit(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = main(["classify", str(p)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error[{code}]")
+        assert "Traceback" not in err
+
     def test_wrong_holonomy_shape(self):
         doc = json.loads(load("rot4-square.json"))
         doc["generators"][0]["holonomy"] = [[[0, 1]]]
@@ -192,3 +214,23 @@ class TestMain:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["reid_tai"]["witness_age"] == "1/2"
+
+    def test_m_override_reaches_classification(self, tmp_path, capsys):
+        # an order-8 holonomy needs 8 | m; conductor 12 is too small for its
+        # age, and every command that runs the Reid-Tai check must say so
+        doc = {"factors": [{"cm": "zeta4"}, {"cm": "zeta4"}],
+               "generators": [{"holonomy": [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]}]}
+        p = tmp_path / "order8.json"
+        p.write_text(json.dumps(doc))
+        for command in ("classify", "reidtai", "report"):
+            rc = main([command, str(p), "--m-override", "12"])
+            assert rc == 1, command
+            assert capsys.readouterr().err.startswith("error[field-too-small]")
+        verdicts = []
+        for command in ("classify", "reidtai"):
+            assert main([command, str(p), "--m-override", "24"]) == 0
+            verdicts.append(json.loads(capsys.readouterr().out))
+        classification, reidtai = verdicts
+        assert classification["classification"]["reid_tai_holds"] is False
+        assert (classification["classification"]["reid_tai_witness"]
+                == reidtai["reid_tai"]["witness"])

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from fqav.action import bfs_closure, close_group
 from fqav.decompose import (
     LatticeElement,
+    _element_inverse,
+    check_normal,
     close_elements,
     decompose,
     decompose_fano_part,
@@ -11,9 +15,14 @@ from fqav.decompose import (
     group_to_lattice_elements,
     lattice_invariant_fixed_torus,
     lattice_kappa,
+    lattice_quasietale_outside,
     lattice_ramification_subgroup,
+    to_lattice_elements,
 )
+from fqav.errors import CertificateError, InputError
 from fqav.linalg import Lattice, TorsionPoint, identity_matrix
+
+from test_acceptance import random_automorphism, random_variety
 
 
 class TestLatticeElements:
@@ -175,3 +184,161 @@ class TestSplitWithTorsionGlue:
         n_tilde, n_c, reps = split_action(sub, b, c, ker_mu)
         assert len(n_tilde) == 2 * 4
         assert len(reps) == 4
+
+
+# ---------------------------------------------------------------------------
+# the generator-only certificates against the all-elements checks they replace
+
+def normal_by_all_elements(elements, subgroup):
+    """Reference: g h g^-1 in N for every g in G and h in N, with g^-1 found
+    by scanning G."""
+    sub = set(subgroup)
+    for g in elements:
+        g_inv = next(h for h in elements if g.compose(h).is_identity())
+        if any(g.compose(h).compose(g_inv) not in sub for h in subgroup):
+            return False
+    return True
+
+
+def normal_by_generators(generators, subgroup, order):
+    try:
+        check_normal(generators, subgroup, order)
+    except CertificateError:
+        return False
+    return True
+
+
+def quasietale_outside_by_pairs(elements, subgroup):
+    """Reference: the fixed locus of every product h g, h in N, g not in N."""
+    sub = set(subgroup)
+    n = elements[0].rank // 2
+    for g in elements:
+        if g in sub:
+            continue
+        for h in subgroup:
+            d = element_fixed_dim(h.compose(g))
+            if d is not None and d > n - 2:
+                return False
+    return True
+
+
+def unpruned_closure(gens):
+    ident = LatticeElement.of(identity_matrix(gens[0].rank))
+    gens_sorted = sorted(set(gens), key=LatticeElement.sort_key)
+    return bfs_closure(ident, gens_sorted, 100000, AssertionError("closure too large"))
+
+
+def random_groups(seed, count, cap=48):
+    """Closed groups drawn like the cross-theorem acceptance criterion."""
+    rng = random.Random(seed)
+    groups = []
+    while len(groups) < count:
+        variety = random_variety(rng)
+        gens = [g for g in (random_automorphism(rng, variety, max_order=12, denoms=(1, 1, 2))
+                            for _ in range(rng.randint(1, 2))) if g is not None]
+        if not gens:
+            continue
+        try:
+            groups.append(close_group(gens, cap=cap))
+        except InputError:
+            continue
+    return groups
+
+
+def cyclic_subgroups(elements):
+    seen = []
+    for x in elements:
+        sub = close_elements([x])
+        if set(sub) not in seen:
+            seen.append(set(sub))
+            yield sub
+
+
+@pytest.fixture
+def gallery(rot4_square_group, sign_rot4_group, kummer_group, p1_group, bielliptic_group):
+    return [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+            bielliptic_group] + random_groups(4861, 25)
+
+
+class TestGeneratorNormality:
+    def test_agrees_with_all_elements_check(self, gallery):
+        verdicts = set()
+        for group in gallery:
+            elements = group_to_lattice_elements(group)
+            gens = to_lattice_elements(group.generators)
+            subgroups = [lattice_ramification_subgroup(elements)]
+            subgroups += list(cyclic_subgroups(elements))
+            for sub in subgroups:
+                want = normal_by_all_elements(elements, sub)
+                assert normal_by_generators(gens, sub, len(elements)) == want
+                verdicts.add(want)
+        assert verdicts == {True, False}  # both outcomes were exercised
+
+    def test_non_normal_subgroup_raises(self):
+        # D4 on E x E: <swap, (-1) x 1>; the reflection (-1) x 1 is not normal
+        swap = LatticeElement.of([[0, 0, 1, 0], [0, 0, 0, 1],
+                                  [1, 0, 0, 0], [0, 1, 0, 0]])
+        flip = LatticeElement.of([[-1, 0, 0, 0], [0, -1, 0, 0],
+                                  [0, 0, 1, 0], [0, 0, 0, 1]])
+        elements = close_elements([swap, flip])
+        assert len(elements) == 8
+        sub = close_elements([flip])
+        with pytest.raises(CertificateError, match="not normal"):
+            check_normal([swap, flip], sub, len(elements))
+
+    def test_inverse_through_powers(self, gallery):
+        for group in gallery:
+            for g in group_to_lattice_elements(group):
+                assert g.compose(_element_inverse(g, group.order)).is_identity()
+
+    def test_inverse_needs_finite_order(self):
+        shift = LatticeElement.of([[1, 1], [0, 1]])  # infinite order
+        with pytest.raises(CertificateError):
+            _element_inverse(shift, 12)
+
+
+class TestOnePassQuasietale:
+    def test_agrees_with_double_loop(self, gallery):
+        verdicts = set()
+        for group in gallery:
+            elements = group_to_lattice_elements(group)
+            subgroups = [lattice_ramification_subgroup(elements)]
+            if group.order <= 8:
+                subgroups += list(cyclic_subgroups(elements))
+            for sub in subgroups:
+                want = quasietale_outside_by_pairs(elements, sub)
+                assert lattice_quasietale_outside(elements, sub) == want
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+
+class TestPrunedClosure:
+    def test_same_set_as_unpruned_bfs(self, gallery):
+        rng = random.Random(7)
+        for group in gallery:
+            elements = group_to_lattice_elements(group)
+            reflections = [e for e in elements if element_fixed_dim(e) == e.rank // 2 - 1]
+            for gens in (elements, reflections, rng.sample(elements, min(3, len(elements)))):
+                if gens:
+                    assert set(close_elements(gens)) == set(unpruned_closure(gens))
+
+    def test_redundant_generators_skipped(self):
+        rot = LatticeElement.of([[0, -1], [1, 0]])
+        minus_one = LatticeElement.of([[-1, 0], [0, -1]])
+        powers = unpruned_closure([rot])
+        multipliers = []
+        original = LatticeElement.compose
+
+        def counting(self, other):
+            multipliers.append(other)
+            return original(self, other)
+
+        LatticeElement.compose = counting
+        try:
+            closed = close_elements(powers)
+        finally:
+            LatticeElement.compose = original
+        assert set(closed) == set(powers)
+        # in sort order -1 comes first and rot is kept next; rot^3 and the
+        # identity are already in the closure and never used
+        assert set(multipliers) == {minus_one, rot}
