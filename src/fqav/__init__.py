@@ -14,6 +14,7 @@ from .action import (
     pointwise_stabilizer,
 )
 from .classify import (
+    Analysis,
     ClassificationReport,
     RamificationData,
     classification_report,

@@ -3,6 +3,7 @@ translation normalization, ages, and the descending multiplication map."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -10,14 +11,11 @@ from math import gcd, lcm
 from .cyclotomic import CycloField, eigen_multiplicity
 from .errors import CertificateError, InputError
 from .linalg import (
-    Lattice,
     TorsionPoint,
     determinant,
     identity_matrix,
-    mat_eq,
     mat_sub,
     mat_vec,
-    rational_kernel_basis,
     solve_affine_mod_lattice,
 )
 from .variety import (
@@ -73,6 +71,9 @@ class FiniteGroupAction:
     generators: tuple
     elements: tuple
     holonomy_group: tuple
+    # element -> fixed_locus(element), filled one element at a time as asked
+    _fixed_loci: dict = dataclasses.field(default_factory=dict, init=False,
+                                         compare=False, repr=False)
 
     @property
     def order(self):
@@ -83,6 +84,13 @@ class FiniteGroupAction:
 
     def nontrivial_elements(self):
         return [g for g in self.elements if not g.is_identity()]
+
+    def fixed_locus_of(self, g):
+        """``fixed_locus(g)`` for an element g, solved on first request only."""
+        loc = self._fixed_loci.get(g)
+        if loc is None:
+            loc = self._fixed_loci[g] = fixed_locus(g)
+        return loc
 
 
 def bfs_closure(identity, gens, cap, overflow):
@@ -154,11 +162,6 @@ def fixed_locus(g: AffineAutomorphism) -> FixedLocus:
         return FixedLocus(True, ())
     comps = tuple(SubtorusTranslate(sol.kernel, rep) for rep in sol.representatives)
     return FixedLocus(False, comps)
-
-
-def fixed_dim(g: AffineAutomorphism):
-    """Complex dimension of Fix(g), or None if empty."""
-    return fixed_locus(g).dim
 
 
 def pointwise_stabilizer(t: SubtorusTranslate, group: FiniteGroupAction):
@@ -259,15 +262,3 @@ def descend_multiplication(group: FiniteGroupAction):
         if not g.translation.scaled(m - 1).is_zero():
             raise CertificateError("multiplication map does not commute")
     return m
-
-
-def holonomy_fixed_space_dim(group: FiniteGroupAction):
-    """dim_Q of the common kernel of {I - rho(phi)} over the holonomy group."""
-    n2 = group.variety.ambient_rank
-    stacked = []
-    for phi in group.holonomy_group:
-        rho = rational_rep(phi)
-        stacked.extend(mat_sub(identity_matrix(n2), rho))
-    if not stacked:
-        return n2
-    return len(rational_kernel_basis(stacked, n2))

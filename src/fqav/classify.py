@@ -1,11 +1,13 @@
 """Classification of the quotient X = A/G: quasietale test, ramification
 data, anticanonical Kodaira dimension, Reid-Tai flags, irregularity, and the
-consolidated report with cross-checks between independent computations."""
+consolidated report with cross-checks between independent computations.
+``Analysis`` holds them for one group and computes each at most once."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .action import (
@@ -13,14 +15,12 @@ from .action import (
     age,
     cyclo_field_for,
     descend_multiplication,
-    fixed_locus,
-    holonomy_fixed_space_dim,
     pointwise_stabilizer,
 )
-from .decompose import DecompositionResult, decompose
+from .decompose import decompose
 from .errors import CertificateError
-from .linalg import Lattice, TorsionPoint, intersect_lattices, mat_vec
-from .variety import SubtorusTranslate, rational_rep
+from .linalg import Lattice, fixed_lattice, mat_vec
+from .variety import SubtorusTranslate, rational_rep, subtorus_kappa
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def is_quasietale(group: FiniteGroupAction) -> bool:
     empty or of complex codimension >= 2."""
     n = group.variety.n
     for g in group.nontrivial_elements():
-        loc = fixed_locus(g)
+        loc = group.fixed_locus_of(g)
         if not loc.empty and loc.dim > n - 2:
             return False
     return True
@@ -67,24 +67,20 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
     """All codimension-1 components of fixed loci, with ramification indices
     and G-orbits."""
     n = group.variety.n
-    components = []
-    keys = {}
+    by_key = {}
     for g in group.nontrivial_elements():
-        loc = fixed_locus(g)
+        loc = group.fixed_locus_of(g)
         if loc.empty or loc.dim != n - 1:
             continue
         for comp in loc.components:
-            key = comp.canonical_key()
-            if key not in keys:
-                keys[key] = len(components)
-                components.append(comp)
-    components_sorted = sorted(components, key=SubtorusTranslate.sort_key)
-    keys = {comp.canonical_key(): i for i, comp in enumerate(components_sorted)}
-    components = components_sorted
+            by_key.setdefault(comp.canonical_key(), comp)
+    components = sorted(by_key.values(), key=SubtorusTranslate.sort_key)
+    keys = {comp.canonical_key(): i for i, comp in enumerate(components)}
 
     indices = tuple(pointwise_stabilizer(comp, group)[1] for comp in components)
 
     # orbits under g . T = rho(T) + a
+    maps = [(rational_rep(g.holonomy), g.translation) for g in group.elements]
     orbit_of = {}
     orbits = []
     for i, comp in enumerate(components):
@@ -98,12 +94,11 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
                 continue
             orbit.add(j)
             cj = components[j]
-            for g in group.elements:
-                rho = rational_rep(g.holonomy)
+            for rho, translation in maps:
                 lat = Lattice.from_vectors(
                     cj.lattice.ambient_rank,
                     [mat_vec(rho, v) for v in cj.lattice.basis_rows()])
-                trans = cj.translate.apply_matrix(rho) + g.translation
+                trans = cj.translate.apply_matrix(rho) + translation
                 image = SubtorusTranslate(lat, trans)
                 k = keys.get(image.canonical_key())
                 if k is None:
@@ -115,21 +110,15 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
         orbits.append(tuple(sorted(orbit)))
 
     coeffs = tuple(Fraction(1) - Fraction(1, indices[orbit[0]]) for orbit in orbits)
-
-    common = Lattice.full(group.variety.ambient_rank)
-    for comp in components:
-        common = intersect_lattices(common, comp.lattice)
-    return RamificationData(tuple(components), indices, tuple(orbits), coeffs,
-                            common.rank // 2)
+    kappa = subtorus_kappa([comp.lattice for comp in components],
+                           group.variety.ambient_rank)
+    return RamificationData(tuple(components), indices, tuple(orbits), coeffs, n - kappa)
 
 
 def kappa_anticanonical(group: FiniteGroupAction):
     """kappa(-K_X) = n - dim of the common subtorus of the ramification
     components; Q-Fano iff kappa = n."""
-    n = group.variety.n
-    data = ramification_data(group)
-    kappa = n - data.intersection_dim
-    return kappa, kappa == n
+    return Analysis(group).kappa
 
 
 def reid_tai(group: FiniteGroupAction, cyclo_field=None):
@@ -140,7 +129,7 @@ def reid_tai(group: FiniteGroupAction, cyclo_field=None):
     for g in group.nontrivial_elements():
         if g.holonomy.is_identity():
             continue
-        if fixed_locus(g).empty:
+        if group.fixed_locus_of(g).empty:
             continue
         if age(g, cyclo_field) < 1:
             return False, g
@@ -150,66 +139,107 @@ def reid_tai(group: FiniteGroupAction, cyclo_field=None):
 def irregularity(group: FiniteGroupAction) -> int:
     """q(X) = dim of the holonomy-invariant tangent subspace (half the
     rational fixed-space dimension)."""
-    d = holonomy_fixed_space_dim(group)
+    reps = [rational_rep(phi) for phi in group.holonomy_group]
+    d = fixed_lattice(reps, group.variety.ambient_rank).rank
     if d % 2 != 0:
         raise CertificateError("holonomy fixed space has odd rational dimension")
     return d // 2
 
 
+class Analysis:
+    """What the commands report about the quotient by ``group``.  Each
+    quantity is computed at most once, and only when first read.
+    ``field`` is the field the Reid-Tai ages are computed in;
+    ``cyclo_field_for(group)`` when omitted."""
+
+    def __init__(self, group: FiniteGroupAction, field=None):
+        self.group = group
+        self._field = field
+
+    @cached_property
+    def field(self):
+        return cyclo_field_for(self.group) if self._field is None else self._field
+
+    @cached_property
+    def ramification(self) -> RamificationData:
+        return ramification_data(self.group)
+
+    @cached_property
+    def kappa(self):
+        """(kappa(-K_X), Q-Fano flag), as ``kappa_anticanonical`` returns it."""
+        n = self.group.variety.n
+        kappa = n - self.ramification.intersection_dim
+        return kappa, kappa == n
+
+    @cached_property
+    def decomposition(self):
+        return decompose(self.group)
+
+    @cached_property
+    def reid_tai(self):
+        """(holds, witness or None), as ``reid_tai`` returns it."""
+        return reid_tai(self.group, self.field)
+
+    @cached_property
+    def classification(self) -> ClassificationReport:
+        group = self.group
+        n = group.variety.n
+        quasi = is_quasietale(group)
+        kappa, q_fano = self.kappa
+        decomposition = self.decomposition
+        q_circle = decomposition.total_abelian_dim
+        q_x = irregularity(group)
+        rt_holds, rt_witness = self.reid_tai
+        m = descend_multiplication(group)
+
+        # independent computations must agree
+        if quasi != (q_circle == n):
+            raise CertificateError("quasietale flag disagrees with the abelian factor dim")
+        if quasi != decomposition.is_q_abelian:
+            raise CertificateError("quasietale flag disagrees with the decomposition")
+        if q_fano != (q_circle == 0):
+            raise CertificateError("Q-Fano flag disagrees with the abelian factor dim")
+        if not (0 <= q_circle <= n):
+            raise CertificateError("abelian factor dimension out of range")
+        if q_x > q_circle:
+            raise CertificateError("irregularity exceeds the abelian factor dim")
+        if kappa < 0 or kappa + q_circle < n:
+            raise CertificateError("kappa inconsistent with the abelian factor dim")
+
+        notes = []
+        if kappa + q_circle > n:
+            notes.append("noteworthy: kappa_anticanonical + q_circle exceeds dim X")
+
+        if quasi:
+            uniruled = not rt_holds
+            canonical = rt_holds
+            kappa_zero = rt_holds
+        else:
+            uniruled = True
+            canonical = None
+            kappa_zero = False
+
+        return ClassificationReport(
+            n=n,
+            group_order=group.order,
+            quasietale=quasi,
+            kappa_anticanonical=kappa,
+            q_fano=q_fano,
+            fano_type=q_fano,
+            q_abelian=quasi,
+            q_x=q_x,
+            q_circle=q_circle,
+            reid_tai_holds=rt_holds,
+            reid_tai_witness=rt_witness,
+            uniruled=uniruled,
+            canonical=canonical,
+            kappa_zero=kappa_zero,
+            polarized_endo_m=m,
+            notes=tuple(notes),
+        )
+
+
 def classification_report(group: FiniteGroupAction, cyclo_field=None) -> ClassificationReport:
     """``cyclo_field`` is the field the Reid-Tai ages are computed in;
     ``cyclo_field_for(group)`` when omitted."""
-    n = group.variety.n
-    quasi = is_quasietale(group)
-    kappa, q_fano = kappa_anticanonical(group)
-    decomposition = decompose(group)
-    q_circle = decomposition.total_abelian_dim
-    q_x = irregularity(group)
-    rt_holds, rt_witness = reid_tai(group, cyclo_field)
-    m = descend_multiplication(group)
-
-    # independent computations must agree
-    if quasi != (q_circle == n):
-        raise CertificateError("quasietale flag disagrees with the abelian factor dim")
-    if quasi != decomposition.is_q_abelian:
-        raise CertificateError("quasietale flag disagrees with the decomposition")
-    if q_fano != (q_circle == 0):
-        raise CertificateError("Q-Fano flag disagrees with the abelian factor dim")
-    if not (0 <= q_circle <= n):
-        raise CertificateError("abelian factor dimension out of range")
-    if q_x > q_circle:
-        raise CertificateError("irregularity exceeds the abelian factor dim")
-    if kappa < 0 or kappa + q_circle < n:
-        raise CertificateError("kappa inconsistent with the abelian factor dim")
-
-    notes = []
-    if kappa + q_circle > n:
-        notes.append("noteworthy: kappa_anticanonical + q_circle exceeds dim X")
-
-    if quasi:
-        uniruled = not rt_holds
-        canonical = rt_holds
-        kappa_zero = rt_holds
-    else:
-        uniruled = True
-        canonical = None
-        kappa_zero = False
-
-    return ClassificationReport(
-        n=n,
-        group_order=group.order,
-        quasietale=quasi,
-        kappa_anticanonical=kappa,
-        q_fano=q_fano,
-        fano_type=q_fano,
-        q_abelian=quasi,
-        q_x=q_x,
-        q_circle=q_circle,
-        reid_tai_holds=rt_holds,
-        reid_tai_witness=rt_witness,
-        uniruled=uniruled,
-        canonical=canonical,
-        kappa_zero=kappa_zero,
-        polarized_endo_m=m,
-        notes=tuple(notes),
-    )
+    return Analysis(group, cyclo_field).classification

@@ -13,9 +13,8 @@ import sys
 from fractions import Fraction
 
 from .action import AffineAutomorphism, DEFAULT_GROUP_CAP, age, close_group, cyclo_field_for
-from .classify import classification_report, ramification_data, reid_tai
+from .classify import Analysis
 from .cyclotomic import CycloField
-from .decompose import decompose
 from .errors import CertificateError, InputError
 from .linalg import TorsionPoint
 from .variety import AbelianVarietyModel, EllipticFactor, EndoBlockMatrix
@@ -223,25 +222,26 @@ def build_report(variety, gens, options, command, m_override=None):
     if command == "validate":
         doc["group_order"] = group.order
         return doc
-    field = CycloField(m_override) if m_override else cyclo_field_for(group)
+    field = CycloField(m_override) if m_override is not None else cyclo_field_for(group)
+    analysis = Analysis(group, field)
     if command in ("classify", "report"):
-        doc["classification"] = _classification_doc(classification_report(group, field))
+        doc["classification"] = _classification_doc(analysis.classification)
     if command in ("ramification", "report"):
-        doc["ramification"] = _ramification_doc(ramification_data(group))
+        doc["ramification"] = _ramification_doc(analysis.ramification)
     if command in ("reidtai", "report"):
-        holds, witness = reid_tai(group, field)
+        holds, witness = analysis.reid_tai
         doc["reid_tai"] = {"holds": holds,
                            "witness": None if witness is None else _element_doc(witness),
                            "witness_age": (None if witness is None
                                            else _format_fraction(age(witness, field)))}
     if command in ("decompose", "report"):
-        doc["decomposition"] = _decomposition_doc(decompose(group))
+        doc["decomposition"] = _decomposition_doc(analysis.decomposition)
     if command == "report":
         doc["provenance"] = dict(sorted(PROVENANCE.items()))
     return doc
 
 
-def _render_markdown(doc, lines=None, prefix=""):
+def _render_markdown(doc):
     out = ["# fqav report", ""]
 
     def emit(obj, indent=0):
@@ -284,7 +284,7 @@ def main(argv=None):
                         help="override the group order cap")
     parser.add_argument("--format", choices=("json", "md"), default="json")
     parser.add_argument("--m-override", type=int, default=None,
-                        help="cyclotomic conductor override (must be divisible by 12)")
+                        help="cyclotomic conductor override (a positive multiple of 12)")
     args = parser.parse_args(argv)
 
     try:

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import InputError
 
@@ -72,8 +71,9 @@ class CycloField:
     m: int
 
     def __post_init__(self):
-        if self.m % 12 != 0:
-            raise InputError("conductor must be divisible by 12", code="bad-conductor")
+        if self.m < 1 or self.m % 12 != 0:
+            raise InputError("conductor must be a positive multiple of 12",
+                             code="bad-conductor")
 
     @property
     def modulus(self):

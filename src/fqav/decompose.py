@@ -16,10 +16,8 @@ from .errors import CertificateError
 from .linalg import (
     Lattice,
     TorsionPoint,
-    determinant,
+    fixed_lattice,
     identity_matrix,
-    integer_kernel,
-    intersect_lattices,
     mat_mul,
     mat_sub,
     mat_transpose,
@@ -28,7 +26,12 @@ from .linalg import (
     solve_affine_mod_lattice,
     solve_rational,
 )
-from .variety import averaged_polarization, rational_rep, standard_symplectic_form
+from .variety import (
+    lattice_poincare_complement,
+    rational_rep,
+    standard_symplectic_form,
+    subtorus_kappa,
+)
 
 
 @dataclass(frozen=True)
@@ -99,11 +102,6 @@ def fixed_solutions(elements):
 
 def _solution_dim(sol):
     return sol.kernel.rank // 2 if sol.nonempty else None
-
-
-def element_fixed_dim(e: LatticeElement):
-    """Complex dimension of the fixed locus, or None if empty."""
-    return _solution_dim(element_fixed_solution(e))
 
 
 @dataclass(frozen=True)
@@ -220,35 +218,6 @@ def lattice_quasietale_outside(elements, subgroup, fixed=None):
     return True
 
 
-def lattice_invariant_fixed_torus(subgroup):
-    """Saturated common kernel of I - W over the holonomies of the subgroup."""
-    n2 = subgroup[0].rank
-    stacked = []
-    seen = set()
-    for e in subgroup:
-        if e.matrix in seen:
-            continue
-        seen.add(e.matrix)
-        stacked.extend(mat_sub(identity_matrix(n2), [list(r) for r in e.matrix]))
-    if not stacked:
-        return Lattice.full(n2)
-    return integer_kernel(stacked, n2)
-
-
-def lattice_poincare_complement(b: Lattice, holonomies, seed_form):
-    """Averaged-form orthogonal complement of B, as in the variety module but
-    with an explicit seed form (needed below the top level)."""
-    form = averaged_polarization([[list(r) for r in w] for w in holonomies], seed_form)
-    rows = [mat_vec(mat_transpose(form), u) for u in b.basis_rows()]
-    c = integer_kernel(rows, b.ambient_rank)
-    if b.rank + c.rank != b.ambient_rank:
-        raise CertificateError("complement has wrong rank")
-    index = abs(determinant(b.basis_rows() + c.basis_rows()))
-    if index == 0:
-        raise CertificateError("B + C is not of finite index")
-    return c, index
-
-
 def lattice_kappa(elements, fixed=None):
     """n - dim of the intersection of the codimension-1 fixed-locus lattices;
     the anticanonical Kodaira dimension of the quotient by this group.
@@ -259,19 +228,9 @@ def lattice_kappa(elements, fixed=None):
     if fixed is None:
         fixed = fixed_solutions(elements)
     n2 = elements[0].rank
-    n = n2 // 2
-    common = Lattice.full(n2)
-    found = False
-    for e in elements:
-        if e.is_identity():
-            continue
-        sol = fixed[e]
-        if sol.nonempty and sol.kernel.rank == n2 - 2:
-            found = True
-            common = intersect_lattices(common, sol.kernel)
-    if not found:
-        return 0
-    return n - common.rank // 2
+    solutions = [fixed[e] for e in elements if not e.is_identity()]
+    return subtorus_kappa([sol.kernel for sol in solutions
+                           if sol.nonempty and sol.kernel.rank == n2 - 2], n2)
 
 
 def split_action(n_elements, b: Lattice, c: Lattice, ker_mu_order):
@@ -358,6 +317,12 @@ def _check_n_tilde_group(n_tilde, restrict_matrix):
 # ---------------------------------------------------------------------------
 # the decomposition algorithm
 
+def _restrict_form(form, basis):
+    """The form on the span of the basis rows, in their coordinates: B E B^T."""
+    rows = [list(v) for v in basis]
+    return mat_mul(rows, mat_mul(form, mat_transpose(rows)))
+
+
 def _compose_embedding(outer, local_basis):
     """Express local basis vectors (rows) through an outer embedding."""
     return tuple(tuple(mat_vec(mat_transpose([list(v) for v in outer]), row))
@@ -386,7 +351,8 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
         fano = SublatticeAction((), (), ambient_rank)
         return fano
 
-    b = lattice_invariant_fixed_torus(n_sub)
+    holonomies = list(dict.fromkeys(e.matrix for e in n_sub))
+    b = fixed_lattice(holonomies, n2)
     if b.rank == 0:
         # Q-Fano remainder: quotient of the current lattice by N
         kappa = lattice_kappa(n_sub, fixed)
@@ -395,12 +361,6 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
         stages.append(StageCertificate(len(n_sub), 1, qout, True, None))
         return SublatticeAction(tuple(n_sub), embedding, ambient_rank)
 
-    holonomies = []
-    seen = set()
-    for e in n_sub:
-        if e.matrix not in seen:
-            seen.add(e.matrix)
-            holonomies.append(e.matrix)
     c, ker_mu = lattice_poincare_complement(b, holonomies, seed_form)
     n_tilde, n_c, _ = split_action(n_sub, b, c, ker_mu)
 
@@ -411,7 +371,7 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
     # next stage: C in its own coordinates, with the form restricted to C
     ct = c.basis_rows()
     next_embedding = _compose_embedding(embedding, ct)
-    next_form = mat_mul(ct, mat_mul(seed_form, mat_transpose(ct)))
+    next_form = _restrict_form(seed_form, ct)
     # split_action certified n_c closed, so it is the next stage group and
     # generates itself
     next_elements = tuple(n_c) if n_c else (LatticeElement.of(identity_matrix(c.rank)),)
@@ -447,7 +407,7 @@ def decompose(group) -> DecompositionResult:
     """Build the quasietale cover (abelian factor) x (Q-Fano part) for the
     quotient of the modeled variety by the given closed group."""
     elements = group_to_lattice_elements(group)
-    seed = standard_symplectic_form(group.variety)
+    seed = standard_symplectic_form(group.variety.n)
     return decompose_lattice_action(elements, group.variety.ambient_rank, seed,
                                     to_lattice_elements(group.generators))
 
@@ -456,14 +416,5 @@ def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:
     """Re-run the decomposition on a Q-Fano stage (idempotence check)."""
     if fano.rank == 0:
         return DecompositionResult((), 0, fano, ())
-    seed = _restricted_seed(fano)
+    seed = _restrict_form(standard_symplectic_form(fano.ambient_rank // 2), fano.embedding)
     return decompose_lattice_action(list(fano.elements), fano.rank, seed)
-
-
-def _restricted_seed(fano: SublatticeAction):
-    base = [[0] * fano.ambient_rank for _ in range(fano.ambient_rank)]
-    for j in range(fano.ambient_rank // 2):
-        base[2 * j][2 * j + 1] = 1
-        base[2 * j + 1][2 * j] = -1
-    emb = [list(v) for v in fano.embedding]
-    return mat_mul(emb, mat_mul(base, mat_transpose(emb)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
 # ---------------------------------------------------------------------------
@@ -44,46 +44,55 @@ def mat_transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def mat_eq(a, b):
-    return [list(r) for r in a] == [list(r) for r in b]
+def _gauss_jordan(matrix, cols):
+    """Reduced row echelon form over Q of ``matrix`` in its first ``cols``
+    columns; any further columns (a right-hand side) are carried along.  The
+    pivot of each column is its first nonzero entry at or below the current
+    row.  Returns the reduced rows, the pivot columns, and the product of
+    the pivots before scaling, negated once per row swap: the determinant
+    when the matrix is square of full rank."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    nr = len(a)
+    pivots = []
+    det = Fraction(1)
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            det = -det
+        p = a[r][c]
+        det *= p
+        # the rows from r down are zero left of column c, so the pivot row
+        # changes only the columns from c on
+        pivot_row = [x / p for x in a[r][c:]]
+        a[r][c:] = pivot_row
+        for i in range(nr):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i][c:] = [x - f * y if y else x for x, y in zip(a[i][c:], pivot_row)]
+        pivots.append(c)
+        r += 1
+    return a, pivots, det
 
 
 def determinant(m):
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
+    """Exact determinant of a square matrix."""
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c] != 0:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    _, pivots, det = _gauss_jordan(m, n)
+    if len(pivots) < n:
+        return 0
     return int(det) if det.denominator == 1 else det
 
 
 def invert_unimodular(m):
     """Inverse of a unimodular integer matrix, returned with int entries."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if a[r][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    out = [[x for x in row[n:]] for row in a]
+    a, _, _ = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(m)], n)
+    out = [row[n:] for row in a]
     assert all(x.denominator == 1 for row in out for x in row)
     return [[int(x) for x in row] for row in out]
 
@@ -262,13 +271,6 @@ class Lattice:
     def basis_rows(self):
         return [list(r) for r in self.basis]
 
-    def contains(self, vector):
-        """Membership of an integer (or rational) vector in this lattice."""
-        coeffs = solve_rational(mat_transpose(self.basis_rows()), list(vector))
-        if coeffs is None:
-            return False
-        return all(Fraction(c).denominator == 1 for c in coeffs)
-
     def spans_rationally(self, vector):
         return solve_rational(mat_transpose(self.basis_rows()), list(vector)) is not None
 
@@ -282,30 +284,12 @@ def saturate(lat: Lattice) -> Lattice:
     return Lattice.from_vectors(lat.ambient_rank, vinv[: lat.rank])
 
 
-def rational_kernel_basis(matrix, cols=None):
+def rational_kernel_basis(matrix):
     """Basis of the rational kernel of an exact matrix, as Fraction vectors."""
-    if cols is None:
-        cols = len(matrix[0]) if matrix else 0
-    a = [[Fraction(x) for x in row] for row in matrix]
-    nr = len(a)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
+    cols = len(matrix[0]) if matrix else 0
+    a, pivots, _ = _gauss_jordan(matrix, cols)
     basis = []
-    for f in free:
+    for f in (c for c in range(cols) if c not in pivots):
         vec = [Fraction(0)] * cols
         vec[f] = Fraction(1)
         for k, c in enumerate(pivots):
@@ -325,29 +309,20 @@ def integer_kernel(matrix, cols) -> Lattice:
     return Lattice.from_vectors(cols, vt[rank:])
 
 
+def fixed_lattice(matrices, rank) -> Lattice:
+    """Saturated lattice of the vectors fixed by every matrix W: the common
+    kernel of the I - W; all of Z^rank when there are no matrices."""
+    ident = identity_matrix(rank)
+    return integer_kernel([row for w in matrices for row in mat_sub(ident, w)], rank)
+
+
 def solve_rational(matrix, rhs):
     """One rational solution of M x = rhs, or None if inconsistent."""
-    nr = len(matrix)
-    nc = len(matrix[0]) if nr else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nr):
-        if a[i][nc] != 0:
-            return None
+    nc = len(matrix[0]) if matrix else 0
+    a, pivots, _ = _gauss_jordan(
+        [list(row) + [rhs[i]] for i, row in enumerate(matrix)], nc)
+    if any(row[nc] != 0 for row in a[len(pivots):]):
+        return None
     x = [Fraction(0)] * nc
     for k, c in enumerate(pivots):
         x[c] = a[k][nc]
@@ -477,9 +452,3 @@ def orthogonal_complement_rows(lat: Lattice) -> list:
         return identity_matrix(lat.ambient_rank)
     ker = integer_kernel(lat.basis_rows(), lat.ambient_rank)
     return ker.basis_rows()
-
-
-def lattice_index(sublattice_rows, n):
-    """Index [Z^n : rowspan] for a full-rank square system of rows."""
-    det = determinant(sublattice_rows)
-    return abs(det)

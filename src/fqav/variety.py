@@ -7,22 +7,19 @@ torsion-translate divisors, invariant complements).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cyclotomic import CycloField, cyclo_mat_from_rational
+from .cyclotomic import CycloField
 from .errors import CertificateError, InputError
 from .linalg import (
     Lattice,
     TorsionPoint,
     determinant,
-    identity_matrix,
     intersect_lattices,
     integer_kernel,
     mat_mul,
     mat_transpose,
     mat_vec,
     orthogonal_complement_rows,
-    saturate,
     solve_affine_mod_lattice,
     solve_rational,
 )
@@ -259,23 +256,16 @@ class SubtorusTranslate:
         reduced = TorsionPoint.of(mat_vec(k, list(self.translate.coords)))
         return (self.lattice, reduced)
 
-    def same_translate(self, other):
-        return self.canonical_key() == other.canonical_key()
-
     def sort_key(self):
         return (self.lattice.basis, self.translate.sort_key())
-
-
-def subtorus_membership_rows(lat: Lattice):
-    return orthogonal_complement_rows(lat)
 
 
 def connected_intersection(s1: SubtorusTranslate, s2: SubtorusTranslate):
     """Intersection of two subtorus translates: the common sublattice D and
     the finite set of components (translates of D)."""
     d = intersect_lattices(s1.lattice, s2.lattice)
-    k1 = subtorus_membership_rows(s1.lattice)
-    k2 = subtorus_membership_rows(s2.lattice)
+    k1 = orthogonal_complement_rows(s1.lattice)
+    k2 = orthogonal_complement_rows(s2.lattice)
     stacked = k1 + k2
     if not stacked:
         zero = TorsionPoint.zero(s1.lattice.ambient_rank)
@@ -301,24 +291,30 @@ def q_linear_equivalent(t1: SubtorusTranslate, t2: SubtorusTranslate) -> bool:
     return t1.lattice == t2.lattice
 
 
+def subtorus_kappa(lattices, ambient_rank):
+    """n - dim of the common subtorus of the subtori with these lattices in
+    Z^ambient_rank (the whole torus when there are none): the Kodaira
+    dimension of a divisor whose components are translates of them."""
+    common = Lattice.full(ambient_rank)
+    for lat in lattices:
+        common = intersect_lattices(common, lat)
+    return ambient_rank // 2 - common.rank // 2
+
+
 def kappa_divisor(components, variety: AbelianVarietyModel):
     """Kodaira dimension of an effective divisor whose components are torsion
-    translates of codimension-1 subtori: kappa = n - dim of the common
-    subtorus; ample iff kappa = n."""
-    n = variety.n
-    common = Lattice.full(variety.ambient_rank)
+    translates of codimension-1 subtori; ample iff kappa = n."""
     for _mult, t in components:
         if t.lattice.rank != variety.ambient_rank - 2:
             raise InputError("divisor components must have codimension 1",
                              code="not-codim-1")
-        common = intersect_lattices(common, t.lattice)
-    kappa = n - common.rank // 2
-    return kappa, kappa == n
+    kappa = subtorus_kappa([t.lattice for _mult, t in components], variety.ambient_rank)
+    return kappa, kappa == variety.n
 
 
-def standard_symplectic_form(variety: AbelianVarietyModel):
-    """The product principal polarization seed: block-diagonal [[0,1],[-1,0]]."""
-    n = variety.n
+def standard_symplectic_form(n):
+    """The product principal polarization seed on E_1 x ... x E_n:
+    block-diagonal [[0,1],[-1,0]]."""
     out = [[0] * (2 * n) for _ in range(2 * n)]
     for j in range(n):
         out[2 * j][2 * j + 1] = 1
@@ -336,27 +332,28 @@ def averaged_polarization(n0_reps, seed):
     return total
 
 
-def orthogonal_complement_lattice(b: Lattice, form):
-    """Saturation of {v in Z^N : u^T E v = 0 for all u in B}."""
-    rows = [mat_vec(mat_transpose(form), u) for u in b.basis_rows()]
+def lattice_poincare_complement(b: Lattice, holonomies, seed_form):
+    """A complement C of B invariant under the rational holonomies, which
+    must leave B invariant: average ``seed_form`` over them, take the
+    E-orthogonal complement {v : u^T E v = 0 for all u in B}, saturate.
+    Returns (C, index of B + C in the ambient lattice)."""
+    form = averaged_polarization(holonomies, seed_form)
     # u^T E v = (E^T u) . v
-    return integer_kernel(rows, b.ambient_rank)
+    rows = [mat_vec(mat_transpose(form), u) for u in b.basis_rows()]
+    c = integer_kernel(rows, b.ambient_rank)
+    if b.rank + c.rank != b.ambient_rank:
+        raise CertificateError("complement has wrong rank")
+    index = abs(determinant(b.basis_rows() + c.basis_rows()))
+    if index == 0:
+        raise CertificateError("B + C is not of finite index")
+    return c, index
 
 
 def poincare_complement(b: Lattice, n0, variety: AbelianVarietyModel):
-    """An N0-invariant complement C of B: average the standard polarization
-    over N0, take the E-orthogonal complement, saturate.  Returns (C, index
-    of B + C in Z^(2n))."""
+    """An N0-invariant complement C of the N0-invariant lattice B, from the
+    standard polarization.  Returns (C, index of B + C in Z^(2n))."""
     reps = [rational_rep(phi) for phi in n0]
     for rho in reps:
         if not all(b.spans_rationally(mat_vec(rho, v)) for v in b.basis_rows()):
             raise InputError("subvariety not invariant", code="not-invariant")
-    form = averaged_polarization(reps, standard_symplectic_form(variety))
-    c = orthogonal_complement_lattice(b, form)
-    if b.rank + c.rank != variety.ambient_rank:
-        raise CertificateError("complement has wrong rank")
-    stacked = b.basis_rows() + c.basis_rows()
-    index = abs(determinant(stacked))
-    if index == 0:
-        raise CertificateError("B + C is not of finite index")
-    return c, index
+    return lattice_poincare_complement(b, reps, standard_symplectic_form(variety.n))

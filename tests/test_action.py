@@ -9,17 +9,15 @@ from fqav.action import (
     close_group,
     cyclo_field_for,
     descend_multiplication,
-    fixed_dim,
     fixed_locus,
     group_exponent,
-    holonomy_fixed_space_dim,
     holonomy_order,
     normalize_translations,
     pointwise_stabilizer,
 )
 from fqav.errors import InputError
-from fqav.linalg import TorsionPoint
-from fqav.variety import AbelianVarietyModel, EllipticFactor, EndoBlockMatrix
+from fqav.linalg import TorsionPoint, fixed_lattice
+from fqav.variety import AbelianVarietyModel, EllipticFactor, EndoBlockMatrix, rational_rep
 
 from conftest import automorphism
 
@@ -110,7 +108,7 @@ class TestFixedLoci:
     def test_bielliptic_fixed_free(self, bielliptic_group):
         g = bielliptic_group.nontrivial_elements()[0]
         assert fixed_locus(g).empty
-        assert fixed_dim(g) is None
+        assert fixed_locus(g).dim is None
 
     def test_conjugation_moves_fixed_locus(self, rot4_square_group):
         # Fix(h g h^-1) = h(Fix(g)) as sets of components
@@ -256,6 +254,10 @@ class TestHolonomyInvariants:
         assert group_exponent(kummer_group) == 2
 
     def test_fixed_space_dims(self, rot4_square_group, sign_rot4_group, bielliptic_group):
-        assert holonomy_fixed_space_dim(rot4_square_group) == 0
-        assert holonomy_fixed_space_dim(sign_rot4_group) == 0
-        assert holonomy_fixed_space_dim(bielliptic_group) == 2
+        def fixed_space_dim(group):
+            reps = [rational_rep(phi) for phi in group.holonomy_group]
+            return fixed_lattice(reps, group.variety.ambient_rank).rank
+
+        assert fixed_space_dim(rot4_square_group) == 0
+        assert fixed_space_dim(sign_rot4_group) == 0
+        assert fixed_space_dim(bielliptic_group) == 2

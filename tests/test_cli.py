@@ -1,4 +1,6 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -7,15 +9,32 @@ from fqav.errors import InputError
 
 from conftest import FIXTURE_DIR
 
+FIXTURES = ("rot4-square.json", "sign-rot4.json", "kummer.json",
+            "bielliptic.json", "p1-from-ei.json")
+
 
 def load(name):
     return (FIXTURE_DIR / name).read_text()
 
 
+def count_calls(monkeypatch, name, calls):
+    """Count the calls of the fqav function ``name`` made through any fqav
+    module that binds it."""
+    modules = [m for key, m in sys.modules.items() if key.startswith("fqav.")]
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for m in modules:
+        if getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, counting)
+
+
 class TestParse:
     def test_fixture_files_parse(self):
-        for name in ("rot4-square.json", "sign-rot4.json", "kummer.json",
-                     "bielliptic.json", "p1-from-ei.json"):
+        for name in FIXTURES:
             variety, gens, options = parse_input(load(name))
             assert gens
             assert options["group_cap"] >= 1
@@ -194,8 +213,7 @@ class TestMain:
 
     def test_all_commands_run_on_all_fixtures(self, capsys):
         from fqav.cli import COMMANDS
-        for name in ("rot4-square.json", "sign-rot4.json", "kummer.json",
-                     "bielliptic.json", "p1-from-ei.json"):
+        for name in FIXTURES:
             for command in COMMANDS:
                 rc = main([command, str(FIXTURE_DIR / name)])
                 capsys.readouterr()
@@ -234,3 +252,60 @@ class TestMain:
         assert classification["classification"]["reid_tai_holds"] is False
         assert (classification["classification"]["reid_tai_witness"]
                 == reidtai["reid_tai"]["witness"])
+
+    @pytest.mark.parametrize("m", ["-12", "0"])
+    def test_m_override_must_be_positive(self, m, capsys):
+        rc = main(["classify", str(FIXTURE_DIR / "rot4-square.json"), f"--m-override={m}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[bad-conductor]")
+
+
+# report section -> the command that prints it alone
+SECTIONS = {"input": "validate", "classification": "classify",
+            "ramification": "ramification", "reid_tai": "reidtai",
+            "decomposition": "decompose"}
+
+
+class TestComputeOnce:
+    @pytest.mark.parametrize("command, expected", [
+        ("validate", {}),
+        ("classify", {"decompose": 1, "ramification_data": 1, "reid_tai": 1}),
+        ("ramification", {"ramification_data": 1}),
+        ("reidtai", {"reid_tai": 1}),
+        ("decompose", {"decompose": 1}),
+        ("report", {"decompose": 1, "ramification_data": 1, "reid_tai": 1}),
+    ])
+    def test_each_analysis_runs_at_most_once(self, command, expected, monkeypatch):
+        for name in FIXTURES:
+            calls = Counter()
+            for func in ("decompose", "ramification_data", "reid_tai"):
+                count_calls(monkeypatch, func, calls)
+            build_report(*parse_input(load(name)), command)
+            assert calls == Counter(expected), name
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    def test_each_fixed_locus_solved_once(self, command, monkeypatch):
+        for name in FIXTURES:
+            calls = Counter()
+            count_calls(monkeypatch, "fixed_locus", calls)
+            doc = build_report(*parse_input(load(name)), command)
+            assert calls["fixed_locus"] <= doc["classification"]["group_order"] - 1, name
+            monkeypatch.undo()
+
+    def test_fixed_loci_solved_lazily(self, monkeypatch):
+        # the first nontrivial element of rot4-square is the Reid-Tai
+        # witness, so reidtai needs one fixed locus of the three
+        calls = Counter()
+        count_calls(monkeypatch, "fixed_locus", calls)
+        doc = build_report(*parse_input(load("rot4-square.json")), "reidtai")
+        assert doc["reid_tai"]["holds"] is False
+        assert calls["fixed_locus"] == 1
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_report_sections_match_commands(self, name):
+        variety, gens, options = parse_input(load(name))
+        report = build_report(variety, gens, options, "report")
+        for section, command in SECTIONS.items():
+            alone = build_report(variety, gens, options, command)
+            assert serialize(report[section]) == serialize(alone[section]), section

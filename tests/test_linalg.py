@@ -12,10 +12,14 @@ from fqav.linalg import (
     determinant,
     identity_matrix,
     intersect_lattices,
+    invert_unimodular,
     mat_mul,
+    mat_vec,
+    rational_kernel_basis,
     saturate,
     snf,
     solve_affine_mod_lattice,
+    solve_rational,
     elementary_divisors,
 )
 
@@ -85,6 +89,53 @@ class TestSnf:
         m = [[data.draw(st.integers(-9, 9)) for _ in range(nc)] for _ in range(nr)]
         diag = assert_snf_contract(m)
         assert [d for d in diag if d] == minor_gcd_divisors(m)
+
+
+def leibniz_determinant(m):
+    """Independent oracle: the sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(1 for i, j in itertools.combinations(range(len(m)), 2)
+                         if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+class TestElimination:
+    """determinant, invert_unimodular, rational_kernel_basis and
+    solve_rational share one elimination routine."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_determinant_matches_leibniz(self, n, data):
+        m = [[data.draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+        assert determinant(m) == leibniz_determinant(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_kernel_and_solve(self, nr, nc, data):
+        m = [[data.draw(st.integers(-3, 3)) for _ in range(nc)] for _ in range(nr)]
+        rhs = [data.draw(st.integers(-3, 3)) for _ in range(nr)]
+        kernel = rational_kernel_basis(m)
+        assert all(not any(mat_vec(m, v)) for v in kernel)
+        rank = len(elementary_divisors(m))
+        assert len(kernel) == nc - rank
+        x = solve_rational(m, rhs)
+        # solvable iff appending rhs as a column keeps the rank
+        augmented = [row + [b] for row, b in zip(m, rhs)]
+        assert (x is not None) == (len(elementary_divisors(augmented)) == rank)
+        if x is not None:
+            assert mat_vec(m, x) == rhs
+
+    def test_inverse_of_unimodular(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            _, _, v = snf([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+            assert mat_mul(v, invert_unimodular(v)) == identity_matrix(n)
 
 
 class TestSaturate:
