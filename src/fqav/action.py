@@ -6,11 +6,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .cyclotomic import CycloField, eigen_multiplicity
 from .errors import CertificateError, InputError
 from .linalg import (
+    AffineSolutionSet,
     TorsionPoint,
     determinant,
     identity_matrix,
@@ -119,7 +121,9 @@ def bfs_closure(identity, gens, cap, overflow):
 def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
     """Breadth-first closure under composition (lexicographic tie-break per
     level); a finite closed set under composition containing the generators
-    is automatically a group."""
+    is automatically a group.  A generator whose holonomy has infinite order
+    is rejected before closing; the others have finite order, since their
+    translations are torsion."""
     if not gens:
         raise InputError("no generators", code="no-generators")
     variety = gens[0].variety
@@ -128,6 +132,7 @@ def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
             raise InputError("generators on different varieties", code="mixed-varieties")
         if abs(determinant(rational_rep(g.holonomy))) != 1:
             raise InputError("holonomy is not an automorphism", code="not-automorphism")
+        holonomy_order(g.holonomy)
     ident = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
     gens_sorted = sorted(set(gens), key=AffineAutomorphism.sort_key)
     elements = bfs_closure(ident, gens_sorted, cap,
@@ -141,27 +146,10 @@ def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
     return FiniteGroupAction(variety, tuple(gens_sorted), tuple(elements), tuple(holonomies))
 
 
-@dataclass(frozen=True)
-class FixedLocus:
-    empty: bool
-    components: tuple  # SubtorusTranslate, sharing one lattice
-
-    @property
-    def dim(self):
-        if self.empty:
-            return None
-        return self.components[0].dim
-
-
-def fixed_locus(g: AffineAutomorphism) -> FixedLocus:
+def fixed_locus(g: AffineAutomorphism) -> AffineSolutionSet:
     """Fix(t_a . phi) = solutions of (I - rho(phi)) x == a on the torus."""
     rho = rational_rep(g.holonomy)
-    m = mat_sub(identity_matrix(len(rho)), rho)
-    sol = solve_affine_mod_lattice(m, g.translation)
-    if not sol.nonempty:
-        return FixedLocus(True, ())
-    comps = tuple(SubtorusTranslate(sol.kernel, rep) for rep in sol.representatives)
-    return FixedLocus(False, comps)
+    return solve_affine_mod_lattice(mat_sub(identity_matrix(len(rho)), rho), g.translation)
 
 
 def pointwise_stabilizer(t: SubtorusTranslate, group: FiniteGroupAction):
@@ -204,13 +192,36 @@ def normalize_translations(group: FiniteGroupAction):
     return p, conj_group
 
 
-def holonomy_order(phi: EndoBlockMatrix, cap=DEFAULT_GROUP_CAP):
+@cache
+def order_bound(rank):
+    """K = lcm of the d with phi(d) <= rank.  A finite-order integer matrix
+    of this rank is diagonalizable with roots of unity as eigenvalues, so its
+    order is the lcm of their orders d; a primitive d-th root has degree
+    phi(d) over Q, so each d is one of these and the order divides K.
+    phi(d) >= sqrt(d / 2) bounds the search by d <= 2 rank^2."""
+    top = 2 * rank * rank
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:  # p is prime
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return lcm(*(d for d in range(1, top + 1) if phi[d] <= rank))
+
+
+def holonomy_order(phi: EndoBlockMatrix):
+    """Order of phi.  Every finite order divides K = ``order_bound``, so phi
+    has infinite order when none of its first K powers is the identity.  At
+    most DEFAULT_GROUP_CAP powers are tried; past that the order exceeds
+    the default group cap, finite or not."""
+    bound = order_bound(phi.variety.ambient_rank)
     ident = EndoBlockMatrix.identity(phi.variety)
     power = phi
-    for k in range(1, cap + 1):
+    for k in range(1, min(bound, DEFAULT_GROUP_CAP) + 1):
         if power == ident:
             return k
         power = power.compose(phi)
+    if bound <= DEFAULT_GROUP_CAP:
+        raise InputError("holonomy has infinite order", code="infinite-order")
     raise InputError("holonomy order exceeds cap", code="cap-exceeded")
 
 

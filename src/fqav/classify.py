@@ -15,7 +15,6 @@ from .action import (
     age,
     cyclo_field_for,
     descend_multiplication,
-    pointwise_stabilizer,
 )
 from .decompose import decompose
 from .errors import CertificateError
@@ -58,61 +57,62 @@ def is_quasietale(group: FiniteGroupAction) -> bool:
     n = group.variety.n
     for g in group.nontrivial_elements():
         loc = group.fixed_locus_of(g)
-        if not loc.empty and loc.dim > n - 2:
+        if loc.nonempty and loc.dim > n - 2:
             return False
     return True
 
 
 def ramification_data(group: FiniteGroupAction) -> RamificationData:
     """All codimension-1 components of fixed loci, with ramification indices
-    and G-orbits."""
+    and G-orbits.  A nontrivial fixed locus has dimension at most n - 1, so
+    a divisor T lies in Fix(g) exactly when it is one of its components; the
+    index e(T), the order of the pointwise stabilizer, is 1 (the identity)
+    plus the number of nontrivial g with T a component of Fix(g)."""
     n = group.variety.n
-    by_key = {}
+    by_key = {}  # canonical key -> [component, index]
     for g in group.nontrivial_elements():
         loc = group.fixed_locus_of(g)
-        if loc.empty or loc.dim != n - 1:
+        if loc.dim != n - 1:
             continue
-        for comp in loc.components:
-            by_key.setdefault(comp.canonical_key(), comp)
-    components = sorted(by_key.values(), key=SubtorusTranslate.sort_key)
-    keys = {comp.canonical_key(): i for i, comp in enumerate(components)}
+        for rep in loc.representatives:
+            comp = SubtorusTranslate(loc.kernel, rep)
+            entry = by_key.setdefault(comp.canonical_key(), [comp, 1])
+            entry[1] += 1
+    ordered = sorted(by_key.items(), key=lambda item: item[1][0].sort_key())
+    components = tuple(comp for _, (comp, _) in ordered)
+    indices = tuple(e for _, (_, e) in ordered)
+    position = {key: i for i, (key, _) in enumerate(ordered)}
 
-    indices = tuple(pointwise_stabilizer(comp, group)[1] for comp in components)
-
-    # orbits under g . T = rho(T) + a
-    maps = [(rational_rep(g.holonomy), g.translation) for g in group.elements]
-    orbit_of = {}
+    # orbits under g . T = rho(T) + a; a finite set mapped into itself by
+    # every generator is mapped onto itself by the group they generate
+    maps = [(rational_rep(g.holonomy), g.translation) for g in group.generators]
+    seen = set()
     orbits = []
-    for i, comp in enumerate(components):
-        if i in orbit_of:
+    for i in range(len(components)):
+        if i in seen:
             continue
-        orbit = set()
+        orbit = {i}
         stack = [i]
         while stack:
-            j = stack.pop()
-            if j in orbit:
-                continue
-            orbit.add(j)
-            cj = components[j]
+            cj = components[stack.pop()]
             for rho, translation in maps:
                 lat = Lattice.from_vectors(
                     cj.lattice.ambient_rank,
                     [mat_vec(rho, v) for v in cj.lattice.basis_rows()])
                 trans = cj.translate.apply_matrix(rho) + translation
-                image = SubtorusTranslate(lat, trans)
-                k = keys.get(image.canonical_key())
+                k = position.get(SubtorusTranslate(lat, trans).canonical_key())
                 if k is None:
                     raise CertificateError("orbit leaves the component set")
                 if k not in orbit:
+                    orbit.add(k)
                     stack.append(k)
-        for j in orbit:
-            orbit_of[j] = len(orbits)
+        seen |= orbit
         orbits.append(tuple(sorted(orbit)))
 
     coeffs = tuple(Fraction(1) - Fraction(1, indices[orbit[0]]) for orbit in orbits)
     kappa = subtorus_kappa([comp.lattice for comp in components],
                            group.variety.ambient_rank)
-    return RamificationData(tuple(components), indices, tuple(orbits), coeffs, n - kappa)
+    return RamificationData(components, indices, tuple(orbits), coeffs, n - kappa)
 
 
 def kappa_anticanonical(group: FiniteGroupAction):
@@ -123,17 +123,19 @@ def kappa_anticanonical(group: FiniteGroupAction):
 
 def reid_tai(group: FiniteGroupAction, cyclo_field=None):
     """Reid-Tai condition: every nontrivial-holonomy element with nonempty
-    fixed locus has age >= 1.  Returns (holds, witness or None)."""
+    fixed locus has age >= 1.  Returns (holds, witness or None, the
+    witness's age or None)."""
     if cyclo_field is None:
         cyclo_field = cyclo_field_for(group)
     for g in group.nontrivial_elements():
         if g.holonomy.is_identity():
             continue
-        if group.fixed_locus_of(g).empty:
+        if not group.fixed_locus_of(g).nonempty:
             continue
-        if age(g, cyclo_field) < 1:
-            return False, g
-    return True, None
+        g_age = age(g, cyclo_field)
+        if g_age < 1:
+            return False, g, g_age
+    return True, None, None
 
 
 def irregularity(group: FiniteGroupAction) -> int:
@@ -177,7 +179,8 @@ class Analysis:
 
     @cached_property
     def reid_tai(self):
-        """(holds, witness or None), as ``reid_tai`` returns it."""
+        """(holds, witness or None, witness age or None), as ``reid_tai``
+        returns it."""
         return reid_tai(self.group, self.field)
 
     @cached_property
@@ -189,7 +192,7 @@ class Analysis:
         decomposition = self.decomposition
         q_circle = decomposition.total_abelian_dim
         q_x = irregularity(group)
-        rt_holds, rt_witness = self.reid_tai
+        rt_holds, rt_witness, _ = self.reid_tai
         m = descend_multiplication(group)
 
         # independent computations must agree

@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .action import AffineAutomorphism, DEFAULT_GROUP_CAP, age, close_group, cyclo_field_for
+from .action import AffineAutomorphism, DEFAULT_GROUP_CAP, close_group, cyclo_field_for
 from .classify import Analysis
 from .cyclotomic import CycloField
 from .errors import CertificateError, InputError
@@ -229,11 +229,11 @@ def build_report(variety, gens, options, command, m_override=None):
     if command in ("ramification", "report"):
         doc["ramification"] = _ramification_doc(analysis.ramification)
     if command in ("reidtai", "report"):
-        holds, witness = analysis.reid_tai
+        holds, witness, witness_age = analysis.reid_tai
         doc["reid_tai"] = {"holds": holds,
                            "witness": None if witness is None else _element_doc(witness),
                            "witness_age": (None if witness is None
-                                           else _format_fraction(age(witness, field)))}
+                                           else _format_fraction(witness_age))}
     if command in ("decompose", "report"):
         doc["decomposition"] = _decomposition_doc(analysis.decomposition)
     if command == "report":

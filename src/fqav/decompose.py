@@ -100,10 +100,6 @@ def fixed_solutions(elements):
     return {e: element_fixed_solution(e) for e in elements if not e.is_identity()}
 
 
-def _solution_dim(sol):
-    return sol.kernel.rank // 2 if sol.nonempty else None
-
-
 @dataclass(frozen=True)
 class SublatticeAction:
     """A stage variety: rank-2m lattice with a closed affine group on it and
@@ -163,7 +159,7 @@ def lattice_ramification_subgroup(elements, fixed=None):
     if fixed is None:
         fixed = fixed_solutions(elements)
     n = elements[0].rank // 2
-    gens = [e for e, sol in fixed.items() if _solution_dim(sol) == n - 1]
+    gens = [e for e, sol in fixed.items() if sol.dim == n - 1]
     if not gens:
         return [e for e in elements if e.is_identity()]
     closed = close_elements(gens)
@@ -212,8 +208,8 @@ def lattice_quasietale_outside(elements, subgroup, fixed=None):
     for x in elements:
         if x in sub:
             continue
-        d = _solution_dim(fixed[x])
-        if d is not None and d > n - 2:
+        sol = fixed[x]
+        if sol.nonempty and sol.dim > n - 2:
             return False
     return True
 
@@ -229,8 +225,7 @@ def lattice_kappa(elements, fixed=None):
         fixed = fixed_solutions(elements)
     n2 = elements[0].rank
     solutions = [fixed[e] for e in elements if not e.is_identity()]
-    return subtorus_kappa([sol.kernel for sol in solutions
-                           if sol.nonempty and sol.kernel.rank == n2 - 2], n2)
+    return subtorus_kappa([sol.kernel for sol in solutions if sol.dim == n2 // 2 - 1], n2)
 
 
 def split_action(n_elements, b: Lattice, c: Lattice, ker_mu_order):

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import lcm, prod
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +402,37 @@ class TorsionPoint:
 
 @dataclass(frozen=True)
 class AffineSolutionSet:
-    """Solution set of M x == a (mod Z^N) on the torus: a finite union of
-    translates of the kernel subtorus."""
+    """Solution set of M x == a (mod Z^N) on the torus: empty, or
+    ``component_count`` translates of the kernel subtorus.  With U M V = S
+    in Smith form and b = U a, they are the V y with y_i = (b_i + k_i) / s_i,
+    0 <= k_i < s_i, on the nonzero divisors s_i.  ``representatives``, one
+    point per translate, are enumerated when first read."""
 
     nonempty: bool
     kernel: Lattice
-    component_count: int
-    representatives: tuple
+    divisors: tuple   # the nonzero s_i
+    rhs: tuple        # the b_i
+    transform: tuple  # V
 
     @property
     def dim(self):
-        return Fraction(self.kernel.rank, 2)
+        """Complex dimension of each translate; None when empty."""
+        return self.kernel.rank // 2 if self.nonempty else None
+
+    @property
+    def component_count(self):
+        return prod(self.divisors) if self.nonempty else 0
+
+    @cached_property
+    def representatives(self):
+        if not self.nonempty:
+            return ()
+        free = [Fraction(0)] * (self.kernel.ambient_rank - len(self.divisors))
+        reps = []
+        for combo in itertools.product(*map(range, self.divisors)):
+            y = [Fraction(b + k, s) for b, k, s in zip(self.rhs, combo, self.divisors)]
+            reps.append(TorsionPoint.of(mat_vec(self.transform, y + free)))
+        return tuple(sorted(reps, key=TorsionPoint.sort_key))
 
 
 def solve_affine_mod_lattice(matrix, point: TorsionPoint) -> AffineSolutionSet:
@@ -422,24 +443,13 @@ def solve_affine_mod_lattice(matrix, point: TorsionPoint) -> AffineSolutionSet:
     nr = len(matrix)
     nc = len(matrix[0]) if nr else len(point.coords)
     s, u, v = snf(matrix) if nr else ([], [], identity_matrix(nc))
-    divisors = [s[i][i] for i in range(min(nr, nc)) if s[i][i] != 0] if nr else []
+    divisors = tuple(s[i][i] for i in range(min(nr, nc)) if s[i][i] != 0) if nr else ()
     rank = len(divisors)
     kernel = Lattice.from_vectors(nc, mat_transpose(v)[rank:])
     b = mat_vec(u, [Fraction(c) for c in point.coords]) if nr else []
-    for i in range(rank, nr):
-        if _reduce_mod1(b[i]) != 0:
-            return AffineSolutionSet(False, kernel, 0, ())
-    count = 1
-    for d in divisors:
-        count *= d
-    reps = []
-    for combo in itertools.product(*[range(d) for d in divisors]):
-        y = [Fraction(b[i] + combo[i], divisors[i]) for i in range(rank)]
-        y += [Fraction(0)] * (nc - rank)
-        x = mat_vec(v, y)
-        reps.append(TorsionPoint.of(x))
-    reps.sort(key=TorsionPoint.sort_key)
-    return AffineSolutionSet(True, kernel, count, tuple(reps))
+    nonempty = all(_reduce_mod1(b[i]) == 0 for i in range(rank, nr))
+    return AffineSolutionSet(nonempty, kernel, divisors, tuple(b[:rank]),
+                             tuple(map(tuple, v)))
 
 
 def orthogonal_complement_rows(lat: Lattice) -> list:

@@ -13,11 +13,18 @@ from fqav.action import (
     group_exponent,
     holonomy_order,
     normalize_translations,
+    order_bound,
     pointwise_stabilizer,
 )
 from fqav.errors import InputError
 from fqav.linalg import TorsionPoint, fixed_lattice
-from fqav.variety import AbelianVarietyModel, EllipticFactor, EndoBlockMatrix, rational_rep
+from fqav.variety import (
+    AbelianVarietyModel,
+    EllipticFactor,
+    EndoBlockMatrix,
+    SubtorusTranslate,
+    rational_rep,
+)
 
 from conftest import automorphism
 
@@ -67,6 +74,35 @@ class TestClosure:
         # element exceeds the cap after the second
         assert len(composed) == 2 < len(gens)
 
+    @pytest.mark.parametrize("block", [((2, 1), (1, 1)), ((1, 1), (0, 1))])
+    def test_infinite_order_holonomy_rejected(self, block):
+        # det 1, but no power is the identity; the second has the
+        # cyclotomic characteristic polynomial (x - 1)^2
+        e = EllipticFactor("generic", "E")
+        variety = AbelianVarietyModel.of(e, e)
+        g = automorphism(variety, [[(c, 0) for c in row] for row in block])
+        with pytest.raises(InputError) as exc:
+            holonomy_order(g.holonomy)
+        assert exc.value.code == "infinite-order"
+        with pytest.raises(InputError) as exc:
+            close_group([g], cap=1)
+        assert exc.value.code == "infinite-order"
+
+    def test_order_search_stops_at_default_cap(self):
+        # on E^5, K = 55440 exceeds the default cap, so the search for the
+        # order of a unipotent holonomy stops there
+        e = EllipticFactor("generic", "E")
+        variety = AbelianVarietyModel.of(*[e] * 5)
+        rows = [[(int(i == j) + int((i, j) == (0, 1)), 0) for j in range(5)]
+                for i in range(5)]
+        with pytest.raises(InputError) as exc:
+            holonomy_order(automorphism(variety, rows).holonomy)
+        assert exc.value.code == "cap-exceeded"
+
+    def test_order_bound(self):
+        # lcm of the d with phi(d) <= rank
+        assert [order_bound(r) for r in (2, 4, 6)] == [12, 120, 2520]
+
     def test_translation_only_generator_of_finite_order(self, ei_squared):
         g = automorphism(ei_squared,
                          [[(1, 0), (0, 0)], [(0, 0), (1, 0)]],
@@ -86,34 +122,33 @@ class TestFixedLoci:
         g = next(x for x in p1_group.elements
                  if holonomy_order(x.holonomy) == 4)
         loc = fixed_locus(g)
-        assert not loc.empty
+        assert loc.nonempty
         assert loc.dim == 0
-        assert len(loc.components) == 2
+        assert len(loc.representatives) == 2
 
     def test_sign_rot4_square_is_curve_times_torsion(self, sign_rot4_group):
         sq = next(x for x in sign_rot4_group.elements
                   if holonomy_order(x.holonomy) == 2)
         loc = fixed_locus(sq)
         assert loc.dim == 1
-        assert len(loc.components) == 4
-        lat = loc.components[0].lattice
+        assert len(loc.representatives) == 4
+        lat = loc.kernel
         assert [list(r) for r in lat.basis_rows()] == [[1, 0, 0, 0], [0, 1, 0, 0]]
 
     def test_kummer_sixteen_points(self, kummer_group):
         g = kummer_group.nontrivial_elements()[0]
         loc = fixed_locus(g)
         assert loc.dim == 0
-        assert len(loc.components) == 16
+        assert len(loc.representatives) == 16
 
     def test_bielliptic_fixed_free(self, bielliptic_group):
         g = bielliptic_group.nontrivial_elements()[0]
-        assert fixed_locus(g).empty
+        assert not fixed_locus(g).nonempty
         assert fixed_locus(g).dim is None
 
     def test_conjugation_moves_fixed_locus(self, rot4_square_group):
         # Fix(h g h^-1) = h(Fix(g)) as sets of components
         from fqav.linalg import Lattice, mat_vec
-        from fqav.variety import SubtorusTranslate, rational_rep
 
         els = list(rot4_square_group.elements)
         for g in els:
@@ -127,18 +162,19 @@ class TestFixedLoci:
                 conj = h.compose(g).compose(h_inv)
                 left = fixed_locus(conj)
                 right = fixed_locus(g)
-                assert left.empty == right.empty
-                if left.empty:
+                assert left.nonempty == right.nonempty
+                if not left.nonempty:
                     continue
                 rho_h = rational_rep(h.holonomy)
                 moved = {
                     SubtorusTranslate(
                         Lattice.from_vectors(
                             4, [mat_vec(rho_h, list(v))
-                                for v in c.lattice.basis_rows()]),
-                        h.apply(c.translate)).canonical_key()
-                    for c in right.components}
-                got = {c.canonical_key() for c in left.components}
+                                for v in right.kernel.basis_rows()]),
+                        h.apply(rep)).canonical_key()
+                    for rep in right.representatives}
+                got = {SubtorusTranslate(left.kernel, rep).canonical_key()
+                       for rep in left.representatives}
                 assert got == moved
 
 
@@ -147,7 +183,7 @@ class TestStabilizer:
         sq = next(x for x in sign_rot4_group.elements
                   if holonomy_order(x.holonomy) == 2)
         loc = fixed_locus(sq)
-        comp = loc.components[0]
+        comp = SubtorusTranslate(loc.kernel, loc.representatives[0])
         members, e = pointwise_stabilizer(comp, sign_rot4_group)
         assert e == 2
         assert {m.holonomy for m in members} == {

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from fqav.action import close_group, pointwise_stabilizer
 from fqav.classify import (
     classification_report,
     irregularity,
@@ -10,6 +12,11 @@ from fqav.classify import (
     ramification_data,
     reid_tai,
 )
+from fqav.errors import InputError
+from fqav.linalg import Lattice, mat_vec
+from fqav.variety import SubtorusTranslate, rational_rep
+
+from test_acceptance import random_automorphism, random_variety
 
 
 class TestQuasietale:
@@ -72,19 +79,20 @@ class TestKappa:
 
 class TestReidTai:
     def test_small_age_witness(self, rot4_square_group):
-        holds, witness = reid_tai(rot4_square_group)
+        holds, witness, witness_age = reid_tai(rot4_square_group)
         assert not holds
         assert witness is not None
         from fqav.action import age, cyclo_field_for
         assert age(witness, cyclo_field_for(rot4_square_group)) < 1
+        assert witness_age == age(witness, cyclo_field_for(rot4_square_group))
 
     def test_kummer_holds(self, kummer_group):
-        holds, witness = reid_tai(kummer_group)
-        assert holds and witness is None
+        holds, witness, witness_age = reid_tai(kummer_group)
+        assert holds and witness is None and witness_age is None
 
     def test_free_action_holds_vacuously(self, bielliptic_group):
-        holds, witness = reid_tai(bielliptic_group)
-        assert holds and witness is None
+        holds, witness, witness_age = reid_tai(bielliptic_group)
+        assert holds and witness is None and witness_age is None
 
 
 class TestIrregularity:
@@ -149,3 +157,57 @@ class TestReports:
             assert r.quasietale == (r.q_circle == r.n)
             assert r.q_fano == (r.q_circle == 0)
             assert r.kappa_anticanonical + r.q_circle >= r.n
+
+
+def oracle_groups(fixture_groups, count=50):
+    """The fixture groups plus random groups drawn as in acceptance
+    criterion 8."""
+    rng = random.Random(4861)
+    groups = list(fixture_groups)
+    while len(groups) < len(fixture_groups) + count:
+        variety = random_variety(rng)
+        gens = [g for g in (random_automorphism(rng, variety, max_order=12,
+                                                denoms=(1, 1, 2))
+                            for _ in range(rng.randint(1, 2))) if g is not None]
+        if not gens:
+            continue
+        try:
+            groups.append(close_group(gens, cap=48))
+        except InputError:
+            continue
+    return groups
+
+
+def image_key(g, comp):
+    rho = rational_rep(g.holonomy)
+    lat = Lattice.from_vectors(comp.lattice.ambient_rank,
+                               [mat_vec(rho, v) for v in comp.lattice.basis_rows()])
+    return SubtorusTranslate(lat, comp.translate.apply_matrix(rho)
+                             + g.translation).canonical_key()
+
+
+class TestRamificationOracle:
+    @pytest.fixture
+    def groups(self, rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+               bielliptic_group):
+        return oracle_groups([rot4_square_group, sign_rot4_group, kummer_group,
+                              p1_group, bielliptic_group])
+
+    def test_indices_are_pointwise_stabilizer_orders(self, groups):
+        ramified = 0
+        for group in groups:
+            data = ramification_data(group)
+            assert data.indices == tuple(pointwise_stabilizer(comp, group)[1]
+                                         for comp in data.components)
+            ramified += bool(data.components)
+        assert ramified >= 5
+
+    def test_orbits_are_orbits_under_every_element(self, groups):
+        for group in groups:
+            data = ramification_data(group)
+            position = {comp.canonical_key(): i for i, comp in enumerate(data.components)}
+            orbits = set()
+            for comp in data.components:
+                orbits.add(tuple(sorted({position[image_key(g, comp)]
+                                         for g in group.elements})))
+            assert list(data.orbits) == sorted(orbits)

@@ -17,15 +17,19 @@ def load(name):
     return (FIXTURE_DIR / name).read_text()
 
 
-def count_calls(monkeypatch, name, calls):
+def count_calls(monkeypatch, name, calls, results=None):
     """Count the calls of the fqav function ``name`` made through any fqav
-    module that binds it."""
+    module that binds it, and append each return value to ``results`` when
+    given."""
     modules = [m for key, m in sys.modules.items() if key.startswith("fqav.")]
     original = next(getattr(m, name) for m in modules if hasattr(m, name))
 
     def counting(*args, **kwargs):
         calls[name] += 1
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        if results is not None:
+            results.append(result)
+        return result
 
     for m in modules:
         if getattr(m, name, None) is original:
@@ -211,6 +215,17 @@ class TestMain:
         assert rc == 1
         assert "error[cap-exceeded]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", [[[2, 1], [1, 1]], [[1, 1], [0, 1]]])
+    def test_infinite_order_exit_one(self, block, tmp_path, capsys):
+        doc = {"factors": [{"cm": "generic", "label": "E"}] * 2,
+               "generators": [{"holonomy": [[[block[0][0], 0], [block[0][1], 0]],
+                                            [[block[1][0], 0], [block[1][1], 0]]]}]}
+        p = tmp_path / "infinite.json"
+        p.write_text(json.dumps(doc))
+        rc = main(["validate", str(p)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[infinite-order]")
+
     def test_all_commands_run_on_all_fixtures(self, capsys):
         from fqav.cli import COMMANDS
         for name in FIXTURES:
@@ -301,6 +316,33 @@ class TestComputeOnce:
         doc = build_report(*parse_input(load("rot4-square.json")), "reidtai")
         assert doc["reid_tai"]["holds"] is False
         assert calls["fixed_locus"] == 1
+
+    @pytest.mark.parametrize("command", ["reidtai", "report"])
+    def test_witness_age_computed_once(self, command, monkeypatch):
+        # witness_age is the age reid_tai computed to pick the witness
+        calls = Counter()
+        count_calls(monkeypatch, "age", calls)
+        doc = build_report(*parse_input(load("rot4-square.json")), command)
+        assert doc["reid_tai"]["witness_age"] == "1/2"
+        assert calls["age"] == 1
+
+    @pytest.mark.parametrize("command", ["classify", "reidtai"])
+    def test_quasietale_loci_never_enumerated(self, command, monkeypatch):
+        # kummer is quasietale with 16 fixed points: the checks read only
+        # emptiness and dimension, so no solve lists its components
+        solves = []
+        count_calls(monkeypatch, "fixed_locus", Counter(), solves)
+        build_report(*parse_input(load("kummer.json")), command)
+        assert any(sol.nonempty for sol in solves)
+        assert all("representatives" not in vars(sol) for sol in solves)
+
+    def test_only_divisorial_loci_enumerated(self, monkeypatch):
+        solves = []
+        count_calls(monkeypatch, "fixed_locus", Counter(), solves)
+        build_report(*parse_input(load("sign-rot4.json")), "ramification")
+        assert {sol.dim for sol in solves} == {0, 1}
+        for sol in solves:
+            assert ("representatives" in vars(sol)) == (sol.dim == 1)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_report_sections_match_commands(self, name):

@@ -6,7 +6,6 @@ from fqav.action import bfs_closure, close_group
 from fqav.decompose import (
     LatticeElement,
     _element_inverse,
-    _solution_dim,
     check_normal,
     close_elements,
     decompose,
@@ -26,7 +25,7 @@ from test_acceptance import random_automorphism, random_variety
 
 def fixed_dim(e):
     """Complex dimension of the stage solve of e's fixed locus, None if empty."""
-    return _solution_dim(element_fixed_solution(e))
+    return element_fixed_solution(e).dim
 
 
 def invariant_torus(subgroup):
