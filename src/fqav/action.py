@@ -16,6 +16,7 @@ from .linalg import (
     TorsionPoint,
     determinant,
     identity_matrix,
+    mat_mul,
     mat_sub,
     mat_vec,
     solve_affine_mod_lattice,
@@ -208,12 +209,34 @@ def order_bound(rank):
     return lcm(*(d for d in range(1, top + 1) if phi[d] <= rank))
 
 
+# the prime modulo which ``holonomy_order`` raises phi to the K-th power
+_ORDER_PRIME = (1 << 61) - 1
+
+
+def _power_mod(mat, e, p):
+    """mat^e with entries reduced mod p, by repeated squaring."""
+    result = identity_matrix(len(mat))
+    base = [[x % p for x in row] for row in mat]
+    while e:
+        if e & 1:
+            result = [[x % p for x in row] for row in mat_mul(result, base)]
+        base = [[x % p for x in row] for row in mat_mul(base, base)]
+        e >>= 1
+    return result
+
+
 def holonomy_order(phi: EndoBlockMatrix):
     """Order of phi.  Every finite order divides K = ``order_bound``, so phi
     has infinite order when none of its first K powers is the identity.  At
-    most DEFAULT_GROUP_CAP powers are tried; past that the order exceeds
-    the default group cap, finite or not."""
+    most DEFAULT_GROUP_CAP powers are tried.  When K exceeds that cap, phi^K
+    is first taken mod a prime: a result other than I proves infinite order.
+    Otherwise a search that reaches the cap means the order exceeds the
+    default group cap, finite or not."""
     bound = order_bound(phi.variety.ambient_rank)
+    if bound > DEFAULT_GROUP_CAP:
+        rho = rational_rep(phi)
+        if _power_mod(rho, bound, _ORDER_PRIME) != identity_matrix(len(rho)):
+            raise InputError("holonomy has infinite order", code="infinite-order")
     ident = EndoBlockMatrix.identity(phi.variety)
     power = phi
     for k in range(1, min(bound, DEFAULT_GROUP_CAP) + 1):

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .action import AffineAutomorphism, DEFAULT_GROUP_CAP, close_group, cyclo_field_for
 from .classify import Analysis
@@ -222,7 +223,12 @@ def build_report(variety, gens, options, command, m_override=None):
     if command == "validate":
         doc["group_order"] = group.order
         return doc
-    field = CycloField(m_override) if m_override is not None else cyclo_field_for(group)
+    field = cyclo_field_for(group)
+    if m_override is not None:
+        # Q(zeta_g), g = gcd(m_override, m), holds exactly the roots of unity
+        # of Q(zeta_m_override) that any eigenvalue of the group can be, so
+        # the work is bounded by the group and not by the override.
+        field = CycloField(gcd(CycloField(m_override).m, field.m))
     analysis = Analysis(group, field)
     if command in ("classify", "report"):
         doc["classification"] = _classification_doc(analysis.classification)

@@ -1,13 +1,15 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_m) and kernel ranks of
-matrices over it.  Elements are residues modulo the m-th cyclotomic
-polynomial, with Fraction coefficients.
+matrices over it.  An element is an integer residue modulo the monic m-th
+cyclotomic polynomial over one positive common denominator, so sums,
+products, conjugates and kernel ranks run on ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -19,17 +21,6 @@ def _poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)
 
 
 def _poly_divmod_exact(num, den):
@@ -75,76 +66,133 @@ class CycloField:
             raise InputError("conductor must be a positive multiple of 12",
                              code="bad-conductor")
 
-    @property
+    @cached_property
     def modulus(self):
         return cyclotomic_polynomial(self.m)
 
-    @property
+    @cached_property
     def degree(self):
         return len(self.modulus) - 1
 
+    @cached_property
+    def _tail(self):
+        """The pairs (i, -c_i) over the nonzero c_i below the leading term of
+        Phi_m, so that x^degree = sum of -c_i x^i."""
+        return tuple((i, -c) for i, c in enumerate(self.modulus[:-1]) if c)
+
+    def _reduce(self, poly):
+        """The residue of an integer polynomial modulo the monic Phi_m, as a
+        tuple of ``degree`` ints."""
+        d = self.degree
+        c = list(poly)
+        if len(c) <= d:
+            return tuple(c) + (0,) * (d - len(c))
+        tail = self._tail
+        for top in range(len(c) - 1, d - 1, -1):
+            lead = c[top]
+            if lead:
+                shift = top - d
+                for i, t in tail:
+                    c[shift + i] += lead * t
+        return tuple(c[:d])
+
+    def _mul(self, a, b):
+        """The product of two integer residues modulo Phi_m."""
+        acc = [0] * (2 * self.degree - 1)
+        _add_product(acc, a, b)
+        return self._reduce(acc)
+
+    def _substitute(self, num, k):
+        """The image of an integer residue under zeta_m -> zeta_m^k."""
+        m = self.m
+        out = [0] * m
+        for e, c in enumerate(num):
+            if c:
+                out[(k * e) % m] += c
+        return self._reduce(out)
+
     def element(self, coeffs):
-        return CycloNumber(self, _reduce(coeffs, self.modulus, self.degree))
+        """The residue of sum coeffs[i] x^i; the coefficients are ints or
+        Fractions."""
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        return _number(self, self._reduce(num), den)
 
     def zero(self):
-        return self.element([])
+        return CycloNumber(self, (0,) * self.degree, 1)
 
     def one(self):
-        return self.element([Fraction(1)])
+        return self.rational(1)
 
     def rational(self, q):
-        return self.element([Fraction(q)])
+        """q, an int or a Fraction, as a field element."""
+        return CycloNumber(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def root_of_unity(self, d, k=1):
         """zeta_m^(k*m/d), the k-th power of a chosen primitive d-th root."""
         if d <= 0 or self.m % d != 0:
             raise InputError("root order outside field", code="root-order")
         e = (k * (self.m // d)) % self.m
-        coeffs = [Fraction(0)] * e + [Fraction(1)]
-        return self.element(coeffs)
+        return CycloNumber(self, self._reduce([0] * e + [1]), 1)
 
 
-def _reduce(coeffs, modulus, degree):
-    c = [Fraction(x) for x in coeffs]
-    while len(c) > degree:
-        lead = c.pop()
-        if lead == 0:
-            continue
-        shift = len(c) - degree
-        for i in range(degree):
-            c[shift + i] -= lead * Fraction(modulus[i])
-    c += [Fraction(0)] * (degree - len(c))
-    return tuple(c)
+def _add_product(acc, a, b):
+    """acc += a*b for integer coefficient sequences."""
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                if v:
+                    acc[i + j] += u * v
+
+
+def _number(field, num, den):
+    """num/den in lowest terms: den > 0 and coprime to the content of num."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+    return CycloNumber(field, num, den)
 
 
 @dataclass(frozen=True)
 class CycloNumber:
+    """num/den with num an integer residue modulo Phi_m (lowest degree
+    first) and den a positive int coprime to the content of num, so equal
+    values compare and hash equal."""
+
     field: CycloField
-    coeffs: tuple
+    num: tuple
+    den: int
+
+    @property
+    def coeffs(self):
+        """The rational coefficients in the power basis."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return CycloNumber(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.den == other.den:
+            return _number(self.field, tuple(a + b for a, b in zip(self.num, other.num)),
+                           self.den)
+        return _number(self.field,
+                       tuple(a * other.den + b * self.den
+                             for a, b in zip(self.num, other.num)),
+                       self.den * other.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return CycloNumber(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-self._coerce(other))
 
     def __neg__(self):
-        return CycloNumber(self.field, tuple(-a for a in self.coeffs))
+        return CycloNumber(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        prod = [Fraction(0)] * (2 * self.field.degree)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return self.field.element(prod)
+        return _number(self.field, self.field._mul(self.num, other.num),
+                       self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -155,53 +203,21 @@ class CycloNumber:
         return self.field.rational(other)
 
     def inverse(self):
-        """Inverse modulo Phi_m via the extended Euclidean algorithm in Q[x]."""
+        """1/x = (product of the other Galois conjugates of x) / N(x), where
+        the conjugates are the images under zeta_m -> zeta_m^k, k a unit
+        mod m, and the norm N(x) is their product with x.  N(x) is rational,
+        and positive because Q(zeta_m) is a CM field: the conjugates pair off
+        into |sigma(x)|^2."""
         if self.is_zero():
             raise InputError("division by zero", code="zero-division")
-        # r0 = Phi_m, r1 = self; track s-coefficients against r1 only
-        r0 = [Fraction(c) for c in self.field.modulus]
-        r1 = list(self.coeffs)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        t0, t1 = [], [Fraction(1)]
-
-        def poly_divmod_q(num, den):
-            num = list(num)
-            q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-            inv_lead = 1 / den[-1]
-            while len(num) >= len(den):
-                if num[-1] == 0:
-                    num.pop()
-                    continue
-                shift = len(num) - len(den)
-                c = num[-1] * inv_lead
-                q[shift] += c
-                for i, b in enumerate(den):
-                    num[shift + i] -= c * b
-                while num and num[-1] == 0:
-                    num.pop()
-            return q, num
-
-        def poly_addmul(p, q, f):  # p - f*q
-            out = [Fraction(0)] * max(len(p), len(q) + len(f) - 1 if q and f else 0)
-            for i, a in enumerate(p):
-                out[i] += a
-            for i, a in enumerate(f):
-                if a:
-                    for j, b in enumerate(q):
-                        out[i + j] -= a * b
-            while out and out[-1] == 0:
-                out.pop()
-            return out
-
-        while r1:
-            q, r = poly_divmod_q(r0, r1)
-            t0, t1 = t1, poly_addmul(t0, t1, q)
-            r0, r1 = r1, r
-        # r0 is now the gcd, a nonzero constant (Phi_m is irreducible)
-        assert len(r0) == 1
-        scale = 1 / r0[0]
-        return self.field.element([c * scale for c in t0])
+        field = self.field
+        adjugate = (1,) + (0,) * (field.degree - 1)
+        for k in range(2, field.m):
+            if gcd(k, field.m) == 1:
+                adjugate = field._mul(adjugate, field._substitute(self.num, k))
+        norm = field._mul(self.num, adjugate)
+        assert norm[0] > 0 and not any(norm[1:])
+        return _number(field, tuple(c * self.den for c in adjugate), norm[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -209,12 +225,7 @@ class CycloNumber:
 
     def conjugate(self):
         """Image under zeta_m -> zeta_m^(-1) (complex conjugation)."""
-        m = self.field.m
-        out = [Fraction(0)] * m
-        for e, c in enumerate(self.coeffs):
-            if c:
-                out[(-e) % m] += c
-        return self.field.element(out)
+        return _number(self.field, self.field._substitute(self.num, -1), self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +256,50 @@ def cyclo_mat_from_rational(field, matrix):
 
 
 def kernel_dimension(matrix):
-    """dim ker over Q(zeta_m) by exact Gaussian elimination; pivot is the
-    first nonzero entry in column order."""
-    a = [list(row) for row in matrix]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
+    """dim ker over Q(zeta_m), by fraction-free elimination in Z[zeta_m].
+
+    Each row is scaled by the lcm of its denominators into Z[zeta_m].  With
+    pivot p, the first nonzero entry in column order, each lower row with f
+    in the pivot column becomes p*row - f*pivot_row, divided by the integer
+    content of its coefficients; no entry is inverted.  Since p != 0 and
+    Z[zeta_m] is a domain, every step keeps the Q(zeta_m)-span of the rows,
+    so the number of pivots is the rank."""
+    nr = len(matrix)
+    nc = len(matrix[0]) if nr else 0
+    if not nc:
+        return 0
+    field = matrix[0][0].field
+    rows = []
+    for row in matrix:
+        scale = lcm(*(x.den for x in row))
+        rows.append([x.num if x.den == scale else tuple(c * (scale // x.den) for c in x.num)
+                     for x in row])
+    zero = (0,) * field.degree
+    width = 2 * field.degree - 1
     r = 0
     for c in range(nc):
-        piv = next((i for i in range(r, nr) if not a[i][c].is_zero()), None)
+        piv = next((i for i in range(r, nr) if any(rows[i][c])), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i in range(r + 1, nr):
+            f = rows[i][c]
+            if not any(f):
+                continue
+            minus_f = [-v for v in f]
+            # columns before c are zero in both rows, and column c cancels
+            tail = []
+            for x, y in zip(rows[i][c + 1:], pivot_row[c + 1:]):
+                acc = [0] * width
+                _add_product(acc, p, x)
+                _add_product(acc, minus_f, y)
+                tail.append(field._reduce(acc))
+            content = gcd(*(v for e in tail for v in e))
+            if content > 1:
+                tail = [tuple(v // content for v in e) for e in tail]
+            rows[i] = [zero] * (c + 1) + tail
         r += 1
         if r == nr:
             break

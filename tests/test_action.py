@@ -89,15 +89,26 @@ class TestClosure:
         assert exc.value.code == "infinite-order"
 
     def test_order_search_stops_at_default_cap(self):
-        # on E^5, K = 55440 exceeds the default cap, so the search for the
-        # order of a unipotent holonomy stops there
+        # on E^5, K = 55440 exceeds the default cap, so the power search
+        # would stop there; phi^K != I mod a prime proves the unipotent
+        # holonomy has infinite order before that search starts
         e = EllipticFactor("generic", "E")
         variety = AbelianVarietyModel.of(*[e] * 5)
         rows = [[(int(i == j) + int((i, j) == (0, 1)), 0) for j in range(5)]
                 for i in range(5)]
         with pytest.raises(InputError) as exc:
             holonomy_order(automorphism(variety, rows).holonomy)
-        assert exc.value.code == "cap-exceeded"
+        assert exc.value.code == "infinite-order"
+
+    @pytest.mark.parametrize("images,order", [((1, 2, 3, 4, 0), 5),
+                                              ((1, 0, 3, 4, 2), 6)])
+    def test_finite_order_above_the_cap_bound(self, images, order):
+        # on E^5 a permuting holonomy passes the mod-prime power check and
+        # the search finds its order
+        e = EllipticFactor("generic", "E")
+        variety = AbelianVarietyModel.of(*[e] * 5)
+        rows = [[(int(images[k] == j), 0) for k in range(5)] for j in range(5)]
+        assert holonomy_order(automorphism(variety, rows).holonomy) == order
 
     def test_order_bound(self):
         # lcm of the d with phi(d) <= rank

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -267,6 +268,18 @@ class TestMain:
         assert classification["classification"]["reid_tai_holds"] is False
         assert (classification["classification"]["reid_tai_witness"]
                 == reidtai["reid_tai"]["witness"])
+
+    def test_large_m_override_is_bounded(self, capsys):
+        # the ages are computed in Q(zeta_gcd(override, m)), so Phi_1200000
+        # is never built and the output equals the default run
+        path = str(FIXTURE_DIR / "kummer.json")
+        for command in ("reidtai", "report"):
+            assert main([command, path]) == 0
+            default = capsys.readouterr().out
+            start = time.perf_counter()
+            assert main([command, path, "--m-override", "1200000"]) == 0
+            assert time.perf_counter() - start < 5
+            assert capsys.readouterr().out == default
 
     @pytest.mark.parametrize("m", ["-12", "0"])
     def test_m_override_must_be_positive(self, m, capsys):

@@ -3,16 +3,152 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fqav.action import age, cyclo_field_for
+from fqav.classify import reid_tai
 from fqav.cyclotomic import (
     CycloField,
+    CycloNumber,
     cyclo_identity,
     cyclo_mat_from_rational,
     cyclo_mat_mul,
     cyclotomic_polynomial,
     eigen_multiplicity,
+    kernel_dimension,
 )
 from fqav.errors import InputError
+
+ORACLE = settings(max_examples=80, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+FIELDS = (12, 24, 36, 60)
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic, independent of the integer representation: Fraction
+# coefficient tuples modulo Phi_m, and Gauss-Jordan elimination over
+# Q(zeta_m) with each pivot inverted by the extended Euclid in Q[x]
+
+def ref_reduce(coeffs, m):
+    modulus = cyclotomic_polynomial(m)
+    degree = len(modulus) - 1
+    c = [Fraction(x) for x in coeffs]
+    while len(c) > degree:
+        lead = c.pop()
+        shift = len(c) - degree
+        for i in range(degree):
+            c[shift + i] -= lead * modulus[i]
+    return tuple(c + [Fraction(0)] * (degree - len(c)))
+
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_mul(a, b, m):
+    prod = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return ref_reduce(prod, m)
+
+
+def ref_conjugate(a, m):
+    out = [Fraction(0)] * m
+    for e, c in enumerate(a):
+        out[(-e) % m] += c
+    return ref_reduce(out, m)
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def ref_inverse(a, m):
+    """Extended Euclid in Q[x] against Phi_m."""
+    r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(m)], _trim(list(a))
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, rem = [Fraction(0)] * (len(r0) - len(r1) + 1), list(r0)
+        while len(rem) >= len(r1):
+            c = rem[-1] / r1[-1]
+            shift = len(rem) - len(r1)
+            q[shift] += c
+            for i, b in enumerate(r1):
+                rem[shift + i] -= c * b
+            _trim(rem)
+        prod = [Fraction(0)] * (len(q) + len(t1))
+        for i, x in enumerate(q):
+            for j, y in enumerate(t1):
+                prod[i + j] += x * y
+        t_next = [x - y for x, y in zip(t0 + [Fraction(0)] * len(prod),
+                                        prod + [Fraction(0)] * len(t0))]
+        t0, t1 = t1, _trim(t_next)
+        r0, r1 = r1, rem
+    assert len(r0) == 1
+    return ref_reduce([c / r0[0] for c in t0], m)
+
+
+def ref_kernel_dimension(matrix, m):
+    """dim ker by Gauss-Jordan over Q(zeta_m), each pivot inverted."""
+    a = [list(row) for row in matrix]
+    nr, nc = len(a), len(a[0])
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if any(a[i][c])), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = ref_inverse(a[r][c], m)
+        a[r] = [ref_mul(x, inv, m) for x in a[r]]
+        for i in range(nr):
+            if i != r and any(a[i][c]):
+                f = a[i][c]
+                a[i] = [ref_sub(x, ref_mul(f, y, m)) for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == nr:
+            break
+    return nc - r
+
+
+def degree(m):
+    return len(cyclotomic_polynomial(m)) - 1
+
+
+rationals = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@st.composite
+def raw_elements(draw, m, max_len=None):
+    """Unreduced Fraction coefficient lists, up to twice the degree long."""
+    return draw(st.lists(rationals, max_size=max_len or 2 * degree(m)))
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """(m, Fraction matrix, number of rows that are combinations of others)."""
+    m = draw(st.sampled_from(FIELDS))
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = raw_elements(m, degree(m)).map(lambda c: ref_reduce(c, m))
+    rows = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    dependent = draw(st.integers(0, nr - 1))
+    base = nr - dependent
+    for i in range(base, nr):
+        coeffs = [draw(entry) for _ in range(base)]
+        row = [ref_reduce([], m)] * nc
+        for k in range(base):
+            row = [ref_add(x, ref_mul(coeffs[k], y, m)) for x, y in zip(row, rows[k])]
+        rows[i] = row
+    order = draw(st.permutations(range(nr)))
+    return m, [rows[i] for i in order], dependent
 
 
 def poly_mul(p, q):
@@ -124,3 +260,72 @@ class TestEigenMultiplicity:
         z4 = self.field.root_of_unity(4, 1)
         conj = [[e.conjugate() for e in row] for row in m]
         assert eigen_multiplicity(m, z4) == eigen_multiplicity(conj, z4.conjugate())
+
+
+class TestIntegerArithmeticOracle:
+    """The integer-backed field against the Fraction reference."""
+
+    @ORACLE
+    @given(st.data())
+    def test_operations_match_fraction_reference(self, data):
+        m = data.draw(st.sampled_from(FIELDS))
+        field = CycloField(m)
+        raw_x, raw_y = data.draw(raw_elements(m)), data.draw(raw_elements(m))
+        x, y = field.element(raw_x), field.element(raw_y)
+        rx, ry = ref_reduce(raw_x, m), ref_reduce(raw_y, m)
+        assert x.coeffs == rx
+        assert (x + y).coeffs == ref_add(rx, ry)
+        assert (x - y).coeffs == ref_sub(rx, ry)
+        assert (x * y).coeffs == ref_mul(rx, ry, m)
+        assert x.conjugate().coeffs == ref_conjugate(rx, m)
+        if any(ry):
+            assert y.inverse().coeffs == ref_inverse(ry, m)
+
+    @ORACLE
+    @given(low_rank_matrices())
+    def test_kernel_dimension_matches_gauss_jordan(self, case):
+        m, rows, dependent = case
+        field = CycloField(m)
+        expected = ref_kernel_dimension(rows, m)
+        assert expected >= len(rows[0]) - (len(rows) - dependent)
+        assert kernel_dimension([[field.element(e) for e in row] for row in rows]) == expected
+
+    @pytest.mark.parametrize("m", FIELDS)
+    def test_singular_matrix_with_fractional_entries(self, m):
+        # rank 1: the second row is (1/3 + zeta) times the first
+        field = CycloField(m)
+        a = field.element([Fraction(1, 2), Fraction(-2, 3)])
+        b = field.root_of_unity(m, 5)
+        s = field.rational(Fraction(1, 3)) + field.root_of_unity(m, 1)
+        assert kernel_dimension([[a, b], [s * a, s * b]]) == 1
+        assert kernel_dimension([[a, b], [s * a, s * b + field.rational(Fraction(1, 7))]]) == 0
+
+    def test_equal_values_compare_and_hash_equal(self):
+        field = CycloField(12)
+        half = field.element([Fraction(2, 4)])
+        assert half == field.rational(Fraction(1, 2))
+        assert hash(half) == hash(field.rational(Fraction(1, 2)))
+        x = field.element([Fraction(3, 2), 0, Fraction(-1, 6), 2])
+        unit = x * x.inverse()
+        assert unit == field.one() and hash(unit) == hash(field.one())
+        # x^4 = x^2 - 1 modulo Phi_12, so an unreduced form is the same key
+        z = field.element([0, 0, 0, 0, 1])
+        assert z == field.element([-1, 0, 1])
+        spectrum = {field.one(): 1, half: 2, z: 3}
+        assert spectrum[field.one() * field.one()] == 1
+        assert spectrum[field.rational(1) - field.rational(Fraction(1, 2))] == 2
+        assert spectrum[field.root_of_unity(12, 4)] == 3
+        assert field.zero() == field.element([Fraction(0, 5)]) == half - half
+
+
+def test_ages_never_invert(monkeypatch, rot4_square_group, sign_rot4_group,
+                           kummer_group, p1_group, bielliptic_group):
+    def no_inverse(self):
+        raise AssertionError("the age path inverted a field element")
+
+    monkeypatch.setattr(CycloNumber, "inverse", no_inverse)
+    for group in (rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                  bielliptic_group):
+        reid_tai(group)
+        for g in group.elements:
+            age(g, cyclo_field_for(group))
