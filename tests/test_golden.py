@@ -1,6 +1,8 @@
-"""Golden gallery: the ``report`` bytes of every fixture, in both formats, and
-of one order-36 quasietale special-linear group where ``age`` runs on every
-element.  An optimisation must reproduce these bytes exactly.
+"""Golden gallery: the ``report`` bytes of every fixture, in both formats, of
+one order-36 quasietale special-linear group where ``age`` runs on every
+element, and of two groups of order 192 and 648 generated by
+``diag(zeta, 1, 1)`` and the cyclic coordinate permutation, where the lattice
+kernels are large.  An optimisation must reproduce these bytes exactly.
 
 To regenerate after an intended output change::
 
@@ -12,7 +14,7 @@ import pathlib
 
 import pytest
 
-from fqav.cli import main
+from fqav.cli import build_report, main, parse_input, serialize
 
 from conftest import FIXTURE_DIR
 
@@ -41,7 +43,22 @@ def sl_diag_document():
                            {"holonomy": _diag(_ONE, _Z6, _Z6_INV), "translation": zero}]}
 
 
+def diag_perm_document(cm):
+    """E_zeta^3 by diag(zeta, 1, 1) and the cyclic permutation of the three
+    coordinates: (Z/k)^3 x| Z/3 of order 3 k^3, where zeta has order k (192
+    on zeta4^3, 648 on zeta6^3)."""
+    zeta = [0, 1]
+    cycle = [[_ZERO, _ONE, _ZERO], [_ZERO, _ZERO, _ONE], [_ONE, _ZERO, _ZERO]]
+    zero = ["0"] * 6
+    return {"schema_version": 1,
+            "factors": [{"cm": cm}] * 3,
+            "generators": [{"holonomy": _diag(zeta, _ONE, _ONE), "translation": zero},
+                           {"holonomy": cycle, "translation": zero}]}
+
+
 CASES = [(name, fmt) for name in FIXTURES + ("sl-diag",) for fmt in FORMATS]
+DIAG_PERM = {"diag-perm-192": "zeta4", "diag-perm-648": "zeta6"}
+DIAG_PERM_CASES = [(name, fmt) for name in DIAG_PERM for fmt in FORMATS]
 
 
 def _input_path(name, tmp_dir):
@@ -65,6 +82,31 @@ def test_report_bytes_match_golden(name, fmt, tmp_path, capsys):
     assert _report(name, fmt, tmp_path, capsys) == expected
 
 
+def _diag_perm_report_doc(name):
+    text = json.dumps(diag_perm_document(DIAG_PERM[name]))
+    variety, gens, options = parse_input(text)
+    return build_report(variety, gens, options, "report")
+
+
+@pytest.fixture(scope="module")
+def diag_perm_docs():
+    """The report document of each diag-perm group, built once for both
+    formats."""
+    docs = {}
+
+    def get(name):
+        if name not in docs:
+            docs[name] = _diag_perm_report_doc(name)
+        return docs[name]
+    return get
+
+
+@pytest.mark.parametrize("name,fmt", DIAG_PERM_CASES)
+def test_diag_perm_report_bytes_match_golden(name, fmt, diag_perm_docs):
+    expected = (GOLDEN_DIR / f"{name}.{fmt}").read_text()
+    assert serialize(diag_perm_docs(name), fmt) == expected
+
+
 def regenerate():
     """Rewrite every golden file from the current code."""
     import contextlib
@@ -79,3 +121,7 @@ def regenerate():
                 rc = main(["report", str(_input_path(name, tmp)), "--format", fmt])
             assert rc == 0, name
             (GOLDEN_DIR / f"{name}.{fmt}").write_text(buf.getvalue())
+    for name in DIAG_PERM:
+        doc = _diag_perm_report_doc(name)
+        for fmt in FORMATS:
+            (GOLDEN_DIR / f"{name}.{fmt}").write_text(serialize(doc, fmt))
