@@ -140,8 +140,9 @@ def reid_tai(group: FiniteGroupAction, cyclo_field=None):
 
 def irregularity(group: FiniteGroupAction) -> int:
     """q(X) = dim of the holonomy-invariant tangent subspace (half the
-    rational fixed-space dimension)."""
-    reps = [rational_rep(phi) for phi in group.holonomy_group]
+    rational fixed-space dimension).  A vector fixed by the generators'
+    holonomies is fixed by every product of them."""
+    reps = [rational_rep(g.holonomy) for g in group.generators]
     d = fixed_lattice(reps, group.variety.ambient_rank).rank
     if d % 2 != 0:
         raise CertificateError("holonomy fixed space has odd rational dimension")

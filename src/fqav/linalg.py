@@ -88,16 +88,6 @@ def determinant(m):
     return int(det) if det.denominator == 1 else det
 
 
-def invert_unimodular(m):
-    """Inverse of a unimodular integer matrix, returned with int entries."""
-    n = len(m)
-    a, _, _ = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
-                             for i, row in enumerate(m)], n)
-    out = [row[n:] for row in a]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return [[int(x) for x in row] for row in out]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -277,37 +267,21 @@ class Lattice:
 
 
 def saturate(lat: Lattice) -> Lattice:
-    """Saturation (L tensor Q) intersect Z^N: same rank, torsion-free quotient."""
-    if lat.rank == 0:
-        return lat
-    _, _, v = snf(lat.basis_rows())
-    vinv = invert_unimodular(v)
-    return Lattice.from_vectors(lat.ambient_rank, vinv[: lat.rank])
-
-
-def rational_kernel_basis(matrix):
-    """Basis of the rational kernel of an exact matrix, as Fraction vectors."""
-    cols = len(matrix[0]) if matrix else 0
-    a, pivots, _ = _gauss_jordan(matrix, cols)
-    basis = []
-    for f in (c for c in range(cols) if c not in pivots):
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for k, c in enumerate(pivots):
-            vec[c] = -a[k][f]
-        basis.append(vec)
-    return basis
+    """Saturation (L tensor Q) intersect Z^N: same rank, torsion-free quotient.
+    It is the annihilator of the annihilator of L."""
+    return integer_kernel(orthogonal_complement_rows(lat), lat.ambient_rank)
 
 
 def integer_kernel(matrix, cols) -> Lattice:
-    """Saturated lattice {x in Z^cols : M x = 0}."""
-    if not matrix:
-        return Lattice.full(cols)
-    s, _, v = snf(matrix)
-    n = min(len(s), len(s[0]) if s else 0)
-    rank = sum(1 for i in range(n) if s[i][i] != 0)
-    vt = mat_transpose(v)
-    return Lattice.from_vectors(cols, vt[rank:])
+    """Saturated lattice {x in Z^cols : M x = 0}.
+
+    The Hermite form of [M^T | I] is [H | U] with U unimodular, and the
+    U-parts of its rows whose H-part is zero are a basis of the kernel."""
+    nr = len(matrix)
+    rows = [[matrix[i][j] for i in range(nr)] + [int(j == k) for k in range(cols)]
+            for j in range(cols)]
+    h = hermite_basis(rows, nr + cols)
+    return Lattice.from_vectors(cols, [row[nr:] for row in h if not any(row[:nr])])
 
 
 def fixed_lattice(matrices, rank) -> Lattice:
@@ -331,25 +305,12 @@ def solve_rational(matrix, rhs):
 
 
 def intersect_lattices(l1: Lattice, l2: Lattice) -> Lattice:
-    """Saturated intersection of the rational spans, inside Z^N."""
+    """Saturated intersection of the rational spans, inside Z^N: the common
+    kernel of their annihilators."""
     if l1.ambient_rank != l2.ambient_rank:
         raise ValueError("ambient ranks differ")
-    n = l1.ambient_rank
-    if l1.rank == 0 or l2.rank == 0:
-        return Lattice.zero(n)
-    b1 = l1.basis_rows()
-    b2 = l2.basis_rows()
-    # x in span(b1) cap span(b2):  x = alpha*b1 = beta*b2
-    stacked = [[b1[i][r] for i in range(len(b1))] + [-b2[j][r] for j in range(len(b2))]
-               for r in range(n)]
-    kernel = rational_kernel_basis(stacked)
-    vectors = []
-    for coeff in kernel:
-        alpha = coeff[: len(b1)]
-        vec = [sum(alpha[i] * Fraction(b1[i][r]) for i in range(len(b1))) for r in range(n)]
-        den = lcm(*[f.denominator for f in vec]) if vec else 1
-        vectors.append([int(f * den) for f in vec])
-    return saturate(Lattice.from_vectors(n, vectors))
+    return integer_kernel(orthogonal_complement_rows(l1) + orthogonal_complement_rows(l2),
+                          l1.ambient_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +355,8 @@ class TorsionPoint:
         return TorsionPoint.of(tuple(k * c for c in self.coords))
 
     def apply_matrix(self, m):
+        if self.is_zero():
+            return TorsionPoint.zero(len(m))
         return TorsionPoint.of(tuple(mat_vec(m, list(self.coords))))
 
     def sort_key(self):
@@ -458,7 +421,4 @@ def orthogonal_complement_rows(lat: Lattice) -> list:
     With these rows K, the subtorus (span(L)+Z^N)/Z^N is exactly
     {x : K x in Z^rows}.
     """
-    if lat.rank == 0:
-        return identity_matrix(lat.ambient_rank)
-    ker = integer_kernel(lat.basis_rows(), lat.ambient_rank)
-    return ker.basis_rows()
+    return integer_kernel(lat.basis_rows(), lat.ambient_rank).basis_rows()

@@ -14,7 +14,6 @@ from .linalg import (
     Lattice,
     TorsionPoint,
     determinant,
-    intersect_lattices,
     integer_kernel,
     mat_mul,
     mat_transpose,
@@ -263,10 +262,10 @@ class SubtorusTranslate:
 def connected_intersection(s1: SubtorusTranslate, s2: SubtorusTranslate):
     """Intersection of two subtorus translates: the common sublattice D and
     the finite set of components (translates of D)."""
-    d = intersect_lattices(s1.lattice, s2.lattice)
     k1 = orthogonal_complement_rows(s1.lattice)
     k2 = orthogonal_complement_rows(s2.lattice)
     stacked = k1 + k2
+    d = integer_kernel(stacked, s1.lattice.ambient_rank)
     if not stacked:
         zero = TorsionPoint.zero(s1.lattice.ambient_rank)
         return d, (SubtorusTranslate(d, zero),)
@@ -295,10 +294,8 @@ def subtorus_kappa(lattices, ambient_rank):
     """n - dim of the common subtorus of the subtori with these lattices in
     Z^ambient_rank (the whole torus when there are none): the Kodaira
     dimension of a divisor whose components are translates of them."""
-    common = Lattice.full(ambient_rank)
-    for lat in lattices:
-        common = intersect_lattices(common, lat)
-    return ambient_rank // 2 - common.rank // 2
+    complements = [row for lat in lattices for row in orthogonal_complement_rows(lat)]
+    return ambient_rank // 2 - integer_kernel(complements, ambient_rank).rank // 2
 
 
 def kappa_divisor(components, variety: AbelianVarietyModel):

@@ -58,7 +58,6 @@ def diag_perm_document(cm):
 
 CASES = [(name, fmt) for name in FIXTURES + ("sl-diag",) for fmt in FORMATS]
 DIAG_PERM = {"diag-perm-192": "zeta4", "diag-perm-648": "zeta6"}
-DIAG_PERM_CASES = [(name, fmt) for name in DIAG_PERM for fmt in FORMATS]
 
 
 def _input_path(name, tmp_dir):
@@ -88,23 +87,17 @@ def _diag_perm_report_doc(name):
     return build_report(variety, gens, options, "report")
 
 
-@pytest.fixture(scope="module")
-def diag_perm_docs():
-    """The report document of each diag-perm group, built once for both
+@pytest.fixture(scope="module", params=list(DIAG_PERM))
+def diag_perm_doc(request):
+    """(name, report document) of each diag-perm group, built once for both
     formats."""
-    docs = {}
-
-    def get(name):
-        if name not in docs:
-            docs[name] = _diag_perm_report_doc(name)
-        return docs[name]
-    return get
+    return request.param, _diag_perm_report_doc(request.param)
 
 
-@pytest.mark.parametrize("name,fmt", DIAG_PERM_CASES)
-def test_diag_perm_report_bytes_match_golden(name, fmt, diag_perm_docs):
-    expected = (GOLDEN_DIR / f"{name}.{fmt}").read_text()
-    assert serialize(diag_perm_docs(name), fmt) == expected
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_diag_perm_report_bytes_match_golden(diag_perm_doc, fmt):
+    name, doc = diag_perm_doc
+    assert serialize(doc, fmt) == (GOLDEN_DIR / f"{name}.{fmt}").read_text()
 
 
 def regenerate():

@@ -6,22 +6,27 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fqav import linalg
+from fqav.classify import irregularity
 from fqav.linalg import (
     Lattice,
     TorsionPoint,
     determinant,
+    fixed_lattice,
     identity_matrix,
+    integer_kernel,
     intersect_lattices,
-    invert_unimodular,
     mat_mul,
+    mat_sub,
     mat_vec,
-    rational_kernel_basis,
+    orthogonal_complement_rows,
     saturate,
     snf,
     solve_affine_mod_lattice,
     solve_rational,
     elementary_divisors,
 )
+from fqav.variety import rational_rep, subtorus_kappa
 
 
 def minor_gcd_divisors(m):
@@ -105,8 +110,8 @@ def leibniz_determinant(m):
 
 
 class TestElimination:
-    """determinant, invert_unimodular, rational_kernel_basis and
-    solve_rational share one elimination routine."""
+    """determinant and solve_rational share one elimination routine;
+    integer_kernel is checked against the same rank."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.data())
@@ -119,7 +124,7 @@ class TestElimination:
     def test_kernel_and_solve(self, nr, nc, data):
         m = [[data.draw(st.integers(-3, 3)) for _ in range(nc)] for _ in range(nr)]
         rhs = [data.draw(st.integers(-3, 3)) for _ in range(nr)]
-        kernel = rational_kernel_basis(m)
+        kernel = integer_kernel(m, nc).basis_rows()
         assert all(not any(mat_vec(m, v)) for v in kernel)
         rank = len(elementary_divisors(m))
         assert len(kernel) == nc - rank
@@ -130,12 +135,61 @@ class TestElimination:
         if x is not None:
             assert mat_vec(m, x) == rhs
 
-    def test_inverse_of_unimodular(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            n = rng.randint(1, 5)
-            _, _, v = snf([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-            assert mat_mul(v, invert_unimodular(v)) == identity_matrix(n)
+
+def smith_kernel(m, nc):
+    """The kernel as the Smith-form solve reads it off V.  An empty matrix
+    has no row to give its width, so then the zero point of Z^nc gives it."""
+    return solve_affine_mod_lattice(m, TorsionPoint.zero(len(m) if m else nc)).kernel
+
+
+@st.composite
+def low_rank_stacks(draw):
+    """Up to 48 x 6 integer matrices, the empty one included, whose rows are
+    small combinations of at most ``nc`` base rows: tall stacks with a
+    kernel, like the stacked I - W of ``fixed_lattice``."""
+    nc = draw(st.integers(0, 6))
+    nr = draw(st.integers(0, 48))
+    entries = st.integers(-4, 4)
+    base = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                         min_size=1, max_size=max(nc, 1)))
+    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base),
+                                    max_size=len(base)), min_size=nr, max_size=nr))
+    m = [[sum(c * b[j] for c, b in zip(row, base)) for j in range(nc)] for row in coeffs]
+    return m, nc
+
+
+class TestIntegerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(low_rank_stacks())
+    def test_matches_smith_kernel(self, case):
+        m, nc = case
+        assert integer_kernel(m, nc) == smith_kernel(m, nc)
+
+    def test_lattice_paths_never_call_snf(self, sign_rot4_group, monkeypatch):
+        group = sign_rot4_group
+        n2 = group.variety.ambient_rank
+        reps = [rational_rep(phi) for phi in group.holonomy_group]
+        stacked = [row for w in reps for row in mat_sub(identity_matrix(n2), w)]
+        fixed = [fixed_lattice([w], n2) for w in reps]
+        divisors = [lat for lat in fixed if lat.rank == n2 - 2]
+        half = Lattice.from_vectors(n2, [[2, 0, 0, 0], [0, 2, 2, 0]])
+
+        def run():
+            return (integer_kernel(stacked, n2),
+                    fixed_lattice(reps, n2),
+                    [saturate(lat) for lat in fixed + [half]],
+                    [intersect_lattices(a, b) for a in fixed + [half] for b in fixed],
+                    [orthogonal_complement_rows(lat) for lat in fixed + [half]],
+                    subtorus_kappa(divisors, n2),
+                    irregularity(group))
+
+        expected = run()
+        assert divisors and expected[-2:] == (1, 0)
+
+        def no_snf(_matrix):
+            raise AssertionError("snf called on a lattice path")
+        monkeypatch.setattr(linalg, "snf", no_snf)
+        assert run() == expected
 
 
 class TestSaturate:
@@ -158,6 +212,7 @@ class TestSaturate:
             sat = saturate(lat)
             assert sat.rank == lat.rank
             assert saturate(sat) == sat
+            assert Lattice.from_vectors(n, sat.basis_rows() + lat.basis_rows()) == sat
             # quotient by the saturation is torsion-free
             if sat.rank:
                 assert all(d == 1 for d in elementary_divisors(sat.basis_rows()))
@@ -177,6 +232,19 @@ class TestIntersect:
         l1 = Lattice.from_vectors(2, [[1, 0], [0, 2]])
         l2 = Lattice.from_vectors(2, [[0, 1]])
         assert intersect_lattices(l1, l2) == Lattice.from_vectors(2, [[0, 1]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_in_both_spans_with_dimension_formula(self, n, data):
+        vectors = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           max_size=n)
+        l1 = Lattice.from_vectors(n, data.draw(vectors))
+        l2 = Lattice.from_vectors(n, data.draw(vectors))
+        meet = intersect_lattices(l1, l2)
+        assert all(l1.spans_rationally(v) and l2.spans_rationally(v)
+                   for v in meet.basis_rows())
+        rank_sum = len(elementary_divisors(l1.basis_rows() + l2.basis_rows()))
+        assert meet.rank == l1.rank + l2.rank - rank_sum
 
 
 def brute_force_torus_solutions(m, point, q):
