@@ -1,8 +1,8 @@
 """Golden gallery: the ``report`` bytes of every fixture, in both formats, of
 one order-36 quasietale special-linear group where ``age`` runs on every
-element, and of two groups of order 192 and 648 generated by
-``diag(zeta, 1, 1)`` and the cyclic coordinate permutation, where the lattice
-kernels are large.  An optimisation must reproduce these bytes exactly.
+element, and of three groups of order 192, 648 and 1296 generated by
+``diag(zeta, 1, 1)`` and coordinate permutations, where the lattice kernels
+are large.  An optimisation must reproduce these bytes exactly.
 
 To regenerate after an intended output change::
 
@@ -43,21 +43,27 @@ def sl_diag_document():
                            {"holonomy": _diag(_ONE, _Z6, _Z6_INV), "translation": zero}]}
 
 
-def diag_perm_document(cm):
+def diag_perm_document(cm, transposition=False):
     """E_zeta^3 by diag(zeta, 1, 1) and the cyclic permutation of the three
     coordinates: (Z/k)^3 x| Z/3 of order 3 k^3, where zeta has order k (192
-    on zeta4^3, 648 on zeta6^3)."""
+    on zeta4^3, 648 on zeta6^3).  With the transposition of the first two
+    coordinates as a third generator the permutations are all of S3, and
+    the order is 6 k^3 (1296 on zeta6^3)."""
     zeta = [0, 1]
     cycle = [[_ZERO, _ONE, _ZERO], [_ZERO, _ZERO, _ONE], [_ONE, _ZERO, _ZERO]]
+    swap = [[_ZERO, _ONE, _ZERO], [_ONE, _ZERO, _ZERO], [_ZERO, _ZERO, _ONE]]
     zero = ["0"] * 6
+    holonomies = [_diag(zeta, _ONE, _ONE), cycle] + ([swap] if transposition else [])
     return {"schema_version": 1,
             "factors": [{"cm": cm}] * 3,
-            "generators": [{"holonomy": _diag(zeta, _ONE, _ONE), "translation": zero},
-                           {"holonomy": cycle, "translation": zero}]}
+            "generators": [{"holonomy": h, "translation": zero} for h in holonomies]}
 
 
 CASES = [(name, fmt) for name in FIXTURES + ("sl-diag",) for fmt in FORMATS]
-DIAG_PERM = {"diag-perm-192": "zeta4", "diag-perm-648": "zeta6"}
+# name -> (cm, with the transposition)
+DIAG_PERM = {"diag-perm-192": ("zeta4", False),
+             "diag-perm-648": ("zeta6", False),
+             "diag-perm-1296": ("zeta6", True)}
 
 
 def _input_path(name, tmp_dir):
@@ -82,7 +88,7 @@ def test_report_bytes_match_golden(name, fmt, tmp_path, capsys):
 
 
 def _diag_perm_report_doc(name):
-    text = json.dumps(diag_perm_document(DIAG_PERM[name]))
+    text = json.dumps(diag_perm_document(*DIAG_PERM[name]))
     variety, gens, options = parse_input(text)
     return build_report(variety, gens, options, "report")
 
