@@ -44,7 +44,7 @@ class AffineAutomorphism:
         n2 = holonomy.variety.ambient_rank
         if translation is None:
             translation = TorsionPoint.zero(n2)
-        if len(translation.coords) != n2:
+        if len(translation.num) != n2:
             raise InputError("translation has wrong length", code="bad-translation")
         return cls(holonomy, translation)
 
@@ -162,8 +162,7 @@ def pointwise_stabilizer(t: SubtorusTranslate, group: FiniteGroupAction):
         m = mat_sub(identity_matrix(len(rho)), rho)
         if any(any(x != 0 for x in mat_vec(m, v)) for v in t.lattice.basis_rows()):
             continue
-        image = TorsionPoint.of(mat_vec(m, list(t.translate.coords)))
-        if image == g.translation:
+        if t.translate.apply_matrix(m) == g.translation:
             members.append(g)
     return members, len(members)
 
@@ -172,12 +171,12 @@ def normalize_translations(group: FiniteGroupAction):
     """The conjugating point p of the translation-normalization construction
     (p = sum of the canonical |G|-th divisions of the translations), and the
     conjugate group t_p^-1 G t_p."""
-    n = group.order
-    coords = [Fraction(0)] * group.variety.ambient_rank
+    den = lcm(*(g.translation.den for g in group.elements))
+    total = [0] * group.variety.ambient_rank
     for g in group.elements:
-        for i, c in enumerate(g.translation.coords):
-            coords[i] += Fraction(c, n)
-    p = TorsionPoint.of(coords)
+        f = den // g.translation.den
+        total = [t + f * x for t, x in zip(total, g.translation.num)]
+    p = TorsionPoint.over(total, den * group.order)
     conj = []
     for g in group.elements:
         rho = rational_rep(g.holonomy)

@@ -24,7 +24,6 @@ from .linalg import (
     mat_vec,
     orthogonal_complement_rows,
     solve_affine_mod_lattice,
-    solve_rational,
 )
 from .variety import (
     lattice_poincare_complement,
@@ -58,7 +57,7 @@ class LatticeElement:
     def compose(self, other):
         m = mat_mul(self.matrix, other.matrix)
         trans = self.translation + other.translation.apply_matrix(self.matrix)
-        return LatticeElement(tuple(tuple(r) for r in m), trans)
+        return LatticeElement(tuple(map(tuple, m)), trans)
 
     def sort_key(self):
         return (self.matrix, self.translation.sort_key())
@@ -246,40 +245,40 @@ def split_action(n_elements, b: Lattice, c: Lattice, ker_mu_order):
         raise CertificateError("kernel of the addition isogeny has wrong order")
 
     k_c = orthogonal_complement_rows(c)
-    rank_b = b.rank
+    ident = identity_matrix(n2)
+    to_b, to_c = ident[:b.rank], ident[b.rank:]
+    restricted = {}
 
     def restrict_matrix(w):
-        """Matrix of W on the C basis (C must be W-invariant)."""
-        out = []
-        for v in c.basis_rows():
-            img = mat_vec([list(r) for r in w], v)
-            coeffs = solve_rational(ct, img)
-            if coeffs is None or any(x.denominator != 1 for x in coeffs):
-                raise CertificateError("complement is not invariant")
-            out.append([int(x) for x in coeffs])
-        return mat_transpose(out)
+        """Matrix of W on the C basis (C must be W-invariant), solved once
+        per W."""
+        w_c = restricted.get(w)
+        if w_c is None:
+            out = []
+            for v in c.basis_rows():
+                coeffs = c.coordinates(mat_vec(w, v))
+                if coeffs is None:
+                    raise CertificateError("complement is not invariant")
+                out.append(coeffs)
+            w_c = restricted[w] = tuple(zip(*out))
+        return w_c
 
     n_tilde = []
     n_c_gens = []
     for g in n_elements:
-        a = list(g.translation.coords)
         splits = solve_affine_mod_lattice(m, g.translation)
         if not splits.nonempty:
             raise CertificateError("translation does not split along B x C")
         for rep in splits.representatives:
-            beta = TorsionPoint.of(rep.coords[:rank_b])
-            gamma = TorsionPoint.of(rep.coords[rank_b:])
-            n_tilde.append((beta, gamma, g.matrix))
+            n_tilde.append((rep.apply_matrix(to_b), rep.apply_matrix(to_c), g.matrix))
         # restriction to C: defined when the translation lies in the C-subtorus
-        image = TorsionPoint.of(mat_vec(k_c, a)) if k_c else TorsionPoint.of([])
-        if image.is_zero():
+        if g.translation.apply_matrix(k_c).is_zero():
             w_c = restrict_matrix(g.matrix)
             gamma_sol = solve_affine_mod_lattice(ct, g.translation)
             if not gamma_sol.nonempty:
                 raise CertificateError("translation claims C-membership but does not solve")
-            gammas = [TorsionPoint.of(r.coords) for r in gamma_sol.representatives]
             # C saturated: the C-torus embeds, so the restriction is unique
-            n_c_gens.append(LatticeElement.of(w_c, gammas[0]))
+            n_c_gens.append(LatticeElement.of(w_c, gamma_sol.representatives[0]))
 
     if len(n_tilde) != len(n_elements) * ker_mu_order:
         raise CertificateError("N-tilde has wrong cardinality")
@@ -293,18 +292,13 @@ def split_action(n_elements, b: Lattice, c: Lattice, ker_mu_order):
 def _check_n_tilde_group(n_tilde, restrict_matrix):
     """The set of pairs t_beta x (t_gamma . W|_C) must be closed under
     composition; this is a strong self-test of the splitting."""
-    entries = set()
-    table = []
-    for beta, gamma, w in n_tilde:
-        w_c = tuple(tuple(r) for r in restrict_matrix(w))
-        entries.add((beta, gamma, w_c))
-        table.append((beta, gamma, w, w_c))
-    for b1, g1, w1, wc1 in table:
-        for b2, g2, w2, wc2 in table:
+    table = [(beta, gamma, restrict_matrix(w)) for beta, gamma, w in n_tilde]
+    entries = set(table)
+    for b1, g1, wc1 in table:
+        for b2, g2, wc2 in table:
             beta = b1 + b2
-            gamma = g1 + g2.apply_matrix([list(r) for r in wc1])
-            wc = tuple(tuple(r) for r in mat_mul([list(r) for r in wc1],
-                                                 [list(r) for r in wc2]))
+            gamma = g1 + g2.apply_matrix(wc1)
+            wc = tuple(map(tuple, mat_mul(wc1, wc2)))
             if (beta, gamma, wc) not in entries:
                 raise CertificateError("N-tilde is not closed under composition")
 

@@ -1,17 +1,20 @@
 """Exact integer/rational linear algebra: Smith normal form, lattices,
 saturation, and affine congruence solving on the torus R^N / Z^N.
 
-Everything here is exact: matrices are lists/tuples of Python ints,
-rational data uses fractions.Fraction.  No floating point anywhere.
+Everything here is exact: matrices are lists/tuples of Python ints, and a
+torsion point is an int vector over one common denominator.  Only
+``solve_rational`` and the ``TorsionPoint.coords`` view return
+fractions.Fraction.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 
 # ---------------------------------------------------------------------------
@@ -23,16 +26,12 @@ def identity_matrix(n):
 
 def mat_mul(a, b):
     """Exact matrix product; entries may be int or Fraction."""
-    if not a:
-        return []
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    bt = [[b[k][j] for k in range(inner)] for j in range(cols)]
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+    return [sum(map(operator.mul, row, v)) for row in m]
 
 
 def mat_sub(a, b):
@@ -46,46 +45,47 @@ def mat_transpose(m):
 
 
 def _gauss_jordan(matrix, cols):
-    """Reduced row echelon form over Q of ``matrix`` in its first ``cols``
-    columns; any further columns (a right-hand side) are carried along.  The
-    pivot of each column is its first nonzero entry at or below the current
-    row.  Returns the reduced rows, the pivot columns, and the product of
-    the pivots before scaling, negated once per row swap: the determinant
-    when the matrix is square of full rank."""
-    a = [[Fraction(x) for x in row] for row in matrix]
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer
+    ``matrix`` in its first ``cols`` columns; any further columns (a
+    right-hand side) are carried along.  The pivot of each column is its
+    first nonzero entry at or below the current row.  A step with pivot p
+    replaces every other row x by (p x - x_c r) / p_prev, r the pivot row and
+    p_prev the previous pivot (1 at first).  The division is exact: every
+    entry is then a minor of the input (Sylvester's identity).  Each earlier
+    pivot entry becomes p, so at the end the rows are d times the reduced
+    row echelon form, d the last pivot.  Returns the rows, the pivot columns,
+    and d negated once per row swap: the determinant when the matrix is
+    square of full rank."""
+    a = [list(row) for row in matrix]
     nr = len(a)
     pivots = []
-    det = Fraction(1)
+    prev = 1
+    sign = 1
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            det = -det
-        p = a[r][c]
-        det *= p
-        # the rows from r down are zero left of column c, so the pivot row
-        # changes only the columns from c on
-        pivot_row = [x / p for x in a[r][c:]]
-        a[r][c:] = pivot_row
+            sign = -sign
+        pivot_row = a[r]
+        p = pivot_row[c]
         for i in range(nr):
-            if i != r and a[i][c] != 0:
+            if i != r:
                 f = a[i][c]
-                a[i][c:] = [x - f * y if y else x for x, y in zip(a[i][c:], pivot_row)]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
         pivots.append(c)
         r += 1
-    return a, pivots, det
+    return a, pivots, sign * prev
 
 
 def determinant(m):
-    """Exact determinant of a square matrix."""
+    """Exact determinant of a square integer matrix."""
     n = len(m)
     _, pivots, det = _gauss_jordan(m, n)
-    if len(pivots) < n:
-        return 0
-    return int(det) if det.denominator == 1 else det
+    return det if len(pivots) == n else 0
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +265,22 @@ class Lattice:
     def spans_rationally(self, vector):
         return solve_rational(mat_transpose(self.basis_rows()), list(vector)) is not None
 
+    def coordinates(self, vector):
+        """The integer x with sum x_k basis_k = vector, or None when the
+        vector is not in the lattice.  The basis is in Hermite form, so x_k
+        is read off the k-th pivot once the earlier rows are subtracted."""
+        rest = list(vector)
+        out = []
+        for row in self.basis:
+            c = next(j for j, x in enumerate(row) if x)
+            q, r = divmod(rest[c], row[c])
+            if r:
+                return None
+            if q:
+                rest = [x - q * y for x, y in zip(rest, row)]
+            out.append(q)
+        return None if any(rest) else out
+
 
 def saturate(lat: Lattice) -> Lattice:
     """Saturation (L tensor Q) intersect Z^N: same rank, torsion-free quotient.
@@ -292,7 +308,8 @@ def fixed_lattice(matrices, rank) -> Lattice:
 
 
 def solve_rational(matrix, rhs):
-    """One rational solution of M x = rhs, or None if inconsistent."""
+    """One rational solution of M x = rhs for integer M and rhs, or None if
+    inconsistent."""
     nc = len(matrix[0]) if matrix else 0
     a, pivots, _ = _gauss_jordan(
         [list(row) + [rhs[i]] for i, row in enumerate(matrix)], nc)
@@ -300,7 +317,7 @@ def solve_rational(matrix, rhs):
         return None
     x = [Fraction(0)] * nc
     for k, c in enumerate(pivots):
-        x[c] = a[k][nc]
+        x[c] = Fraction(a[k][nc], a[k][c])
     return x
 
 
@@ -316,65 +333,105 @@ def intersect_lattices(l1: Lattice, l2: Lattice) -> Lattice:
 # ---------------------------------------------------------------------------
 # torsion points and affine congruences on the torus
 
-def _reduce_mod1(frac):
-    f = Fraction(frac)
-    return f - (f.numerator // f.denominator)
-
-
 @dataclass(frozen=True)
 class TorsionPoint:
-    """A rational point of the torus, coordinates reduced to [0, 1)."""
+    """A rational point num / den of the torus R^N / Z^N.  den is the least
+    common denominator of the coordinates, and num holds ints in [0, den)
+    with gcd(den, *num) = 1, so equal points compare and hash equal."""
 
-    coords: tuple
+    num: tuple
+    den: int
+
+    @classmethod
+    def over(cls, num, den):
+        """The point num / den for ints num and den > 0, reduced mod 1 and to
+        lowest terms."""
+        if den == 1:
+            return cls((0,) * len(num), 1)
+        num = [x % den for x in num]
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+        return cls(tuple(num), den)
 
     @classmethod
     def of(cls, coords):
-        return cls(tuple(_reduce_mod1(c) for c in coords))
+        """The point with these int or Fraction coordinates."""
+        den = lcm(*(c.denominator for c in coords))
+        return cls.over([c.numerator * (den // c.denominator) for c in coords], den)
 
     @classmethod
     def zero(cls, n):
-        return cls(tuple(Fraction(0) for _ in range(n)))
+        return cls((0,) * n, 1)
+
+    @property
+    def coords(self):
+        """The coordinates in [0, 1), as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @property
     def order(self):
-        return lcm(*[c.denominator for c in self.coords]) if self.coords else 1
+        return self.den
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return self.den == 1
 
     def __add__(self, other):
-        return TorsionPoint.of(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if other.den == 1:
+            return self
+        if self.den == 1:
+            return other
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return TorsionPoint.over([a * fa + b * fb for a, b in zip(self.num, other.num)], den)
 
     def __neg__(self):
-        return TorsionPoint.of(tuple(-a for a in self.coords))
+        return TorsionPoint(tuple(-x % self.den for x in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, k):
-        return TorsionPoint.of(tuple(k * c for c in self.coords))
+        return TorsionPoint.over([k * x for x in self.num], self.den)
 
     def apply_matrix(self, m):
-        if self.is_zero():
+        """The point M x for an integer matrix M with N columns."""
+        if self.den == 1:
             return TorsionPoint.zero(len(m))
-        return TorsionPoint.of(tuple(mat_vec(m, list(self.coords))))
+        return TorsionPoint.over(mat_vec(m, self.num), self.den)
+
+    def concat(self, other):
+        """The point of the product torus with the coordinates of self, then
+        those of other."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return TorsionPoint(tuple(x * fa for x in self.num) + tuple(x * fb for x in other.num),
+                            den)
 
     def sort_key(self):
-        return tuple((c.numerator, c.denominator) for c in self.coords)
+        """(numerator, denominator) of each coordinate in lowest terms."""
+        key = []
+        for x in self.num:
+            g = gcd(x, self.den)
+            key.append((x // g, self.den // g))
+        return tuple(key)
 
 
 @dataclass(frozen=True)
 class AffineSolutionSet:
     """Solution set of M x == a (mod Z^N) on the torus: empty, or
     ``component_count`` translates of the kernel subtorus.  With U M V = S
-    in Smith form and b = U a, they are the V y with y_i = (b_i + k_i) / s_i,
-    0 <= k_i < s_i, on the nonzero divisors s_i.  ``representatives``, one
-    point per translate, are enumerated when first read."""
+    in Smith form, a = num / den and b = U num mod den, they are the V y with
+    y_i = (b_i / den + k_i) / s_i, 0 <= k_i < s_i, on the nonzero divisors
+    s_i.  ``representatives``, one point per translate, are enumerated when
+    first read."""
 
     nonempty: bool
     kernel: Lattice
     divisors: tuple   # the nonzero s_i
     rhs: tuple        # the b_i
+    den: int          # the denominator of a
     transform: tuple  # V
 
     @property
@@ -388,30 +445,37 @@ class AffineSolutionSet:
 
     @cached_property
     def representatives(self):
+        """Over the one denominator den s_r, s_r the last divisor, y_i has
+        numerator (b_i + k_i den) (s_r / s_i), an int by s_i | s_r."""
         if not self.nonempty:
             return ()
-        free = [Fraction(0)] * (self.kernel.ambient_rank - len(self.divisors))
+        den = self.den
+        top = self.divisors[-1] if self.divisors else 1
+        scales = [top // s for s in self.divisors]
+        free = [0] * (self.kernel.ambient_rank - len(self.divisors))
         reps = []
         for combo in itertools.product(*map(range, self.divisors)):
-            y = [Fraction(b + k, s) for b, k, s in zip(self.rhs, combo, self.divisors)]
-            reps.append(TorsionPoint.of(mat_vec(self.transform, y + free)))
+            y = [(b + k * den) * f for b, k, f in zip(self.rhs, combo, scales)]
+            reps.append(TorsionPoint.over(mat_vec(self.transform, y + free), den * top))
         return tuple(sorted(reps, key=TorsionPoint.sort_key))
 
 
 def solve_affine_mod_lattice(matrix, point: TorsionPoint) -> AffineSolutionSet:
     """Describe {x in R^N/Z^N : M x == a (mod Z^N)} via Smith normal form.
 
-    Accepts any integer matrix with N columns; rows need not equal N.
+    Accepts any integer matrix with N columns; rows need not equal N.  The
+    set is nonempty iff b_i == 0 (mod den) for every i at or beyond the rank.
     """
     nr = len(matrix)
-    nc = len(matrix[0]) if nr else len(point.coords)
+    nc = len(matrix[0]) if nr else len(point.num)
     s, u, v = snf(matrix) if nr else ([], [], identity_matrix(nc))
     divisors = tuple(s[i][i] for i in range(min(nr, nc)) if s[i][i] != 0) if nr else ()
     rank = len(divisors)
     kernel = Lattice.from_vectors(nc, mat_transpose(v)[rank:])
-    b = mat_vec(u, [Fraction(c) for c in point.coords]) if nr else []
-    nonempty = all(_reduce_mod1(b[i]) == 0 for i in range(rank, nr))
-    return AffineSolutionSet(nonempty, kernel, divisors, tuple(b[:rank]),
+    den = point.den
+    b = [0] * nr if den == 1 else [x % den for x in mat_vec(u, point.num)]
+    nonempty = not any(b[rank:])
+    return AffineSolutionSet(nonempty, kernel, divisors, tuple(b[:rank]), den,
                              tuple(map(tuple, v)))
 
 

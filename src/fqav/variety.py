@@ -7,6 +7,7 @@ torsion-translate divisors, invariant complements).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .cyclotomic import CycloField
 from .errors import CertificateError, InputError
@@ -106,7 +107,9 @@ class EndoBlockMatrix:
         return cls(variety, tuple(tuple((int(c), int(d)) for c, d in row) for row in rows))
 
     @classmethod
+    @cache
     def identity(cls, variety):
+        """The identity of the variety, built once per variety."""
         n = variety.n
         return cls.from_rows(variety, [[(1, 0) if i == j else (0, 0) for j in range(n)]
                                        for i in range(n)])
@@ -252,8 +255,7 @@ class SubtorusTranslate:
         """Hashable identity: the lattice plus the translate reduced modulo
         the subtorus (via the dual integer forms)."""
         k = orthogonal_complement_rows(self.lattice)
-        reduced = TorsionPoint.of(mat_vec(k, list(self.translate.coords)))
-        return (self.lattice, reduced)
+        return (self.lattice, self.translate.apply_matrix(k))
 
     def sort_key(self):
         return (self.lattice.basis, self.translate.sort_key())
@@ -269,10 +271,7 @@ def connected_intersection(s1: SubtorusTranslate, s2: SubtorusTranslate):
     if not stacked:
         zero = TorsionPoint.zero(s1.lattice.ambient_rank)
         return d, (SubtorusTranslate(d, zero),)
-    rhs = TorsionPoint.of(
-        list(TorsionPoint.of(mat_vec(k1, list(s1.translate.coords))).coords)
-        + list(TorsionPoint.of(mat_vec(k2, list(s2.translate.coords))).coords)
-    )
+    rhs = s1.translate.apply_matrix(k1).concat(s2.translate.apply_matrix(k2))
     sol = solve_affine_mod_lattice(stacked, rhs)
     if not sol.nonempty:
         return d, ()

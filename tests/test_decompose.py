@@ -188,6 +188,10 @@ class TestSplitWithTorsionGlue:
         n_tilde, n_c, reps = split_action(sub, b, c, ker_mu)
         assert len(n_tilde) == 2 * 4
         assert len(reps) == 4
+        # the first factor is a complement of B that the swap does not keep
+        first = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        with pytest.raises(CertificateError, match="complement is not invariant"):
+            split_action(sub, b, first, 1)
 
 
 # ---------------------------------------------------------------------------

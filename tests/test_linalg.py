@@ -1,13 +1,16 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from fqav import linalg
+from fqav import AbelianVarietyModel, EllipticFactor, linalg
+from fqav.action import close_group, fixed_locus
 from fqav.classify import irregularity
+from fqav.decompose import decompose
 from fqav.linalg import (
     Lattice,
     TorsionPoint,
@@ -18,6 +21,7 @@ from fqav.linalg import (
     intersect_lattices,
     mat_mul,
     mat_sub,
+    mat_transpose,
     mat_vec,
     orthogonal_complement_rows,
     saturate,
@@ -26,7 +30,14 @@ from fqav.linalg import (
     solve_rational,
     elementary_divisors,
 )
-from fqav.variety import rational_rep, subtorus_kappa
+from fqav.variety import (
+    SubtorusTranslate,
+    connected_intersection,
+    rational_rep,
+    subtorus_kappa,
+)
+
+from conftest import automorphism
 
 
 def minor_gcd_divisors(m):
@@ -192,6 +203,28 @@ class TestIntegerKernel:
         assert run() == expected
 
 
+class TestCoordinates:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_matches_rational_solve(self, n, data):
+        vectors = st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                           max_size=n)
+        lat = Lattice.from_vectors(n, data.draw(vectors))
+        coeffs = data.draw(st.lists(st.integers(-6, 6), min_size=lat.rank,
+                                    max_size=lat.rank))
+        v = [sum(c * row[j] for c, row in zip(coeffs, lat.basis)) for j in range(n)]
+        # dividing or shifting moves v off the lattice, or off its span
+        d = data.draw(st.sampled_from([1, 2, 3]))
+        v = [x // d for x in v]
+        v[0] += data.draw(st.integers(0, 1))
+        if lat.rank:
+            x = solve_rational(mat_transpose(lat.basis_rows()), v)
+        else:
+            x = None if any(v) else []
+        in_lattice = x is not None and all(c.denominator == 1 for c in x)
+        assert lat.coordinates(v) == ([int(c) for c in x] if in_lattice else None)
+
+
 class TestSaturate:
     def test_scaling(self):
         lat = Lattice.from_vectors(2, [[2, 0]])
@@ -317,3 +350,177 @@ class TestSolveAffine:
             q = 2 * max(divisors, 1) * 2
             expected = sol.component_count * (q ** sol.kernel.rank) if sol.nonempty else 0
             assert brute_force_torus_solutions(m, a, q) == expected
+
+
+# ---------------------------------------------------------------------------
+# torsion points: the Fraction implementation they replaced is the oracle
+
+def _reduce_mod1(frac):
+    f = Fraction(frac)
+    return f - (f.numerator // f.denominator)
+
+
+@dataclass(frozen=True)
+class FractionPoint:
+    """Oracle: a torsion point as Fraction coordinates reduced to [0, 1)."""
+
+    coords: tuple
+
+    @classmethod
+    def of(cls, coords):
+        return cls(tuple(_reduce_mod1(c) for c in coords))
+
+    @property
+    def order(self):
+        return lcm(*[c.denominator for c in self.coords]) if self.coords else 1
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coords)
+
+    def __add__(self, other):
+        return FractionPoint.of(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return FractionPoint.of(tuple(-a for a in self.coords))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, k):
+        return FractionPoint.of(tuple(k * c for c in self.coords))
+
+    def apply_matrix(self, m):
+        return FractionPoint.of(tuple(mat_vec(m, list(self.coords))))
+
+    def sort_key(self):
+        return tuple((c.numerator, c.denominator) for c in self.coords)
+
+
+def fraction_solve(matrix, point):
+    """Oracle: the Fraction Smith-form solve of M x == a (mod Z^N), as
+    (nonempty, divisors, sorted representatives)."""
+    nr = len(matrix)
+    nc = len(matrix[0]) if nr else len(point.coords)
+    s, u, v = snf(matrix) if nr else ([], [], identity_matrix(nc))
+    divisors = tuple(s[i][i] for i in range(min(nr, nc)) if s[i][i] != 0) if nr else ()
+    rank = len(divisors)
+    b = mat_vec(u, list(point.coords)) if nr else []
+    if not all(_reduce_mod1(b[i]) == 0 for i in range(rank, nr)):
+        return False, divisors, ()
+    free = [Fraction(0)] * (nc - rank)
+    reps = []
+    for combo in itertools.product(*map(range, divisors)):
+        y = [Fraction(bi + k, si) for bi, k, si in zip(b, combo, divisors)]
+        reps.append(FractionPoint.of(mat_vec(v, y + free)))
+    return True, divisors, tuple(sorted(reps, key=FractionPoint.sort_key))
+
+
+def rationals(max_den=12):
+    return st.builds(Fraction, st.integers(-40, 40), st.integers(1, max_den))
+
+
+def both_points(coords):
+    return TorsionPoint.of(coords), FractionPoint.of(coords)
+
+
+def same_point(p, oracle):
+    return (p.coords == oracle.coords and p.order == oracle.order
+            and p.is_zero() == oracle.is_zero() and p.sort_key() == oracle.sort_key())
+
+
+class TestTorsionPoint:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(-5, 5), st.data())
+    def test_operations_match_fraction_oracle(self, n, rows, k, data):
+        coords = st.lists(rationals(), min_size=n, max_size=n)
+        c1, c2 = data.draw(coords), data.draw(coords)
+        (p, op), (q, oq) = both_points(c1), both_points(c2)
+        assert same_point(p, op) and same_point(q, oq)
+        assert same_point(p + q, op + oq)
+        assert same_point(p - q, op - oq)
+        assert same_point(-p, -op)
+        assert same_point(p.scaled(k), op.scaled(k))
+        square = [[data.draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+        rect = [[data.draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(rows)]
+        for m in (square, rect):
+            assert same_point(p.apply_matrix(m), op.apply_matrix(m))
+        assert same_point(p.concat(q), FractionPoint.of(op.coords + oq.coords))
+        # equality and hashing follow the values
+        assert (p == q) == (op == oq)
+        assert p == TorsionPoint.of([c + data.draw(st.integers(-3, 3)) for c in c1])
+        assert hash(p) == hash(TorsionPoint.of([c + 1 for c in c1]))
+
+    def test_zero_operands_are_returned_as_is(self):
+        p = TorsionPoint.of([Fraction(1, 3), Fraction(1, 2)])
+        zero = TorsionPoint.zero(2)
+        assert p + zero is p and zero + p is p
+        assert zero.is_zero() and zero.order == 1 and zero.coords == (0, 0)
+
+
+@st.composite
+def low_rank_systems(draw):
+    """Up to 6 x 4 integer matrices of low rank with at most 256 solution
+    components, a translation with denominators up to 12, and a rational
+    point x of the torus, whose image M x gives a solvable translation."""
+    nc = draw(st.integers(1, 4))
+    nr = draw(st.integers(0, 6))
+    base = draw(st.lists(st.lists(st.integers(-3, 3), min_size=nc, max_size=nc),
+                         min_size=1, max_size=nc))
+    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base),
+                                    max_size=len(base)), min_size=nr, max_size=nr))
+    m = [[sum(c * b[j] for c, b in zip(row, base)) for j in range(nc)] for row in coeffs]
+    assume(not m or prod(elementary_divisors(m)) <= 256)
+    point = draw(st.lists(rationals(), min_size=nr or nc, max_size=nr or nc))
+    x = draw(st.lists(rationals(), min_size=nc, max_size=nc))
+    return m, point, x
+
+
+class TestSolveAffineOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(low_rank_systems(), st.booleans())
+    def test_matches_fraction_solve(self, case, solvable):
+        m, coords, x = case
+        if solvable and m:
+            coords = mat_vec(m, x)
+        sol = solve_affine_mod_lattice(m, TorsionPoint.of(coords))
+        nonempty, divisors, reps = fraction_solve(m, FractionPoint.of(coords))
+        assert sol.nonempty == nonempty
+        assert sol.divisors == divisors
+        assert [r.coords for r in sol.representatives] == [r.coords for r in reps]
+        if solvable:
+            assert sol.nonempty
+
+
+def _raise_on_fraction(*_args, **_kwargs):
+    raise AssertionError("Fraction built on a torsion path")
+
+
+def test_torsion_paths_make_no_fraction(bielliptic_group, monkeypatch):
+    """Closure, fixed loci, intersections and the decomposition of groups
+    with translations make no Fraction in ``linalg``."""
+    z4 = EllipticFactor("zeta4")
+    variety = AbelianVarietyModel.of(z4, z4, z4)
+    one, zero, i = (1, 0), (0, 0), (0, 1)
+    refl = automorphism(variety, [[i, zero, zero], [zero, one, zero], [zero, zero, one]])
+    swap = automorphism(variety, [[zero, one, zero], [one, zero, zero], [zero, zero, one]],
+                        [0, 0, 0, 0, "1/2", 0])
+    translated = close_group([refl, swap])
+    bielliptic_gens = list(bielliptic_group.generators)
+    # the graph of [2] meets a translate of E x 0 in 4 points
+    s1 = SubtorusTranslate(Lattice.from_vectors(4, [[1, 0, 2, 0], [0, 1, 0, 2]]),
+                           TorsionPoint.of([Fraction(1, 2), 0, 0, Fraction(1, 3)]))
+    s2 = SubtorusTranslate(Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
+                           TorsionPoint.of([0, 0, Fraction(1, 4), 0]))
+
+    def run():
+        return (close_group(bielliptic_gens).elements,
+                [fixed_locus(g).representatives for g in translated.elements],
+                connected_intersection(s1, s2),
+                decompose(translated))
+
+    expected = run()
+    assert translated.order == 32 and len(expected[3].stages) == 2
+    assert len(expected[2][1]) == 4
+    assert any(not g.translation.is_zero() for g in translated.elements)
+    monkeypatch.setattr(linalg, "Fraction", _raise_on_fraction)
+    assert run() == expected

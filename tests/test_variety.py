@@ -46,6 +46,9 @@ class TestRationalRep:
     def test_identity(self):
         a = AbelianVarietyModel.of(Z4, EllipticFactor("generic", "E"))
         assert rational_rep(EndoBlockMatrix.identity(a)) == identity_matrix(4)
+        # built once per variety: an equal variety gets the same object
+        same = AbelianVarietyModel.of(Z4, EllipticFactor("generic", "E"))
+        assert EndoBlockMatrix.identity(same) is EndoBlockMatrix.identity(a)
 
     def test_swap_functorial(self):
         a = AbelianVarietyModel.of(Z4, Z4)
