@@ -10,7 +10,6 @@ from .action import (
     cyclo_field_for,
     descend_multiplication,
     fixed_locus,
-    normalize_translations,
     pointwise_stabilizer,
 )
 from .classify import (

@@ -1,5 +1,5 @@
 """Affine automorphisms g = t_a . phi, finite group closure, fixed loci,
-translation normalization, ages, and the descending multiplication map."""
+ages, and the descending multiplication map."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from .variety import (
     EndoBlockMatrix,
     SubtorusTranslate,
     analytic_rep,
-    rational_rep,
 )
 
 DEFAULT_GROUP_CAP = 10000
@@ -57,12 +56,8 @@ class AffineAutomorphism:
 
     def compose(self, other):
         """(t_a . phi)(t_b . psi) = t_(a + phi b) . (phi psi)."""
-        rho = rational_rep(self.holonomy)
-        trans = self.translation + other.translation.apply_matrix(rho)
+        trans = self.translation + other.translation.apply_matrix(self.holonomy.matrix)
         return AffineAutomorphism(self.holonomy.compose(other.holonomy), trans)
-
-    def apply(self, point: TorsionPoint) -> TorsionPoint:
-        return point.apply_matrix(rational_rep(self.holonomy)) + self.translation
 
     def sort_key(self):
         return (self.holonomy.sort_key(), self.translation.sort_key())
@@ -131,7 +126,7 @@ def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
     for g in gens:
         if g.variety != variety:
             raise InputError("generators on different varieties", code="mixed-varieties")
-        if abs(determinant(rational_rep(g.holonomy))) != 1:
+        if abs(determinant(g.holonomy.matrix)) != 1:
             raise InputError("holonomy is not an automorphism", code="not-automorphism")
         holonomy_order(g.holonomy)
     ident = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
@@ -149,7 +144,7 @@ def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
 
 def fixed_locus(g: AffineAutomorphism) -> AffineSolutionSet:
     """Fix(t_a . phi) = solutions of (I - rho(phi)) x == a on the torus."""
-    rho = rational_rep(g.holonomy)
+    rho = g.holonomy.matrix
     return solve_affine_mod_lattice(mat_sub(identity_matrix(len(rho)), rho), g.translation)
 
 
@@ -158,38 +153,13 @@ def pointwise_stabilizer(t: SubtorusTranslate, group: FiniteGroupAction):
     (= order of that subgroup)."""
     members = []
     for g in group.elements:
-        rho = rational_rep(g.holonomy)
+        rho = g.holonomy.matrix
         m = mat_sub(identity_matrix(len(rho)), rho)
         if any(any(x != 0 for x in mat_vec(m, v)) for v in t.lattice.basis_rows()):
             continue
         if t.translate.apply_matrix(m) == g.translation:
             members.append(g)
     return members, len(members)
-
-
-def normalize_translations(group: FiniteGroupAction):
-    """The conjugating point p of the translation-normalization construction
-    (p = sum of the canonical |G|-th divisions of the translations), and the
-    conjugate group t_p^-1 G t_p."""
-    den = lcm(*(g.translation.den for g in group.elements))
-    total = [0] * group.variety.ambient_rank
-    for g in group.elements:
-        f = den // g.translation.den
-        total = [t + f * x for t, x in zip(total, g.translation.num)]
-    p = TorsionPoint.over(total, den * group.order)
-    conj = []
-    for g in group.elements:
-        rho = rational_rep(g.holonomy)
-        trans = g.translation + p.apply_matrix(rho) - p
-        conj.append(AffineAutomorphism(g.holonomy, trans))
-    new_gens = tuple(
-        AffineAutomorphism(g.holonomy,
-                           g.translation + p.apply_matrix(rational_rep(g.holonomy)) - p)
-        for g in group.generators
-    )
-    conj_group = FiniteGroupAction(group.variety, new_gens, tuple(conj),
-                                   group.holonomy_group)
-    return p, conj_group
 
 
 @cache
@@ -233,7 +203,7 @@ def holonomy_order(phi: EndoBlockMatrix):
     default group cap, finite or not."""
     bound = order_bound(phi.variety.ambient_rank)
     if bound > DEFAULT_GROUP_CAP:
-        rho = rational_rep(phi)
+        rho = phi.matrix
         if _power_mod(rho, bound, _ORDER_PRIME) != identity_matrix(len(rho)):
             raise InputError("holonomy has infinite order", code="infinite-order")
     ident = EndoBlockMatrix.identity(phi.variety)
@@ -248,9 +218,19 @@ def holonomy_order(phi: EndoBlockMatrix):
 
 
 def group_exponent(group: FiniteGroupAction):
+    """lcm of the orders of the holonomies, found by walking the powers of
+    each.  A holonomy an earlier walk reached is a power of that walk's
+    holonomy, so its order divides the one already taken; it is skipped."""
     e = 1
+    reached = set()
     for phi in group.holonomy_group:
-        e = lcm(e, holonomy_order(phi))
+        if phi in reached:
+            continue
+        power, k = phi, 1
+        while not power.is_identity():
+            reached.add(power)
+            power, k = power.compose(phi), k + 1
+        e = lcm(e, k)
     return e
 
 

@@ -19,7 +19,7 @@ from .action import (
 from .decompose import decompose
 from .errors import CertificateError
 from .linalg import Lattice, fixed_lattice, mat_vec
-from .variety import SubtorusTranslate, rational_rep, subtorus_kappa
+from .variety import SubtorusTranslate, subtorus_kappa
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
 
     # orbits under g . T = rho(T) + a; a finite set mapped into itself by
     # every generator is mapped onto itself by the group they generate
-    maps = [(rational_rep(g.holonomy), g.translation) for g in group.generators]
+    maps = [(g.holonomy.matrix, g.translation) for g in group.generators]
     seen = set()
     orbits = []
     for i in range(len(components)):
@@ -142,7 +142,7 @@ def irregularity(group: FiniteGroupAction) -> int:
     """q(X) = dim of the holonomy-invariant tangent subspace (half the
     rational fixed-space dimension).  A vector fixed by the generators'
     holonomies is fixed by every product of them."""
-    reps = [rational_rep(g.holonomy) for g in group.generators]
+    reps = [g.holonomy.matrix for g in group.generators]
     d = fixed_lattice(reps, group.variety.ambient_rank).rank
     if d % 2 != 0:
         raise CertificateError("holonomy fixed space has odd rational dimension")

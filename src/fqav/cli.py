@@ -69,7 +69,8 @@ def parse_input(text):
     options dict)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep for the decoder
         raise InputError(f"invalid JSON: {exc}", code="bad-json")
     if not isinstance(doc, dict):
         raise InputError("top level must be an object", code="bad-schema")
@@ -294,14 +295,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        if args.file == "-":
-            text = sys.stdin.read()
-        else:
-            try:
+        try:
+            if args.file == "-":
+                text = sys.stdin.read()
+            else:
                 with open(args.file, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
-                raise InputError(f"cannot read {args.file}: {exc}", code="io-error")
+        except OSError as exc:
+            raise InputError(f"cannot read {args.file}: {exc}", code="io-error")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"invalid JSON: {exc}", code="bad-json")
         variety, gens, options = parse_input(text)
         if args.cap is not None:
             if args.cap < 1:

@@ -202,27 +202,6 @@ class CycloNumber:
             return other
         return self.field.rational(other)
 
-    def inverse(self):
-        """1/x = (product of the other Galois conjugates of x) / N(x), where
-        the conjugates are the images under zeta_m -> zeta_m^k, k a unit
-        mod m, and the norm N(x) is their product with x.  N(x) is rational,
-        and positive because Q(zeta_m) is a CM field: the conjugates pair off
-        into |sigma(x)|^2."""
-        if self.is_zero():
-            raise InputError("division by zero", code="zero-division")
-        field = self.field
-        adjugate = (1,) + (0,) * (field.degree - 1)
-        for k in range(2, field.m):
-            if gcd(k, field.m) == 1:
-                adjugate = field._mul(adjugate, field._substitute(self.num, k))
-        norm = field._mul(self.num, adjugate)
-        assert norm[0] > 0 and not any(norm[1:])
-        return _number(field, tuple(c * self.den for c in adjugate), norm[0])
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
     def conjugate(self):
         """Image under zeta_m -> zeta_m^(-1) (complex conjugation)."""
         return _number(self.field, self.field._substitute(self.num, -1), self.den)
@@ -230,26 +209,6 @@ class CycloNumber:
 
 # ---------------------------------------------------------------------------
 # matrices over the field
-
-def cyclo_identity(field, n):
-    return [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
-
-
-def cyclo_mat_mul(a, b):
-    n = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
 
 def cyclo_mat_from_rational(field, matrix):
     return [[field.rational(x) for x in row] for row in matrix]

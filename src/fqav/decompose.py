@@ -27,7 +27,6 @@ from .linalg import (
 )
 from .variety import (
     lattice_poincare_complement,
-    rational_rep,
     standard_symplectic_form,
     subtorus_kappa,
 )
@@ -67,10 +66,15 @@ def mat_eq_identity(m):
     return all(m[i][j] == (1 if i == j else 0) for i in range(len(m)) for j in range(len(m)))
 
 
-def close_elements(gens, cap=100000):
-    """Closure of lattice elements under composition.  Generators are taken in
-    ``sort_key`` order, and one already in the closure of the generators kept
-    so far is skipped: it would add nothing to the subgroup."""
+# the most elements ``close_elements`` builds before it raises
+ELEMENT_CAP = 100000
+
+
+def close_elements(gens):
+    """Closure of lattice elements under composition, at most ELEMENT_CAP of
+    them.  Generators are taken in ``sort_key`` order, and one already in the
+    closure of the generators kept so far is skipped: it would add nothing to
+    the subgroup."""
     if not gens:
         return []
     ident = LatticeElement.of(identity_matrix(gens[0].rank))
@@ -82,7 +86,7 @@ def close_elements(gens, cap=100000):
             continue
         kept.append(g)
         elements = bfs_closure(
-            ident, kept, cap, CertificateError("lattice-level closure exceeded cap"))
+            ident, kept, ELEMENT_CAP, CertificateError("lattice-level closure exceeded cap"))
         seen = set(elements)
     return elements
 
@@ -120,11 +124,6 @@ class SublatticeAction:
     def order(self):
         return len(self.elements)
 
-    def embedded_lattice(self):
-        if self.rank == 0:
-            return Lattice.zero(self.ambient_rank)
-        return Lattice.from_vectors(self.ambient_rank, [list(v) for v in self.embedding])
-
 
 @dataclass(frozen=True)
 class StageCertificate:
@@ -150,13 +149,11 @@ class DecompositionResult:
 # ---------------------------------------------------------------------------
 # stage operations at the lattice level
 
-def lattice_ramification_subgroup(elements, fixed=None):
+def lattice_ramification_subgroup(elements, fixed):
     """Closure of the elements whose fixed locus has codimension 1.
-    ``fixed`` is the stage's ``fixed_solutions`` map, computed when omitted."""
+    ``fixed`` is the stage's ``fixed_solutions`` map."""
     if not elements:
         return []
-    if fixed is None:
-        fixed = fixed_solutions(elements)
     n = elements[0].rank // 2
     gens = [e for e, sol in fixed.items() if sol.dim == n - 1]
     if not gens:
@@ -193,16 +190,14 @@ def _element_inverse(g, group_order):
     raise CertificateError("group not closed under inversion")
 
 
-def lattice_quasietale_outside(elements, subgroup, fixed=None):
+def lattice_quasietale_outside(elements, subgroup, fixed):
     """True iff every element outside the subgroup N has a fixed locus of
     codimension >= 2.  The translates h g (h in N, g not in N) are exactly
     the elements outside N, so each is checked once.  ``fixed`` is the
-    stage's ``fixed_solutions`` map, computed when omitted."""
+    stage's ``fixed_solutions`` map."""
     sub = set(subgroup)
     if not elements:
         return True
-    if fixed is None:
-        fixed = fixed_solutions(elements)
     n = elements[0].rank // 2
     for x in elements:
         if x in sub:
@@ -213,15 +208,12 @@ def lattice_quasietale_outside(elements, subgroup, fixed=None):
     return True
 
 
-def lattice_kappa(elements, fixed=None):
+def lattice_kappa(elements, fixed):
     """n - dim of the intersection of the codimension-1 fixed-locus lattices;
     the anticanonical Kodaira dimension of the quotient by this group.
-    ``fixed`` is a ``fixed_solutions`` map covering the elements, computed
-    when omitted."""
+    ``fixed`` is a ``fixed_solutions`` map covering the elements."""
     if not elements:
         return 0
-    if fixed is None:
-        fixed = fixed_solutions(elements)
     n2 = elements[0].rank
     solutions = [fixed[e] for e in elements if not e.is_identity()]
     return subtorus_kappa([sol.kernel for sol in solutions if sol.dim == n2 // 2 - 1], n2)
@@ -384,8 +376,7 @@ def decompose_lattice_action(elements, ambient_rank, seed_form,
 
 
 def to_lattice_elements(automorphisms):
-    return [LatticeElement.of(rational_rep(g.holonomy), g.translation)
-            for g in automorphisms]
+    return [LatticeElement(g.holonomy.matrix, g.translation) for g in automorphisms]
 
 
 def group_to_lattice_elements(group):

@@ -6,6 +6,7 @@ torsion-translate divisors, invariant complements).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cache
 
@@ -15,6 +16,7 @@ from .linalg import (
     Lattice,
     TorsionPoint,
     determinant,
+    identity_matrix,
     integer_kernel,
     mat_mul,
     mat_transpose,
@@ -83,64 +85,55 @@ class AbelianVarietyModel:
 @dataclass(frozen=True)
 class EndoBlockMatrix:
     """Endomorphism of A in n x n block form; block (j, k) is a pair (c, d)
-    meaning c + d*tau acting from factor k to factor j."""
+    meaning c + d*tau acting from factor k to factor j.  ``matrix`` is its
+    rational representation, a tuple of int rows; equality, hashing and
+    order read the blocks only.  Build one with ``from_rows``, which
+    validates the blocks and computes ``matrix`` once."""
 
     variety: AbelianVarietyModel
     blocks: tuple  # n x n of (c, d) int pairs
+    matrix: tuple = dataclasses.field(compare=False, repr=False)  # rational_rep, 2n x 2n
 
-    def __post_init__(self):
-        fs = self.variety.factors
-        n = self.variety.n
-        if len(self.blocks) != n or any(len(r) != n for r in self.blocks):
+    @classmethod
+    def from_rows(cls, variety, rows):
+        blocks = tuple(tuple((int(c), int(d)) for c, d in row) for row in rows)
+        fs = variety.factors
+        n = variety.n
+        if len(blocks) != n or any(len(r) != n for r in blocks):
             raise InputError("holonomy block shape mismatch", code="not-endomorphism")
         for j in range(n):
             for k in range(n):
-                c, d = self.blocks[j][k]
+                c, d = blocks[j][k]
                 if fs[j].hom_key(fs[k]) is None:
                     if (c, d) != (0, 0):
                         raise InputError("not an endomorphism", code="not-endomorphism")
                 elif d != 0 and not fs[j].has_cm:
                     raise InputError("not an endomorphism", code="not-endomorphism")
-
-    @classmethod
-    def from_rows(cls, variety, rows):
-        return cls(variety, tuple(tuple((int(c), int(d)) for c, d in row) for row in rows))
+        phi = cls(variety, blocks, ())
+        object.__setattr__(phi, "matrix", tuple(map(tuple, rational_rep(phi))))
+        return phi
 
     @classmethod
     @cache
     def identity(cls, variety):
-        """The identity of the variety, built once per variety."""
+        """The identity of the variety, built once per variety: an
+        endomorphism of every variety, with rational representation I."""
         n = variety.n
-        return cls.from_rows(variety, [[(1, 0) if i == j else (0, 0) for j in range(n)]
-                                       for i in range(n)])
+        blocks = tuple(tuple((1, 0) if i == j else (0, 0) for j in range(n)) for i in range(n))
+        return cls(variety, blocks, tuple(map(tuple, identity_matrix(2 * n))))
 
     def is_identity(self):
         return self == EndoBlockMatrix.identity(self.variety)
 
     def compose(self, other):
-        """Block matrix product; tau-multiplication follows the CM type of
-        the middle factor."""
-        fs = self.variety.factors
-        n = self.variety.n
-        out = [[(0, 0)] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(n):
-                c_acc, d_acc = 0, 0
-                for t in range(n):
-                    c1, d1 = self.blocks[j][t]
-                    c2, d2 = other.blocks[t][k]
-                    if (c1, d1) == (0, 0) or (c2, d2) == (0, 0):
-                        continue
-                    if fs[t].cm == ZETA4:  # tau^2 = -1
-                        c_acc += c1 * c2 - d1 * d2
-                        d_acc += c1 * d2 + d1 * c2
-                    elif fs[t].cm == ZETA6:  # tau^2 = tau - 1
-                        c_acc += c1 * c2 - d1 * d2
-                        d_acc += c1 * d2 + d1 * c2 + d1 * d2
-                    else:
-                        c_acc += c1 * c2
-                out[j][k] = (c_acc, d_acc)
-        return EndoBlockMatrix.from_rows(self.variety, out)
+        """The product of the rational representations, with the blocks read
+        back off it: column 2k of block (j, k) is the image of 1, which is
+        c + d*tau, so c = M[2j][2k] and d = M[2j+1][2k].  rational_rep is an
+        injective ring homomorphism, so this is the block product, and a
+        product of endomorphisms needs no validation."""
+        m = tuple(map(tuple, mat_mul(self.matrix, other.matrix)))
+        blocks = tuple(tuple(zip(cs[0::2], ds[0::2])) for cs, ds in zip(m[0::2], m[1::2]))
+        return EndoBlockMatrix(self.variety, blocks, m)
 
     def sort_key(self):
         return self.blocks
@@ -148,7 +141,7 @@ class EndoBlockMatrix:
 
 def rational_rep(phi: EndoBlockMatrix):
     """The 2n x 2n action on the lattice Z^(2n), coordinates (1, tau) per
-    factor."""
+    factor, computed from the blocks; ``phi.matrix`` keeps it as tuples."""
     fs = phi.variety.factors
     n = phi.variety.n
     out = [[0] * (2 * n) for _ in range(2 * n)]
@@ -348,7 +341,7 @@ def lattice_poincare_complement(b: Lattice, holonomies, seed_form):
 def poincare_complement(b: Lattice, n0, variety: AbelianVarietyModel):
     """An N0-invariant complement C of the N0-invariant lattice B, from the
     standard polarization.  Returns (C, index of B + C in Z^(2n))."""
-    reps = [rational_rep(phi) for phi in n0]
+    reps = [phi.matrix for phi in n0]
     for rho in reps:
         if not all(b.spans_rationally(mat_vec(rho, v)) for v in b.basis_rows()):
             raise InputError("subvariety not invariant", code="not-invariant")

@@ -12,7 +12,6 @@ from fqav.action import (
     fixed_locus,
     group_exponent,
     holonomy_order,
-    normalize_translations,
     order_bound,
     pointwise_stabilizer,
 )
@@ -182,7 +181,7 @@ class TestFixedLoci:
                         Lattice.from_vectors(
                             4, [mat_vec(rho_h, list(v))
                                 for v in right.kernel.basis_rows()]),
-                        h.apply(rep)).canonical_key()
+                        rep.apply_matrix(rho_h) + h.translation).canonical_key()
                     for rep in right.representatives}
                 got = {SubtorusTranslate(left.kernel, rep).canonical_key()
                        for rep in left.representatives}
@@ -207,24 +206,6 @@ class TestStabilizer:
         t = SubtorusTranslate(Lattice.zero(4), TorsionPoint.zero(4))
         members, e = pointwise_stabilizer(t, bielliptic_group)
         assert e == 1
-
-
-class TestNormalize:
-    def test_shift_example(self):
-        variety = AbelianVarietyModel.of(EllipticFactor("zeta4"))
-        g = automorphism(variety, [[(-1, 0)]], ["1/2", 0])
-        group = close_group([g])
-        p, conj = normalize_translations(group)
-        assert p == TorsionPoint.of([Fraction(1, 4), 0])
-        # after conjugation the involution fixes the origin
-        for h in conj.elements:
-            if not h.holonomy.is_identity():
-                assert h.translation.is_zero()
-
-    def test_identity_translations_preserved(self, rot4_square_group):
-        p, conj = normalize_translations(rot4_square_group)
-        assert p.is_zero()
-        assert conj.elements == rot4_square_group.elements
 
 
 class TestAges:
@@ -299,6 +280,15 @@ class TestHolonomyInvariants:
         assert group_exponent(rot4_square_group) == 4
         assert group_exponent(sign_rot4_group) == 4
         assert group_exponent(kummer_group) == 2
+        # S3 permuting E^3: no element has order 6, the exponent
+        e = EllipticFactor("generic", "E")
+        variety = AbelianVarietyModel.of(e, e, e)
+        one, zero = (1, 0), (0, 0)
+        s3 = close_group([
+            automorphism(variety, [[zero, one, zero], [zero, zero, one], [one, zero, zero]]),
+            automorphism(variety, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])])
+        assert s3.order == 6 and group_exponent(s3) == 6
+        assert sorted(holonomy_order(phi) for phi in s3.holonomy_group) == [1, 2, 2, 2, 3, 3]
 
     def test_fixed_space_dims(self, rot4_square_group, sign_rot4_group, bielliptic_group):
         def fixed_space_dim(group):

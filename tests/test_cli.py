@@ -211,6 +211,19 @@ class TestMain:
         assert rc == 1
         assert "error[bad-schema]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b'{"factors": "\xff\xfe"}',
+        b"[" * 200000,
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_input_exit_one(self, content, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(content)
+        rc = main(["validate", str(p)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error[bad-json]: invalid JSON")
+        assert "Traceback" not in err
+
     def test_cap_exceeded_exit_one(self, capsys):
         rc = main(["validate", str(FIXTURE_DIR / "rot4-square.json"), "--cap", "2"])
         assert rc == 1

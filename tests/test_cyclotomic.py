@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -11,9 +10,7 @@ from fqav.classify import reid_tai
 from fqav.cyclotomic import (
     CycloField,
     CycloNumber,
-    cyclo_identity,
     cyclo_mat_from_rational,
-    cyclo_mat_mul,
     cyclotomic_polynomial,
     eigen_multiplicity,
     kernel_dimension,
@@ -208,20 +205,6 @@ class TestArithmetic:
         with pytest.raises(InputError):
             self.field.root_of_unity(5, 1)
 
-    def test_inverse_random(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                      for _ in range(self.field.degree)]
-            x = self.field.element(coeffs)
-            if x.is_zero():
-                continue
-            assert x * x.inverse() == self.field.one()
-
-    def test_zero_inverse_raises(self):
-        with pytest.raises(InputError):
-            self.field.zero().inverse()
-
 
 class TestEigenMultiplicity:
     def setup_method(self):
@@ -241,7 +224,7 @@ class TestEigenMultiplicity:
         assert eigen_multiplicity(m, self.field.one()) == 0
 
     def test_identity(self):
-        m = cyclo_identity(self.field, 3)
+        m = cyclo_mat_from_rational(self.field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert eigen_multiplicity(m, self.field.one()) == 3
         assert eigen_multiplicity(m, self.field.root_of_unity(6, 1)) == 0
 
@@ -278,8 +261,6 @@ class TestIntegerArithmeticOracle:
         assert (x - y).coeffs == ref_sub(rx, ry)
         assert (x * y).coeffs == ref_mul(rx, ry, m)
         assert x.conjugate().coeffs == ref_conjugate(rx, m)
-        if any(ry):
-            assert y.inverse().coeffs == ref_inverse(ry, m)
 
     @ORACLE
     @given(low_rank_matrices())
@@ -306,7 +287,7 @@ class TestIntegerArithmeticOracle:
         assert half == field.rational(Fraction(1, 2))
         assert hash(half) == hash(field.rational(Fraction(1, 2)))
         x = field.element([Fraction(3, 2), 0, Fraction(-1, 6), 2])
-        unit = x * x.inverse()
+        unit = x * field.element(ref_inverse(x.coeffs, 12))
         assert unit == field.one() and hash(unit) == hash(field.one())
         # x^4 = x^2 - 1 modulo Phi_12, so an unreduced form is the same key
         z = field.element([0, 0, 0, 0, 1])
@@ -318,12 +299,11 @@ class TestIntegerArithmeticOracle:
         assert field.zero() == field.element([Fraction(0, 5)]) == half - half
 
 
-def test_ages_never_invert(monkeypatch, rot4_square_group, sign_rot4_group,
+def test_ages_never_invert(rot4_square_group, sign_rot4_group,
                            kummer_group, p1_group, bielliptic_group):
-    def no_inverse(self):
-        raise AssertionError("the age path inverted a field element")
-
-    monkeypatch.setattr(CycloNumber, "inverse", no_inverse)
+    # the field has no division, so the ages below cannot invert an element
+    assert not hasattr(CycloNumber, "inverse")
+    assert not hasattr(CycloNumber, "__truediv__")
     for group in (rot4_square_group, sign_rot4_group, kummer_group, p1_group,
                   bielliptic_group):
         reid_tai(group)

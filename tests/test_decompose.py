@@ -11,6 +11,7 @@ from fqav.decompose import (
     decompose,
     decompose_fano_part,
     element_fixed_solution,
+    fixed_solutions,
     group_to_lattice_elements,
     lattice_kappa,
     lattice_quasietale_outside,
@@ -49,7 +50,7 @@ class TestLatticeElements:
 class TestRamificationSubgroup:
     def test_sign_rot4_is_order_two(self, sign_rot4_group):
         els = group_to_lattice_elements(sign_rot4_group)
-        sub = lattice_ramification_subgroup(els)
+        sub = lattice_ramification_subgroup(els, fixed_solutions(els))
         assert len(sub) == 2
         nontrivial = [e for e in sub if not e.is_identity()]
         assert fixed_dim(nontrivial[0]) == 1
@@ -57,36 +58,38 @@ class TestRamificationSubgroup:
     def test_quasietale_group_is_trivial(self, kummer_group, bielliptic_group):
         for group in (kummer_group, bielliptic_group):
             els = group_to_lattice_elements(group)
-            sub = lattice_ramification_subgroup(els)
+            sub = lattice_ramification_subgroup(els, fixed_solutions(els))
             assert all(e.is_identity() for e in sub)
 
     def test_p1_is_whole_group(self, p1_group):
         els = group_to_lattice_elements(p1_group)
-        sub = lattice_ramification_subgroup(els)
+        sub = lattice_ramification_subgroup(els, fixed_solutions(els))
         assert set(sub) == set(els)
 
 
 class TestInvariantTorus:
     def test_sign_rot4(self, sign_rot4_group):
         els = group_to_lattice_elements(sign_rot4_group)
-        sub = lattice_ramification_subgroup(els)
+        sub = lattice_ramification_subgroup(els, fixed_solutions(els))
         b = invariant_torus(sub)
         assert b == Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
     def test_p1_trivial(self, p1_group):
         els = group_to_lattice_elements(p1_group)
-        sub = lattice_ramification_subgroup(els)
+        sub = lattice_ramification_subgroup(els, fixed_solutions(els))
         assert invariant_torus(sub).rank == 0
 
 
 class TestKappaCertificate:
     def test_minus_one_on_elliptic_curve(self):
         e = LatticeElement.of([[-1, 0], [0, -1]])
-        assert lattice_kappa(close_elements([e])) == 1
+        els = close_elements([e])
+        assert lattice_kappa(els, fixed_solutions(els)) == 1
 
     def test_order_four_rotation(self):
         e = LatticeElement.of([[0, -1], [1, 0]])
-        assert lattice_kappa(close_elements([e])) == 1
+        els = close_elements([e])
+        assert lattice_kappa(els, fixed_solutions(els)) == 1
 
 
 class TestDecompose:
@@ -119,7 +122,8 @@ class TestDecompose:
         mats = sorted(e.matrix for e in result.fano_part.elements)
         assert mats == [((-1, 0), (0, -1)), ((1, 0), (0, 1))]
         # embedded in the second factor of the original lattice
-        assert result.fano_part.embedded_lattice() == Lattice.from_vectors(
+        embedding = [list(v) for v in result.fano_part.embedding]
+        assert Lattice.from_vectors(4, embedding) == Lattice.from_vectors(
             4, [[0, 0, 1, 0], [0, 0, 0, 1]])
 
     def test_kummer_quasietale(self, kummer_group):
@@ -173,7 +177,7 @@ class TestSplitWithTorsionGlue:
         neg_swap = [[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]]
         e = LatticeElement.of(neg_swap)
         els = close_elements([e])
-        sub = lattice_ramification_subgroup(els)
+        sub = lattice_ramification_subgroup(els, fixed_solutions(els))
         assert len(sub) == 2
         b = invariant_torus(sub)
         assert b == Lattice.from_vectors(4, [[1, 0, -1, 0], [0, 1, 0, -1]])
@@ -274,7 +278,7 @@ class TestGeneratorNormality:
         for group in gallery:
             elements = group_to_lattice_elements(group)
             gens = to_lattice_elements(group.generators)
-            subgroups = [lattice_ramification_subgroup(elements)]
+            subgroups = [lattice_ramification_subgroup(elements, fixed_solutions(elements))]
             subgroups += list(cyclic_subgroups(elements))
             for sub in subgroups:
                 want = normal_by_all_elements(elements, sub)
@@ -310,12 +314,13 @@ class TestOnePassQuasietale:
         verdicts = set()
         for group in gallery:
             elements = group_to_lattice_elements(group)
-            subgroups = [lattice_ramification_subgroup(elements)]
+            fixed = fixed_solutions(elements)
+            subgroups = [lattice_ramification_subgroup(elements, fixed)]
             if group.order <= 8:
                 subgroups += list(cyclic_subgroups(elements))
             for sub in subgroups:
                 want = quasietale_outside_by_pairs(elements, sub)
-                assert lattice_quasietale_outside(elements, sub) == want
+                assert lattice_quasietale_outside(elements, sub, fixed) == want
                 verdicts.add(want)
         assert verdicts == {True, False}
 

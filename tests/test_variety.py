@@ -1,10 +1,13 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fqav.action import close_group
 from fqav.cyclotomic import CycloField
+from fqav.decompose import decompose
 from fqav.errors import InputError
 from fqav.linalg import Lattice, TorsionPoint, identity_matrix, mat_mul
 from fqav.variety import (
@@ -21,8 +24,54 @@ from fqav.variety import (
     rational_rep,
 )
 
+from conftest import automorphism
+
 Z4 = EllipticFactor("zeta4")
 J = [[0, -1], [1, 0]]
+# zeta4, zeta6, and generic curves with equal and with distinct labels
+FACTORS = (Z4, EllipticFactor("zeta6"), EllipticFactor("generic", "E"),
+           EllipticFactor("generic", "F"))
+
+
+def block_product(variety, blocks1, blocks2):
+    """Oracle: the block matrix product, with tau-multiplication by the CM
+    type of the middle factor (tau^2 = -1 on zeta4, tau^2 = tau - 1 on
+    zeta6; generic blocks have d = 0)."""
+    fs = variety.factors
+    n = variety.n
+    out = []
+    for j in range(n):
+        row = []
+        for k in range(n):
+            c_acc, d_acc = 0, 0
+            for t in range(n):
+                c1, d1 = blocks1[j][t]
+                c2, d2 = blocks2[t][k]
+                c_acc += c1 * c2 - d1 * d2
+                d_acc += c1 * d2 + d1 * c2
+                if fs[t].cm == "zeta6":
+                    d_acc += d1 * d2
+            row.append((c_acc, d_acc))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@st.composite
+def endomorphism_pairs(draw):
+    """A variety of one to three factors and two random endomorphisms of
+    it: a block is zero between factors without homomorphisms, and has
+    d = 0 on generic factors."""
+    fs = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3))
+    variety = AbelianVarietyModel(tuple(fs))
+    entry = st.integers(-3, 3)
+
+    def block(j, k):
+        if fs[j].hom_key(fs[k]) is None:
+            return (0, 0)
+        return (draw(entry), draw(entry) if fs[j].has_cm else 0)
+
+    n = len(fs)
+    return variety, [[[block(j, k) for k in range(n)] for j in range(n)] for _ in range(2)]
 
 
 def blockdiag(*blocks):
@@ -58,18 +107,52 @@ class TestRationalRep:
         assert mat_mul(rho, rho) == identity_matrix(4)
         assert swap.compose(swap) == EndoBlockMatrix.identity(a)
 
-    def test_homomorphism_on_random_pairs(self):
-        a = AbelianVarietyModel.of(Z4, Z4)
-        rng = random.Random(11)
-        for _ in range(40):
-            rows1 = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]
-                     for _ in range(2)]
-            rows2 = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2)]
-                     for _ in range(2)]
-            p1 = EndoBlockMatrix.from_rows(a, rows1)
-            p2 = EndoBlockMatrix.from_rows(a, rows2)
-            assert rational_rep(p1.compose(p2)) == mat_mul(rational_rep(p1),
-                                                           rational_rep(p2))
+    @settings(max_examples=200, deadline=None)
+    @given(endomorphism_pairs())
+    def test_homomorphism_on_random_pairs(self, case):
+        variety, (rows1, rows2) = case
+        p1 = EndoBlockMatrix.from_rows(variety, rows1)
+        p2 = EndoBlockMatrix.from_rows(variety, rows2)
+        product = p1.compose(p2)
+        assert product.blocks == block_product(variety, p1.blocks, p2.blocks)
+        # the product is an endomorphism, and its stored matrix is the
+        # representation of its blocks
+        assert EndoBlockMatrix.from_rows(variety, product.blocks) == product
+        rho = rational_rep(product)
+        assert [list(r) for r in product.matrix] == rho
+        assert rho == mat_mul(rational_rep(p1), rational_rep(p2))
+
+    def test_stored_matrix(self):
+        a = AbelianVarietyModel.of(Z4, EllipticFactor("zeta6"))
+        phi = EndoBlockMatrix.from_rows(a, [[(2, -1), (0, 0)], [(0, 0), (1, 3)]])
+        assert [list(r) for r in phi.matrix] == rational_rep(phi)
+        ident = EndoBlockMatrix.identity(a)
+        assert [list(r) for r in ident.matrix] == rational_rep(ident)
+        assert ident == EndoBlockMatrix.from_rows(a, [[(1, 0), (0, 0)], [(0, 0), (1, 0)]])
+
+    def test_products_are_not_validated(self, monkeypatch):
+        """A product of endomorphisms is one: once the generators are
+        built, closure and decomposition never ask which factors admit
+        homomorphisms."""
+        variety = AbelianVarietyModel.of(Z4, Z4, Z4)
+        one, zero, i = (1, 0), (0, 0), (0, 1)
+        gens = [automorphism(variety, [[i, zero, zero], [zero, one, zero],
+                                       [zero, zero, one]]),
+                automorphism(variety, [[zero, one, zero], [one, zero, zero],
+                                       [zero, zero, one]], [0, 0, 0, 0, "1/2", 0])]
+
+        def run():
+            group = close_group(gens)
+            return group.elements, decompose(group)
+
+        expected = run()
+        assert len(expected[0]) == 32 and len(expected[1].stages) == 2
+
+        def no_hom_key(self, other):
+            raise AssertionError("a product was validated again")
+
+        monkeypatch.setattr(EllipticFactor, "hom_key", no_hom_key)
+        assert run() == expected
 
     def test_zeta6_functoriality(self):
         z6 = EllipticFactor("zeta6")
