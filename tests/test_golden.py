@@ -1,6 +1,8 @@
 """Golden gallery: the ``report`` bytes of every fixture, in both formats, of
-one order-36 quasietale special-linear group where ``age`` runs on every
-element, and of three groups of order 192, 648 and 1296 generated by
+an order-36 quasietale special-linear group where ``age`` runs on every
+element, of two non-abelian extensions of such groups by the cyclic
+permutation of the coordinates (order 48 on zeta4^3 with 8 conjugacy
+classes, order 108 on zeta6^3 with 20), and of three groups of order 192, 648 and 1296 generated by
 ``diag(zeta, 1, 1)`` and coordinate permutations, where the lattice kernels
 are large.  An optimisation must reproduce these bytes exactly.
 
@@ -25,6 +27,10 @@ FORMATS = ("json", "md")
 
 # zeta6 and zeta6^5 = zeta6^-1 as (c, d) meaning c + d*tau, tau = zeta6
 _Z6, _Z6_INV, _ONE, _ZERO = [0, 1], [1, -1], [1, 0], [0, 0]
+# a primitive root of unity and its inverse on each CM type
+_ROOTS = {"zeta4": ([0, 1], [0, -1]), "zeta6": (_Z6, _Z6_INV)}
+# the cyclic permutation of three coordinates
+_CYCLE = [[_ZERO, _ONE, _ZERO], [_ZERO, _ZERO, _ONE], [_ONE, _ZERO, _ZERO]]
 
 
 def _diag(*entries):
@@ -32,15 +38,19 @@ def _diag(*entries):
     return [[entries[i] if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
-def sl_diag_document():
-    """E_zeta6^3 by <diag(z6, z6^-1, 1), diag(1, z6, z6^-1)>: order 36,
-    every element has determinant 1, so the action is quasietale and the
-    Reid-Tai test takes the age of each element."""
+def sl_diag_document(cm="zeta6", cycle=False):
+    """E_zeta^3 by <diag(z, z^-1, 1), diag(1, z, z^-1)>, z a primitive root
+    of unity of order k: order k^2 (36 on zeta6^3).  Every element has
+    determinant 1, so the action is quasietale and the Reid-Tai test takes
+    the age of each element.  With the cyclic permutation of the
+    coordinates as a third generator the group is non-abelian of order
+    3 k^2 (48 on zeta4^3, 108 on zeta6^3)."""
+    z, z_inv = _ROOTS[cm]
     zero = ["0"] * 6
+    holonomies = [_diag(z, z_inv, _ONE), _diag(_ONE, z, z_inv)] + ([_CYCLE] if cycle else [])
     return {"schema_version": 1,
-            "factors": [{"cm": "zeta6"}] * 3,
-            "generators": [{"holonomy": _diag(_Z6, _Z6_INV, _ONE), "translation": zero},
-                           {"holonomy": _diag(_ONE, _Z6, _Z6_INV), "translation": zero}]}
+            "factors": [{"cm": cm}] * 3,
+            "generators": [{"holonomy": h, "translation": zero} for h in holonomies]}
 
 
 def diag_perm_document(cm, transposition=False):
@@ -50,16 +60,19 @@ def diag_perm_document(cm, transposition=False):
     coordinates as a third generator the permutations are all of S3, and
     the order is 6 k^3 (1296 on zeta6^3)."""
     zeta = [0, 1]
-    cycle = [[_ZERO, _ONE, _ZERO], [_ZERO, _ZERO, _ONE], [_ONE, _ZERO, _ZERO]]
     swap = [[_ZERO, _ONE, _ZERO], [_ONE, _ZERO, _ZERO], [_ZERO, _ZERO, _ONE]]
     zero = ["0"] * 6
-    holonomies = [_diag(zeta, _ONE, _ONE), cycle] + ([swap] if transposition else [])
+    holonomies = [_diag(zeta, _ONE, _ONE), _CYCLE] + ([swap] if transposition else [])
     return {"schema_version": 1,
             "factors": [{"cm": cm}] * 3,
             "generators": [{"holonomy": h, "translation": zero} for h in holonomies]}
 
 
-CASES = [(name, fmt) for name in FIXTURES + ("sl-diag",) for fmt in FORMATS]
+# name -> (cm, with the cyclic permutation)
+SL_DIAG = {"sl-diag": ("zeta6", False),
+           "sl-diag-c3-48": ("zeta4", True),
+           "sl-diag-c3-108": ("zeta6", True)}
+CASES = [(name, fmt) for name in FIXTURES + tuple(SL_DIAG) for fmt in FORMATS]
 # name -> (cm, with the transposition)
 DIAG_PERM = {"diag-perm-192": ("zeta4", False),
              "diag-perm-648": ("zeta6", False),
@@ -67,9 +80,9 @@ DIAG_PERM = {"diag-perm-192": ("zeta4", False),
 
 
 def _input_path(name, tmp_dir):
-    if name == "sl-diag":
-        path = pathlib.Path(tmp_dir) / "sl-diag.json"
-        path.write_text(json.dumps(sl_diag_document()))
+    if name in SL_DIAG:
+        path = pathlib.Path(tmp_dir) / f"{name}.json"
+        path.write_text(json.dumps(sl_diag_document(*SL_DIAG[name])))
         return path
     return FIXTURE_DIR / f"{name}.json"
 
