@@ -1,12 +1,13 @@
-"""Affine automorphisms g = t_a . phi, finite group closure, fixed loci,
-ages, and the descending multiplication map."""
+"""Affine automorphisms g = t_a . phi, finite group closure and its index
+tables, conjugacy classes, fixed loci, ages, and the descending
+multiplication map."""
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from .cyclotomic import CycloField, eigen_multiplicity
@@ -64,11 +65,28 @@ class AffineAutomorphism:
 
 
 @dataclass(frozen=True)
+class ClosureTables:
+    """The index tables ``bfs_closure`` records, all plain ints.  Elements
+    are numbered in the order the search finds them, the identity 0.
+
+    - ``products[x * r + j]`` is the number of x . gens[j], r = len(gens).
+    - The BFS tree: x = parent[x] . gens[via[x]] for x > 0; both are -1
+      for the identity.
+    - ``numbers[i]`` is the number of the i-th element in sorted order."""
+
+    products: list
+    parent: list
+    via: list
+    numbers: list
+
+
+@dataclass(frozen=True)
 class FiniteGroupAction:
     variety: AbelianVarietyModel
     generators: tuple
     elements: tuple
-    holonomy_group: tuple
+    # the tables of the closure that found ``elements`` from ``generators``
+    tables: ClosureTables = dataclasses.field(compare=False, repr=False)
     # element -> fixed_locus(element), filled one element at a time as asked
     _fixed_loci: dict = dataclasses.field(default_factory=dict, init=False,
                                          compare=False, repr=False)
@@ -83,6 +101,52 @@ class FiniteGroupAction:
     def nontrivial_elements(self):
         return [g for g in self.elements if not g.is_identity()]
 
+    @cached_property
+    def holonomy_group(self):
+        """The distinct holonomies, in element order."""
+        return tuple(dict.fromkeys(g.holonomy for g in self.elements))
+
+    @cached_property
+    def class_rep(self):
+        """``class_rep[i]`` is the index of the first element of the
+        conjugacy class of ``elements[i]``, read off the closure's tables
+        without a composition.  For a generator s and x = p . h_j,
+        s . x = (s . p) . h_j, so the left products follow the BFS tree.
+        s . x and x . s are conjugate by s, and the generators' conjugations
+        generate those of the whole group, so uniting these pairs gives
+        exactly the classes."""
+        t = self.tables
+        r = len(self.generators)
+        size = len(t.numbers)
+        index = [0] * size  # number -> index in ``elements``
+        for i, x in enumerate(t.numbers):
+            index[x] = i
+        root = list(range(size))  # union-find on indices; a class's root is its first
+
+        def find(i):
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+
+        products, parent, via = t.products, t.parent, t.via
+        for j in range(r):
+            left = [products[j]] * size  # number -> number of gens[j] . x
+            for x in range(1, size):
+                left[x] = products[left[parent[x]] * r + via[x]]
+            for x in range(size):
+                a, b = find(index[left[x]]), find(index[products[x * r + j]])
+                if a < b:
+                    root[b] = a
+                elif b < a:
+                    root[a] = b
+        return [find(i) for i in range(size)]
+
+    def nontrivial_class_reps(self):
+        """The first element of each conjugacy class but the identity's, in
+        element order."""
+        rep = self.class_rep
+        return [self.elements[i] for i in range(1, len(rep)) if rep[i] == i]
+
     def fixed_locus_of(self, g):
         """``fixed_locus(g)`` for an element g, solved on first request only."""
         loc = self._fixed_loci.get(g)
@@ -93,25 +157,35 @@ class FiniteGroupAction:
 
 def bfs_closure(identity, gens, cap, overflow):
     """Breadth-first closure of ``gens`` under right composition, starting at
-    ``identity``.  Each level is ordered by ``sort_key``, so the element order
-    depends only on the generator list.  The exception ``overflow`` is
-    raised as soon as the closure holds more than ``cap`` elements."""
-    elements = [identity]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for e in frontier:
-            for h in gens:
+    ``identity``: the elements, and the ``ClosureTables`` of the search.
+    Each level is ordered by ``sort_key``, so the element order depends only
+    on the generator list.  The exception ``overflow`` is raised as soon as
+    the closure holds more than ``cap`` elements.  Elements are composed in
+    the order they are found, and each product is hashed once."""
+    found = [identity]  # by number
+    number = {identity: 0}
+    products, parent, via = [], [-1], [-1]
+    numbers = [0]
+    key = type(identity).sort_key
+    start = 0
+    while start < len(found):
+        stop = len(found)
+        for x in range(start, stop):
+            e = found[x]
+            for j, h in enumerate(gens):
                 c = e.compose(h)
-                if c not in seen:
-                    seen.add(c)
-                    new.append(c)
-                    if len(seen) > cap:
+                k = number.setdefault(c, len(found))
+                if k == len(found):
+                    if k >= cap:
                         raise overflow
-        frontier = sorted(new, key=type(identity).sort_key)
-        elements.extend(frontier)
-    return elements
+                    found.append(c)
+                    parent.append(x)
+                    via.append(j)
+                products.append(k)
+        numbers.extend(sorted(range(stop, len(found)), key=lambda y: key(found[y])))
+        start = stop
+    elements = [found[k] for k in numbers]
+    return elements, ClosureTables(products, parent, via, numbers)
 
 
 def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
@@ -131,15 +205,9 @@ def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
         holonomy_order(g.holonomy)
     ident = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
     gens_sorted = sorted(set(gens), key=AffineAutomorphism.sort_key)
-    elements = bfs_closure(ident, gens_sorted, cap,
-                           InputError("group order exceeds cap", code="cap-exceeded"))
-    holonomies = []
-    hol_seen = set()
-    for g in elements:
-        if g.holonomy not in hol_seen:
-            hol_seen.add(g.holonomy)
-            holonomies.append(g.holonomy)
-    return FiniteGroupAction(variety, tuple(gens_sorted), tuple(elements), tuple(holonomies))
+    elements, tables = bfs_closure(
+        ident, gens_sorted, cap, InputError("group order exceeds cap", code="cap-exceeded"))
+    return FiniteGroupAction(variety, tuple(gens_sorted), tuple(elements), tables)
 
 
 def fixed_locus(g: AffineAutomorphism) -> AffineSolutionSet:
@@ -219,11 +287,15 @@ def holonomy_order(phi: EndoBlockMatrix):
 
 def group_exponent(group: FiniteGroupAction):
     """lcm of the orders of the holonomies, found by walking the powers of
-    each.  A holonomy an earlier walk reached is a power of that walk's
-    holonomy, so its order divides the one already taken; it is skipped."""
+    the holonomy of each class's first element.  Conjugate elements have
+    conjugate holonomies, of one order, and every holonomy is that of some
+    element, so these orders have the same lcm as all of them.  A holonomy
+    an earlier walk reached is a power of that walk's holonomy, so its order
+    divides the one already taken; it is skipped."""
     e = 1
     reached = set()
-    for phi in group.holonomy_group:
+    for g in group.nontrivial_class_reps():
+        phi = g.holonomy
         if phi in reached:
             continue
         power, k = phi, 1
@@ -234,9 +306,13 @@ def group_exponent(group: FiniteGroupAction):
     return e
 
 
-def cyclo_field_for(group: FiniteGroupAction) -> CycloField:
-    """Conductor m = lcm(12, exponent of the holonomy group)."""
-    return CycloField(lcm(12, group_exponent(group)))
+def cyclo_field_for(group: FiniteGroupAction, bound=None) -> CycloField:
+    """Conductor m = lcm(12, exponent of the holonomy group).  With a field
+    ``bound`` = Q(zeta_k) the conductor is gcd(k, m): Q(zeta_gcd(k, m))
+    holds exactly the roots of unity of Q(zeta_k) that any eigenvalue of the
+    group can be, so the work is bounded by the group and not by k."""
+    m = lcm(12, group_exponent(group))
+    return CycloField(m if bound is None else gcd(bound.m, m))
 
 
 def age(g: AffineAutomorphism, field: CycloField) -> Fraction:

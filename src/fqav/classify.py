@@ -53,9 +53,11 @@ class ClassificationReport:
 
 def is_quasietale(group: FiniteGroupAction) -> bool:
     """True iff no nontrivial element fixes a divisor: every fixed locus is
-    empty or of complex codimension >= 2."""
+    empty or of complex codimension >= 2.  Fix(h g h^-1) = h . Fix(g) has
+    the emptiness and dimension of Fix(g), so one solve per conjugacy class
+    decides it."""
     n = group.variety.n
-    for g in group.nontrivial_elements():
+    for g in group.nontrivial_class_reps():
         loc = group.fixed_locus_of(g)
         if loc.nonempty and loc.dim > n - 2:
             return False
@@ -67,13 +69,18 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
     and G-orbits.  A nontrivial fixed locus has dimension at most n - 1, so
     a divisor T lies in Fix(g) exactly when it is one of its components; the
     index e(T), the order of the pointwise stabilizer, is 1 (the identity)
-    plus the number of nontrivial g with T a component of Fix(g)."""
+    plus the number of nontrivial g with T a component of Fix(g).  Conjugate
+    elements have fixed loci of one dimension, so only the elements of the
+    classes whose first element fixes a divisor are solved."""
     n = group.variety.n
+    class_rep = group.class_rep
+    divisorial = {i for i, g in enumerate(group.elements)
+                  if i and class_rep[i] == i and group.fixed_locus_of(g).dim == n - 1}
     by_key = {}  # canonical key -> [component, index]
-    for g in group.nontrivial_elements():
-        loc = group.fixed_locus_of(g)
-        if loc.dim != n - 1:
+    for i, g in enumerate(group.elements):
+        if class_rep[i] not in divisorial:
             continue
+        loc = group.fixed_locus_of(g)
         for rep in loc.representatives:
             comp = SubtorusTranslate(loc.kernel, rep)
             entry = by_key.setdefault(comp.canonical_key(), [comp, 1])
@@ -124,10 +131,12 @@ def kappa_anticanonical(group: FiniteGroupAction):
 def reid_tai(group: FiniteGroupAction, cyclo_field=None):
     """Reid-Tai condition: every nontrivial-holonomy element with nonempty
     fixed locus has age >= 1.  Returns (holds, witness or None, the
-    witness's age or None)."""
+    witness's age or None).  Holonomy, fixed-locus emptiness and age are
+    the same on a conjugacy class, so one age per class decides it; the
+    first element of a failing class is the first failing element."""
     if cyclo_field is None:
         cyclo_field = cyclo_field_for(group)
-    for g in group.nontrivial_elements():
+    for g in group.nontrivial_class_reps():
         if g.holonomy.is_identity():
             continue
         if not group.fixed_locus_of(g).nonempty:
@@ -151,9 +160,8 @@ def irregularity(group: FiniteGroupAction) -> int:
 
 class Analysis:
     """What the commands report about the quotient by ``group``.  Each
-    quantity is computed at most once, and only when first read.
-    ``field`` is the field the Reid-Tai ages are computed in;
-    ``cyclo_field_for(group)`` when omitted."""
+    quantity is computed at most once, and only when first read.  The
+    Reid-Tai ages are computed in ``cyclo_field_for(group, field)``."""
 
     def __init__(self, group: FiniteGroupAction, field=None):
         self.group = group
@@ -161,7 +169,7 @@ class Analysis:
 
     @cached_property
     def field(self):
-        return cyclo_field_for(self.group) if self._field is None else self._field
+        return cyclo_field_for(self.group, self._field)
 
     @cached_property
     def ramification(self) -> RamificationData:
@@ -244,6 +252,6 @@ class Analysis:
 
 
 def classification_report(group: FiniteGroupAction, cyclo_field=None) -> ClassificationReport:
-    """``cyclo_field`` is the field the Reid-Tai ages are computed in;
-    ``cyclo_field_for(group)`` when omitted."""
+    """The Reid-Tai ages are computed in ``cyclo_field_for(group,
+    cyclo_field)``."""
     return Analysis(group, cyclo_field).classification

@@ -11,9 +11,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import gcd
 
-from .action import AffineAutomorphism, DEFAULT_GROUP_CAP, close_group, cyclo_field_for
+from .action import AffineAutomorphism, DEFAULT_GROUP_CAP, close_group
 from .classify import Analysis
 from .cyclotomic import CycloField
 from .errors import CertificateError, InputError
@@ -224,13 +223,9 @@ def build_report(variety, gens, options, command, m_override=None):
     if command == "validate":
         doc["group_order"] = group.order
         return doc
-    field = cyclo_field_for(group)
-    if m_override is not None:
-        # Q(zeta_g), g = gcd(m_override, m), holds exactly the roots of unity
-        # of Q(zeta_m_override) that any eigenvalue of the group can be, so
-        # the work is bounded by the group and not by the override.
-        field = CycloField(gcd(CycloField(m_override).m, field.m))
-    analysis = Analysis(group, field)
+    # a bad conductor is an error for every command; the field the ages are
+    # computed in is found only by the commands that read Reid-Tai
+    analysis = Analysis(group, None if m_override is None else CycloField(m_override))
     if command in ("classify", "report"):
         doc["classification"] = _classification_doc(analysis.classification)
     if command in ("ramification", "report"):

@@ -210,10 +210,6 @@ class CycloNumber:
 # ---------------------------------------------------------------------------
 # matrices over the field
 
-def cyclo_mat_from_rational(field, matrix):
-    return [[field.rational(x) for x in row] for row in matrix]
-
-
 def kernel_dimension(matrix):
     """dim ker over Q(zeta_m), by fraction-free elimination in Z[zeta_m].
 

@@ -85,7 +85,7 @@ def close_elements(gens):
         if g in seen:
             continue
         kept.append(g)
-        elements = bfs_closure(
+        elements, _ = bfs_closure(
             ident, kept, ELEMENT_CAP, CertificateError("lattice-level closure exceeded cap"))
         seen = set(elements)
     return elements

@@ -20,7 +20,7 @@ from fqav.action import (
     holonomy_order,
 )
 from fqav.classify import classification_report, kappa_anticanonical
-from fqav.cyclotomic import cyclo_mat_from_rational, eigen_multiplicity
+from fqav.cyclotomic import eigen_multiplicity
 from fqav.decompose import decompose, decompose_fano_part
 from fqav.errors import InputError
 from fqav.linalg import (
@@ -263,7 +263,7 @@ def test_criterion_7_spectra(rot4_square_group, sign_rot4_group, kummer_group,
                     roots.append(field.root_of_unity(d, k if d > 1 else 0))
         for g in group.elements:
             mat_a = analytic_rep(g.holonomy, field)
-            mat_r = cyclo_mat_from_rational(field, rational_rep(g.holonomy))
+            mat_r = [[field.rational(x) for x in row] for row in rational_rep(g.holonomy)]
             mults = {}
             total = 0
             for z in roots:

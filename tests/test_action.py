@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fqav.action import (
     AffineAutomorphism,
@@ -15,6 +18,7 @@ from fqav.action import (
     order_bound,
     pointwise_stabilizer,
 )
+from fqav.cli import parse_input
 from fqav.errors import InputError
 from fqav.linalg import TorsionPoint, fixed_lattice
 from fqav.variety import (
@@ -26,6 +30,8 @@ from fqav.variety import (
 )
 
 from conftest import automorphism
+from test_acceptance import FACTOR_POOL, random_automorphism, random_variety
+from test_golden import sl_diag_document
 
 
 class TestClosure:
@@ -298,3 +304,123 @@ class TestHolonomyInvariants:
         assert fixed_space_dim(rot4_square_group) == 0
         assert fixed_space_dim(sign_rot4_group) == 0
         assert fixed_space_dim(bielliptic_group) == 2
+
+
+# ---------------------------------------------------------------------------
+# closure tables and conjugacy classes
+
+ORACLE = settings(max_examples=30, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+# the units of End(E) as (c, d) meaning c + d*tau
+UNITS = {"zeta4": ((1, 0), (-1, 0), (0, 1), (0, -1)),
+         "zeta6": ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1)),
+         "generic": ((1, 0), (-1, 0))}
+
+
+@st.composite
+def small_groups(draw):
+    """A closed group of order at most 48.  Half the draws take one to three
+    generators like acceptance criterion 8.  The other half act on a power
+    of one curve by a diagonal of units and a coordinate permutation, each
+    with a 2-torsion translation, so that many groups are non-abelian."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    while True:
+        if rng.randrange(2):
+            variety = random_variety(rng)
+            gens = [g for g in (random_automorphism(rng, variety, max_order=12,
+                                                    denoms=(1, 1, 2))
+                                for _ in range(rng.randint(1, 3))) if g is not None]
+        else:
+            n = rng.randint(2, 3)
+            factor = rng.choice(FACTOR_POOL)
+            variety = AbelianVarietyModel.of(*[factor] * n)
+            units = [rng.choice(UNITS[factor.cm]) for _ in range(n)]
+            images = list(range(n))
+            rng.shuffle(images)
+            monomial = ([[units[j] if j == k else (0, 0) for k in range(n)] for j in range(n)],
+                        [[(1, 0) if images[k] == j else (0, 0) for k in range(n)]
+                         for j in range(n)])
+            gens = [automorphism(variety, rows, [rng.choice((0, "1/2")) for _ in range(2 * n)])
+                    for rows in monomial]
+        if not gens:
+            continue
+        try:
+            return close_group(gens, cap=48)
+        except InputError:
+            continue
+
+
+def nonabelian_groups():
+    """Groups with conjugacy classes of more than one element: S3 permuting
+    E^3 (its transpositions fix divisors), zeta4^3 by a reflection and a
+    swap carrying a 1/2-translation (order 32), and the special-linear
+    diagonal groups extended by the cyclic permutation (orders 48, 108)."""
+    e = EllipticFactor("generic", "E")
+    one, zero, i = (1, 0), (0, 0), (0, 1)
+    cycle = [[zero, one, zero], [zero, zero, one], [one, zero, zero]]
+    swap = [[zero, one, zero], [one, zero, zero], [zero, zero, one]]
+    s3 = close_group([automorphism(AbelianVarietyModel.of(e, e, e), cycle),
+                      automorphism(AbelianVarietyModel.of(e, e, e), swap)])
+    ei3 = AbelianVarietyModel.of(*[EllipticFactor("zeta4")] * 3)
+    reflection_swap = close_group([
+        automorphism(ei3, [[i, zero, zero], [zero, one, zero], [zero, zero, one]]),
+        automorphism(ei3, swap, [0, 0, 0, 0, "1/2", 0])])
+    sl = [close_group(parse_input(json.dumps(sl_diag_document(cm, True)))[1])
+          for cm in ("zeta4", "zeta6")]
+    return [s3, reflection_swap] + sl
+
+
+def brute_force_class_rep(group):
+    """The index of the first element of {h g h^-1 : h in G} for each g."""
+    elements = group.elements
+    index = {g: i for i, g in enumerate(elements)}
+    ident = elements[0]
+    inverse = {h: next(x for x in elements if h.compose(x) == ident) for h in elements}
+    return [min(index[h.compose(g).compose(inverse[h])] for h in elements)
+            for g in elements]
+
+
+def assert_tables(group):
+    """The recorded tables against compositions of the elements."""
+    t = group.tables
+    r = len(group.generators)
+    size = group.order
+    assert sorted(t.numbers) == list(range(size))
+    element = [None] * size  # number -> element
+    for i, x in enumerate(t.numbers):
+        element[x] = group.elements[i]
+    assert element[0].is_identity()
+    assert len(t.products) == size * r
+    for x in range(size):
+        for j, h in enumerate(group.generators):
+            assert element[t.products[x * r + j]] == element[x].compose(h)
+    assert t.parent[0] == t.via[0] == -1
+    for x in range(1, size):
+        assert 0 <= t.parent[x] < x
+        assert element[x] == element[t.parent[x]].compose(group.generators[t.via[x]])
+
+
+class TestConjugacyClasses:
+    def test_gallery(self, rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                     bielliptic_group):
+        groups = [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                  bielliptic_group] + nonabelian_groups()
+        for group in groups:
+            assert_tables(group)
+            assert group.class_rep == brute_force_class_rep(group)
+        # classes of S3, the order-32 group, and of orders 48 and 108
+        assert [len(set(g.class_rep)) for g in groups[5:]] == [3, 14, 8, 20]
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        assert_tables(group)
+        assert group.class_rep == brute_force_class_rep(group)
+
+    def test_first_elements_in_order(self):
+        for group in nonabelian_groups():
+            reps = [i for i, r in enumerate(group.class_rep) if r == i]
+            assert group.nontrivial_class_reps() == [group.elements[i] for i in reps[1:]]
+            assert group.class_rep[0] == 0

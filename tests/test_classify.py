@@ -1,9 +1,13 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from fqav.action import close_group, pointwise_stabilizer
+from fqav.action import age, close_group, cyclo_field_for, fixed_locus, pointwise_stabilizer
+from fqav.cli import build_report, parse_input
 from fqav.classify import (
     classification_report,
     irregularity,
@@ -17,6 +21,9 @@ from fqav.linalg import Lattice, mat_vec
 from fqav.variety import SubtorusTranslate, rational_rep
 
 from test_acceptance import random_automorphism, random_variety
+from test_action import ORACLE, nonabelian_groups, small_groups
+from test_cli import count_calls
+from test_golden import sl_diag_document
 
 
 class TestQuasietale:
@@ -211,3 +218,73 @@ class TestRamificationOracle:
                 orbits.add(tuple(sorted({position[image_key(g, comp)]
                                          for g in group.elements})))
             assert list(data.orbits) == sorted(orbits)
+
+
+# ---------------------------------------------------------------------------
+# the per-element loops the class path replaced, kept as the oracle
+
+def reference_is_quasietale(group):
+    n = group.variety.n
+    for g in group.nontrivial_elements():
+        loc = fixed_locus(g)
+        if loc.nonempty and loc.dim > n - 2:
+            return False
+    return True
+
+
+def reference_reid_tai(group):
+    field = cyclo_field_for(group)
+    for g in group.nontrivial_elements():
+        if g.holonomy.is_identity() or not fixed_locus(g).nonempty:
+            continue
+        g_age = age(g, field)
+        if g_age < 1:
+            return False, g, g_age
+    return True, None, None
+
+
+def reference_ramification(group):
+    """(components, indices): every element's divisorial fixed locus."""
+    n = group.variety.n
+    by_key = {}
+    for g in group.nontrivial_elements():
+        loc = fixed_locus(g)
+        if loc.dim != n - 1:
+            continue
+        for rep in loc.representatives:
+            comp = SubtorusTranslate(loc.kernel, rep)
+            by_key.setdefault(comp.canonical_key(), [comp, 1])[1] += 1
+    ordered = sorted(by_key.values(), key=lambda entry: entry[0].sort_key())
+    return tuple(c for c, _ in ordered), tuple(e for _, e in ordered)
+
+
+def assert_class_path_matches_reference(group):
+    assert is_quasietale(group) == reference_is_quasietale(group)
+    assert reid_tai(group) == reference_reid_tai(group)
+    data = ramification_data(group)
+    assert (data.components, data.indices) == reference_ramification(group)
+
+
+class TestClassPathOracle:
+    def test_gallery(self, rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                     bielliptic_group):
+        for group in [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                      bielliptic_group] + nonabelian_groups():
+            assert_class_path_matches_reference(group)
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        assert_class_path_matches_reference(group)
+
+    def test_one_solve_and_one_age_per_class(self, monkeypatch):
+        # the order-108 group has 20 classes, 19 of them nontrivial, against
+        # 107 nontrivial elements
+        calls = Counter()
+        count_calls(monkeypatch, "fixed_locus", calls)
+        count_calls(monkeypatch, "age", calls)
+        text = json.dumps(sl_diag_document("zeta6", cycle=True))
+        doc = build_report(*parse_input(text), "report")
+        assert doc["classification"]["group_order"] == 108
+        assert doc["classification"]["quasietale"] and doc["reid_tai"]["holds"]
+        assert calls == Counter(fixed_locus=19, age=19)

@@ -300,6 +300,31 @@ class TestMain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[bad-conductor]")
 
+    def test_field_found_only_for_reid_tai(self, capsys, monkeypatch):
+        # ramification and decompose read no age, so they never need the
+        # conductor, which walks the holonomy powers; a bad override is
+        # still an error for them
+        import fqav.action
+
+        path = str(FIXTURE_DIR / "sign-rot4.json")
+        expected = {}
+        for command in ("ramification", "decompose"):
+            assert main([command, path]) == 0
+            expected[command] = capsys.readouterr().out
+
+        def no_exponent(group):
+            raise RuntimeError("group_exponent called")
+
+        monkeypatch.setattr(fqav.action, "group_exponent", no_exponent)
+        for command in ("ramification", "decompose"):
+            for override in ([], ["--m-override", "24"]):
+                assert main([command, path, *override]) == 0, command
+                assert capsys.readouterr().out == expected[command]
+        assert main(["decompose", path, "--m-override", "7"]) == 1
+        assert capsys.readouterr().err.startswith("error[bad-conductor]")
+        with pytest.raises(RuntimeError):
+            main(["reidtai", path])
+
 
 # report section -> the command that prints it alone
 SECTIONS = {"input": "validate", "classification": "classify",

@@ -237,7 +237,8 @@ def quasietale_outside_by_pairs(elements, subgroup):
 def unpruned_closure(gens):
     ident = LatticeElement.of(identity_matrix(gens[0].rank))
     gens_sorted = sorted(set(gens), key=LatticeElement.sort_key)
-    return bfs_closure(ident, gens_sorted, 100000, AssertionError("closure too large"))
+    elements, _ = bfs_closure(ident, gens_sorted, 100000, AssertionError("closure too large"))
+    return elements
 
 
 def random_groups(seed, count, cap=48):
