@@ -55,10 +55,21 @@ class AffineAutomorphism:
     def is_identity(self):
         return self.holonomy.is_identity() and self.translation.is_zero()
 
+    @property
+    def matrix(self):
+        """The rational representation of the holonomy, int tuple rows."""
+        return self.holonomy.matrix
+
+    def with_data(self, matrix, translation):
+        """The automorphism of this variety whose holonomy has the rational
+        representation ``matrix``, which must be one, and with translation
+        ``translation``."""
+        return AffineAutomorphism(EndoBlockMatrix.of_matrix(self.variety, matrix), translation)
+
     def compose(self, other):
         """(t_a . phi)(t_b . psi) = t_(a + phi b) . (phi psi)."""
-        trans = self.translation + other.translation.apply_matrix(self.holonomy.matrix)
-        return AffineAutomorphism(self.holonomy.compose(other.holonomy), trans)
+        return self.with_data(*affine_product(self.matrix, self.translation,
+                                              other.matrix, other.translation))
 
     def sort_key(self):
         return (self.holonomy.sort_key(), self.translation.sort_key())
@@ -155,15 +166,28 @@ class FiniteGroupAction:
         return loc
 
 
+def affine_product(m, a, n, b):
+    """The data (M N, a + M b) of (t_a . M)(t_b . N), for matrices M, N as
+    int tuple rows and TorsionPoints a, b."""
+    return tuple(map(tuple, mat_mul(m, n))), a + b.apply_matrix(m)
+
+
 def bfs_closure(identity, gens, cap, overflow):
     """Breadth-first closure of ``gens`` under right composition, starting at
     ``identity``: the elements, and the ``ClosureTables`` of the search.
     Each level is ordered by ``sort_key``, so the element order depends only
     on the generator list.  The exception ``overflow`` is raised as soon as
-    the closure holds more than ``cap`` elements.  Elements are composed in
-    the order they are found, and each product is hashed once."""
-    found = [identity]  # by number
-    number = {identity: 0}
+    the closure holds more than ``cap`` elements.
+
+    The elements are affine maps of one kind, with ``matrix``,
+    ``translation`` and ``with_data``; two are equal iff their data (matrix,
+    translation) are.  Elements are composed in the order they are found.
+    Each product is hashed once, as its data, and an element is built from
+    its data only when it is new."""
+    data = [(identity.matrix, identity.translation)]  # by number
+    found = [identity]
+    number = {data[0]: 0}
+    gen_data = [(h.matrix, h.translation) for h in gens]
     products, parent, via = [], [-1], [-1]
     numbers = [0]
     key = type(identity).sort_key
@@ -171,14 +195,15 @@ def bfs_closure(identity, gens, cap, overflow):
     while start < len(found):
         stop = len(found)
         for x in range(start, stop):
-            e = found[x]
-            for j, h in enumerate(gens):
-                c = e.compose(h)
+            m, a = data[x]
+            for j, (n, b) in enumerate(gen_data):
+                c = affine_product(m, a, n, b)
                 k = number.setdefault(c, len(found))
                 if k == len(found):
                     if k >= cap:
                         raise overflow
-                    found.append(c)
+                    data.append(c)
+                    found.append(identity.with_data(*c))
                     parent.append(x)
                     via.append(j)
                 products.append(k)

@@ -276,7 +276,7 @@ def serialize(doc, fmt="json"):
 COMMANDS = ("validate", "classify", "ramification", "reidtai", "decompose", "report")
 
 
-def main(argv=None):
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fqav",
         description="Classify finite quotients of products of elliptic curves.")
@@ -287,7 +287,16 @@ def main(argv=None):
     parser.add_argument("--format", choices=("json", "md"), default="json")
     parser.add_argument("--m-override", type=int, default=None,
                         help="cyclotomic conductor override (a positive multiple of 12)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once per process: parsing reads the parser and changes nothing in
+# it, and each add_argument formats its help text to validate the action
+PARSER = _build_parser()
+
+
+def main(argv=None):
+    args = PARSER.parse_args(argv)
 
     try:
         try:

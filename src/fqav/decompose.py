@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .action import bfs_closure
+from .action import affine_product, bfs_closure
 from .errors import CertificateError
 from .linalg import (
     Lattice,
@@ -53,13 +53,20 @@ class LatticeElement:
     def is_identity(self):
         return self.translation.is_zero() and mat_eq_identity(self.matrix)
 
+    def with_data(self, matrix, translation):
+        return LatticeElement(matrix, translation)
+
     def compose(self, other):
-        m = mat_mul(self.matrix, other.matrix)
-        trans = self.translation + other.translation.apply_matrix(self.matrix)
-        return LatticeElement(tuple(map(tuple, m)), trans)
+        return LatticeElement(*affine_product(self.matrix, self.translation,
+                                              other.matrix, other.translation))
 
     def sort_key(self):
         return (self.matrix, self.translation.sort_key())
+
+    def __str__(self):
+        rows = ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.matrix)
+        coords = ", ".join(map(str, self.translation.coords))
+        return f"x -> [{rows}] x + [{coords}]"
 
 
 def mat_eq_identity(m):
@@ -72,11 +79,11 @@ ELEMENT_CAP = 100000
 
 def close_elements(gens):
     """Closure of lattice elements under composition, at most ELEMENT_CAP of
-    them.  Generators are taken in ``sort_key`` order, and one already in the
-    closure of the generators kept so far is skipped: it would add nothing to
-    the subgroup."""
+    them, and the generators it kept.  Generators are taken in ``sort_key``
+    order, and one already in the closure of the generators kept so far is
+    skipped: it would add nothing to the subgroup."""
     if not gens:
-        return []
+        return [], []
     ident = LatticeElement.of(identity_matrix(gens[0].rank))
     kept = []
     elements = [ident]
@@ -88,7 +95,7 @@ def close_elements(gens):
         elements, _ = bfs_closure(
             ident, kept, ELEMENT_CAP, CertificateError("lattice-level closure exceeded cap"))
         seen = set(elements)
-    return elements
+    return elements, kept
 
 
 def element_fixed_solution(e: LatticeElement):
@@ -150,33 +157,39 @@ class DecompositionResult:
 # stage operations at the lattice level
 
 def lattice_ramification_subgroup(elements, fixed):
-    """Closure of the elements whose fixed locus has codimension 1.
-    ``fixed`` is the stage's ``fixed_solutions`` map."""
+    """Closure of the elements whose fixed locus has codimension 1, and the
+    generators its closure kept.  ``fixed`` is the stage's
+    ``fixed_solutions`` map."""
     if not elements:
-        return []
+        return [], []
     n = elements[0].rank // 2
     gens = [e for e, sol in fixed.items() if sol.dim == n - 1]
     if not gens:
-        return [e for e in elements if e.is_identity()]
-    closed = close_elements(gens)
+        return [e for e in elements if e.is_identity()], []
+    closed, kept = close_elements(gens)
     in_group = set(elements)
     for e in closed:
         if e not in in_group:
             raise CertificateError("ramification subgroup escapes the group")
-    return closed
+    return closed, kept
 
 
-def check_normal(generators, subgroup, group_order):
-    """Certify that the subgroup N is normal in G = <generators>, a group of
-    order ``group_order``: s N s^-1 lies in N for every generator s.  The
-    elements g with g N g^-1 in N are closed under products, so they are all
-    of G once they contain the generators."""
+def check_normal(generators, subgroup, subgroup_generators, group_order):
+    """Certify that the subgroup N = <subgroup_generators> is normal in
+    G = <generators>, a group of order ``group_order``: s h s^-1 lies in N
+    for every generator s of G and every generator h of N.  Conjugation by
+    s is a homomorphism, so it then maps N = <h> into N, and the elements g
+    with g N g^-1 in N are closed under products, so they are all of G once
+    they contain the generators."""
     sub = set(subgroup)
     for s in generators:
         s_inv = _element_inverse(s, group_order)
-        for h in subgroup:
-            if s.compose(h).compose(s_inv) not in sub:
-                raise CertificateError("ramification subgroup is not normal")
+        for h in subgroup_generators:
+            conj = s.compose(h).compose(s_inv)
+            if conj not in sub:
+                raise CertificateError(
+                    f"ramification subgroup is not normal: generator {s} conjugates "
+                    f"{h} to {conj}, outside the subgroup")
 
 
 def _element_inverse(g, group_order):
@@ -219,13 +232,15 @@ def lattice_kappa(elements, fixed):
     return subtorus_kappa([sol.kernel for sol in solutions if sol.dim == n2 // 2 - 1], n2)
 
 
-def split_action(n_elements, b: Lattice, c: Lattice, ker_mu_order):
-    """Split N along B x C: the certificate set N-tilde on B x C and the
-    restricted group N_C in C-coordinates.
+def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order):
+    """Split N = <n_generators> along B x C: the certificate set N-tilde of
+    affine maps on B x C, and the restricted group N_C in C-coordinates with
+    the generators its closure kept.
 
     Coordinates on B x C are (beta, gamma) with a = B^T beta + C^T gamma;
     all torus-level splittings of each translation are enumerated through
-    the kernel of the addition isogeny.
+    the kernel of the addition isogeny mu.  W fixes B, so g = t_a . W lifts
+    to the maps t_(beta, gamma) . diag(I, W|_C), one per splitting of a.
     """
     n2 = b.ambient_rank
     bt = mat_transpose(b.basis_rows())
@@ -238,34 +253,38 @@ def split_action(n_elements, b: Lattice, c: Lattice, ker_mu_order):
 
     k_c = orthogonal_complement_rows(c)
     ident = identity_matrix(n2)
-    to_b, to_c = ident[:b.rank], ident[b.rank:]
     restricted = {}
 
     def restrict_matrix(w):
-        """Matrix of W on the C basis (C must be W-invariant), solved once
-        per W."""
-        w_c = restricted.get(w)
-        if w_c is None:
+        """W|_C on the C basis (C must be W-invariant) and diag(I, W|_C) on
+        B x C, solved once per W."""
+        pair = restricted.get(w)
+        if pair is None:
             out = []
             for v in c.basis_rows():
                 coeffs = c.coordinates(mat_vec(w, v))
                 if coeffs is None:
                     raise CertificateError("complement is not invariant")
                 out.append(coeffs)
-            w_c = restricted[w] = tuple(zip(*out))
-        return w_c
+            w_c = tuple(zip(*out))
+            lift = tuple(tuple(r) for r in ident[:b.rank]) + tuple(
+                (0,) * b.rank + row for row in w_c)
+            pair = restricted[w] = (w_c, lift)
+        return pair
 
     n_tilde = []
+    first_lift = {}
     n_c_gens = []
     for g in n_elements:
         splits = solve_affine_mod_lattice(m, g.translation)
         if not splits.nonempty:
             raise CertificateError("translation does not split along B x C")
-        for rep in splits.representatives:
-            n_tilde.append((rep.apply_matrix(to_b), rep.apply_matrix(to_c), g.matrix))
+        w_c, lift = restrict_matrix(g.matrix)
+        lifts = [LatticeElement(lift, rep) for rep in splits.representatives]
+        first_lift[g] = lifts[0]
+        n_tilde.extend(lifts)
         # restriction to C: defined when the translation lies in the C-subtorus
         if g.translation.apply_matrix(k_c).is_zero():
-            w_c = restrict_matrix(g.matrix)
             gamma_sol = solve_affine_mod_lattice(ct, g.translation)
             if not gamma_sol.nonempty:
                 raise CertificateError("translation claims C-membership but does not solve")
@@ -274,25 +293,51 @@ def split_action(n_elements, b: Lattice, c: Lattice, ker_mu_order):
 
     if len(n_tilde) != len(n_elements) * ker_mu_order:
         raise CertificateError("N-tilde has wrong cardinality")
-    _check_n_tilde_group(n_tilde, restrict_matrix)
-    n_c = close_elements(n_c_gens) if n_c_gens else []
+    ker_lifts = [LatticeElement.of(ident, rep) for rep in ker_sol.representatives]
+    _check_n_tilde_group(n_tilde, ker_lifts + [first_lift[g] for g in n_generators])
+    n_c, n_c_kept = close_elements(n_c_gens)
     if set(n_c) != set(n_c_gens):
         raise CertificateError("restrictions to C do not form a closed set")
-    return n_tilde, n_c, ker_sol.representatives
+    return n_tilde, n_c, n_c_kept
 
 
-def _check_n_tilde_group(n_tilde, restrict_matrix):
-    """The set of pairs t_beta x (t_gamma . W|_C) must be closed under
-    composition; this is a strong self-test of the splitting."""
-    table = [(beta, gamma, restrict_matrix(w)) for beta, gamma, w in n_tilde]
-    entries = set(table)
-    for b1, g1, wc1 in table:
-        for b2, g2, wc2 in table:
-            beta = b1 + b2
-            gamma = g1 + g2.apply_matrix(wc1)
-            wc = tuple(map(tuple, mat_mul(wc1, wc2)))
-            if (beta, gamma, wc) not in entries:
-                raise CertificateError("N-tilde is not closed under composition")
+def _check_n_tilde_group(n_tilde, generators):
+    """Certify that N-tilde is a group: the closure of ``generators``, the
+    ker mu lifts and one lift of each generator of N, must be N-tilde.
+
+    Each element t of N-tilde lifts an element pi(t) of N: mu . t =
+    pi(t) . mu, and mu is onto, so pi(t t') = pi(t) pi(t') whenever t t' is
+    in N-tilde, and the ker mu lifts are the t with pi(t) = 1.  If N-tilde
+    is a group it holds the closure H of the generators; pi(H) holds the
+    generators of N, so pi(H) = N, and each t in N-tilde is h k with h in H,
+    pi(h) = pi(t) and k = h^-1 t a ker mu lift: H is N-tilde.  Conversely a
+    closure is a group.  So this is the same certificate as checking every
+    product of two elements of N-tilde.  On failure the message names a
+    witness."""
+    entries = set(n_tilde)
+    ident = LatticeElement.of(identity_matrix(n_tilde[0].rank))
+    gens = [h for h in dict.fromkeys(generators) if not h.is_identity()]
+    try:
+        closed, _ = bfs_closure(ident, gens, len(entries),
+                                CertificateError("the closure of the generators exceeds N-tilde"))
+        closed = set(closed)
+    except CertificateError:
+        closed = set()
+    if closed == entries:
+        return
+    prefix = "N-tilde is not closed under composition: "
+    if ident not in entries:
+        raise CertificateError(prefix + "it lacks the identity")
+    # N-tilde holds the identity and the generators; if right products with
+    # the generators stay in it, it holds their closure
+    for t in n_tilde:
+        for h in gens:
+            p = t.compose(h)
+            if p not in entries:
+                raise CertificateError(prefix + f"{t} times generator {h} is {p}, outside it")
+    missing = next(t for t in n_tilde if t not in closed)
+    raise CertificateError(prefix + f"{missing} is not generated by the ker mu lifts "
+                           "and the lifts of the generators of N")
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +363,9 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
         if n2 else Lattice.zero(ambient_rank)
 
     fixed = fixed_solutions(elements)
-    n_sub = lattice_ramification_subgroup(elements, fixed)
+    n_sub, n_generators = lattice_ramification_subgroup(elements, fixed)
     n_nontrivial = [e for e in n_sub if not e.is_identity()]
-    check_normal(generators, n_sub, len(elements))
+    check_normal(generators, n_sub, n_generators, len(elements))
     qout = lattice_quasietale_outside(elements, n_sub, fixed)
     if not qout:
         raise CertificateError("quotient by the ramification subgroup is not quasietale")
@@ -343,7 +388,7 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
         return SublatticeAction(tuple(n_sub), embedding, ambient_rank)
 
     c, ker_mu = lattice_poincare_complement(b, holonomies, seed_form)
-    n_tilde, n_c, _ = split_action(n_sub, b, c, ker_mu)
+    n_tilde, n_c, n_c_generators = split_action(n_sub, n_generators, b, c, ker_mu)
 
     factors.append(Lattice.from_vectors(
         ambient_rank, [list(v) for v in _compose_embedding(embedding, b.basis_rows())]))
@@ -353,10 +398,9 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
     ct = c.basis_rows()
     next_embedding = _compose_embedding(embedding, ct)
     next_form = _restrict_form(seed_form, ct)
-    # split_action certified n_c closed, so it is the next stage group and
-    # generates itself
-    next_elements = tuple(n_c) if n_c else (LatticeElement.of(identity_matrix(c.rank)),)
-    return _decompose_level(next_elements, next_elements, next_embedding, ambient_rank,
+    # split_action certified n_c closed, so it is the next stage group, and
+    # the generators its closure kept generate it
+    return _decompose_level(tuple(n_c), tuple(n_c_generators), next_embedding, ambient_rank,
                             next_form, factors, stages)
 
 

@@ -25,9 +25,21 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
-    """Exact matrix product; entries may be int or Fraction."""
-    cols = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+    """Exact matrix product; entries may be int or Fraction.  Row i of AB is
+    the sum of a_ik B_k over the nonzero a_ik only, so a zero entry costs
+    nothing: holonomies are block-monomial, with about one nonzero entry per row."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = None
+        for x, b_row in zip(row, b):
+            if x:
+                if acc is None:
+                    acc = [x * y for y in b_row]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append([0] * width if acc is None else acc)
+    return out
 
 
 def mat_vec(m, v):

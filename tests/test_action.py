@@ -6,9 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fqav import action as action_module
 from fqav.action import (
     AffineAutomorphism,
+    ClosureTables,
+    affine_product,
     age,
+    bfs_closure,
     close_group,
     cyclo_field_for,
     descend_multiplication,
@@ -19,6 +23,7 @@ from fqav.action import (
     pointwise_stabilizer,
 )
 from fqav.cli import parse_input
+from fqav.decompose import group_to_lattice_elements, to_lattice_elements
 from fqav.errors import InputError
 from fqav.linalg import TorsionPoint, fixed_lattice
 from fqav.variety import (
@@ -64,20 +69,19 @@ class TestClosure:
                 automorphism(ei_squared, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]]),
                 automorphism(ei_squared, [[(1, 0), (0, 0)], [(0, 0), (1, 0)]],
                              ["1/2", 0, 0, 0])]
-        composed = []
-        original = AffineAutomorphism.compose
+        products = []
 
-        def counting(self, other):
-            composed.append(other)
-            return original(self, other)
+        def counting(*data):
+            products.append(data)
+            return affine_product(*data)
 
-        monkeypatch.setattr(AffineAutomorphism, "compose", counting)
+        monkeypatch.setattr(action_module, "affine_product", counting)
         with pytest.raises(InputError) as exc:
             close_group(gens, cap=2)
         assert exc.value.code == "cap-exceeded"
-        # the first level takes one composition per generator; the third
+        # the first level takes one product per generator; the third
         # element exceeds the cap after the second
-        assert len(composed) == 2 < len(gens)
+        assert len(products) == 2 < len(gens)
 
     @pytest.mark.parametrize("block", [((2, 1), (1, 1)), ((1, 1), (0, 1))])
     def test_infinite_order_holonomy_rejected(self, block):
@@ -424,3 +428,70 @@ class TestConjugacyClasses:
             reps = [i for i, r in enumerate(group.class_rep) if r == i]
             assert group.nontrivial_class_reps() == [group.elements[i] for i in reps[1:]]
             assert group.class_rep[0] == 0
+
+
+def object_keyed_closure(identity, gens, cap, overflow):
+    """Reference for ``bfs_closure``: the same search, hashing each product
+    as the element ``compose`` builds."""
+    found = [identity]
+    number = {identity: 0}
+    products, parent, via = [], [-1], [-1]
+    numbers = [0]
+    start = 0
+    while start < len(found):
+        stop = len(found)
+        for x in range(start, stop):
+            for j, h in enumerate(gens):
+                c = found[x].compose(h)
+                k = number.setdefault(c, len(found))
+                if k == len(found):
+                    if k >= cap:
+                        raise overflow
+                    found.append(c)
+                    parent.append(x)
+                    via.append(j)
+                products.append(k)
+        numbers.extend(sorted(range(stop, len(found)), key=lambda y: found[y].sort_key()))
+        start = stop
+    return [found[k] for k in numbers], ClosureTables(products, parent, via, numbers)
+
+
+def assert_closure_matches_oracle(group):
+    """bfs_closure equals the object-keyed closure, on the automorphisms and
+    on their lattice elements: the same elements in the same order, and the
+    same tables."""
+    overflow = AssertionError("closure too large")
+    want = object_keyed_closure(group.identity(), list(group.generators), group.order,
+                                overflow)
+    assert (list(group.elements), group.tables) == want
+    identity = group_to_lattice_elements(group)[0]
+    gens = to_lattice_elements(group.generators)
+    assert bfs_closure(identity, gens, group.order, overflow) == object_keyed_closure(
+        identity, gens, group.order, overflow)
+
+
+class TestRawKeyClosure:
+    def test_gallery(self, rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                     bielliptic_group):
+        for group in [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                      bielliptic_group] + nonabelian_groups():
+            assert_closure_matches_oracle(group)
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        assert_closure_matches_oracle(group)
+
+    def test_elements_built_only_when_new(self, monkeypatch):
+        group = nonabelian_groups()[-1]
+        built = []
+        original = AffineAutomorphism.with_data
+
+        def counting(self, matrix, translation):
+            built.append(matrix)
+            return original(self, matrix, translation)
+
+        monkeypatch.setattr(AffineAutomorphism, "with_data", counting)
+        closed = close_group(list(group.generators))
+        # one build per element but the identity, though most products repeat
+        assert len(built) == closed.order - 1 < len(closed.tables.products) // 2

@@ -326,6 +326,96 @@ class TestMain:
             main(["reidtai", path])
 
 
+    def test_parser_built_once(self, capsys, monkeypatch):
+        import argparse
+
+        def no_parser(*args, **kwargs):
+            raise RuntimeError("parser built again")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+        assert main(["validate", str(FIXTURE_DIR / "kummer.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["group_order"] == 2
+
+    def test_successive_calls_do_not_leak(self, capsys):
+        path = str(FIXTURE_DIR / "rot4-square.json")
+
+        def run(*argv):
+            rc = main(list(argv))
+            captured = capsys.readouterr()
+            return rc, captured.out, captured.err
+
+        plain = run("reidtai", path)
+        assert plain[0] == 0 and plain[1].startswith("{")
+        md = run("reidtai", path, "--format", "md")
+        assert md[0] == 0 and md[1].startswith("# fqav report")
+        assert run("reidtai", path) == plain
+        capped = run("validate", path, "--cap", "2")
+        assert capped[0] == 1 and capped[2].startswith("error[cap-exceeded]")
+        valid = run("validate", path)
+        assert valid[0] == 0 and json.loads(valid[1])["group_order"] == 4
+        bad = run("reidtai", path, "--m-override", "7")
+        assert bad[0] == 1 and bad[2].startswith("error[bad-conductor]")
+        assert run("reidtai", path, "--m-override", "24")[0] == 0
+        assert run("reidtai", path) == plain
+        assert run("classify", path, "--format", "md", "--cap", "2")[0] == 1
+        assert run("reidtai", path) == plain
+
+
+D4_DOC = {"factors": [{"cm": "generic", "label": "E"}] * 2,
+          "generators": [{"holonomy": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+                         {"holonomy": [[[-1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+
+
+class TestCertificateWitness:
+    """A failed certificate exits 2 and names its witness."""
+
+    def test_non_normal_subgroup(self, tmp_path, capsys, monkeypatch):
+        decompose_module = sys.modules["fqav.decompose"]
+        p = tmp_path / "d4.json"
+        p.write_text(json.dumps(D4_DOC))
+        flip = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+        def flip_only(elements, fixed):
+            # <(-1) x 1> in place of the ramification subgroup: not normal
+            flips = [e for e in elements if e.matrix == flip]
+            return decompose_module.close_elements(flips)
+
+        monkeypatch.setattr(decompose_module, "lattice_ramification_subgroup", flip_only)
+        assert main(["decompose", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "certificate failure: ramification subgroup is not normal: generator "
+            "x -> [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]] x + [0, 0, 0, 0] "
+            "conjugates "
+            "x -> [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] x + [0, 0, 0, 0] "
+            "to "
+            "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]] x + [0, 0, 0, 0], "
+            "outside the subgroup\n")
+
+    def test_n_tilde_not_closed(self, capsys, monkeypatch):
+        decompose_module = sys.modules["fqav.decompose"]
+        original = decompose_module._check_n_tilde_group
+
+        def drop_last(n_tilde, generators):
+            return original(n_tilde[:-1], generators)
+
+        monkeypatch.setattr(decompose_module, "_check_n_tilde_group", drop_last)
+        assert main(["decompose", str(FIXTURE_DIR / "sign-rot4.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # N = <(-1) x 1>, B the first factor: N-tilde is the identity and
+        # the lift of (-1) x 1, and the identity times that is outside
+        assert captured.err == (
+            "certificate failure: N-tilde is not closed under composition: "
+            "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] x + [0, 0, 0, 0] "
+            "times generator "
+            "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]] x + [0, 0, 0, 0] "
+            "is "
+            "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]] x + [0, 0, 0, 0], "
+            "outside it\n")
+
+
 # report section -> the command that prints it alone
 SECTIONS = {"input": "validate", "classification": "classify",
             "ramification": "ramification", "reid_tai": "reidtai",

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from fqav.action import bfs_closure, close_group
 from fqav.decompose import (
     LatticeElement,
+    _check_n_tilde_group,
     _element_inverse,
     check_normal,
     close_elements,
@@ -16,12 +18,22 @@ from fqav.decompose import (
     lattice_kappa,
     lattice_quasietale_outside,
     lattice_ramification_subgroup,
+    split_action,
     to_lattice_elements,
 )
 from fqav.errors import CertificateError, InputError
-from fqav.linalg import Lattice, fixed_lattice, identity_matrix
+from fqav.linalg import Lattice, TorsionPoint, fixed_lattice, identity_matrix
+from fqav.variety import lattice_poincare_complement, standard_symplectic_form
 
 from test_acceptance import random_automorphism, random_variety
+from test_action import nonabelian_groups
+
+# the module, which the package's ``decompose`` function shadows
+decompose_module = importlib.import_module("fqav.decompose")
+
+# D4 on E x E is generated by the swap and the reflection (-1) x 1
+SWAP = LatticeElement.of([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+FLIP = LatticeElement.of([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def fixed_dim(e):
@@ -37,7 +49,7 @@ class TestLatticeElements:
     def test_roundtrip_from_group(self, sign_rot4_group):
         els = group_to_lattice_elements(sign_rot4_group)
         assert len(els) == 4
-        closed = close_elements([e for e in els if not e.is_identity()])
+        closed, _ = close_elements([e for e in els if not e.is_identity()])
         assert set(closed) == set(els)
 
     def test_fixed_dims(self, sign_rot4_group):
@@ -50,7 +62,7 @@ class TestLatticeElements:
 class TestRamificationSubgroup:
     def test_sign_rot4_is_order_two(self, sign_rot4_group):
         els = group_to_lattice_elements(sign_rot4_group)
-        sub = lattice_ramification_subgroup(els, fixed_solutions(els))
+        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els))
         assert len(sub) == 2
         nontrivial = [e for e in sub if not e.is_identity()]
         assert fixed_dim(nontrivial[0]) == 1
@@ -58,37 +70,37 @@ class TestRamificationSubgroup:
     def test_quasietale_group_is_trivial(self, kummer_group, bielliptic_group):
         for group in (kummer_group, bielliptic_group):
             els = group_to_lattice_elements(group)
-            sub = lattice_ramification_subgroup(els, fixed_solutions(els))
+            sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els))
             assert all(e.is_identity() for e in sub)
 
     def test_p1_is_whole_group(self, p1_group):
         els = group_to_lattice_elements(p1_group)
-        sub = lattice_ramification_subgroup(els, fixed_solutions(els))
+        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els))
         assert set(sub) == set(els)
 
 
 class TestInvariantTorus:
     def test_sign_rot4(self, sign_rot4_group):
         els = group_to_lattice_elements(sign_rot4_group)
-        sub = lattice_ramification_subgroup(els, fixed_solutions(els))
+        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els))
         b = invariant_torus(sub)
         assert b == Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
     def test_p1_trivial(self, p1_group):
         els = group_to_lattice_elements(p1_group)
-        sub = lattice_ramification_subgroup(els, fixed_solutions(els))
+        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els))
         assert invariant_torus(sub).rank == 0
 
 
 class TestKappaCertificate:
     def test_minus_one_on_elliptic_curve(self):
         e = LatticeElement.of([[-1, 0], [0, -1]])
-        els = close_elements([e])
+        els, _ = close_elements([e])
         assert lattice_kappa(els, fixed_solutions(els)) == 1
 
     def test_order_four_rotation(self):
         e = LatticeElement.of([[0, -1], [1, 0]])
-        els = close_elements([e])
+        els, _ = close_elements([e])
         assert lattice_kappa(els, fixed_solutions(els)) == 1
 
 
@@ -169,33 +181,35 @@ class TestIdempotence:
         assert again.fano_part.rank == 0
 
 
+def glue_split():
+    """The involution -swap of the two factors of a square: N = <-swap>,
+    B = diagonal, C = antidiagonal, and the kernel of the addition map has
+    order 4.  The arguments of split_action."""
+    e = LatticeElement.of([[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+    els, _ = close_elements([e])
+    sub, kept = lattice_ramification_subgroup(els, fixed_solutions(els))
+    b = invariant_torus(sub)
+    c, ker_mu = lattice_poincare_complement(b, [x.matrix for x in sub],
+                                            standard_symplectic_form(2))
+    return sub, kept, b, c, ker_mu
+
+
 class TestSplitWithTorsionGlue:
     def test_diagonal_antidiagonal_kernel(self):
-        # involution swapping the two factors of a square: B = diagonal,
-        # C = antidiagonal, kernel of the addition map has order 4
-        swap = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
-        neg_swap = [[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-        e = LatticeElement.of(neg_swap)
-        els = close_elements([e])
-        sub = lattice_ramification_subgroup(els, fixed_solutions(els))
-        assert len(sub) == 2
-        b = invariant_torus(sub)
+        sub, kept, b, c, ker_mu = glue_split()
+        assert len(sub) == 2 and len(kept) == 1
         assert b == Lattice.from_vectors(4, [[1, 0, -1, 0], [0, 1, 0, -1]])
-        from fqav.decompose import split_action
-        from fqav.variety import lattice_poincare_complement, standard_symplectic_form
-
-        seed = standard_symplectic_form(2)
-        holonomies = [tuple(tuple(r) for r in identity_matrix(4)),
-                      tuple(tuple(r) for r in neg_swap)]
-        c, ker_mu = lattice_poincare_complement(b, holonomies, seed)
         assert ker_mu == 4
-        n_tilde, n_c, reps = split_action(sub, b, c, ker_mu)
+        n_tilde, n_c, n_c_kept = split_action(sub, kept, b, c, ker_mu)
         assert len(n_tilde) == 2 * 4
-        assert len(reps) == 4
+        # the ker mu lifts are the elements of N-tilde with matrix I
+        assert sum(t.matrix == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+                   for t in n_tilde) == 4
+        assert len(n_c) == 2 and len(n_c_kept) == 1
         # the first factor is a complement of B that the swap does not keep
         first = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
         with pytest.raises(CertificateError, match="complement is not invariant"):
-            split_action(sub, b, first, 1)
+            split_action(sub, kept, b, first, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +226,9 @@ def normal_by_all_elements(elements, subgroup):
     return True
 
 
-def normal_by_generators(generators, subgroup, order):
+def normal_by_generators(generators, subgroup, subgroup_generators, order):
     try:
-        check_normal(generators, subgroup, order)
+        check_normal(generators, subgroup, subgroup_generators, order)
     except CertificateError:
         return False
     return True
@@ -259,12 +273,13 @@ def random_groups(seed, count, cap=48):
 
 
 def cyclic_subgroups(elements):
+    """Each distinct <x>, with the generators its closure kept."""
     seen = []
     for x in elements:
-        sub = close_elements([x])
+        sub, kept = close_elements([x])
         if set(sub) not in seen:
             seen.append(set(sub))
-            yield sub
+            yield sub, kept
 
 
 @pytest.fixture
@@ -278,26 +293,43 @@ class TestGeneratorNormality:
         verdicts = set()
         for group in gallery:
             elements = group_to_lattice_elements(group)
-            gens = to_lattice_elements(group.generators)
+            # G by the input's generators, and by the ones its closure keeps
+            generator_sets = [to_lattice_elements(group.generators), close_elements(elements)[1]]
             subgroups = [lattice_ramification_subgroup(elements, fixed_solutions(elements))]
             subgroups += list(cyclic_subgroups(elements))
-            for sub in subgroups:
+            for sub, sub_gens in subgroups:
                 want = normal_by_all_elements(elements, sub)
-                assert normal_by_generators(gens, sub, len(elements)) == want
+                for gens in generator_sets:
+                    assert normal_by_generators(gens, sub, sub_gens, len(elements)) == want
                 verdicts.add(want)
         assert verdicts == {True, False}  # both outcomes were exercised
 
     def test_non_normal_subgroup_raises(self):
         # D4 on E x E: <swap, (-1) x 1>; the reflection (-1) x 1 is not normal
-        swap = LatticeElement.of([[0, 0, 1, 0], [0, 0, 0, 1],
-                                  [1, 0, 0, 0], [0, 1, 0, 0]])
-        flip = LatticeElement.of([[-1, 0, 0, 0], [0, -1, 0, 0],
-                                  [0, 0, 1, 0], [0, 0, 0, 1]])
-        elements = close_elements([swap, flip])
-        assert len(elements) == 8
-        sub = close_elements([flip])
-        with pytest.raises(CertificateError, match="not normal"):
-            check_normal([swap, flip], sub, len(elements))
+        elements, kept = close_elements([SWAP, FLIP])
+        assert len(elements) == 8 and kept == [FLIP, SWAP]
+        # the group given only by the generators a closure keeps, as a stage
+        # passes it to the next stage's check
+        _, kept_from_all = close_elements(elements)
+        assert len(kept_from_all) == 3
+        sub, _ = close_elements([FLIP])
+        for generators in ([SWAP, FLIP], kept, kept_from_all):
+            with pytest.raises(CertificateError, match="not normal"):
+                check_normal(generators, sub, [FLIP], len(elements))
+
+    def test_witness_named(self):
+        elements, kept = close_elements([SWAP, FLIP])
+        sub, _ = close_elements([FLIP])
+        with pytest.raises(CertificateError) as exc:
+            check_normal(kept, sub, [FLIP], len(elements))
+        # FLIP normalizes <FLIP>; SWAP conjugates it to 1 x (-1)
+        other = LatticeElement.of([[1, 0, 0, 0], [0, 1, 0, 0],
+                                   [0, 0, -1, 0], [0, 0, 0, -1]])
+        assert str(exc.value) == (
+            f"ramification subgroup is not normal: generator {SWAP} conjugates "
+            f"{FLIP} to {other}, outside the subgroup")
+        assert str(SWAP) == ("x -> [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]] x "
+                             "+ [0, 0, 0, 0]")
 
     def test_inverse_through_powers(self, gallery):
         for group in gallery:
@@ -316,9 +348,9 @@ class TestOnePassQuasietale:
         for group in gallery:
             elements = group_to_lattice_elements(group)
             fixed = fixed_solutions(elements)
-            subgroups = [lattice_ramification_subgroup(elements, fixed)]
+            subgroups = [lattice_ramification_subgroup(elements, fixed)[0]]
             if group.order <= 8:
-                subgroups += list(cyclic_subgroups(elements))
+                subgroups += [sub for sub, _ in cyclic_subgroups(elements)]
             for sub in subgroups:
                 want = quasietale_outside_by_pairs(elements, sub)
                 assert lattice_quasietale_outside(elements, sub, fixed) == want
@@ -334,25 +366,121 @@ class TestPrunedClosure:
             reflections = [e for e in elements if fixed_dim(e) == e.rank // 2 - 1]
             for gens in (elements, reflections, rng.sample(elements, min(3, len(elements)))):
                 if gens:
-                    assert set(close_elements(gens)) == set(unpruned_closure(gens))
+                    assert set(close_elements(gens)[0]) == set(unpruned_closure(gens))
 
-    def test_redundant_generators_skipped(self):
+    def test_redundant_generators_skipped(self, monkeypatch):
         rot = LatticeElement.of([[0, -1], [1, 0]])
         minus_one = LatticeElement.of([[-1, 0], [0, -1]])
         powers = unpruned_closure([rot])
-        multipliers = []
-        original = LatticeElement.compose
+        used = []
 
-        def counting(self, other):
-            multipliers.append(other)
-            return original(self, other)
+        def recording(identity, gens, cap, overflow):
+            used.extend(gens)
+            return bfs_closure(identity, gens, cap, overflow)
 
-        LatticeElement.compose = counting
-        try:
-            closed = close_elements(powers)
-        finally:
-            LatticeElement.compose = original
+        monkeypatch.setattr(decompose_module, "bfs_closure", recording)
+        closed, kept = close_elements(powers)
         assert set(closed) == set(powers)
         # in sort order -1 comes first and rot is kept next; rot^3 and the
-        # identity are already in the closure and never used
-        assert set(multipliers) == {minus_one, rot}
+        # identity are already in the closure, never kept and never used
+        assert kept == [minus_one, rot]
+        assert set(used) == {minus_one, rot}
+
+
+# ---------------------------------------------------------------------------
+# the generator-only N-tilde certificate against the pair products it replaces
+
+def n_tilde_closed_by_pairs(n_tilde):
+    """Reference: every product of two elements of N-tilde is in it."""
+    entries = set(n_tilde)
+    return all(s.compose(t) in entries for s in n_tilde for t in n_tilde)
+
+
+def n_tilde_verdict(n_tilde, generators):
+    try:
+        _check_n_tilde_group(n_tilde, generators)
+    except CertificateError as exc:
+        assert str(exc).startswith("N-tilde is not closed under composition: ")
+        return False
+    return True
+
+
+def recorded_n_tilde(monkeypatch, run):
+    """The (N-tilde, generators) pairs certified while ``run()`` runs."""
+    calls = []
+
+    def recording(n_tilde, generators):
+        calls.append((list(n_tilde), list(generators)))
+        return _check_n_tilde_group(n_tilde, generators)
+
+    monkeypatch.setattr(decompose_module, "_check_n_tilde_group", recording)
+    run()
+    return calls
+
+
+def shifted(t):
+    """t with the last coordinate of its translation, one of gamma's, moved
+    by 1/3."""
+    n = t.rank
+    return LatticeElement(t.matrix, t.translation + TorsionPoint.over([0] * (n - 1) + [1], 3))
+
+
+def mutations(n_tilde, generators):
+    """Each one-element mutation of N-tilde, as (set, generators): one
+    element dropped, or one element's gamma shifted (and with it the
+    generator it is)."""
+    for i, t in enumerate(n_tilde):
+        yield n_tilde[:i] + n_tilde[i + 1:], generators
+        u = shifted(t)
+        yield n_tilde[:i] + [u] + n_tilde[i + 1:], [u if h == t else h for h in generators]
+
+
+class TestGeneratorNTilde:
+    def test_every_mutation_raises(self, monkeypatch):
+        ((n_tilde, generators),) = recorded_n_tilde(monkeypatch,
+                                                    lambda: split_action(*glue_split()))
+        assert len(n_tilde) == 8
+        count = 0
+        for mutated, gens in mutations(n_tilde, generators):
+            assert not n_tilde_closed_by_pairs(mutated)
+            with pytest.raises(CertificateError, match="N-tilde is not closed"):
+                _check_n_tilde_group(mutated, gens)
+            count += 1
+        assert count == 16
+
+    def test_witness_named(self, monkeypatch):
+        ((n_tilde, generators),) = recorded_n_tilde(monkeypatch,
+                                                    lambda: split_action(*glue_split()))
+        # an element that is no generator, with gamma shifted: the closure of
+        # the generators is the true N-tilde, and the shifted set lacks one
+        # of its elements, a product of one it holds with a generator
+        i = next(i for i, t in enumerate(n_tilde) if t not in generators)
+        mutated = n_tilde[:i] + [shifted(n_tilde[i])] + n_tilde[i + 1:]
+        with pytest.raises(CertificateError) as exc:
+            _check_n_tilde_group(mutated, generators)
+        message = str(exc.value)
+        assert " times generator " in message
+        assert message.endswith(f" is {n_tilde[i]}, outside it")
+        assert any(f"generator {h} is" in message for h in generators)
+        # the identity dropped
+        with pytest.raises(CertificateError, match="lacks the identity"):
+            _check_n_tilde_group([t for t in n_tilde if not t.is_identity()], generators)
+
+    def test_agrees_with_pair_products(self, monkeypatch, gallery):
+        groups = gallery + nonabelian_groups()
+        calls = recorded_n_tilde(monkeypatch, lambda: [decompose(g) for g in groups])
+        assert len(calls) >= 5
+        assert max(len(n_tilde) for n_tilde, _ in calls) >= 16
+        verdicts = set()
+        for n_tilde, generators in calls:
+            assert n_tilde_closed_by_pairs(n_tilde)
+            assert n_tilde_verdict(n_tilde, generators)
+            for mutated, gens in mutations(n_tilde, generators):
+                if not set(gens) <= set(mutated):
+                    # a generator dropped: no longer a set the check is given
+                    assert not n_tilde_verdict(mutated, gens)
+                    continue
+                want = n_tilde_closed_by_pairs(mutated)
+                assert n_tilde_verdict(mutated, gens) == want
+                verdicts.add(want)
+        assert verdicts == {True, False}

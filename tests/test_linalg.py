@@ -78,6 +78,60 @@ def assert_snf_contract(m):
     return diag
 
 
+def naive_product(a, b, width):
+    """Independent oracle: (AB)_ij = sum_k a_ik b_kj, for B with ``width``
+    columns."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(width)]
+            for i in range(len(a))]
+
+
+ENTRIES = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def product_pairs(draw):
+    """A (n x k) and B (k x m) with n, k, m in 0..4, int or Fraction entries,
+    some rows of A and columns of B zeroed."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+    a, b = matrix(n, k), matrix(k, m)
+    for i in range(n):
+        if draw(st.booleans()):
+            a[i] = [0] * k
+    for j in range(m):
+        if draw(st.booleans()):
+            for row in b:
+                row[j] = 0
+    return a, b, m
+
+
+class TestMatMul:
+    @settings(max_examples=300, deadline=None)
+    @given(product_pairs())
+    def test_matches_triple_sum(self, pair):
+        a, b, m = pair
+        product = mat_mul(a, b)
+        # an empty B has no rows to give the width; its product has empty rows
+        assert product == naive_product(a, b, m if b else 0)
+        assert len(product) == len(a)
+
+    def test_shapes(self):
+        assert mat_mul([], [[1, 2]]) == []
+        assert mat_mul([[], []], []) == [[], []]
+        assert mat_mul([[1, 2]], [[0], [0]]) == [[0]]
+        assert mat_mul([[0, 0], [0, 3]], [[1, 2, 3], [4, 5, 6]]) == [[0, 0, 0], [12, 15, 18]]
+        half = Fraction(1, 2)
+        assert mat_mul([[half, 0]], [[2, 4], [7, 9]]) == [[1, 2]]
+        # the product is a new matrix: it shares no row with B
+        b = [[1, 0], [0, 1]]
+        product = mat_mul(identity_matrix(2), b)
+        product[0][0] = 5
+        assert b == [[1, 0], [0, 1]]
+
+
 class TestSnf:
     def test_identity(self):
         s, u, v = snf(identity_matrix(2))
