@@ -30,7 +30,6 @@ from .linalg import (
     AffineSolutionSet,
     Lattice,
     TorsionPoint,
-    intersect_lattices,
     saturate,
     snf,
     solve_affine_mod_lattice,
@@ -41,11 +40,6 @@ from .variety import (
     EndoBlockMatrix,
     SubtorusTranslate,
     analytic_rep,
-    connected_intersection,
-    is_abelian_subvariety,
-    kappa_divisor,
-    poincare_complement,
-    q_linear_equivalent,
     rational_rep,
 )
 

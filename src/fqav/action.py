@@ -113,11 +113,6 @@ class FiniteGroupAction:
         return [g for g in self.elements if not g.is_identity()]
 
     @cached_property
-    def holonomy_group(self):
-        """The distinct holonomies, in element order."""
-        return tuple(dict.fromkeys(g.holonomy for g in self.elements))
-
-    @cached_property
     def class_rep(self):
         """``class_rep[i]`` is the index of the first element of the
         conjugacy class of ``elements[i]``, read off the closure's tables

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -44,16 +45,19 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _parse_fraction(text):
-    try:
-        if _is_int(text):
+    """A JSON integer, or a string "p" or "p/q" of ASCII digits with an
+    optional minus sign.  Fraction alone would also read " 1/2", "+1/2",
+    "1_0/2" and non-ASCII digits."""
+    if _is_int(text) or (isinstance(text, str) and _RATIONAL.fullmatch(text)):
+        try:
             return Fraction(text)
-        # only "p" or "p/q" strings; decimals and floats are rejected
-        if not isinstance(text, str) or "." in text or "e" in text.lower():
-            raise ValueError
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"not a rational: {text!r}", code="bad-rational")
+        except ZeroDivisionError:  # "p/0"
+            pass
+    raise InputError(f"not a rational: {text!r}", code="bad-rational")
 
 
 def _format_fraction(f):

@@ -9,6 +9,7 @@ needed below the top level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .action import affine_product, bfs_closure
@@ -73,13 +74,10 @@ def mat_eq_identity(m):
     return all(m[i][j] == (1 if i == j else 0) for i in range(len(m)) for j in range(len(m)))
 
 
-# the most elements ``close_elements`` builds before it raises
-ELEMENT_CAP = 100000
-
-
-def close_elements(gens):
-    """Closure of lattice elements under composition, at most ELEMENT_CAP of
-    them, and the generators it kept.  Generators are taken in ``sort_key``
+def close_elements(gens, bound=math.inf, overflow=None):
+    """Closure of lattice elements under composition, and the generators it
+    kept.  The exception ``overflow`` is raised as soon as the closure holds
+    more than ``bound`` elements.  Generators are taken in ``sort_key``
     order, and one already in the closure of the generators kept so far is
     skipped: it would add nothing to the subgroup."""
     if not gens:
@@ -92,8 +90,7 @@ def close_elements(gens):
         if g in seen:
             continue
         kept.append(g)
-        elements, _ = bfs_closure(
-            ident, kept, ELEMENT_CAP, CertificateError("lattice-level closure exceeded cap"))
+        elements, _ = bfs_closure(ident, kept, bound, overflow)
         seen = set(elements)
     return elements, kept
 
@@ -166,11 +163,12 @@ def lattice_ramification_subgroup(elements, fixed):
     gens = [e for e, sol in fixed.items() if sol.dim == n - 1]
     if not gens:
         return [e for e in elements if e.is_identity()], []
-    closed, kept = close_elements(gens)
+    # N <= G, so a closure past |G| elements has already left the group
+    escapes = CertificateError("ramification subgroup escapes the group")
+    closed, kept = close_elements(gens, len(elements), escapes)
     in_group = set(elements)
-    for e in closed:
-        if e not in in_group:
-            raise CertificateError("ramification subgroup escapes the group")
+    if any(e not in in_group for e in closed):
+        raise escapes
     return closed, kept
 
 
@@ -295,9 +293,12 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
         raise CertificateError("N-tilde has wrong cardinality")
     ker_lifts = [LatticeElement.of(ident, rep) for rep in ker_sol.representatives]
     _check_n_tilde_group(n_tilde, ker_lifts + [first_lift[g] for g in n_generators])
-    n_c, n_c_kept = close_elements(n_c_gens)
-    if set(n_c) != set(n_c_gens):
-        raise CertificateError("restrictions to C do not form a closed set")
+    # a closed set holds its closure, so the closure may not outgrow it
+    not_closed = CertificateError("restrictions to C do not form a closed set")
+    distinct = set(n_c_gens)
+    n_c, n_c_kept = close_elements(n_c_gens, len(distinct), not_closed)
+    if set(n_c) != distinct:
+        raise not_closed
     return n_tilde, n_c, n_c_kept
 
 

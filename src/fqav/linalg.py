@@ -1,5 +1,6 @@
-"""Exact integer/rational linear algebra: Smith normal form, lattices,
-saturation, and affine congruence solving on the torus R^N / Z^N.
+"""Exact integer/rational linear algebra: Smith and Hermite normal forms,
+lattices and their integer kernels (saturation, orthogonal complements,
+fixed lattices), and affine congruence solving on the torus R^N / Z^N.
 
 Everything here is exact: matrices are lists/tuples of Python ints, and a
 torsion point is an int vector over one common denominator.  Only
@@ -274,9 +275,6 @@ class Lattice:
     def basis_rows(self):
         return [list(r) for r in self.basis]
 
-    def spans_rationally(self, vector):
-        return solve_rational(mat_transpose(self.basis_rows()), list(vector)) is not None
-
     def coordinates(self, vector):
         """The integer x with sum x_k basis_k = vector, or None when the
         vector is not in the lattice.  The basis is in Hermite form, so x_k
@@ -331,15 +329,6 @@ def solve_rational(matrix, rhs):
     for k, c in enumerate(pivots):
         x[c] = Fraction(a[k][nc], a[k][c])
     return x
-
-
-def intersect_lattices(l1: Lattice, l2: Lattice) -> Lattice:
-    """Saturated intersection of the rational spans, inside Z^N: the common
-    kernel of their annihilators."""
-    if l1.ambient_rank != l2.ambient_rank:
-        raise ValueError("ambient ranks differ")
-    return integer_kernel(orthogonal_complement_rows(l1) + orthogonal_complement_rows(l2),
-                          l1.ambient_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +401,6 @@ class TorsionPoint:
         if self.den == 1:
             return TorsionPoint.zero(len(m))
         return TorsionPoint.over(mat_vec(m, self.num), self.den)
-
-    def concat(self, other):
-        """The point of the product torus with the coordinates of self, then
-        those of other."""
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        return TorsionPoint(tuple(x * fa for x in self.num) + tuple(x * fb for x in other.num),
-                            den)
 
     def sort_key(self):
         """(numerator, denominator) of each coordinate in lowest terms."""

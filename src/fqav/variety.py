@@ -1,7 +1,8 @@
 """Model of A = E_1 x ... x E_n with CM data: endomorphisms in block form,
-their rational/analytic representations, abelian subvarieties as lattices,
-and divisor-level computations (linear equivalence, Kodaira dimension of
-torsion-translate divisors, invariant complements).
+their rational/analytic representations, subtorus translates, and the
+lattice-level quantities of divisors and polarizations: the Kodaira
+dimension of a divisor with subtorus components, the seed form, and the
+invariant complement it gives.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .linalg import (
     mat_transpose,
     mat_vec,
     orthogonal_complement_rows,
-    solve_affine_mod_lattice,
-    solve_rational,
 )
 
 ZETA4 = "zeta4"
@@ -186,58 +185,6 @@ def analytic_rep(phi: EndoBlockMatrix, field: CycloField):
     return out
 
 
-def _stability_test_matrices(variety: AbelianVarietyModel):
-    """Rational matrices whose simultaneous stabilization of a subspace is
-    equivalent to stability under the (generally irrational) complex
-    structure of the product.
-
-    Per factor the scaled complex structure is [[-x, -(x^2+y^2)], [1, x]]
-    with period tau = x + iy; the terms are grouped by the Q-linear
-    independence class of their irrational scalars: all zeta4 factors
-    together, all zeta6 factors together, and three coefficient matrices per
-    generic label.
-    """
-    n = variety.n
-    groups = {}
-
-    def block_into(key, j, block):
-        mat = groups.setdefault(key, [[0] * (2 * n) for _ in range(2 * n)])
-        for a in range(2):
-            for b in range(2):
-                mat[2 * j + a][2 * j + b] = block[a][b]
-
-    for j, f in enumerate(variety.factors):
-        if f.cm == ZETA4:  # x = 0, x^2+y^2 = 1
-            block_into(("cm", ZETA4), j, [[0, -1], [1, 0]])
-        elif f.cm == ZETA6:  # x = 1/2, x^2+y^2 = 1 (scaled by 2)
-            block_into(("cm", ZETA6), j, [[-1, -2], [2, 1]])
-        else:
-            block_into(("gen", f.label, "const"), j, [[0, 0], [1, 0]])
-            block_into(("gen", f.label, "x"), j, [[-1, 0], [0, 1]])
-            block_into(("gen", f.label, "norm"), j, [[0, -1], [0, 0]])
-    return list(groups.values())
-
-
-def _span_stable_under(lat: Lattice, matrix):
-    rows = lat.basis_rows()
-    cols = mat_transpose(rows)
-    for vec in rows:
-        image = mat_vec(matrix, vec)
-        if solve_rational(cols, image) is None:
-            return False
-    return True
-
-
-def is_abelian_subvariety(lat: Lattice, variety: AbelianVarietyModel) -> bool:
-    """True iff the saturated lattice has even rank and rational span stable
-    under the complex structure of the product."""
-    if lat.rank % 2 != 0:
-        return False
-    if lat.rank == 0:
-        return True
-    return all(_span_stable_under(lat, m) for m in _stability_test_matrices(variety))
-
-
 @dataclass(frozen=True)
 class SubtorusTranslate:
     """A translate of a subtorus: saturated complex-linear lattice plus a
@@ -260,51 +207,12 @@ class SubtorusTranslate:
         return (self.lattice.basis, self.translate.sort_key())
 
 
-def connected_intersection(s1: SubtorusTranslate, s2: SubtorusTranslate):
-    """Intersection of two subtorus translates: the common sublattice D and
-    the finite set of components (translates of D)."""
-    k1 = orthogonal_complement_rows(s1.lattice)
-    k2 = orthogonal_complement_rows(s2.lattice)
-    stacked = k1 + k2
-    d = integer_kernel(stacked, s1.lattice.ambient_rank)
-    if not stacked:
-        zero = TorsionPoint.zero(s1.lattice.ambient_rank)
-        return d, (SubtorusTranslate(d, zero),)
-    rhs = s1.translate.apply_matrix(k1).concat(s2.translate.apply_matrix(k2))
-    sol = solve_affine_mod_lattice(stacked, rhs)
-    if not sol.nonempty:
-        return d, ()
-    comps = tuple(SubtorusTranslate(d, rep) for rep in sol.representatives)
-    return d, comps
-
-
-def q_linear_equivalent(t1: SubtorusTranslate, t2: SubtorusTranslate) -> bool:
-    """Q-linear equivalence of codimension-1 torsion translates: same
-    subtorus (translates are torsion by construction)."""
-    n2 = t1.lattice.ambient_rank
-    if t1.lattice.rank != n2 - 2 or t2.lattice.rank != n2 - 2:
-        raise InputError("divisor components must have codimension 1",
-                         code="not-codim-1")
-    return t1.lattice == t2.lattice
-
-
 def subtorus_kappa(lattices, ambient_rank):
     """n - dim of the common subtorus of the subtori with these lattices in
     Z^ambient_rank (the whole torus when there are none): the Kodaira
     dimension of a divisor whose components are translates of them."""
     complements = [row for lat in lattices for row in orthogonal_complement_rows(lat)]
     return ambient_rank // 2 - integer_kernel(complements, ambient_rank).rank // 2
-
-
-def kappa_divisor(components, variety: AbelianVarietyModel):
-    """Kodaira dimension of an effective divisor whose components are torsion
-    translates of codimension-1 subtori; ample iff kappa = n."""
-    for _mult, t in components:
-        if t.lattice.rank != variety.ambient_rank - 2:
-            raise InputError("divisor components must have codimension 1",
-                             code="not-codim-1")
-    kappa = subtorus_kappa([t.lattice for _mult, t in components], variety.ambient_rank)
-    return kappa, kappa == variety.n
 
 
 def standard_symplectic_form(n):
@@ -343,12 +251,3 @@ def lattice_poincare_complement(b: Lattice, holonomies, seed_form):
         raise CertificateError("B + C is not of finite index")
     return c, index
 
-
-def poincare_complement(b: Lattice, n0, variety: AbelianVarietyModel):
-    """An N0-invariant complement C of the N0-invariant lattice B, from the
-    standard polarization.  Returns (C, index of B + C in Z^(2n))."""
-    reps = [phi.matrix for phi in n0]
-    for rho in reps:
-        if not all(b.spans_rationally(mat_vec(rho, v)) for v in b.basis_rows()):
-            raise InputError("subvariety not invariant", code="not-invariant")
-    return lattice_poincare_complement(b, reps, standard_symplectic_form(variety.n))

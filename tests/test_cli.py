@@ -91,8 +91,15 @@ class TestParse:
         (lambda d: d["generators"][0]["translation"].__setitem__(0, True), "bad-rational"),
         (lambda d: d.update(options={"group_cap": True}), "bad-schema"),
         (lambda d: d.update(schema_version=True), "bad-schema"),
+        # strings Fraction reads but the "p/q" schema does not allow
+        (lambda d: d["generators"][0]["translation"].__setitem__(0, " 1/2"), "bad-rational"),
+        (lambda d: d["generators"][0]["translation"].__setitem__(0, "+1/2"), "bad-rational"),
+        (lambda d: d["generators"][0]["translation"].__setitem__(0, "1_0/2"), "bad-rational"),
+        (lambda d: d["generators"][0]["translation"].__setitem__(0, "\u0661/\u0662"),
+         "bad-rational"),
     ], ids=["generator-not-object", "label-not-string", "cm-not-string",
-            "bool-holonomy", "bool-translation", "bool-group-cap", "bool-schema-version"])
+            "bool-holonomy", "bool-translation", "bool-group-cap", "bool-schema-version",
+            "space-rational", "plus-rational", "underscore-rational", "arabic-indic-rational"])
     def test_malformed_node_exits_one(self, edit, code, tmp_path, capsys):
         doc = json.loads(load("bielliptic.json"))
         edit(doc)

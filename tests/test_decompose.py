@@ -387,6 +387,35 @@ class TestPrunedClosure:
         assert set(used) == {minus_one, rot}
 
 
+class TestStageBounds:
+    def test_ramification_closure_stops_past_the_group(self, monkeypatch):
+        """N <= G, so the closure of the divisorial elements is bounded by
+        |G|.  Two reflections of Z^2 generate the dihedral group of order 8;
+        in a stage of 3 elements their closure must raise once it holds a
+        fourth element, not after building all 8."""
+        flip = LatticeElement.of([[-1, 0], [0, 1]])
+        swap = LatticeElement.of([[0, 1], [1, 0]])
+        elements = [LatticeElement.of(identity_matrix(2)), flip, swap]
+        fixed = fixed_solutions(elements)
+        assert all(sol.dim == 0 for sol in fixed.values())  # each fixes a divisor
+        held = []  # the elements each closure holds: the identity, then those it builds
+        closure, with_data = decompose_module.bfs_closure, LatticeElement.with_data
+
+        def counted_closure(identity, gens, cap, overflow):
+            held.append(1)
+            return closure(identity, gens, cap, overflow)
+
+        def counted_build(self, matrix, translation):
+            held[-1] += 1
+            return with_data(self, matrix, translation)
+
+        monkeypatch.setattr(decompose_module, "bfs_closure", counted_closure)
+        monkeypatch.setattr(LatticeElement, "with_data", counted_build)
+        with pytest.raises(CertificateError, match="ramification subgroup escapes the group"):
+            lattice_ramification_subgroup(elements, fixed)
+        assert held and max(held) <= len(elements)
+
+
 # ---------------------------------------------------------------------------
 # the generator-only N-tilde certificate against the pair products it replaces
 

@@ -18,7 +18,6 @@ from fqav.linalg import (
     fixed_lattice,
     identity_matrix,
     integer_kernel,
-    intersect_lattices,
     mat_mul,
     mat_sub,
     mat_transpose,
@@ -30,12 +29,7 @@ from fqav.linalg import (
     solve_rational,
     elementary_divisors,
 )
-from fqav.variety import (
-    SubtorusTranslate,
-    connected_intersection,
-    rational_rep,
-    subtorus_kappa,
-)
+from fqav.variety import rational_rep, subtorus_kappa
 
 from conftest import automorphism
 
@@ -233,7 +227,7 @@ class TestIntegerKernel:
     def test_lattice_paths_never_call_snf(self, sign_rot4_group, monkeypatch):
         group = sign_rot4_group
         n2 = group.variety.ambient_rank
-        reps = [rational_rep(phi) for phi in group.holonomy_group]
+        reps = [rational_rep(phi) for phi in dict.fromkeys(g.holonomy for g in group.elements)]
         stacked = [row for w in reps for row in mat_sub(identity_matrix(n2), w)]
         fixed = [fixed_lattice([w], n2) for w in reps]
         divisors = [lat for lat in fixed if lat.rank == n2 - 2]
@@ -243,7 +237,7 @@ class TestIntegerKernel:
             return (integer_kernel(stacked, n2),
                     fixed_lattice(reps, n2),
                     [saturate(lat) for lat in fixed + [half]],
-                    [intersect_lattices(a, b) for a in fixed + [half] for b in fixed],
+                    [common_kernel(a, b) for a in fixed + [half] for b in fixed],
                     [orthogonal_complement_rows(lat) for lat in fixed + [half]],
                     subtorus_kappa(divisors, n2),
                     irregularity(group))
@@ -305,20 +299,32 @@ class TestSaturate:
                 assert all(d == 1 for d in elementary_divisors(sat.basis_rows()))
 
 
+def common_kernel(l1, l2):
+    """The saturated intersection of the rational spans of two lattices, as
+    ``subtorus_kappa`` finds the common subtorus: the integer kernel of
+    their stacked orthogonal complements."""
+    return integer_kernel(orthogonal_complement_rows(l1) + orthogonal_complement_rows(l2),
+                          l1.ambient_rank)
+
+
+def in_span(lat, v):
+    return solve_rational(mat_transpose(lat.basis_rows()), list(v)) is not None
+
+
 class TestIntersect:
     def test_self(self):
         lat = Lattice.from_vectors(3, [[1, 0, 2], [0, 1, 1]])
-        assert intersect_lattices(lat, lat) == saturate(lat)
+        assert common_kernel(lat, lat) == saturate(lat)
 
     def test_transverse_planes_in_z4(self):
         l1 = Lattice.from_vectors(4, [[1, 0, 1, 0], [0, 1, 0, 1]])
         l2 = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        assert intersect_lattices(l1, l2).rank == 0
+        assert common_kernel(l1, l2).rank == 0
 
     def test_rational_span_intersection(self):
         l1 = Lattice.from_vectors(2, [[1, 0], [0, 2]])
         l2 = Lattice.from_vectors(2, [[0, 1]])
-        assert intersect_lattices(l1, l2) == Lattice.from_vectors(2, [[0, 1]])
+        assert common_kernel(l1, l2) == Lattice.from_vectors(2, [[0, 1]])
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 5), st.data())
@@ -327,9 +333,8 @@ class TestIntersect:
                            max_size=n)
         l1 = Lattice.from_vectors(n, data.draw(vectors))
         l2 = Lattice.from_vectors(n, data.draw(vectors))
-        meet = intersect_lattices(l1, l2)
-        assert all(l1.spans_rationally(v) and l2.spans_rationally(v)
-                   for v in meet.basis_rows())
+        meet = common_kernel(l1, l2)
+        assert all(in_span(l1, v) and in_span(l2, v) for v in meet.basis_rows())
         rank_sum = len(elementary_divisors(l1.basis_rows() + l2.basis_rows()))
         assert meet.rank == l1.rank + l2.rank - rank_sum
 
@@ -498,7 +503,6 @@ class TestTorsionPoint:
         rect = [[data.draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(rows)]
         for m in (square, rect):
             assert same_point(p.apply_matrix(m), op.apply_matrix(m))
-        assert same_point(p.concat(q), FractionPoint.of(op.coords + oq.coords))
         # equality and hashing follow the values
         assert (p == q) == (op == oq)
         assert p == TorsionPoint.of([c + data.draw(st.integers(-3, 3)) for c in c1])
@@ -550,8 +554,8 @@ def _raise_on_fraction(*_args, **_kwargs):
 
 
 def test_torsion_paths_make_no_fraction(bielliptic_group, monkeypatch):
-    """Closure, fixed loci, intersections and the decomposition of groups
-    with translations make no Fraction in ``linalg``."""
+    """Closure, fixed loci and the decomposition of groups with translations
+    make no Fraction in ``linalg``."""
     z4 = EllipticFactor("zeta4")
     variety = AbelianVarietyModel.of(z4, z4, z4)
     one, zero, i = (1, 0), (0, 0), (0, 1)
@@ -560,21 +564,14 @@ def test_torsion_paths_make_no_fraction(bielliptic_group, monkeypatch):
                         [0, 0, 0, 0, "1/2", 0])
     translated = close_group([refl, swap])
     bielliptic_gens = list(bielliptic_group.generators)
-    # the graph of [2] meets a translate of E x 0 in 4 points
-    s1 = SubtorusTranslate(Lattice.from_vectors(4, [[1, 0, 2, 0], [0, 1, 0, 2]]),
-                           TorsionPoint.of([Fraction(1, 2), 0, 0, Fraction(1, 3)]))
-    s2 = SubtorusTranslate(Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
-                           TorsionPoint.of([0, 0, Fraction(1, 4), 0]))
 
     def run():
         return (close_group(bielliptic_gens).elements,
                 [fixed_locus(g).representatives for g in translated.elements],
-                connected_intersection(s1, s2),
                 decompose(translated))
 
     expected = run()
-    assert translated.order == 32 and len(expected[3].stages) == 2
-    assert len(expected[2][1]) == 4
+    assert translated.order == 32 and len(expected[2].stages) == 2
     assert any(not g.translation.is_zero() for g in translated.elements)
     monkeypatch.setattr(linalg, "Fraction", _raise_on_fraction)
     assert run() == expected

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,19 +8,25 @@ from fqav.action import close_group
 from fqav.cyclotomic import CycloField
 from fqav.decompose import decompose
 from fqav.errors import InputError
-from fqav.linalg import Lattice, TorsionPoint, identity_matrix, mat_mul
+from fqav.linalg import (
+    Lattice,
+    TorsionPoint,
+    identity_matrix,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+    solve_rational,
+)
 from fqav.variety import (
     AbelianVarietyModel,
     EllipticFactor,
     EndoBlockMatrix,
     SubtorusTranslate,
     analytic_rep,
-    connected_intersection,
-    is_abelian_subvariety,
-    kappa_divisor,
-    poincare_complement,
-    q_linear_equivalent,
+    lattice_poincare_complement,
     rational_rep,
+    standard_symplectic_form,
+    subtorus_kappa,
 )
 
 from conftest import automorphism
@@ -201,6 +206,48 @@ class TestAnalyticRep:
         assert m[0][0] == field.one()
 
 
+def complex_structure_matrices(variety):
+    """Rational matrices whose simultaneous stabilization of a subspace is
+    equivalent to stability under the (generally irrational) complex
+    structure of the product.
+
+    Per factor the scaled complex structure is [[-x, -(x^2+y^2)], [1, x]]
+    with period tau = x + iy; the terms are grouped by the Q-linear
+    independence class of their irrational scalars: all zeta4 factors
+    together, all zeta6 factors together, and three coefficient matrices per
+    generic label."""
+    n = variety.n
+    groups = {}
+
+    def block_into(key, j, block):
+        mat = groups.setdefault(key, [[0] * (2 * n) for _ in range(2 * n)])
+        for a in range(2):
+            for b in range(2):
+                mat[2 * j + a][2 * j + b] = block[a][b]
+
+    for j, f in enumerate(variety.factors):
+        if f.cm == "zeta4":  # x = 0, x^2+y^2 = 1
+            block_into(("cm", "zeta4"), j, [[0, -1], [1, 0]])
+        elif f.cm == "zeta6":  # x = 1/2, x^2+y^2 = 1 (scaled by 2)
+            block_into(("cm", "zeta6"), j, [[-1, -2], [2, 1]])
+        else:
+            block_into(("gen", f.label, "const"), j, [[0, 0], [1, 0]])
+            block_into(("gen", f.label, "x"), j, [[-1, 0], [0, 1]])
+            block_into(("gen", f.label, "norm"), j, [[0, -1], [0, 0]])
+    return list(groups.values())
+
+
+def is_abelian_subvariety(lat, variety):
+    """Oracle: True iff the lattice has even rank and a rational span stable
+    under the complex structure of the product, that is, its subtorus is
+    complex."""
+    if lat.rank % 2:
+        return False
+    cols = mat_transpose(lat.basis_rows())
+    return all(solve_rational(cols, mat_vec(m, v)) is not None
+               for m in complex_structure_matrices(variety) for v in lat.basis_rows())
+
+
 class TestIsAbelianSubvariety:
     def test_diagonal_of_ei_squared(self):
         a = AbelianVarietyModel.of(Z4, Z4)
@@ -237,94 +284,70 @@ class TestIsAbelianSubvariety:
         skew = Lattice.from_vectors(4, [[1, 0, 1, 0], [0, 1, 1, 1]])
         assert not is_abelian_subvariety(skew, a)
 
-
-class TestConnectedIntersection:
-    def test_self_intersection(self):
-        lat = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        s = SubtorusTranslate(lat, TorsionPoint.zero(4))
-        d, comps = connected_intersection(s, s)
-        assert d == lat
-        assert len(comps) == 1
-
-    def test_diagonal_meets_antidiagonal(self):
-        diag = SubtorusTranslate(
-            Lattice.from_vectors(4, [[1, 0, 1, 0], [0, 1, 0, 1]]),
-            TorsionPoint.zero(4))
-        anti = SubtorusTranslate(
-            Lattice.from_vectors(4, [[1, 0, -1, 0], [0, 1, 0, -1]]),
-            TorsionPoint.zero(4))
-        d, comps = connected_intersection(diag, anti)
-        assert d.rank == 0
-        assert len(comps) == 4
-        # oracle: brute force over 2-torsion of the torus
-        points = set()
-        for combo in itertools.product((Fraction(0), Fraction(1, 2)), repeat=4):
-            x, y, z, w = combo
-            if (x - z).denominator == 1 and (y - w).denominator == 1 \
-                    and (x + z).denominator == 1 and (y + w).denominator == 1:
-                points.add(combo)
-        assert {tuple(c.translate.coords) for c in comps} == points
-
-    def test_disjoint_parallel_translates(self):
-        lat = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        s1 = SubtorusTranslate(lat, TorsionPoint.zero(4))
-        s2 = SubtorusTranslate(lat, TorsionPoint.of([0, 0, Fraction(1, 2), 0]))
-        _, comps = connected_intersection(s1, s2)
-        assert comps == ()
+    def test_decomposition_parts_are_complex(self, rot4_square_group, sign_rot4_group,
+                                             kummer_group, p1_group, bielliptic_group):
+        """B, the lattice fixed by complex-linear holonomies, and C, its
+        complement invariant under them, are complex subtori by
+        construction, so the decomposition certifies neither: C is the
+        kernel of the average of the holonomies, which commutes with the
+        complex structure.  Each stage's C is the span of the later
+        abelian factors and the Q-Fano part, so this checks both."""
+        z4 = EllipticFactor("zeta4")
+        ei_cubed = AbelianVarietyModel.of(z4, z4, z4)
+        one, zero, i = (1, 0), (0, 0), (0, 1)
+        # two stages, glued by 2-torsion
+        two_stage = close_group([
+            automorphism(ei_cubed, [[i, zero, zero], [zero, one, zero], [zero, zero, one]]),
+            automorphism(ei_cubed, [[zero, one, zero], [one, zero, zero], [zero, zero, one]],
+                         [0, 0, 0, 0, "1/2", 0])])
+        groups = [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                  bielliptic_group, two_stage]
+        for group in groups:
+            result = decompose(group)
+            n2 = group.variety.ambient_rank
+            fano = Lattice.from_vectors(n2, [list(v) for v in result.fano_part.embedding])
+            for lat in result.abelian_factors + (fano,):
+                assert is_abelian_subvariety(lat, group.variety)
+        assert len(decompose(two_stage).stages) == 2
 
 
 class TestDivisors:
-    def test_q_linear_equivalence(self):
-        lat = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        t0 = SubtorusTranslate(lat, TorsionPoint.zero(4))
-        t2 = SubtorusTranslate(lat, TorsionPoint.of([0, 0, Fraction(1, 2), 0]))
-        assert q_linear_equivalent(t0, t2)
-        assert q_linear_equivalent(t0, t0)
-        diag = SubtorusTranslate(
-            Lattice.from_vectors(4, [[1, 0, 1, 0], [0, 1, 0, 1]]),
-            TorsionPoint.zero(4))
-        assert not q_linear_equivalent(t0, diag)
-        with pytest.raises(InputError):
-            q_linear_equivalent(
-                SubtorusTranslate(Lattice.zero(4), TorsionPoint.zero(4)), t0)
-
     def test_kappa_two_transverse_factors(self):
-        a = AbelianVarietyModel.of(Z4, Z4)
-        f1 = SubtorusTranslate(Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
-                               TorsionPoint.zero(4))
-        f2 = SubtorusTranslate(Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
-                               TorsionPoint.zero(4))
-        kappa, ample = kappa_divisor([(Fraction(1), f1), (Fraction(1), f2)], a)
-        assert (kappa, ample) == (2, True)
+        f1 = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        f2 = Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+        # kappa = n: the divisor is ample
+        assert subtorus_kappa([f1, f2], 4) == 2
 
     def test_kappa_single_factor(self):
-        a = AbelianVarietyModel.of(EllipticFactor("generic", "E"), Z4)
-        f = SubtorusTranslate(Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
-                              TorsionPoint.zero(4))
-        kappa, ample = kappa_divisor([(Fraction(1), f)], a)
-        assert (kappa, ample) == (1, False)
+        f = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        assert subtorus_kappa([f], 4) == 1
 
     def test_kappa_empty_divisor(self):
-        a = AbelianVarietyModel.of(Z4, Z4)
-        assert kappa_divisor([], a) == (0, False)
+        assert subtorus_kappa([], 4) == 0
 
     def test_kappa_invariant_under_equivalence(self):
-        a = AbelianVarietyModel.of(Z4, Z4)
+        """Parallel translates are Q-linearly equivalent, and kappa reads
+        only their lattice."""
         lat = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
         other = Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
         t0 = SubtorusTranslate(lat, TorsionPoint.zero(4))
         t1 = SubtorusTranslate(lat, TorsionPoint.of([0, 0, Fraction(1, 4), 0]))
-        o = SubtorusTranslate(other, TorsionPoint.zero(4))
-        k_a = kappa_divisor([(Fraction(1), t0), (Fraction(1), o)], a)
-        k_b = kappa_divisor([(Fraction(1), t1), (Fraction(1), o)], a)
-        assert k_a == k_b
+        assert t0.canonical_key() != t1.canonical_key()
+        assert subtorus_kappa([t0.lattice, other], 4) == subtorus_kappa([t1.lattice, other], 4)
+
+
+def complement(b, holonomies, variety):
+    """The complement of B the decomposition takes, from the standard seed
+    form averaged over the holonomies' rational representations."""
+    return lattice_poincare_complement(b, [phi.matrix for phi in holonomies],
+                                       standard_symplectic_form(variety.n))
 
 
 class TestPoincareComplement:
     def test_orthogonal_product_factors(self):
         a = AbelianVarietyModel.of(Z4, Z4)
         b = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        c, order = poincare_complement(b, [EndoBlockMatrix.identity(a)], a)
+        c, order = complement(b, [EndoBlockMatrix.identity(a)], a)
         assert c == Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
         assert order == 1
 
@@ -332,7 +355,7 @@ class TestPoincareComplement:
         a = AbelianVarietyModel.of(Z4, Z4)
         b = Lattice.from_vectors(4, [[1, 0, 1, 0], [0, 1, 0, 1]])
         swap = EndoBlockMatrix.from_rows(a, [[(0, 0), (1, 0)], [(1, 0), (0, 0)]])
-        c, order = poincare_complement(b, [EndoBlockMatrix.identity(a), swap], a)
+        c, order = complement(b, [EndoBlockMatrix.identity(a), swap], a)
         assert c == Lattice.from_vectors(4, [[1, 0, -1, 0], [0, 1, 0, -1]])
         assert order == 4
         assert is_abelian_subvariety(c, a)
@@ -342,13 +365,6 @@ class TestPoincareComplement:
         b = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
         n0 = [EndoBlockMatrix.identity(a),
               EndoBlockMatrix.from_rows(a, [[(1, 0), (0, 0)], [(0, 0), (-1, 0)]])]
-        c, order = poincare_complement(b, n0, a)
+        c, order = complement(b, n0, a)
         assert c == Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
         assert order == 1
-
-    def test_not_invariant_raises(self):
-        a = AbelianVarietyModel.of(Z4, Z4)
-        diag = Lattice.from_vectors(4, [[1, 0, 1, 0], [0, 1, 0, 1]])
-        i_times_one = EndoBlockMatrix.from_rows(a, [[(0, 1), (0, 0)], [(0, 0), (1, 0)]])
-        with pytest.raises(InputError):
-            poincare_complement(diag, [i_times_one], a)
