@@ -20,7 +20,8 @@ from .linalg import (
     mat_mul,
     mat_sub,
     mat_vec,
-    solve_affine_mod_lattice,
+    matrix_rank,
+    solve_fixed_points,
 )
 from .variety import (
     AbelianVarietyModel,
@@ -101,6 +102,12 @@ class FiniteGroupAction:
     # element -> fixed_locus(element), filled one element at a time as asked
     _fixed_loci: dict = dataclasses.field(default_factory=dict, init=False,
                                          compare=False, repr=False)
+    # the matrix rho of a holonomy -> the factor_affine tuple of I - rho, and
+    # the rank of I - rho for a rho ranked before it was solved
+    _factorisations: dict = dataclasses.field(default_factory=dict, init=False,
+                                             compare=False, repr=False)
+    _ranks: dict = dataclasses.field(default_factory=dict, init=False,
+                                     compare=False, repr=False)
 
     @property
     def order(self):
@@ -154,11 +161,30 @@ class FiniteGroupAction:
         return [self.elements[i] for i in range(1, len(rep)) if rep[i] == i]
 
     def fixed_locus_of(self, g):
-        """``fixed_locus(g)`` for an element g, solved on first request only."""
+        """``fixed_locus(g)`` for an element g, solved on first request only,
+        with one factorisation per holonomy."""
         loc = self._fixed_loci.get(g)
         if loc is None:
-            loc = self._fixed_loci[g] = fixed_locus(g)
+            loc = self._fixed_loci[g] = fixed_locus(g, self._factorisations)
         return loc
+
+    def may_fix_divisor(self, g):
+        """Whether rank(I - rho) <= 2 for the holonomy rho of g.  Each
+        component of Fix(g) has real codimension rank(I - rho) in the
+        lattice, so otherwise Fix(g) holds no divisor.  On a lattice of rank
+        2 it always holds.  Else the rank is read off the factorisation once
+        the holonomy has been solved, or found by one elimination per
+        holonomy."""
+        rho = g.holonomy.matrix
+        if len(rho) <= 2:
+            return True
+        factors = self._factorisations.get(rho)
+        if factors is not None:
+            return len(factors[1]) <= 2
+        rank = self._ranks.get(rho)
+        if rank is None:
+            rank = self._ranks[rho] = matrix_rank(mat_sub(identity_matrix(len(rho)), rho))
+        return rank <= 2
 
 
 def affine_product(m, a, n, b):
@@ -230,10 +256,11 @@ def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
     return FiniteGroupAction(variety, tuple(gens_sorted), tuple(elements), tables)
 
 
-def fixed_locus(g: AffineAutomorphism) -> AffineSolutionSet:
-    """Fix(t_a . phi) = solutions of (I - rho(phi)) x == a on the torus."""
-    rho = g.holonomy.matrix
-    return solve_affine_mod_lattice(mat_sub(identity_matrix(len(rho)), rho), g.translation)
+def fixed_locus(g: AffineAutomorphism, factorisations=None) -> AffineSolutionSet:
+    """Fix(t_a . phi) = solutions of (I - rho(phi)) x == a on the torus.
+    ``factorisations``, a dict keyed by rho(phi), keeps the factorisation of
+    I - rho(phi) for the next element with holonomy phi."""
+    return solve_fixed_points(g.holonomy.matrix, g.translation, factorisations)
 
 
 def pointwise_stabilizer(t: SubtorusTranslate, group: FiniteGroupAction):
@@ -361,12 +388,15 @@ def age(g: AffineAutomorphism, field: CycloField) -> Fraction:
 
 def descend_multiplication(group: FiniteGroupAction):
     """Smallest m = 1 + lcm of translation orders; [m] then commutes exactly
-    with every group element and so descends to the quotient."""
+    with every group element and so descends to the quotient.  Both read the
+    generators only: k a = k b = 0 gives k (a + rho b) = 0, so the
+    translation order of a product divides the lcm of its factors', and a
+    map commuting with every generator commutes with their products."""
     l = 1
-    for g in group.elements:
+    for g in group.generators:
         l = lcm(l, g.translation.order)
     m = 1 + l
-    for g in group.elements:
+    for g in group.generators:
         # [m](rho x + a) = rho (m x) + a on the torus iff (m-1) a == 0
         if not g.translation.scaled(m - 1).is_zero():
             raise CertificateError("multiplication map does not commute")

@@ -55,9 +55,12 @@ def is_quasietale(group: FiniteGroupAction) -> bool:
     """True iff no nontrivial element fixes a divisor: every fixed locus is
     empty or of complex codimension >= 2.  Fix(h g h^-1) = h . Fix(g) has
     the emptiness and dimension of Fix(g), so one solve per conjugacy class
-    decides it."""
+    decides it, and only a class whose rank(I - rho) is at most 2 can have
+    codimension 1, so only those are solved."""
     n = group.variety.n
     for g in group.nontrivial_class_reps():
+        if not group.may_fix_divisor(g):
+            continue
         loc = group.fixed_locus_of(g)
         if loc.nonempty and loc.dim > n - 2:
             return False
@@ -71,11 +74,13 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
     index e(T), the order of the pointwise stabilizer, is 1 (the identity)
     plus the number of nontrivial g with T a component of Fix(g).  Conjugate
     elements have fixed loci of one dimension, so only the elements of the
-    classes whose first element fixes a divisor are solved."""
+    classes whose first element fixes a divisor are solved, and a first
+    element is solved only when its rank(I - rho) is at most 2."""
     n = group.variety.n
     class_rep = group.class_rep
     divisorial = {i for i, g in enumerate(group.elements)
-                  if i and class_rep[i] == i and group.fixed_locus_of(g).dim == n - 1}
+                  if i and class_rep[i] == i and group.may_fix_divisor(g)
+                  and group.fixed_locus_of(g).dim == n - 1}
     by_key = {}  # canonical key -> [component, index]
     for i, g in enumerate(group.elements):
         if class_rep[i] not in divisorial:

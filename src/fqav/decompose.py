@@ -17,14 +17,17 @@ from .errors import CertificateError
 from .linalg import (
     Lattice,
     TorsionPoint,
+    factor_affine,
     fixed_lattice,
     identity_matrix,
     mat_mul,
     mat_sub,
     mat_transpose,
     mat_vec,
+    matrix_rank,
     orthogonal_complement_rows,
-    solve_affine_mod_lattice,
+    solve_factored,
+    solve_fixed_points,
 )
 from .variety import (
     lattice_poincare_complement,
@@ -95,16 +98,37 @@ def close_elements(gens, bound=math.inf, overflow=None):
     return elements, kept
 
 
-def element_fixed_solution(e: LatticeElement):
-    n = e.rank
-    m = mat_sub(identity_matrix(n), [list(r) for r in e.matrix])
-    return solve_affine_mod_lattice(m, e.translation)
+def element_fixed_solution(e: LatticeElement, factorisations=None):
+    """The solutions of (I - W) x == a for e = (W, a).  ``factorisations``,
+    a dict keyed by W, keeps the factorisation of I - W for the next element
+    with matrix W."""
+    return solve_fixed_points(e.matrix, e.translation, factorisations)
 
 
 def fixed_solutions(elements):
-    """The fixed-locus solve of every nontrivial element, one solve each; a
-    stage passes this map to each of its certificates."""
-    return {e: element_fixed_solution(e) for e in elements if not e.is_identity()}
+    """The fixed-locus solves of the nontrivial elements (W, a) with
+    rank(I - W) <= 2, with one rank and at most one factorisation per
+    distinct W; a stage passes this map to each of its certificates.  Every
+    component of a fixed locus has real codimension rank(I - W), so no
+    other element fixes a divisor, and each of their nonempty fixed loci has
+    complex codimension >= 2.  A matrix need not be complex here: the rank
+    may be odd, so the test is <= 2 and not == 2.  On a lattice of rank 2
+    every rank is at most 2, and none is taken."""
+    ranks = {}
+    factorisations = {}
+    out = {}
+    for e in elements:
+        if e.is_identity():
+            continue
+        w = e.matrix
+        if e.rank > 2:
+            rank = ranks.get(w)
+            if rank is None:
+                rank = ranks[w] = matrix_rank(mat_sub(identity_matrix(e.rank), w))
+            if rank > 2:
+                continue
+        out[e] = element_fixed_solution(e, factorisations)
+    return out
 
 
 @dataclass(frozen=True)
@@ -205,15 +229,16 @@ def lattice_quasietale_outside(elements, subgroup, fixed):
     """True iff every element outside the subgroup N has a fixed locus of
     codimension >= 2.  The translates h g (h in N, g not in N) are exactly
     the elements outside N, so each is checked once.  ``fixed`` is the
-    stage's ``fixed_solutions`` map."""
+    stage's ``fixed_solutions`` map; an element it leaves out has
+    codimension >= 2."""
     sub = set(subgroup)
     if not elements:
         return True
     n = elements[0].rank // 2
     for x in elements:
-        if x in sub:
+        sol = fixed.get(x)
+        if sol is None or x in sub:
             continue
-        sol = fixed[x]
         if sol.nonempty and sol.dim > n - 2:
             return False
     return True
@@ -222,11 +247,12 @@ def lattice_quasietale_outside(elements, subgroup, fixed):
 def lattice_kappa(elements, fixed):
     """n - dim of the intersection of the codimension-1 fixed-locus lattices;
     the anticanonical Kodaira dimension of the quotient by this group.
-    ``fixed`` is a ``fixed_solutions`` map covering the elements."""
+    ``fixed`` is a ``fixed_solutions`` map of a group holding the elements;
+    an element it leaves out fixes no divisor."""
     if not elements:
         return 0
     n2 = elements[0].rank
-    solutions = [fixed[e] for e in elements if not e.is_identity()]
+    solutions = [fixed[e] for e in elements if e in fixed]
     return subtorus_kappa([sol.kernel for sol in solutions if sol.dim == n2 // 2 - 1], n2)
 
 
@@ -245,7 +271,9 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     ct = mat_transpose(c.basis_rows())
     m = [bt[i] + ct[i] for i in range(n2)]  # columns: B basis then C basis
 
-    ker_sol = solve_affine_mod_lattice(m, TorsionPoint.zero(n2))
+    # one factorisation of each of m and C^T serves every element of N
+    m_factors = factor_affine(m, b.rank + c.rank)
+    ker_sol = solve_factored(m_factors, TorsionPoint.zero(n2))
     if not ker_sol.nonempty or ker_sol.component_count != ker_mu_order:
         raise CertificateError("kernel of the addition isogeny has wrong order")
 
@@ -270,11 +298,12 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
             pair = restricted[w] = (w_c, lift)
         return pair
 
+    ct_factors = None
     n_tilde = []
     first_lift = {}
     n_c_gens = []
     for g in n_elements:
-        splits = solve_affine_mod_lattice(m, g.translation)
+        splits = solve_factored(m_factors, g.translation)
         if not splits.nonempty:
             raise CertificateError("translation does not split along B x C")
         w_c, lift = restrict_matrix(g.matrix)
@@ -283,7 +312,9 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
         n_tilde.extend(lifts)
         # restriction to C: defined when the translation lies in the C-subtorus
         if g.translation.apply_matrix(k_c).is_zero():
-            gamma_sol = solve_affine_mod_lattice(ct, g.translation)
+            if ct_factors is None:
+                ct_factors = factor_affine(ct, c.rank)
+            gamma_sol = solve_factored(ct_factors, g.translation)
             if not gamma_sol.nonempty:
                 raise CertificateError("translation claims C-membership but does not solve")
             # C saturated: the C-torus embeds, so the restriction is unique
@@ -378,8 +409,8 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
         fano = SublatticeAction((), (), ambient_rank)
         return fano
 
-    holonomies = list(dict.fromkeys(e.matrix for e in n_sub))
-    b = fixed_lattice(holonomies, n2)
+    # a vector fixed by the generators of N is fixed by N
+    b = fixed_lattice(list(dict.fromkeys(e.matrix for e in n_generators)), n2)
     if b.rank == 0:
         # Q-Fano remainder: quotient of the current lattice by N
         kappa = lattice_kappa(n_sub, fixed)
@@ -388,6 +419,7 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
         stages.append(StageCertificate(len(n_sub), 1, qout, True, None))
         return SublatticeAction(tuple(n_sub), embedding, ambient_rank)
 
+    holonomies = list(dict.fromkeys(e.matrix for e in n_sub))
     c, ker_mu = lattice_poincare_complement(b, holonomies, seed_form)
     n_tilde, n_c, n_c_generators = split_action(n_sub, n_generators, b, c, ker_mu)
 

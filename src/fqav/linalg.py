@@ -101,6 +101,11 @@ def determinant(m):
     return det if len(pivots) == n else 0
 
 
+def matrix_rank(m):
+    """Rank of an integer matrix: its number of elimination pivots."""
+    return len(_gauss_jordan(m, len(m[0]) if m else 0)[1])
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -453,23 +458,52 @@ class AffineSolutionSet:
         return tuple(sorted(reps, key=TorsionPoint.sort_key))
 
 
+def factor_affine(matrix, cols):
+    """The Smith factorisation of an integer matrix with ``cols`` columns,
+    for solving M x == a (mod Z^cols) for many a: the tuple (U, divisors, V,
+    kernel) with U M V = S, divisors the nonzero s_i and kernel the lattice
+    of the last columns of V, {x in Z^cols : M x = 0}.  ``cols`` gives the
+    width of a matrix with no rows."""
+    nr = len(matrix)
+    if not nr:
+        return (), (), tuple(map(tuple, identity_matrix(cols))), Lattice.full(cols)
+    s, u, v = snf(matrix)
+    divisors = tuple(s[i][i] for i in range(min(nr, cols)) if s[i][i] != 0)
+    kernel = Lattice.from_vectors(cols, mat_transpose(v)[len(divisors):])
+    return u, divisors, tuple(map(tuple, v)), kernel
+
+
+def solve_factored(factors, point: TorsionPoint) -> AffineSolutionSet:
+    """The solutions of M x == a (mod Z^N), a = ``point``, from the
+    ``factor_affine`` tuple of M: b = U num mod den, and the set is nonempty
+    iff b_i == 0 (mod den) for every i at or beyond the rank."""
+    u, divisors, v, kernel = factors
+    rank = len(divisors)
+    den = point.den
+    b = [0] * len(u) if den == 1 else [x % den for x in mat_vec(u, point.num)]
+    nonempty = not any(b[rank:])
+    return AffineSolutionSet(nonempty, kernel, divisors, tuple(b[:rank]), den, v)
+
+
+def solve_fixed_points(w, point: TorsionPoint, factorisations=None) -> AffineSolutionSet:
+    """The solutions of (I - W) x == a (mod Z^N), a = ``point``, for a square
+    integer matrix W of int tuple rows.  ``factorisations``, a dict keyed by
+    W, keeps the factorisation of I - W for the next call with W."""
+    factors = None if factorisations is None else factorisations.get(w)
+    if factors is None:
+        factors = factor_affine(mat_sub(identity_matrix(len(w)), w), len(w))
+        if factorisations is not None:
+            factorisations[w] = factors
+    return solve_factored(factors, point)
+
+
 def solve_affine_mod_lattice(matrix, point: TorsionPoint) -> AffineSolutionSet:
     """Describe {x in R^N/Z^N : M x == a (mod Z^N)} via Smith normal form.
 
-    Accepts any integer matrix with N columns; rows need not equal N.  The
-    set is nonempty iff b_i == 0 (mod den) for every i at or beyond the rank.
-    """
-    nr = len(matrix)
-    nc = len(matrix[0]) if nr else len(point.num)
-    s, u, v = snf(matrix) if nr else ([], [], identity_matrix(nc))
-    divisors = tuple(s[i][i] for i in range(min(nr, nc)) if s[i][i] != 0) if nr else ()
-    rank = len(divisors)
-    kernel = Lattice.from_vectors(nc, mat_transpose(v)[rank:])
-    den = point.den
-    b = [0] * nr if den == 1 else [x % den for x in mat_vec(u, point.num)]
-    nonempty = not any(b[rank:])
-    return AffineSolutionSet(nonempty, kernel, divisors, tuple(b[:rank]), den,
-                             tuple(map(tuple, v)))
+    Accepts any integer matrix with N columns; rows need not equal N.  A
+    matrix with no rows takes N from the point."""
+    cols = len(matrix[0]) if matrix else len(point.num)
+    return solve_factored(factor_affine(matrix, cols), point)
 
 
 def orthogonal_complement_rows(lat: Lattice) -> list:

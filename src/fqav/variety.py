@@ -210,8 +210,11 @@ class SubtorusTranslate:
 def subtorus_kappa(lattices, ambient_rank):
     """n - dim of the common subtorus of the subtori with these lattices in
     Z^ambient_rank (the whole torus when there are none): the Kodaira
-    dimension of a divisor whose components are translates of them."""
-    complements = [row for lat in lattices for row in orthogonal_complement_rows(lat)]
+    dimension of a divisor whose components are translates of them.  Each
+    distinct lattice is complemented once: a repeated one adds the same
+    rows, which cannot change the kernel."""
+    complements = [row for lat in dict.fromkeys(lattices)
+                   for row in orthogonal_complement_rows(lat)]
     return ambient_rank // 2 - integer_kernel(complements, ambient_rank).rank // 2
 
 

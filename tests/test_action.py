@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -497,3 +498,23 @@ class TestRawKeyClosure:
         closed = close_group(list(group.generators))
         # one build per element but the identity, though most products repeat
         assert len(built) == closed.order - 1 < len(closed.tables.products) // 2
+
+
+class TestDescendOnGenerators:
+    """``descend_multiplication`` reads the generators only; this is the
+    lcm over every element, with [m] checked on every element."""
+
+    @staticmethod
+    def all_elements_m(group):
+        m = 1 + lcm(*(g.translation.order for g in group.elements))
+        assert all(g.translation.scaled(m - 1).is_zero() for g in group.elements)
+        return m
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        assert descend_multiplication(group) == self.all_elements_m(group)
+
+    def test_gallery(self, bielliptic_group):
+        for group in [bielliptic_group] + nonabelian_groups():
+            assert descend_multiplication(group) == self.all_elements_m(group)

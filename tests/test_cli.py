@@ -5,8 +5,10 @@ from collections import Counter
 
 import pytest
 
+from fqav.action import close_group, fixed_locus
 from fqav.cli import build_report, main, parse_input, serialize
 from fqav.errors import InputError
+from fqav.linalg import elementary_divisors, identity_matrix, mat_sub
 
 from conftest import FIXTURE_DIR
 
@@ -35,6 +37,12 @@ def count_calls(monkeypatch, name, calls, results=None):
     for m in modules:
         if getattr(m, name, None) is original:
             monkeypatch.setattr(m, name, counting)
+
+
+def fixed_rank(g):
+    """rank(I - rho) for the holonomy rho of g, from its Smith form."""
+    rho = g.holonomy.matrix
+    return len(elementary_divisors(mat_sub(identity_matrix(len(rho)), rho)))
 
 
 class TestParse:
@@ -485,12 +493,35 @@ class TestComputeOnce:
         assert all("representatives" not in vars(sol) for sol in solves)
 
     def test_only_divisorial_loci_enumerated(self, monkeypatch):
-        solves = []
-        count_calls(monkeypatch, "fixed_locus", Counter(), solves)
-        build_report(*parse_input(load("sign-rot4.json")), "ramification")
-        assert {sol.dim for sol in solves} == {0, 1}
-        for sol in solves:
-            assert ("representatives" in vars(sol)) == (sol.dim == 1)
+        # Each element is solved at most once, and conjugate elements have
+        # fixed loci of one dimension.  So a solve of dimension n - 1 is of
+        # an element of a divisorial class, and every such element must be
+        # solved and enumerated.  Any other solve is of a first element of
+        # a class with rank(I - rho) <= 2, solved to test the class.
+        for name in FIXTURES:
+            variety, gens, options = parse_input(load(name))
+            n = variety.n
+            group = close_group(gens)
+            rep = group.class_rep
+            firsts = [i for i in range(1, group.order) if rep[i] == i]
+            divisorial = [i for i in firsts if fixed_locus(group.elements[i]).dim == n - 1]
+            expected = sum(1 for i in range(1, group.order) if rep[i] in divisorial)
+            probes = sum(1 for i in firsts if i not in divisorial
+                         and fixed_rank(group.elements[i]) <= 2)
+            solves = []
+            count_calls(monkeypatch, "fixed_locus", Counter(), solves)
+            build_report(variety, gens, options, "ramification")
+            monkeypatch.undo()
+            enumerated = [sol for sol in solves if sol.dim == n - 1]
+            assert len(enumerated) == expected, name
+            assert all("representatives" in vars(sol) for sol in enumerated), name
+            others = [sol for sol in solves if sol.dim != n - 1]
+            assert len(others) == probes, name
+            assert all("representatives" not in vars(sol) for sol in others), name
+            if name == "sign-rot4.json":
+                # g^2 fixes a curve; g and g^3 fix points, and with
+                # rank(I - rho) = 4 they are never solved
+                assert [sol.dim for sol in solves] == [1]
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_report_sections_match_commands(self, name):

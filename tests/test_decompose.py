@@ -1,7 +1,9 @@
 import importlib
+import json
 import random
 
 import pytest
+from hypothesis import given
 
 from fqav.action import bfs_closure, close_group
 from fqav.decompose import (
@@ -21,12 +23,23 @@ from fqav.decompose import (
     split_action,
     to_lattice_elements,
 )
+from fqav import linalg
+from fqav.cli import parse_input
 from fqav.errors import CertificateError, InputError
-from fqav.linalg import Lattice, TorsionPoint, fixed_lattice, identity_matrix
+from fqav.linalg import (
+    Lattice,
+    TorsionPoint,
+    fixed_lattice,
+    identity_matrix,
+    mat_sub,
+    matrix_rank,
+    solve_affine_mod_lattice,
+)
 from fqav.variety import lattice_poincare_complement, standard_symplectic_form
 
 from test_acceptance import random_automorphism, random_variety
-from test_action import nonabelian_groups
+from test_action import ORACLE, nonabelian_groups, small_groups
+from test_golden import sl_diag_document
 
 # the module, which the package's ``decompose`` function shadows
 decompose_module = importlib.import_module("fqav.decompose")
@@ -513,3 +526,137 @@ class TestGeneratorNTilde:
                 assert n_tilde_verdict(mutated, gens) == want
                 verdicts.add(want)
         assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# rank-first fixed loci against a solve of every element
+
+def solve_every_element(elements):
+    """Reference: the fixed-locus solve of every nontrivial element."""
+    return {e: solve_affine_mod_lattice(mat_sub(identity_matrix(e.rank), e.matrix),
+                                        e.translation)
+            for e in elements if not e.is_identity()}
+
+
+def stage_readings(elements, fixed):
+    """N, the quasietale-outside-N verdict and kappa of N, from ``fixed``."""
+    sub, _ = lattice_ramification_subgroup(elements, fixed)
+    return (sub, lattice_quasietale_outside(elements, sub, fixed),
+            lattice_kappa(sub, fixed) if sub else 0)
+
+
+def recorded_stages(monkeypatch, groups):
+    """The element tuple of every stage of the decompositions of ``groups``."""
+    stages = []
+
+    def recording(elements):
+        stages.append(tuple(elements))
+        return fixed_solutions(elements)
+
+    monkeypatch.setattr(decompose_module, "fixed_solutions", recording)
+    for group in groups:
+        decompose(group)
+    monkeypatch.undo()
+    return stages
+
+
+def assert_rank_first_matches_every_solve(elements):
+    fixed = fixed_solutions(elements)
+    every = solve_every_element(elements)
+    n = elements[0].rank // 2
+    for e, sol in every.items():
+        if e in fixed:
+            assert fixed[e] == sol
+        else:
+            # left out: rank(I - W) >= 3, so no divisor is fixed
+            assert matrix_rank(mat_sub(identity_matrix(e.rank), e.matrix)) > 2
+            assert not sol.nonempty or sol.dim <= n - 2
+    assert stage_readings(elements, fixed) == stage_readings(elements, every)
+
+
+class TestRankFirstSolves:
+    def test_gallery(self, monkeypatch, gallery):
+        stages = recorded_stages(monkeypatch, gallery + nonabelian_groups())
+        assert len(stages) > len(gallery)  # lower stages were reached
+        for elements in stages:
+            assert_rank_first_matches_every_solve(elements)
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        assert_rank_first_matches_every_solve(group_to_lattice_elements(group))
+
+    def test_non_complex_reflection_is_solved(self):
+        # diag(-1, 1, 1, 1) on Z^4 is not complex: rank(I - W) = 1, and its
+        # fixed hyperplanes are divisors of the stage, so the filter is
+        # rank <= 2; diag(-1, 1) on Z^2 is solved with no rank taken
+        for n2 in (4, 2):
+            flip = LatticeElement.of([[-1 if i == j == 0 else int(i == j) for j in range(n2)]
+                                      for i in range(n2)])
+            elements, _ = close_elements([flip])
+            fixed = fixed_solutions(elements)
+            assert list(fixed) == [flip] and fixed[flip].dim == n2 // 2 - 1
+            assert_rank_first_matches_every_solve(elements)
+
+
+class TestKeptGeneratorsInvariantTorus:
+    def test_matches_every_holonomy(self, monkeypatch, gallery):
+        found = []
+
+        def recording(elements, fixed):
+            sub, kept = lattice_ramification_subgroup(elements, fixed)
+            found.append((sub, kept))
+            return sub, kept
+
+        monkeypatch.setattr(decompose_module, "lattice_ramification_subgroup", recording)
+        for group in gallery + nonabelian_groups():
+            decompose(group)
+        fewer = 0
+        for sub, kept in found:
+            holonomies = list(dict.fromkeys(e.matrix for e in sub))
+            n2 = sub[0].rank
+            assert fixed_lattice([e.matrix for e in kept], n2) == fixed_lattice(holonomies, n2)
+            fewer += len(kept) < len(holonomies) - 1
+        assert fewer  # some N has fewer kept generators than nontrivial holonomies
+
+
+class CountedSnf:
+    """Counts the Smith forms computed while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = linalg.snf
+
+        def counting(matrix):
+            self.calls += 1
+            return original(matrix)
+
+        monkeypatch.setattr(linalg, "snf", counting)
+
+
+class TestSnfCounts:
+    def test_special_linear_decompose_makes_none(self, monkeypatch):
+        # no element of SL-diag by the cycle (order 108) is a
+        # quasi-reflection: every rank(I - W) is at least 3
+        group = close_group(parse_input(json.dumps(sl_diag_document("zeta6", cycle=True)))[1])
+        assert group.order == 108
+        snf = CountedSnf(monkeypatch)
+        result = decompose(group)
+        assert result.is_q_abelian
+        assert snf.calls == 0
+
+    def test_split_action_at_most_two_per_stage(self, monkeypatch, gallery):
+        snf = CountedSnf(monkeypatch)
+        per_stage = []
+
+        def counted_split(n_elements, *args):
+            before = snf.calls
+            out = split_action(n_elements, *args)
+            per_stage.append((len(n_elements), snf.calls - before))
+            return out
+
+        monkeypatch.setattr(decompose_module, "split_action", counted_split)
+        for group in gallery + nonabelian_groups():
+            decompose(group)
+        assert max(order for order, _ in per_stage) > 2
+        assert all(calls <= 2 for _, calls in per_stage)

@@ -28,6 +28,9 @@ from fqav.linalg import (
     solve_affine_mod_lattice,
     solve_rational,
     elementary_divisors,
+    factor_affine,
+    matrix_rank,
+    solve_factored,
 )
 from fqav.variety import rational_rep, subtorus_kappa
 
@@ -547,6 +550,66 @@ class TestSolveAffineOracle:
         assert [r.coords for r in sol.representatives] == [r.coords for r in reps]
         if solvable:
             assert sol.nonempty
+
+
+def one_step_solve(matrix, point):
+    """Reference: the affine solve as one Smith form and one back-substitution
+    in a single function, with the width of a matrix with no rows taken from
+    the point."""
+    nr = len(matrix)
+    nc = len(matrix[0]) if nr else len(point.num)
+    s, u, v = snf(matrix) if nr else ([], [], identity_matrix(nc))
+    divisors = tuple(s[i][i] for i in range(min(nr, nc)) if s[i][i] != 0) if nr else ()
+    rank = len(divisors)
+    kernel = Lattice.from_vectors(nc, mat_transpose(v)[rank:])
+    den = point.den
+    b = [0] * nr if den == 1 else [x % den for x in mat_vec(u, point.num)]
+    nonempty = not any(b[rank:])
+    return linalg.AffineSolutionSet(nonempty, kernel, divisors, tuple(b[:rank]), den,
+                                    tuple(map(tuple, v)))
+
+
+@st.composite
+def systems_sharing_a_matrix(draw):
+    """An integer matrix of up to 5 x 4, the ones with no rows or no columns
+    included, and three translations for it; with no rows, a translation
+    has the column count of coordinates."""
+    nc = draw(st.integers(0, 4))
+    nr = draw(st.integers(0, 5))
+    m = draw(st.lists(st.lists(st.integers(-3, 3), min_size=nc, max_size=nc),
+                      min_size=nr, max_size=nr))
+    width = nr or nc
+    points = draw(st.lists(st.lists(rationals(), min_size=width, max_size=width),
+                           min_size=3, max_size=3))
+    return m, nc, [TorsionPoint.of(p) for p in points]
+
+
+class TestFactoredSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(systems_sharing_a_matrix())
+    def test_matches_one_step_solve(self, case):
+        m, nc, points = case
+        factors = factor_affine(m, nc)
+        for point in points + [TorsionPoint.zero(len(points[0].num))]:
+            want = one_step_solve(m, point)
+            for sol in (solve_factored(factors, point), solve_affine_mod_lattice(m, point)):
+                assert sol == want
+                if want.component_count <= 256:
+                    assert sol.representatives == want.representatives
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.data())
+    def test_rank_is_the_number_of_divisors(self, nr, nc, data):
+        m = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=nc, max_size=nc),
+                               min_size=nr, max_size=nr))
+        rank = matrix_rank(m)
+        assert rank == len(elementary_divisors(m)) == len(factor_affine(m, nc)[1])
+
+    def test_non_complex_reflection_has_rank_one(self):
+        # diag(-1, 1) fixes a line of Z^2: rank(I - W) = 1, one divisor 2
+        m = mat_sub(identity_matrix(2), [[-1, 0], [0, 1]])
+        assert matrix_rank(m) == 1
+        assert factor_affine(m, 2)[1] == (2,)
 
 
 def _raise_on_fraction(*_args, **_kwargs):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqav import variety as variety_module
 from fqav.action import close_group
 from fqav.cyclotomic import CycloField
 from fqav.decompose import decompose
@@ -334,6 +335,21 @@ class TestDivisors:
         t1 = SubtorusTranslate(lat, TorsionPoint.of([0, 0, Fraction(1, 4), 0]))
         assert t0.canonical_key() != t1.canonical_key()
         assert subtorus_kappa([t0.lattice, other], 4) == subtorus_kappa([t1.lattice, other], 4)
+
+    def test_kappa_complements_each_lattice_once(self, monkeypatch):
+        lat = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        other = Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+        complemented = []
+        original = variety_module.orthogonal_complement_rows
+
+        def recording(l):
+            complemented.append(l)
+            return original(l)
+
+        monkeypatch.setattr(variety_module, "orthogonal_complement_rows", recording)
+        assert subtorus_kappa([lat, other, lat, lat, other], 4) == 2
+        assert complemented == [lat, other]
+        assert subtorus_kappa([lat, lat], 4) == subtorus_kappa([lat], 4) == 1
 
 
 def complement(b, holonomies, variety):
