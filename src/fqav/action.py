@@ -14,14 +14,13 @@ from .cyclotomic import CycloField, eigen_multiplicity
 from .errors import CertificateError, InputError
 from .linalg import (
     AffineSolutionSet,
+    FixedPointSolver,
     TorsionPoint,
     determinant,
     identity_matrix,
     mat_mul,
     mat_sub,
     mat_vec,
-    matrix_rank,
-    solve_fixed_points,
 )
 from .variety import (
     AbelianVarietyModel,
@@ -99,15 +98,13 @@ class FiniteGroupAction:
     elements: tuple
     # the tables of the closure that found ``elements`` from ``generators``
     tables: ClosureTables = dataclasses.field(compare=False, repr=False)
+    # the one solver of every fixed-point equation of this group, its
+    # decomposition's stages included
+    solver: FixedPointSolver = dataclasses.field(default_factory=FixedPointSolver, init=False,
+                                                 compare=False, repr=False)
     # element -> fixed_locus(element), filled one element at a time as asked
     _fixed_loci: dict = dataclasses.field(default_factory=dict, init=False,
                                          compare=False, repr=False)
-    # the matrix rho of a holonomy -> the factor_affine tuple of I - rho, and
-    # the rank of I - rho for a rho ranked before it was solved
-    _factorisations: dict = dataclasses.field(default_factory=dict, init=False,
-                                             compare=False, repr=False)
-    _ranks: dict = dataclasses.field(default_factory=dict, init=False,
-                                     compare=False, repr=False)
 
     @property
     def order(self):
@@ -162,29 +159,11 @@ class FiniteGroupAction:
 
     def fixed_locus_of(self, g):
         """``fixed_locus(g)`` for an element g, solved on first request only,
-        with one factorisation per holonomy."""
+        by the group's solver."""
         loc = self._fixed_loci.get(g)
         if loc is None:
-            loc = self._fixed_loci[g] = fixed_locus(g, self._factorisations)
+            loc = self._fixed_loci[g] = fixed_locus(g, self.solver)
         return loc
-
-    def may_fix_divisor(self, g):
-        """Whether rank(I - rho) <= 2 for the holonomy rho of g.  Each
-        component of Fix(g) has real codimension rank(I - rho) in the
-        lattice, so otherwise Fix(g) holds no divisor.  On a lattice of rank
-        2 it always holds.  Else the rank is read off the factorisation once
-        the holonomy has been solved, or found by one elimination per
-        holonomy."""
-        rho = g.holonomy.matrix
-        if len(rho) <= 2:
-            return True
-        factors = self._factorisations.get(rho)
-        if factors is not None:
-            return len(factors[1]) <= 2
-        rank = self._ranks.get(rho)
-        if rank is None:
-            rank = self._ranks[rho] = matrix_rank(mat_sub(identity_matrix(len(rho)), rho))
-        return rank <= 2
 
 
 def affine_product(m, a, n, b):
@@ -256,11 +235,12 @@ def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
     return FiniteGroupAction(variety, tuple(gens_sorted), tuple(elements), tables)
 
 
-def fixed_locus(g: AffineAutomorphism, factorisations=None) -> AffineSolutionSet:
-    """Fix(t_a . phi) = solutions of (I - rho(phi)) x == a on the torus.
-    ``factorisations``, a dict keyed by rho(phi), keeps the factorisation of
-    I - rho(phi) for the next element with holonomy phi."""
-    return solve_fixed_points(g.holonomy.matrix, g.translation, factorisations)
+def fixed_locus(g: AffineAutomorphism, solver=None) -> AffineSolutionSet:
+    """Fix(t_a . phi) = solutions of (I - rho(phi)) x == a on the torus, by
+    ``solver``, a ``FixedPointSolver`` (a new one when omitted)."""
+    if solver is None:
+        solver = FixedPointSolver()
+    return solver.solve(g.holonomy.matrix, g.translation)
 
 
 def pointwise_stabilizer(t: SubtorusTranslate, group: FiniteGroupAction):

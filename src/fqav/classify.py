@@ -59,7 +59,7 @@ def is_quasietale(group: FiniteGroupAction) -> bool:
     codimension 1, so only those are solved."""
     n = group.variety.n
     for g in group.nontrivial_class_reps():
-        if not group.may_fix_divisor(g):
+        if not group.solver.may_fix_divisor(g.holonomy.matrix):
             continue
         loc = group.fixed_locus_of(g)
         if loc.nonempty and loc.dim > n - 2:
@@ -78,8 +78,9 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
     element is solved only when its rank(I - rho) is at most 2."""
     n = group.variety.n
     class_rep = group.class_rep
+    solver = group.solver
     divisorial = {i for i, g in enumerate(group.elements)
-                  if i and class_rep[i] == i and group.may_fix_divisor(g)
+                  if i and class_rep[i] == i and solver.may_fix_divisor(g.holonomy.matrix)
                   and group.fixed_locus_of(g).dim == n - 1}
     by_key = {}  # canonical key -> [component, index]
     for i, g in enumerate(group.elements):

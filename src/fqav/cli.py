@@ -55,7 +55,7 @@ def _parse_fraction(text):
     if _is_int(text) or (isinstance(text, str) and _RATIONAL.fullmatch(text)):
         try:
             return Fraction(text)
-        except ZeroDivisionError:  # "p/0"
+        except (ZeroDivisionError, ValueError):  # "p/0", or too many digits for int()
             pass
     raise InputError(f"not a rational: {text!r}", code="bad-rational")
 
@@ -72,8 +72,9 @@ def parse_input(text):
     options dict)."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested too deep for the decoder
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, or an integer literal too long for
+        # int(); RecursionError: arrays or objects nested too deep
         raise InputError(f"invalid JSON: {exc}", code="bad-json")
     if not isinstance(doc, dict):
         raise InputError("top level must be an object", code="bad-schema")
@@ -221,15 +222,16 @@ def _decomposition_doc(result):
 
 def build_report(variety, gens, options, command, m_override=None):
     group = close_group(gens, cap=options["group_cap"])
+    # a bad conductor is an error for every command; the field the ages are
+    # computed in is found only by the commands that read Reid-Tai
+    field = None if m_override is None else CycloField(m_override)
     doc = {"schema_version": SCHEMA_VERSION,
            "command": command,
            "input": _input_echo(variety, gens, options)}
     if command == "validate":
         doc["group_order"] = group.order
         return doc
-    # a bad conductor is an error for every command; the field the ages are
-    # computed in is found only by the commands that read Reid-Tai
-    analysis = Analysis(group, None if m_override is None else CycloField(m_override))
+    analysis = Analysis(group, field)
     if command in ("classify", "report"):
         doc["classification"] = _classification_doc(analysis.classification)
     if command in ("ramification", "report"):

@@ -15,19 +15,17 @@ from dataclasses import dataclass
 from .action import affine_product, bfs_closure
 from .errors import CertificateError
 from .linalg import (
+    FixedPointSolver,
     Lattice,
     TorsionPoint,
     factor_affine,
     fixed_lattice,
     identity_matrix,
     mat_mul,
-    mat_sub,
     mat_transpose,
     mat_vec,
-    matrix_rank,
     orthogonal_complement_rows,
     solve_factored,
-    solve_fixed_points,
 )
 from .variety import (
     lattice_poincare_complement,
@@ -98,37 +96,21 @@ def close_elements(gens, bound=math.inf, overflow=None):
     return elements, kept
 
 
-def element_fixed_solution(e: LatticeElement, factorisations=None):
-    """The solutions of (I - W) x == a for e = (W, a).  ``factorisations``,
-    a dict keyed by W, keeps the factorisation of I - W for the next element
-    with matrix W."""
-    return solve_fixed_points(e.matrix, e.translation, factorisations)
+def element_fixed_solution(e: LatticeElement, solver=None):
+    """The solutions of (I - W) x == a for e = (W, a), by ``solver``, a
+    ``FixedPointSolver`` (a new one when omitted)."""
+    if solver is None:
+        solver = FixedPointSolver()
+    return solver.solve(e.matrix, e.translation)
 
 
-def fixed_solutions(elements):
-    """The fixed-locus solves of the nontrivial elements (W, a) with
-    rank(I - W) <= 2, with one rank and at most one factorisation per
-    distinct W; a stage passes this map to each of its certificates.  Every
-    component of a fixed locus has real codimension rank(I - W), so no
-    other element fixes a divisor, and each of their nonempty fixed loci has
-    complex codimension >= 2.  A matrix need not be complex here: the rank
-    may be odd, so the test is <= 2 and not == 2.  On a lattice of rank 2
-    every rank is at most 2, and none is taken."""
-    ranks = {}
-    factorisations = {}
-    out = {}
-    for e in elements:
-        if e.is_identity():
-            continue
-        w = e.matrix
-        if e.rank > 2:
-            rank = ranks.get(w)
-            if rank is None:
-                rank = ranks[w] = matrix_rank(mat_sub(identity_matrix(e.rank), w))
-            if rank > 2:
-                continue
-        out[e] = element_fixed_solution(e, factorisations)
-    return out
+def fixed_solutions(elements, solver):
+    """The fixed-locus solves, by ``solver``, of the nontrivial elements
+    (W, a) that ``solver.may_fix_divisor(W)`` admits; a stage passes this
+    map to each of its certificates.  No other element fixes a divisor, and
+    each of their nonempty fixed loci has complex codimension >= 2."""
+    return {e: element_fixed_solution(e, solver) for e in elements
+            if not e.is_identity() and solver.may_fix_divisor(e.matrix)}
 
 
 @dataclass(frozen=True)
@@ -388,13 +370,13 @@ def _compose_embedding(outer, local_basis):
 
 
 def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
-                     factors, stages):
+                     solver, factors, stages):
     n2 = len(embedding)
     n = n2 // 2
     current_lattice = Lattice.from_vectors(ambient_rank, [list(v) for v in embedding]) \
         if n2 else Lattice.zero(ambient_rank)
 
-    fixed = fixed_solutions(elements)
+    fixed = fixed_solutions(elements, solver)
     n_sub, n_generators = lattice_ramification_subgroup(elements, fixed)
     n_nontrivial = [e for e in n_sub if not e.is_identity()]
     check_normal(generators, n_sub, n_generators, len(elements))
@@ -434,20 +416,22 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
     # split_action certified n_c closed, so it is the next stage group, and
     # the generators its closure kept generate it
     return _decompose_level(tuple(n_c), tuple(n_c_generators), next_embedding, ambient_rank,
-                            next_form, factors, stages)
+                            next_form, solver, factors, stages)
 
 
-def decompose_lattice_action(elements, ambient_rank, seed_form,
+def decompose_lattice_action(elements, ambient_rank, seed_form, solver,
                              generators=None) -> DecompositionResult:
-    """Decompose the closed group ``elements``; ``generators`` generate it
-    (all of ``elements`` when omitted) and feed the normality certificate."""
+    """Decompose the closed group ``elements``, every stage solving its fixed
+    points by the ``FixedPointSolver`` ``solver``; ``generators`` generate
+    it (all of ``elements`` when omitted) and feed the normality
+    certificate."""
     factors = []
     stages = []
     embedding = tuple(tuple(r) for r in identity_matrix(ambient_rank))
     elements = tuple(elements)
     generators = elements if generators is None else tuple(generators)
     fano = _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
-                            factors, stages)
+                            solver, factors, stages)
     total = sum(lat.rank for lat in factors) // 2
     return DecompositionResult(tuple(factors), total, fano, tuple(stages))
 
@@ -462,10 +446,11 @@ def group_to_lattice_elements(group):
 
 def decompose(group) -> DecompositionResult:
     """Build the quasietale cover (abelian factor) x (Q-Fano part) for the
-    quotient of the modeled variety by the given closed group."""
+    quotient of the modeled variety by the given closed group.  The stages
+    share the group's solver, whose entries depend on the matrix alone."""
     elements = group_to_lattice_elements(group)
     seed = standard_symplectic_form(group.variety.n)
-    return decompose_lattice_action(elements, group.variety.ambient_rank, seed,
+    return decompose_lattice_action(elements, group.variety.ambient_rank, seed, group.solver,
                                     to_lattice_elements(group.generators))
 
 
@@ -474,4 +459,4 @@ def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:
     if fano.rank == 0:
         return DecompositionResult((), 0, fano, ())
     seed = _restrict_form(standard_symplectic_form(fano.ambient_rank // 2), fano.embedding)
-    return decompose_lattice_action(list(fano.elements), fano.rank, seed)
+    return decompose_lattice_action(list(fano.elements), fano.rank, seed, FixedPointSolver())

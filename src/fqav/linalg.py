@@ -485,16 +485,41 @@ def solve_factored(factors, point: TorsionPoint) -> AffineSolutionSet:
     return AffineSolutionSet(nonempty, kernel, divisors, tuple(b[:rank]), den, v)
 
 
-def solve_fixed_points(w, point: TorsionPoint, factorisations=None) -> AffineSolutionSet:
-    """The solutions of (I - W) x == a (mod Z^N), a = ``point``, for a square
-    integer matrix W of int tuple rows.  ``factorisations``, a dict keyed by
-    W, keeps the factorisation of I - W for the next call with W."""
-    factors = None if factorisations is None else factorisations.get(w)
-    if factors is None:
-        factors = factor_affine(mat_sub(identity_matrix(len(w)), w), len(w))
-        if factorisations is not None:
-            factorisations[w] = factors
-    return solve_factored(factors, point)
+class FixedPointSolver:
+    """Solves (I - W) x == a (mod Z^N) for square integer matrices W of int
+    tuple rows, ranking each I - W at most once and taking its Smith form at
+    most once.  Both are kept per W, so the class path and every stage of a
+    decomposition may share one solver: each entry is a function of the
+    matrix alone."""
+
+    def __init__(self):
+        self._factors = {}  # W -> the factor_affine tuple of I - W
+        self._ranks = {}    # W -> rank(I - W), for a W ranked before it was solved
+
+    def solve(self, w, point: TorsionPoint) -> AffineSolutionSet:
+        """The solutions of (I - W) x == a, a = ``point``."""
+        factors = self._factors.get(w)
+        if factors is None:
+            factors = self._factors[w] = factor_affine(
+                mat_sub(identity_matrix(len(w)), w), len(w))
+        return solve_factored(factors, point)
+
+    def may_fix_divisor(self, w):
+        """Whether rank(I - W) <= 2.  Each component of a fixed locus of
+        x -> W x + a has real codimension rank(I - W), so otherwise it holds
+        no divisor.  W need not be complex, so the rank may be odd.  On a
+        lattice of rank 2 it always holds and no rank is taken.  Else the
+        rank is read off the factorisation once W has been solved, or found
+        by one elimination."""
+        if len(w) <= 2:
+            return True
+        factors = self._factors.get(w)
+        if factors is not None:
+            return len(factors[1]) <= 2
+        rank = self._ranks.get(w)
+        if rank is None:
+            rank = self._ranks[w] = matrix_rank(mat_sub(identity_matrix(len(w)), w))
+        return rank <= 2
 
 
 def solve_affine_mod_lattice(matrix, point: TorsionPoint) -> AffineSolutionSet:

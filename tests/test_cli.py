@@ -6,11 +6,12 @@ from collections import Counter
 import pytest
 
 from fqav.action import close_group, fixed_locus
-from fqav.cli import build_report, main, parse_input, serialize
+from fqav.cli import COMMANDS, build_report, main, parse_input, serialize
 from fqav.errors import InputError
 from fqav.linalg import elementary_divisors, identity_matrix, mat_sub
 
 from conftest import FIXTURE_DIR
+from test_golden import sl_diag_document
 
 FIXTURES = ("rot4-square.json", "sign-rot4.json", "kummer.json",
             "bielliptic.json", "p1-from-ei.json")
@@ -20,15 +21,16 @@ def load(name):
     return (FIXTURE_DIR / name).read_text()
 
 
-def count_calls(monkeypatch, name, calls, results=None):
+def count_calls(monkeypatch, name, calls, results=None, key=None):
     """Count the calls of the fqav function ``name`` made through any fqav
     module that binds it, and append each return value to ``results`` when
-    given."""
-    modules = [m for key, m in sys.modules.items() if key.startswith("fqav.")]
+    given.  With ``key``, the calls are counted under ``key(*args)`` and not
+    under ``name``."""
+    modules = [m for mod_name, m in sys.modules.items() if mod_name.startswith("fqav.")]
     original = next(getattr(m, name) for m in modules if hasattr(m, name))
 
     def counting(*args, **kwargs):
-        calls[name] += 1
+        calls[name if key is None else key(*args)] += 1
         result = original(*args, **kwargs)
         if results is not None:
             results.append(result)
@@ -105,9 +107,13 @@ class TestParse:
         (lambda d: d["generators"][0]["translation"].__setitem__(0, "1_0/2"), "bad-rational"),
         (lambda d: d["generators"][0]["translation"].__setitem__(0, "\u0661/\u0662"),
          "bad-rational"),
+        # more digits than int() converts
+        (lambda d: d["generators"][0]["translation"].__setitem__(0, "1/" + "9" * 5000),
+         "bad-rational"),
     ], ids=["generator-not-object", "label-not-string", "cm-not-string",
             "bool-holonomy", "bool-translation", "bool-group-cap", "bool-schema-version",
-            "space-rational", "plus-rational", "underscore-rational", "arabic-indic-rational"])
+            "space-rational", "plus-rational", "underscore-rational", "arabic-indic-rational",
+            "long-rational"])
     def test_malformed_node_exits_one(self, edit, code, tmp_path, capsys):
         doc = json.loads(load("bielliptic.json"))
         edit(doc)
@@ -229,7 +235,8 @@ class TestMain:
     @pytest.mark.parametrize("content", [
         b'{"factors": "\xff\xfe"}',
         b"[" * 200000,
-    ], ids=["not-utf8", "nested-too-deep"])
+        b"[" + b"9" * 5000 + b"]",
+    ], ids=["not-utf8", "nested-too-deep", "long-integer"])
     def test_undecodable_input_exit_one(self, content, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_bytes(content)
@@ -256,7 +263,6 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error[infinite-order]")
 
     def test_all_commands_run_on_all_fixtures(self, capsys):
-        from fqav.cli import COMMANDS
         for name in FIXTURES:
             for command in COMMANDS:
                 rc = main([command, str(FIXTURE_DIR / name)])
@@ -312,6 +318,12 @@ class TestMain:
     @pytest.mark.parametrize("m", ["-12", "0"])
     def test_m_override_must_be_positive(self, m, capsys):
         rc = main(["classify", str(FIXTURE_DIR / "rot4-square.json"), f"--m-override={m}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[bad-conductor]")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_checks_the_conductor(self, command, capsys):
+        rc = main([command, str(FIXTURE_DIR / "kummer.json"), "--m-override", "7"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[bad-conductor]")
 
@@ -522,6 +534,21 @@ class TestComputeOnce:
                 # g^2 fixes a curve; g and g^3 fix points, and with
                 # rank(I - rho) = 4 they are never solved
                 assert [sol.dim for sol in solves] == [1]
+
+    def test_each_matrix_ranked_and_factored_once(self, monkeypatch):
+        # the class path and every decomposition stage share one solver, so
+        # a report ranks each distinct matrix and takes its Smith form at
+        # most once
+        texts = [load(name) for name in FIXTURES]
+        texts.append(json.dumps(sl_diag_document("zeta6", cycle=True)))
+        for text in texts:
+            calls = Counter()
+            for func in ("matrix_rank", "factor_affine"):
+                count_calls(monkeypatch, func, calls,
+                            key=lambda m, *_, func=func: (func, tuple(map(tuple, m))))
+            build_report(*parse_input(text), "report")
+            monkeypatch.undo()
+            assert calls and max(calls.values()) == 1, text
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_report_sections_match_commands(self, name):

@@ -27,6 +27,7 @@ from fqav import linalg
 from fqav.cli import parse_input
 from fqav.errors import CertificateError, InputError
 from fqav.linalg import (
+    FixedPointSolver,
     Lattice,
     TorsionPoint,
     fixed_lattice,
@@ -75,7 +76,7 @@ class TestLatticeElements:
 class TestRamificationSubgroup:
     def test_sign_rot4_is_order_two(self, sign_rot4_group):
         els = group_to_lattice_elements(sign_rot4_group)
-        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els))
+        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
         assert len(sub) == 2
         nontrivial = [e for e in sub if not e.is_identity()]
         assert fixed_dim(nontrivial[0]) == 1
@@ -83,25 +84,25 @@ class TestRamificationSubgroup:
     def test_quasietale_group_is_trivial(self, kummer_group, bielliptic_group):
         for group in (kummer_group, bielliptic_group):
             els = group_to_lattice_elements(group)
-            sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els))
+            sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
             assert all(e.is_identity() for e in sub)
 
     def test_p1_is_whole_group(self, p1_group):
         els = group_to_lattice_elements(p1_group)
-        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els))
+        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
         assert set(sub) == set(els)
 
 
 class TestInvariantTorus:
     def test_sign_rot4(self, sign_rot4_group):
         els = group_to_lattice_elements(sign_rot4_group)
-        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els))
+        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
         b = invariant_torus(sub)
         assert b == Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
     def test_p1_trivial(self, p1_group):
         els = group_to_lattice_elements(p1_group)
-        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els))
+        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
         assert invariant_torus(sub).rank == 0
 
 
@@ -109,12 +110,12 @@ class TestKappaCertificate:
     def test_minus_one_on_elliptic_curve(self):
         e = LatticeElement.of([[-1, 0], [0, -1]])
         els, _ = close_elements([e])
-        assert lattice_kappa(els, fixed_solutions(els)) == 1
+        assert lattice_kappa(els, fixed_solutions(els, FixedPointSolver())) == 1
 
     def test_order_four_rotation(self):
         e = LatticeElement.of([[0, -1], [1, 0]])
         els, _ = close_elements([e])
-        assert lattice_kappa(els, fixed_solutions(els)) == 1
+        assert lattice_kappa(els, fixed_solutions(els, FixedPointSolver())) == 1
 
 
 class TestDecompose:
@@ -200,7 +201,7 @@ def glue_split():
     order 4.  The arguments of split_action."""
     e = LatticeElement.of([[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]])
     els, _ = close_elements([e])
-    sub, kept = lattice_ramification_subgroup(els, fixed_solutions(els))
+    sub, kept = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
     b = invariant_torus(sub)
     c, ker_mu = lattice_poincare_complement(b, [x.matrix for x in sub],
                                             standard_symplectic_form(2))
@@ -308,7 +309,8 @@ class TestGeneratorNormality:
             elements = group_to_lattice_elements(group)
             # G by the input's generators, and by the ones its closure keeps
             generator_sets = [to_lattice_elements(group.generators), close_elements(elements)[1]]
-            subgroups = [lattice_ramification_subgroup(elements, fixed_solutions(elements))]
+            fixed = fixed_solutions(elements, FixedPointSolver())
+            subgroups = [lattice_ramification_subgroup(elements, fixed)]
             subgroups += list(cyclic_subgroups(elements))
             for sub, sub_gens in subgroups:
                 want = normal_by_all_elements(elements, sub)
@@ -360,7 +362,7 @@ class TestOnePassQuasietale:
         verdicts = set()
         for group in gallery:
             elements = group_to_lattice_elements(group)
-            fixed = fixed_solutions(elements)
+            fixed = fixed_solutions(elements, FixedPointSolver())
             subgroups = [lattice_ramification_subgroup(elements, fixed)[0]]
             if group.order <= 8:
                 subgroups += [sub for sub, _ in cyclic_subgroups(elements)]
@@ -409,7 +411,7 @@ class TestStageBounds:
         flip = LatticeElement.of([[-1, 0], [0, 1]])
         swap = LatticeElement.of([[0, 1], [1, 0]])
         elements = [LatticeElement.of(identity_matrix(2)), flip, swap]
-        fixed = fixed_solutions(elements)
+        fixed = fixed_solutions(elements, FixedPointSolver())
         assert all(sol.dim == 0 for sol in fixed.values())  # each fixes a divisor
         held = []  # the elements each closure holds: the identity, then those it builds
         closure, with_data = decompose_module.bfs_closure, LatticeElement.with_data
@@ -549,9 +551,9 @@ def recorded_stages(monkeypatch, groups):
     """The element tuple of every stage of the decompositions of ``groups``."""
     stages = []
 
-    def recording(elements):
+    def recording(elements, solver):
         stages.append(tuple(elements))
-        return fixed_solutions(elements)
+        return fixed_solutions(elements, solver)
 
     monkeypatch.setattr(decompose_module, "fixed_solutions", recording)
     for group in groups:
@@ -561,7 +563,7 @@ def recorded_stages(monkeypatch, groups):
 
 
 def assert_rank_first_matches_every_solve(elements):
-    fixed = fixed_solutions(elements)
+    fixed = fixed_solutions(elements, FixedPointSolver())
     every = solve_every_element(elements)
     n = elements[0].rank // 2
     for e, sol in every.items():
@@ -594,7 +596,7 @@ class TestRankFirstSolves:
             flip = LatticeElement.of([[-1 if i == j == 0 else int(i == j) for j in range(n2)]
                                       for i in range(n2)])
             elements, _ = close_elements([flip])
-            fixed = fixed_solutions(elements)
+            fixed = fixed_solutions(elements, FixedPointSolver())
             assert list(fixed) == [flip] and fixed[flip].dim == n2 // 2 - 1
             assert_rank_first_matches_every_solve(elements)
 

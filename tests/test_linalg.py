@@ -3,6 +3,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +13,7 @@ from fqav.action import close_group, fixed_locus
 from fqav.classify import irregularity
 from fqav.decompose import decompose
 from fqav.linalg import (
+    FixedPointSolver,
     Lattice,
     TorsionPoint,
     determinant,
@@ -610,6 +612,44 @@ class TestFactoredSolve:
         m = mat_sub(identity_matrix(2), [[-1, 0], [0, 1]])
         assert matrix_rank(m) == 1
         assert factor_affine(m, 2)[1] == (2,)
+
+
+@st.composite
+def square_systems(draw):
+    """A square integer matrix W of int tuple rows, up to 5 x 5, and three
+    translations for it."""
+    n = draw(st.integers(1, 5))
+    w = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n))
+    points = draw(st.lists(st.lists(rationals(), min_size=n, max_size=n),
+                           min_size=3, max_size=3))
+    return tuple(w), [TorsionPoint.of(p) for p in points]
+
+
+class TestFixedPointSolver:
+    @settings(max_examples=200, deadline=None)
+    @given(square_systems())
+    def test_matches_direct_solve_and_rank(self, case):
+        w, points = case
+        m = mat_sub(identity_matrix(len(w)), w)
+        low_rank = matrix_rank(m) <= 2
+        ranks = []
+
+        def counting_rank(matrix):
+            ranks.append(matrix)
+            return matrix_rank(matrix)
+
+        ranked_first, solved_first = FixedPointSolver(), FixedPointSolver()
+        with mock.patch.object(linalg, "matrix_rank", counting_rank):
+            assert ranked_first.may_fix_divisor(w) == ranked_first.may_fix_divisor(w) == low_rank
+            assert len(ranks) == (len(w) > 2)  # one elimination, and none on rank 2
+            for point in points:
+                want = solve_affine_mod_lattice(m, point)
+                assert ranked_first.solve(w, point) == want
+                assert solved_first.solve(w, point) == want
+            ranks.clear()
+            # once W is solved its rank is read off the factorisation
+            assert solved_first.may_fix_divisor(w) == low_rank
+            assert ranks == []
 
 
 def _raise_on_fraction(*_args, **_kwargs):
