@@ -333,13 +333,11 @@ def group_exponent(group: FiniteGroupAction):
     return e
 
 
-def cyclo_field_for(group: FiniteGroupAction, bound=None) -> CycloField:
-    """Conductor m = lcm(12, exponent of the holonomy group).  With a field
-    ``bound`` = Q(zeta_k) the conductor is gcd(k, m): Q(zeta_gcd(k, m))
-    holds exactly the roots of unity of Q(zeta_k) that any eigenvalue of the
-    group can be, so the work is bounded by the group and not by k."""
-    m = lcm(12, group_exponent(group))
-    return CycloField(m if bound is None else gcd(bound.m, m))
+def cyclo_field_for(group: FiniteGroupAction) -> CycloField:
+    """Q(zeta_m), m = lcm(12, exponent of the holonomy group): every
+    holonomy order divides m, so the field holds every eigenvalue of the
+    group and the roots of unity of the zeta4 and zeta6 factors."""
+    return CycloField(lcm(12, group_exponent(group)))
 
 
 def age(g: AffineAutomorphism, field: CycloField) -> Fraction:

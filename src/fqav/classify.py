@@ -134,14 +134,13 @@ def kappa_anticanonical(group: FiniteGroupAction):
     return Analysis(group).kappa
 
 
-def reid_tai(group: FiniteGroupAction, cyclo_field=None):
+def reid_tai(group: FiniteGroupAction):
     """Reid-Tai condition: every nontrivial-holonomy element with nonempty
     fixed locus has age >= 1.  Returns (holds, witness or None, the
     witness's age or None).  Holonomy, fixed-locus emptiness and age are
     the same on a conjugacy class, so one age per class decides it; the
     first element of a failing class is the first failing element."""
-    if cyclo_field is None:
-        cyclo_field = cyclo_field_for(group)
+    cyclo_field = cyclo_field_for(group)
     for g in group.nontrivial_class_reps():
         if g.holonomy.is_identity():
             continue
@@ -166,16 +165,10 @@ def irregularity(group: FiniteGroupAction) -> int:
 
 class Analysis:
     """What the commands report about the quotient by ``group``.  Each
-    quantity is computed at most once, and only when first read.  The
-    Reid-Tai ages are computed in ``cyclo_field_for(group, field)``."""
+    quantity is computed at most once, and only when first read."""
 
-    def __init__(self, group: FiniteGroupAction, field=None):
+    def __init__(self, group: FiniteGroupAction):
         self.group = group
-        self._field = field
-
-    @cached_property
-    def field(self):
-        return cyclo_field_for(self.group, self._field)
 
     @cached_property
     def ramification(self) -> RamificationData:
@@ -196,18 +189,19 @@ class Analysis:
     def reid_tai(self):
         """(holds, witness or None, witness age or None), as ``reid_tai``
         returns it."""
-        return reid_tai(self.group, self.field)
+        return reid_tai(self.group)
 
     @cached_property
     def classification(self) -> ClassificationReport:
         group = self.group
         n = group.variety.n
+        # first: its Smith forms give the solver the ranks asked for below
+        rt_holds, rt_witness, _ = self.reid_tai
         quasi = is_quasietale(group)
         kappa, q_fano = self.kappa
         decomposition = self.decomposition
         q_circle = decomposition.total_abelian_dim
         q_x = irregularity(group)
-        rt_holds, rt_witness, _ = self.reid_tai
         m = descend_multiplication(group)
 
         # independent computations must agree
@@ -257,7 +251,5 @@ class Analysis:
         )
 
 
-def classification_report(group: FiniteGroupAction, cyclo_field=None) -> ClassificationReport:
-    """The Reid-Tai ages are computed in ``cyclo_field_for(group,
-    cyclo_field)``."""
-    return Analysis(group, cyclo_field).classification
+def classification_report(group: FiniteGroupAction) -> ClassificationReport:
+    return Analysis(group).classification

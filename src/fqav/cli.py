@@ -2,7 +2,8 @@
 deterministic report serialization.
 
 Input schema (schema_version 1): rationals travel as strings "p/q", never
-floats.  Exit codes: 0 success, 1 input error, 2 violated internal theorem.
+floats.  Exit codes: 0 success, 1 input error or bad command-line arguments,
+2 violated internal theorem.
 """
 
 from __future__ import annotations
@@ -12,15 +13,20 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .action import AffineAutomorphism, DEFAULT_GROUP_CAP, close_group
 from .classify import Analysis
-from .cyclotomic import CycloField
 from .errors import CertificateError, InputError
 from .linalg import TorsionPoint
 from .variety import AbelianVarietyModel, EllipticFactor, EndoBlockMatrix
 
 SCHEMA_VERSION = 1
+
+# The most bits of L, the lcm of the translation denominators.  A report
+# prints no integer above L + 1 or L ord(W), W a holonomy, and ord(W) < 2^1284
+# (see CHANGES.md), so none reaches 2^14284 < 10^4300, the limit of str()
+MAX_DENOMINATOR_BITS = 13000
 
 PROVENANCE = {
     "quasietale": "ramification divisor vanishes (all fixed loci have codim >= 2)",
@@ -125,6 +131,9 @@ def parse_input(text):
                              code="bad-schema")
         trans = TorsionPoint.of([_parse_fraction(t) for t in trans_doc])
         gens.append(AffineAutomorphism.of(phi, trans))
+    if lcm(*(g.translation.order for g in gens)).bit_length() > MAX_DENOMINATOR_BITS:
+        raise InputError("the lcm of the translation denominators has more than "
+                         f"{MAX_DENOMINATOR_BITS} bits", code="bad-translation")
 
     options = doc.get("options", {})
     if not isinstance(options, dict):
@@ -220,18 +229,15 @@ def _decomposition_doc(result):
     }
 
 
-def build_report(variety, gens, options, command, m_override=None):
+def build_report(variety, gens, options, command):
     group = close_group(gens, cap=options["group_cap"])
-    # a bad conductor is an error for every command; the field the ages are
-    # computed in is found only by the commands that read Reid-Tai
-    field = None if m_override is None else CycloField(m_override)
     doc = {"schema_version": SCHEMA_VERSION,
            "command": command,
            "input": _input_echo(variety, gens, options)}
     if command == "validate":
         doc["group_order"] = group.order
         return doc
-    analysis = Analysis(group, field)
+    analysis = Analysis(group)
     if command in ("classify", "report"):
         doc["classification"] = _classification_doc(analysis.classification)
     if command in ("ramification", "report"):
@@ -282,8 +288,15 @@ def serialize(doc, fmt="json"):
 COMMANDS = ("validate", "classify", "ramification", "reidtai", "decompose", "report")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as an input error (exit 1), not by exit 2."""
+
+    def error(self, message):
+        raise InputError(message, code="bad-args")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fqav",
         description="Classify finite quotients of products of elliptic curves.")
     parser.add_argument("command", choices=COMMANDS)
@@ -291,8 +304,6 @@ def _build_parser():
     parser.add_argument("--cap", type=int, default=None,
                         help="override the group order cap")
     parser.add_argument("--format", choices=("json", "md"), default="json")
-    parser.add_argument("--m-override", type=int, default=None,
-                        help="cyclotomic conductor override (a positive multiple of 12)")
     return parser
 
 
@@ -302,9 +313,10 @@ PARSER = _build_parser()
 
 
 def main(argv=None):
-    args = PARSER.parse_args(argv)
-
     try:
+        args = PARSER.parse_args(argv)
+        if args.cap is not None and args.cap < 1:
+            PARSER.error("argument --cap: must be positive")
         try:
             if args.file == "-":
                 text = sys.stdin.read()
@@ -317,11 +329,8 @@ def main(argv=None):
             raise InputError(f"invalid JSON: {exc}", code="bad-json")
         variety, gens, options = parse_input(text)
         if args.cap is not None:
-            if args.cap < 1:
-                raise InputError("--cap must be positive", code="bad-schema")
             options["group_cap"] = args.cap
-        doc = build_report(variety, gens, options, args.command,
-                           m_override=args.m_override)
+        doc = build_report(variety, gens, options, args.command)
     except InputError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1

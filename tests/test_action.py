@@ -24,6 +24,7 @@ from fqav.action import (
     pointwise_stabilizer,
 )
 from fqav.cli import parse_input
+from fqav.cyclotomic import CycloField
 from fqav.decompose import group_to_lattice_elements, to_lattice_elements
 from fqav.errors import InputError
 from fqav.linalg import TorsionPoint, fixed_lattice
@@ -35,9 +36,9 @@ from fqav.variety import (
     rational_rep,
 )
 
-from conftest import automorphism
+from conftest import FIXTURE_DIR, automorphism
 from test_acceptance import FACTOR_POOL, random_automorphism, random_variety
-from test_golden import sl_diag_document
+from test_golden import FIXTURES, SL_DIAG, sl_diag_document
 
 
 class TestClosure:
@@ -249,6 +250,18 @@ class TestAges:
                 total = age(g, field) + age(by_hol[inv], field)
                 assert total.denominator == 1
 
+    def test_ages_do_not_depend_on_the_field(self):
+        # ages are exact, so Q(zeta_2m) gives every class the age that
+        # Q(zeta_m), the group's own field, gives it
+        texts = [(FIXTURE_DIR / f"{name}.json").read_text() for name in FIXTURES]
+        texts += [json.dumps(sl_diag_document(*args)) for args in SL_DIAG.values()]
+        for text in texts:
+            group = close_group(parse_input(text)[1])
+            field = cyclo_field_for(group)
+            double = CycloField(2 * field.m)
+            for g in group.nontrivial_class_reps():
+                assert age(g, double) == age(g, field), text
+
     def test_mult_by_i_single_factor(self, p1_group):
         field = cyclo_field_for(p1_group)
         g = next(x for x in p1_group.elements
@@ -256,7 +269,6 @@ class TestAges:
         assert age(g, field) == Fraction(1, 4)
 
     def test_field_too_small(self, p1_group):
-        from fqav.cyclotomic import CycloField
         g = next(x for x in p1_group.elements
                  if holonomy_order(x.holonomy) == 4)
         variety = AbelianVarietyModel.of(EllipticFactor("zeta4"),

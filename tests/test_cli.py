@@ -1,12 +1,11 @@
 import json
 import sys
-import time
 from collections import Counter
 
 import pytest
 
-from fqav.action import close_group, fixed_locus
-from fqav.cli import COMMANDS, build_report, main, parse_input, serialize
+from fqav.action import FiniteGroupAction, close_group, fixed_locus
+from fqav.cli import COMMANDS, MAX_DENOMINATOR_BITS, build_report, main, parse_input, serialize
 from fqav.errors import InputError
 from fqav.linalg import elementary_divisors, identity_matrix, mat_sub
 
@@ -39,6 +38,26 @@ def count_calls(monkeypatch, name, calls, results=None, key=None):
     for m in modules:
         if getattr(m, name, None) is original:
             monkeypatch.setattr(m, name, counting)
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# zeta4^2 by [[0, i], [1, 0]], whose square is i: holonomy order 8
+ORDER8_DOC = {"factors": [{"cm": "zeta4"}, {"cm": "zeta4"}],
+              "generators": [{"holonomy": [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]}]}
+
+
+def translation_doc(first):
+    """-1 on one curve without CM, translated by ``first`` on the first
+    coordinate."""
+    return {"factors": [{"cm": "generic"}],
+            "generators": [{"holonomy": [[[-1, 0]]], "translation": [first, "0"]}]}
 
 
 def fixed_rank(g):
@@ -276,61 +295,74 @@ class TestMain:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["group_order"] == 4
 
-    def test_m_override(self, capsys):
-        rc = main(["reidtai", str(FIXTURE_DIR / "rot4-square.json"),
-                   "--m-override", "24"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["reid_tai"]["witness_age"] == "1/2"
-
-    def test_m_override_reaches_classification(self, tmp_path, capsys):
-        # an order-8 holonomy needs 8 | m; conductor 12 is too small for its
-        # age, and every command that runs the Reid-Tai check must say so
-        doc = {"factors": [{"cm": "zeta4"}, {"cm": "zeta4"}],
-               "generators": [{"holonomy": [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]}]}
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_checks_the_conductor(self, command, tmp_path, capsys,
+                                                monkeypatch):
+        # an order-8 holonomy needs 8 | m: the conductor comes from the group,
+        # lcm(12, 8) = 24, so no command finds its field too small, and only
+        # the commands that print Reid-Tai find it
+        fields = []
+        count_calls(monkeypatch, "cyclo_field_for", Counter(), fields)
         p = tmp_path / "order8.json"
-        p.write_text(json.dumps(doc))
-        for command in ("classify", "reidtai", "report"):
-            rc = main([command, str(p), "--m-override", "12"])
-            assert rc == 1, command
-            assert capsys.readouterr().err.startswith("error[field-too-small]")
-        verdicts = []
-        for command in ("classify", "reidtai"):
-            assert main([command, str(p), "--m-override", "24"]) == 0
-            verdicts.append(json.loads(capsys.readouterr().out))
-        classification, reidtai = verdicts
-        assert classification["classification"]["reid_tai_holds"] is False
-        assert (classification["classification"]["reid_tai_witness"]
-                == reidtai["reid_tai"]["witness"])
+        p.write_text(json.dumps(ORDER8_DOC))
+        assert main([command, str(p)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reads_ages = command in ("classify", "reidtai", "report")
+        assert [f.m for f in fields] == ([24] if reads_ages else [])
+        if command == "report":
+            doc = json.loads(captured.out)
+            assert doc["classification"]["reid_tai_holds"] is False
+            assert doc["classification"]["reid_tai_witness"] == doc["reid_tai"]["witness"]
 
-    def test_large_m_override_is_bounded(self, capsys):
-        # the ages are computed in Q(zeta_gcd(override, m)), so Phi_1200000
-        # is never built and the output equals the default run
-        path = str(FIXTURE_DIR / "kummer.json")
-        for command in ("reidtai", "report"):
-            assert main([command, path]) == 0
-            default = capsys.readouterr().out
-            start = time.perf_counter()
-            assert main([command, path, "--m-override", "1200000"]) == 0
-            assert time.perf_counter() - start < 5
-            assert capsys.readouterr().out == default
+    @pytest.mark.parametrize("argv", [
+        ["validate", "kummer.json", "--cap", "abc"],
+        ["validate", "kummer.json", "--cap", "0"],
+        ["bogus", "kummer.json"],
+        ["validate"],
+        ["validate", "kummer.json", "--conductor", "24"],
+        ["report", "kummer.json", "--format", "xml"],
+    ], ids=["cap-not-int", "cap-not-positive", "unknown-command", "no-file",
+            "unknown-option", "bad-format"])
+    def test_usage_error_exits_one(self, argv, capsys):
+        argv = [str(FIXTURE_DIR / a) if a.endswith(".json") else a for a in argv]
+        assert exit_code(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[bad-args]: ")
+        assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("m", ["-12", "0"])
-    def test_m_override_must_be_positive(self, m, capsys):
-        rc = main(["classify", str(FIXTURE_DIR / "rot4-square.json"), f"--m-override={m}"])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error[bad-conductor]")
+    def test_help_exits_zero(self, capsys):
+        assert exit_code(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: fqav")
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_every_command_checks_the_conductor(self, command, capsys):
-        rc = main([command, str(FIXTURE_DIR / "kummer.json"), "--m-override", "7"])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error[bad-conductor]")
+    def test_huge_translation_denominator_exits_one(self, command, tmp_path, capsys):
+        # 1 + L, the descending multiplication, would have 4301 digits, and
+        # the fixed-locus translates' denominators are 2 L
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(translation_doc("1/" + "9" * 4300)))
+        assert main([command, str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error[bad-translation]")
+
+    def test_denominator_under_the_bound_prints(self, tmp_path, capsys):
+        bound = MAX_DENOMINATOR_BITS
+        p = tmp_path / "large.json"
+        for den, rc in ((2 ** bound - 1, 0), (2 ** bound, 1)):
+            p.write_text(json.dumps(translation_doc(f"1/{den}")))
+            assert main(["report", str(p)]) == rc
+            captured = capsys.readouterr()
+            if rc:
+                assert captured.err.startswith("error[bad-translation]")
+                continue
+            doc = json.loads(captured.out)
+            assert doc["classification"]["polarized_endo_m"] == den + 1
+            translates = [c["translate"] for c in doc["ramification"]["components"]]
+            assert f"1/{2 * den}" in [t[0] for t in translates]
 
     def test_field_found_only_for_reid_tai(self, capsys, monkeypatch):
         # ramification and decompose read no age, so they never need the
-        # conductor, which walks the holonomy powers; a bad override is
-        # still an error for them
+        # conductor, which walks the holonomy powers
         import fqav.action
 
         path = str(FIXTURE_DIR / "sign-rot4.json")
@@ -344,11 +376,8 @@ class TestMain:
 
         monkeypatch.setattr(fqav.action, "group_exponent", no_exponent)
         for command in ("ramification", "decompose"):
-            for override in ([], ["--m-override", "24"]):
-                assert main([command, path, *override]) == 0, command
-                assert capsys.readouterr().out == expected[command]
-        assert main(["decompose", path, "--m-override", "7"]) == 1
-        assert capsys.readouterr().err.startswith("error[bad-conductor]")
+            assert main([command, path]) == 0, command
+            assert capsys.readouterr().out == expected[command]
         with pytest.raises(RuntimeError):
             main(["reidtai", path])
 
@@ -380,9 +409,8 @@ class TestMain:
         assert capped[0] == 1 and capped[2].startswith("error[cap-exceeded]")
         valid = run("validate", path)
         assert valid[0] == 0 and json.loads(valid[1])["group_order"] == 4
-        bad = run("reidtai", path, "--m-override", "7")
-        assert bad[0] == 1 and bad[2].startswith("error[bad-conductor]")
-        assert run("reidtai", path, "--m-override", "24")[0] == 0
+        bad = run("reidtai", path, "--format", "xml")
+        assert bad[0] == 1 and bad[2].startswith("error[bad-args]")
         assert run("reidtai", path) == plain
         assert run("classify", path, "--format", "md", "--cap", "2")[0] == 1
         assert run("reidtai", path) == plain
@@ -549,6 +577,41 @@ class TestComputeOnce:
             build_report(*parse_input(text), "report")
             monkeypatch.undo()
             assert calls and max(calls.values()) == 1, text
+
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    def test_reid_tai_ranks_are_free(self, command, monkeypatch):
+        # the classification reads Reid-Tai first, and the Smith form of
+        # each fixed locus it solves gives the solver that holonomy's rank,
+        # so no holonomy reid_tai solved is ranked by elimination
+        classify_module = sys.modules["fqav.classify"]
+        texts = [load(name) for name in FIXTURES]
+        texts.append(json.dumps(sl_diag_document("zeta6", cycle=True)))
+        original_reid_tai = classify_module.reid_tai
+        original_locus = FiniteGroupAction.fixed_locus_of
+        for text in texts:
+            solved, ranked, inside = set(), Counter(), []
+
+            def recording_reid_tai(*args):
+                inside.append(True)
+                try:
+                    return original_reid_tai(*args)
+                finally:
+                    inside.pop()
+
+            def recording_locus(group, g):
+                if inside:
+                    w = g.holonomy.matrix
+                    solved.add(tuple(map(tuple, mat_sub(identity_matrix(len(w)), w))))
+                return original_locus(group, g)
+
+            monkeypatch.setattr(classify_module, "reid_tai", recording_reid_tai)
+            monkeypatch.setattr(FiniteGroupAction, "fixed_locus_of", recording_locus)
+            count_calls(monkeypatch, "matrix_rank", ranked,
+                        key=lambda m: tuple(map(tuple, m)))
+            build_report(*parse_input(text), command)
+            monkeypatch.undo()
+            assert solved, text
+            assert not solved & set(ranked), (len(solved & set(ranked)), text)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_report_sections_match_commands(self, name):
