@@ -8,9 +8,9 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm
+from math import lcm
 
-from .cyclotomic import CycloField, eigen_multiplicity
+from .cyclotomic import CycloField, spectrum_mod, split_prime
 from .errors import CertificateError, InputError
 from .linalg import (
     AffineSolutionSet,
@@ -26,7 +26,7 @@ from .variety import (
     AbelianVarietyModel,
     EndoBlockMatrix,
     SubtorusTranslate,
-    analytic_rep,
+    analytic_rep_mod,
 )
 
 DEFAULT_GROUP_CAP = 10000
@@ -340,28 +340,33 @@ def cyclo_field_for(group: FiniteGroupAction) -> CycloField:
     return CycloField(lcm(12, group_exponent(group)))
 
 
-def age(g: AffineAutomorphism, field: CycloField) -> Fraction:
+def age(g: AffineAutomorphism, field: CycloField, solver=None) -> Fraction:
     """Sum of the r_j over the analytic eigenvalues e^(2 pi i r_j) of the
-    holonomy, r_j in [0,1); 0 for identity holonomy."""
+    holonomy A, r_j in [0,1); 0 for identity holonomy.  The holonomy has
+    finite order, as every group element's has.
+
+    The spectrum is counted modulo p, with (p, z) = ``split_prime(m, 2n +
+    1)``: count_e = n - rank_p(A - z^e I), and zeta_m^e has multiplicity
+    count_e.  Reduction modulo a prime above p never raises a rank, so
+    count_e is at least the multiplicity over Q(zeta_m).  When A^m = I,
+    A mod p is diagonalisable, as m is prime to p, so both kinds of count
+    sum to n and are equal.  When the counts sum to n, A^m is congruent to I.
+    Its order divides that of A, whose primes q have q - 1 <= 2n, so it is
+    prime to p; and B = I + X of order k prime to p with X = 0 mod the prime
+    has X (k I + X Y) = 0 with the second factor invertible, so A^m = I.
+    The field thus holds the spectrum exactly when the counts reach n.  With
+    ``solver``, a ``FixedPointSolver``, it is told rank(I - rho) =
+    2 (n - count_0), read off the same spectrum."""
     phi = g.holonomy
-    if phi.is_identity():
-        return Fraction(0)
-    order = holonomy_order(phi)
-    if field.m % order != 0:
+    n = phi.variety.n
+    m = field.m
+    p, z = split_prime(m, 2 * n + 1)
+    counts = spectrum_mod(analytic_rep_mod(phi, m, p, z), p, z, m)
+    if counts is None:
         raise InputError("field too small", code="field-too-small")
-    mat = analytic_rep(phi, field)
-    total = Fraction(0)
-    for d in range(2, order + 1):
-        if order % d != 0:
-            continue
-        for k in range(1, d):
-            if gcd(k, d) != 1:
-                continue
-            zeta = field.root_of_unity(d, k)
-            mult = eigen_multiplicity(mat, zeta)
-            if mult:
-                total += Fraction(k, d) * mult
-    return total
+    if solver is not None:
+        solver.know_rank(phi.matrix, 2 * (n - counts[0]))
+    return Fraction(sum(e * count for e, count in enumerate(counts)), m)
 
 
 def descend_multiplication(group: FiniteGroupAction):

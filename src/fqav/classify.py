@@ -139,15 +139,16 @@ def reid_tai(group: FiniteGroupAction):
     fixed locus has age >= 1.  Returns (holds, witness or None, the
     witness's age or None).  Holonomy, fixed-locus emptiness and age are
     the same on a conjugacy class, so one age per class decides it; the
-    first element of a failing class is the first failing element."""
+    first element of a failing class is the first failing element.  Each
+    age is read first, and a fixed locus is solved only for a class whose
+    age is below 1.  Every age gives the group's solver the class's
+    rank(I - rho)."""
     cyclo_field = cyclo_field_for(group)
     for g in group.nontrivial_class_reps():
         if g.holonomy.is_identity():
             continue
-        if not group.fixed_locus_of(g).nonempty:
-            continue
-        g_age = age(g, cyclo_field)
-        if g_age < 1:
+        g_age = age(g, cyclo_field, group.solver)
+        if g_age < 1 and group.fixed_locus_of(g).nonempty:
             return False, g, g_age
     return True, None, None
 
@@ -195,7 +196,7 @@ class Analysis:
     def classification(self) -> ClassificationReport:
         group = self.group
         n = group.variety.n
-        # first: its Smith forms give the solver the ranks asked for below
+        # first: its spectra give the solver the ranks asked for below
         rt_holds, rt_witness, _ = self.reid_tai
         quasi = is_quasietale(group)
         kappa, q_fano = self.kappa

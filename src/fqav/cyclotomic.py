@@ -1,7 +1,9 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_m) and kernel ranks of
 matrices over it.  An element is an integer residue modulo the monic m-th
 cyclotomic polynomial over one positive common denominator, so sums,
-products, conjugates and kernel ranks run on ints.
+products, conjugates and kernel ranks run on ints.  Eigenvalue counts of a
+matrix reduced modulo a prime that splits completely in Q(zeta_m) run on
+ints below that prime.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import InputError
 
@@ -268,3 +270,67 @@ def eigen_multiplicity(matrix, zeta: CycloNumber) -> int:
     shifted = [[matrix[i][j] - zeta if i == j else matrix[i][j] for j in range(n)]
                for i in range(n)]
     return kernel_dimension(shifted)
+
+
+# ---------------------------------------------------------------------------
+# spectra modulo a prime that splits completely in Q(zeta_m)
+
+def _is_prime(q):
+    return q > 1 and all(q % f for f in range(2, isqrt(q) + 1))
+
+
+def split_prime(m, above):
+    """(p, z): the smallest prime p = 1 (mod m) with p > ``above``, and an
+    element z of exact order m mod p, the least such power of the least
+    base.  p splits completely in Q(zeta_m), and zeta_m -> z is reduction
+    modulo one prime of Z[zeta_m] above p."""
+    p = m + 1
+    while p <= above or not _is_prime(p):
+        p += m
+    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    for base in range(2, p):
+        z = pow(base, (p - 1) // m, p)
+        if all(pow(z, m // q, p) != 1 for q in primes):
+            return p, z
+    raise AssertionError("F_p^* is cyclic")
+
+
+def rank_mod(matrix, p):
+    """Rank over F_p of a matrix of ints in [0, p)."""
+    rows = [list(row) for row in matrix]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivot_row = rows[r]
+        inv = pow(pivot_row[c], -1, p)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
+        r += 1
+    return r
+
+
+def spectrum_mod(matrix, p, z, m):
+    """The counts n - rank_p(M - z^e I) for e = 0, 1, ..., of an n x n matrix
+    M of ints in [0, p) with z of order m mod p, up to the first e at which
+    they sum to n; None when they sum to less than n over every e < m.
+    Eigenspaces of distinct eigenvalues are independent, so the sum never
+    exceeds n."""
+    n = len(matrix)
+    counts = []
+    total = 0
+    root = 1
+    for _ in range(m):
+        shifted = [[(x - root) % p if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(matrix)]
+        count = n - rank_mod(shifted, p)
+        counts.append(count)
+        total += count
+        if total == n:
+            return counts
+        root = root * z % p
+    return None

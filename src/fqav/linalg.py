@@ -57,7 +57,7 @@ def mat_transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def _gauss_jordan(matrix, cols):
+def _gauss_jordan(matrix, cols, stop=None):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer
     ``matrix`` in its first ``cols`` columns; any further columns (a
     right-hand side) are carried along.  The pivot of each column is its
@@ -68,7 +68,9 @@ def _gauss_jordan(matrix, cols):
     pivot entry becomes p, so at the end the rows are d times the reduced
     row echelon form, d the last pivot.  Returns the rows, the pivot columns,
     and d negated once per row swap: the determinant when the matrix is
-    square of full rank."""
+    square of full rank.  With ``stop``, the elimination ends as soon as it
+    finds its stop-th pivot, and only the number of pivots, min(rank,
+    stop), is meaningful."""
     a = [list(row) for row in matrix]
     nr = len(a)
     pivots = []
@@ -79,6 +81,9 @@ def _gauss_jordan(matrix, cols):
         piv = next((i for i in range(r, nr) if a[i][c]), None)
         if piv is None:
             continue
+        pivots.append(c)
+        if len(pivots) == stop:
+            break
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
@@ -89,7 +94,6 @@ def _gauss_jordan(matrix, cols):
                 f = a[i][c]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = p
-        pivots.append(c)
         r += 1
     return a, pivots, sign * prev
 
@@ -101,9 +105,11 @@ def determinant(m):
     return det if len(pivots) == n else 0
 
 
-def matrix_rank(m):
-    """Rank of an integer matrix: its number of elimination pivots."""
-    return len(_gauss_jordan(m, len(m[0]) if m else 0)[1])
+def matrix_rank(m, stop=None):
+    """Rank of an integer matrix: its number of elimination pivots.  With
+    ``stop``, min(rank, stop), found by an elimination that ends at its
+    stop-th pivot."""
+    return len(_gauss_jordan(m, len(m[0]) if m else 0, stop)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +493,14 @@ def solve_factored(factors, point: TorsionPoint) -> AffineSolutionSet:
 
 class FixedPointSolver:
     """Solves (I - W) x == a (mod Z^N) for square integer matrices W of int
-    tuple rows, ranking each I - W at most once and taking its Smith form at
-    most once.  Both are kept per W, so the class path and every stage of a
-    decomposition may share one solver: each entry is a function of the
-    matrix alone."""
+    tuple rows, taking the Smith form of each I - W at most once, and tells
+    whether rank(I - W) <= 2 by at most one elimination per W.  Both are
+    kept per W, so the class path and every stage of a decomposition may
+    share one solver: each entry is a function of the matrix alone."""
 
     def __init__(self):
-        self._factors = {}  # W -> the factor_affine tuple of I - W
-        self._ranks = {}    # W -> rank(I - W), for a W ranked before it was solved
+        self._factors = {}   # W -> the factor_affine tuple of I - W
+        self._low_rank = {}  # W -> rank(I - W) <= 2, for a W not yet solved
 
     def solve(self, w, point: TorsionPoint) -> AffineSolutionSet:
         """The solutions of (I - W) x == a, a = ``point``."""
@@ -504,22 +510,28 @@ class FixedPointSolver:
                 mat_sub(identity_matrix(len(w)), w), len(w))
         return solve_factored(factors, point)
 
+    def know_rank(self, w, rank):
+        """Record rank(I - W) = ``rank``, found without this solver."""
+        self._low_rank[w] = rank <= 2
+
     def may_fix_divisor(self, w):
         """Whether rank(I - W) <= 2.  Each component of a fixed locus of
         x -> W x + a has real codimension rank(I - W), so otherwise it holds
         no divisor.  W need not be complex, so the rank may be odd.  On a
-        lattice of rank 2 it always holds and no rank is taken.  Else the
-        rank is read off the factorisation once W has been solved, or found
-        by one elimination."""
+        lattice of rank 2 it always holds and no rank is taken.  Else it is
+        read off the factorisation once W has been solved, or off a rank
+        given to ``know_rank``, or found by one elimination that ends at its
+        third pivot."""
         if len(w) <= 2:
             return True
         factors = self._factors.get(w)
         if factors is not None:
             return len(factors[1]) <= 2
-        rank = self._ranks.get(w)
-        if rank is None:
-            rank = self._ranks[w] = matrix_rank(mat_sub(identity_matrix(len(w)), w))
-        return rank <= 2
+        low = self._low_rank.get(w)
+        if low is None:
+            low = self._low_rank[w] = matrix_rank(
+                mat_sub(identity_matrix(len(w)), w), stop=3) <= 2
+        return low
 
 
 def solve_affine_mod_lattice(matrix, point: TorsionPoint) -> AffineSolutionSet:

@@ -185,6 +185,16 @@ def analytic_rep(phi: EndoBlockMatrix, field: CycloField):
     return out
 
 
+def analytic_rep_mod(phi: EndoBlockMatrix, m, p, z):
+    """``analytic_rep(phi, Q(zeta_m))`` reduced modulo the prime of
+    Z[zeta_m] that sends zeta_m to z mod p: c + d*tau becomes c + d z^(m/4)
+    on a zeta4 factor and c + d z^(m/6) on a zeta6 factor, as int rows in
+    [0, p)."""
+    taus = [pow(z, m // (4 if f.cm == ZETA4 else 6), p) if f.has_cm else 0
+            for f in phi.variety.factors]
+    return [[(c + d * tau) % p for (c, d), tau in zip(row, taus)] for row in phi.blocks]
+
+
 @dataclass(frozen=True)
 class SubtorusTranslate:
     """A translate of a subtorus: saturated complex-linear lattice plus a

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,15 +24,16 @@ from fqav.action import (
     pointwise_stabilizer,
 )
 from fqav.cli import parse_input
-from fqav.cyclotomic import CycloField
+from fqav.cyclotomic import CycloField, eigen_multiplicity, split_prime
 from fqav.decompose import group_to_lattice_elements, to_lattice_elements
 from fqav.errors import InputError
-from fqav.linalg import TorsionPoint, fixed_lattice
+from fqav.linalg import TorsionPoint, fixed_lattice, identity_matrix, mat_sub, matrix_rank
 from fqav.variety import (
     AbelianVarietyModel,
     EllipticFactor,
     EndoBlockMatrix,
     SubtorusTranslate,
+    analytic_rep,
     rational_rep,
 )
 
@@ -530,3 +531,115 @@ class TestDescendOnGenerators:
     def test_gallery(self, bielliptic_group):
         for group in [bielliptic_group] + nonabelian_groups():
             assert descend_multiplication(group) == self.all_elements_m(group)
+
+
+# ---------------------------------------------------------------------------
+# ages and ranks from the spectrum mod p against the cyclotomic reference
+
+def reference_age(phi, field):
+    """The age by eigen_multiplicity over Q(zeta_m): one kernel rank per
+    primitive root of each order dividing the holonomy order; None when the
+    field does not hold the spectrum."""
+    order = holonomy_order(phi)
+    if field.m % order:
+        return None
+    mat = analytic_rep(phi, field)
+    total = Fraction(0)
+    for d in range(2, order + 1):
+        if order % d == 0:
+            for k in range(1, d):
+                if gcd(k, d) == 1:
+                    total += Fraction(k, d) * eigen_multiplicity(mat, field.root_of_unity(d, k))
+    return total
+
+
+class RankRecorder:
+    """A stand-in solver that keeps the ranks ``age`` reports."""
+
+    def __init__(self):
+        self.ranks = []
+
+    def know_rank(self, w, rank):
+        self.ranks.append((w, rank))
+
+
+@st.composite
+def finite_order_holonomies(draw, sizes=st.integers(1, 4), monomial_only=False):
+    """A block-monomial holonomy of units, which permutes factors with
+    homomorphisms between them, conjugated by up to two transvections
+    I + x e_jk between such factors (x with entries in [-2, 2])."""
+    n = draw(sizes)
+    factors = draw(st.lists(st.sampled_from(FACTOR_POOL), min_size=n, max_size=n))
+    variety = AbelianVarietyModel.of(*factors)
+    image = list(range(n))
+    for key in dict.fromkeys(f.hom_key(f) for f in factors):
+        slots = [j for j, f in enumerate(factors) if f.hom_key(f) == key]
+        for j, k in zip(slots, draw(st.permutations(slots))):
+            image[j] = k
+    units = [draw(st.sampled_from(UNITS[f.cm])) for f in factors]
+    rows = [[units[j] if image[j] == k else (0, 0) for k in range(n)] for j in range(n)]
+    phi = EndoBlockMatrix.from_rows(variety, rows)
+    pairs = [(j, k) for j in range(n) for k in range(n)
+             if j != k and factors[j].hom_key(factors[k]) is not None]
+    for _ in range(0 if monomial_only or not pairs else draw(st.integers(0, 2))):
+        j, k = draw(st.sampled_from(pairs))
+        c = draw(st.integers(-2, 2))
+        d = draw(st.integers(-2, 2)) if factors[j].has_cm else 0
+
+        def transvection(sign):
+            return EndoBlockMatrix.from_rows(variety, [
+                [(sign * c, sign * d) if (a, b) == (j, k) else ((1, 0) if a == b else (0, 0))
+                 for b in range(n)] for a in range(n)])
+
+        phi = transvection(1).compose(phi).compose(transvection(-1))
+    return phi
+
+
+class TestSpectrumModP:
+    def assert_matches_reference(self, phi, field):
+        g = AffineAutomorphism.of(phi)
+        want = reference_age(phi, field)
+        recorder = RankRecorder()
+        if want is None:
+            with pytest.raises(InputError) as exc:
+                age(g, field, recorder)
+            assert exc.value.code == "field-too-small"
+            assert recorder.ranks == []
+            return
+        assert age(g, field, recorder) == want
+        rank = matrix_rank(mat_sub(identity_matrix(len(phi.matrix)), phi.matrix))
+        assert recorder.ranks == [(phi.matrix, rank)]
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(finite_order_holonomies(), st.booleans())
+    def test_random_holonomies(self, phi, smallest):
+        # the group's field, lcm(12, order), or Q(zeta_12), which may be too
+        # small for the spectrum
+        m = 12 if smallest else lcm(12, holonomy_order(phi))
+        self.assert_matches_reference(phi, CycloField(m))
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(finite_order_holonomies(sizes=st.just(6), monomial_only=True))
+    def test_six_factors(self, phi):
+        # p > 2n + 1 = 13 rules out 13 for m = 12
+        assert split_prime(12, 13)[0] == 37
+        self.assert_matches_reference(phi, CycloField(lcm(12, holonomy_order(phi))))
+
+    def test_order_eight(self):
+        z4 = EllipticFactor("zeta4")
+        order8 = EndoBlockMatrix.from_rows(AbelianVarietyModel.of(z4, z4),
+                                           [[(0, 0), (0, 1)], [(1, 0), (0, 0)]])
+        assert holonomy_order(order8) == 8
+        self.assert_matches_reference(order8, CycloField(12))
+        self.assert_matches_reference(order8, CycloField(24))
+
+    def test_split_prime(self):
+        for m in (12, 24, 36, 60, 120):
+            for above in (3, 5, 13, 37):
+                p, z = split_prime(m, above)
+                primes = [q for q in range(above + 1, p + 1)
+                          if q % m == 1 and all(q % f for f in range(2, q))]
+                assert primes == [p]
+                assert [e for e in range(1, m + 1) if pow(z, e, p) == 1] == [m]

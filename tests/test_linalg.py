@@ -606,6 +606,8 @@ class TestFactoredSolve:
                                min_size=nr, max_size=nr))
         rank = matrix_rank(m)
         assert rank == len(elementary_divisors(m)) == len(factor_affine(m, nc)[1])
+        stop = data.draw(st.integers(1, 7))
+        assert matrix_rank(m, stop=stop) == min(rank, stop)
 
     def test_non_complex_reflection_has_rank_one(self):
         # diag(-1, 1) fixes a line of Z^2: rank(I - W) = 1, one divisor 2
@@ -634,9 +636,9 @@ class TestFixedPointSolver:
         low_rank = matrix_rank(m) <= 2
         ranks = []
 
-        def counting_rank(matrix):
+        def counting_rank(matrix, **kwargs):
             ranks.append(matrix)
-            return matrix_rank(matrix)
+            return matrix_rank(matrix, **kwargs)
 
         ranked_first, solved_first = FixedPointSolver(), FixedPointSolver()
         with mock.patch.object(linalg, "matrix_rank", counting_rank):
