@@ -83,12 +83,14 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
                   if i and class_rep[i] == i and solver.may_fix_divisor(g.holonomy.matrix)
                   and group.fixed_locus_of(g).dim == n - 1}
     by_key = {}  # canonical key -> [component, index]
+    lattices = {}  # one object per distinct lattice, which caches its complement
     for i, g in enumerate(group.elements):
         if class_rep[i] not in divisorial:
             continue
         loc = group.fixed_locus_of(g)
+        lat = lattices.setdefault(loc.kernel, loc.kernel)
         for rep in loc.representatives:
-            comp = SubtorusTranslate(loc.kernel, rep)
+            comp = SubtorusTranslate(lat, rep)
             entry = by_key.setdefault(comp.canonical_key(), [comp, 1])
             entry[1] += 1
     ordered = sorted(by_key.items(), key=lambda item: item[1][0].sort_key())
@@ -99,6 +101,7 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
     # orbits under g . T = rho(T) + a; a finite set mapped into itself by
     # every generator is mapped onto itself by the group they generate
     maps = [(g.holonomy.matrix, g.translation) for g in group.generators]
+    images = {}  # (lattice, generator index) -> the image lattice
     seen = set()
     orbits = []
     for i in range(len(components)):
@@ -108,10 +111,13 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
         stack = [i]
         while stack:
             cj = components[stack.pop()]
-            for rho, translation in maps:
-                lat = Lattice.from_vectors(
-                    cj.lattice.ambient_rank,
-                    [mat_vec(rho, v) for v in cj.lattice.basis_rows()])
+            for j, (rho, translation) in enumerate(maps):
+                lat = images.get((cj.lattice, j))
+                if lat is None:
+                    lat = Lattice.from_vectors(
+                        cj.lattice.ambient_rank,
+                        [mat_vec(rho, v) for v in cj.lattice.basis_rows()])
+                    lat = images[cj.lattice, j] = lattices.setdefault(lat, lat)
                 trans = cj.translate.apply_matrix(rho) + translation
                 k = position.get(SubtorusTranslate(lat, trans).canonical_key())
                 if k is None:

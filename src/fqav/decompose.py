@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .action import affine_product, bfs_closure
+from .action import ClosureTables, affine_product, bfs_closure
 from .errors import CertificateError
 from .linalg import (
     FixedPointSolver,
@@ -76,24 +76,30 @@ def mat_eq_identity(m):
 
 
 def close_elements(gens, bound=math.inf, overflow=None):
-    """Closure of lattice elements under composition, and the generators it
-    kept.  The exception ``overflow`` is raised as soon as the closure holds
-    more than ``bound`` elements.  Generators are taken in ``sort_key``
-    order, and one already in the closure of the generators kept so far is
-    skipped: it would add nothing to the subgroup."""
+    """``close_with_tables`` without the tables."""
+    return close_with_tables(gens, bound, overflow)[:2]
+
+
+def close_with_tables(gens, bound=math.inf, overflow=None):
+    """Closure of lattice elements under composition, the generators it
+    kept, and the ``ClosureTables`` of the closure of those.  The exception
+    ``overflow`` is raised as soon as the closure holds more than ``bound``
+    elements.  Generators are taken in ``sort_key`` order, and one already
+    in the closure of the generators kept so far is skipped: it would add
+    nothing to the subgroup."""
     if not gens:
-        return [], []
+        return [], [], None
     ident = LatticeElement.of(identity_matrix(gens[0].rank))
     kept = []
-    elements = [ident]
+    elements, tables = [ident], ClosureTables([], [-1], [-1], [0])
     seen = {ident}
     for g in sorted(set(gens), key=LatticeElement.sort_key):
         if g in seen:
             continue
         kept.append(g)
-        elements, _ = bfs_closure(ident, kept, bound, overflow)
+        elements, tables = bfs_closure(ident, kept, bound, overflow)
         seen = set(elements)
-    return elements, kept
+    return elements, kept, tables
 
 
 def element_fixed_solution(e: LatticeElement, solver=None):
@@ -160,22 +166,12 @@ class DecompositionResult:
 # stage operations at the lattice level
 
 def lattice_ramification_subgroup(elements, fixed):
-    """Closure of the elements whose fixed locus has codimension 1, and the
-    generators its closure kept.  ``fixed`` is the stage's
-    ``fixed_solutions`` map."""
-    if not elements:
-        return [], []
-    n = elements[0].rank // 2
-    gens = [e for e, sol in fixed.items() if sol.dim == n - 1]
-    if not gens:
-        return [e for e in elements if e.is_identity()], []
-    # N <= G, so a closure past |G| elements has already left the group
+    """``ramification_on_tables`` of a closed group given without tables: N
+    and its kept generators.  The group is closed again, raising past |G|
+    elements.  ``fixed`` is its ``fixed_solutions`` map."""
     escapes = CertificateError("ramification subgroup escapes the group")
-    closed, kept = close_elements(gens, len(elements), escapes)
-    in_group = set(elements)
-    if any(e not in in_group for e in closed):
-        raise escapes
-    return closed, kept
+    closed, _, tables = close_with_tables(elements, len(elements), escapes)
+    return ramification_on_tables(closed, tables, fixed)[:2]
 
 
 def check_normal(generators, subgroup, subgroup_generators, group_order):
@@ -194,6 +190,59 @@ def check_normal(generators, subgroup, subgroup_generators, group_order):
                 raise CertificateError(
                     f"ramification subgroup is not normal: generator {s} conjugates "
                     f"{h} to {conj}, outside the subgroup")
+
+
+def _right_multiplication(tables, columns, g):
+    """Right multiplication by the element numbered g, as the list y -> the
+    number of y . g, with ``columns[j][y]`` the number of y . gens[j]: g
+    is parent[g] . gens[via[g]], so depth(g) look-ups per element."""
+    word = []
+    while g > 0:
+        word.append(tables.via[g])
+        g = tables.parent[g]
+    perm = range(len(tables.parent))
+    for j in reversed(word):
+        perm = list(map(columns[j].__getitem__, perm))
+    return perm
+
+
+def ramification_on_tables(elements, tables, fixed):
+    """``lattice_ramification_subgroup`` of the stage ``elements``, with the
+    numbers of N and the right multiplications by its kept generators: the
+    same rule on look-ups in the stage's tables, which it cannot leave."""
+    n = elements[0].rank // 2
+    number = dict(zip(elements, tables.numbers))
+    r = len(tables.products) // len(elements)
+    columns = [tables.products[j::r] for j in range(r)]
+    kept, right, levels, members = [], [], [{0}], {0}
+    for g in sorted((e for e, sol in fixed.items() if sol.dim == n - 1),
+                    key=LatticeElement.sort_key):
+        if number[g] not in members:
+            kept.append(g)
+            right.append(_right_multiplication(tables, columns, number[g]))
+            levels, members = [{0}], {0}
+            while levels[-1]:  # the next BFS level: x . h for x in this one
+                level = set().union(*(map(h.__getitem__, levels[-1]) for h in right))
+                levels.append(level - members)
+                members |= level
+    by_number = dict(zip(tables.numbers, elements))
+    n_sub = [e for level in levels
+             for e in sorted((by_number[x] for x in level), key=LatticeElement.sort_key)]
+    return n_sub, kept, members, right
+
+
+def check_normal_on_tables(generators, tables, ramification):
+    """``check_normal`` by look-ups in the tables of the closure of
+    ``generators``: s h s^-1 is in N iff s h is in N s.  The first failing
+    pair is handed to ``check_normal``, which names the witness."""
+    n_sub, kept, members, right = ramification
+    products, r = tables.products, len(generators)
+    for j, s in enumerate(generators):
+        coset = {products[x * r + j] for x in members}
+        for h, perm in zip(kept, right):
+            if perm[products[j]] not in coset:
+                check_normal([s], n_sub, [h], len(tables.parent))
+                raise CertificateError("normality verdicts disagree")
 
 
 def _element_inverse(g, group_order):
@@ -241,7 +290,7 @@ def lattice_kappa(elements, fixed):
 def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order):
     """Split N = <n_generators> along B x C: the certificate set N-tilde of
     affine maps on B x C, and the restricted group N_C in C-coordinates with
-    the generators its closure kept.
+    the generators its closure kept and the tables of that closure.
 
     Coordinates on B x C are (beta, gamma) with a = B^T beta + C^T gamma;
     all torus-level splittings of each translation are enumerated through
@@ -309,10 +358,10 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     # a closed set holds its closure, so the closure may not outgrow it
     not_closed = CertificateError("restrictions to C do not form a closed set")
     distinct = set(n_c_gens)
-    n_c, n_c_kept = close_elements(n_c_gens, len(distinct), not_closed)
+    n_c, n_c_kept, n_c_tables = close_with_tables(n_c_gens, len(distinct), not_closed)
     if set(n_c) != distinct:
         raise not_closed
-    return n_tilde, n_c, n_c_kept
+    return n_tilde, n_c, n_c_kept, n_c_tables
 
 
 def _check_n_tilde_group(n_tilde, generators):
@@ -369,7 +418,7 @@ def _compose_embedding(outer, local_basis):
                  for row in local_basis)
 
 
-def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
+def _decompose_level(elements, generators, tables, embedding, ambient_rank, seed_form,
                      solver, factors, stages):
     n2 = len(embedding)
     n = n2 // 2
@@ -377,14 +426,14 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
         if n2 else Lattice.zero(ambient_rank)
 
     fixed = fixed_solutions(elements, solver)
-    n_sub, n_generators = lattice_ramification_subgroup(elements, fixed)
-    n_nontrivial = [e for e in n_sub if not e.is_identity()]
-    check_normal(generators, n_sub, n_generators, len(elements))
+    ramification = ramification_on_tables(elements, tables, fixed)
+    check_normal_on_tables(generators, tables, ramification)
+    n_sub, n_generators = ramification[:2]
     qout = lattice_quasietale_outside(elements, n_sub, fixed)
     if not qout:
         raise CertificateError("quotient by the ramification subgroup is not quasietale")
 
-    if not n_nontrivial:
+    if len(n_sub) == 1:
         # quasietale case: the whole stage variety is abelian
         if n2:
             factors.append(current_lattice)
@@ -403,7 +452,7 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
 
     holonomies = list(dict.fromkeys(e.matrix for e in n_sub))
     c, ker_mu = lattice_poincare_complement(b, holonomies, seed_form)
-    n_tilde, n_c, n_c_generators = split_action(n_sub, n_generators, b, c, ker_mu)
+    n_tilde, n_c, n_c_generators, n_c_tables = split_action(n_sub, n_generators, b, c, ker_mu)
 
     factors.append(Lattice.from_vectors(
         ambient_rank, [list(v) for v in _compose_embedding(embedding, b.basis_rows())]))
@@ -415,23 +464,20 @@ def _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
     next_form = _restrict_form(seed_form, ct)
     # split_action certified n_c closed, so it is the next stage group, and
     # the generators its closure kept generate it
-    return _decompose_level(tuple(n_c), tuple(n_c_generators), next_embedding, ambient_rank,
-                            next_form, solver, factors, stages)
+    return _decompose_level(tuple(n_c), tuple(n_c_generators), n_c_tables, next_embedding,
+                            ambient_rank, next_form, solver, factors, stages)
 
 
-def decompose_lattice_action(elements, ambient_rank, seed_form, solver,
-                             generators=None) -> DecompositionResult:
-    """Decompose the closed group ``elements``, every stage solving its fixed
-    points by the ``FixedPointSolver`` ``solver``; ``generators`` generate
-    it (all of ``elements`` when omitted) and feed the normality
-    certificate."""
+def decompose_lattice_action(elements, generators, tables, ambient_rank, seed_form,
+                             solver) -> DecompositionResult:
+    """Decompose the closed group ``elements``, the closure of
+    ``generators`` with ``ClosureTables`` ``tables``, every stage solving
+    its fixed points by the ``FixedPointSolver`` ``solver``."""
     factors = []
     stages = []
     embedding = tuple(tuple(r) for r in identity_matrix(ambient_rank))
-    elements = tuple(elements)
-    generators = elements if generators is None else tuple(generators)
-    fano = _decompose_level(elements, generators, embedding, ambient_rank, seed_form,
-                            solver, factors, stages)
+    fano = _decompose_level(tuple(elements), tuple(generators), tables, embedding,
+                            ambient_rank, seed_form, solver, factors, stages)
     total = sum(lat.rank for lat in factors) // 2
     return DecompositionResult(tuple(factors), total, fano, tuple(stages))
 
@@ -448,10 +494,10 @@ def decompose(group) -> DecompositionResult:
     """Build the quasietale cover (abelian factor) x (Q-Fano part) for the
     quotient of the modeled variety by the given closed group.  The stages
     share the group's solver, whose entries depend on the matrix alone."""
-    elements = group_to_lattice_elements(group)
     seed = standard_symplectic_form(group.variety.n)
-    return decompose_lattice_action(elements, group.variety.ambient_rank, seed, group.solver,
-                                    to_lattice_elements(group.generators))
+    return decompose_lattice_action(group_to_lattice_elements(group),
+                                    to_lattice_elements(group.generators), group.tables,
+                                    group.variety.ambient_rank, seed, group.solver)
 
 
 def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:
@@ -459,4 +505,5 @@ def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:
     if fano.rank == 0:
         return DecompositionResult((), 0, fano, ())
     seed = _restrict_form(standard_symplectic_form(fano.ambient_rank // 2), fano.embedding)
-    return decompose_lattice_action(list(fano.elements), fano.rank, seed, FixedPointSolver())
+    return decompose_lattice_action(*close_with_tables(fano.elements), fano.rank, seed,
+                                    FixedPointSolver())

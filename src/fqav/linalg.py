@@ -286,6 +286,11 @@ class Lattice:
     def basis_rows(self):
         return [list(r) for r in self.basis]
 
+    @cached_property
+    def complement_rows(self):
+        """``orthogonal_complement_rows`` of this lattice, computed once."""
+        return orthogonal_complement_rows(self)
+
     def coordinates(self, vector):
         """The integer x with sum x_k basis_k = vector, or None when the
         vector is not in the lattice.  The basis is in Hermite form, so x_k

@@ -210,8 +210,7 @@ class SubtorusTranslate:
     def canonical_key(self):
         """Hashable identity: the lattice plus the translate reduced modulo
         the subtorus (via the dual integer forms)."""
-        k = orthogonal_complement_rows(self.lattice)
-        return (self.lattice, self.translate.apply_matrix(k))
+        return (self.lattice, self.translate.apply_matrix(self.lattice.complement_rows))
 
     def sort_key(self):
         return (self.lattice.basis, self.translate.sort_key())

@@ -430,12 +430,14 @@ class TestCertificateWitness:
         p.write_text(json.dumps(D4_DOC))
         flip = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
-        def flip_only(elements, fixed):
-            # <(-1) x 1> in place of the ramification subgroup: not normal
-            flips = [e for e in elements if e.matrix == flip]
-            return decompose_module.close_elements(flips)
+        original = decompose_module.ramification_on_tables
 
-        monkeypatch.setattr(decompose_module, "lattice_ramification_subgroup", flip_only)
+        def flip_only(elements, tables, fixed):
+            # <(-1) x 1> in place of the ramification subgroup: not normal
+            return original(elements, tables,
+                            {e: sol for e, sol in fixed.items() if e.matrix == flip})
+
+        monkeypatch.setattr(decompose_module, "ramification_on_tables", flip_only)
         assert main(["decompose", str(p)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

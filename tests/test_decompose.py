@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,9 @@ from fqav.decompose import (
     _check_n_tilde_group,
     _element_inverse,
     check_normal,
+    check_normal_on_tables,
     close_elements,
+    close_with_tables,
     decompose,
     decompose_fano_part,
     element_fixed_solution,
@@ -20,10 +23,11 @@ from fqav.decompose import (
     lattice_kappa,
     lattice_quasietale_outside,
     lattice_ramification_subgroup,
+    ramification_on_tables,
     split_action,
     to_lattice_elements,
 )
-from fqav import linalg
+from fqav import action, linalg
 from fqav.cli import parse_input
 from fqav.errors import CertificateError, InputError
 from fqav.linalg import (
@@ -40,7 +44,7 @@ from fqav.variety import lattice_poincare_complement, standard_symplectic_form
 
 from test_acceptance import random_automorphism, random_variety
 from test_action import ORACLE, nonabelian_groups, small_groups
-from test_golden import sl_diag_document
+from test_golden import diag_perm_document, sl_diag_document
 
 # the module, which the package's ``decompose`` function shadows
 decompose_module = importlib.import_module("fqav.decompose")
@@ -214,12 +218,14 @@ class TestSplitWithTorsionGlue:
         assert len(sub) == 2 and len(kept) == 1
         assert b == Lattice.from_vectors(4, [[1, 0, -1, 0], [0, 1, 0, -1]])
         assert ker_mu == 4
-        n_tilde, n_c, n_c_kept = split_action(sub, kept, b, c, ker_mu)
+        n_tilde, n_c, n_c_kept, n_c_tables = split_action(sub, kept, b, c, ker_mu)
         assert len(n_tilde) == 2 * 4
         # the ker mu lifts are the elements of N-tilde with matrix I
         assert sum(t.matrix == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
                    for t in n_tilde) == 4
         assert len(n_c) == 2 and len(n_c_kept) == 1
+        # the tables of the closure of the kept generator number N_C
+        assert n_c_tables.numbers == [0, 1] and n_c_tables.products == [1, 0]
         # the first factor is a complement of B that the swap does not keep
         first = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
         with pytest.raises(CertificateError, match="complement is not invariant"):
@@ -605,12 +611,12 @@ class TestKeptGeneratorsInvariantTorus:
     def test_matches_every_holonomy(self, monkeypatch, gallery):
         found = []
 
-        def recording(elements, fixed):
-            sub, kept = lattice_ramification_subgroup(elements, fixed)
-            found.append((sub, kept))
-            return sub, kept
+        def recording(elements, tables, fixed):
+            ramification = ramification_on_tables(elements, tables, fixed)
+            found.append(ramification[:2])
+            return ramification
 
-        monkeypatch.setattr(decompose_module, "lattice_ramification_subgroup", recording)
+        monkeypatch.setattr(decompose_module, "ramification_on_tables", recording)
         for group in gallery + nonabelian_groups():
             decompose(group)
         fewer = 0
@@ -620,6 +626,176 @@ class TestKeptGeneratorsInvariantTorus:
             assert fixed_lattice([e.matrix for e in kept], n2) == fixed_lattice(holonomies, n2)
             fewer += len(kept) < len(holonomies) - 1
         assert fewer  # some N has fewer kept generators than nontrivial holonomies
+
+
+# ---------------------------------------------------------------------------
+# N closed and certified normal on a stage's closure tables, against the
+# element-wise closure and conjugation they replace
+
+def recorded_table_stages(monkeypatch, groups):
+    """(elements, generators, tables) of every stage of the decompositions
+    of ``groups``."""
+    stages = []
+    level = decompose_module._decompose_level
+
+    def recording(elements, generators, tables, *rest):
+        stages.append((elements, generators, tables))
+        return level(elements, generators, tables, *rest)
+
+    monkeypatch.setattr(decompose_module, "_decompose_level", recording)
+    for group in groups:
+        decompose(group)
+    monkeypatch.undo()
+    return stages
+
+
+def table_subgroup(elements, tables, gens):
+    """``ramification_on_tables`` of <gens>: a fixed map in which each of
+    ``gens``, and nothing else, fixes a divisor."""
+    divisor = SimpleNamespace(dim=elements[0].rank // 2 - 1)
+    return ramification_on_tables(elements, tables, {g: divisor for g in gens})
+
+
+def assert_table_closure_matches(elements, tables, gens):
+    """The table closure of <gens> is ``close_elements(gens)``: the same
+    elements in the same order and the same kept generators, with the
+    numbers of N and permutations that are right multiplications."""
+    n_sub, kept, members, right = table_subgroup(elements, tables, gens)
+    if gens:
+        assert (n_sub, kept) == close_elements(gens)
+    else:
+        assert n_sub == [elements[0]] and elements[0].is_identity() and kept == []
+    number = dict(zip(elements, tables.numbers))
+    assert members == {number[x] for x in n_sub}
+    by_number = dict(zip(tables.numbers, elements))
+    for h, perm in zip(kept, right):
+        assert sorted(perm) == list(range(len(elements)))
+        assert all(by_number[perm[number[x]]] == x.compose(h) for x in n_sub)
+
+
+def normality_verdict(check, *args):
+    """None when ``check(*args)`` passes, else its failure message."""
+    try:
+        check(*args)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+def assert_table_normality_matches(elements, generators, tables, subgroups):
+    """The table check and ``check_normal`` agree on each subgroup, a
+    ``ramification_on_tables`` result, witness text included; the set of
+    verdicts."""
+    verdicts = set()
+    for sub in subgroups:
+        want = normality_verdict(check_normal, generators, sub[0], sub[1], len(elements))
+        assert normality_verdict(check_normal_on_tables, generators, tables, sub) == want
+        verdicts.add(want is None)
+    return verdicts
+
+
+def reflections_of(elements):
+    n = elements[0].rank // 2
+    fixed = fixed_solutions(elements, FixedPointSolver())
+    return [e for e, sol in fixed.items() if sol.dim == n - 1]
+
+
+class TestTableRamification:
+    def test_every_stage(self, monkeypatch, gallery):
+        stages = recorded_table_stages(monkeypatch, gallery + nonabelian_groups())
+        assert len(stages) > len(gallery)  # lower stages were reached
+        rng = random.Random(16)
+        for elements, generators, tables in stages:
+            assert_table_closure_matches(elements, tables, reflections_of(elements))
+            assert_table_closure_matches(elements, tables, rng.sample(elements, 2)
+                                         if len(elements) > 1 else [])
+            n_sub = ramification_on_tables(elements, tables,
+                                           fixed_solutions(elements, FixedPointSolver()))
+            assert assert_table_normality_matches(elements, generators, tables, [n_sub]) \
+                == {True}
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        elements = group_to_lattice_elements(group)
+        assert_table_closure_matches(elements, group.tables, reflections_of(elements))
+        assert_table_closure_matches(elements, group.tables, elements)
+        subgroups = [table_subgroup(elements, group.tables, [x]) for x in elements]
+        assert_table_normality_matches(elements, to_lattice_elements(group.generators),
+                                       group.tables, subgroups)
+
+
+class TestTableNormality:
+    def test_agrees_with_conjugation(self, gallery):
+        verdicts = set()
+        rng = random.Random(61)
+        for group in gallery + nonabelian_groups():
+            elements = group_to_lattice_elements(group)
+            subgroups = [table_subgroup(elements, group.tables, [x]) for x in elements]
+            subgroups += [table_subgroup(elements, group.tables,
+                                         rng.sample(elements, min(2, len(elements))))
+                          for _ in range(5)]
+            verdicts |= assert_table_normality_matches(
+                elements, to_lattice_elements(group.generators), group.tables, subgroups)
+        assert verdicts == {True, False}  # both outcomes were exercised
+
+    def test_failure_never_passes(self, monkeypatch):
+        # a table verdict the element-wise check would not confirm still fails
+        elements, kept, tables = close_with_tables([SWAP, FLIP])
+        monkeypatch.setattr(decompose_module, "check_normal", lambda *args: None)
+        with pytest.raises(CertificateError, match="normality verdicts disagree"):
+            check_normal_on_tables(kept, tables, table_subgroup(elements, tables, [FLIP]))
+
+    def test_d4_reflection_not_normal(self):
+        # D4 on E x E: <swap, (-1) x 1>; <(-1) x 1> is not normal, and the
+        # witness is the one check_normal names
+        elements, kept, tables = close_with_tables([SWAP, FLIP])
+        sub = table_subgroup(elements, tables, [FLIP])
+        assert sub[:2] == close_elements([FLIP])
+        other = LatticeElement.of([[1, 0, 0, 0], [0, 1, 0, 0],
+                                   [0, 0, -1, 0], [0, 0, 0, -1]])
+        with pytest.raises(CertificateError) as exc:
+            check_normal_on_tables(kept, tables, sub)
+        assert str(exc.value) == (
+            f"ramification subgroup is not normal: generator {SWAP} conjugates "
+            f"{FLIP} to {other}, outside the subgroup")
+        # the signs (+-1) x (+-1) form a normal subgroup of index 2
+        check_normal_on_tables(kept, tables, table_subgroup(elements, tables, [FLIP, other]))
+
+
+class CountedProducts:
+    """Counts the affine products, of closures and of compositions, made
+    while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = action.affine_product
+
+        def counting(*args):
+            self.calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(action, "affine_product", counting)
+        monkeypatch.setattr(decompose_module, "affine_product", counting)
+
+
+class TestTableClosureMakesNoProduct:
+    def test_no_affine_product(self, monkeypatch, gallery):
+        text = json.dumps(diag_perm_document("zeta4"))
+        groups = gallery + nonabelian_groups() + [close_group(parse_input(text)[1])]
+        stages = recorded_table_stages(monkeypatch, groups)
+        assert max(len(elements) for elements, _, _ in stages) == 192
+        for elements, generators, tables in stages:
+            fixed = fixed_solutions(elements, FixedPointSolver())
+            products = CountedProducts(monkeypatch)
+            sub = ramification_on_tables(elements, tables, fixed)
+            check_normal_on_tables(generators, tables, sub)
+            assert products.calls == 0
+            if len(sub[0]) > 2:
+                # the element-wise closure of the same reflections makes some
+                close_elements(reflections_of(elements))
+                assert products.calls > 0
+            monkeypatch.undo()
 
 
 class CountedSnf:

@@ -79,6 +79,21 @@ DIAG_PERM = {"diag-perm-192": ("zeta4", False),
              "diag-perm-1296": ("zeta6", True)}
 
 
+
+
+def translated_sl_diag_document():
+    """``sl_diag_document("zeta6", cycle=True)`` with the translation
+    (1/2, 0, 1/2, 0, 1/2, 0) on the cyclic permutation and ``group_cap``
+    200000: order 6912 = 108 * 64, quasietale."""
+    doc = sl_diag_document("zeta6", cycle=True)
+    doc["generators"][2]["translation"] = ["1/2", "0"] * 3
+    doc["options"] = {"group_cap": 200000}
+    return doc
+
+
+TRANSLATED = "sl-diag-c3-6912"
+
+
 def _input_path(name, tmp_dir):
     if name in SL_DIAG:
         path = pathlib.Path(tmp_dir) / f"{name}.json"
@@ -119,6 +134,19 @@ def test_diag_perm_report_bytes_match_golden(diag_perm_doc, fmt):
     assert serialize(doc, fmt) == (GOLDEN_DIR / f"{name}.{fmt}").read_text()
 
 
+@pytest.fixture(scope="module")
+def translated_doc():
+    """The report document of the order-6912 group, built once for both
+    formats."""
+    variety, gens, options = parse_input(json.dumps(translated_sl_diag_document()))
+    return build_report(variety, gens, options, "report")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_translated_report_bytes_match_golden(translated_doc, fmt):
+    assert serialize(translated_doc, fmt) == (GOLDEN_DIR / f"{TRANSLATED}.{fmt}").read_text()
+
+
 def regenerate():
     """Rewrite every golden file from the current code."""
     import contextlib
@@ -137,3 +165,7 @@ def regenerate():
         doc = _diag_perm_report_doc(name)
         for fmt in FORMATS:
             (GOLDEN_DIR / f"{name}.{fmt}").write_text(serialize(doc, fmt))
+    variety, gens, options = parse_input(json.dumps(translated_sl_diag_document()))
+    doc = build_report(variety, gens, options, "report")
+    for fmt in FORMATS:
+        (GOLDEN_DIR / f"{TRANSLATED}.{fmt}").write_text(serialize(doc, fmt))
