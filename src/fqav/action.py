@@ -1,6 +1,6 @@
-"""Affine automorphisms g = t_a . phi, finite group closure and its index
-tables, conjugacy classes, fixed loci, ages, and the descending
-multiplication map."""
+"""Affine maps x -> W x + a of a torus, the automorphisms g = t_a . phi
+among them, finite group closure and its index tables, conjugacy classes,
+fixed loci, ages, and the descending multiplication map."""
 
 from __future__ import annotations
 
@@ -27,17 +27,74 @@ from .variety import (
     EndoBlockMatrix,
     SubtorusTranslate,
     analytic_rep_mod,
+    block_pairs,
 )
 
 DEFAULT_GROUP_CAP = 10000
 
 
-@dataclass(frozen=True)
-class AffineAutomorphism:
-    """g = t_a . phi with finite-order holonomy phi and torsion translation a."""
+@cache
+def _identity_rows(size):
+    return tuple(map(tuple, identity_matrix(size)))
 
-    holonomy: EndoBlockMatrix
+
+def mat_eq_identity(m):
+    return m == _identity_rows(len(m))
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeElement:
+    """An affine map x -> W x + a on the torus R^N/Z^N, W unimodular.  It
+    equals each element, of either class, with its (matrix, translation)."""
+
+    matrix: tuple  # N x N integer, tuple of tuples
     translation: TorsionPoint
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticeElement):
+            return NotImplemented
+        return self.matrix == other.matrix and self.translation == other.translation
+
+    def __hash__(self):
+        return hash((self.matrix, self.translation))
+
+    @classmethod
+    def of(cls, matrix, translation=None):
+        rows = tuple(tuple(int(x) for x in r) for r in matrix)
+        if translation is None:
+            translation = TorsionPoint.zero(len(rows))
+        return cls(rows, translation)
+
+    @property
+    def rank(self):
+        return len(self.matrix)
+
+    def is_identity(self):
+        return self.translation.is_zero() and mat_eq_identity(self.matrix)
+
+    def with_data(self, matrix, translation):
+        return LatticeElement(matrix, translation)
+
+    def compose(self, other):
+        """(t_a . W)(t_b . V) = t_(a + W b) . (W V)."""
+        return self.with_data(*affine_product(self.matrix, self.translation,
+                                              other.matrix, other.translation))
+
+    def sort_key(self):
+        return (self.matrix, self.translation.sort_key())
+
+    def __str__(self):
+        rows = ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.matrix)
+        coords = ", ".join(map(str, self.translation.coords))
+        return f"x -> [{rows}] x + [{coords}]"
+
+
+@dataclass(frozen=True, eq=False)
+class AffineAutomorphism(LatticeElement):
+    """g = t_a . phi with finite-order holonomy phi and torsion translation
+    a: the lattice element (rho(phi), a) of the variety ``variety``."""
+
+    variety: AbelianVarietyModel
 
     @classmethod
     def of(cls, holonomy, translation=None):
@@ -46,33 +103,27 @@ class AffineAutomorphism:
             translation = TorsionPoint.zero(n2)
         if len(translation.num) != n2:
             raise InputError("translation has wrong length", code="bad-translation")
-        return cls(holonomy, translation)
+        g = cls(holonomy.matrix, translation, holonomy.variety)
+        g.__dict__["holonomy"] = holonomy  # the cached property, known already
+        return g
 
-    @property
-    def variety(self):
-        return self.holonomy.variety
-
-    def is_identity(self):
-        return self.holonomy.is_identity() and self.translation.is_zero()
-
-    @property
-    def matrix(self):
-        """The rational representation of the holonomy, int tuple rows."""
-        return self.holonomy.matrix
+    @cached_property
+    def holonomy(self):
+        """phi, the ``EndoBlockMatrix`` read off the matrix."""
+        return EndoBlockMatrix(self.variety, block_pairs(self.matrix), self.matrix)
 
     def with_data(self, matrix, translation):
-        """The automorphism of this variety whose holonomy has the rational
-        representation ``matrix``, which must be one, and with translation
-        ``translation``."""
-        return AffineAutomorphism(EndoBlockMatrix.of_matrix(self.variety, matrix), translation)
+        """The automorphism of this variety with these data; ``matrix`` must
+        be the rational representation of an endomorphism."""
+        return AffineAutomorphism(matrix, translation, self.variety)
 
     def compose(self, other):
-        """(t_a . phi)(t_b . psi) = t_(a + phi b) . (phi psi)."""
+        """``LatticeElement.compose``, on this class to be traced apart."""
         return self.with_data(*affine_product(self.matrix, self.translation,
                                               other.matrix, other.translation))
 
     def sort_key(self):
-        return (self.holonomy.sort_key(), self.translation.sort_key())
+        return (block_pairs(self.matrix), self.translation.sort_key())
 
 
 @dataclass(frozen=True)
@@ -102,9 +153,6 @@ class FiniteGroupAction:
     # decomposition's stages included
     solver: FixedPointSolver = dataclasses.field(default_factory=FixedPointSolver, init=False,
                                                  compare=False, repr=False)
-    # element -> fixed_locus(element), filled one element at a time as asked
-    _fixed_loci: dict = dataclasses.field(default_factory=dict, init=False,
-                                         compare=False, repr=False)
 
     @property
     def order(self):
@@ -156,14 +204,6 @@ class FiniteGroupAction:
         element order."""
         rep = self.class_rep
         return [self.elements[i] for i in range(1, len(rep)) if rep[i] == i]
-
-    def fixed_locus_of(self, g):
-        """``fixed_locus(g)`` for an element g, solved on first request only,
-        by the group's solver."""
-        loc = self._fixed_loci.get(g)
-        if loc is None:
-            loc = self._fixed_loci[g] = fixed_locus(g, self.solver)
-        return loc
 
 
 def affine_product(m, a, n, b):
@@ -225,7 +265,7 @@ def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
     for g in gens:
         if g.variety != variety:
             raise InputError("generators on different varieties", code="mixed-varieties")
-        if abs(determinant(g.holonomy.matrix)) != 1:
+        if abs(determinant(g.matrix)) != 1:
             raise InputError("holonomy is not an automorphism", code="not-automorphism")
         holonomy_order(g.holonomy)
     ident = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
@@ -237,10 +277,11 @@ def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
 
 def fixed_locus(g: AffineAutomorphism, solver=None) -> AffineSolutionSet:
     """Fix(t_a . phi) = solutions of (I - rho(phi)) x == a on the torus, by
-    ``solver``, a ``FixedPointSolver`` (a new one when omitted)."""
+    ``solver``, a ``FixedPointSolver`` (a new one when omitted), which keeps
+    the solve for every later request of the same data."""
     if solver is None:
         solver = FixedPointSolver()
-    return solver.solve(g.holonomy.matrix, g.translation)
+    return solver.solve(g.matrix, g.translation)
 
 
 def pointwise_stabilizer(t: SubtorusTranslate, group: FiniteGroupAction):
@@ -248,7 +289,7 @@ def pointwise_stabilizer(t: SubtorusTranslate, group: FiniteGroupAction):
     (= order of that subgroup)."""
     members = []
     for g in group.elements:
-        rho = g.holonomy.matrix
+        rho = g.matrix
         m = mat_sub(identity_matrix(len(rho)), rho)
         if any(any(x != 0 for x in mat_vec(m, v)) for v in t.lattice.basis_rows()):
             continue
@@ -290,45 +331,51 @@ def _power_mod(mat, e, p):
 
 
 def holonomy_order(phi: EndoBlockMatrix):
-    """Order of phi.  Every finite order divides K = ``order_bound``, so phi
-    has infinite order when none of its first K powers is the identity.  At
-    most DEFAULT_GROUP_CAP powers are tried.  When K exceeds that cap, phi^K
-    is first taken mod a prime: a result other than I proves infinite order.
-    Otherwise a search that reaches the cap means the order exceeds the
-    default group cap, finite or not."""
-    bound = order_bound(phi.variety.ambient_rank)
-    if bound > DEFAULT_GROUP_CAP:
-        rho = phi.matrix
-        if _power_mod(rho, bound, _ORDER_PRIME) != identity_matrix(len(rho)):
-            raise InputError("holonomy has infinite order", code="infinite-order")
-    ident = EndoBlockMatrix.identity(phi.variety)
-    power = phi
+    """Order of phi, the order of its rational representation rho.  Every
+    finite order divides K = ``order_bound``, so phi has infinite order when
+    none of its first K powers is the identity.  At most DEFAULT_GROUP_CAP
+    powers are tried.  When K exceeds that cap, rho^K is first taken mod a
+    prime: a result other than I proves infinite order.  Otherwise a search
+    that reaches the cap means the order exceeds the default group cap,
+    finite or not.  A power whose trace exceeds 2n = rank in absolute value
+    ends the walk: one of finite order has 2n roots of unity as eigenvalues,
+    so this power, and with it phi, has infinite order."""
+    rho = phi.matrix
+    rank = len(rho)
+    infinite = InputError("holonomy has infinite order", code="infinite-order")
+    bound = order_bound(rank)
+    ident = identity_matrix(rank)
+    if bound > DEFAULT_GROUP_CAP and _power_mod(rho, bound, _ORDER_PRIME) != ident:
+        raise infinite
+    power = [list(row) for row in rho]
     for k in range(1, min(bound, DEFAULT_GROUP_CAP) + 1):
         if power == ident:
             return k
-        power = power.compose(phi)
+        if abs(sum(row[i] for i, row in enumerate(power))) > rank:
+            raise infinite
+        power = mat_mul(power, rho)
     if bound <= DEFAULT_GROUP_CAP:
-        raise InputError("holonomy has infinite order", code="infinite-order")
+        raise infinite
     raise InputError("holonomy order exceeds cap", code="cap-exceeded")
 
 
 def group_exponent(group: FiniteGroupAction):
     """lcm of the orders of the holonomies, found by walking the powers of
-    the holonomy of each class's first element.  Conjugate elements have
-    conjugate holonomies, of one order, and every holonomy is that of some
-    element, so these orders have the same lcm as all of them.  A holonomy
-    an earlier walk reached is a power of that walk's holonomy, so its order
-    divides the one already taken; it is skipped."""
+    the matrix, the holonomy's rational representation, of each class's
+    first element.  Conjugate elements have conjugate holonomies, of one
+    order, and every holonomy is that of some element, so these orders have
+    the same lcm as all of them.  A matrix an earlier walk reached is a
+    power of that walk's, so its order divides the one already taken; it is
+    skipped."""
     e = 1
     reached = set()
     for g in group.nontrivial_class_reps():
-        phi = g.holonomy
-        if phi in reached:
+        if g.matrix in reached:
             continue
-        power, k = phi, 1
-        while not power.is_identity():
+        power, k = g.matrix, 1
+        while not mat_eq_identity(power):
             reached.add(power)
-            power, k = power.compose(phi), k + 1
+            power, k = tuple(map(tuple, mat_mul(power, g.matrix))), k + 1
         e = lcm(e, k)
     return e
 
@@ -365,7 +412,7 @@ def age(g: AffineAutomorphism, field: CycloField, solver=None) -> Fraction:
     if counts is None:
         raise InputError("field too small", code="field-too-small")
     if solver is not None:
-        solver.know_rank(phi.matrix, 2 * (n - counts[0]))
+        solver.know_rank(g.matrix, 2 * (n - counts[0]))
     return Fraction(sum(e * count for e, count in enumerate(counts)), m)
 
 

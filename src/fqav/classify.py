@@ -15,6 +15,8 @@ from .action import (
     age,
     cyclo_field_for,
     descend_multiplication,
+    fixed_locus,
+    mat_eq_identity,
 )
 from .decompose import decompose
 from .errors import CertificateError
@@ -59,9 +61,9 @@ def is_quasietale(group: FiniteGroupAction) -> bool:
     codimension 1, so only those are solved."""
     n = group.variety.n
     for g in group.nontrivial_class_reps():
-        if not group.solver.may_fix_divisor(g.holonomy.matrix):
+        if not group.solver.may_fix_divisor(g.matrix):
             continue
-        loc = group.fixed_locus_of(g)
+        loc = fixed_locus(g, group.solver)
         if loc.nonempty and loc.dim > n - 2:
             return False
     return True
@@ -80,14 +82,14 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
     class_rep = group.class_rep
     solver = group.solver
     divisorial = {i for i, g in enumerate(group.elements)
-                  if i and class_rep[i] == i and solver.may_fix_divisor(g.holonomy.matrix)
-                  and group.fixed_locus_of(g).dim == n - 1}
+                  if i and class_rep[i] == i and solver.may_fix_divisor(g.matrix)
+                  and fixed_locus(g, solver).dim == n - 1}
     by_key = {}  # canonical key -> [component, index]
     lattices = {}  # one object per distinct lattice, which caches its complement
     for i, g in enumerate(group.elements):
         if class_rep[i] not in divisorial:
             continue
-        loc = group.fixed_locus_of(g)
+        loc = fixed_locus(g, solver)
         lat = lattices.setdefault(loc.kernel, loc.kernel)
         for rep in loc.representatives:
             comp = SubtorusTranslate(lat, rep)
@@ -100,7 +102,7 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
 
     # orbits under g . T = rho(T) + a; a finite set mapped into itself by
     # every generator is mapped onto itself by the group they generate
-    maps = [(g.holonomy.matrix, g.translation) for g in group.generators]
+    maps = [(g.matrix, g.translation) for g in group.generators]
     images = {}  # (lattice, generator index) -> the image lattice
     seen = set()
     orbits = []
@@ -151,10 +153,10 @@ def reid_tai(group: FiniteGroupAction):
     rank(I - rho)."""
     cyclo_field = cyclo_field_for(group)
     for g in group.nontrivial_class_reps():
-        if g.holonomy.is_identity():
+        if mat_eq_identity(g.matrix):
             continue
         g_age = age(g, cyclo_field, group.solver)
-        if g_age < 1 and group.fixed_locus_of(g).nonempty:
+        if g_age < 1 and fixed_locus(g, group.solver).nonempty:
             return False, g, g_age
     return True, None, None
 
@@ -163,7 +165,7 @@ def irregularity(group: FiniteGroupAction) -> int:
     """q(X) = dim of the holonomy-invariant tangent subspace (half the
     rational fixed-space dimension).  A vector fixed by the generators'
     holonomies is fixed by every product of them."""
-    reps = [g.holonomy.matrix for g in group.generators]
+    reps = [g.matrix for g in group.generators]
     d = fixed_lattice(reps, group.variety.ambient_rank).rank
     if d % 2 != 0:
         raise CertificateError("holonomy fixed space has odd rational dimension")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .action import ClosureTables, affine_product, bfs_closure
+from .action import ClosureTables, LatticeElement, bfs_closure
 from .errors import CertificateError
 from .linalg import (
     FixedPointSolver,
@@ -32,47 +32,6 @@ from .variety import (
     standard_symplectic_form,
     subtorus_kappa,
 )
-
-
-@dataclass(frozen=True)
-class LatticeElement:
-    """An affine map x -> W x + a on the torus R^N/Z^N, W unimodular."""
-
-    matrix: tuple  # N x N integer, tuple of tuples
-    translation: TorsionPoint
-
-    @classmethod
-    def of(cls, matrix, translation=None):
-        rows = tuple(tuple(int(x) for x in r) for r in matrix)
-        if translation is None:
-            translation = TorsionPoint.zero(len(rows))
-        return cls(rows, translation)
-
-    @property
-    def rank(self):
-        return len(self.matrix)
-
-    def is_identity(self):
-        return self.translation.is_zero() and mat_eq_identity(self.matrix)
-
-    def with_data(self, matrix, translation):
-        return LatticeElement(matrix, translation)
-
-    def compose(self, other):
-        return LatticeElement(*affine_product(self.matrix, self.translation,
-                                              other.matrix, other.translation))
-
-    def sort_key(self):
-        return (self.matrix, self.translation.sort_key())
-
-    def __str__(self):
-        rows = ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.matrix)
-        coords = ", ".join(map(str, self.translation.coords))
-        return f"x -> [{rows}] x + [{coords}]"
-
-
-def mat_eq_identity(m):
-    return all(m[i][j] == (1 if i == j else 0) for i in range(len(m)) for j in range(len(m)))
 
 
 def close_elements(gens, bound=math.inf, overflow=None):
@@ -260,19 +219,14 @@ def lattice_quasietale_outside(elements, subgroup, fixed):
     """True iff every element outside the subgroup N has a fixed locus of
     codimension >= 2.  The translates h g (h in N, g not in N) are exactly
     the elements outside N, so each is checked once.  ``fixed`` is the
-    stage's ``fixed_solutions`` map; an element it leaves out has
-    codimension >= 2."""
-    sub = set(subgroup)
+    stage's ``fixed_solutions`` map, and only its entries are walked: an
+    element it leaves out has codimension >= 2."""
     if not elements:
         return True
+    sub = set(subgroup)
     n = elements[0].rank // 2
-    for x in elements:
-        sol = fixed.get(x)
-        if sol is None or x in sub:
-            continue
-        if sol.nonempty and sol.dim > n - 2:
-            return False
-    return True
+    return not any(sol.nonempty and sol.dim > n - 2 and x not in sub
+                   for x, sol in fixed.items())
 
 
 def lattice_kappa(elements, fixed):
@@ -482,21 +436,12 @@ def decompose_lattice_action(elements, generators, tables, ambient_rank, seed_fo
     return DecompositionResult(tuple(factors), total, fano, tuple(stages))
 
 
-def to_lattice_elements(automorphisms):
-    return [LatticeElement(g.holonomy.matrix, g.translation) for g in automorphisms]
-
-
-def group_to_lattice_elements(group):
-    return to_lattice_elements(group.elements)
-
-
 def decompose(group) -> DecompositionResult:
     """Build the quasietale cover (abelian factor) x (Q-Fano part) for the
-    quotient of the modeled variety by the given closed group.  The stages
-    share the group's solver, whose entries depend on the matrix alone."""
+    quotient by the closed group, whose elements are the top stage's.  The
+    stages share the group's solver, whose entries depend on (W, a) alone."""
     seed = standard_symplectic_form(group.variety.n)
-    return decompose_lattice_action(group_to_lattice_elements(group),
-                                    to_lattice_elements(group.generators), group.tables,
+    return decompose_lattice_action(group.elements, group.generators, group.tables,
                                     group.variety.ambient_rank, seed, group.solver)
 
 

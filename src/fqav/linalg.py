@@ -498,22 +498,24 @@ def solve_factored(factors, point: TorsionPoint) -> AffineSolutionSet:
 
 class FixedPointSolver:
     """Solves (I - W) x == a (mod Z^N) for square integer matrices W of int
-    tuple rows, taking the Smith form of each I - W at most once, and tells
-    whether rank(I - W) <= 2 by at most one elimination per W.  Both are
-    kept per W, so the class path and every stage of a decomposition may
-    share one solver: each entry is a function of the matrix alone."""
+    tuple rows, each (W, a) once, taking the Smith form of each I - W at most
+    once, and tells whether rank(I - W) <= 2 by at most one elimination per
+    W.  Each entry is a function of W or (W, a) alone, so the class path and
+    every stage of a decomposition may share one solver."""
 
     def __init__(self):
-        self._factors = {}   # W -> the factor_affine tuple of I - W
-        self._low_rank = {}  # W -> rank(I - W) <= 2, for a W not yet solved
+        self._factors = {}    # W -> the factor_affine tuple of I - W
+        self._low_rank = {}   # W -> rank(I - W) <= 2, for a W not yet solved
+        self._solutions = {}  # (W, a) -> the solutions of (I - W) x == a
 
     def solve(self, w, point: TorsionPoint) -> AffineSolutionSet:
         """The solutions of (I - W) x == a, a = ``point``."""
-        factors = self._factors.get(w)
-        if factors is None:
-            factors = self._factors[w] = factor_affine(
-                mat_sub(identity_matrix(len(w)), w), len(w))
-        return solve_factored(factors, point)
+        key = (w, point)
+        if key not in self._solutions:
+            if w not in self._factors:
+                self._factors[w] = factor_affine(mat_sub(identity_matrix(len(w)), w), len(w))
+            self._solutions[key] = solve_factored(self._factors[w], point)
+        return self._solutions[key]
 
     def know_rank(self, w, rank):
         """Record rank(I - W) = ``rank``, found without this solver."""

@@ -124,24 +124,23 @@ class EndoBlockMatrix:
     def is_identity(self):
         return self == EndoBlockMatrix.identity(self.variety)
 
-    @classmethod
-    def of_matrix(cls, variety, m):
-        """The endomorphism whose rational representation is the int tuple
-        rows m, which must be one: column 2k of block (j, k) is the image of
-        1, which is c + d*tau, so c = M[2j][2k] and d = M[2j+1][2k]."""
-        blocks = tuple(tuple(zip(cs[0::2], ds[0::2])) for cs, ds in zip(m[0::2], m[1::2]))
-        return cls(variety, blocks, m)
-
     def compose(self, other):
         """The product of the rational representations, with the blocks read
         back off it.  rational_rep is an injective ring homomorphism, so this
         is the block product, and a product of endomorphisms needs no
         validation."""
-        return EndoBlockMatrix.of_matrix(
-            self.variety, tuple(map(tuple, mat_mul(self.matrix, other.matrix))))
+        m = tuple(map(tuple, mat_mul(self.matrix, other.matrix)))
+        return EndoBlockMatrix(self.variety, block_pairs(m), m)
 
     def sort_key(self):
         return self.blocks
+
+
+def block_pairs(m):
+    """The blocks of the endomorphism whose rational representation is the
+    int tuple rows m, which must be one: column 2k of block (j, k) is the
+    image of 1, which is c + d*tau, so c = M[2j][2k] and d = M[2j+1][2k]."""
+    return tuple(tuple(zip(cs[0::2], ds[0::2])) for cs, ds in zip(m[0::2], m[1::2]))
 
 
 def rational_rep(phi: EndoBlockMatrix):

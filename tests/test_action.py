@@ -11,6 +11,7 @@ from fqav import action as action_module
 from fqav.action import (
     AffineAutomorphism,
     ClosureTables,
+    LatticeElement,
     affine_product,
     age,
     bfs_closure,
@@ -25,9 +26,15 @@ from fqav.action import (
 )
 from fqav.cli import parse_input
 from fqav.cyclotomic import CycloField, eigen_multiplicity, split_prime
-from fqav.decompose import group_to_lattice_elements, to_lattice_elements
 from fqav.errors import InputError
-from fqav.linalg import TorsionPoint, fixed_lattice, identity_matrix, mat_sub, matrix_rank
+from fqav.linalg import (
+    TorsionPoint,
+    fixed_lattice,
+    identity_matrix,
+    mat_mul,
+    mat_sub,
+    matrix_rank,
+)
 from fqav.variety import (
     AbelianVarietyModel,
     EllipticFactor,
@@ -99,6 +106,31 @@ class TestClosure:
         with pytest.raises(InputError) as exc:
             close_group([g], cap=1)
         assert exc.value.code == "infinite-order"
+
+    def test_huge_holonomy_rejected_in_one_product(self, monkeypatch):
+        # [[N, 1], [-1, 0]] + 1 on E^3 has det 1 and trace 2N + 2 > 6, so it
+        # has infinite order; [[1, 1], [1, 0]] + 1 has trace 4, and its
+        # square, trace 8.  Neither search walks the 2520 powers, whose
+        # entries grow with each one
+        e = EllipticFactor("generic", "E")
+        variety = AbelianVarietyModel.of(e, e, e)
+        one, zero = (1, 0), (0, 0)
+        products = []
+
+        def counting(a, b):
+            products.append(a)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(action_module, "mat_mul", counting)
+        huge = [[(10 ** 1000, 0), one, zero], [(-1, 0), zero, zero], [zero, zero, one]]
+        fibonacci = [[one, one, zero], [one, zero, zero], [zero, zero, one]]
+        for rows, made in ((huge, 0), (fibonacci, 1)):
+            g = automorphism(variety, rows)
+            products.clear()
+            with pytest.raises(InputError) as exc:
+                close_group([g])
+            assert exc.value.code == "infinite-order"
+            assert len(products) == made
 
     def test_order_search_stops_at_default_cap(self):
         # on E^5, K = 55440 exceeds the default cap, so the power search
@@ -179,7 +211,7 @@ class TestFixedLoci:
                 inv = h.holonomy
                 while not inv.compose(h.holonomy).is_identity():
                     inv = inv.compose(h.holonomy)
-                h_inv = AffineAutomorphism(
+                h_inv = AffineAutomorphism.of(
                     inv, (-h.translation).apply_matrix(rational_rep(inv)))
                 assert h.compose(h_inv).is_identity()
                 conj = h.compose(g).compose(h_inv)
@@ -472,6 +504,11 @@ def object_keyed_closure(identity, gens, cap, overflow):
     return [found[k] for k in numbers], ClosureTables(products, parent, via, numbers)
 
 
+def lattice_elements(automorphisms):
+    """Each automorphism as the plain lattice element of its data."""
+    return [LatticeElement(g.matrix, g.translation) for g in automorphisms]
+
+
 def assert_closure_matches_oracle(group):
     """bfs_closure equals the object-keyed closure, on the automorphisms and
     on their lattice elements: the same elements in the same order, and the
@@ -480,10 +517,47 @@ def assert_closure_matches_oracle(group):
     want = object_keyed_closure(group.identity(), list(group.generators), group.order,
                                 overflow)
     assert (list(group.elements), group.tables) == want
-    identity = group_to_lattice_elements(group)[0]
-    gens = to_lattice_elements(group.generators)
+    identity = lattice_elements([group.identity()])[0]
+    gens = lattice_elements(group.generators)
     assert bfs_closure(identity, gens, group.order, overflow) == object_keyed_closure(
         identity, gens, group.order, overflow)
+
+
+def assert_lattice_data(group):
+    """Each element and generator equals the plain lattice element of its
+    data, hashes like it and sorts by its holonomy's blocks, and its matrix
+    is the rational representation of the holonomy read off it."""
+    for g in group.elements + group.generators:
+        plain = LatticeElement(g.matrix, g.translation)
+        assert g == plain and plain == g and hash(g) == hash(plain)
+        assert tuple(map(tuple, rational_rep(g.holonomy))) == g.matrix
+        assert EndoBlockMatrix.from_rows(group.variety, g.holonomy.blocks) == g.holonomy
+        assert g.sort_key() == (g.holonomy.sort_key(), g.translation.sort_key())
+
+
+class TestOneElementType:
+    def test_gallery(self, rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                     bielliptic_group):
+        for group in [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                      bielliptic_group] + nonabelian_groups():
+            assert_lattice_data(group)
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        assert_lattice_data(group)
+
+    def test_variety_is_not_data(self, ei_squared):
+        # the automorphisms of two varieties with the same data are equal
+        # as lattice elements; a closure never mixes them
+        e = EllipticFactor("generic", "E")
+        generic = AbelianVarietyModel.of(e, e)
+        rows = [[(-1, 0), (0, 0)], [(0, 0), (1, 0)]]
+        g, h = automorphism(ei_squared, rows), automorphism(generic, rows)
+        assert g == h and g.variety != h.variety
+        with pytest.raises(InputError) as exc:
+            close_group([g, h])
+        assert exc.value.code == "mixed-varieties"
 
 
 class TestRawKeyClosure:

@@ -7,7 +7,7 @@ import pytest
 from fqav.action import close_group, fixed_locus
 from fqav.cli import COMMANDS, MAX_DENOMINATOR_BITS, build_report, main, parse_input, serialize
 from fqav.errors import InputError
-from fqav.linalg import elementary_divisors, identity_matrix, mat_sub
+from fqav.linalg import FixedPointSolver, elementary_divisors, identity_matrix, mat_sub
 
 from conftest import FIXTURE_DIR
 from test_golden import sl_diag_document
@@ -281,6 +281,19 @@ class TestMain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error[infinite-order]")
 
+    def test_huge_infinite_order_exit_one(self, tmp_path, capsys):
+        # [[N, 1], [-1, 0]] + 1 with N = 10^1000: its trace proves infinite
+        # order before any power is taken
+        one, zero = [1, 0], [0, 0]
+        doc = {"factors": [{"cm": "generic", "label": "E"}] * 3,
+               "generators": [{"holonomy": [[[10 ** 1000, 0], one, zero],
+                                            [[-1, 0], zero, zero], [zero, zero, one]]}]}
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        for command in COMMANDS:
+            assert main([command, str(p)]) == 1
+            assert capsys.readouterr().err.startswith("error[infinite-order]")
+
     def test_all_commands_run_on_all_fixtures(self, capsys):
         for name in FIXTURES:
             for command in COMMANDS:
@@ -499,12 +512,30 @@ class TestComputeOnce:
 
     @pytest.mark.parametrize("command", ["classify", "report"])
     def test_each_fixed_locus_solved_once(self, command, monkeypatch):
+        # the class path and every decomposition stage share the group's
+        # solver, so each (W, a) reaches ``solve_factored`` at most once
+        # per command
+        original_solve = FixedPointSolver.solve
+        solved_total = 0
         for name in FIXTURES:
-            calls = Counter()
-            count_calls(monkeypatch, "fixed_locus", calls)
-            doc = build_report(*parse_input(load(name)), command)
-            assert calls["fixed_locus"] <= doc["classification"]["group_order"] - 1, name
+            inside, solved = [], Counter()
+
+            def recording_solve(solver, w, point):
+                inside.append((w, point))
+                try:
+                    return original_solve(solver, w, point)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(FixedPointSolver, "solve", recording_solve)
+            count_calls(monkeypatch, "solve_factored", solved,
+                        key=lambda *args: inside[-1] if inside else None)
+            build_report(*parse_input(load(name)), command)
             monkeypatch.undo()
+            solved.pop(None, None)  # the splittings along B x C solve no fixed locus
+            assert max(solved.values(), default=1) == 1, name
+            solved_total += len(solved)
+        assert solved_total
 
     def test_fixed_loci_solved_lazily(self, monkeypatch):
         # the first nontrivial element of rot4-square is the Reid-Tai
@@ -557,6 +588,9 @@ class TestComputeOnce:
             count_calls(monkeypatch, "fixed_locus", Counter(), solves)
             build_report(variety, gens, options, "ramification")
             monkeypatch.undo()
+            # the solver keeps each solution, so an element asked for twice
+            # returns the same object: count the distinct solves
+            solves = list({id(sol): sol for sol in solves}.values())
             enumerated = [sol for sol in solves if sol.dim == n - 1]
             assert len(enumerated) == expected, name
             assert all("representatives" in vars(sol) for sol in enumerated), name

@@ -6,9 +6,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given
 
-from fqav.action import bfs_closure, close_group
+from fqav.action import LatticeElement, bfs_closure, close_group
 from fqav.decompose import (
-    LatticeElement,
     _check_n_tilde_group,
     _element_inverse,
     check_normal,
@@ -19,13 +18,11 @@ from fqav.decompose import (
     decompose_fano_part,
     element_fixed_solution,
     fixed_solutions,
-    group_to_lattice_elements,
     lattice_kappa,
     lattice_quasietale_outside,
     lattice_ramification_subgroup,
     ramification_on_tables,
     split_action,
-    to_lattice_elements,
 )
 from fqav import action, linalg
 from fqav.cli import parse_input
@@ -65,13 +62,13 @@ def invariant_torus(subgroup):
 
 class TestLatticeElements:
     def test_roundtrip_from_group(self, sign_rot4_group):
-        els = group_to_lattice_elements(sign_rot4_group)
+        els = sign_rot4_group.elements
         assert len(els) == 4
         closed, _ = close_elements([e for e in els if not e.is_identity()])
         assert set(closed) == set(els)
 
     def test_fixed_dims(self, sign_rot4_group):
-        els = group_to_lattice_elements(sign_rot4_group)
+        els = sign_rot4_group.elements
         dims = sorted((fixed_dim(e) for e in els), key=str)
         # identity fixes everything (dim 2); g and g^3 fix points; g^2 a curve
         assert dims == [0, 0, 1, 2]
@@ -79,7 +76,7 @@ class TestLatticeElements:
 
 class TestRamificationSubgroup:
     def test_sign_rot4_is_order_two(self, sign_rot4_group):
-        els = group_to_lattice_elements(sign_rot4_group)
+        els = sign_rot4_group.elements
         sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
         assert len(sub) == 2
         nontrivial = [e for e in sub if not e.is_identity()]
@@ -87,25 +84,25 @@ class TestRamificationSubgroup:
 
     def test_quasietale_group_is_trivial(self, kummer_group, bielliptic_group):
         for group in (kummer_group, bielliptic_group):
-            els = group_to_lattice_elements(group)
+            els = group.elements
             sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
             assert all(e.is_identity() for e in sub)
 
     def test_p1_is_whole_group(self, p1_group):
-        els = group_to_lattice_elements(p1_group)
+        els = p1_group.elements
         sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
         assert set(sub) == set(els)
 
 
 class TestInvariantTorus:
     def test_sign_rot4(self, sign_rot4_group):
-        els = group_to_lattice_elements(sign_rot4_group)
+        els = sign_rot4_group.elements
         sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
         b = invariant_torus(sub)
         assert b == Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
     def test_p1_trivial(self, p1_group):
-        els = group_to_lattice_elements(p1_group)
+        els = p1_group.elements
         sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
         assert invariant_torus(sub).rank == 0
 
@@ -312,9 +309,9 @@ class TestGeneratorNormality:
     def test_agrees_with_all_elements_check(self, gallery):
         verdicts = set()
         for group in gallery:
-            elements = group_to_lattice_elements(group)
+            elements = group.elements
             # G by the input's generators, and by the ones its closure keeps
-            generator_sets = [to_lattice_elements(group.generators), close_elements(elements)[1]]
+            generator_sets = [group.generators, close_elements(elements)[1]]
             fixed = fixed_solutions(elements, FixedPointSolver())
             subgroups = [lattice_ramification_subgroup(elements, fixed)]
             subgroups += list(cyclic_subgroups(elements))
@@ -354,7 +351,7 @@ class TestGeneratorNormality:
 
     def test_inverse_through_powers(self, gallery):
         for group in gallery:
-            for g in group_to_lattice_elements(group):
+            for g in group.elements:
                 assert g.compose(_element_inverse(g, group.order)).is_identity()
 
     def test_inverse_needs_finite_order(self):
@@ -367,7 +364,7 @@ class TestOnePassQuasietale:
     def test_agrees_with_double_loop(self, gallery):
         verdicts = set()
         for group in gallery:
-            elements = group_to_lattice_elements(group)
+            elements = group.elements
             fixed = fixed_solutions(elements, FixedPointSolver())
             subgroups = [lattice_ramification_subgroup(elements, fixed)[0]]
             if group.order <= 8:
@@ -383,7 +380,7 @@ class TestPrunedClosure:
     def test_same_set_as_unpruned_bfs(self, gallery):
         rng = random.Random(7)
         for group in gallery:
-            elements = group_to_lattice_elements(group)
+            elements = group.elements
             reflections = [e for e in elements if fixed_dim(e) == e.rank // 2 - 1]
             for gens in (elements, reflections, rng.sample(elements, min(3, len(elements)))):
                 if gens:
@@ -592,7 +589,7 @@ class TestRankFirstSolves:
     @ORACLE
     @given(small_groups())
     def test_random_groups(self, group):
-        assert_rank_first_matches_every_solve(group_to_lattice_elements(group))
+        assert_rank_first_matches_every_solve(group.elements)
 
     def test_non_complex_reflection_is_solved(self):
         # diag(-1, 1, 1, 1) on Z^4 is not complex: rank(I - W) = 1, and its
@@ -717,11 +714,11 @@ class TestTableRamification:
     @ORACLE
     @given(small_groups())
     def test_random_groups(self, group):
-        elements = group_to_lattice_elements(group)
+        elements = group.elements
         assert_table_closure_matches(elements, group.tables, reflections_of(elements))
         assert_table_closure_matches(elements, group.tables, elements)
         subgroups = [table_subgroup(elements, group.tables, [x]) for x in elements]
-        assert_table_normality_matches(elements, to_lattice_elements(group.generators),
+        assert_table_normality_matches(elements, group.generators,
                                        group.tables, subgroups)
 
 
@@ -730,13 +727,13 @@ class TestTableNormality:
         verdicts = set()
         rng = random.Random(61)
         for group in gallery + nonabelian_groups():
-            elements = group_to_lattice_elements(group)
+            elements = group.elements
             subgroups = [table_subgroup(elements, group.tables, [x]) for x in elements]
             subgroups += [table_subgroup(elements, group.tables,
                                          rng.sample(elements, min(2, len(elements))))
                           for _ in range(5)]
             verdicts |= assert_table_normality_matches(
-                elements, to_lattice_elements(group.generators), group.tables, subgroups)
+                elements, group.generators, group.tables, subgroups)
         assert verdicts == {True, False}  # both outcomes were exercised
 
     def test_failure_never_passes(self, monkeypatch):
@@ -776,7 +773,6 @@ class CountedProducts:
             return original(*args)
 
         monkeypatch.setattr(action, "affine_product", counting)
-        monkeypatch.setattr(decompose_module, "affine_product", counting)
 
 
 class TestTableClosureMakesNoProduct:
@@ -838,3 +834,37 @@ class TestSnfCounts:
             decompose(group)
         assert max(order for order, _ in per_stage) > 2
         assert all(calls <= 2 for _, calls in per_stage)
+
+
+class TestTopStageReadsTheGroup:
+    def test_group_elements_handed_over(self, monkeypatch, gallery):
+        # the top stage is the group's own element and generator tuples,
+        # and no LatticeElement is built before a split needs its lifts
+        built, splits, levels = [], [], []
+        init, split, level = (LatticeElement.__init__, decompose_module.split_action,
+                              decompose_module._decompose_level)
+
+        def counted_init(element, *args):
+            built.append(element)
+            init(element, *args)
+
+        def recording_split(*args):
+            splits.append(len(built))
+            return split(*args)
+
+        def recording_level(*args):
+            levels.append(args[:2])
+            return level(*args)
+
+        monkeypatch.setattr(LatticeElement, "__init__", counted_init)
+        monkeypatch.setattr(decompose_module, "split_action", recording_split)
+        monkeypatch.setattr(decompose_module, "_decompose_level", recording_level)
+        outcomes = set()
+        for group in gallery + nonabelian_groups():
+            del built[:], splits[:], levels[:]
+            decompose(group)
+            elements, generators = levels[0]
+            assert elements is group.elements and generators is group.generators
+            assert (splits[0] if splits else len(built)) == 0
+            outcomes.add(bool(splits))
+        assert outcomes == {True, False}
