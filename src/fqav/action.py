@@ -134,12 +134,20 @@ class ClosureTables:
     - ``products[x * r + j]`` is the number of x . gens[j], r = len(gens).
     - The BFS tree: x = parent[x] . gens[via[x]] for x > 0; both are -1
       for the identity.
-    - ``numbers[i]`` is the number of the i-th element in sorted order."""
+    - ``numbers[i]`` is the number of the i-th element in sorted order, and
+      ``index[x]`` the sorted position of the element numbered x."""
 
     products: list
     parent: list
     via: list
     numbers: list
+
+    @cached_property
+    def index(self):
+        index = [0] * len(self.numbers)
+        for i, x in enumerate(self.numbers):
+            index[x] = i
+        return index
 
 
 @dataclass(frozen=True)
@@ -176,9 +184,7 @@ class FiniteGroupAction:
         t = self.tables
         r = len(self.generators)
         size = len(t.numbers)
-        index = [0] * size  # number -> index in ``elements``
-        for i, x in enumerate(t.numbers):
-            index[x] = i
+        index = t.index
         root = list(range(size))  # union-find on indices; a class's root is its first
 
         def find(i):

@@ -67,7 +67,6 @@ def _parse_fraction(text):
 
 
 def _format_fraction(f):
-    f = Fraction(f)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
@@ -155,7 +154,7 @@ def _factor_doc(f):
 
 
 def _point_doc(p):
-    return [_format_fraction(c) for c in p.coords]
+    return [str(a) if b == 1 else f"{a}/{b}" for a, b in p.sort_key()]
 
 
 def _lattice_doc(lat):

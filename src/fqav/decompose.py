@@ -69,13 +69,14 @@ def element_fixed_solution(e: LatticeElement, solver=None):
     return solver.solve(e.matrix, e.translation)
 
 
-def fixed_solutions(elements, solver):
+def fixed_solutions(elements, tables, solver):
     """The fixed-locus solves, by ``solver``, of the nontrivial elements
-    (W, a) that ``solver.may_fix_divisor(W)`` admits; a stage passes this
-    map to each of its certificates.  No other element fixes a divisor, and
-    each of their nonempty fixed loci has complex codimension >= 2."""
-    return {e: element_fixed_solution(e, solver) for e in elements
-            if not e.is_identity() and solver.may_fix_divisor(e.matrix)}
+    (W, a) that ``solver.may_fix_divisor(W)`` admits, keyed by their numbers
+    in ``tables``; a stage passes this map to each of its certificates.  No
+    other element fixes a divisor, and each of their nonempty fixed loci has
+    complex codimension >= 2."""
+    return {x: element_fixed_solution(e, solver) for x, e in zip(tables.numbers, elements)
+            if x and solver.may_fix_divisor(e.matrix)}
 
 
 @dataclass(frozen=True)
@@ -124,15 +125,6 @@ class DecompositionResult:
 # ---------------------------------------------------------------------------
 # stage operations at the lattice level
 
-def lattice_ramification_subgroup(elements, fixed):
-    """``ramification_on_tables`` of a closed group given without tables: N
-    and its kept generators.  The group is closed again, raising past |G|
-    elements.  ``fixed`` is its ``fixed_solutions`` map."""
-    escapes = CertificateError("ramification subgroup escapes the group")
-    closed, _, tables = close_with_tables(elements, len(elements), escapes)
-    return ramification_on_tables(closed, tables, fixed)[:2]
-
-
 def check_normal(generators, subgroup, subgroup_generators, group_order):
     """Certify that the subgroup N = <subgroup_generators> is normal in
     G = <generators>, a group of order ``group_order``: s h s^-1 lies in N
@@ -166,27 +158,29 @@ def _right_multiplication(tables, columns, g):
 
 
 def ramification_on_tables(elements, tables, fixed):
-    """``lattice_ramification_subgroup`` of the stage ``elements``, with the
-    numbers of N and the right multiplications by its kept generators: the
-    same rule on look-ups in the stage's tables, which it cannot leave."""
+    """N, generated by the elements that fix a divisor by the stage's map
+    ``fixed``, its kept generators, the numbers of N and the right
+    multiplications by those: ``close_elements`` of the reflections, on
+    look-ups in the stage's tables, which it cannot leave."""
     n = elements[0].rank // 2
-    number = dict(zip(elements, tables.numbers))
+    index = tables.index
+
+    def key(x):
+        return LatticeElement.sort_key(elements[index[x]])
+
     r = len(tables.products) // len(elements)
     columns = [tables.products[j::r] for j in range(r)]
     kept, right, levels, members = [], [], [{0}], {0}
-    for g in sorted((e for e, sol in fixed.items() if sol.dim == n - 1),
-                    key=LatticeElement.sort_key):
-        if number[g] not in members:
-            kept.append(g)
-            right.append(_right_multiplication(tables, columns, number[g]))
+    for g in sorted((x for x, sol in fixed.items() if sol.dim == n - 1), key=key):
+        if g not in members:
+            kept.append(elements[index[g]])
+            right.append(_right_multiplication(tables, columns, g))
             levels, members = [{0}], {0}
             while levels[-1]:  # the next BFS level: x . h for x in this one
                 level = set().union(*(map(h.__getitem__, levels[-1]) for h in right))
                 levels.append(level - members)
                 members |= level
-    by_number = dict(zip(tables.numbers, elements))
-    n_sub = [e for level in levels
-             for e in sorted((by_number[x] for x in level), key=LatticeElement.sort_key)]
+    n_sub = [elements[index[x]] for level in levels for x in sorted(level, key=key)]
     return n_sub, kept, members, right
 
 
@@ -215,30 +209,22 @@ def _element_inverse(g, group_order):
     raise CertificateError("group not closed under inversion")
 
 
-def lattice_quasietale_outside(elements, subgroup, fixed):
-    """True iff every element outside the subgroup N has a fixed locus of
-    codimension >= 2.  The translates h g (h in N, g not in N) are exactly
-    the elements outside N, so each is checked once.  ``fixed`` is the
-    stage's ``fixed_solutions`` map, and only its entries are walked: an
+def lattice_quasietale_outside(members, fixed, n):
+    """True iff every element outside the subgroup N, numbered ``members``,
+    of a stage of dimension n has a fixed locus of codimension >= 2.  The
+    translates h g (h in N, g not in N) are exactly those elements, so each
+    is checked once.  ``fixed`` is the stage's ``fixed_solutions`` map; an
     element it leaves out has codimension >= 2."""
-    if not elements:
-        return True
-    sub = set(subgroup)
-    n = elements[0].rank // 2
-    return not any(sol.nonempty and sol.dim > n - 2 and x not in sub
+    return not any(sol.nonempty and sol.dim > n - 2 and x not in members
                    for x, sol in fixed.items())
 
 
-def lattice_kappa(elements, fixed):
-    """n - dim of the intersection of the codimension-1 fixed-locus lattices;
-    the anticanonical Kodaira dimension of the quotient by this group.
-    ``fixed`` is a ``fixed_solutions`` map of a group holding the elements;
-    an element it leaves out fixes no divisor."""
-    if not elements:
-        return 0
-    n2 = elements[0].rank
-    solutions = [fixed[e] for e in elements if e in fixed]
-    return subtorus_kappa([sol.kernel for sol in solutions if sol.dim == n2 // 2 - 1], n2)
+def lattice_kappa(fixed, n2):
+    """n - dim of the intersection of the codimension-1 fixed-locus lattices
+    in ``fixed``, the ``fixed_solutions`` map of a stage of rank n2 = 2n: the
+    anticanonical Kodaira dimension of the quotient by the group N that
+    those elements generate.  An element the map leaves out fixes no divisor."""
+    return subtorus_kappa([sol.kernel for sol in fixed.values() if sol.dim == n2 // 2 - 1], n2)
 
 
 def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order):
@@ -379,11 +365,11 @@ def _decompose_level(elements, generators, tables, embedding, ambient_rank, seed
     current_lattice = Lattice.from_vectors(ambient_rank, [list(v) for v in embedding]) \
         if n2 else Lattice.zero(ambient_rank)
 
-    fixed = fixed_solutions(elements, solver)
+    fixed = fixed_solutions(elements, tables, solver)
     ramification = ramification_on_tables(elements, tables, fixed)
     check_normal_on_tables(generators, tables, ramification)
-    n_sub, n_generators = ramification[:2]
-    qout = lattice_quasietale_outside(elements, n_sub, fixed)
+    n_sub, n_generators, members = ramification[:3]
+    qout = lattice_quasietale_outside(members, fixed, n)
     if not qout:
         raise CertificateError("quotient by the ramification subgroup is not quasietale")
 
@@ -398,7 +384,7 @@ def _decompose_level(elements, generators, tables, embedding, ambient_rank, seed
     b = fixed_lattice(list(dict.fromkeys(e.matrix for e in n_generators)), n2)
     if b.rank == 0:
         # Q-Fano remainder: quotient of the current lattice by N
-        kappa = lattice_kappa(n_sub, fixed)
+        kappa = lattice_kappa(fixed, n2)
         if kappa != n:
             raise CertificateError("final part fails the Q-Fano kappa certificate")
         stages.append(StageCertificate(len(n_sub), 1, qout, True, None))

@@ -505,7 +505,7 @@ class FixedPointSolver:
 
     def __init__(self):
         self._factors = {}    # W -> the factor_affine tuple of I - W
-        self._low_rank = {}   # W -> rank(I - W) <= 2, for a W not yet solved
+        self._low_rank = {}   # W -> rank(I - W) <= 2
         self._solutions = {}  # (W, a) -> the solutions of (I - W) x == a
 
     def solve(self, w, point: TorsionPoint) -> AffineSolutionSet:
@@ -514,6 +514,7 @@ class FixedPointSolver:
         if key not in self._solutions:
             if w not in self._factors:
                 self._factors[w] = factor_affine(mat_sub(identity_matrix(len(w)), w), len(w))
+                self._low_rank[w] = len(self._factors[w][1]) <= 2
             self._solutions[key] = solve_factored(self._factors[w], point)
         return self._solutions[key]
 
@@ -526,14 +527,11 @@ class FixedPointSolver:
         x -> W x + a has real codimension rank(I - W), so otherwise it holds
         no divisor.  W need not be complex, so the rank may be odd.  On a
         lattice of rank 2 it always holds and no rank is taken.  Else it is
-        read off the factorisation once W has been solved, or off a rank
-        given to ``know_rank``, or found by one elimination that ends at its
-        third pivot."""
+        the verdict recorded when ``solve`` factored W or ``know_rank`` was
+        told its rank, or found by one elimination that ends at its third
+        pivot."""
         if len(w) <= 2:
             return True
-        factors = self._factors.get(w)
-        if factors is not None:
-            return len(factors[1]) <= 2
         low = self._low_rank.get(w)
         if low is None:
             low = self._low_rank[w] = matrix_rank(

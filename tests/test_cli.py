@@ -447,8 +447,8 @@ class TestCertificateWitness:
 
         def flip_only(elements, tables, fixed):
             # <(-1) x 1> in place of the ramification subgroup: not normal
-            return original(elements, tables,
-                            {e: sol for e, sol in fixed.items() if e.matrix == flip})
+            return original(elements, tables, {x: sol for x, sol in fixed.items()
+                                               if elements[tables.index[x]].matrix == flip})
 
         monkeypatch.setattr(decompose_module, "ramification_on_tables", flip_only)
         assert main(["decompose", str(p)]) == 2

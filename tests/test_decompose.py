@@ -20,7 +20,6 @@ from fqav.decompose import (
     fixed_solutions,
     lattice_kappa,
     lattice_quasietale_outside,
-    lattice_ramification_subgroup,
     ramification_on_tables,
     split_action,
 )
@@ -37,7 +36,7 @@ from fqav.linalg import (
     matrix_rank,
     solve_affine_mod_lattice,
 )
-from fqav.variety import lattice_poincare_complement, standard_symplectic_form
+from fqav.variety import lattice_poincare_complement, standard_symplectic_form, subtorus_kappa
 
 from test_acceptance import random_automorphism, random_variety
 from test_action import ORACLE, nonabelian_groups, small_groups
@@ -54,6 +53,14 @@ FLIP = LatticeElement.of([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 
 def fixed_dim(e):
     """Complex dimension of the stage solve of e's fixed locus, None if empty."""
     return element_fixed_solution(e).dim
+
+
+def stage_ramification(elements):
+    """N of the closed group ``elements`` and the generators its closure
+    kept, on the tables of the closure of ``elements``."""
+    closed, _, tables = close_with_tables(elements)
+    return ramification_on_tables(closed, tables,
+                                  fixed_solutions(closed, tables, FixedPointSolver()))[:2]
 
 
 def invariant_torus(subgroup):
@@ -77,7 +84,7 @@ class TestLatticeElements:
 class TestRamificationSubgroup:
     def test_sign_rot4_is_order_two(self, sign_rot4_group):
         els = sign_rot4_group.elements
-        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
+        sub, _ = stage_ramification(els)
         assert len(sub) == 2
         nontrivial = [e for e in sub if not e.is_identity()]
         assert fixed_dim(nontrivial[0]) == 1
@@ -85,38 +92,38 @@ class TestRamificationSubgroup:
     def test_quasietale_group_is_trivial(self, kummer_group, bielliptic_group):
         for group in (kummer_group, bielliptic_group):
             els = group.elements
-            sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
+            sub, _ = stage_ramification(els)
             assert all(e.is_identity() for e in sub)
 
     def test_p1_is_whole_group(self, p1_group):
         els = p1_group.elements
-        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
+        sub, _ = stage_ramification(els)
         assert set(sub) == set(els)
 
 
 class TestInvariantTorus:
     def test_sign_rot4(self, sign_rot4_group):
         els = sign_rot4_group.elements
-        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
+        sub, _ = stage_ramification(els)
         b = invariant_torus(sub)
         assert b == Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
     def test_p1_trivial(self, p1_group):
         els = p1_group.elements
-        sub, _ = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
+        sub, _ = stage_ramification(els)
         assert invariant_torus(sub).rank == 0
 
 
 class TestKappaCertificate:
     def test_minus_one_on_elliptic_curve(self):
         e = LatticeElement.of([[-1, 0], [0, -1]])
-        els, _ = close_elements([e])
-        assert lattice_kappa(els, fixed_solutions(els, FixedPointSolver())) == 1
+        els, _, tables = close_with_tables([e])
+        assert lattice_kappa(fixed_solutions(els, tables, FixedPointSolver()), 2) == 1
 
     def test_order_four_rotation(self):
         e = LatticeElement.of([[0, -1], [1, 0]])
-        els, _ = close_elements([e])
-        assert lattice_kappa(els, fixed_solutions(els, FixedPointSolver())) == 1
+        els, _, tables = close_with_tables([e])
+        assert lattice_kappa(fixed_solutions(els, tables, FixedPointSolver()), 2) == 1
 
 
 class TestDecompose:
@@ -202,7 +209,7 @@ def glue_split():
     order 4.  The arguments of split_action."""
     e = LatticeElement.of([[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]])
     els, _ = close_elements([e])
-    sub, kept = lattice_ramification_subgroup(els, fixed_solutions(els, FixedPointSolver()))
+    sub, kept = stage_ramification(els)
     b = invariant_torus(sub)
     c, ker_mu = lattice_poincare_complement(b, [x.matrix for x in sub],
                                             standard_symplectic_form(2))
@@ -312,8 +319,7 @@ class TestGeneratorNormality:
             elements = group.elements
             # G by the input's generators, and by the ones its closure keeps
             generator_sets = [group.generators, close_elements(elements)[1]]
-            fixed = fixed_solutions(elements, FixedPointSolver())
-            subgroups = [lattice_ramification_subgroup(elements, fixed)]
+            subgroups = [stage_ramification(elements)]
             subgroups += list(cyclic_subgroups(elements))
             for sub, sub_gens in subgroups:
                 want = normal_by_all_elements(elements, sub)
@@ -364,14 +370,16 @@ class TestOnePassQuasietale:
     def test_agrees_with_double_loop(self, gallery):
         verdicts = set()
         for group in gallery:
-            elements = group.elements
-            fixed = fixed_solutions(elements, FixedPointSolver())
-            subgroups = [lattice_ramification_subgroup(elements, fixed)[0]]
+            elements, tables = group.elements, group.tables
+            fixed = fixed_solutions(elements, tables, FixedPointSolver())
+            subgroups = [ramification_on_tables(elements, tables, fixed)[0]]
             if group.order <= 8:
                 subgroups += [sub for sub, _ in cyclic_subgroups(elements)]
+            number = dict(zip(elements, tables.numbers))
             for sub in subgroups:
                 want = quasietale_outside_by_pairs(elements, sub)
-                assert lattice_quasietale_outside(elements, sub, fixed) == want
+                members = {number[x] for x in sub}
+                assert lattice_quasietale_outside(members, fixed, group.variety.n) == want
                 verdicts.add(want)
         assert verdicts == {True, False}
 
@@ -403,35 +411,6 @@ class TestPrunedClosure:
         # identity are already in the closure, never kept and never used
         assert kept == [minus_one, rot]
         assert set(used) == {minus_one, rot}
-
-
-class TestStageBounds:
-    def test_ramification_closure_stops_past_the_group(self, monkeypatch):
-        """N <= G, so the closure of the divisorial elements is bounded by
-        |G|.  Two reflections of Z^2 generate the dihedral group of order 8;
-        in a stage of 3 elements their closure must raise once it holds a
-        fourth element, not after building all 8."""
-        flip = LatticeElement.of([[-1, 0], [0, 1]])
-        swap = LatticeElement.of([[0, 1], [1, 0]])
-        elements = [LatticeElement.of(identity_matrix(2)), flip, swap]
-        fixed = fixed_solutions(elements, FixedPointSolver())
-        assert all(sol.dim == 0 for sol in fixed.values())  # each fixes a divisor
-        held = []  # the elements each closure holds: the identity, then those it builds
-        closure, with_data = decompose_module.bfs_closure, LatticeElement.with_data
-
-        def counted_closure(identity, gens, cap, overflow):
-            held.append(1)
-            return closure(identity, gens, cap, overflow)
-
-        def counted_build(self, matrix, translation):
-            held[-1] += 1
-            return with_data(self, matrix, translation)
-
-        monkeypatch.setattr(decompose_module, "bfs_closure", counted_closure)
-        monkeypatch.setattr(LatticeElement, "with_data", counted_build)
-        with pytest.raises(CertificateError, match="ramification subgroup escapes the group"):
-            lattice_ramification_subgroup(elements, fixed)
-        assert held and max(held) <= len(elements)
 
 
 # ---------------------------------------------------------------------------
@@ -536,27 +515,33 @@ class TestGeneratorNTilde:
 # ---------------------------------------------------------------------------
 # rank-first fixed loci against a solve of every element
 
-def solve_every_element(elements):
-    """Reference: the fixed-locus solve of every nontrivial element."""
-    return {e: solve_affine_mod_lattice(mat_sub(identity_matrix(e.rank), e.matrix),
+def solve_every_element(elements, tables):
+    """Reference: the fixed-locus solve of every nontrivial element, keyed
+    by its number in ``tables``."""
+    return {x: solve_affine_mod_lattice(mat_sub(identity_matrix(e.rank), e.matrix),
                                         e.translation)
-            for e in elements if not e.is_identity()}
+            for x, e in zip(tables.numbers, elements) if not e.is_identity()}
 
 
-def stage_readings(elements, fixed):
-    """N, the quasietale-outside-N verdict and kappa of N, from ``fixed``."""
-    sub, _ = lattice_ramification_subgroup(elements, fixed)
-    return (sub, lattice_quasietale_outside(elements, sub, fixed),
-            lattice_kappa(sub, fixed) if sub else 0)
+def stage_readings(elements, tables, fixed):
+    """N, the quasietale-outside-N verdict and kappa of N, from ``fixed``;
+    kappa of N is also read off the solves of N's elements alone."""
+    sub, _, members, _ = ramification_on_tables(elements, tables, fixed)
+    n2 = elements[0].rank
+    kappa = lattice_kappa(fixed, n2)
+    assert kappa == subtorus_kappa([fixed[x].kernel for x in members
+                                    if x in fixed and fixed[x].dim == n2 // 2 - 1], n2)
+    return sub, lattice_quasietale_outside(members, fixed, n2 // 2), kappa
 
 
 def recorded_stages(monkeypatch, groups):
-    """The element tuple of every stage of the decompositions of ``groups``."""
+    """The (elements, tables) of every stage of the decompositions of
+    ``groups``."""
     stages = []
 
-    def recording(elements, solver):
-        stages.append(tuple(elements))
-        return fixed_solutions(elements, solver)
+    def recording(elements, tables, solver):
+        stages.append((tuple(elements), tables))
+        return fixed_solutions(elements, tables, solver)
 
     monkeypatch.setattr(decompose_module, "fixed_solutions", recording)
     for group in groups:
@@ -565,31 +550,32 @@ def recorded_stages(monkeypatch, groups):
     return stages
 
 
-def assert_rank_first_matches_every_solve(elements):
-    fixed = fixed_solutions(elements, FixedPointSolver())
-    every = solve_every_element(elements)
+def assert_rank_first_matches_every_solve(elements, tables):
+    fixed = fixed_solutions(elements, tables, FixedPointSolver())
+    every = solve_every_element(elements, tables)
     n = elements[0].rank // 2
-    for e, sol in every.items():
-        if e in fixed:
-            assert fixed[e] == sol
+    for x, sol in every.items():
+        if x in fixed:
+            assert fixed[x] == sol
         else:
             # left out: rank(I - W) >= 3, so no divisor is fixed
+            e = elements[tables.index[x]]
             assert matrix_rank(mat_sub(identity_matrix(e.rank), e.matrix)) > 2
             assert not sol.nonempty or sol.dim <= n - 2
-    assert stage_readings(elements, fixed) == stage_readings(elements, every)
+    assert stage_readings(elements, tables, fixed) == stage_readings(elements, tables, every)
 
 
 class TestRankFirstSolves:
     def test_gallery(self, monkeypatch, gallery):
         stages = recorded_stages(monkeypatch, gallery + nonabelian_groups())
         assert len(stages) > len(gallery)  # lower stages were reached
-        for elements in stages:
-            assert_rank_first_matches_every_solve(elements)
+        for elements, tables in stages:
+            assert_rank_first_matches_every_solve(elements, tables)
 
     @ORACLE
     @given(small_groups())
     def test_random_groups(self, group):
-        assert_rank_first_matches_every_solve(group.elements)
+        assert_rank_first_matches_every_solve(group.elements, group.tables)
 
     def test_non_complex_reflection_is_solved(self):
         # diag(-1, 1, 1, 1) on Z^4 is not complex: rank(I - W) = 1, and its
@@ -598,10 +584,11 @@ class TestRankFirstSolves:
         for n2 in (4, 2):
             flip = LatticeElement.of([[-1 if i == j == 0 else int(i == j) for j in range(n2)]
                                       for i in range(n2)])
-            elements, _ = close_elements([flip])
-            fixed = fixed_solutions(elements, FixedPointSolver())
-            assert list(fixed) == [flip] and fixed[flip].dim == n2 // 2 - 1
-            assert_rank_first_matches_every_solve(elements)
+            elements, _, tables = close_with_tables([flip])
+            fixed = fixed_solutions(elements, tables, FixedPointSolver())
+            ((x, sol),) = fixed.items()
+            assert elements[tables.index[x]] == flip and sol.dim == n2 // 2 - 1
+            assert_rank_first_matches_every_solve(elements, tables)
 
 
 class TestKeptGeneratorsInvariantTorus:
@@ -650,7 +637,8 @@ def table_subgroup(elements, tables, gens):
     """``ramification_on_tables`` of <gens>: a fixed map in which each of
     ``gens``, and nothing else, fixes a divisor."""
     divisor = SimpleNamespace(dim=elements[0].rank // 2 - 1)
-    return ramification_on_tables(elements, tables, {g: divisor for g in gens})
+    number = dict(zip(elements, tables.numbers))
+    return ramification_on_tables(elements, tables, {number[g]: divisor for g in gens})
 
 
 def assert_table_closure_matches(elements, tables, gens):
@@ -691,10 +679,10 @@ def assert_table_normality_matches(elements, generators, tables, subgroups):
     return verdicts
 
 
-def reflections_of(elements):
+def reflections_of(elements, tables):
     n = elements[0].rank // 2
-    fixed = fixed_solutions(elements, FixedPointSolver())
-    return [e for e, sol in fixed.items() if sol.dim == n - 1]
+    fixed = fixed_solutions(elements, tables, FixedPointSolver())
+    return [elements[tables.index[x]] for x, sol in fixed.items() if sol.dim == n - 1]
 
 
 class TestTableRamification:
@@ -703,11 +691,11 @@ class TestTableRamification:
         assert len(stages) > len(gallery)  # lower stages were reached
         rng = random.Random(16)
         for elements, generators, tables in stages:
-            assert_table_closure_matches(elements, tables, reflections_of(elements))
+            assert_table_closure_matches(elements, tables, reflections_of(elements, tables))
             assert_table_closure_matches(elements, tables, rng.sample(elements, 2)
                                          if len(elements) > 1 else [])
             n_sub = ramification_on_tables(elements, tables,
-                                           fixed_solutions(elements, FixedPointSolver()))
+                                           fixed_solutions(elements, tables, FixedPointSolver()))
             assert assert_table_normality_matches(elements, generators, tables, [n_sub]) \
                 == {True}
 
@@ -715,7 +703,8 @@ class TestTableRamification:
     @given(small_groups())
     def test_random_groups(self, group):
         elements = group.elements
-        assert_table_closure_matches(elements, group.tables, reflections_of(elements))
+        assert_table_closure_matches(elements, group.tables,
+                                     reflections_of(elements, group.tables))
         assert_table_closure_matches(elements, group.tables, elements)
         subgroups = [table_subgroup(elements, group.tables, [x]) for x in elements]
         assert_table_normality_matches(elements, group.generators,
@@ -782,16 +771,42 @@ class TestTableClosureMakesNoProduct:
         stages = recorded_table_stages(monkeypatch, groups)
         assert max(len(elements) for elements, _, _ in stages) == 192
         for elements, generators, tables in stages:
-            fixed = fixed_solutions(elements, FixedPointSolver())
+            fixed = fixed_solutions(elements, tables, FixedPointSolver())
             products = CountedProducts(monkeypatch)
             sub = ramification_on_tables(elements, tables, fixed)
             check_normal_on_tables(generators, tables, sub)
             assert products.calls == 0
             if len(sub[0]) > 2:
                 # the element-wise closure of the same reflections makes some
-                close_elements(reflections_of(elements))
+                close_elements(reflections_of(elements, tables))
                 assert products.calls > 0
             monkeypatch.undo()
+
+
+class TestStagesHashNoElement:
+    def test_no_element_hashed(self, monkeypatch, gallery):
+        # each stage's maps and certificates are keyed by the numbers of its
+        # closure tables, so no element is hashed
+        stages = recorded_table_stages(monkeypatch, gallery + nonabelian_groups())
+        hashed = []
+        original = LatticeElement.__hash__
+
+        def counting(element):
+            hashed.append(element)
+            return original(element)
+
+        monkeypatch.setattr(LatticeElement, "__hash__", counting)
+        for elements, generators, tables in stages:
+            fixed = fixed_solutions(elements, tables, FixedPointSolver())
+            ramification = ramification_on_tables(elements, tables, fixed)
+            check_normal_on_tables(generators, tables, ramification)
+            n2 = elements[0].rank
+            assert lattice_quasietale_outside(ramification[2], fixed, n2 // 2)
+            lattice_kappa(fixed, n2)
+        assert hashed == []
+        # the counter sees the top stage's elements, which are automorphisms
+        hash(stages[0][0][0])
+        assert hashed == [stages[0][0][0]]
 
 
 class CountedSnf:

@@ -4,7 +4,8 @@ element, of two non-abelian extensions of such groups by the cyclic
 permutation of the coordinates (order 48 on zeta4^3 with 8 conjugacy
 classes, order 108 on zeta6^3 with 20), and of three groups of order 192, 648 and 1296 generated by
 ``diag(zeta, 1, 1)`` and coordinate permutations, where the lattice kernels
-are large.  An optimisation must reproduce these bytes exactly.
+are large, and of two of these groups with a translation added (orders 6912
+and 41472).  An optimisation must reproduce these bytes exactly.
 
 To regenerate after an intended output change::
 
@@ -94,6 +95,20 @@ def translated_sl_diag_document():
 TRANSLATED = "sl-diag-c3-6912"
 
 
+def translated_diag_perm_document():
+    """``diag_perm_document("zeta6")`` with the translation (1/2, 0, 0, 0, 0,
+    0) on the cyclic permutation and ``group_cap`` 200000: order 41472 =
+    648 * 64, with one decomposition stage whose N, of order 13824, holds
+    translations."""
+    doc = diag_perm_document("zeta6")
+    doc["generators"][1]["translation"] = ["1/2"] + ["0"] * 5
+    doc["options"] = {"group_cap": 200000}
+    return doc
+
+
+TRANSLATED_DIAG_PERM = "diag-perm-41472"
+
+
 def _input_path(name, tmp_dir):
     if name in SL_DIAG:
         path = pathlib.Path(tmp_dir) / f"{name}.json"
@@ -147,6 +162,20 @@ def test_translated_report_bytes_match_golden(translated_doc, fmt):
     assert serialize(translated_doc, fmt) == (GOLDEN_DIR / f"{TRANSLATED}.{fmt}").read_text()
 
 
+@pytest.fixture(scope="module")
+def translated_diag_perm_doc():
+    """The report document of the order-41472 group, built once for both
+    formats."""
+    variety, gens, options = parse_input(json.dumps(translated_diag_perm_document()))
+    return build_report(variety, gens, options, "report")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_translated_diag_perm_report_bytes_match_golden(translated_diag_perm_doc, fmt):
+    assert serialize(translated_diag_perm_doc, fmt) == \
+        (GOLDEN_DIR / f"{TRANSLATED_DIAG_PERM}.{fmt}").read_text()
+
+
 def regenerate():
     """Rewrite every golden file from the current code."""
     import contextlib
@@ -165,7 +194,9 @@ def regenerate():
         doc = _diag_perm_report_doc(name)
         for fmt in FORMATS:
             (GOLDEN_DIR / f"{name}.{fmt}").write_text(serialize(doc, fmt))
-    variety, gens, options = parse_input(json.dumps(translated_sl_diag_document()))
-    doc = build_report(variety, gens, options, "report")
-    for fmt in FORMATS:
-        (GOLDEN_DIR / f"{TRANSLATED}.{fmt}").write_text(serialize(doc, fmt))
+    for name, document in ((TRANSLATED, translated_sl_diag_document),
+                           (TRANSLATED_DIAG_PERM, translated_diag_perm_document)):
+        variety, gens, options = parse_input(json.dumps(document()))
+        doc = build_report(variety, gens, options, "report")
+        for fmt in FORMATS:
+            (GOLDEN_DIR / f"{name}.{fmt}").write_text(serialize(doc, fmt))
