@@ -55,18 +55,9 @@ class ClassificationReport:
 
 def is_quasietale(group: FiniteGroupAction) -> bool:
     """True iff no nontrivial element fixes a divisor: every fixed locus is
-    empty or of complex codimension >= 2.  Fix(h g h^-1) = h . Fix(g) has
-    the emptiness and dimension of Fix(g), so one solve per conjugacy class
-    decides it, and only a class whose rank(I - rho) is at most 2 can have
-    codimension 1, so only those are solved."""
-    n = group.variety.n
-    for g in group.nontrivial_class_reps():
-        if not group.solver.may_fix_divisor(g.matrix):
-            continue
-        loc = fixed_locus(g, group.solver)
-        if loc.nonempty and loc.dim > n - 2:
-            return False
-    return True
+    empty or of complex codimension >= 2, so the ramification has no
+    component."""
+    return not ramification_data(group).components
 
 
 def ramification_data(group: FiniteGroupAction) -> RamificationData:
@@ -74,16 +65,19 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
     and G-orbits.  A nontrivial fixed locus has dimension at most n - 1, so
     a divisor T lies in Fix(g) exactly when it is one of its components; the
     index e(T), the order of the pointwise stabilizer, is 1 (the identity)
-    plus the number of nontrivial g with T a component of Fix(g).  Conjugate
-    elements have fixed loci of one dimension, so only the elements of the
-    classes whose first element fixes a divisor are solved, and a first
-    element is solved only when its rank(I - rho) is at most 2."""
+    plus the number of nontrivial g with T a component of Fix(g).  A
+    nontrivial g with rank(I - rho) <= 2 fixes a divisor exactly when its
+    locus is nonempty (rank 0 is a translation by a != 0, which fixes
+    nothing), and no other g fixes one.  Fix(h g h^-1) = h . Fix(g), so
+    only the first element of each class of rank at most 2 is solved, and
+    then every element of a class whose first element fixes a divisor; one
+    pass over the classes decides both the components and quasietaleness."""
     n = group.variety.n
     class_rep = group.class_rep
     solver = group.solver
     divisorial = {i for i, g in enumerate(group.elements)
                   if i and class_rep[i] == i and solver.may_fix_divisor(g.matrix)
-                  and fixed_locus(g, solver).dim == n - 1}
+                  and fixed_locus(g, solver).nonempty}
     by_key = {}  # canonical key -> [component, index]
     lattices = {}  # one object per distinct lattice, which caches its complement
     for i, g in enumerate(group.elements):
@@ -206,7 +200,7 @@ class Analysis:
         n = group.variety.n
         # first: its spectra give the solver the ranks asked for below
         rt_holds, rt_witness, _ = self.reid_tai
-        quasi = is_quasietale(group)
+        quasi = not self.ramification.components
         kappa, q_fano = self.kappa
         decomposition = self.decomposition
         q_circle = decomposition.total_abelian_dim

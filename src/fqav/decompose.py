@@ -34,9 +34,9 @@ from .variety import (
 )
 
 
-def close_elements(gens, bound=math.inf, overflow=None):
+def close_elements(gens):
     """``close_with_tables`` without the tables."""
-    return close_with_tables(gens, bound, overflow)[:2]
+    return close_with_tables(gens)[:2]
 
 
 def close_with_tables(gens, bound=math.inf, overflow=None):
@@ -70,13 +70,17 @@ def element_fixed_solution(e: LatticeElement, solver=None):
 
 
 def fixed_solutions(elements, tables, solver):
-    """The fixed-locus solves, by ``solver``, of the nontrivial elements
-    (W, a) that ``solver.may_fix_divisor(W)`` admits, keyed by their numbers
-    in ``tables``; a stage passes this map to each of its certificates.  No
-    other element fixes a divisor, and each of their nonempty fixed loci has
-    complex codimension >= 2."""
-    return {x: element_fixed_solution(e, solver) for x, e in zip(tables.numbers, elements)
-            if x and solver.may_fix_divisor(e.matrix)}
+    """The divisors of a stage: the nonempty fixed-locus solves, by
+    ``solver``, of the nontrivial elements (W, a) that
+    ``solver.may_fix_divisor(W)`` admits, keyed by their numbers in
+    ``tables``; a stage passes this map to each of its certificates.  Such
+    an element fixes a divisor exactly when its locus is nonempty: with
+    rank(I - W) = 0 it is a translation by a != 0 and fixes nothing, and
+    with rank 1 or 2 each component has complex dimension
+    (2n - rank) // 2 = n - 1.  No other element fixes a divisor."""
+    solves = ((x, element_fixed_solution(e, solver)) for x, e in zip(tables.numbers, elements)
+              if x and solver.may_fix_divisor(e.matrix))
+    return {x: sol for x, sol in solves if sol.nonempty}
 
 
 @dataclass(frozen=True)
@@ -158,11 +162,10 @@ def _right_multiplication(tables, columns, g):
 
 
 def ramification_on_tables(elements, tables, fixed):
-    """N, generated by the elements that fix a divisor by the stage's map
-    ``fixed``, its kept generators, the numbers of N and the right
-    multiplications by those: ``close_elements`` of the reflections, on
-    look-ups in the stage's tables, which it cannot leave."""
-    n = elements[0].rank // 2
+    """N, generated by the elements numbered by the keys of the stage's
+    divisor map ``fixed``, its kept generators, the numbers of N and the
+    right multiplications by those: ``close_elements`` of the reflections,
+    on look-ups in the stage's tables, which it cannot leave."""
     index = tables.index
 
     def key(x):
@@ -171,7 +174,7 @@ def ramification_on_tables(elements, tables, fixed):
     r = len(tables.products) // len(elements)
     columns = [tables.products[j::r] for j in range(r)]
     kept, right, levels, members = [], [], [{0}], {0}
-    for g in sorted((x for x, sol in fixed.items() if sol.dim == n - 1), key=key):
+    for g in sorted(fixed, key=key):
         if g not in members:
             kept.append(elements[index[g]])
             right.append(_right_multiplication(tables, columns, g))
@@ -209,22 +212,19 @@ def _element_inverse(g, group_order):
     raise CertificateError("group not closed under inversion")
 
 
-def lattice_quasietale_outside(members, fixed, n):
-    """True iff every element outside the subgroup N, numbered ``members``,
-    of a stage of dimension n has a fixed locus of codimension >= 2.  The
-    translates h g (h in N, g not in N) are exactly those elements, so each
-    is checked once.  ``fixed`` is the stage's ``fixed_solutions`` map; an
-    element it leaves out has codimension >= 2."""
-    return not any(sol.nonempty and sol.dim > n - 2 and x not in members
-                   for x, sol in fixed.items())
+def lattice_quasietale_outside(members, fixed):
+    """True iff no element outside the subgroup N, numbered ``members``,
+    fixes a divisor: every key of the stage's divisor map ``fixed`` is in
+    N."""
+    return fixed.keys() <= members
 
 
 def lattice_kappa(fixed, n2):
-    """n - dim of the intersection of the codimension-1 fixed-locus lattices
-    in ``fixed``, the ``fixed_solutions`` map of a stage of rank n2 = 2n: the
-    anticanonical Kodaira dimension of the quotient by the group N that
-    those elements generate.  An element the map leaves out fixes no divisor."""
-    return subtorus_kappa([sol.kernel for sol in fixed.values() if sol.dim == n2 // 2 - 1], n2)
+    """n - dim of the intersection of the divisor lattices in ``fixed``, the
+    ``fixed_solutions`` map of a stage of rank n2 = 2n: the anticanonical
+    Kodaira dimension of the quotient by the group N that those elements
+    generate."""
+    return subtorus_kappa([sol.kernel for sol in fixed.values()], n2)
 
 
 def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order):
@@ -361,31 +361,26 @@ def _compose_embedding(outer, local_basis):
 def _decompose_level(elements, generators, tables, embedding, ambient_rank, seed_form,
                      solver, factors, stages):
     n2 = len(embedding)
-    n = n2 // 2
-    current_lattice = Lattice.from_vectors(ambient_rank, [list(v) for v in embedding]) \
-        if n2 else Lattice.zero(ambient_rank)
-
     fixed = fixed_solutions(elements, tables, solver)
     ramification = ramification_on_tables(elements, tables, fixed)
     check_normal_on_tables(generators, tables, ramification)
     n_sub, n_generators, members = ramification[:3]
-    qout = lattice_quasietale_outside(members, fixed, n)
+    qout = lattice_quasietale_outside(members, fixed)
     if not qout:
         raise CertificateError("quotient by the ramification subgroup is not quasietale")
 
     if len(n_sub) == 1:
         # quasietale case: the whole stage variety is abelian
         if n2:
-            factors.append(current_lattice)
-        fano = SublatticeAction((), (), ambient_rank)
-        return fano
+            factors.append(Lattice.from_vectors(ambient_rank, [list(v) for v in embedding]))
+        return SublatticeAction((), (), ambient_rank)
 
     # a vector fixed by the generators of N is fixed by N
     b = fixed_lattice(list(dict.fromkeys(e.matrix for e in n_generators)), n2)
     if b.rank == 0:
         # Q-Fano remainder: quotient of the current lattice by N
         kappa = lattice_kappa(fixed, n2)
-        if kappa != n:
+        if kappa != n2 // 2:
             raise CertificateError("final part fails the Q-Fano kappa certificate")
         stages.append(StageCertificate(len(n_sub), 1, qout, True, None))
         return SublatticeAction(tuple(n_sub), embedding, ambient_rank)

@@ -1,7 +1,6 @@
 import importlib
 import json
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -379,7 +378,7 @@ class TestOnePassQuasietale:
             for sub in subgroups:
                 want = quasietale_outside_by_pairs(elements, sub)
                 members = {number[x] for x in sub}
-                assert lattice_quasietale_outside(members, fixed, group.variety.n) == want
+                assert lattice_quasietale_outside(members, fixed) == want
                 verdicts.add(want)
         assert verdicts == {True, False}
 
@@ -529,9 +528,8 @@ def stage_readings(elements, tables, fixed):
     sub, _, members, _ = ramification_on_tables(elements, tables, fixed)
     n2 = elements[0].rank
     kappa = lattice_kappa(fixed, n2)
-    assert kappa == subtorus_kappa([fixed[x].kernel for x in members
-                                    if x in fixed and fixed[x].dim == n2 // 2 - 1], n2)
-    return sub, lattice_quasietale_outside(members, fixed, n2 // 2), kappa
+    assert kappa == subtorus_kappa([fixed[x].kernel for x in members if x in fixed], n2)
+    return sub, lattice_quasietale_outside(members, fixed), kappa
 
 
 def recorded_stages(monkeypatch, groups):
@@ -551,18 +549,19 @@ def recorded_stages(monkeypatch, groups):
 
 
 def assert_rank_first_matches_every_solve(elements, tables):
+    """The stage map is exactly the divisors: the solves of every element
+    whose fixed locus is nonempty of complex dimension n - 1."""
     fixed = fixed_solutions(elements, tables, FixedPointSolver())
     every = solve_every_element(elements, tables)
     n = elements[0].rank // 2
+    divisors = {x: sol for x, sol in every.items() if sol.nonempty and sol.dim == n - 1}
+    assert fixed == divisors
     for x, sol in every.items():
-        if x in fixed:
-            assert fixed[x] == sol
-        else:
-            # left out: rank(I - W) >= 3, so no divisor is fixed
+        if sol.nonempty and x not in fixed:
+            # a fixed locus of codimension >= 2: rank(I - W) >= 3
             e = elements[tables.index[x]]
             assert matrix_rank(mat_sub(identity_matrix(e.rank), e.matrix)) > 2
-            assert not sol.nonempty or sol.dim <= n - 2
-    assert stage_readings(elements, tables, fixed) == stage_readings(elements, tables, every)
+    assert stage_readings(elements, tables, fixed) == stage_readings(elements, tables, divisors)
 
 
 class TestRankFirstSolves:
@@ -636,9 +635,8 @@ def recorded_table_stages(monkeypatch, groups):
 def table_subgroup(elements, tables, gens):
     """``ramification_on_tables`` of <gens>: a fixed map in which each of
     ``gens``, and nothing else, fixes a divisor."""
-    divisor = SimpleNamespace(dim=elements[0].rank // 2 - 1)
     number = dict(zip(elements, tables.numbers))
-    return ramification_on_tables(elements, tables, {number[g]: divisor for g in gens})
+    return ramification_on_tables(elements, tables, dict.fromkeys(number[g] for g in gens))
 
 
 def assert_table_closure_matches(elements, tables, gens):
@@ -680,9 +678,8 @@ def assert_table_normality_matches(elements, generators, tables, subgroups):
 
 
 def reflections_of(elements, tables):
-    n = elements[0].rank // 2
     fixed = fixed_solutions(elements, tables, FixedPointSolver())
-    return [elements[tables.index[x]] for x, sol in fixed.items() if sol.dim == n - 1]
+    return [elements[tables.index[x]] for x in fixed]
 
 
 class TestTableRamification:
@@ -800,9 +797,8 @@ class TestStagesHashNoElement:
             fixed = fixed_solutions(elements, tables, FixedPointSolver())
             ramification = ramification_on_tables(elements, tables, fixed)
             check_normal_on_tables(generators, tables, ramification)
-            n2 = elements[0].rank
-            assert lattice_quasietale_outside(ramification[2], fixed, n2 // 2)
-            lattice_kappa(fixed, n2)
+            assert lattice_quasietale_outside(ramification[2], fixed)
+            lattice_kappa(fixed, elements[0].rank)
         assert hashed == []
         # the counter sees the top stage's elements, which are automorphisms
         hash(stages[0][0][0])

@@ -12,6 +12,7 @@ To regenerate after an intended output change::
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.regenerate()"
 """
 
+import importlib
 import json
 import pathlib
 
@@ -109,10 +110,19 @@ def translated_diag_perm_document():
 TRANSLATED_DIAG_PERM = "diag-perm-41472"
 
 
+def _document_text(name):
+    """The input document of the golden gallery's group ``name``."""
+    if name in SL_DIAG:
+        return json.dumps(sl_diag_document(*SL_DIAG[name]))
+    if name in DIAG_PERM:
+        return json.dumps(diag_perm_document(*DIAG_PERM[name]))
+    return (FIXTURE_DIR / f"{name}.json").read_text()
+
+
 def _input_path(name, tmp_dir):
     if name in SL_DIAG:
         path = pathlib.Path(tmp_dir) / f"{name}.json"
-        path.write_text(json.dumps(sl_diag_document(*SL_DIAG[name])))
+        path.write_text(_document_text(name))
         return path
     return FIXTURE_DIR / f"{name}.json"
 
@@ -131,8 +141,7 @@ def test_report_bytes_match_golden(name, fmt, tmp_path, capsys):
 
 
 def _diag_perm_report_doc(name):
-    text = json.dumps(diag_perm_document(*DIAG_PERM[name]))
-    variety, gens, options = parse_input(text)
+    variety, gens, options = parse_input(_document_text(name))
     return build_report(variety, gens, options, "report")
 
 
@@ -174,6 +183,23 @@ def translated_diag_perm_doc():
 def test_translated_diag_perm_report_bytes_match_golden(translated_diag_perm_doc, fmt):
     assert serialize(translated_diag_perm_doc, fmt) == \
         (GOLDEN_DIR / f"{TRANSLATED_DIAG_PERM}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("name", FIXTURES + tuple(SL_DIAG) + tuple(DIAG_PERM))
+def test_one_divisor_pass_per_command(name, monkeypatch):
+    # classify and report read quasietaleness off the ramification's one
+    # pass over the classes: with ``is_quasietale`` unusable, the report
+    # bytes and the classification are those of the gallery
+    def unusable(group):
+        raise AssertionError("a command called is_quasietale")
+
+    monkeypatch.setattr(importlib.import_module("fqav.classify"), "is_quasietale", unusable)
+    variety, gens, options = parse_input(_document_text(name))
+    report = build_report(variety, gens, options, "report")
+    for fmt in FORMATS:
+        assert serialize(report, fmt) == (GOLDEN_DIR / f"{name}.{fmt}").read_text()
+    classified = build_report(variety, gens, options, "classify")
+    assert classified["classification"] == report["classification"]
 
 
 def regenerate():
