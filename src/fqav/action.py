@@ -128,26 +128,38 @@ class AffineAutomorphism(LatticeElement):
 
 @dataclass(frozen=True)
 class ClosureTables:
-    """The index tables ``bfs_closure`` records, all plain ints.  Elements
-    are numbered in the order the search finds them, the identity 0.
+    """The index tables ``bfs_closure`` records, all plain ints.  Each
+    element is numbered by its position in the element list, the identity 0.
 
-    - ``products[x * r + j]`` is the number of x . gens[j], r = len(gens).
-    - The BFS tree: x = parent[x] . gens[via[x]] for x > 0; both are -1
-      for the identity.
-    - ``numbers[i]`` is the number of the i-th element in sorted order, and
-      ``index[x]`` the sorted position of the element numbered x."""
+    - ``columns[j][x]`` is the number of x . gens[j].
+    - The BFS tree: x = parent[x] . gens[via[x]] with parent[x] < x for
+      x > 0; both are -1 for the identity."""
 
-    products: list
+    columns: list
     parent: list
     via: list
-    numbers: list
 
-    @cached_property
-    def index(self):
-        index = [0] * len(self.numbers)
-        for i, x in enumerate(self.numbers):
-            index[x] = i
-        return index
+    def left(self, j):
+        """The list x -> the number of gens[j] . x: for x = p . gens[i],
+        gens[j] . x = (gens[j] . p) . gens[i], so each follows its parent's."""
+        columns, parent, via = self.columns, self.parent, self.via
+        left = [columns[j][0]] * len(parent)
+        for x in range(1, len(parent)):
+            left[x] = columns[via[x]][left[parent[x]]]
+        return left
+
+    def right(self, g):
+        """Right multiplication by the element numbered g, as the list x ->
+        the number of x . g: g is parent[g] . gens[via[g]], so depth(g)
+        look-ups per element."""
+        word = []
+        while g > 0:
+            word.append(self.via[g])
+            g = self.parent[g]
+        perm = range(len(self.parent))
+        for j in reversed(word):
+            perm = list(map(self.columns[j].__getitem__, perm))
+        return perm
 
 
 @dataclass(frozen=True)
@@ -176,29 +188,21 @@ class FiniteGroupAction:
     def class_rep(self):
         """``class_rep[i]`` is the index of the first element of the
         conjugacy class of ``elements[i]``, read off the closure's tables
-        without a composition.  For a generator s and x = p . h_j,
-        s . x = (s . p) . h_j, so the left products follow the BFS tree.
-        s . x and x . s are conjugate by s, and the generators' conjugations
-        generate those of the whole group, so uniting these pairs gives
-        exactly the classes."""
+        without a composition.  For a generator s, s . x and x . s are
+        conjugate by s, and the generators' conjugations generate those of
+        the whole group, so uniting these pairs gives exactly the classes."""
         t = self.tables
-        r = len(self.generators)
-        size = len(t.numbers)
-        index = t.index
-        root = list(range(size))  # union-find on indices; a class's root is its first
+        size = len(t.parent)
+        root = list(range(size))  # union-find on numbers; a class's root is its first
 
         def find(i):
             while root[i] != i:
                 root[i] = i = root[root[i]]
             return i
 
-        products, parent, via = t.products, t.parent, t.via
-        for j in range(r):
-            left = [products[j]] * size  # number -> number of gens[j] . x
-            for x in range(1, size):
-                left[x] = products[left[parent[x]] * r + via[x]]
-            for x in range(size):
-                a, b = find(index[left[x]]), find(index[products[x * r + j]])
+        for j, column in enumerate(t.columns):
+            for x, y in zip(t.left(j), column):
+                a, b = find(x), find(y)
                 if a < b:
                     root[b] = a
                 elif b < a:
@@ -229,13 +233,15 @@ def bfs_closure(identity, gens, cap, overflow):
     ``translation`` and ``with_data``; two are equal iff their data (matrix,
     translation) are.  Elements are composed in the order they are found.
     Each product is hashed once, as its data, and an element is built from
-    its data only when it is new."""
-    data = [(identity.matrix, identity.translation)]  # by number
+    its data only when it is new.  The search numbers the elements as it
+    finds them; the tables are then renumbered by element position, which
+    keeps parent[x] < x, since a parent lies in an earlier level."""
+    data = [(identity.matrix, identity.translation)]  # by discovery number
     found = [identity]
     number = {data[0]: 0}
     gen_data = [(h.matrix, h.translation) for h in gens]
-    products, parent, via = [], [-1], [-1]
-    numbers = [0]
+    found_columns, parent, via = [[] for _ in gens], [-1], [-1]
+    numbers = [0]  # discovery number of each element position
     key = type(identity).sort_key
     start = 0
     while start < len(found):
@@ -252,11 +258,16 @@ def bfs_closure(identity, gens, cap, overflow):
                     found.append(identity.with_data(*c))
                     parent.append(x)
                     via.append(j)
-                products.append(k)
+                found_columns[j].append(k)
         numbers.extend(sorted(range(stop, len(found)), key=lambda y: key(found[y])))
         start = stop
-    elements = [found[k] for k in numbers]
-    return elements, ClosureTables(products, parent, via, numbers)
+    position = [0] * len(numbers)
+    for i, k in enumerate(numbers):
+        position[k] = i
+    tables = ClosureTables([[position[col[k]] for k in numbers] for col in found_columns],
+                           [-1] + [position[parent[k]] for k in numbers[1:]],
+                           [via[k] for k in numbers])
+    return [found[k] for k in numbers], tables
 
 
 def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:

@@ -72,17 +72,37 @@ def _format_fraction(f):
     return f"{f.numerator}/{f.denominator}"
 
 
+def _unique_keys(pairs):
+    """The object of ``pairs``, which ``json.loads`` hands over in order; a
+    repeated key is refused, where a dict would keep its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise InputError(f"repeated key {key!r}", code="bad-schema")
+    return doc
+
+
+def _check_keys(doc, allowed, where):
+    """Refuse the first key of ``doc``, in sorted order, not in ``allowed``:
+    a misspelt key would otherwise be read as absent."""
+    if not doc.keys() <= allowed:
+        raise InputError(f"{where}unknown key {min(doc.keys() - allowed)!r}",
+                         code="bad-schema")
+
+
 def parse_input(text):
     """Parse and validate an action description; returns (variety, generators,
     options dict)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # ValueError: JSONDecodeError, or an integer literal too long for
         # int(); RecursionError: arrays or objects nested too deep
         raise InputError(f"invalid JSON: {exc}", code="bad-json")
     if not isinstance(doc, dict):
         raise InputError("top level must be an object", code="bad-schema")
+    _check_keys(doc, {"schema_version", "factors", "generators", "options"}, "")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if not _is_int(version) or version != SCHEMA_VERSION:
         raise InputError("unsupported schema_version", code="bad-schema")
@@ -94,6 +114,7 @@ def parse_input(text):
         if not isinstance(fd, dict) or not isinstance(fd.get("cm"), str):
             raise InputError(f"factors[{i}]: object with string 'cm' required",
                              code="bad-schema")
+        _check_keys(fd, {"cm", "label"}, f"factors[{i}]: ")
         label = fd.get("label", "")
         if not isinstance(label, str):
             raise InputError(f"factors[{i}]: label must be a string", code="bad-schema")
@@ -108,6 +129,7 @@ def parse_input(text):
     for i, gd in enumerate(gens_doc):
         if not isinstance(gd, dict):
             raise InputError(f"generators[{i}]: object required", code="bad-schema")
+        _check_keys(gd, {"holonomy", "translation"}, f"generators[{i}]: ")
         hol = gd.get("holonomy")
         if (not isinstance(hol, list) or len(hol) != n
                 or any(not isinstance(r, list) or len(r) != n for r in hol)):
@@ -137,6 +159,7 @@ def parse_input(text):
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise InputError("options must be an object", code="bad-schema")
+    _check_keys(options, {"group_cap"}, "options: ")
     cap = options.get("group_cap", DEFAULT_GROUP_CAP)
     if not _is_int(cap) or cap < 1:
         raise InputError("options.group_cap must be a positive integer", code="bad-schema")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from math import gcd, isqrt, lcm
 
 from .errors import InputError
@@ -42,7 +42,7 @@ def _poly_divmod_exact(num, den):
     return _poly_trim(q), _poly_trim(num)
 
 
-@lru_cache(maxsize=None)
+@cache
 def cyclotomic_polynomial(m):
     """Coefficients of Phi_m, computed by exact division of x^m - 1 by the
     Phi_d for proper divisors d."""
@@ -279,6 +279,7 @@ def _is_prime(q):
     return q > 1 and all(q % f for f in range(2, isqrt(q) + 1))
 
 
+@cache
 def split_prime(m, above):
     """(p, z): the smallest prime p = 1 (mod m) with p > ``above``, and an
     element z of exact order m mod p, the least such power of the least

@@ -50,7 +50,7 @@ def close_with_tables(gens, bound=math.inf, overflow=None):
         return [], [], None
     ident = LatticeElement.of(identity_matrix(gens[0].rank))
     kept = []
-    elements, tables = [ident], ClosureTables([], [-1], [-1], [0])
+    elements, tables = [ident], ClosureTables([], [-1], [-1])
     seen = {ident}
     for g in sorted(set(gens), key=LatticeElement.sort_key):
         if g in seen:
@@ -69,16 +69,16 @@ def element_fixed_solution(e: LatticeElement, solver=None):
     return solver.solve(e.matrix, e.translation)
 
 
-def fixed_solutions(elements, tables, solver):
+def fixed_solutions(elements, solver):
     """The divisors of a stage: the nonempty fixed-locus solves, by
     ``solver``, of the nontrivial elements (W, a) that
-    ``solver.may_fix_divisor(W)`` admits, keyed by their numbers in
-    ``tables``; a stage passes this map to each of its certificates.  Such
+    ``solver.may_fix_divisor(W)`` admits, keyed by their positions in
+    ``elements``; a stage passes this map to each of its certificates.  Such
     an element fixes a divisor exactly when its locus is nonempty: with
     rank(I - W) = 0 it is a translation by a != 0 and fixes nothing, and
     with rank 1 or 2 each component has complex dimension
     (2n - rank) // 2 = n - 1.  No other element fixes a divisor."""
-    solves = ((x, element_fixed_solution(e, solver)) for x, e in zip(tables.numbers, elements)
+    solves = ((x, element_fixed_solution(e, solver)) for x, e in enumerate(elements)
               if x and solver.may_fix_divisor(e.matrix))
     return {x: sol for x, sol in solves if sol.nonempty}
 
@@ -147,43 +147,25 @@ def check_normal(generators, subgroup, subgroup_generators, group_order):
                     f"{h} to {conj}, outside the subgroup")
 
 
-def _right_multiplication(tables, columns, g):
-    """Right multiplication by the element numbered g, as the list y -> the
-    number of y . g, with ``columns[j][y]`` the number of y . gens[j]: g
-    is parent[g] . gens[via[g]], so depth(g) look-ups per element."""
-    word = []
-    while g > 0:
-        word.append(tables.via[g])
-        g = tables.parent[g]
-    perm = range(len(tables.parent))
-    for j in reversed(word):
-        perm = list(map(columns[j].__getitem__, perm))
-    return perm
-
-
 def ramification_on_tables(elements, tables, fixed):
     """N, generated by the elements numbered by the keys of the stage's
     divisor map ``fixed``, its kept generators, the numbers of N and the
     right multiplications by those: ``close_elements`` of the reflections,
     on look-ups in the stage's tables, which it cannot leave."""
-    index = tables.index
-
     def key(x):
-        return LatticeElement.sort_key(elements[index[x]])
+        return LatticeElement.sort_key(elements[x])
 
-    r = len(tables.products) // len(elements)
-    columns = [tables.products[j::r] for j in range(r)]
     kept, right, levels, members = [], [], [{0}], {0}
     for g in sorted(fixed, key=key):
         if g not in members:
-            kept.append(elements[index[g]])
-            right.append(_right_multiplication(tables, columns, g))
+            kept.append(elements[g])
+            right.append(tables.right(g))
             levels, members = [{0}], {0}
             while levels[-1]:  # the next BFS level: x . h for x in this one
                 level = set().union(*(map(h.__getitem__, levels[-1]) for h in right))
                 levels.append(level - members)
                 members |= level
-    n_sub = [elements[index[x]] for level in levels for x in sorted(level, key=key)]
+    n_sub = [elements[x] for level in levels for x in sorted(level, key=key)]
     return n_sub, kept, members, right
 
 
@@ -192,11 +174,10 @@ def check_normal_on_tables(generators, tables, ramification):
     ``generators``: s h s^-1 is in N iff s h is in N s.  The first failing
     pair is handed to ``check_normal``, which names the witness."""
     n_sub, kept, members, right = ramification
-    products, r = tables.products, len(generators)
-    for j, s in enumerate(generators):
-        coset = {products[x * r + j] for x in members}
+    for s, column in zip(generators, tables.columns):
+        coset = {column[x] for x in members}
         for h, perm in zip(kept, right):
-            if perm[products[j]] not in coset:
+            if perm[column[0]] not in coset:
                 check_normal([s], n_sub, [h], len(tables.parent))
                 raise CertificateError("normality verdicts disagree")
 
@@ -361,7 +342,7 @@ def _compose_embedding(outer, local_basis):
 def _decompose_level(elements, generators, tables, embedding, ambient_rank, seed_form,
                      solver, factors, stages):
     n2 = len(embedding)
-    fixed = fixed_solutions(elements, tables, solver)
+    fixed = fixed_solutions(elements, solver)
     ramification = ramification_on_tables(elements, tables, fixed)
     check_normal_on_tables(generators, tables, ramification)
     n_sub, n_generators, members = ramification[:3]

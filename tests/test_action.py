@@ -434,24 +434,25 @@ def brute_force_class_rep(group):
             for g in elements]
 
 
-def assert_tables(group):
-    """The recorded tables against compositions of the elements."""
-    t = group.tables
-    r = len(group.generators)
-    size = group.order
-    assert sorted(t.numbers) == list(range(size))
-    element = [None] * size  # number -> element
-    for i, x in enumerate(t.numbers):
-        element[x] = group.elements[i]
-    assert element[0].is_identity()
-    assert len(t.products) == size * r
-    for x in range(size):
-        for j, h in enumerate(group.generators):
-            assert element[t.products[x * r + j]] == element[x].compose(h)
-    assert t.parent[0] == t.via[0] == -1
+def assert_tables(elements, generators, tables):
+    """The tables of the closure ``elements`` of ``generators``, numbered by
+    element position, against compositions of the elements: the columns,
+    the BFS tree, and the left and right multiplications read off them."""
+    size = len(elements)
+    assert elements[0].is_identity()
+    assert len(tables.columns) == len(generators)
+    for h, column in zip(generators, tables.columns):
+        assert len(column) == size
+        assert all(elements[column[x]] == elements[x].compose(h) for x in range(size))
+    assert tables.parent[0] == tables.via[0] == -1
     for x in range(1, size):
-        assert 0 <= t.parent[x] < x
-        assert element[x] == element[t.parent[x]].compose(group.generators[t.via[x]])
+        assert 0 <= tables.parent[x] < x
+        assert elements[x] == elements[tables.parent[x]].compose(
+            generators[tables.via[x]])
+    for j, h in enumerate(generators):
+        assert [elements[y] for y in tables.left(j)] == [h.compose(e) for e in elements]
+    for g, element in enumerate(elements):
+        assert [elements[y] for y in tables.right(g)] == [e.compose(element) for e in elements]
 
 
 class TestConjugacyClasses:
@@ -460,7 +461,7 @@ class TestConjugacyClasses:
         groups = [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
                   bielliptic_group] + nonabelian_groups()
         for group in groups:
-            assert_tables(group)
+            assert_tables(group.elements, group.generators, group.tables)
             assert group.class_rep == brute_force_class_rep(group)
         # classes of S3, the order-32 group, and of orders 48 and 108
         assert [len(set(g.class_rep)) for g in groups[5:]] == [3, 14, 8, 20]
@@ -468,7 +469,7 @@ class TestConjugacyClasses:
     @ORACLE
     @given(small_groups())
     def test_random_groups(self, group):
-        assert_tables(group)
+        assert_tables(group.elements, group.generators, group.tables)
         assert group.class_rep == brute_force_class_rep(group)
 
     def test_first_elements_in_order(self):
@@ -480,7 +481,8 @@ class TestConjugacyClasses:
 
 def object_keyed_closure(identity, gens, cap, overflow):
     """Reference for ``bfs_closure``: the same search, hashing each product
-    as the element ``compose`` builds."""
+    as the element ``compose`` builds, with its tables renumbered by element
+    position."""
     found = [identity]
     number = {identity: 0}
     products, parent, via = [], [-1], [-1]
@@ -501,7 +503,11 @@ def object_keyed_closure(identity, gens, cap, overflow):
                 products.append(k)
         numbers.extend(sorted(range(stop, len(found)), key=lambda y: found[y].sort_key()))
         start = stop
-    return [found[k] for k in numbers], ClosureTables(products, parent, via, numbers)
+    position = {k: i for i, k in enumerate(numbers)}
+    r = len(gens)
+    columns = [[position[products[k * r + j]] for k in numbers] for j in range(r)]
+    return [found[k] for k in numbers], ClosureTables(
+        columns, [-1] + [position[parent[k]] for k in numbers[1:]], [via[k] for k in numbers])
 
 
 def lattice_elements(automorphisms):
@@ -584,7 +590,7 @@ class TestRawKeyClosure:
         monkeypatch.setattr(AffineAutomorphism, "with_data", counting)
         closed = close_group(list(group.generators))
         # one build per element but the identity, though most products repeat
-        assert len(built) == closed.order - 1 < len(closed.tables.products) // 2
+        assert len(built) == closed.order - 1 < closed.order * len(closed.generators) // 2
 
 
 class TestDescendOnGenerators:

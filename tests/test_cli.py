@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 
 from fqav.action import close_group, fixed_locus
 from fqav.cli import COMMANDS, MAX_DENOMINATOR_BITS, build_report, main, parse_input, serialize
+from fqav.cyclotomic import split_prime
 from fqav.errors import InputError
 from fqav.linalg import FixedPointSolver, elementary_divisors, identity_matrix, mat_sub
 
@@ -143,6 +145,41 @@ class TestParse:
         assert rc == 1
         assert err.startswith(f"error[{code}]")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"factors": [{"cm": "zeta4"}], "generators": [{"holonomy": [[[0, 1]]]}], '
+         '"options": {"group_cap": 1}, "options": {}}', "repeated key 'options'"),
+        ('{"factors": [{"cm": "generic"}], '
+         '"generators": [{"holonomy": [[[1, 0]]], "translaton": ["1/2", "0"]}]}',
+         "generators[0]: unknown key 'translaton'"),
+    ], ids=["repeated-key", "misspelt-key"])
+    def test_every_key_is_read(self, text, message, tmp_path, capsys):
+        # both used to validate with exit 0: the last "options" won, and the
+        # misspelt translation was read as the zero translation
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr() == ("", f"error[bad-schema]: {message}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(zeta=1, extra=2), "unknown key 'extra'"),
+        (lambda d: d["factors"][1].update(lable="E"), "factors[1]: unknown key 'lable'"),
+        (lambda d: d["generators"][0].update(order=2), "generators[0]: unknown key 'order'"),
+        (lambda d: d.update(options={"group_cap": 5, "cap": 5}), "options: unknown key 'cap'"),
+    ], ids=["top-level", "factor", "generator", "options"])
+    def test_unknown_key(self, edit, message):
+        doc = json.loads(load("bielliptic.json"))
+        edit(doc)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$") as exc:
+            parse_input(json.dumps(doc))
+        assert exc.value.code == "bad-schema"
+
+    def test_repeated_key_in_nested_object(self):
+        text = load("bielliptic.json").replace('"cm": "generic", "label": "E"',
+                                               '"cm": "generic", "cm": "zeta4"')
+        with pytest.raises(InputError, match="repeated key 'cm'") as exc:
+            parse_input(text)
+        assert exc.value.code == "bad-schema"
 
     def test_wrong_holonomy_shape(self):
         doc = json.loads(load("rot4-square.json"))
@@ -448,7 +485,7 @@ class TestCertificateWitness:
         def flip_only(elements, tables, fixed):
             # <(-1) x 1> in place of the ramification subgroup: not normal
             return original(elements, tables, {x: sol for x, sol in fixed.items()
-                                               if elements[tables.index[x]].matrix == flip})
+                                               if elements[x].matrix == flip})
 
         monkeypatch.setattr(decompose_module, "ramification_on_tables", flip_only)
         assert main(["decompose", str(p)]) == 2
@@ -554,6 +591,16 @@ class TestComputeOnce:
         doc = build_report(*parse_input(load("rot4-square.json")), command)
         assert doc["reid_tai"]["witness_age"] == "1/2"
         assert calls["age"] == 1
+
+    def test_split_prime_searched_once(self, monkeypatch):
+        # every age of a group counts its spectrum modulo the prime of
+        # (m, 2n + 1), so the order-108 group ages 19 classes on one search
+        calls = Counter()
+        count_calls(monkeypatch, "age", calls)
+        split_prime.cache_clear()
+        build_report(*parse_input(json.dumps(sl_diag_document("zeta6", True))), "reidtai")
+        info = split_prime.cache_info()
+        assert (calls["age"], info.misses, info.hits) == (19, 1, 18)
 
     @pytest.mark.parametrize("command", ["classify", "reidtai"])
     def test_quasietale_loci_never_enumerated(self, command, monkeypatch):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given
 
-from fqav.action import LatticeElement, bfs_closure, close_group
+from fqav.action import ClosureTables, LatticeElement, bfs_closure, close_group
 from fqav.decompose import (
     _check_n_tilde_group,
     _element_inverse,
@@ -38,7 +38,7 @@ from fqav.linalg import (
 from fqav.variety import lattice_poincare_complement, standard_symplectic_form, subtorus_kappa
 
 from test_acceptance import random_automorphism, random_variety
-from test_action import ORACLE, nonabelian_groups, small_groups
+from test_action import ORACLE, assert_tables, nonabelian_groups, small_groups
 from test_golden import diag_perm_document, sl_diag_document
 
 # the module, which the package's ``decompose`` function shadows
@@ -59,7 +59,7 @@ def stage_ramification(elements):
     kept, on the tables of the closure of ``elements``."""
     closed, _, tables = close_with_tables(elements)
     return ramification_on_tables(closed, tables,
-                                  fixed_solutions(closed, tables, FixedPointSolver()))[:2]
+                                  fixed_solutions(closed, FixedPointSolver()))[:2]
 
 
 def invariant_torus(subgroup):
@@ -116,13 +116,13 @@ class TestInvariantTorus:
 class TestKappaCertificate:
     def test_minus_one_on_elliptic_curve(self):
         e = LatticeElement.of([[-1, 0], [0, -1]])
-        els, _, tables = close_with_tables([e])
-        assert lattice_kappa(fixed_solutions(els, tables, FixedPointSolver()), 2) == 1
+        els, _ = close_elements([e])
+        assert lattice_kappa(fixed_solutions(els, FixedPointSolver()), 2) == 1
 
     def test_order_four_rotation(self):
         e = LatticeElement.of([[0, -1], [1, 0]])
-        els, _, tables = close_with_tables([e])
-        assert lattice_kappa(fixed_solutions(els, tables, FixedPointSolver()), 2) == 1
+        els, _ = close_elements([e])
+        assert lattice_kappa(fixed_solutions(els, FixedPointSolver()), 2) == 1
 
 
 class TestDecompose:
@@ -228,7 +228,7 @@ class TestSplitWithTorsionGlue:
                    for t in n_tilde) == 4
         assert len(n_c) == 2 and len(n_c_kept) == 1
         # the tables of the closure of the kept generator number N_C
-        assert n_c_tables.numbers == [0, 1] and n_c_tables.products == [1, 0]
+        assert n_c_tables == ClosureTables([[1, 0]], [-1, 0], [-1, 0])
         # the first factor is a complement of B that the swap does not keep
         first = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
         with pytest.raises(CertificateError, match="complement is not invariant"):
@@ -370,11 +370,11 @@ class TestOnePassQuasietale:
         verdicts = set()
         for group in gallery:
             elements, tables = group.elements, group.tables
-            fixed = fixed_solutions(elements, tables, FixedPointSolver())
+            fixed = fixed_solutions(elements, FixedPointSolver())
             subgroups = [ramification_on_tables(elements, tables, fixed)[0]]
             if group.order <= 8:
                 subgroups += [sub for sub, _ in cyclic_subgroups(elements)]
-            number = dict(zip(elements, tables.numbers))
+            number = {e: x for x, e in enumerate(elements)}
             for sub in subgroups:
                 want = quasietale_outside_by_pairs(elements, sub)
                 members = {number[x] for x in sub}
@@ -514,12 +514,12 @@ class TestGeneratorNTilde:
 # ---------------------------------------------------------------------------
 # rank-first fixed loci against a solve of every element
 
-def solve_every_element(elements, tables):
+def solve_every_element(elements):
     """Reference: the fixed-locus solve of every nontrivial element, keyed
-    by its number in ``tables``."""
+    by its number, its position in ``elements``."""
     return {x: solve_affine_mod_lattice(mat_sub(identity_matrix(e.rank), e.matrix),
                                         e.translation)
-            for x, e in zip(tables.numbers, elements) if not e.is_identity()}
+            for x, e in enumerate(elements) if not e.is_identity()}
 
 
 def stage_readings(elements, tables, fixed):
@@ -532,43 +532,27 @@ def stage_readings(elements, tables, fixed):
     return sub, lattice_quasietale_outside(members, fixed), kappa
 
 
-def recorded_stages(monkeypatch, groups):
-    """The (elements, tables) of every stage of the decompositions of
-    ``groups``."""
-    stages = []
-
-    def recording(elements, tables, solver):
-        stages.append((tuple(elements), tables))
-        return fixed_solutions(elements, tables, solver)
-
-    monkeypatch.setattr(decompose_module, "fixed_solutions", recording)
-    for group in groups:
-        decompose(group)
-    monkeypatch.undo()
-    return stages
-
-
 def assert_rank_first_matches_every_solve(elements, tables):
     """The stage map is exactly the divisors: the solves of every element
     whose fixed locus is nonempty of complex dimension n - 1."""
-    fixed = fixed_solutions(elements, tables, FixedPointSolver())
-    every = solve_every_element(elements, tables)
+    fixed = fixed_solutions(elements, FixedPointSolver())
+    every = solve_every_element(elements)
     n = elements[0].rank // 2
     divisors = {x: sol for x, sol in every.items() if sol.nonempty and sol.dim == n - 1}
     assert fixed == divisors
     for x, sol in every.items():
         if sol.nonempty and x not in fixed:
             # a fixed locus of codimension >= 2: rank(I - W) >= 3
-            e = elements[tables.index[x]]
+            e = elements[x]
             assert matrix_rank(mat_sub(identity_matrix(e.rank), e.matrix)) > 2
     assert stage_readings(elements, tables, fixed) == stage_readings(elements, tables, divisors)
 
 
 class TestRankFirstSolves:
     def test_gallery(self, monkeypatch, gallery):
-        stages = recorded_stages(monkeypatch, gallery + nonabelian_groups())
+        stages = recorded_table_stages(monkeypatch, gallery + nonabelian_groups())
         assert len(stages) > len(gallery)  # lower stages were reached
-        for elements, tables in stages:
+        for elements, _, tables in stages:
             assert_rank_first_matches_every_solve(elements, tables)
 
     @ORACLE
@@ -584,9 +568,9 @@ class TestRankFirstSolves:
             flip = LatticeElement.of([[-1 if i == j == 0 else int(i == j) for j in range(n2)]
                                       for i in range(n2)])
             elements, _, tables = close_with_tables([flip])
-            fixed = fixed_solutions(elements, tables, FixedPointSolver())
+            fixed = fixed_solutions(elements, FixedPointSolver())
             ((x, sol),) = fixed.items()
-            assert elements[tables.index[x]] == flip and sol.dim == n2 // 2 - 1
+            assert elements[x] == flip and sol.dim == n2 // 2 - 1
             assert_rank_first_matches_every_solve(elements, tables)
 
 
@@ -635,7 +619,7 @@ def recorded_table_stages(monkeypatch, groups):
 def table_subgroup(elements, tables, gens):
     """``ramification_on_tables`` of <gens>: a fixed map in which each of
     ``gens``, and nothing else, fixes a divisor."""
-    number = dict(zip(elements, tables.numbers))
+    number = {e: x for x, e in enumerate(elements)}
     return ramification_on_tables(elements, tables, dict.fromkeys(number[g] for g in gens))
 
 
@@ -648,12 +632,11 @@ def assert_table_closure_matches(elements, tables, gens):
         assert (n_sub, kept) == close_elements(gens)
     else:
         assert n_sub == [elements[0]] and elements[0].is_identity() and kept == []
-    number = dict(zip(elements, tables.numbers))
+    number = {e: x for x, e in enumerate(elements)}
     assert members == {number[x] for x in n_sub}
-    by_number = dict(zip(tables.numbers, elements))
     for h, perm in zip(kept, right):
         assert sorted(perm) == list(range(len(elements)))
-        assert all(by_number[perm[number[x]]] == x.compose(h) for x in n_sub)
+        assert all(elements[perm[number[x]]] == x.compose(h) for x in n_sub)
 
 
 def normality_verdict(check, *args):
@@ -677,9 +660,8 @@ def assert_table_normality_matches(elements, generators, tables, subgroups):
     return verdicts
 
 
-def reflections_of(elements, tables):
-    fixed = fixed_solutions(elements, tables, FixedPointSolver())
-    return [elements[tables.index[x]] for x in fixed]
+def reflections_of(elements):
+    return [elements[x] for x in fixed_solutions(elements, FixedPointSolver())]
 
 
 class TestTableRamification:
@@ -688,11 +670,11 @@ class TestTableRamification:
         assert len(stages) > len(gallery)  # lower stages were reached
         rng = random.Random(16)
         for elements, generators, tables in stages:
-            assert_table_closure_matches(elements, tables, reflections_of(elements, tables))
+            assert_table_closure_matches(elements, tables, reflections_of(elements))
             assert_table_closure_matches(elements, tables, rng.sample(elements, 2)
                                          if len(elements) > 1 else [])
             n_sub = ramification_on_tables(elements, tables,
-                                           fixed_solutions(elements, tables, FixedPointSolver()))
+                                           fixed_solutions(elements, FixedPointSolver()))
             assert assert_table_normality_matches(elements, generators, tables, [n_sub]) \
                 == {True}
 
@@ -701,11 +683,32 @@ class TestTableRamification:
     def test_random_groups(self, group):
         elements = group.elements
         assert_table_closure_matches(elements, group.tables,
-                                     reflections_of(elements, group.tables))
+                                     reflections_of(elements))
         assert_table_closure_matches(elements, group.tables, elements)
         subgroups = [table_subgroup(elements, group.tables, [x]) for x in elements]
         assert_table_normality_matches(elements, group.generators,
                                        group.tables, subgroups)
+
+
+class TestPositionNumbering:
+    """Every stage's closure tables, the lower stages' from
+    ``close_with_tables``, number each element by its position: columns,
+    BFS tree, left and right multiplications against compositions."""
+
+    def test_every_stage(self, monkeypatch, gallery):
+        groups = gallery + nonabelian_groups()
+        stages = recorded_table_stages(monkeypatch, groups)
+        assert len(stages) > len(groups)  # lower stages were reached
+        for elements, generators, tables in stages:
+            assert_tables(elements, generators, tables)
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        with pytest.MonkeyPatch.context() as patch:
+            stages = recorded_table_stages(patch, [group])
+        for elements, generators, tables in stages:
+            assert_tables(elements, generators, tables)
 
 
 class TestTableNormality:
@@ -768,14 +771,14 @@ class TestTableClosureMakesNoProduct:
         stages = recorded_table_stages(monkeypatch, groups)
         assert max(len(elements) for elements, _, _ in stages) == 192
         for elements, generators, tables in stages:
-            fixed = fixed_solutions(elements, tables, FixedPointSolver())
+            fixed = fixed_solutions(elements, FixedPointSolver())
             products = CountedProducts(monkeypatch)
             sub = ramification_on_tables(elements, tables, fixed)
             check_normal_on_tables(generators, tables, sub)
             assert products.calls == 0
             if len(sub[0]) > 2:
                 # the element-wise closure of the same reflections makes some
-                close_elements(reflections_of(elements, tables))
+                close_elements(reflections_of(elements))
                 assert products.calls > 0
             monkeypatch.undo()
 
@@ -794,7 +797,7 @@ class TestStagesHashNoElement:
 
         monkeypatch.setattr(LatticeElement, "__hash__", counting)
         for elements, generators, tables in stages:
-            fixed = fixed_solutions(elements, tables, FixedPointSolver())
+            fixed = fixed_solutions(elements, FixedPointSolver())
             ramification = ramification_on_tables(elements, tables, fixed)
             check_normal_on_tables(generators, tables, ramification)
             assert lattice_quasietale_outside(ramification[2], fixed)
