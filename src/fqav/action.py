@@ -21,6 +21,7 @@ from .linalg import (
     mat_mul,
     mat_sub,
     mat_vec,
+    vec_mat,
 )
 from .variety import (
     AbelianVarietyModel,
@@ -232,14 +233,41 @@ def bfs_closure(identity, gens, cap, overflow):
     The elements are affine maps of one kind, with ``matrix``,
     ``translation`` and ``with_data``; two are equal iff their data (matrix,
     translation) are.  Elements are composed in the order they are found.
-    Each product is hashed once, as its data, and an element is built from
-    its data only when it is new.  The search numbers the elements as it
+
+    No matrix product is made.  Row i of M N is (row i of M) N, so the
+    search numbers the distinct matrix rows, ``rows``, starting with the
+    identity's, and keeps for each generator s_j = (N_j, b_j) the tables
+    ``image[j][i]``, the number of rows[i] N_j, and, when b_j != 0,
+    ``shift[j][i]`` = rows[i] num(b_j).  An element is keyed by (the numbers
+    of its rows, its translation a), and x . s_j is then N look-ups: the
+    image numbers, and a + (the shifts) / den(b_j).  The rows are the orbit
+    of the identity's under the holonomy group H, at most N |H| <= N |G| of
+    them, so more than N cap rows also prove |G| > cap and raise
+    ``overflow``.  An element is built only when it is new, its matrix a
+    tuple of the shared row tuples.  The search numbers the elements as it
     finds them; the tables are then renumbered by element position, which
     keeps parent[x] < x, since a parent lies in an earlier level."""
-    data = [(identity.matrix, identity.translation)]  # by discovery number
+    rows = list(identity.matrix)
+    row_number = {row: i for i, row in enumerate(rows)}
+    row_cap = len(rows) * cap
+    image = [[] for _ in gens]
+    for row in rows:  # rows grows while it is walked, until it is closed
+        for h, column in zip(gens, image):
+            c = tuple(vec_mat(row, h.matrix))
+            k = row_number.setdefault(c, len(rows))
+            if k == len(rows):
+                if k >= row_cap:
+                    raise overflow
+                rows.append(c)
+            column.append(k)
+    steps = [(column.__getitem__,
+              None if h.translation.is_zero() else mat_vec(rows, h.translation.num).__getitem__,
+              h.translation.den) for h, column in zip(gens, image)]
+    row_of = rows.__getitem__
+
+    data = [(tuple(range(len(identity.matrix))), identity.translation)]  # by discovery number
     found = [identity]
     number = {data[0]: 0}
-    gen_data = [(h.matrix, h.translation) for h in gens]
     found_columns, parent, via = [[] for _ in gens], [-1], [-1]
     numbers = [0]  # discovery number of each element position
     key = type(identity).sort_key
@@ -247,15 +275,16 @@ def bfs_closure(identity, gens, cap, overflow):
     while start < len(found):
         stop = len(found)
         for x in range(start, stop):
-            m, a = data[x]
-            for j, (n, b) in enumerate(gen_data):
-                c = affine_product(m, a, n, b)
+            rx, a = data[x]
+            for j, (image_j, shift_j, den) in enumerate(steps):
+                c = (tuple(map(image_j, rx)),
+                     a if shift_j is None else a + TorsionPoint.over(list(map(shift_j, rx)), den))
                 k = number.setdefault(c, len(found))
                 if k == len(found):
                     if k >= cap:
                         raise overflow
                     data.append(c)
-                    found.append(identity.with_data(*c))
+                    found.append(identity.with_data(tuple(map(row_of, c[0])), c[1]))
                     parent.append(x)
                     via.append(j)
                 found_columns[j].append(k)

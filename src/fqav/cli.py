@@ -301,10 +301,40 @@ def _render_markdown(doc):
     return "\n".join(out) + "\n"
 
 
+_JSON_STRING = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, pad="\n"):
+    """``json.dumps(obj, indent=2)`` for a document of dicts with str keys,
+    lists, str, int, bool and None, ``pad`` the line break and indentation of
+    obj's own line.  With an indent, ``json.dumps`` leaves the C encoder for
+    its pure-Python one, which takes several times as long."""
+    kind = type(obj)
+    if kind is str:
+        return _JSON_STRING(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = pad + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_JSON_STRING(k) + ": " + _json_text(v, inner) for k, v in obj.items()]) + pad + "}"
+    if kind is list:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + pad + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def serialize(doc, fmt="json"):
     if fmt == "md":
         return _render_markdown(doc)
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return _json_text(doc) + "\n"
 
 
 COMMANDS = ("validate", "classify", "ramification", "reidtai", "decompose", "report")

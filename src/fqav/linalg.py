@@ -25,22 +25,25 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def vec_mat(v, b):
+    """The row vector v B, for v and the rows of B of ints or Fractions: the
+    sum of v_k B_k over the nonzero v_k only, so a zero entry costs nothing.
+    Holonomies are block-monomial, with about one nonzero entry per row."""
+    acc = None
+    for x, b_row in zip(v, b):
+        if x:
+            if acc is None:
+                acc = [x * y for y in b_row]
+            else:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+    if acc is None:
+        return [0] * (len(b[0]) if b else 0)
+    return acc
+
+
 def mat_mul(a, b):
-    """Exact matrix product; entries may be int or Fraction.  Row i of AB is
-    the sum of a_ik B_k over the nonzero a_ik only, so a zero entry costs
-    nothing: holonomies are block-monomial, with about one nonzero entry per row."""
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = None
-        for x, b_row in zip(row, b):
-            if x:
-                if acc is None:
-                    acc = [x * y for y in b_row]
-                else:
-                    acc = [s + x * y for s, y in zip(acc, b_row)]
-        out.append([0] * width if acc is None else acc)
-    return out
+    """Exact matrix product, row by row: row i of AB is (row i of A) B."""
+    return [vec_mat(row, b) for row in a]
 
 
 def mat_vec(m, v):
@@ -497,11 +500,12 @@ def solve_factored(factors, point: TorsionPoint) -> AffineSolutionSet:
 
 
 class FixedPointSolver:
-    """Solves (I - W) x == a (mod Z^N) for square integer matrices W of int
-    tuple rows, each (W, a) once, taking the Smith form of each I - W at most
-    once, and tells whether rank(I - W) <= 2 by at most one elimination per
-    W.  Each entry is a function of W or (W, a) alone, so the class path and
-    every stage of a decomposition may share one solver."""
+    """Solves (I - W) x == a (mod Z^N) for square integer matrices W of
+    finite order, as int tuple rows, each (W, a) once, taking the Smith form
+    of each I - W at most once, and tells whether rank(I - W) <= 2 by at
+    most one elimination per W.  Each entry is a function of W or (W, a)
+    alone, so the class path and every stage of a decomposition may share
+    one solver."""
 
     def __init__(self):
         self._factors = {}    # W -> the factor_affine tuple of I - W
@@ -526,16 +530,23 @@ class FixedPointSolver:
         """Whether rank(I - W) <= 2.  Each component of a fixed locus of
         x -> W x + a has real codimension rank(I - W), so otherwise it holds
         no divisor.  W need not be complex, so the rank may be odd.  On a
-        lattice of rank 2 it always holds and no rank is taken.  Else it is
-        the verdict recorded when ``solve`` factored W or ``know_rank`` was
-        told its rank, or found by one elimination that ends at its third
+        lattice of rank 2 it always holds and no rank is taken.  W has
+        finite order, so its eigenvalues are roots of unity and it is
+        diagonalisable: rank(I - W) <= 2 leaves at least N - 2 eigenvalues
+        1, and the other two have real part at least -1, so tr W >= N - 4.
+        A lower trace answers False with no elimination.  Else it is the
+        verdict recorded when ``solve`` factored W or ``know_rank`` was told
+        its rank, or found by one elimination that ends at its third
         pivot."""
-        if len(w) <= 2:
+        n = len(w)
+        if n <= 2:
             return True
+        if sum(row[i] for i, row in enumerate(w)) < n - 4:
+            return False
         low = self._low_rank.get(w)
         if low is None:
             low = self._low_rank[w] = matrix_rank(
-                mat_sub(identity_matrix(len(w)), w), stop=3) <= 2
+                mat_sub(identity_matrix(n), w), stop=3) <= 2
         return low
 
 

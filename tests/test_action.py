@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fqav import action as action_module
+from fqav import linalg
 from fqav.action import (
     AffineAutomorphism,
     ClosureTables,
@@ -79,19 +80,20 @@ class TestClosure:
                 automorphism(ei_squared, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]]),
                 automorphism(ei_squared, [[(1, 0), (0, 0)], [(0, 0), (1, 0)]],
                              ["1/2", 0, 0, 0])]
-        products = []
+        built = []
+        original = AffineAutomorphism.with_data
 
-        def counting(*data):
-            products.append(data)
-            return affine_product(*data)
+        def counting(self, matrix, translation):
+            built.append(matrix)
+            return original(self, matrix, translation)
 
-        monkeypatch.setattr(action_module, "affine_product", counting)
+        monkeypatch.setattr(AffineAutomorphism, "with_data", counting)
         with pytest.raises(InputError) as exc:
-            close_group(gens, cap=2)
+            close_group(gens, cap=4)
         assert exc.value.code == "cap-exceeded"
-        # the first level takes one product per generator; the third
-        # element exceeds the cap after the second
-        assert len(products) == 2 < len(gens)
+        # the first level builds one element per generator; the next new
+        # element, the first of the second level, exceeds the cap
+        assert len(built) == len(gens) == 3
 
     @pytest.mark.parametrize("block", [((2, 1), (1, 1)), ((1, 1), (0, 1))])
     def test_infinite_order_holonomy_rejected(self, block):
@@ -371,31 +373,36 @@ UNITS = {"zeta4": ((1, 0), (-1, 0), (0, 1), (0, -1)),
          "generic": ((1, 0), (-1, 0))}
 
 
+def random_generators(rng, denoms=(1, 1, 2)):
+    """Generators of one variety, not closed.  Half the draws take one to
+    three like acceptance criterion 8, with translations over ``denoms``,
+    and may take none.  The other half act on a power of one curve by a
+    diagonal of units and a coordinate permutation, each with a 2-torsion
+    translation, so that many of the groups they generate are
+    non-abelian."""
+    if rng.randrange(2):
+        variety = random_variety(rng)
+        return [g for g in (random_automorphism(rng, variety, max_order=12, denoms=denoms)
+                            for _ in range(rng.randint(1, 3))) if g is not None]
+    n = rng.randint(2, 3)
+    factor = rng.choice(FACTOR_POOL)
+    variety = AbelianVarietyModel.of(*[factor] * n)
+    units = [rng.choice(UNITS[factor.cm]) for _ in range(n)]
+    images = list(range(n))
+    rng.shuffle(images)
+    monomial = ([[units[j] if j == k else (0, 0) for k in range(n)] for j in range(n)],
+                [[(1, 0) if images[k] == j else (0, 0) for k in range(n)]
+                 for j in range(n)])
+    return [automorphism(variety, rows, [rng.choice((0, "1/2")) for _ in range(2 * n)])
+            for rows in monomial]
+
+
 @st.composite
 def small_groups(draw):
-    """A closed group of order at most 48.  Half the draws take one to three
-    generators like acceptance criterion 8.  The other half act on a power
-    of one curve by a diagonal of units and a coordinate permutation, each
-    with a 2-torsion translation, so that many groups are non-abelian."""
+    """A closed group of order at most 48, from ``random_generators``."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     while True:
-        if rng.randrange(2):
-            variety = random_variety(rng)
-            gens = [g for g in (random_automorphism(rng, variety, max_order=12,
-                                                    denoms=(1, 1, 2))
-                                for _ in range(rng.randint(1, 3))) if g is not None]
-        else:
-            n = rng.randint(2, 3)
-            factor = rng.choice(FACTOR_POOL)
-            variety = AbelianVarietyModel.of(*[factor] * n)
-            units = [rng.choice(UNITS[factor.cm]) for _ in range(n)]
-            images = list(range(n))
-            rng.shuffle(images)
-            monomial = ([[units[j] if j == k else (0, 0) for k in range(n)] for j in range(n)],
-                        [[(1, 0) if images[k] == j else (0, 0) for k in range(n)]
-                         for j in range(n)])
-            gens = [automorphism(variety, rows, [rng.choice((0, "1/2")) for _ in range(2 * n)])
-                    for rows in monomial]
+        gens = random_generators(rng)
         if not gens:
             continue
         try:
@@ -479,35 +486,62 @@ class TestConjugacyClasses:
             assert group.class_rep[0] == 0
 
 
-def object_keyed_closure(identity, gens, cap, overflow):
-    """Reference for ``bfs_closure``: the same search, hashing each product
-    as the element ``compose`` builds, with its tables renumbered by element
-    position."""
+def product_closure(identity, gens, cap, overflow):
+    """Reference for ``bfs_closure``: the same search, level order and
+    tables, with one ``affine_product`` of matrices and translations for
+    each product, keyed by its data (matrix, translation)."""
+    data = [(identity.matrix, identity.translation)]  # by discovery number
     found = [identity]
-    number = {identity: 0}
-    products, parent, via = [], [-1], [-1]
-    numbers = [0]
+    number = {data[0]: 0}
+    gen_data = [(h.matrix, h.translation) for h in gens]
+    found_columns, parent, via = [[] for _ in gens], [-1], [-1]
+    numbers = [0]  # discovery number of each element position
+    key = type(identity).sort_key
     start = 0
     while start < len(found):
         stop = len(found)
         for x in range(start, stop):
-            for j, h in enumerate(gens):
-                c = found[x].compose(h)
+            m, a = data[x]
+            for j, (n, b) in enumerate(gen_data):
+                c = affine_product(m, a, n, b)
                 k = number.setdefault(c, len(found))
                 if k == len(found):
                     if k >= cap:
                         raise overflow
-                    found.append(c)
+                    data.append(c)
+                    found.append(identity.with_data(*c))
                     parent.append(x)
                     via.append(j)
-                products.append(k)
-        numbers.extend(sorted(range(stop, len(found)), key=lambda y: found[y].sort_key()))
+                found_columns[j].append(k)
+        numbers.extend(sorted(range(stop, len(found)), key=lambda y: key(found[y])))
         start = stop
-    position = {k: i for i, k in enumerate(numbers)}
-    r = len(gens)
-    columns = [[position[products[k * r + j]] for k in numbers] for j in range(r)]
-    return [found[k] for k in numbers], ClosureTables(
-        columns, [-1] + [position[parent[k]] for k in numbers[1:]], [via[k] for k in numbers])
+    position = [0] * len(numbers)
+    for i, k in enumerate(numbers):
+        position[k] = i
+    tables = ClosureTables([[position[col[k]] for k in numbers] for col in found_columns],
+                           [-1] + [position[parent[k]] for k in numbers[1:]],
+                           [via[k] for k in numbers])
+    return [found[k] for k in numbers], tables
+
+
+def closure_outcome(closure, identity, gens, cap):
+    """The elements and tables ``closure`` finds, or "overflow" when it
+    raises the exception it is handed."""
+    overflow = InputError("closure too large", code="cap-exceeded")
+    try:
+        return closure(identity, gens, cap, overflow)
+    except InputError as exc:
+        assert exc is overflow
+        return "overflow"
+
+
+def assert_closure_matches_product_closure(identity, gens, cap):
+    """``bfs_closure`` finds what ``product_closure`` finds: the same
+    elements in the same order and the same tables, or the same overflow,
+    raised exactly when the order exceeds ``cap``."""
+    want = closure_outcome(product_closure, identity, gens, cap)
+    assert closure_outcome(bfs_closure, identity, gens, cap) == want
+    return want
 
 
 def lattice_elements(automorphisms):
@@ -516,17 +550,13 @@ def lattice_elements(automorphisms):
 
 
 def assert_closure_matches_oracle(group):
-    """bfs_closure equals the object-keyed closure, on the automorphisms and
-    on their lattice elements: the same elements in the same order, and the
-    same tables."""
-    overflow = AssertionError("closure too large")
-    want = object_keyed_closure(group.identity(), list(group.generators), group.order,
-                                overflow)
-    assert (list(group.elements), group.tables) == want
-    identity = lattice_elements([group.identity()])[0]
-    gens = lattice_elements(group.generators)
-    assert bfs_closure(identity, gens, group.order, overflow) == object_keyed_closure(
-        identity, gens, group.order, overflow)
+    """bfs_closure equals the product closure, on the automorphisms and on
+    their lattice elements, with the group's order as the cap."""
+    assert assert_closure_matches_product_closure(
+        group.identity(), list(group.generators), group.order) == (
+        list(group.elements), group.tables)
+    assert_closure_matches_product_closure(lattice_elements([group.identity()])[0],
+                                           lattice_elements(group.generators), group.order)
 
 
 def assert_lattice_data(group):
@@ -591,6 +621,40 @@ class TestRawKeyClosure:
         closed = close_group(list(group.generators))
         # one build per element but the identity, though most products repeat
         assert len(built) == closed.order - 1 < closed.order * len(closed.generators) // 2
+
+
+class TestRowTableClosure:
+    """``bfs_closure`` reads each product off its row tables, against the
+    product closure on generator sets that are not closed, with caps below
+    and above their orders."""
+
+    @ORACLE
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64))
+    def test_random_generators(self, seed, cap):
+        rng = random.Random(seed)
+        gens = []
+        while not gens:
+            gens = random_generators(rng, denoms=(1, 2, 3, 4))
+        identity = AffineAutomorphism.of(EndoBlockMatrix.identity(gens[0].variety))
+        assert_closure_matches_product_closure(identity, gens, cap)
+        assert_closure_matches_product_closure(lattice_elements([identity])[0],
+                                               lattice_elements(gens), cap)
+
+    def test_order_108_makes_no_product(self, monkeypatch):
+        gens = sorted(set(parse_input(json.dumps(sl_diag_document("zeta6", True)))[1]),
+                      key=AffineAutomorphism.sort_key)
+        identity = AffineAutomorphism.of(EndoBlockMatrix.identity(gens[0].variety))
+        overflow = AssertionError("closure too large")
+        want = product_closure(identity, gens, 108, overflow)
+
+        def refuse(*args):
+            raise AssertionError("a matrix product in the closure")
+
+        monkeypatch.setattr(action_module, "affine_product", refuse)
+        monkeypatch.setattr(action_module, "mat_mul", refuse)
+        monkeypatch.setattr(linalg, "mat_mul", refuse)
+        assert bfs_closure(identity, gens, 108, overflow) == want
+        assert len(want[0]) == 108
 
 
 class TestDescendOnGenerators:

@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqav.action import close_group, fixed_locus
 from fqav.cli import COMMANDS, MAX_DENOMINATOR_BITS, build_report, main, parse_input, serialize
@@ -256,6 +257,19 @@ class TestDeterminism:
         variety, gens, options = parse_input(load("rot4-square.json"))
         doc = build_report(variety, gens, options, "report")
         assert json.loads(serialize(doc)) == doc
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(st.none() | st.booleans() | st.integers() | st.text(),
+                        lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+                        max_leaves=20))
+    def test_json_is_json_dumps(self, doc):
+        # the document shapes a command prints: strings escaped to ASCII,
+        # empty and nested containers, bool before int
+        assert serialize(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_json_rejects_other_types(self):
+        with pytest.raises(TypeError):
+            serialize({"x": 0.5})
 
 
 class TestMain:

@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from fqav.action import ClosureTables, LatticeElement, bfs_closure, close_group
 from fqav.decompose import (
@@ -38,7 +38,13 @@ from fqav.linalg import (
 from fqav.variety import lattice_poincare_complement, standard_symplectic_form, subtorus_kappa
 
 from test_acceptance import random_automorphism, random_variety
-from test_action import ORACLE, assert_tables, nonabelian_groups, small_groups
+from test_action import (
+    ORACLE,
+    assert_closure_matches_product_closure,
+    assert_tables,
+    nonabelian_groups,
+    small_groups,
+)
 from test_golden import diag_perm_document, sl_diag_document
 
 # the module, which the package's ``decompose`` function shadows
@@ -711,6 +717,35 @@ class TestPositionNumbering:
             assert_tables(elements, generators, tables)
 
 
+class TestRowTableClosureOnStages:
+    """``bfs_closure`` on the lattice elements of every stage, the lower
+    stages' on sublattices as ``close_with_tables`` passes them, against the
+    product closure: the stage's generators with its order and one less as
+    the cap, and a few of its elements as generators."""
+
+    @staticmethod
+    def assert_matches(stages, rng):
+        for elements, generators, _ in stages:
+            identity = LatticeElement.of(identity_matrix(elements[0].rank))
+            for cap in (len(elements), len(elements) - 1):
+                assert_closure_matches_product_closure(identity, list(generators), cap)
+            some = sorted(set(rng.choices(elements, k=3)), key=LatticeElement.sort_key)
+            assert_closure_matches_product_closure(identity, some, len(elements))
+
+    def test_every_stage(self, monkeypatch, gallery):
+        groups = gallery + nonabelian_groups()
+        stages = recorded_table_stages(monkeypatch, groups)
+        assert len(stages) > len(groups)  # lower stages were reached
+        self.assert_matches(stages, random.Random(21))
+
+    @ORACLE
+    @given(small_groups(), st.integers(0, 2 ** 32 - 1))
+    def test_random_groups(self, group, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            stages = recorded_table_stages(patch, [group])
+        self.assert_matches(stages, random.Random(seed))
+
+
 class TestTableNormality:
     def test_agrees_with_conjugation(self, gallery):
         verdicts = set()
@@ -750,8 +785,8 @@ class TestTableNormality:
 
 
 class CountedProducts:
-    """Counts the affine products, of closures and of compositions, made
-    while installed."""
+    """Counts the affine products made while installed: those of
+    compositions, since a closure makes none."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
@@ -776,10 +811,9 @@ class TestTableClosureMakesNoProduct:
             sub = ramification_on_tables(elements, tables, fixed)
             check_normal_on_tables(generators, tables, sub)
             assert products.calls == 0
-            if len(sub[0]) > 2:
-                # the element-wise closure of the same reflections makes some
-                close_elements(reflections_of(elements))
-                assert products.calls > 0
+            # the counter sees a direct composition of the same elements
+            elements[-1].compose(elements[-1])
+            assert products.calls == 1
             monkeypatch.undo()
 
 

@@ -37,6 +37,7 @@ from fqav.linalg import (
 from fqav.variety import rational_rep, subtorus_kappa
 
 from conftest import automorphism
+from test_action import finite_order_holonomies
 
 
 def minor_gcd_divisors(m):
@@ -618,13 +619,21 @@ class TestFactoredSolve:
 
 @st.composite
 def square_systems(draw):
-    """A square integer matrix W of int tuple rows, up to 5 x 5, and three
-    translations for it."""
-    n = draw(st.integers(1, 5))
-    w = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n, max_size=n))
+    """A square integer matrix W of finite order, of int tuple rows, and
+    three translations for it.  W is the rational representation of a
+    holonomy, or a signed permutation matrix, whose size, up to 5, may be
+    odd, as on a stage that is not complex."""
+    if draw(st.booleans()):
+        w = draw(finite_order_holonomies()).matrix
+    else:
+        n = draw(st.integers(1, 5))
+        images = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        w = tuple(tuple(signs[i] if images[i] == j else 0 for j in range(n)) for i in range(n))
+    n = len(w)
     points = draw(st.lists(st.lists(rationals(), min_size=n, max_size=n),
                            min_size=3, max_size=3))
-    return tuple(w), [TorsionPoint.of(p) for p in points]
+    return w, [TorsionPoint.of(p) for p in points]
 
 
 class TestFixedPointSolver:
@@ -643,7 +652,9 @@ class TestFixedPointSolver:
         ranked_first, solved_first = FixedPointSolver(), FixedPointSolver()
         with mock.patch.object(linalg, "matrix_rank", counting_rank):
             assert ranked_first.may_fix_divisor(w) == ranked_first.may_fix_divisor(w) == low_rank
-            assert len(ranks) == (len(w) > 2)  # one elimination, and none on rank 2
+            # one elimination, none on rank 2, and none when tr W < N - 4
+            trace = sum(row[i] for i, row in enumerate(w))
+            assert len(ranks) == (len(w) > 2 and trace >= len(w) - 4)
             for point in points:
                 want = solve_affine_mod_lattice(m, point)
                 assert ranked_first.solve(w, point) == want
