@@ -140,27 +140,16 @@ class ClosureTables:
     parent: list
     via: list
 
-    def left(self, j):
-        """The list x -> the number of gens[j] . x: for x = p . gens[i],
-        gens[j] . x = (gens[j] . p) . gens[i], so each follows its parent's."""
+    def left(self, g):
+        """Left multiplication by the element numbered g, as the list x ->
+        the number of g . x: g . 1 = g, and for x = p . gens[i], g . x =
+        (g . p) . gens[i], so each follows its parent's, |G| look-ups
+        whatever g's depth."""
         columns, parent, via = self.columns, self.parent, self.via
-        left = [columns[j][0]] * len(parent)
+        left = [g] * len(parent)
         for x in range(1, len(parent)):
             left[x] = columns[via[x]][left[parent[x]]]
         return left
-
-    def right(self, g):
-        """Right multiplication by the element numbered g, as the list x ->
-        the number of x . g: g is parent[g] . gens[via[g]], so depth(g)
-        look-ups per element."""
-        word = []
-        while g > 0:
-            word.append(self.via[g])
-            g = self.parent[g]
-        perm = range(len(self.parent))
-        for j in reversed(word):
-            perm = list(map(self.columns[j].__getitem__, perm))
-        return perm
 
 
 @dataclass(frozen=True)
@@ -201,8 +190,8 @@ class FiniteGroupAction:
                 root[i] = i = root[root[i]]
             return i
 
-        for j, column in enumerate(t.columns):
-            for x, y in zip(t.left(j), column):
+        for column in t.columns:
+            for x, y in zip(t.left(column[0]), column):
                 a, b = find(x), find(y)
                 if a < b:
                     root[b] = a
@@ -433,7 +422,7 @@ def cyclo_field_for(group: FiniteGroupAction) -> CycloField:
     return CycloField(lcm(12, group_exponent(group)))
 
 
-def age(g: AffineAutomorphism, field: CycloField, solver=None) -> Fraction:
+def age(g: AffineAutomorphism, field: CycloField) -> Fraction:
     """Sum of the r_j over the analytic eigenvalues e^(2 pi i r_j) of the
     holonomy A, r_j in [0,1); 0 for identity holonomy.  The holonomy has
     finite order, as every group element's has.
@@ -447,9 +436,7 @@ def age(g: AffineAutomorphism, field: CycloField, solver=None) -> Fraction:
     Its order divides that of A, whose primes q have q - 1 <= 2n, so it is
     prime to p; and B = I + X of order k prime to p with X = 0 mod the prime
     has X (k I + X Y) = 0 with the second factor invertible, so A^m = I.
-    The field thus holds the spectrum exactly when the counts reach n.  With
-    ``solver``, a ``FixedPointSolver``, it is told rank(I - rho) =
-    2 (n - count_0), read off the same spectrum."""
+    The field thus holds the spectrum exactly when the counts reach n."""
     phi = g.holonomy
     n = phi.variety.n
     m = field.m
@@ -457,8 +444,6 @@ def age(g: AffineAutomorphism, field: CycloField, solver=None) -> Fraction:
     counts = spectrum_mod(analytic_rep_mod(phi, m, p, z), p, z, m)
     if counts is None:
         raise InputError("field too small", code="field-too-small")
-    if solver is not None:
-        solver.know_rank(g.matrix, 2 * (n - counts[0]))
     return Fraction(sum(e * count for e, count in enumerate(counts)), m)
 
 

@@ -143,13 +143,12 @@ def reid_tai(group: FiniteGroupAction):
     the same on a conjugacy class, so one age per class decides it; the
     first element of a failing class is the first failing element.  Each
     age is read first, and a fixed locus is solved only for a class whose
-    age is below 1.  Every age gives the group's solver the class's
-    rank(I - rho)."""
+    age is below 1."""
     cyclo_field = cyclo_field_for(group)
     for g in group.nontrivial_class_reps():
         if mat_eq_identity(g.matrix):
             continue
-        g_age = age(g, cyclo_field, group.solver)
+        g_age = age(g, cyclo_field)
         if g_age < 1 and fixed_locus(g, group.solver).nonempty:
             return False, g, g_age
     return True, None, None
@@ -198,7 +197,8 @@ class Analysis:
     def classification(self) -> ClassificationReport:
         group = self.group
         n = group.variety.n
-        # first: its spectra give the solver the ranks asked for below
+        # Reid-Tai first: when it and a later analysis would both fail, the
+        # command reports Reid-Tai's error
         rt_holds, rt_witness, _ = self.reid_tai
         quasi = not self.ramification.components
         kappa, q_fano = self.kappa

@@ -142,44 +142,55 @@ def check_normal(generators, subgroup, subgroup_generators, group_order):
         for h in subgroup_generators:
             conj = s.compose(h).compose(s_inv)
             if conj not in sub:
-                raise CertificateError(
-                    f"ramification subgroup is not normal: generator {s} conjugates "
-                    f"{h} to {conj}, outside the subgroup")
+                raise _not_normal(s, h, conj)
+
+
+def _not_normal(s, h, conj):
+    """The failure of both normality checks: s conjugates h to conj."""
+    return CertificateError(f"ramification subgroup is not normal: generator {s} conjugates "
+                            f"{h} to {conj}, outside the subgroup")
 
 
 def ramification_on_tables(elements, tables, fixed):
     """N, generated by the elements numbered by the keys of the stage's
-    divisor map ``fixed``, its kept generators, the numbers of N and the
-    right multiplications by those: ``close_elements`` of the reflections,
-    on look-ups in the stage's tables, which it cannot leave."""
+    divisor map ``fixed``, its kept generators, the numbers of N and those
+    of the kept generators: ``close_elements`` of the reflections, on
+    look-ups in the stage's tables, which it cannot leave.  The search steps
+    by left products h . x, where ``close_elements`` steps by x . h; level
+    k is B_k - B_(k-1) either way, B_k the products of at most k kept
+    generators, so the levels, and the order of N, are the same."""
     def key(x):
         return LatticeElement.sort_key(elements[x])
 
-    kept, right, levels, members = [], [], [{0}], {0}
+    kept, numbers, left, levels, members = [], [], [], [{0}], {0}
     for g in sorted(fixed, key=key):
         if g not in members:
             kept.append(elements[g])
-            right.append(tables.right(g))
+            numbers.append(g)
+            left.append(tables.left(g))
             levels, members = [{0}], {0}
-            while levels[-1]:  # the next BFS level: x . h for x in this one
-                level = set().union(*(map(h.__getitem__, levels[-1]) for h in right))
+            while levels[-1]:  # the next BFS level: h . x for x in this one
+                level = set().union(*(map(h.__getitem__, levels[-1]) for h in left))
                 levels.append(level - members)
                 members |= level
     n_sub = [elements[x] for level in levels for x in sorted(level, key=key)]
-    return n_sub, kept, members, right
+    return n_sub, kept, members, numbers
 
 
-def check_normal_on_tables(generators, tables, ramification):
-    """``check_normal`` by look-ups in the tables of the closure of
-    ``generators``: s h s^-1 is in N iff s h is in N s.  The first failing
-    pair is handed to ``check_normal``, which names the witness."""
-    n_sub, kept, members, right = ramification
+def check_normal_on_tables(elements, generators, tables, ramification):
+    """``check_normal`` by look-ups in the tables of the closure
+    ``elements`` of ``generators``: s h s^-1 is in N iff s h is in N s, and
+    s h is read off the left multiplication by s.  On failure s h s^-1 is
+    the y with y s = s h, named in ``check_normal``'s words."""
+    _, kept, members, numbers = ramification
+    if not kept:
+        return  # the trivial subgroup is normal
     for s, column in zip(generators, tables.columns):
         coset = {column[x] for x in members}
-        for h, perm in zip(kept, right):
-            if perm[column[0]] not in coset:
-                check_normal([s], n_sub, [h], len(tables.parent))
-                raise CertificateError("normality verdicts disagree")
+        left = tables.left(column[0])
+        for h, x in zip(kept, numbers):
+            if left[x] not in coset:
+                raise _not_normal(s, h, elements[column.index(left[x])])
 
 
 def _element_inverse(g, group_order):
@@ -285,6 +296,11 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     return n_tilde, n_c, n_c_kept, n_c_tables
 
 
+class _Outgrown(Exception):
+    """The closure in ``_check_n_tilde_group`` outgrew N-tilde.  That check
+    catches it and goes on to name a witness."""
+
+
 def _check_n_tilde_group(n_tilde, generators):
     """Certify that N-tilde is a group: the closure of ``generators``, the
     ker mu lifts and one lift of each generator of N, must be N-tilde.
@@ -302,10 +318,8 @@ def _check_n_tilde_group(n_tilde, generators):
     ident = LatticeElement.of(identity_matrix(n_tilde[0].rank))
     gens = [h for h in dict.fromkeys(generators) if not h.is_identity()]
     try:
-        closed, _ = bfs_closure(ident, gens, len(entries),
-                                CertificateError("the closure of the generators exceeds N-tilde"))
-        closed = set(closed)
-    except CertificateError:
+        closed = set(bfs_closure(ident, gens, len(entries), _Outgrown())[0])
+    except _Outgrown:
         closed = set()
     if closed == entries:
         return
@@ -344,7 +358,7 @@ def _decompose_level(elements, generators, tables, embedding, ambient_rank, seed
     n2 = len(embedding)
     fixed = fixed_solutions(elements, solver)
     ramification = ramification_on_tables(elements, tables, fixed)
-    check_normal_on_tables(generators, tables, ramification)
+    check_normal_on_tables(elements, generators, tables, ramification)
     n_sub, n_generators, members = ramification[:3]
     qout = lattice_quasietale_outside(members, fixed)
     if not qout:

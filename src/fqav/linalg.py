@@ -522,10 +522,6 @@ class FixedPointSolver:
             self._solutions[key] = solve_factored(self._factors[w], point)
         return self._solutions[key]
 
-    def know_rank(self, w, rank):
-        """Record rank(I - W) = ``rank``, found without this solver."""
-        self._low_rank[w] = rank <= 2
-
     def may_fix_divisor(self, w):
         """Whether rank(I - W) <= 2.  Each component of a fixed locus of
         x -> W x + a has real codimension rank(I - W), so otherwise it holds
@@ -535,9 +531,8 @@ class FixedPointSolver:
         diagonalisable: rank(I - W) <= 2 leaves at least N - 2 eigenvalues
         1, and the other two have real part at least -1, so tr W >= N - 4.
         A lower trace answers False with no elimination.  Else it is the
-        verdict recorded when ``solve`` factored W or ``know_rank`` was told
-        its rank, or found by one elimination that ends at its third
-        pivot."""
+        verdict recorded when ``solve`` factored W, or found by one
+        elimination that ends at its third pivot."""
         n = len(w)
         if n <= 2:
             return True

@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 from collections import Counter
@@ -24,6 +25,9 @@ from test_acceptance import random_automorphism, random_variety
 from test_action import ORACLE, nonabelian_groups, small_groups
 from test_cli import count_calls
 from test_golden import sl_diag_document
+
+# the module, whose ``reid_tai`` reads ``age`` by name
+classify_module = importlib.import_module("fqav.classify")
 
 
 class TestQuasietale:
@@ -263,6 +267,27 @@ def assert_class_path_matches_reference(group):
     assert reid_tai(group) == reference_reid_tai(group)
     data = ramification_data(group)
     assert (data.components, data.indices) == reference_ramification(group)
+
+
+class TestAgesWriteNoRank:
+    def test_gallery(self, monkeypatch, rot4_square_group, sign_rot4_group, kummer_group,
+                     p1_group, bielliptic_group):
+        # an age reads its spectrum mod p and nothing else: the solver's
+        # rank verdicts are the same before and after each age reid_tai takes
+        original = classify_module.age
+        taken = []
+        for group in [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                      bielliptic_group] + nonabelian_groups():
+            def checking(g, *args, solver=group.solver):
+                before = dict(solver._low_rank)
+                out = original(g, *args)
+                assert solver._low_rank == before
+                taken.append(g)
+                return out
+
+            monkeypatch.setattr(classify_module, "age", checking)
+            reid_tai(group)
+        assert len(taken) > 19  # the order-108 group alone takes 19
 
 
 class TestClassPathOracle:

@@ -50,9 +50,13 @@ from test_golden import diag_perm_document, sl_diag_document
 # the module, which the package's ``decompose`` function shadows
 decompose_module = importlib.import_module("fqav.decompose")
 
-# D4 on E x E is generated by the swap and the reflection (-1) x 1
+# D4 on E x E is generated by the swap and the reflection (-1) x 1; the
+# swap conjugates that reflection to 1 x (-1), so <(-1) x 1> is not normal
 SWAP = LatticeElement.of([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
 FLIP = LatticeElement.of([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+FLIP_SECOND = LatticeElement.of([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+D4_WITNESS = (f"ramification subgroup is not normal: generator {SWAP} conjugates "
+              f"{FLIP} to {FLIP_SECOND}, outside the subgroup")
 
 
 def fixed_dim(e):
@@ -352,11 +356,7 @@ class TestGeneratorNormality:
         with pytest.raises(CertificateError) as exc:
             check_normal(kept, sub, [FLIP], len(elements))
         # FLIP normalizes <FLIP>; SWAP conjugates it to 1 x (-1)
-        other = LatticeElement.of([[1, 0, 0, 0], [0, 1, 0, 0],
-                                   [0, 0, -1, 0], [0, 0, 0, -1]])
-        assert str(exc.value) == (
-            f"ramification subgroup is not normal: generator {SWAP} conjugates "
-            f"{FLIP} to {other}, outside the subgroup")
+        assert str(exc.value) == D4_WITNESS
         assert str(SWAP) == ("x -> [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]] x "
                              "+ [0, 0, 0, 0]")
 
@@ -632,17 +632,20 @@ def table_subgroup(elements, tables, gens):
 def assert_table_closure_matches(elements, tables, gens):
     """The table closure of <gens> is ``close_elements(gens)``: the same
     elements in the same order and the same kept generators, with the
-    numbers of N and permutations that are right multiplications."""
-    n_sub, kept, members, right = table_subgroup(elements, tables, gens)
+    numbers of N and of the kept generators, whose permutations, the ones
+    the search steps by, are left multiplications."""
+    n_sub, kept, members, numbers = table_subgroup(elements, tables, gens)
     if gens:
         assert (n_sub, kept) == close_elements(gens)
     else:
         assert n_sub == [elements[0]] and elements[0].is_identity() and kept == []
     number = {e: x for x, e in enumerate(elements)}
     assert members == {number[x] for x in n_sub}
-    for h, perm in zip(kept, right):
+    assert [elements[g] for g in numbers] == kept
+    for h, g in zip(kept, numbers):
+        perm = tables.left(g)
         assert sorted(perm) == list(range(len(elements)))
-        assert all(elements[perm[number[x]]] == x.compose(h) for x in n_sub)
+        assert all(elements[perm[number[x]]] == h.compose(x) for x in n_sub)
 
 
 def normality_verdict(check, *args):
@@ -661,7 +664,8 @@ def assert_table_normality_matches(elements, generators, tables, subgroups):
     verdicts = set()
     for sub in subgroups:
         want = normality_verdict(check_normal, generators, sub[0], sub[1], len(elements))
-        assert normality_verdict(check_normal_on_tables, generators, tables, sub) == want
+        assert normality_verdict(check_normal_on_tables, elements, generators, tables,
+                                 sub) == want
         verdicts.add(want is None)
     return verdicts
 
@@ -761,11 +765,20 @@ class TestTableNormality:
         assert verdicts == {True, False}  # both outcomes were exercised
 
     def test_failure_never_passes(self, monkeypatch):
-        # a table verdict the element-wise check would not confirm still fails
+        # the table check fails, and names its witness, with no help from
+        # the element-wise check, an inverse or a product
         elements, kept, tables = close_with_tables([SWAP, FLIP])
-        monkeypatch.setattr(decompose_module, "check_normal", lambda *args: None)
-        with pytest.raises(CertificateError, match="normality verdicts disagree"):
-            check_normal_on_tables(kept, tables, table_subgroup(elements, tables, [FLIP]))
+        sub = table_subgroup(elements, tables, [FLIP])
+
+        def refuse(*args):
+            raise AssertionError("called by the table check")
+
+        for name in ("check_normal", "_element_inverse"):
+            monkeypatch.setattr(decompose_module, name, refuse)
+        monkeypatch.setattr(action, "affine_product", refuse)
+        with pytest.raises(CertificateError) as exc:
+            check_normal_on_tables(elements, kept, tables, sub)
+        assert str(exc.value) == D4_WITNESS
 
     def test_d4_reflection_not_normal(self):
         # D4 on E x E: <swap, (-1) x 1>; <(-1) x 1> is not normal, and the
@@ -773,15 +786,12 @@ class TestTableNormality:
         elements, kept, tables = close_with_tables([SWAP, FLIP])
         sub = table_subgroup(elements, tables, [FLIP])
         assert sub[:2] == close_elements([FLIP])
-        other = LatticeElement.of([[1, 0, 0, 0], [0, 1, 0, 0],
-                                   [0, 0, -1, 0], [0, 0, 0, -1]])
         with pytest.raises(CertificateError) as exc:
-            check_normal_on_tables(kept, tables, sub)
-        assert str(exc.value) == (
-            f"ramification subgroup is not normal: generator {SWAP} conjugates "
-            f"{FLIP} to {other}, outside the subgroup")
+            check_normal_on_tables(elements, kept, tables, sub)
+        assert str(exc.value) == D4_WITNESS
         # the signs (+-1) x (+-1) form a normal subgroup of index 2
-        check_normal_on_tables(kept, tables, table_subgroup(elements, tables, [FLIP, other]))
+        check_normal_on_tables(elements, kept, tables,
+                               table_subgroup(elements, tables, [FLIP, FLIP_SECOND]))
 
 
 class CountedProducts:
@@ -809,12 +819,24 @@ class TestTableClosureMakesNoProduct:
             fixed = fixed_solutions(elements, FixedPointSolver())
             products = CountedProducts(monkeypatch)
             sub = ramification_on_tables(elements, tables, fixed)
-            check_normal_on_tables(generators, tables, sub)
+            check_normal_on_tables(elements, generators, tables, sub)
             assert products.calls == 0
             # the counter sees a direct composition of the same elements
             elements[-1].compose(elements[-1])
             assert products.calls == 1
             monkeypatch.undo()
+
+    def test_failing_check_makes_no_product(self, monkeypatch):
+        # D4 with N = <(-1) x 1>, not normal: the witness is named from the
+        # tables alone
+        elements, kept, tables = close_with_tables([SWAP, FLIP])
+        products = CountedProducts(monkeypatch)
+        sub = table_subgroup(elements, tables, [FLIP])
+        with pytest.raises(CertificateError) as exc:
+            check_normal_on_tables(elements, kept, tables, sub)
+        assert products.calls == 0
+        assert str(exc.value) == normality_verdict(check_normal, kept, sub[0], [FLIP],
+                                                   len(elements)) == D4_WITNESS
 
 
 class TestStagesHashNoElement:
@@ -833,7 +855,7 @@ class TestStagesHashNoElement:
         for elements, generators, tables in stages:
             fixed = fixed_solutions(elements, FixedPointSolver())
             ramification = ramification_on_tables(elements, tables, fixed)
-            check_normal_on_tables(generators, tables, ramification)
+            check_normal_on_tables(elements, generators, tables, ramification)
             assert lattice_quasietale_outside(ramification[2], fixed)
             lattice_kappa(fixed, elements[0].rank)
         assert hashed == []
