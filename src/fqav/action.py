@@ -151,6 +151,18 @@ class ClosureTables:
             left[x] = columns[via[x]][left[parent[x]]]
         return left
 
+    def word(self, x):
+        """The generator indices on x's BFS path from the identity, so that
+        x = gens[j_1] ... gens[j_d] and y . x is y pushed through the
+        columns j_1, ..., j_d: d look-ups."""
+        parent, via = self.parent, self.via
+        word = []
+        while x > 0:
+            word.append(via[x])
+            x = parent[x]
+        word.reverse()
+        return word
+
 
 @dataclass(frozen=True)
 class FiniteGroupAction:
@@ -396,21 +408,27 @@ def holonomy_order(phi: EndoBlockMatrix):
 
 def group_exponent(group: FiniteGroupAction):
     """lcm of the orders of the holonomies, found by walking the powers of
-    the matrix, the holonomy's rational representation, of each class's
-    first element.  Conjugate elements have conjugate holonomies, of one
-    order, and every holonomy is that of some element, so these orders have
-    the same lcm as all of them.  A matrix an earlier walk reached is a
-    power of that walk's, so its order divides the one already taken; it is
-    skipped."""
+    each class's first element g in the closure's tables, g^(k+1) = g^k . g
+    by g's word, until the power's holonomy is the identity.  Conjugate
+    elements have conjugate holonomies, of one order, and every holonomy is
+    that of some element, so these orders have the same lcm as all of them.
+    A matrix an earlier walk reached is a power of that walk's, so its order
+    divides the one already taken; it is skipped."""
+    elements, tables = group.elements, group.tables
+    columns = tables.columns
+    rep = group.class_rep
     e = 1
     reached = set()
-    for g in group.nontrivial_class_reps():
-        if g.matrix in reached:
+    for g in range(1, len(rep)):
+        if rep[g] != g or elements[g].matrix in reached:
             continue
-        power, k = g.matrix, 1
-        while not mat_eq_identity(power):
-            reached.add(power)
-            power, k = tuple(map(tuple, mat_mul(power, g.matrix))), k + 1
+        word = tables.word(g)
+        power, k = g, 1
+        while not mat_eq_identity(elements[power].matrix):
+            reached.add(elements[power].matrix)
+            for j in word:
+                power = columns[j][power]
+            k += 1
         e = lcm(e, k)
     return e
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import InputError
 
@@ -315,23 +316,65 @@ def rank_mod(matrix, p):
     return r
 
 
+def charpoly_mod(matrix, p):
+    """The coefficients of det(x I - M) over F_p, lowest degree first, of an
+    n x n matrix M of ints in [0, p) with n < p.  By Newton's identities,
+    as in Faddeev-LeVerrier, from the power sums s_k = tr(M^k):
+    c_n = 1 and k c_(n-k) = -(c_(n-k+1) s_1 + ... + c_n s_k).  This takes
+    n - 2 matrix products and divides only by k <= n < p."""
+    n = len(matrix)
+    columns = list(zip(*matrix))
+    sums = [sum(row[i] for i, row in enumerate(matrix))]
+    power = matrix  # M^(k-1) when s_k is taken
+    for k in range(2, n + 1):
+        sums.append(sum(sum(map(mul, row, col)) for row, col in zip(power, columns)))
+        if k < n:
+            power = [[sum(map(mul, row, col)) % p for col in columns] for row in power]
+    coeffs = [0] * n + [1]
+    for k in range(1, n + 1):
+        top = coeffs[n - k + 1:]
+        coeffs[n - k] = -sum(map(mul, top, sums)) * pow(k, -1, p) % p
+    return coeffs
+
+
 def spectrum_mod(matrix, p, z, m):
     """The counts n - rank_p(M - z^e I) for e = 0, 1, ..., of an n x n matrix
-    M of ints in [0, p) with z of order m mod p, up to the first e at which
-    they sum to n; None when they sum to less than n over every e < m.
-    Eigenspaces of distinct eigenvalues are independent, so the sum never
-    exceeds n."""
+    M of ints in [0, p) with z of order m mod p and n < p, up to the first e
+    at which they sum to n; None when they sum to less than n over every
+    e < m.  Eigenspaces of distinct eigenvalues are independent, so the sum
+    never exceeds n.
+
+    Each count is read off chi = det(x I - M) where it can be: the geometric
+    multiplicity of z^e lies between 1 and its algebraic one when chi(z^e) =
+    0, and is 0 otherwise.  So a non-root counts 0 and a simple root, where
+    chi'(z^e) != 0, counts 1; only a repeated root is eliminated.  Every
+    count is the same rank count as by elimination at each e."""
     n = len(matrix)
+    chi = charpoly_mod(matrix, p)
+    slope = [k * c for k, c in enumerate(chi)][1:]
     counts = []
     total = 0
     root = 1
     for _ in range(m):
-        shifted = [[(x - root) % p if i == j else x for j, x in enumerate(row)]
-                   for i, row in enumerate(matrix)]
-        count = n - rank_mod(shifted, p)
+        count = 0
+        if not _horner(chi, root, p):
+            count = 1
+            if not _horner(slope, root, p):
+                shifted = [[(x - root) % p if i == j else x for j, x in enumerate(row)]
+                           for i, row in enumerate(matrix)]
+                count = n - rank_mod(shifted, p)
         counts.append(count)
         total += count
         if total == n:
             return counts
         root = root * z % p
     return None
+
+
+def _horner(coeffs, x, p):
+    """The polynomial with these coefficients, lowest degree first, at x,
+    mod p."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * x + c) % p
+    return value

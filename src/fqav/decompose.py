@@ -180,17 +180,21 @@ def ramification_on_tables(elements, tables, fixed):
 def check_normal_on_tables(elements, generators, tables, ramification):
     """``check_normal`` by look-ups in the tables of the closure
     ``elements`` of ``generators``: s h s^-1 is in N iff s h is in N s, and
-    s h is read off the left multiplication by s.  On failure s h s^-1 is
-    the y with y s = s h, named in ``check_normal``'s words."""
+    s h is s pushed through h's word.  On failure s h s^-1 is the y with
+    y s = s h, named in ``check_normal``'s words."""
     _, kept, members, numbers = ramification
     if not kept:
         return  # the trivial subgroup is normal
-    for s, column in zip(generators, tables.columns):
+    columns = tables.columns
+    words = [tables.word(x) for x in numbers]
+    for s, column in zip(generators, columns):
         coset = {column[x] for x in members}
-        left = tables.left(column[0])
-        for h, x in zip(kept, numbers):
-            if left[x] not in coset:
-                raise _not_normal(s, h, elements[column.index(left[x])])
+        for h, word in zip(kept, words):
+            y = column[0]
+            for j in word:
+                y = columns[j][y]
+            if y not in coset:
+                raise _not_normal(s, h, elements[column.index(y)])
 
 
 def _element_inverse(g, group_order):

@@ -456,6 +456,16 @@ def assert_tables(elements, generators, tables):
             generators[tables.via[x]])
     for g, element in enumerate(elements):
         assert [elements[y] for y in tables.left(g)] == [element.compose(e) for e in elements]
+    # y . x by x's word: the identity reaches x, and generator j reaches
+    # gens[j] . x
+    for x in range(size):
+        word = tables.word(x)
+        for start in [0] + [column[0] for column in tables.columns]:
+            y = start
+            for j in word:
+                y = tables.columns[j][y]
+            assert elements[y] == elements[start].compose(elements[x])
+        assert len(word) == (0 if x == 0 else len(tables.word(tables.parent[x])) + 1)
 
 
 class TestConjugacyClasses:
@@ -671,6 +681,47 @@ class TestDescendOnGenerators:
     def test_gallery(self, bielliptic_group):
         for group in [bielliptic_group] + nonabelian_groups():
             assert descend_multiplication(group) == self.all_elements_m(group)
+
+
+def reference_group_exponent(group):
+    """The lcm of the holonomy orders of the classes' first elements, by
+    matrix powers of each holonomy's rational representation."""
+    e = 1
+    for g in group.nontrivial_class_reps():
+        power, k = g.matrix, 1
+        while power != tuple(map(tuple, linalg.identity_matrix(len(power)))):
+            power, k = tuple(map(tuple, mat_mul(power, g.matrix))), k + 1
+        e = lcm(e, k)
+    return e
+
+
+class TestExponentOnTables:
+    """``group_exponent`` walks powers in the closure tables; the oracle
+    multiplies matrices."""
+
+    def test_gallery(self, rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                     bielliptic_group):
+        groups = [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                  bielliptic_group] + nonabelian_groups()
+        exponents = [group_exponent(group) for group in groups]
+        assert exponents == [reference_group_exponent(group) for group in groups]
+        assert exponents == [4, 4, 2, 4, 2, 6, 8, 12, 6]
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        assert group_exponent(group) == reference_group_exponent(group)
+
+    def test_order_108_makes_no_product(self, monkeypatch):
+        group = nonabelian_groups()[-1]
+        assert group.order == 108
+
+        def refuse(*args):
+            raise AssertionError("a matrix product in group_exponent")
+
+        monkeypatch.setattr(action_module, "mat_mul", refuse)
+        monkeypatch.setattr(linalg, "mat_mul", refuse)
+        assert group_exponent(group) == 6
 
 
 # ---------------------------------------------------------------------------

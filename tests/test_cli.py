@@ -616,6 +616,16 @@ class TestComputeOnce:
         info = split_prime.cache_info()
         assert (calls["age"], info.misses, info.hits) == (19, 1, 18)
 
+    def test_ages_eliminate_only_at_repeated_roots(self, monkeypatch):
+        # each of the 19 ages reads its characteristic polynomial at every
+        # root it tries, and eliminates only at a repeated root: 5 in all,
+        # against 171 roots tried
+        calls = Counter()
+        for func in ("spectrum_mod", "rank_mod"):
+            count_calls(monkeypatch, func, calls)
+        build_report(*parse_input(json.dumps(sl_diag_document("zeta6", True))), "reidtai")
+        assert calls == Counter({"spectrum_mod": 19, "rank_mod": 5})
+
     @pytest.mark.parametrize("command", ["classify", "reidtai"])
     def test_quasietale_loci_never_enumerated(self, command, monkeypatch):
         # kummer is quasietale with 16 fixed points.  Its involution has age

@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from fqav.action import age, cyclo_field_for
 from fqav.classify import reid_tai
+from fqav import cyclotomic
 from fqav.cyclotomic import (
     CycloField,
     CycloNumber,
+    charpoly_mod,
     cyclotomic_polynomial,
     eigen_multiplicity,
     kernel_dimension,
+    rank_mod,
+    spectrum_mod,
+    split_prime,
 )
 from fqav.errors import InputError
 
@@ -313,3 +318,131 @@ def test_ages_never_invert(rot4_square_group, sign_rot4_group,
         reid_tai(group)
         for g in group.elements:
             age(g, cyclo_field_for(group))
+
+
+# ---------------------------------------------------------------------------
+# spectra modulo a split prime against elimination at every root
+
+def reference_spectrum_mod(matrix, p, z, m):
+    """``spectrum_mod`` by one elimination at each z^e: the counts
+    n - rank_p(M - z^e I) up to the first e at which they sum to n, or
+    None."""
+    n = len(matrix)
+    counts = []
+    total = 0
+    root = 1
+    for _ in range(m):
+        shifted = [[(x - root) % p if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(matrix)]
+        count = n - rank_mod(shifted, p)
+        counts.append(count)
+        total += count
+        if total == n:
+            return counts
+        root = root * z % p
+    return None
+
+
+def det_mod(matrix, p):
+    """det over F_p by elimination with row swaps."""
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] % p), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det = det * rows[c][c] % p
+        inv = pow(rows[c][c], -1, p)
+        for i in range(c + 1, n):
+            f = rows[i][c] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
+    return det % p
+
+
+SPECTRUM_CONDUCTORS = (12, 24, 36, 60)
+
+
+@st.composite
+def matrices_mod_split_prime(draw):
+    """(M, p, z, m) with (p, z) = split_prime(m, 2n + 1) and M of size 1 to
+    6 over F_p: arbitrary entries, or a triangular matrix conjugated by
+    transvections.  Its diagonal holds powers of z, repeated or not, and
+    entries that are no power of z; a nonzero entry above a repeated
+    diagonal value makes it non-diagonalisable."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.sampled_from(SPECTRUM_CONDUCTORS))
+    p, z = split_prime(m, 2 * n + 1)
+    entries = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)], p, z, m
+    powers = st.integers(0, m - 1).map(lambda e: pow(z, e, p))
+    diagonal = draw(st.lists(st.one_of(powers, powers, entries), min_size=n, max_size=n))
+    above = draw(st.lists(st.sampled_from((0, 0, 1, 2)), min_size=n * n, max_size=n * n))
+    matrix = [[diagonal[i] if i == j else above[n * i + j] if i < j else 0
+               for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        if n == 1:
+            break
+        j, k = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(1, p - 1))
+        # M -> T M T^-1 with T = I + c e_jk: add c row k to row j, then
+        # subtract c column j from column k
+        matrix[j] = [(x + c * y) % p for x, y in zip(matrix[j], matrix[k])]
+        for row in matrix:
+            row[k] = (row[k] - c * row[j]) % p
+    return matrix, p, z, m
+
+
+class TestSpectrumByCharpoly:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(matrices_mod_split_prime())
+    def test_matches_elimination_at_every_root(self, case):
+        assert spectrum_mod(*case) == reference_spectrum_mod(*case)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(matrices_mod_split_prime())
+    def test_charpoly_is_det(self, case):
+        matrix, p, _, _ = case
+        n = len(matrix)
+        chi = charpoly_mod(matrix, p)
+        assert len(chi) == n + 1 and chi[-1] == 1
+        assert all(0 <= c < p for c in chi)
+        # two polynomials of degree n that agree at n + 1 points are equal
+        for x in range(n + 1):
+            value = sum(c * pow(x, k, p) for k, c in enumerate(chi)) % p
+            assert value == det_mod([[((x if i == j else 0) - y) % p
+                                      for j, y in enumerate(row)]
+                                     for i, row in enumerate(matrix)], p)
+
+    @pytest.mark.parametrize("exponents, above, counts, eliminations", [
+        ((0, 0, 3), 0, [2, 0, 0, 1], 1),   # a repeated root, diagonalisable
+        ((0, 0, 3), 1, None, 1),           # a repeated root, a Jordan block
+        ((1, 2, 3), 0, [0, 1, 1, 1], 0),   # simple roots only
+        ((5, 5, 5), 0, [0, 0, 0, 0, 0, 3], 1),
+        ((5, 5, None), 0, None, 1),        # 0 is no root: the counts fall short
+    ])
+    def test_eliminates_only_at_repeated_roots(self, exponents, above, counts,
+                                               eliminations, monkeypatch):
+        m = 12
+        p, z = split_prime(m, 7)
+        # 0 is no power of z
+        diagonal = [0 if e is None else pow(z, e, p) for e in exponents]
+        matrix = [[diagonal[i] if i == j else above * (j == i + 1) for j in range(3)]
+                  for i in range(3)]
+        ranks = []
+
+        def recording(rows, q):
+            ranks.append(rows)
+            return rank_mod(rows, q)
+
+        monkeypatch.setattr(cyclotomic, "rank_mod", recording)
+        assert spectrum_mod(matrix, p, z, m) == counts
+        assert len(ranks) == eliminations
+        monkeypatch.undo()
+        assert reference_spectrum_mod(matrix, p, z, m) == counts
