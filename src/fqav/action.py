@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
+from operator import add
 
 from .cyclotomic import CycloField, spectrum_mod, split_prime
 from .errors import CertificateError, InputError
@@ -84,6 +85,14 @@ class LatticeElement:
     def sort_key(self):
         return (self.matrix, self.translation.sort_key())
 
+    # ``bfs_closure`` numbers the matrix rows in ``row_key`` order; the
+    # numbers of the rows ``key_rows`` then sort as ``sort_key``'s matrix part
+    key_rows = slice(None)
+
+    @staticmethod
+    def row_key(row):
+        return row
+
     def __str__(self):
         rows = ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.matrix)
         coords = ", ".join(map(str, self.translation.coords))
@@ -125,6 +134,15 @@ class AffineAutomorphism(LatticeElement):
 
     def sort_key(self):
         return (block_pairs(self.matrix), self.translation.sort_key())
+
+    key_rows = slice(0, None, 2)
+
+    @staticmethod
+    def row_key(row):
+        """Row 2j of a rational representation is (c, -d) for each block
+        (j, k) = c + d tau, so the even rows in this order, (c, d) pair by
+        pair, sort as ``block_pairs`` does."""
+        return tuple(-x if i % 2 else x for i, x in enumerate(row))
 
 
 @dataclass(frozen=True)
@@ -226,28 +244,37 @@ def affine_product(m, a, n, b):
 
 def bfs_closure(identity, gens, cap, overflow):
     """Breadth-first closure of ``gens`` under right composition, starting at
-    ``identity``: the elements, and the ``ClosureTables`` of the search.
-    Each level is ordered by ``sort_key``, so the element order depends only
-    on the generator list.  The exception ``overflow`` is raised as soon as
+    the group's ``identity``: the elements, and the ``ClosureTables`` of the
+    search.  Each level is ordered by ``sort_key``, so the element order
+    depends only on the generator list.  The exception ``overflow`` is raised as soon as
     the closure holds more than ``cap`` elements.
 
     The elements are affine maps of one kind, with ``matrix``,
-    ``translation`` and ``with_data``; two are equal iff their data (matrix,
-    translation) are.  Elements are composed in the order they are found.
+    ``translation``, ``with_data``, ``row_key`` and ``key_rows``; two are
+    equal iff their data (matrix, translation) are.  Elements are composed
+    in the order they are found.
 
     No matrix product is made.  Row i of M N is (row i of M) N, so the
-    search numbers the distinct matrix rows, ``rows``, starting with the
-    identity's, and keeps for each generator s_j = (N_j, b_j) the tables
-    ``image[j][i]``, the number of rows[i] N_j, and, when b_j != 0,
-    ``shift[j][i]`` = rows[i] num(b_j).  An element is keyed by (the numbers
-    of its rows, its translation a), and x . s_j is then N look-ups: the
-    image numbers, and a + (the shifts) / den(b_j).  The rows are the orbit
-    of the identity's under the holonomy group H, at most N |H| <= N |G| of
-    them, so more than N cap rows also prove |G| > cap and raise
-    ``overflow``.  An element is built only when it is new, its matrix a
-    tuple of the shared row tuples.  The search numbers the elements as it
-    finds them; the tables are then renumbered by element position, which
-    keeps parent[x] < x, since a parent lies in an earlier level."""
+    search numbers the distinct matrix rows, ``rows``, and keeps for each
+    generator s_j = (N_j, b_j) the table ``image[j][i]``, the number of
+    rows[i] N_j.  The rows are the orbit of the identity's under the
+    holonomy group H, at most N |H| <= N |G| of them, so more than N cap
+    rows also prove |G| > cap and raise ``overflow``.  Once closed, the rows
+    are renumbered in ``row_key`` order, so the numbers of an element's
+    rows ``key_rows`` sort as its matrix does by ``sort_key``.
+
+    Every translation lies in D^-1 Z^N / Z^N, D the lcm of the translation
+    denominators of ``gens``, as the matrices are integral; it is kept as
+    the int tuple t of its numerators over D, reduced mod D, which is equal
+    for two points iff they are.  When b_j != 0, ``shift[j][i]`` = rows[i] .
+    b_j D mod D.  An element is keyed by (the numbers of its rows, t), and
+    x . s_j is then N look-ups: the image numbers, and t + (the shifts) mod
+    D.  One ``TorsionPoint`` is built per distinct translation, with its
+    ``sort_key``, and an element only when it is new, its matrix a tuple of
+    the shared row tuples, one per distinct holonomy.  The search numbers
+    the elements as it finds them; the tables are then renumbered by element
+    position, which keeps parent[x] < x, since a parent lies in an earlier
+    level."""
     rows = list(identity.matrix)
     row_number = {row: i for i, row in enumerate(rows)}
     row_cap = len(rows) * cap
@@ -261,35 +288,61 @@ def bfs_closure(identity, gens, cap, overflow):
                     raise overflow
                 rows.append(c)
             column.append(k)
-    steps = [(column.__getitem__,
-              None if h.translation.is_zero() else mat_vec(rows, h.translation.num).__getitem__,
-              h.translation.den) for h, column in zip(gens, image)]
-    row_of = rows.__getitem__
+    order = sorted(range(len(rows)), key=lambda i: identity.row_key(rows[i]))
+    rank = [0] * len(rows)
+    for i, k in enumerate(order):
+        rank[k] = i
+    rows = [rows[k] for k in order]
+    den = lcm(*(h.translation.den for h in gens))
+    reduce = den.__rmod__  # t -> t mod den
+    found_columns = [[] for _ in gens]
+    steps = [(j, [rank[column[k]] for k in order].__getitem__,
+              None if h.translation.is_zero() else
+              [x * (den // h.translation.den) % den
+               for x in mat_vec(rows, h.translation.num)].__getitem__,
+              found_columns[j].append)
+             for j, (h, column) in enumerate(zip(gens, image))]
+    key_rows = identity.key_rows
 
-    data = [(tuple(range(len(identity.matrix))), identity.translation)]  # by discovery number
+    points, point_keys = {}, {}  # t -> its TorsionPoint, and the point's sort_key
+    matrices = {}  # the numbers of an element's rows -> its matrix
+    shared = {}  # one object per distinct row-number or translation tuple
+    n = len(identity.matrix)
+    data = [(tuple(rank[:n]), (0,) * n)]  # by discovery number
     found = [identity]
     number = {data[0]: 0}
-    found_columns, parent, via = [[] for _ in gens], [-1], [-1]
+    parent, via = [-1], [-1]
     numbers = [0]  # discovery number of each element position
-    key = type(identity).sort_key
-    start = 0
-    while start < len(found):
-        stop = len(found)
+    start, size = 0, 1
+    while start < size:
+        stop = size
         for x in range(start, stop):
-            rx, a = data[x]
-            for j, (image_j, shift_j, den) in enumerate(steps):
+            rx, t = data[x]
+            for j, image_j, shift_j, record in steps:
                 c = (tuple(map(image_j, rx)),
-                     a if shift_j is None else a + TorsionPoint.over(list(map(shift_j, rx)), den))
-                k = number.setdefault(c, len(found))
-                if k == len(found):
+                     t if shift_j is None else tuple(map(reduce, map(add, t, map(shift_j, rx)))))
+                k = number.get(c)
+                if k is None:
+                    k = size
+                    size += 1
                     if k >= cap:
                         raise overflow
+                    c = rc, tc = shared.setdefault(c[0], c[0]), shared.setdefault(c[1], c[1])
+                    number[c] = k
                     data.append(c)
-                    found.append(identity.with_data(tuple(map(row_of, c[0])), c[1]))
+                    matrix = matrices.get(rc)
+                    if matrix is None:
+                        matrix = matrices[rc] = tuple(map(rows.__getitem__, rc))
+                    p = points.get(tc)
+                    if p is None:
+                        p = points[tc] = TorsionPoint.over(tc, den)
+                        point_keys[tc] = p.sort_key()
+                    found.append(identity.with_data(matrix, p))
                     parent.append(x)
                     via.append(j)
-                found_columns[j].append(k)
-        numbers.extend(sorted(range(stop, len(found)), key=lambda y: key(found[y])))
+                record(k)
+        keys = [(rc[key_rows], point_keys[tc]) for rc, tc in data[stop:]]
+        numbers.extend(map(stop.__add__, sorted(range(len(keys)), key=keys.__getitem__)))
         start = stop
     position = [0] * len(numbers)
     for i, k in enumerate(numbers):
@@ -303,8 +356,9 @@ def bfs_closure(identity, gens, cap, overflow):
 def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
     """Breadth-first closure under composition (lexicographic tie-break per
     level); a finite closed set under composition containing the generators
-    is automatically a group.  A generator whose holonomy has infinite order
-    is rejected before closing; the others have finite order, since their
+    is automatically a group.  A generator whose holonomy is not an
+    automorphism or has infinite order is rejected before closing, by
+    ``holonomy_order``; the others have finite order, since their
     translations are torsion."""
     if not gens:
         raise InputError("no generators", code="no-generators")
@@ -312,8 +366,6 @@ def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
     for g in gens:
         if g.variety != variety:
             raise InputError("generators on different varieties", code="mixed-varieties")
-        if abs(determinant(g.matrix)) != 1:
-            raise InputError("holonomy is not an automorphism", code="not-automorphism")
         holonomy_order(g.holonomy)
     ident = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
     gens_sorted = sorted(set(gens), key=AffineAutomorphism.sort_key)
@@ -377,6 +429,11 @@ def _power_mod(mat, e, p):
     return result
 
 
+def _check_unimodular(rho):
+    if abs(determinant(rho)) != 1:
+        raise InputError("holonomy is not an automorphism", code="not-automorphism")
+
+
 def holonomy_order(phi: EndoBlockMatrix):
     """Order of phi, the order of its rational representation rho.  Every
     finite order divides K = ``order_bound``, so phi has infinite order when
@@ -386,24 +443,39 @@ def holonomy_order(phi: EndoBlockMatrix):
     that reaches the cap means the order exceeds the default group cap,
     finite or not.  A power whose trace exceeds 2n = rank in absolute value
     ends the walk: one of finite order has 2n roots of unity as eigenvalues,
-    so this power, and with it phi, has infinite order."""
+    so this power, and with it phi, has infinite order.
+
+    A rho that is not unimodular raises not-automorphism, which wins over
+    the order errors.  Its determinant is taken only when the walk does not
+    settle it: rho^k = I gives det(rho)^k = 1, so det rho = +-1, and a walk
+    that reaches I within rank powers needs none.  Otherwise it is taken
+    after rank powers, or before the walk raises, whichever comes first, so
+    such a rho walks at most rank powers (after rho^K mod a prime, when K
+    exceeds the cap)."""
     rho = phi.matrix
     rank = len(rho)
     infinite = InputError("holonomy has infinite order", code="infinite-order")
     bound = order_bound(rank)
     ident = identity_matrix(rank)
-    if bound > DEFAULT_GROUP_CAP and _power_mod(rho, bound, _ORDER_PRIME) != ident:
-        raise infinite
-    power = [list(row) for row in rho]
-    for k in range(1, min(bound, DEFAULT_GROUP_CAP) + 1):
-        if power == ident:
-            return k
-        if abs(sum(row[i] for i, row in enumerate(power))) > rank:
+    try:
+        if bound > DEFAULT_GROUP_CAP and _power_mod(rho, bound, _ORDER_PRIME) != ident:
             raise infinite
-        power = mat_mul(power, rho)
-    if bound <= DEFAULT_GROUP_CAP:
-        raise infinite
-    raise InputError("holonomy order exceeds cap", code="cap-exceeded")
+        power = [list(row) for row in rho]
+        for k in range(1, min(bound, DEFAULT_GROUP_CAP) + 1):
+            if power == ident:
+                return k
+            if k == rank:
+                _check_unimodular(rho)
+            if abs(sum(row[i] for i, row in enumerate(power))) > rank:
+                raise infinite
+            power = mat_mul(power, rho)
+        if bound <= DEFAULT_GROUP_CAP:
+            raise infinite
+        raise InputError("holonomy order exceeds cap", code="cap-exceeded")
+    except InputError as exc:
+        if exc.code != "not-automorphism":
+            _check_unimodular(rho)
+        raise
 
 
 def group_exponent(group: FiniteGroupAction):

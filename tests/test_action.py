@@ -1,5 +1,8 @@
+import inspect
 import json
 import random
+import textwrap
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -25,7 +28,7 @@ from fqav.action import (
     order_bound,
     pointwise_stabilizer,
 )
-from fqav.cli import parse_input
+from fqav.cli import main, parse_input
 from fqav.cyclotomic import CycloField, eigen_multiplicity, split_prime
 from fqav.errors import InputError
 from fqav.linalg import (
@@ -44,7 +47,7 @@ from fqav.variety import (
 
 from conftest import FIXTURE_DIR, automorphism
 from test_acceptance import FACTOR_POOL, random_automorphism, random_variety
-from test_golden import FIXTURES, SL_DIAG, sl_diag_document
+from test_golden import FIXTURES, SL_DIAG, sl_diag_document, translated_sl_diag_document
 
 
 class TestClosure:
@@ -169,6 +172,72 @@ class TestClosure:
         with pytest.raises(InputError) as exc:
             close_group([doubling])
         assert exc.value.code == "not-automorphism"
+
+
+# holonomies on E_i^n that are not automorphisms or have infinite order, as
+# their top-left 2 x 2 blocks; the rest of the diagonal is 1
+REJECTED = {
+    "zero-block": [[(0, 0), (0, 0)], [(0, 0), (1, 0)]],     # singular
+    "nilpotent": [[(0, 0), (1, 0)], [(0, 0), (0, 0)]],      # singular
+    "one-plus-i": [[(1, 1), (0, 0)], [(0, 0), (1, 0)]],     # block det 1 + i
+    "doubled-row": [[(2, 0), (2, 0)], [(0, 0), (1, 0)]],    # block det 2
+    "unipotent": [[(1, 0), (1, 0)], [(0, 0), (1, 0)]],      # det 1, infinite order
+}
+REJECTION = {"not-automorphism": "holonomy is not an automorphism",
+             "infinite-order": "holonomy has infinite order"}
+# n -> the rejection code and the number of mat_mul calls of each holonomy
+# on E_i^n.  A walk that does not reach I within 2n powers takes the
+# determinant, so one that is not unimodular makes 2n - 1 products, or none
+# when its first trace exceeds 2n; the unipotent one walks all K =
+# order_bound(2n) powers.  On E^5, K = 55440 exceeds the default cap, and
+# every holonomy first makes the 22 products of phi^K mod a prime
+CHECKS = {
+    2: {"zero-block": ("not-automorphism", 3), "nilpotent": ("not-automorphism", 3),
+        "one-plus-i": ("not-automorphism", 3), "doubled-row": ("not-automorphism", 0),
+        "unipotent": ("infinite-order", 120)},
+    3: {"zero-block": ("not-automorphism", 5), "nilpotent": ("not-automorphism", 5),
+        "one-plus-i": ("not-automorphism", 5), "doubled-row": ("not-automorphism", 0),
+        "unipotent": ("infinite-order", 2520)},
+    5: {name: ("infinite-order" if name == "unipotent" else "not-automorphism", 22)
+        for name in REJECTED},
+}
+
+
+def rejected_document(n, names):
+    """E_i^n with one generator per name of ``REJECTED``."""
+    def holonomy(name):
+        corner = REJECTED[name]
+        return [[list(corner[j][k]) if j < 2 and k < 2 else [int(j == k), 0]
+                 for k in range(n)] for j in range(n)]
+    return {"schema_version": 1, "factors": [{"cm": "zeta4"}] * n,
+            "generators": [{"holonomy": holonomy(name), "translation": ["0"] * (2 * n)}
+                           for name in names]}
+
+
+class TestGeneratorChecks:
+    """Each rejected holonomy, alone and before or after another, exits 1
+    with the code of the first generator that fails, not-automorphism
+    before an order error, in a bounded number of products: the
+    determinant is read only when the order walk does not settle it."""
+
+    @pytest.mark.parametrize("n", sorted(CHECKS))
+    def test_rejections(self, n, monkeypatch, tmp_path, capsys):
+        products = []
+
+        def counting(a, b):
+            products.append(a)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(action_module, "mat_mul", counting)
+        path = tmp_path / "rejected.json"
+        cases = [[a] for a in REJECTED] + [[a, b] for a in REJECTED for b in REJECTED if a != b]
+        for names in cases:
+            code, made = CHECKS[n][names[0]]
+            path.write_text(json.dumps(rejected_document(n, names)))
+            products.clear()
+            assert main(["validate", str(path)]) == 1, names
+            assert capsys.readouterr() == ("", f"error[{code}]: {REJECTION[code]}\n"), names
+            assert len(products) == made, names
 
 
 class TestFixedLoci:
@@ -661,6 +730,79 @@ class TestRowTableClosure:
         monkeypatch.setattr(linalg, "mat_mul", refuse)
         assert bfs_closure(identity, gens, 108, overflow) == want
         assert len(want[0]) == 108
+
+
+def count_calls(monkeypatch, owner, name, calls):
+    """Count in ``calls[name]`` the calls of the function or method
+    ``owner.name``; a classmethod stays one."""
+    original = getattr(owner, name)
+    bound = getattr(original, "__self__", None) is owner
+
+    def counting(*args):
+        calls[name] += 1
+        return original(*args[1:]) if bound else original(*args)
+
+    monkeypatch.setattr(owner, name, classmethod(counting) if bound else counting)
+
+
+def mutant(function, old, new):
+    """``function`` compiled from its source with the one occurrence of
+    ``old`` replaced by ``new``, over a copy of its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
+
+
+class TestClosureKeys:
+    """The closure sorts by row numbers and sums translations over one
+    denominator: it builds no per-element key and reduces no point per
+    product, and each of the two rules is caught when broken."""
+
+    def closure_calls(self, monkeypatch, document):
+        calls = Counter()
+        count_calls(monkeypatch, action_module, "block_pairs", calls)
+        count_calls(monkeypatch, TorsionPoint, "sort_key", calls)
+        count_calls(monkeypatch, TorsionPoint, "over", calls)
+        _, gens, options = parse_input(json.dumps(document))
+        calls.clear()
+        group = close_group(gens, cap=options["group_cap"])
+        return group, calls
+
+    def test_order_108_sorts_the_generators_only(self, monkeypatch):
+        group, calls = self.closure_calls(monkeypatch, sl_diag_document("zeta6", True))
+        assert group.order == 108
+        # block_pairs and TorsionPoint.sort_key run once per generator, in
+        # their sort; every translation is 0, one point of one sort_key
+        assert calls == {"block_pairs": 3, "sort_key": 3 + 1, "over": 1}
+
+    def test_order_6912_keys_each_translation_once(self, monkeypatch):
+        group, calls = self.closure_calls(monkeypatch, translated_sl_diag_document())
+        translations = len({g.translation for g in group.elements})
+        assert (group.order, translations) == (6912, 64)
+        assert calls["block_pairs"] == len(group.generators) == 3
+        assert calls["over"] <= translations
+        assert calls["sort_key"] <= translations + len(group.generators)
+
+    def test_rows_in_plain_order_are_caught(self, monkeypatch):
+        # row 2j of a rational representation is (c, -d) per block: ranked
+        # without the sign flip, the rows no longer sort as block_pairs
+        groups = nonabelian_groups()
+        monkeypatch.setattr(AffineAutomorphism, "row_key", staticmethod(lambda row: row))
+        for caught in groups[1:]:
+            with pytest.raises(AssertionError):
+                assert_closure_matches_oracle(caught)
+
+    def test_translations_not_reduced_are_caught(self, monkeypatch, bielliptic_group):
+        # without the reduction mod D the keys of equal points differ, so
+        # the search never closes and overflows the group's order
+        reflection_swap = nonabelian_groups()[1]
+        unreduced = mutant(bfs_closure, "map(reduce, map(add,", "map(int, map(add,")
+        monkeypatch.setitem(globals(), "bfs_closure", unreduced)
+        for caught in (bielliptic_group, reflection_swap):
+            with pytest.raises(AssertionError):
+                assert_closure_matches_oracle(caught)
 
 
 class TestDescendOnGenerators:

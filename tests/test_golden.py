@@ -4,14 +4,16 @@ element, of two non-abelian extensions of such groups by the cyclic
 permutation of the coordinates (order 48 on zeta4^3 with 8 conjugacy
 classes, order 108 on zeta6^3 with 20), and of three groups of order 192, 648 and 1296 generated by
 ``diag(zeta, 1, 1)`` and coordinate permutations, where the lattice kernels
-are large, and of two of these groups with a translation added (orders 6912
-and 41472).  An optimisation must reproduce these bytes exactly.
+are large, and of three of these groups with a translation added (orders
+6912, 41472 and 82944; the last pinned by the sha256 of its json report).
+An optimisation must reproduce these bytes exactly.
 
 To regenerate after an intended output change::
 
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.regenerate()"
 """
 
+import hashlib
 import importlib
 import json
 import pathlib
@@ -110,6 +112,20 @@ def translated_diag_perm_document():
 TRANSLATED_DIAG_PERM = "diag-perm-41472"
 
 
+def translated_diag_perm_1296_document():
+    """``diag_perm_document("zeta6", True)`` with the translation (1/2, 0,
+    0, 0, 0, 0) on the cyclic permutation and ``group_cap`` 200000: order
+    82944 = 1296 * 64, with a transposition and a translation."""
+    doc = diag_perm_document("zeta6", True)
+    doc["generators"][1]["translation"] = ["1/2"] + ["0"] * 5
+    doc["options"] = {"group_cap": 200000}
+    return doc
+
+
+# sha256 of its ``report --format json``, pinned without a golden file
+TRANSLATED_1296_SHA256 = "b6aef18ed3deff049bf31b07f8281232fc0a0bdc8df43758dae6c6ebdecb455d"
+
+
 def _document_text(name):
     """The input document of the golden gallery's group ``name``."""
     if name in SL_DIAG:
@@ -183,6 +199,12 @@ def translated_diag_perm_doc():
 def test_translated_diag_perm_report_bytes_match_golden(translated_diag_perm_doc, fmt):
     assert serialize(translated_diag_perm_doc, fmt) == \
         (GOLDEN_DIR / f"{TRANSLATED_DIAG_PERM}.{fmt}").read_text()
+
+
+def test_translated_diag_perm_1296_report_digest():
+    variety, gens, options = parse_input(json.dumps(translated_diag_perm_1296_document()))
+    text = serialize(build_report(variety, gens, options, "report"), "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == TRANSLATED_1296_SHA256
 
 
 @pytest.mark.parametrize("name", FIXTURES + tuple(SL_DIAG) + tuple(DIAG_PERM))
