@@ -79,14 +79,12 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
                   if i and class_rep[i] == i and solver.may_fix_divisor(g.matrix)
                   and fixed_locus(g, solver).nonempty}
     by_key = {}  # canonical key -> [component, index]
-    lattices = {}  # one object per distinct lattice, which caches its complement
     for i, g in enumerate(group.elements):
         if class_rep[i] not in divisorial:
             continue
         loc = fixed_locus(g, solver)
-        lat = lattices.setdefault(loc.kernel, loc.kernel)
         for rep in loc.representatives:
-            comp = SubtorusTranslate(lat, rep)
+            comp = SubtorusTranslate(loc.kernel, rep)
             entry = by_key.setdefault(comp.canonical_key(), [comp, 1])
             entry[1] += 1
     ordered = sorted(by_key.items(), key=lambda item: item[1][0].sort_key())
@@ -95,7 +93,8 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
     position = {key: i for i, (key, _) in enumerate(ordered)}
 
     # orbits under g . T = rho(T) + a; a finite set mapped into itself by
-    # every generator is mapped onto itself by the group they generate
+    # every generator is mapped onto itself by the group they generate;
+    # images are kept by the solver, one object per lattice
     maps = [(g.matrix, g.translation) for g in group.generators]
     images = {}  # (lattice, generator index) -> the image lattice
     seen = set()
@@ -110,10 +109,8 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
             for j, (rho, translation) in enumerate(maps):
                 lat = images.get((cj.lattice, j))
                 if lat is None:
-                    lat = Lattice.from_vectors(
-                        cj.lattice.ambient_rank,
-                        [mat_vec(rho, v) for v in cj.lattice.basis_rows()])
-                    lat = images[cj.lattice, j] = lattices.setdefault(lat, lat)
+                    lat = images[cj.lattice, j] = solver.lattice(Lattice.from_vectors(
+                        cj.lattice.ambient_rank, [mat_vec(rho, v) for v in cj.lattice.basis]))
                 trans = cj.translate.apply_matrix(rho) + translation
                 k = position.get(SubtorusTranslate(lat, trans).canonical_key())
                 if k is None:

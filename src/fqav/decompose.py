@@ -24,7 +24,6 @@ from .linalg import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    orthogonal_complement_rows,
     solve_factored,
 )
 from .variety import (
@@ -244,7 +243,7 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     if not ker_sol.nonempty or ker_sol.component_count != ker_mu_order:
         raise CertificateError("kernel of the addition isogeny has wrong order")
 
-    k_c = orthogonal_complement_rows(c)
+    k_c = c.complement_rows
     ident = identity_matrix(n2)
     restricted = {}
 

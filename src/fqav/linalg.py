@@ -73,7 +73,8 @@ def _gauss_jordan(matrix, cols, stop=None):
     and d negated once per row swap: the determinant when the matrix is
     square of full rank.  With ``stop``, the elimination ends as soon as it
     finds its stop-th pivot, and only the number of pivots, min(rank,
-    stop), is meaningful."""
+    stop), is meaningful, and only the rows below a pivot are cleared: the
+    pivot search reads none above it."""
     a = [list(row) for row in matrix]
     nr = len(a)
     pivots = []
@@ -92,7 +93,7 @@ def _gauss_jordan(matrix, cols, stop=None):
             sign = -sign
         pivot_row = a[r]
         p = pivot_row[c]
-        for i in range(nr):
+        for i in range(r + 1 if stop else 0, nr):
             if i != r:
                 f = a[i][c]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
@@ -225,37 +226,56 @@ def elementary_divisors(matrix):
 
 def hermite_basis(vectors, width):
     """Canonical basis (row HNF, positive pivots, reduced above) of the
-    lattice generated by the given integer vectors."""
+    lattice generated by the given integer vectors.  Each column is cleared
+    below its pivot by one extended-gcd row step per row (H. Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4.2): rows p and x
+    with entries a and b become u p + v x and (a/d) x - (b/d) p, with
+    u a + v b = d = gcd(a, b), a unimodular step.  Both rows are 0 left of
+    the column, so only the columns from it on change.  The row HNF is
+    unique, so the basis does not depend on the steps taken."""
     rows = [list(map(int, vec)) for vec in vectors if any(vec)]
+    nr = len(rows)
     pivots = []
     r = 0
     for c in range(width):
-        while True:
-            nz = [i for i in range(r, len(rows)) if rows[i][c]]
-            if len(nz) <= 1:
-                break
-            i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
-            for i in nz:
-                if i != i0:
-                    q = rows[i][c] // rows[i0][c]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[i0])]
-        nz = [i for i in range(r, len(rows)) if rows[i][c]]
+        if r == nr:
+            break
+        nz = [i for i in range(r, nr) if rows[i][c]]
         if not nz:
             continue
-        rows[r], rows[nz[0]] = rows[nz[0]], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
+        top = rows[nz[0]]
+        rows[nz[0]] = rows[r]
+        a = top[c]
+        for i in nz[1:]:
+            x = rows[i]
+            b = x[c]
+            if b % a == 0:
+                q = b // a
+                x[c:] = [xk - q * yk for xk, yk in zip(x[c:], top[c:])]
+            else:
+                d = gcd(a, b)
+                a_d, b_d = a // d, b // d
+                u = pow(a_d, -1, abs(b_d))
+                v = (d - u * a) // b
+                tail, x_tail = top[c:], x[c:]
+                top[c:] = [u * yk + v * xk for yk, xk in zip(tail, x_tail)]
+                x[c:] = [a_d * xk - b_d * yk for yk, xk in zip(tail, x_tail)]
+                a = d
+        if a < 0:
+            top[c:] = [-y for y in top[c:]]
+        rows[r] = top
         pivots.append(c)
         r += 1
-    rows = [row for row in rows[:r]]
+    rows = rows[:r]
     # reduce above the pivots: for each row, clear against the lower pivot
     # rows left to right so later subtractions cannot un-reduce a column
     for i in range(r - 2, -1, -1):
+        row = rows[i]
         for k in range(i + 1, r):
             c = pivots[k]
-            q = rows[i][c] // rows[k][c]
+            q = row[c] // rows[k][c]
             if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[k])]
+                row[c:] = [x - q * y for x, y in zip(row[c:], rows[k][c:])]
     return rows
 
 
@@ -294,14 +314,18 @@ class Lattice:
         """``orthogonal_complement_rows`` of this lattice, computed once."""
         return orthogonal_complement_rows(self)
 
+    @cached_property
+    def pivots(self):
+        """The pivot column of each basis row."""
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+
     def coordinates(self, vector):
         """The integer x with sum x_k basis_k = vector, or None when the
         vector is not in the lattice.  The basis is in Hermite form, so x_k
         is read off the k-th pivot once the earlier rows are subtracted."""
         rest = list(vector)
         out = []
-        for row in self.basis:
-            c = next(j for j, x in enumerate(row) if x)
+        for row, c in zip(self.basis, self.pivots):
             q, r = divmod(rest[c], row[c])
             if r:
                 return None
@@ -361,6 +385,7 @@ class TorsionPoint:
 
     num: tuple
     den: int
+    _sort_key = None  # not a field: ``sort_key`` keeps its value here
 
     @classmethod
     def over(cls, num, den):
@@ -422,12 +447,20 @@ class TorsionPoint:
         return TorsionPoint.over(mat_vec(m, self.num), self.den)
 
     def sort_key(self):
-        """(numerator, denominator) of each coordinate in lowest terms."""
-        key = []
-        for x in self.num:
-            g = gcd(x, self.den)
-            key.append((x // g, self.den // g))
-        return tuple(key)
+        """(numerator, denominator) of each coordinate in lowest terms,
+        computed once; a zero coordinate is (0, 1) with no gcd."""
+        key = self._sort_key
+        if key is None:
+            key = []
+            for x in self.num:
+                if x:
+                    g = gcd(x, self.den)
+                    key.append((x // g, self.den // g))
+                else:
+                    key.append((0, 1))
+            key = tuple(key)
+            object.__setattr__(self, "_sort_key", key)
+        return key
 
 
 @dataclass(frozen=True)
@@ -505,20 +538,28 @@ class FixedPointSolver:
     of each I - W at most once, and tells whether rank(I - W) <= 2 by at
     most one elimination per W.  Each entry is a function of W or (W, a)
     alone, so the class path and every stage of a decomposition may share
-    one solver."""
+    one solver.  It keeps one object per distinct lattice, the kernel of
+    each I - W among them."""
 
     def __init__(self):
         self._factors = {}    # W -> the factor_affine tuple of I - W
         self._low_rank = {}   # W -> rank(I - W) <= 2
         self._solutions = {}  # (W, a) -> the solutions of (I - W) x == a
+        self._lattices = {}   # lattice -> the one object kept for it
+
+    def lattice(self, lat: Lattice) -> Lattice:
+        """The first object equal to ``lat`` that this solver was given, so
+        that what a ``Lattice`` caches is computed once per lattice."""
+        return self._lattices.setdefault(lat, lat)
 
     def solve(self, w, point: TorsionPoint) -> AffineSolutionSet:
         """The solutions of (I - W) x == a, a = ``point``."""
         key = (w, point)
         if key not in self._solutions:
             if w not in self._factors:
-                self._factors[w] = factor_affine(mat_sub(identity_matrix(len(w)), w), len(w))
-                self._low_rank[w] = len(self._factors[w][1]) <= 2
+                u, divisors, v, kernel = factor_affine(mat_sub(identity_matrix(len(w)), w), len(w))
+                self._factors[w] = (u, divisors, v, self.lattice(kernel))
+                self._low_rank[w] = len(divisors) <= 2
             self._solutions[key] = solve_factored(self._factors[w], point)
         return self._solutions[key]
 
@@ -554,10 +595,11 @@ def solve_affine_mod_lattice(matrix, point: TorsionPoint) -> AffineSolutionSet:
     return solve_factored(factor_affine(matrix, cols), point)
 
 
-def orthogonal_complement_rows(lat: Lattice) -> list:
-    """Basis of the saturated integer lattice {v : v . w = 0 for all w in L}.
+def orthogonal_complement_rows(lat: Lattice) -> tuple:
+    """Int tuple rows, a basis of the saturated lattice {v : v . w = 0 for
+    all w in L}.
 
     With these rows K, the subtorus (span(L)+Z^N)/Z^N is exactly
     {x : K x in Z^rows}.
     """
-    return integer_kernel(lat.basis_rows(), lat.ambient_rank).basis_rows()
+    return integer_kernel(lat.basis, lat.ambient_rank).basis

@@ -22,7 +22,6 @@ from .linalg import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    orthogonal_complement_rows,
 )
 
 ZETA4 = "zeta4"
@@ -218,11 +217,13 @@ class SubtorusTranslate:
 def subtorus_kappa(lattices, ambient_rank):
     """n - dim of the common subtorus of the subtori with these lattices in
     Z^ambient_rank (the whole torus when there are none): the Kodaira
-    dimension of a divisor whose components are translates of them.  Each
-    distinct lattice is complemented once: a repeated one adds the same
-    rows, which cannot change the kernel."""
-    complements = [row for lat in dict.fromkeys(lattices)
-                   for row in orthogonal_complement_rows(lat)]
+    dimension of a divisor whose components are translates of them: the
+    kernel of the stacked ``complement_rows`` of the distinct lattices.  One
+    lattice, or none, needs no kernel: its subtorus is the common one."""
+    distinct = list(dict.fromkeys(lattices))
+    if len(distinct) <= 1:
+        return ambient_rank // 2 - (distinct[0].rank if distinct else ambient_rank) // 2
+    complements = [row for lat in distinct for row in lat.complement_rows]
     return ambient_rank // 2 - integer_kernel(complements, ambient_rank).rank // 2
 
 

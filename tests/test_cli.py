@@ -51,6 +51,12 @@ def exit_code(argv):
         return exc.code
 
 
+# zeta6^2 by diag(zeta6, 1) and the swap: order 72, 8 distinct divisor
+# lattices, Q-Fano (the shape of the benchmark's ramified-cm groups)
+RAMIFIED_72_DOC = {"factors": [{"cm": "zeta6"}, {"cm": "zeta6"}],
+                   "generators": [{"holonomy": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]},
+                                  {"holonomy": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}]}
+
 # zeta4^2 by [[0, i], [1, 0]], whose square is i: holonomy order 8
 ORDER8_DOC = {"factors": [{"cm": "zeta4"}, {"cm": "zeta4"}],
               "generators": [{"holonomy": [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]}]}
@@ -692,6 +698,27 @@ class TestComputeOnce:
         # kummer's report needs neither: the trace of its one nontrivial
         # holonomy, -I, rules out rank(I - rho) <= 2
         assert made["matrix_rank"] and made["factor_affine"]
+
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    def test_each_lattice_complemented_and_kernel_taken_once(self, command, monkeypatch):
+        # the solver keeps one object per distinct lattice, which caches its
+        # complement for ramification, kappa and every stage; and no two
+        # readers take the integer kernel of one matrix
+        texts = {name: load(name) for name in FIXTURES}
+        texts["order-72"] = json.dumps(RAMIFIED_72_DOC)
+        for name, text in texts.items():
+            complements, kernels = Counter(), Counter()
+            count_calls(monkeypatch, "orthogonal_complement_rows", complements,
+                        key=lambda lat: lat)
+            count_calls(monkeypatch, "integer_kernel", kernels,
+                        key=lambda m, cols: (tuple(map(tuple, m)), cols))
+            doc = build_report(*parse_input(text), command)
+            monkeypatch.undo()
+            assert max(complements.values(), default=1) == 1, name
+            assert max(kernels.values(), default=1) == 1, name
+            if name == "order-72":
+                assert doc["classification"]["group_order"] == 72
+                assert (len(complements), len(kernels)) == (8, 12)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_report_sections_match_commands(self, name):

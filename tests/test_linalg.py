@@ -18,6 +18,7 @@ from fqav.linalg import (
     TorsionPoint,
     determinant,
     fixed_lattice,
+    hermite_basis,
     identity_matrix,
     integer_kernel,
     mat_mul,
@@ -199,6 +200,136 @@ class TestElimination:
         assert (x is not None) == (len(elementary_divisors(augmented)) == rank)
         if x is not None:
             assert mat_vec(m, x) == rhs
+
+
+def reference_hermite_basis(vectors, width):
+    """Oracle: the row HNF by repeated division steps, each column cleared
+    by subtracting multiples of its least nonzero entry until one is left
+    (the method ``hermite_basis`` used before its extended-gcd steps)."""
+    rows = [list(map(int, vec)) for vec in vectors if any(vec)]
+    pivots = []
+    r = 0
+    for c in range(width):
+        while True:
+            nz = [i for i in range(r, len(rows)) if rows[i][c]]
+            if len(nz) <= 1:
+                break
+            i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
+            for i in nz:
+                if i != i0:
+                    q = rows[i][c] // rows[i0][c]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[i0])]
+        nz = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not nz:
+            continue
+        rows[r], rows[nz[0]] = rows[nz[0]], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        pivots.append(c)
+        r += 1
+    rows = rows[:r]
+    for i in range(r - 2, -1, -1):
+        for k in range(i + 1, r):
+            c = pivots[k]
+            q = rows[i][c] // rows[k][c]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[k])]
+    return rows
+
+
+def gauss_jordan_rank(matrix):
+    """Oracle: the number of pivots of a full fraction-free Gauss-Jordan
+    elimination, which clears every other row at each pivot (the
+    elimination ``matrix_rank`` ran before it stopped early)."""
+    a = [list(row) for row in matrix]
+    nr, cols = len(a), len(a[0]) if a else 0
+    prev, r = 1, 0
+    for c in range(cols):
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][c]
+        for i in range(nr):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[r])]
+        prev = p
+        r += 1
+    return r
+
+
+@st.composite
+def hermite_inputs(draw):
+    """Integer vectors of one width, with zero rows, repeated and negated
+    rows (negative pivots) mixed in, or the [M^T | I] rows that
+    ``integer_kernel`` puts in Hermite form."""
+    width = draw(st.integers(0, 7))
+    entries = st.integers(-9, 9)
+    if width and draw(st.booleans()):
+        nr = draw(st.integers(0, width))
+        cols = width - nr
+        m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                          min_size=nr, max_size=nr))
+        return [[m[i][j] for i in range(nr)] + [int(j == k) for k in range(cols)]
+                for j in range(cols)], width
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=8))
+    extra = []
+    for row in rows:
+        kind = draw(st.sampled_from(("none", "zero", "repeat", "negate", "multiple")))
+        if kind == "zero":
+            extra.append([0] * width)
+        elif kind == "repeat":
+            extra.append(list(row))
+        elif kind == "negate":
+            extra.append([-x for x in row])
+        elif kind == "multiple":
+            extra.append([draw(st.integers(-3, 3)) * x for x in row])
+    vectors = rows + extra
+    return draw(st.permutations(vectors)) if vectors else vectors, width
+
+
+class TestAgainstOldKernels:
+    """``hermite_basis`` and the stopped ``matrix_rank`` against the
+    methods they replaced, kept here as oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hermite_inputs())
+    def test_hermite_basis_matches_division_steps(self, case):
+        vectors, width = case
+        assert hermite_basis(vectors, width) == reference_hermite_basis(vectors, width)
+
+    def test_hermite_basis_examples(self):
+        # a gcd step is needed (neither of 4 and 6 divides the other), the
+        # first pivot is negative, and a zero and a repeated row are
+        # dropped: (-4, 2, 1) + (6, 0, 3) and 3 (-4, 2, 1) + 2 (6, 0, 3)
+        vectors = [[0, 0, 0], [-4, 2, 1], [6, 0, 3], [-4, 2, 1]]
+        assert hermite_basis(vectors, 3) == reference_hermite_basis(vectors, 3) \
+            == [[2, 2, 4], [0, 6, 9]]
+        assert hermite_basis([[-3, 5]], 2) == [[3, -5]]
+        assert hermite_basis([], 4) == hermite_basis([[0, 0]], 2) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.data())
+    def test_stopped_rank_matches_gauss_jordan(self, nr, nc, data):
+        if data.draw(st.booleans()):
+            m = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=nc, max_size=nc),
+                                   min_size=nr, max_size=nr))
+        else:
+            m, nc = data.draw(low_rank_stacks())
+        rank = gauss_jordan_rank(m)
+        assert matrix_rank(m) == rank
+        for stop in (1, 2, 3):
+            assert matrix_rank(m, stop=stop) == min(rank, stop)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_stopped_rank_of_group_elements(self, data):
+        w = data.draw(finite_order_holonomies()).matrix
+        m = mat_sub(identity_matrix(len(w)), w)
+        rank = gauss_jordan_rank(m)
+        for stop in (1, 2, 3):
+            assert matrix_rank(m, stop=stop) == min(rank, stop)
 
 
 def smith_kernel(m, nc):
@@ -513,6 +644,17 @@ class TestTorsionPoint:
         assert (p == q) == (op == oq)
         assert p == TorsionPoint.of([c + data.draw(st.integers(-3, 3)) for c in c1])
         assert hash(p) == hash(TorsionPoint.of([c + 1 for c in c1]))
+
+    def test_sort_key_computed_once_per_point(self, monkeypatch):
+        p = TorsionPoint.of([Fraction(1, 3), Fraction(1, 2), Fraction(0)])
+        key = p.sort_key()
+        assert key == ((1, 3), (1, 2), (0, 1))
+        monkeypatch.setattr(linalg, "gcd", None)  # a second computation would fail
+        assert p.sort_key() is key
+        monkeypatch.undo()
+        # the cached key is no field: an equal point compares and hashes equal
+        q = TorsionPoint.of([Fraction(1, 3), Fraction(1, 2), Fraction(0)])
+        assert q == p and hash(q) == hash(p) and q.sort_key() == key
 
     def test_zero_operands_are_returned_as_is(self):
         p = TorsionPoint.of([Fraction(1, 3), Fraction(1, 2)])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqav import variety as variety_module
+from fqav import linalg
 from fqav.action import close_group
 from fqav.cyclotomic import CycloField
 from fqav.decompose import decompose
@@ -337,19 +337,34 @@ class TestDivisors:
         assert subtorus_kappa([t0.lattice, other], 4) == subtorus_kappa([t1.lattice, other], 4)
 
     def test_kappa_complements_each_lattice_once(self, monkeypatch):
+        # subtorus_kappa reads each lattice's cached complement_rows, so a
+        # lattice object is complemented once, by whichever reader is first
         lat = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
         other = Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
         complemented = []
-        original = variety_module.orthogonal_complement_rows
+        original = linalg.orthogonal_complement_rows
 
         def recording(l):
             complemented.append(l)
             return original(l)
 
-        monkeypatch.setattr(variety_module, "orthogonal_complement_rows", recording)
+        monkeypatch.setattr(linalg, "orthogonal_complement_rows", recording)
         assert subtorus_kappa([lat, other, lat, lat, other], 4) == 2
         assert complemented == [lat, other]
-        assert subtorus_kappa([lat, lat], 4) == subtorus_kappa([lat], 4) == 1
+        assert subtorus_kappa([other, lat], 4) == 2
+        assert SubtorusTranslate(lat, TorsionPoint.zero(4)).canonical_key()
+        assert complemented == [lat, other]
+        # one lattice is its own common subtorus, and needs no complement
+        single = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        assert subtorus_kappa([single, single], 4) == subtorus_kappa([single], 4) == 1
+        assert complemented == [lat, other]
+
+    def test_complement_rows_are_tuples(self):
+        lat = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        rows = lat.complement_rows
+        assert rows == ((0, 0, 1, 0), (0, 0, 0, 1))
+        assert isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
+        assert lat.complement_rows is rows
 
 
 def complement(b, holonomies, variety):
