@@ -17,10 +17,10 @@ from .linalg import (
     AffineSolutionSet,
     FixedPointSolver,
     TorsionPoint,
-    determinant,
+    abs_determinant,
     identity_matrix,
+    identity_minus,
     mat_mul,
-    mat_sub,
     mat_vec,
     vec_mat,
 )
@@ -389,7 +389,7 @@ def pointwise_stabilizer(t: SubtorusTranslate, group: FiniteGroupAction):
     members = []
     for g in group.elements:
         rho = g.matrix
-        m = mat_sub(identity_matrix(len(rho)), rho)
+        m = identity_minus(rho)
         if any(any(x != 0 for x in mat_vec(m, v)) for v in t.lattice.basis_rows()):
             continue
         if t.translate.apply_matrix(m) == g.translation:
@@ -430,7 +430,7 @@ def _power_mod(mat, e, p):
 
 
 def _check_unimodular(rho):
-    if abs(determinant(rho)) != 1:
+    if abs_determinant(rho) != 1:
         raise InputError("holonomy is not an automorphism", code="not-automorphism")
 
 

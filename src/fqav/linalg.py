@@ -3,9 +3,9 @@ lattices and their integer kernels (saturation, orthogonal complements,
 fixed lattices), and affine congruence solving on the torus R^N / Z^N.
 
 Everything here is exact: matrices are lists/tuples of Python ints, and a
-torsion point is an int vector over one common denominator.  Only
-``solve_rational`` and the ``TorsionPoint.coords`` view return
-fractions.Fraction.  No floating point anywhere.
+torsion point is an int vector over one common denominator.  Only the
+``TorsionPoint.coords`` view returns fractions.Fraction.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -50,70 +50,15 @@ def mat_vec(m, v):
     return [sum(map(operator.mul, row, v)) for row in m]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def identity_minus(w):
+    """I - W for a square matrix W, in one pass over its entries."""
+    return [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(w)]
 
 
 def mat_transpose(m):
     if not m:
         return []
     return [list(col) for col in zip(*m)]
-
-
-def _gauss_jordan(matrix, cols, stop=None):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer
-    ``matrix`` in its first ``cols`` columns; any further columns (a
-    right-hand side) are carried along.  The pivot of each column is its
-    first nonzero entry at or below the current row.  A step with pivot p
-    replaces every other row x by (p x - x_c r) / p_prev, r the pivot row and
-    p_prev the previous pivot (1 at first).  The division is exact: every
-    entry is then a minor of the input (Sylvester's identity).  Each earlier
-    pivot entry becomes p, so at the end the rows are d times the reduced
-    row echelon form, d the last pivot.  Returns the rows, the pivot columns,
-    and d negated once per row swap: the determinant when the matrix is
-    square of full rank.  With ``stop``, the elimination ends as soon as it
-    finds its stop-th pivot, and only the number of pivots, min(rank,
-    stop), is meaningful, and only the rows below a pivot are cleared: the
-    pivot search reads none above it."""
-    a = [list(row) for row in matrix]
-    nr = len(a)
-    pivots = []
-    prev = 1
-    sign = 1
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        pivots.append(c)
-        if len(pivots) == stop:
-            break
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        pivot_row = a[r]
-        p = pivot_row[c]
-        for i in range(r + 1 if stop else 0, nr):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
-        r += 1
-    return a, pivots, sign * prev
-
-
-def determinant(m):
-    """Exact determinant of a square integer matrix."""
-    n = len(m)
-    _, pivots, det = _gauss_jordan(m, n)
-    return det if len(pivots) == n else 0
-
-
-def matrix_rank(m, stop=None):
-    """Rank of an integer matrix: its number of elimination pivots.  With
-    ``stop``, min(rank, stop), found by an elimination that ends at its
-    stop-th pivot."""
-    return len(_gauss_jordan(m, len(m[0]) if m else 0, stop)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +224,20 @@ def hermite_basis(vectors, width):
     return rows
 
 
+def matrix_rank(m):
+    """Rank of an integer matrix: the number of rows of its Hermite form."""
+    return len(hermite_basis(m, len(m[0]) if m else 0))
+
+
+def abs_determinant(m):
+    """|det M| of a square integer matrix: the product of the diagonal of
+    its Hermite form, reached by unimodular row steps, or 0 below full
+    rank."""
+    n = len(m)
+    h = hermite_basis(m, n)
+    return prod(row[i] for i, row in enumerate(h)) if len(h) == n else 0
+
+
 # ---------------------------------------------------------------------------
 # lattices
 
@@ -345,33 +304,21 @@ def integer_kernel(matrix, cols) -> Lattice:
     """Saturated lattice {x in Z^cols : M x = 0}.
 
     The Hermite form of [M^T | I] is [H | U] with U unimodular, and the
-    U-parts of its rows whose H-part is zero are a basis of the kernel."""
+    U-parts of its rows whose H-part is zero are a basis of the kernel.
+    Those rows come last, so their pivots lie in the U-part, and only rows
+    among them reduced them above their pivots: their U-parts are already
+    the kernel's Hermite basis."""
     nr = len(matrix)
     rows = [[matrix[i][j] for i in range(nr)] + [int(j == k) for k in range(cols)]
             for j in range(cols)]
     h = hermite_basis(rows, nr + cols)
-    return Lattice.from_vectors(cols, [row[nr:] for row in h if not any(row[:nr])])
+    return Lattice(cols, tuple(tuple(row[nr:]) for row in h if not any(row[:nr])))
 
 
 def fixed_lattice(matrices, rank) -> Lattice:
     """Saturated lattice of the vectors fixed by every matrix W: the common
     kernel of the I - W; all of Z^rank when there are no matrices."""
-    ident = identity_matrix(rank)
-    return integer_kernel([row for w in matrices for row in mat_sub(ident, w)], rank)
-
-
-def solve_rational(matrix, rhs):
-    """One rational solution of M x = rhs for integer M and rhs, or None if
-    inconsistent."""
-    nc = len(matrix[0]) if matrix else 0
-    a, pivots, _ = _gauss_jordan(
-        [list(row) + [rhs[i]] for i, row in enumerate(matrix)], nc)
-    if any(row[nc] != 0 for row in a[len(pivots):]):
-        return None
-    x = [Fraction(0)] * nc
-    for k, c in enumerate(pivots):
-        x[c] = Fraction(a[k][nc], a[k][c])
-    return x
+    return integer_kernel([row for w in matrices for row in identity_minus(w)], rank)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +483,7 @@ class FixedPointSolver:
     """Solves (I - W) x == a (mod Z^N) for square integer matrices W of
     finite order, as int tuple rows, each (W, a) once, taking the Smith form
     of each I - W at most once, and tells whether rank(I - W) <= 2 by at
-    most one elimination per W.  Each entry is a function of W or (W, a)
+    most one Hermite form per W.  Each entry is a function of W or (W, a)
     alone, so the class path and every stage of a decomposition may share
     one solver.  It keeps one object per distinct lattice, the kernel of
     each I - W among them."""
@@ -557,7 +504,7 @@ class FixedPointSolver:
         key = (w, point)
         if key not in self._solutions:
             if w not in self._factors:
-                u, divisors, v, kernel = factor_affine(mat_sub(identity_matrix(len(w)), w), len(w))
+                u, divisors, v, kernel = factor_affine(identity_minus(w), len(w))
                 self._factors[w] = (u, divisors, v, self.lattice(kernel))
                 self._low_rank[w] = len(divisors) <= 2
             self._solutions[key] = solve_factored(self._factors[w], point)
@@ -572,8 +519,8 @@ class FixedPointSolver:
         diagonalisable: rank(I - W) <= 2 leaves at least N - 2 eigenvalues
         1, and the other two have real part at least -1, so tr W >= N - 4.
         A lower trace answers False with no elimination.  Else it is the
-        verdict recorded when ``solve`` factored W, or found by one
-        elimination that ends at its third pivot."""
+        verdict recorded when ``solve`` factored W, or read off the Hermite
+        form of I - W."""
         n = len(w)
         if n <= 2:
             return True
@@ -581,8 +528,7 @@ class FixedPointSolver:
             return False
         low = self._low_rank.get(w)
         if low is None:
-            low = self._low_rank[w] = matrix_rank(
-                mat_sub(identity_matrix(n), w), stop=3) <= 2
+            low = self._low_rank[w] = matrix_rank(identity_minus(w)) <= 2
         return low
 
 

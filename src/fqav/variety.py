@@ -16,12 +16,13 @@ from .errors import CertificateError, InputError
 from .linalg import (
     Lattice,
     TorsionPoint,
-    determinant,
+    abs_determinant,
     identity_matrix,
     integer_kernel,
     mat_mul,
     mat_transpose,
     mat_vec,
+    matrix_rank,
 )
 
 ZETA4 = "zeta4"
@@ -217,14 +218,15 @@ class SubtorusTranslate:
 def subtorus_kappa(lattices, ambient_rank):
     """n - dim of the common subtorus of the subtori with these lattices in
     Z^ambient_rank (the whole torus when there are none): the Kodaira
-    dimension of a divisor whose components are translates of them: the
-    kernel of the stacked ``complement_rows`` of the distinct lattices.  One
-    lattice, or none, needs no kernel: its subtorus is the common one."""
+    dimension of a divisor whose components are translates of them.  The
+    common subtorus has the kernel of the stacked ``complement_rows`` of the
+    distinct lattices as its lattice, of rank ambient_rank minus their rank.
+    One lattice, or none, needs no rank: its subtorus is the common one."""
     distinct = list(dict.fromkeys(lattices))
     if len(distinct) <= 1:
         return ambient_rank // 2 - (distinct[0].rank if distinct else ambient_rank) // 2
     complements = [row for lat in distinct for row in lat.complement_rows]
-    return ambient_rank // 2 - integer_kernel(complements, ambient_rank).rank // 2
+    return ambient_rank // 2 - (ambient_rank - matrix_rank(complements)) // 2
 
 
 def standard_symplectic_form(n):
@@ -258,7 +260,7 @@ def lattice_poincare_complement(b: Lattice, holonomies, seed_form):
     c = integer_kernel(rows, b.ambient_rank)
     if b.rank + c.rank != b.ambient_rank:
         raise CertificateError("complement has wrong rank")
-    index = abs(determinant(b.basis_rows() + c.basis_rows()))
+    index = abs_determinant(b.basis_rows() + c.basis_rows())
     if index == 0:
         raise CertificateError("B + C is not of finite index")
     return c, index

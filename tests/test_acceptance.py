@@ -25,11 +25,9 @@ from fqav.decompose import decompose, decompose_fano_part
 from fqav.errors import InputError
 from fqav.linalg import (
     TorsionPoint,
-    determinant,
     elementary_divisors,
-    identity_matrix,
+    identity_minus,
     mat_mul,
-    mat_sub,
     saturate,
     snf,
     solve_affine_mod_lattice,
@@ -44,6 +42,7 @@ from fqav.variety import (
 )
 
 from conftest import automorphism
+from oracles import determinant
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,7 @@ def test_criterion_3_kummer(kummer_group):
     assert len(loc.representatives) == 16
     # oracle: 2-torsion count by brute force
     rho = rational_rep(g.holonomy)
-    m = mat_sub(identity_matrix(4), rho)
+    m = identity_minus(rho)
     assert brute_force_count(m, g.translation, 2) == 16
     assert age(g, cyclo_field_for(group)) == Fraction(1)
     r = classification_report(group)
@@ -230,7 +229,7 @@ def test_criterion_6_linear_algebra_properties():
         if g is None:
             continue
         rho = rational_rep(g.holonomy)
-        m = mat_sub(identity_matrix(len(rho)), rho)
+        m = identity_minus(rho)
         sol = solve_affine_mod_lattice(m, g.translation)
         q = 1
         for c in g.translation.coords:

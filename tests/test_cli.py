@@ -10,7 +10,7 @@ from fqav.action import close_group, fixed_locus
 from fqav.cli import COMMANDS, MAX_DENOMINATOR_BITS, build_report, main, parse_input, serialize
 from fqav.cyclotomic import split_prime
 from fqav.errors import InputError
-from fqav.linalg import FixedPointSolver, elementary_divisors, identity_matrix, mat_sub
+from fqav.linalg import FixedPointSolver, elementary_divisors, identity_minus
 
 from conftest import FIXTURE_DIR
 from test_golden import sl_diag_document
@@ -57,6 +57,33 @@ RAMIFIED_72_DOC = {"factors": [{"cm": "zeta6"}, {"cm": "zeta6"}],
                    "generators": [{"holonomy": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]},
                                   {"holonomy": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}]}
 
+# the other three groups of the benchmark's ramified-cm workload, with their
+# orders: on zeta4^2, diag(i, 1) and the swap; on zeta4^3, diag(i, 1, 1) and
+# the swap of the first two factors carrying 1/2 along the third (two
+# decomposition stages); on zeta6^3, diag(zeta6, 1, 1), diag(1, zeta3, 1)
+# and the translation by 1/2 along the third factor
+RAMIFIED_CM_DOCS = {
+    "zeta4^2:C2": ({"factors": [{"cm": "zeta4"}] * 2,
+                    "generators": RAMIFIED_72_DOC["generators"]}, 32),
+    "zeta6^2:C2": (RAMIFIED_72_DOC, 72),
+    "zeta4^3:C2+t": ({"factors": [{"cm": "zeta4"}] * 3,
+                      "generators": [
+                          {"holonomy": [[[0, 1], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                                        [[0, 0], [0, 0], [1, 0]]]},
+                          {"holonomy": [[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]],
+                                        [[0, 0], [0, 0], [1, 0]]],
+                           "translation": ["0", "0", "0", "0", "1/2", "0"]}]}, 32),
+    "zeta6^3:mu6xmu3+t": ({"factors": [{"cm": "zeta6"}] * 3,
+                           "generators": [
+                               {"holonomy": [[[0, 1], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                                             [[0, 0], [0, 0], [1, 0]]]},
+                               {"holonomy": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [-1, 1], [0, 0]],
+                                             [[0, 0], [0, 0], [1, 0]]]},
+                               {"holonomy": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                                             [[0, 0], [0, 0], [1, 0]]],
+                                "translation": ["0", "0", "0", "0", "1/2", "0"]}]}, 36),
+}
+
 # zeta4^2 by [[0, i], [1, 0]], whose square is i: holonomy order 8
 ORDER8_DOC = {"factors": [{"cm": "zeta4"}, {"cm": "zeta4"}],
               "generators": [{"holonomy": [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]}]}
@@ -72,7 +99,7 @@ def translation_doc(first):
 def fixed_rank(g):
     """rank(I - rho) for the holonomy rho of g, from its Smith form."""
     rho = g.holonomy.matrix
-    return len(elementary_divisors(mat_sub(identity_matrix(len(rho)), rho)))
+    return len(elementary_divisors(identity_minus(rho)))
 
 
 class TestParse:
@@ -704,9 +731,10 @@ class TestComputeOnce:
         # the solver keeps one object per distinct lattice, which caches its
         # complement for ramification, kappa and every stage; and no two
         # readers take the integer kernel of one matrix
-        texts = {name: load(name) for name in FIXTURES}
-        texts["order-72"] = json.dumps(RAMIFIED_72_DOC)
-        for name, text in texts.items():
+        texts = {name: (load(name), None) for name in FIXTURES}
+        texts.update((name, (json.dumps(doc), order))
+                     for name, (doc, order) in RAMIFIED_CM_DOCS.items())
+        for name, (text, order) in texts.items():
             complements, kernels = Counter(), Counter()
             count_calls(monkeypatch, "orthogonal_complement_rows", complements,
                         key=lambda lat: lat)
@@ -716,9 +744,10 @@ class TestComputeOnce:
             monkeypatch.undo()
             assert max(complements.values(), default=1) == 1, name
             assert max(kernels.values(), default=1) == 1, name
-            if name == "order-72":
-                assert doc["classification"]["group_order"] == 72
-                assert (len(complements), len(kernels)) == (8, 12)
+            if order is not None:
+                assert doc["classification"]["group_order"] == order, name
+            if name == "zeta6^2:C2":
+                assert (len(complements), len(kernels)) == (8, 10)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_report_sections_match_commands(self, name):

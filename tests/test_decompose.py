@@ -31,7 +31,7 @@ from fqav.linalg import (
     TorsionPoint,
     fixed_lattice,
     identity_matrix,
-    mat_sub,
+    identity_minus,
     matrix_rank,
     solve_affine_mod_lattice,
 )
@@ -523,7 +523,7 @@ class TestGeneratorNTilde:
 def solve_every_element(elements):
     """Reference: the fixed-locus solve of every nontrivial element, keyed
     by its number, its position in ``elements``."""
-    return {x: solve_affine_mod_lattice(mat_sub(identity_matrix(e.rank), e.matrix),
+    return {x: solve_affine_mod_lattice(identity_minus(e.matrix),
                                         e.translation)
             for x, e in enumerate(elements) if not e.is_identity()}
 
@@ -550,7 +550,7 @@ def assert_rank_first_matches_every_solve(elements, tables):
         if sol.nonempty and x not in fixed:
             # a fixed locus of codimension >= 2: rank(I - W) >= 3
             e = elements[x]
-            assert matrix_rank(mat_sub(identity_matrix(e.rank), e.matrix)) > 2
+            assert matrix_rank(identity_minus(e.matrix)) > 2
     assert stage_readings(elements, tables, fixed) == stage_readings(elements, tables, divisors)
 
 

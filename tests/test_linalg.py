@@ -16,20 +16,19 @@ from fqav.linalg import (
     FixedPointSolver,
     Lattice,
     TorsionPoint,
-    determinant,
+    abs_determinant,
     fixed_lattice,
     hermite_basis,
     identity_matrix,
+    identity_minus,
     integer_kernel,
     mat_mul,
-    mat_sub,
     mat_transpose,
     mat_vec,
     orthogonal_complement_rows,
     saturate,
     snf,
     solve_affine_mod_lattice,
-    solve_rational,
     elementary_divisors,
     factor_affine,
     matrix_rank,
@@ -38,6 +37,7 @@ from fqav.linalg import (
 from fqav.variety import rational_rep, subtorus_kappa
 
 from conftest import automorphism
+from oracles import determinant, gauss_jordan_rank, solve_rational
 from test_action import finite_order_holonomies
 
 
@@ -176,14 +176,21 @@ def leibniz_determinant(m):
 
 
 class TestElimination:
-    """determinant and solve_rational share one elimination routine;
-    integer_kernel is checked against the same rank."""
+    """``abs_determinant`` against the Leibniz sum, which also checks the
+    oracles' determinant; ``integer_kernel`` and the oracles'
+    ``solve_rational`` against the Smith rank."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 4), st.data())
+    @given(st.integers(0, 4), st.data())
     def test_determinant_matches_leibniz(self, n, data):
         m = [[data.draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
-        assert determinant(m) == leibniz_determinant(m)
+        if n > 1 and data.draw(st.booleans()):
+            # a row made of the others is singular
+            coeffs = [data.draw(st.integers(-2, 2)) for _ in range(n - 1)]
+            m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(n)]
+        det = leibniz_determinant(m)
+        assert determinant(m) == det
+        assert abs_determinant(m) == abs(det)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
@@ -237,28 +244,6 @@ def reference_hermite_basis(vectors, width):
     return rows
 
 
-def gauss_jordan_rank(matrix):
-    """Oracle: the number of pivots of a full fraction-free Gauss-Jordan
-    elimination, which clears every other row at each pivot (the
-    elimination ``matrix_rank`` ran before it stopped early)."""
-    a = [list(row) for row in matrix]
-    nr, cols = len(a), len(a[0]) if a else 0
-    prev, r = 1, 0
-    for c in range(cols):
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        for i in range(nr):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[r])]
-        prev = p
-        r += 1
-    return r
-
-
 @st.composite
 def hermite_inputs(draw):
     """Integer vectors of one width, with zero rows, repeated and negated
@@ -290,8 +275,8 @@ def hermite_inputs(draw):
 
 
 class TestAgainstOldKernels:
-    """``hermite_basis`` and the stopped ``matrix_rank`` against the
-    methods they replaced, kept here as oracles."""
+    """``hermite_basis`` and ``matrix_rank`` against the methods they
+    replaced, kept test-side as oracles."""
 
     @settings(max_examples=300, deadline=None)
     @given(hermite_inputs())
@@ -311,25 +296,20 @@ class TestAgainstOldKernels:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 6), st.data())
-    def test_stopped_rank_matches_gauss_jordan(self, nr, nc, data):
+    def test_rank_matches_gauss_jordan(self, nr, nc, data):
         if data.draw(st.booleans()):
             m = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=nc, max_size=nc),
                                    min_size=nr, max_size=nr))
         else:
             m, nc = data.draw(low_rank_stacks())
-        rank = gauss_jordan_rank(m)
-        assert matrix_rank(m) == rank
-        for stop in (1, 2, 3):
-            assert matrix_rank(m, stop=stop) == min(rank, stop)
+        assert matrix_rank(m) == gauss_jordan_rank(m)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_stopped_rank_of_group_elements(self, data):
+    def test_rank_of_group_elements(self, data):
         w = data.draw(finite_order_holonomies()).matrix
-        m = mat_sub(identity_matrix(len(w)), w)
-        rank = gauss_jordan_rank(m)
-        for stop in (1, 2, 3):
-            assert matrix_rank(m, stop=stop) == min(rank, stop)
+        m = identity_minus(w)
+        assert matrix_rank(m) == gauss_jordan_rank(m)
 
 
 def smith_kernel(m, nc):
@@ -361,11 +341,24 @@ class TestIntegerKernel:
         m, nc = case
         assert integer_kernel(m, nc) == smith_kernel(m, nc)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.data())
+    def test_basis_is_its_own_hermite_form(self, nr, nc, data):
+        # the U-parts of the kernel rows of [M^T | I] are kept as they come
+        # out of that one Hermite form, with no second reduction
+        if data.draw(st.booleans()):
+            m = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=nc, max_size=nc),
+                                   min_size=nr, max_size=nr))
+        else:
+            m, nc = data.draw(low_rank_stacks())
+        basis = integer_kernel(m, nc).basis
+        assert [list(row) for row in basis] == hermite_basis(basis, nc)
+
     def test_lattice_paths_never_call_snf(self, sign_rot4_group, monkeypatch):
         group = sign_rot4_group
         n2 = group.variety.ambient_rank
         reps = [rational_rep(phi) for phi in dict.fromkeys(g.holonomy for g in group.elements)]
-        stacked = [row for w in reps for row in mat_sub(identity_matrix(n2), w)]
+        stacked = [row for w in reps for row in identity_minus(w)]
         fixed = [fixed_lattice([w], n2) for w in reps]
         divisors = [lat for lat in fixed if lat.rank == n2 - 2]
         half = Lattice.from_vectors(n2, [[2, 0, 0, 0], [0, 2, 2, 0]])
@@ -749,12 +742,11 @@ class TestFactoredSolve:
                                min_size=nr, max_size=nr))
         rank = matrix_rank(m)
         assert rank == len(elementary_divisors(m)) == len(factor_affine(m, nc)[1])
-        stop = data.draw(st.integers(1, 7))
-        assert matrix_rank(m, stop=stop) == min(rank, stop)
 
     def test_non_complex_reflection_has_rank_one(self):
         # diag(-1, 1) fixes a line of Z^2: rank(I - W) = 1, one divisor 2
-        m = mat_sub(identity_matrix(2), [[-1, 0], [0, 1]])
+        m = identity_minus([[-1, 0], [0, 1]])
+        assert m == [[2, 0], [0, 0]]
         assert matrix_rank(m) == 1
         assert factor_affine(m, 2)[1] == (2,)
 
@@ -783,13 +775,13 @@ class TestFixedPointSolver:
     @given(square_systems())
     def test_matches_direct_solve_and_rank(self, case):
         w, points = case
-        m = mat_sub(identity_matrix(len(w)), w)
+        m = identity_minus(w)
         low_rank = matrix_rank(m) <= 2
         ranks = []
 
-        def counting_rank(matrix, **kwargs):
+        def counting_rank(matrix):
             ranks.append(matrix)
-            return matrix_rank(matrix, **kwargs)
+            return matrix_rank(matrix)
 
         ranked_first, solved_first = FixedPointSolver(), FixedPointSolver()
         with mock.patch.object(linalg, "matrix_rank", counting_rank):

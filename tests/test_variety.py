@@ -16,7 +16,6 @@ from fqav.linalg import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    solve_rational,
 )
 from fqav.variety import (
     AbelianVarietyModel,
@@ -31,6 +30,7 @@ from fqav.variety import (
 )
 
 from conftest import automorphism
+from oracles import solve_rational
 
 Z4 = EllipticFactor("zeta4")
 J = [[0, -1], [1, 0]]
