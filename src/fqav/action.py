@@ -8,7 +8,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .cyclotomic import CycloField, spectrum_mod, split_prime
@@ -208,32 +208,63 @@ class FiniteGroupAction:
     def class_rep(self):
         """``class_rep[i]`` is the index of the first element of the
         conjugacy class of ``elements[i]``, read off the closure's tables
-        without a composition.  For a generator s, s . x and x . s are
-        conjugate by s, and the generators' conjugations generate those of
-        the whole group, so uniting these pairs gives exactly the classes."""
+        without a composition.  For a generator s, u -> s^-1 u s is the
+        permutation ``column[left^-1(u)]``, left = ``tables.left(s)`` and
+        column x -> x . s; the generators' conjugations generate those of
+        the whole group, so a class is the orbit of any of its elements
+        under them.  Walking the elements in order, each one no orbit
+        reached starts its class, and so is that class's first element."""
         t = self.tables
         size = len(t.parent)
-        root = list(range(size))  # union-find on numbers; a class's root is its first
-
-        def find(i):
-            while root[i] != i:
-                root[i] = i = root[root[i]]
-            return i
-
+        conjugations = []
         for column in t.columns:
-            for x, y in zip(t.left(column[0]), column):
-                a, b = find(x), find(y)
-                if a < b:
-                    root[b] = a
-                elif b < a:
-                    root[a] = b
-        return [find(i) for i in range(size)]
+            inverse = [0] * size
+            for x, y in enumerate(t.left(column[0])):
+                inverse[y] = x
+            conjugations.append(list(map(column.__getitem__, inverse)))
+        rep = [-1] * size
+        for g in range(size):
+            if rep[g] >= 0:
+                continue
+            rep[g] = g
+            stack = [g]
+            while stack:
+                u = stack.pop()
+                for conjugation in conjugations:
+                    v = conjugation[u]
+                    if rep[v] < 0:
+                        rep[v] = g
+                        stack.append(v)
+        return rep
 
-    def nontrivial_class_reps(self):
-        """The first element of each conjugacy class but the identity's, in
-        element order."""
+    @cached_property
+    def power_walk(self):
+        """For the first element c of each conjugacy class, ``power_walk[c]``
+        is (root, k, d): class c holds root^k, 1 <= k <= d, and d is the
+        order of the holonomy of ``elements[root]``.  A walk starts at the
+        first element g of each class that no earlier walk reached, in
+        element order, and takes g^(k+1) = g^k . g by g's word in the
+        closure's tables until the power's holonomy is the identity, at
+        g^d.  It records each class it reaches that no walk reached before,
+        so every class is recorded, by its own walk if by no other."""
+        elements, tables = self.elements, self.tables
+        columns = tables.columns
         rep = self.class_rep
-        return [self.elements[i] for i in range(1, len(rep)) if rep[i] == i]
+        walk = {}
+        for g in range(1, len(rep)):
+            if rep[g] != g or g in walk:
+                continue
+            word = tables.word(g)
+            powers = [g]
+            while not mat_eq_identity(elements[powers[-1]].matrix):
+                x = powers[-1]
+                for j in word:
+                    x = columns[j][x]
+                powers.append(x)
+            d = len(powers)
+            for k, x in enumerate(powers, 1):
+                walk.setdefault(rep[x], (g, k, d))
+        return walk
 
 
 def affine_product(m, a, n, b):
@@ -479,30 +510,13 @@ def holonomy_order(phi: EndoBlockMatrix):
 
 
 def group_exponent(group: FiniteGroupAction):
-    """lcm of the orders of the holonomies, found by walking the powers of
-    each class's first element g in the closure's tables, g^(k+1) = g^k . g
-    by g's word, until the power's holonomy is the identity.  Conjugate
-    elements have conjugate holonomies, of one order, and every holonomy is
-    that of some element, so these orders have the same lcm as all of them.
-    A matrix an earlier walk reached is a power of that walk's, so its order
-    divides the one already taken; it is skipped."""
-    elements, tables = group.elements, group.tables
-    columns = tables.columns
-    rep = group.class_rep
-    e = 1
-    reached = set()
-    for g in range(1, len(rep)):
-        if rep[g] != g or elements[g].matrix in reached:
-            continue
-        word = tables.word(g)
-        power, k = g, 1
-        while not mat_eq_identity(elements[power].matrix):
-            reached.add(elements[power].matrix)
-            for j in word:
-                power = columns[j][power]
-            k += 1
-        e = lcm(e, k)
-    return e
+    """lcm of the orders of the holonomies, the lcm of the orders d that
+    ``power_walk`` records.  Conjugate elements have conjugate holonomies,
+    of one order, and every holonomy is that of some element, so the
+    classes' orders have the same lcm as all of them.  A class a walk
+    reaches holds a power of the walk's root, whose holonomy order divides
+    the root's, so the roots' orders have that lcm too."""
+    return lcm(*(d for _, _, d in group.power_walk.values()))
 
 
 def cyclo_field_for(group: FiniteGroupAction) -> CycloField:
@@ -512,29 +526,36 @@ def cyclo_field_for(group: FiniteGroupAction) -> CycloField:
     return CycloField(lcm(12, group_exponent(group)))
 
 
-def age(g: AffineAutomorphism, field: CycloField) -> Fraction:
-    """Sum of the r_j over the analytic eigenvalues e^(2 pi i r_j) of the
-    holonomy A, r_j in [0,1); 0 for identity holonomy.  The holonomy has
-    finite order, as every group element's has.
+def age(g: AffineAutomorphism, field: CycloField, d):
+    """The function k -> the age of g^k, for d a multiple of the order of
+    the holonomy A of g; every command passes the order that ``power_walk``
+    records.  The age of g is the sum of the r_j over the analytic
+    eigenvalues e^(2 pi i r_j) of A, r_j in [0,1); 0 for identity holonomy.
 
-    The spectrum is counted modulo p, with (p, z) = ``split_prime(m, 2n +
-    1)``: count_e = n - rank_p(A - z^e I), and zeta_m^e has multiplicity
+    The spectrum of A is counted modulo p, with (p, z) = ``split_prime(m,
+    2n + 1)``, over the r-th roots, r = gcd(m, d), which is d when d | m:
+    count_e = n - rank_p(A - z^(e m/r) I), and zeta_r^e has multiplicity
     count_e.  Reduction modulo a prime above p never raises a rank, so
-    count_e is at least the multiplicity over Q(zeta_m).  When A^m = I,
-    A mod p is diagonalisable, as m is prime to p, so both kinds of count
-    sum to n and are equal.  When the counts sum to n, A^m is congruent to I.
-    Its order divides that of A, whose primes q have q - 1 <= 2n, so it is
-    prime to p; and B = I + X of order k prime to p with X = 0 mod the prime
-    has X (k I + X Y) = 0 with the second factor invertible, so A^m = I.
-    The field thus holds the spectrum exactly when the counts reach n."""
+    count_e is at least the multiplicity over Q(zeta_m).  When A^r = I,
+    A mod p is diagonalisable, as r is prime to p, so both kinds of count
+    sum to n and are equal.  When the counts sum to n, A^r is congruent to
+    I.  Its order divides that of A, whose primes q have q - 1 <= 2n, so it
+    is prime to p; and B = I + X of order k prime to p with X = 0 mod the
+    prime has X (k I + X Y) = 0 with the second factor invertible, so A^r =
+    I.  The counts thus reach n exactly when every eigenvalue of A, a d-th
+    root of unity, is an m-th root of unity, that is when the field holds
+    the spectrum.  Then the eigenvalues of A^k are the k-th powers of the
+    zeta_r^e, so g^k has age sum_e count_e ((k e mod r) / r)."""
     phi = g.holonomy
     n = phi.variety.n
     m = field.m
+    r = gcd(m, d)
     p, z = split_prime(m, 2 * n + 1)
-    counts = spectrum_mod(analytic_rep_mod(phi, m, p, z), p, z, m)
+    counts = spectrum_mod(analytic_rep_mod(phi, m, p, z), p, pow(z, m // r, p), r)
     if counts is None:
         raise InputError("field too small", code="field-too-small")
-    return Fraction(sum(e * count for e, count in enumerate(counts)), m)
+    spectrum = [(e, count) for e, count in enumerate(counts) if count]
+    return lambda k: Fraction(sum(count * (k * e % r) for e, count in spectrum), r)
 
 
 def descend_multiplication(group: FiniteGroupAction):

@@ -140,12 +140,19 @@ def reid_tai(group: FiniteGroupAction):
     the same on a conjugacy class, so one age per class decides it; the
     first element of a failing class is the first failing element.  Each
     age is read first, and a fixed locus is solved only for a class whose
-    age is below 1."""
+    age is below 1.  A class holding root^k of a walk of ``power_walk``
+    reads its age off the one spectrum ``age`` takes of that root."""
     cyclo_field = cyclo_field_for(group)
-    for g in group.nontrivial_class_reps():
-        if mat_eq_identity(g.matrix):
+    elements, rep, walk = group.elements, group.class_rep, group.power_walk
+    ages = {}  # walk root -> k -> the age of its k-th power
+    for i in range(1, len(rep)):
+        g = elements[i]
+        if rep[i] != i or mat_eq_identity(g.matrix):
             continue
-        g_age = age(g, cyclo_field)
+        root, k, d = walk[i]
+        if root not in ages:
+            ages[root] = age(elements[root], cyclo_field, d)
+        g_age = ages[root](k)
         if g_age < 1 and fixed_locus(g, group.solver).nonempty:
             return False, g, g_age
     return True, None, None

@@ -10,8 +10,11 @@ from fqav import (
     EllipticFactor,
     EndoBlockMatrix,
     TorsionPoint,
+    age,
     close_group,
+    cyclo_field_for,
 )
+from fqav.action import holonomy_order
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -21,6 +24,24 @@ def automorphism(variety, rows, translation=None):
     trans = None if translation is None else TorsionPoint.of(
         [Fraction(t) for t in translation])
     return AffineAutomorphism.of(phi, trans)
+
+
+def element_age(g, field):
+    """The age of g by ``age``: its function of k at k = 1, for the order
+    of g's holonomy."""
+    return age(g, field, holonomy_order(g.holonomy))(1)
+
+
+def class_ages(group):
+    """{first element of each nontrivial class: its age}, each read off the
+    spectrum of the root of the ``power_walk`` that reached the class."""
+    field = cyclo_field_for(group)
+    elements, walk = group.elements, group.power_walk
+    ages = {}
+    for root, _, d in walk.values():
+        if root not in ages:
+            ages[root] = age(elements[root], field, d)
+    return {c: ages[root](k) for c, (root, k, _) in walk.items() if c}
 
 
 @pytest.fixture

@@ -1,10 +1,23 @@
-"""Test-side oracles: fraction-free Gauss-Jordan elimination (Bareiss) and
-what it reads off, the signed determinant, the rank and one rational
-solution.  The runtime reads ranks and |det| off Hermite forms instead, so
-these share no elimination with it.  ``determinant`` is checked against the
-Leibniz sum in ``test_linalg``."""
+"""Test-side oracles.
+
+- Fraction-free Gauss-Jordan elimination (Bareiss) and what it reads off,
+  the signed determinant, the rank and one rational solution.  The runtime
+  reads ranks and |det| off Hermite forms instead, so these share no
+  elimination with it.  ``determinant`` is checked against the Leibniz sum
+  in ``test_linalg``.
+- The conjugacy classes by a union-find over the pairs (s . x, x . s), the
+  holonomy exponent by a walk from every class whose matrix no earlier walk
+  reached, and one age per element over every m-th root of unity.  The
+  runtime reads the classes off orbit walks, and the exponent and every
+  class's age off one power walk per class that no earlier walk reached."""
 
 from fractions import Fraction
+from math import lcm
+
+from fqav.action import mat_eq_identity
+from fqav.cyclotomic import spectrum_mod, split_prime
+from fqav.errors import InputError
+from fqav.variety import analytic_rep_mod
 
 
 def gauss_jordan(matrix, cols):
@@ -68,3 +81,69 @@ def solve_rational(matrix, rhs):
     for k, c in enumerate(pivots):
         x[c] = Fraction(a[k][nc], a[k][c])
     return x
+
+
+def union_find_class_rep(group):
+    """``FiniteGroupAction.class_rep`` by union-find: for a generator s,
+    s . x and x . s are conjugate by s, and uniting these pairs gives
+    exactly the classes; a class's root is its first element."""
+    t = group.tables
+    size = len(t.parent)
+    root = list(range(size))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for column in t.columns:
+        for x, y in zip(t.left(column[0]), column):
+            a, b = find(x), find(y)
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+    return [find(i) for i in range(size)]
+
+
+def walk_group_exponent(group):
+    """The lcm of the holonomy orders, by walking the powers of each class's
+    first element in the closure's tables, skipping a class whose matrix an
+    earlier walk reached."""
+    elements, tables = group.elements, group.tables
+    rep = union_find_class_rep(group)
+    e = 1
+    reached = set()
+    for g in range(1, len(rep)):
+        if rep[g] != g or elements[g].matrix in reached:
+            continue
+        word = tables.word(g)
+        power, k = g, 1
+        while not mat_eq_identity(elements[power].matrix):
+            reached.add(elements[power].matrix)
+            for j in word:
+                power = tables.columns[j][power]
+            k += 1
+        e = lcm(e, k)
+    return e
+
+
+def conductor_age(g, field):
+    """The age of g over Q(zeta_m): the counts n - rank_p(A - z^e I) for
+    every e < m, z of order m mod p, until they reach n, and then sum(e
+    count_e) / m; field-too-small when they never do."""
+    phi = g.holonomy
+    n = phi.variety.n
+    m = field.m
+    p, z = split_prime(m, 2 * n + 1)
+    counts = spectrum_mod(analytic_rep_mod(phi, m, p, z), p, z, m)
+    if counts is None:
+        raise InputError("field too small", code="field-too-small")
+    return Fraction(sum(e * count for e, count in enumerate(counts)), m)
+
+
+def class_ages_over_conductor(group, field):
+    """{first element of each nontrivial class: its ``conductor_age``}."""
+    rep = union_find_class_rep(group)
+    return {i: conductor_age(group.elements[i], field)
+            for i in range(1, len(rep)) if rep[i] == i}

@@ -12,7 +12,6 @@ import numpy as np
 
 from fqav.action import (
     AffineAutomorphism,
-    age,
     close_group,
     cyclo_field_for,
     descend_multiplication,
@@ -41,7 +40,7 @@ from fqav.variety import (
     rational_rep,
 )
 
-from conftest import automorphism
+from conftest import automorphism, element_age
 from oracles import determinant
 
 
@@ -117,7 +116,7 @@ def test_criterion_1_rot4_square_quotient(rot4_square_group):
     group = rot4_square_group
     field = cyclo_field_for(group)
     gen = group.generators[0]
-    assert age(gen, field) == Fraction(1, 2)
+    assert element_age(gen, field) == Fraction(1, 2)
     r = classification_report(group)
     assert r.quasietale is True
     assert r.q_abelian is True
@@ -157,7 +156,7 @@ def test_criterion_3_kummer(kummer_group):
     rho = rational_rep(g.holonomy)
     m = identity_minus(rho)
     assert brute_force_count(m, g.translation, 2) == 16
-    assert age(g, cyclo_field_for(group)) == Fraction(1)
+    assert element_age(g, cyclo_field_for(group)) == Fraction(1)
     r = classification_report(group)
     assert r.quasietale is True
     assert r.reid_tai_holds is True
@@ -279,7 +278,7 @@ def test_criterion_7_spectra(rot4_square_group, sign_rot4_group, kummer_group,
             inv = g.holonomy
             while not inv.compose(g.holonomy).is_identity():
                 inv = inv.compose(g.holonomy)
-            pair = age(g, field) + age(by_hol[inv], field)
+            pair = element_age(g, field) + element_age(by_hol[inv], field)
             assert pair == n - mults[field.one()]
 
 

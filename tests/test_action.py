@@ -45,7 +45,8 @@ from fqav.variety import (
     rational_rep,
 )
 
-from conftest import FIXTURE_DIR, automorphism
+from conftest import FIXTURE_DIR, automorphism, class_ages, element_age
+from oracles import class_ages_over_conductor, union_find_class_rep, walk_group_exponent
 from test_acceptance import FACTOR_POOL, random_automorphism, random_variety
 from test_golden import FIXTURES, SL_DIAG, sl_diag_document, translated_sl_diag_document
 
@@ -324,7 +325,7 @@ class TestStabilizer:
 class TestAges:
     def test_mult_by_i_diagonal(self, rot4_square_group):
         field = cyclo_field_for(rot4_square_group)
-        ages = sorted(age(g, field) for g in rot4_square_group.elements)
+        ages = sorted(element_age(g, field) for g in rot4_square_group.elements)
         # id, [i]x[i], [-1]x[-1], [-i]x[-i]
         assert ages == [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
 
@@ -332,12 +333,12 @@ class TestAges:
         g = automorphism(e_times_ei, [[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])
         group = close_group([g])
         field = cyclo_field_for(group)
-        assert age(g, field) == Fraction(3, 4)
+        assert element_age(g, field) == Fraction(3, 4)
 
     def test_kummer_age_one(self, kummer_group):
         field = cyclo_field_for(kummer_group)
         g = kummer_group.nontrivial_elements()[0]
-        assert age(g, field) == Fraction(1)
+        assert element_age(g, field) == Fraction(1)
 
     def test_age_pairing(self, rot4_square_group, sign_rot4_group, p1_group):
         # age(g) + age(g^-1) = codim of the holonomy-fixed analytic subspace
@@ -348,7 +349,7 @@ class TestAges:
                 inv = g.holonomy
                 while not inv.compose(g.holonomy).is_identity():
                     inv = inv.compose(g.holonomy)
-                total = age(g, field) + age(by_hol[inv], field)
+                total = element_age(g, field) + element_age(by_hol[inv], field)
                 assert total.denominator == 1
 
     def test_ages_do_not_depend_on_the_field(self):
@@ -360,14 +361,15 @@ class TestAges:
             group = close_group(parse_input(text)[1])
             field = cyclo_field_for(group)
             double = CycloField(2 * field.m)
-            for g in group.nontrivial_class_reps():
-                assert age(g, double) == age(g, field), text
+            for root, k, d in group.power_walk.values():
+                g = group.elements[root]
+                assert age(g, double, d)(k) == age(g, field, d)(k), text
 
     def test_mult_by_i_single_factor(self, p1_group):
         field = cyclo_field_for(p1_group)
         g = next(x for x in p1_group.elements
                  if holonomy_order(x.holonomy) == 4)
-        assert age(g, field) == Fraction(1, 4)
+        assert element_age(g, field) == Fraction(1, 4)
 
     def test_field_too_small(self, p1_group):
         g = next(x for x in p1_group.elements
@@ -380,9 +382,9 @@ class TestAges:
         group8 = close_group([order8])
         assert cyclo_field_for(group8).m == 24
         with pytest.raises(InputError) as exc:
-            age(order8, CycloField(12))
+            element_age(order8, CycloField(12))
         assert exc.value.code == "field-too-small"
-        assert age(g, CycloField(12)) == Fraction(1, 4)
+        assert element_age(g, CycloField(12)) == Fraction(1, 4)
 
 
 class TestDescend:
@@ -545,6 +547,7 @@ class TestConjugacyClasses:
         for group in groups:
             assert_tables(group.elements, group.generators, group.tables)
             assert group.class_rep == brute_force_class_rep(group)
+            assert group.class_rep == union_find_class_rep(group)
         # classes of S3, the order-32 group, and of orders 48 and 108
         assert [len(set(g.class_rep)) for g in groups[5:]] == [3, 14, 8, 20]
 
@@ -553,12 +556,14 @@ class TestConjugacyClasses:
     def test_random_groups(self, group):
         assert_tables(group.elements, group.generators, group.tables)
         assert group.class_rep == brute_force_class_rep(group)
+        assert group.class_rep == union_find_class_rep(group)
 
     def test_first_elements_in_order(self):
+        # each class is named by its first element in element order
         for group in nonabelian_groups():
-            reps = [i for i, r in enumerate(group.class_rep) if r == i]
-            assert group.nontrivial_class_reps() == [group.elements[i] for i in reps[1:]]
-            assert group.class_rep[0] == 0
+            rep = group.class_rep
+            assert rep[0] == 0
+            assert all(rep[i] <= i and rep[rep[i]] == rep[i] for i in range(group.order))
 
 
 def product_closure(identity, gens, cap, overflow):
@@ -826,10 +831,10 @@ class TestDescendOnGenerators:
 
 
 def reference_group_exponent(group):
-    """The lcm of the holonomy orders of the classes' first elements, by
-    matrix powers of each holonomy's rational representation."""
+    """The lcm of the holonomy orders of the elements, by matrix powers of
+    each holonomy's rational representation."""
     e = 1
-    for g in group.nontrivial_class_reps():
+    for g in group.elements:
         power, k = g.matrix, 1
         while power != tuple(map(tuple, linalg.identity_matrix(len(power)))):
             power, k = tuple(map(tuple, mat_mul(power, g.matrix))), k + 1
@@ -847,12 +852,14 @@ class TestExponentOnTables:
                   bielliptic_group] + nonabelian_groups()
         exponents = [group_exponent(group) for group in groups]
         assert exponents == [reference_group_exponent(group) for group in groups]
+        assert exponents == [walk_group_exponent(group) for group in groups]
         assert exponents == [4, 4, 2, 4, 2, 6, 8, 12, 6]
 
     @ORACLE
     @given(small_groups())
     def test_random_groups(self, group):
         assert group_exponent(group) == reference_group_exponent(group)
+        assert group_exponent(group) == walk_group_exponent(group)
 
     def test_order_108_makes_no_product(self, monkeypatch):
         group = nonabelian_groups()[-1]
@@ -864,6 +871,53 @@ class TestExponentOnTables:
         monkeypatch.setattr(action_module, "mat_mul", refuse)
         monkeypatch.setattr(linalg, "mat_mul", refuse)
         assert group_exponent(group) == 6
+
+
+def assert_power_walk(group):
+    """The walk records every nontrivial class, as a power of a root that
+    starts its own class and walk, with the root's holonomy order; and every
+    class's age read off its root's spectrum is the one over every m-th root
+    of unity."""
+    elements, rep, walk = group.elements, group.class_rep, group.power_walk
+    firsts = {i for i in range(1, group.order) if rep[i] == i}
+    assert firsts <= set(walk)
+    for c, (root, k, d) in walk.items():
+        assert walk[root] == (root, 1, d)
+        assert d == holonomy_order(elements[root].holonomy)
+        assert 1 <= k <= d
+        power = 0
+        for _ in range(k):
+            power = group.tables.left(power)[root]
+        assert rep[power] == c
+    assert class_ages(group) == class_ages_over_conductor(group, cyclo_field_for(group))
+
+
+class TestPowerWalkAges:
+    """``reid_tai`` reads each class's age off the spectrum of its walk's
+    root; the oracle takes one age per class over every m-th root."""
+
+    def test_gallery(self, rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                     bielliptic_group):
+        groups = [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                  bielliptic_group] + nonabelian_groups()
+        for group in groups:
+            assert_power_walk(group)
+        # the 19 nontrivial classes of the order-108 group: 7 walk roots
+        walk = groups[-1].power_walk
+        assert len({root for root, _, _ in walk.values()}) == 7
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        assert_power_walk(group)
+
+    def test_translated_group(self):
+        # order 6912: classes that share a holonomy but not a translation
+        group = close_group(parse_input(json.dumps(translated_sl_diag_document()))[1],
+                            cap=200000)
+        assert group.order == 6912
+        assert group.class_rep == union_find_class_rep(group)
+        assert_power_walk(group)
 
 
 # ---------------------------------------------------------------------------
@@ -920,14 +974,21 @@ def finite_order_holonomies(draw, sizes=st.integers(1, 4), monomial_only=False):
 
 class TestSpectrumModP:
     def assert_matches_reference(self, phi, field):
+        # the age of every power phi^k, read off the one spectrum of phi
         g = AffineAutomorphism.of(phi)
+        d = holonomy_order(phi)
         want = reference_age(phi, field)
         if want is None:
             with pytest.raises(InputError) as exc:
-                age(g, field)
+                age(g, field, d)
             assert exc.value.code == "field-too-small"
             return
-        assert age(g, field) == want
+        ages = age(g, field, d)
+        assert ages(1) == want
+        power = EndoBlockMatrix.identity(phi.variety)
+        for k in range(d):
+            assert ages(k) == reference_age(power, field), k
+            power = power.compose(phi)
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

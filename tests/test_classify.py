@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from fqav.action import age, close_group, cyclo_field_for, fixed_locus, pointwise_stabilizer
+from fqav.action import close_group, cyclo_field_for, fixed_locus, pointwise_stabilizer
 from fqav.cli import build_report, parse_input
 from fqav.classify import (
     classification_report,
@@ -21,6 +21,8 @@ from fqav.errors import InputError
 from fqav.linalg import Lattice, mat_vec
 from fqav.variety import SubtorusTranslate, rational_rep
 
+from conftest import element_age
+from oracles import conductor_age
 from test_acceptance import random_automorphism, random_variety
 from test_action import ORACLE, nonabelian_groups, small_groups
 from test_cli import count_calls
@@ -93,9 +95,8 @@ class TestReidTai:
         holds, witness, witness_age = reid_tai(rot4_square_group)
         assert not holds
         assert witness is not None
-        from fqav.action import age, cyclo_field_for
-        assert age(witness, cyclo_field_for(rot4_square_group)) < 1
-        assert witness_age == age(witness, cyclo_field_for(rot4_square_group))
+        assert element_age(witness, cyclo_field_for(rot4_square_group)) < 1
+        assert witness_age == element_age(witness, cyclo_field_for(rot4_square_group))
 
     def test_kummer_holds(self, kummer_group):
         holds, witness, witness_age = reid_tai(kummer_group)
@@ -241,7 +242,7 @@ def reference_reid_tai(group):
     for g in group.nontrivial_elements():
         if g.holonomy.is_identity() or not fixed_locus(g).nonempty:
             continue
-        g_age = age(g, field)
+        g_age = conductor_age(g, field)
         if g_age < 1:
             return False, g, g_age
     return True, None, None
@@ -273,21 +274,32 @@ class TestAgesWriteNoRank:
     def test_gallery(self, monkeypatch, rot4_square_group, sign_rot4_group, kummer_group,
                      p1_group, bielliptic_group):
         # an age reads its spectrum mod p and nothing else: the solver's
-        # rank verdicts are the same before and after each age reid_tai takes
+        # rank verdicts are the same before and after each spectrum reid_tai
+        # takes, and each age it reads off one
         original = classify_module.age
-        taken = []
-        for group in [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
-                      bielliptic_group] + nonabelian_groups():
-            def checking(g, *args, solver=group.solver):
+        spectra, read = Counter(), Counter()
+        groups = [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                  bielliptic_group] + nonabelian_groups()
+        for group in groups:
+            def checking(g, *args, solver=group.solver, order=group.order):
                 before = dict(solver._low_rank)
-                out = original(g, *args)
+                ages = original(g, *args)
                 assert solver._low_rank == before
-                taken.append(g)
-                return out
+                spectra[order] += 1
+
+                def reading(k):
+                    out = ages(k)
+                    assert solver._low_rank == before
+                    read[order] += 1
+                    return out
+
+                return reading
 
             monkeypatch.setattr(classify_module, "age", checking)
             reid_tai(group)
-        assert len(taken) > 19  # the order-108 group alone takes 19
+        # the order-108 group reads its 19 class ages off 7 spectra
+        assert (spectra[108], read[108]) == (7, 19)
+        assert sum(read.values()) > sum(spectra.values())
 
 
 class TestClassPathOracle:
@@ -307,7 +319,9 @@ class TestClassPathOracle:
         # 107 nontrivial elements.  It is special linear, so every age is at
         # least 1 and no fixed locus is solved; and no rank(I - rho) of a
         # class is at most 2, so the quasietale test solves none either.
-        # The ages make no elimination over Q(zeta_m).
+        # The 19 class ages are read off 7 spectra, one per power walk that
+        # starts at a class no earlier walk reached, and make no elimination
+        # over Q(zeta_m).
         calls = Counter()
         for func in ("fixed_locus", "age", "kernel_dimension", "snf"):
             count_calls(monkeypatch, func, calls)
@@ -315,4 +329,4 @@ class TestClassPathOracle:
         doc = build_report(*parse_input(text), "report")
         assert doc["classification"]["group_order"] == 108
         assert doc["classification"]["quasietale"] and doc["reid_tai"]["holds"]
-        assert calls == Counter(age=19)
+        assert calls == Counter(age=7)

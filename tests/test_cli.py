@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 import sys
@@ -6,9 +7,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqav.action import close_group, fixed_locus
+from fqav.action import FiniteGroupAction, close_group, fixed_locus
 from fqav.cli import COMMANDS, MAX_DENOMINATOR_BITS, build_report, main, parse_input, serialize
-from fqav.cyclotomic import split_prime
+from fqav.cyclotomic import CycloField, split_prime
 from fqav.errors import InputError
 from fqav.linalg import FixedPointSolver, elementary_divisors, identity_minus
 
@@ -397,9 +398,12 @@ class TestMain:
                                                 monkeypatch):
         # an order-8 holonomy needs 8 | m: the conductor comes from the group,
         # lcm(12, 8) = 24, so no command finds its field too small, and only
-        # the commands that print Reid-Tai find it
-        fields = []
+        # the commands that print Reid-Tai find it.  The group is cyclic, so
+        # one power walk reaches every class, and its one spectrum is
+        # counted over the 8th roots
+        fields, spectra = [], Counter()
         count_calls(monkeypatch, "cyclo_field_for", Counter(), fields)
+        count_calls(monkeypatch, "age", spectra, key=lambda g, field, d: (field.m, d))
         p = tmp_path / "order8.json"
         p.write_text(json.dumps(ORDER8_DOC))
         assert main([command, str(p)]) == 0
@@ -407,10 +411,26 @@ class TestMain:
         assert captured.err == ""
         reads_ages = command in ("classify", "reidtai", "report")
         assert [f.m for f in fields] == ([24] if reads_ages else [])
+        assert spectra == (Counter({(24, 8): 1}) if reads_ages else Counter())
         if command == "report":
             doc = json.loads(captured.out)
             assert doc["classification"]["reid_tai_holds"] is False
             assert doc["classification"]["reid_tai_witness"] == doc["reid_tai"]["witness"]
+
+    @pytest.mark.parametrize("command", ["classify", "reidtai", "report"])
+    def test_forced_small_conductor_is_too_small(self, command, tmp_path, capsys,
+                                                 monkeypatch):
+        # with the conductor forced to 12, the order-8 holonomy's spectrum is
+        # counted over the gcd(12, 8) = 4th roots; its eigenvalues are
+        # primitive 8th roots, so the counts stay below n = 2
+        monkeypatch.setattr(importlib.import_module("fqav.classify"), "cyclo_field_for",
+                            lambda group: CycloField(12))
+        p = tmp_path / "order8.json"
+        p.write_text(json.dumps(ORDER8_DOC))
+        assert main([command, str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[field-too-small]: ")
 
     @pytest.mark.parametrize("argv", [
         ["validate", "kummer.json", "--cap", "abc"],
@@ -459,19 +479,17 @@ class TestMain:
 
     def test_field_found_only_for_reid_tai(self, capsys, monkeypatch):
         # ramification and decompose read no age, so they never need the
-        # conductor, which walks the holonomy powers
-        import fqav.action
-
+        # power walk, which gives the conductor and the ages
         path = str(FIXTURE_DIR / "sign-rot4.json")
         expected = {}
         for command in ("ramification", "decompose"):
             assert main([command, path]) == 0
             expected[command] = capsys.readouterr().out
 
-        def no_exponent(group):
-            raise RuntimeError("group_exponent called")
+        def no_walk(group):
+            raise RuntimeError("power_walk taken")
 
-        monkeypatch.setattr(fqav.action, "group_exponent", no_exponent)
+        monkeypatch.setattr(FiniteGroupAction, "power_walk", property(no_walk))
         for command in ("ramification", "decompose"):
             assert main([command, path]) == 0, command
             assert capsys.readouterr().out == expected[command]
@@ -632,7 +650,8 @@ class TestComputeOnce:
 
     @pytest.mark.parametrize("command", ["reidtai", "report"])
     def test_witness_age_computed_once(self, command, monkeypatch):
-        # witness_age is the age reid_tai computed to pick the witness
+        # witness_age is the age reid_tai read off the one spectrum it took
+        # to pick the witness
         calls = Counter()
         count_calls(monkeypatch, "age", calls)
         doc = build_report(*parse_input(load("rot4-square.json")), command)
@@ -640,24 +659,26 @@ class TestComputeOnce:
         assert calls["age"] == 1
 
     def test_split_prime_searched_once(self, monkeypatch):
-        # every age of a group counts its spectrum modulo the prime of
-        # (m, 2n + 1), so the order-108 group ages 19 classes on one search
+        # every spectrum of a group is counted modulo the prime of (m, 2n +
+        # 1), so the order-108 group takes its 7 spectra on one search
         calls = Counter()
         count_calls(monkeypatch, "age", calls)
         split_prime.cache_clear()
         build_report(*parse_input(json.dumps(sl_diag_document("zeta6", True))), "reidtai")
         info = split_prime.cache_info()
-        assert (calls["age"], info.misses, info.hits) == (19, 1, 18)
+        assert (calls["age"], info.misses, info.hits) == (7, 1, 6)
 
     def test_ages_eliminate_only_at_repeated_roots(self, monkeypatch):
-        # each of the 19 ages reads its characteristic polynomial at every
-        # root it tries, and eliminates only at a repeated root: 5 in all,
-        # against 171 roots tried
+        # the 19 class ages are read off 7 spectra, one per power walk root.
+        # Each spectrum reads its characteristic polynomial, and at a root
+        # its derivative, at each d-th root of unity it tries, d the root's
+        # holonomy order: 51 readings in all, against 221 over every m-th
+        # root per class.  It eliminates only at a repeated root: once
         calls = Counter()
-        for func in ("spectrum_mod", "rank_mod"):
+        for func in ("spectrum_mod", "rank_mod", "_horner"):
             count_calls(monkeypatch, func, calls)
         build_report(*parse_input(json.dumps(sl_diag_document("zeta6", True))), "reidtai")
-        assert calls == Counter({"spectrum_mod": 19, "rank_mod": 5})
+        assert calls == Counter({"spectrum_mod": 7, "rank_mod": 1, "_horner": 51})
 
     @pytest.mark.parametrize("command", ["classify", "reidtai"])
     def test_quasietale_loci_never_enumerated(self, command, monkeypatch):

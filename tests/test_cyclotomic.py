@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fqav.action import age, cyclo_field_for
+from fqav.action import cyclo_field_for
 from fqav.classify import reid_tai
 from fqav import cyclotomic
 from fqav.cyclotomic import (
@@ -20,6 +20,9 @@ from fqav.cyclotomic import (
     split_prime,
 )
 from fqav.errors import InputError
+
+from conftest import element_age
+
 
 def as_field_matrix(field, matrix):
     """A rational matrix with its entries in ``field``."""
@@ -317,7 +320,7 @@ def test_ages_never_invert(rot4_square_group, sign_rot4_group,
                   bielliptic_group):
         reid_tai(group)
         for g in group.elements:
-            age(g, cyclo_field_for(group))
+            element_age(g, cyclo_field_for(group))
 
 
 # ---------------------------------------------------------------------------

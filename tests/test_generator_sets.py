@@ -12,9 +12,10 @@ from collections import Counter
 
 from hypothesis import given
 
-from fqav.action import age, close_group, cyclo_field_for
+from fqav.action import close_group
 from fqav.classify import Analysis
 
+from conftest import class_ages
 from test_action import ORACLE, nonabelian_groups, small_groups
 from test_decompose import random_groups
 
@@ -33,14 +34,13 @@ def invariants(group):
                       for field in dataclasses.fields(report)}
     classification["reid_tai_witness"] = report.reid_tai_witness is None
     ramification = analysis.ramification
-    field = cyclo_field_for(group)
     return {
         "order": group.order,
         "classification": classification,
         "indices": Counter(ramification.indices),
         "component_dims": Counter(c.lattice.rank // 2 for c in ramification.components),
         "reid_tai": analysis.reid_tai[0],
-        "class_ages": Counter(age(g, field) for g in group.nontrivial_class_reps()),
+        "class_ages": Counter(class_ages(group).values()),
         "stages": [(s.n_order, s.ker_mu_order, s.n_tilde_order)
                    for s in analysis.decomposition.stages],
     }

@@ -6,7 +6,10 @@ classes, order 108 on zeta6^3 with 20), and of three groups of order 192, 648 an
 ``diag(zeta, 1, 1)`` and coordinate permutations, where the lattice kernels
 are large, and of three of these groups with a translation added (orders
 6912, 41472 and 82944; the last pinned by the sha256 of its json report).
-An optimisation must reproduce these bytes exactly.
+Three more large groups are pinned by that sha256 alone: E_zeta6^4 by
+``diag(zeta6, 1, 1, 1)`` and the permutations of S4 (order 31104), and two
+diag-perm groups with a 1/3-translation (orders 34992 and 139968).  An
+optimisation must reproduce these bytes exactly.
 
 To regenerate after an intended output change::
 
@@ -126,6 +129,52 @@ def translated_diag_perm_1296_document():
 TRANSLATED_1296_SHA256 = "b6aef18ed3deff049bf31b07f8281232fc0a0bdc8df43758dae6c6ebdecb455d"
 
 
+def e_zeta6_4_document():
+    """E_zeta6^4 by diag(zeta6, 1, 1, 1), the 4-cycle sending factor k to
+    factor k - 1, and the transposition of the first two factors, in that
+    order, each with an explicit zero translation, and ``group_cap``
+    200000: (Z/6)^4 x| S4 of order 31104, every holonomy distinct."""
+    cycle = [[_ONE if j == (i + 1) % 4 else _ZERO for j in range(4)] for i in range(4)]
+    swap = [[_ONE if j == (1, 0, 2, 3)[i] else _ZERO for j in range(4)] for i in range(4)]
+    holonomies = [_diag(_Z6, _ONE, _ONE, _ONE), cycle, swap]
+    return {"schema_version": 1,
+            "factors": [{"cm": "zeta6"}] * 4,
+            "generators": [{"holonomy": h, "translation": ["0"] * 8} for h in holonomies],
+            "options": {"group_cap": 200000}}
+
+
+def third_on_transposition_document():
+    """``diag_perm_document("zeta6", True)`` with the translation (1/3, ...,
+    1/3) on the transposition and ``group_cap`` 200000: order 34992 = 1296 *
+    27."""
+    doc = diag_perm_document("zeta6", True)
+    doc["generators"][2]["translation"] = ["1/3"] * 6
+    doc["options"] = {"group_cap": 200000}
+    return doc
+
+
+def third_on_cycle_document():
+    """``diag_perm_document("zeta4")`` with the translation (1/3, 0, 0, 0, 0,
+    0) on the cyclic permutation and ``group_cap`` 200000: order 139968 =
+    192 * 729, with 192 distinct holonomies."""
+    doc = diag_perm_document("zeta4")
+    doc["generators"][1]["translation"] = ["1/3"] + ["0"] * 5
+    doc["options"] = {"group_cap": 200000}
+    return doc
+
+
+# name -> (input document, order, sha256 of its ``report --format json``),
+# pinned without a golden file
+LARGE_ORDER = {
+    "e-zeta6-4-31104": (e_zeta6_4_document, 31104,
+                        "2ede95656bf56c54aa10a26f1d5a7fa6b1a6a5e2800715af97cec9b4a11aecba"),
+    "diag-perm-34992": (third_on_transposition_document, 34992,
+                        "cb6b4e4bf965b12535a2d9454bba262118a0ca5a657bac1b672979baddd60172"),
+    "diag-perm-139968": (third_on_cycle_document, 139968,
+                         "f4cfc44eaaf0dcb327959a04e7977bc037a59c33b319fb9c107101fd6e47fa60"),
+}
+
+
 def _document_text(name):
     """The input document of the golden gallery's group ``name``."""
     if name in SL_DIAG:
@@ -205,6 +254,16 @@ def test_translated_diag_perm_1296_report_digest():
     variety, gens, options = parse_input(json.dumps(translated_diag_perm_1296_document()))
     text = serialize(build_report(variety, gens, options, "report"), "json")
     assert hashlib.sha256(text.encode()).hexdigest() == TRANSLATED_1296_SHA256
+
+
+@pytest.mark.parametrize("name", list(LARGE_ORDER))
+def test_large_order_report_digest(name):
+    document, order, digest = LARGE_ORDER[name]
+    variety, gens, options = parse_input(json.dumps(document()))
+    report = build_report(variety, gens, options, "report")
+    assert report["classification"]["group_order"] == order
+    text = serialize(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", FIXTURES + tuple(SL_DIAG) + tuple(DIAG_PERM))
