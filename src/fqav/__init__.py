@@ -7,7 +7,6 @@ from .action import (
     FiniteGroupAction,
     age,
     close_group,
-    cyclo_field_for,
     descend_multiplication,
     fixed_locus,
     pointwise_stabilizer,

@@ -8,10 +8,10 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import add
 
-from .cyclotomic import CycloField, spectrum_mod, split_prime
+from .cyclotomic import spectrum_mod, split_prime
 from .errors import CertificateError, InputError
 from .linalg import (
     AffineSolutionSet,
@@ -200,9 +200,6 @@ class FiniteGroupAction:
 
     def identity(self):
         return AffineAutomorphism.of(EndoBlockMatrix.identity(self.variety))
-
-    def nontrivial_elements(self):
-        return [g for g in self.elements if not g.is_identity()]
 
     @cached_property
     def class_rep(self):
@@ -509,53 +506,37 @@ def holonomy_order(phi: EndoBlockMatrix):
         raise
 
 
-def group_exponent(group: FiniteGroupAction):
-    """lcm of the orders of the holonomies, the lcm of the orders d that
-    ``power_walk`` records.  Conjugate elements have conjugate holonomies,
-    of one order, and every holonomy is that of some element, so the
-    classes' orders have the same lcm as all of them.  A class a walk
-    reaches holds a power of the walk's root, whose holonomy order divides
-    the root's, so the roots' orders have that lcm too."""
-    return lcm(*(d for _, _, d in group.power_walk.values()))
-
-
-def cyclo_field_for(group: FiniteGroupAction) -> CycloField:
-    """Q(zeta_m), m = lcm(12, exponent of the holonomy group): every
-    holonomy order divides m, so the field holds every eigenvalue of the
-    group and the roots of unity of the zeta4 and zeta6 factors."""
-    return CycloField(lcm(12, group_exponent(group)))
-
-
-def age(g: AffineAutomorphism, field: CycloField, d):
+def age(g: AffineAutomorphism, d):
     """The function k -> the age of g^k, for d a multiple of the order of
     the holonomy A of g; every command passes the order that ``power_walk``
     records.  The age of g is the sum of the r_j over the analytic
     eigenvalues e^(2 pi i r_j) of A, r_j in [0,1); 0 for identity holonomy.
 
-    The spectrum of A is counted modulo p, with (p, z) = ``split_prime(m,
-    2n + 1)``, over the r-th roots, r = gcd(m, d), which is d when d | m:
-    count_e = n - rank_p(A - z^(e m/r) I), and zeta_r^e has multiplicity
-    count_e.  Reduction modulo a prime above p never raises a rank, so
-    count_e is at least the multiplicity over Q(zeta_m).  When A^r = I,
-    A mod p is diagonalisable, as r is prime to p, so both kinds of count
-    sum to n and are equal.  When the counts sum to n, A^r is congruent to
-    I.  Its order divides that of A, whose primes q have q - 1 <= 2n, so it
-    is prime to p; and B = I + X of order k prime to p with X = 0 mod the
-    prime has X (k I + X Y) = 0 with the second factor invertible, so A^r =
-    I.  The counts thus reach n exactly when every eigenvalue of A, a d-th
-    root of unity, is an m-th root of unity, that is when the field holds
-    the spectrum.  Then the eigenvalues of A^k are the k-th powers of the
-    zeta_r^e, so g^k has age sum_e count_e ((k e mod r) / r)."""
+    The spectrum of A is counted modulo p, with m = lcm(12, d), the least
+    conductor that holds the d-th roots of unity and the zeta4 and zeta6
+    images ``analytic_rep_mod`` needs, and (p, z) = ``split_prime(m, 2n +
+    1)``, over the d-th roots: count_e = n - rank_p(A - z^(e m/d) I), and
+    zeta_d^e has multiplicity count_e.  Reduction modulo a prime above p
+    never raises a rank, so count_e is at least the multiplicity over
+    Q(zeta_m).  When A^d = I, A mod p is diagonalisable, as d <= m < p is
+    prime to p, so both kinds of count sum to n and are equal.  When the
+    counts sum to n, A^d is congruent to I.  Its order divides that of A,
+    whose primes q have q - 1 <= 2n, so it is prime to p; and B = I + X of
+    order k prime to p with X = 0 mod the prime has X (k I + X Y) = 0 with
+    the second factor invertible, so A^d = I.  The counts thus reach n
+    exactly when A^d = I.  Short of n, d is no multiple of the order of A,
+    so the walk that gave d is at fault: a ``CertificateError`` naming g.
+    Then the eigenvalues of A^k are the k-th powers of the zeta_d^e, so g^k
+    has age sum_e count_e ((k e mod d) / d)."""
     phi = g.holonomy
     n = phi.variety.n
-    m = field.m
-    r = gcd(m, d)
+    m = lcm(12, d)
     p, z = split_prime(m, 2 * n + 1)
-    counts = spectrum_mod(analytic_rep_mod(phi, m, p, z), p, pow(z, m // r, p), r)
+    counts = spectrum_mod(analytic_rep_mod(phi, m, p, z), p, pow(z, m // d, p), d)
     if counts is None:
-        raise InputError("field too small", code="field-too-small")
+        raise CertificateError(f"order {d} does not kill the spectrum of {g}")
     spectrum = [(e, count) for e, count in enumerate(counts) if count]
-    return lambda k: Fraction(sum(count * (k * e % r) for e, count in spectrum), r)
+    return lambda k: Fraction(sum(count * (k * e % d) for e, count in spectrum), d)
 
 
 def descend_multiplication(group: FiniteGroupAction):

@@ -13,7 +13,6 @@ from typing import Optional
 from .action import (
     FiniteGroupAction,
     age,
-    cyclo_field_for,
     descend_multiplication,
     fixed_locus,
     mat_eq_identity,
@@ -141,18 +140,19 @@ def reid_tai(group: FiniteGroupAction):
     first element of a failing class is the first failing element.  Each
     age is read first, and a fixed locus is solved only for a class whose
     age is below 1.  A class holding root^k of a walk of ``power_walk``
-    reads its age off the one spectrum ``age`` takes of that root."""
-    cyclo_field = cyclo_field_for(group)
+    reads its age off the one spectrum ``age`` takes of the root's
+    holonomy, which walk roots of one matrix share."""
     elements, rep, walk = group.elements, group.class_rep, group.power_walk
-    ages = {}  # walk root -> k -> the age of its k-th power
+    ages = {}  # root holonomy matrix -> k -> the age of the root's k-th power
     for i in range(1, len(rep)):
         g = elements[i]
         if rep[i] != i or mat_eq_identity(g.matrix):
             continue
         root, k, d = walk[i]
-        if root not in ages:
-            ages[root] = age(elements[root], cyclo_field, d)
-        g_age = ages[root](k)
+        matrix = elements[root].matrix
+        if matrix not in ages:
+            ages[matrix] = age(elements[root], d)
+        g_age = ages[matrix](k)
         if g_age < 1 and fixed_locus(g, group.solver).nonempty:
             return False, g, g_age
     return True, None, None

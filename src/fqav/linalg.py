@@ -160,12 +160,6 @@ def snf(matrix):
     return a, u, v
 
 
-def elementary_divisors(matrix):
-    s, _, _ = snf(matrix)
-    n = min(len(s), len(s[0]) if s else 0)
-    return [s[i][i] for i in range(n) if s[i][i] != 0]
-
-
 # ---------------------------------------------------------------------------
 # Hermite-style canonical basis for row lattices
 

@@ -12,9 +12,9 @@ from fqav import (
     TorsionPoint,
     age,
     close_group,
-    cyclo_field_for,
 )
 from fqav.action import holonomy_order
+from fqav.linalg import snf
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -26,22 +26,33 @@ def automorphism(variety, rows, translation=None):
     return AffineAutomorphism.of(phi, trans)
 
 
-def element_age(g, field):
+def element_age(g):
     """The age of g by ``age``: its function of k at k = 1, for the order
     of g's holonomy."""
-    return age(g, field, holonomy_order(g.holonomy))(1)
+    return age(g, holonomy_order(g.holonomy))(1)
 
 
 def class_ages(group):
     """{first element of each nontrivial class: its age}, each read off the
     spectrum of the root of the ``power_walk`` that reached the class."""
-    field = cyclo_field_for(group)
     elements, walk = group.elements, group.power_walk
     ages = {}
     for root, _, d in walk.values():
         if root not in ages:
-            ages[root] = age(elements[root], field, d)
+            ages[root] = age(elements[root], d)
     return {c: ages[root](k) for c, (root, k, _) in walk.items() if c}
+
+
+def nontrivial_elements(group):
+    """The group's elements other than the identity, in element order."""
+    return [g for g in group.elements if not g.is_identity()]
+
+
+def elementary_divisors(matrix):
+    """The nonzero diagonal entries of the Smith form of ``matrix``."""
+    s, _, _ = snf(matrix)
+    n = min(len(s), len(s[0]) if s else 0)
+    return [s[i][i] for i in range(n) if s[i][i] != 0]
 
 
 @pytest.fixture

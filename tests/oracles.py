@@ -7,16 +7,17 @@
   in ``test_linalg``.
 - The conjugacy classes by a union-find over the pairs (s . x, x . s), the
   holonomy exponent by a walk from every class whose matrix no earlier walk
-  reached, and one age per element over every m-th root of unity.  The
-  runtime reads the classes off orbit walks, and the exponent and every
-  class's age off one power walk per class that no earlier walk reached."""
+  reached, the group's field Q(zeta_m), m = lcm(12, exponent), and one age
+  per element over every m-th root of unity.  The runtime reads the
+  classes off orbit walks, and every class's age off one power walk per
+  class that no earlier walk reached, counted over lcm(12, d) for the
+  walk's holonomy order d; it builds no group-wide field."""
 
 from fractions import Fraction
 from math import lcm
 
 from fqav.action import mat_eq_identity
-from fqav.cyclotomic import spectrum_mod, split_prime
-from fqav.errors import InputError
+from fqav.cyclotomic import CycloField, spectrum_mod, split_prime
 from fqav.variety import analytic_rep_mod
 
 
@@ -128,17 +129,24 @@ def walk_group_exponent(group):
     return e
 
 
+def group_field(group):
+    """Q(zeta_m), m = lcm(12, exponent of the holonomy group): it holds
+    every eigenvalue of the group and the roots of unity of the zeta4 and
+    zeta6 factors."""
+    return CycloField(lcm(12, walk_group_exponent(group)))
+
+
 def conductor_age(g, field):
     """The age of g over Q(zeta_m): the counts n - rank_p(A - z^e I) for
     every e < m, z of order m mod p, until they reach n, and then sum(e
-    count_e) / m; field-too-small when they never do."""
+    count_e) / m.  The field must hold the spectrum of g's holonomy."""
     phi = g.holonomy
     n = phi.variety.n
     m = field.m
     p, z = split_prime(m, 2 * n + 1)
     counts = spectrum_mod(analytic_rep_mod(phi, m, p, z), p, z, m)
     if counts is None:
-        raise InputError("field too small", code="field-too-small")
+        raise AssertionError(f"Q(zeta_{m}) does not hold the spectrum of {g}")
     return Fraction(sum(e * count for e, count in enumerate(counts)), m)
 
 

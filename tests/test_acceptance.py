@@ -13,7 +13,6 @@ import numpy as np
 from fqav.action import (
     AffineAutomorphism,
     close_group,
-    cyclo_field_for,
     descend_multiplication,
     fixed_locus,
     holonomy_order,
@@ -24,7 +23,6 @@ from fqav.decompose import decompose, decompose_fano_part
 from fqav.errors import InputError
 from fqav.linalg import (
     TorsionPoint,
-    elementary_divisors,
     identity_minus,
     mat_mul,
     saturate,
@@ -40,8 +38,8 @@ from fqav.variety import (
     rational_rep,
 )
 
-from conftest import automorphism, element_age
-from oracles import determinant
+from conftest import automorphism, element_age, nontrivial_elements
+from oracles import determinant, group_field
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +112,8 @@ def brute_force_count(m, point, q):
 
 def test_criterion_1_rot4_square_quotient(rot4_square_group):
     group = rot4_square_group
-    field = cyclo_field_for(group)
     gen = group.generators[0]
-    assert element_age(gen, field) == Fraction(1, 2)
+    assert element_age(gen) == Fraction(1, 2)
     r = classification_report(group)
     assert r.quasietale is True
     assert r.q_abelian is True
@@ -148,7 +145,7 @@ def test_criterion_2_sign_rot4_quotient(sign_rot4_group):
 
 def test_criterion_3_kummer(kummer_group):
     group = kummer_group
-    g = group.nontrivial_elements()[0]
+    g = nontrivial_elements(group)[0]
     loc = fixed_locus(g)
     assert loc.dim == 0
     assert len(loc.representatives) == 16
@@ -156,7 +153,7 @@ def test_criterion_3_kummer(kummer_group):
     rho = rational_rep(g.holonomy)
     m = identity_minus(rho)
     assert brute_force_count(m, g.translation, 2) == 16
-    assert element_age(g, cyclo_field_for(group)) == Fraction(1)
+    assert element_age(g) == Fraction(1)
     r = classification_report(group)
     assert r.quasietale is True
     assert r.reid_tai_holds is True
@@ -178,7 +175,7 @@ def test_criterion_4_projective_line(p1_group):
 
 def test_criterion_5_bielliptic(bielliptic_group):
     group = bielliptic_group
-    for g in group.nontrivial_elements():
+    for g in nontrivial_elements(group):
         assert not fixed_locus(g).nonempty
     r = classification_report(group)
     assert r.quasietale is True
@@ -249,7 +246,7 @@ def test_criterion_7_spectra(rot4_square_group, sign_rot4_group, kummer_group,
                              p1_group, bielliptic_group):
     for group in (rot4_square_group, sign_rot4_group, kummer_group, p1_group,
                   bielliptic_group):
-        field = cyclo_field_for(group)
+        field = group_field(group)
         n = group.variety.n
         by_hol = {g.holonomy: g for g in group.elements}
         roots = []
@@ -278,7 +275,7 @@ def test_criterion_7_spectra(rot4_square_group, sign_rot4_group, kummer_group,
             inv = g.holonomy
             while not inv.compose(g.holonomy).is_identity():
                 inv = inv.compose(g.holonomy)
-            pair = element_age(g, field) + element_age(by_hol[inv], field)
+            pair = element_age(g) + element_age(by_hol[inv])
             assert pair == n - mults[field.one()]
 
 

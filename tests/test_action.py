@@ -20,17 +20,15 @@ from fqav.action import (
     age,
     bfs_closure,
     close_group,
-    cyclo_field_for,
     descend_multiplication,
     fixed_locus,
-    group_exponent,
     holonomy_order,
     order_bound,
     pointwise_stabilizer,
 )
 from fqav.cli import main, parse_input
 from fqav.cyclotomic import CycloField, eigen_multiplicity, split_prime
-from fqav.errors import InputError
+from fqav.errors import CertificateError, InputError
 from fqav.linalg import (
     TorsionPoint,
     fixed_lattice,
@@ -45,8 +43,13 @@ from fqav.variety import (
     rational_rep,
 )
 
-from conftest import FIXTURE_DIR, automorphism, class_ages, element_age
-from oracles import class_ages_over_conductor, union_find_class_rep, walk_group_exponent
+from conftest import FIXTURE_DIR, automorphism, class_ages, element_age, nontrivial_elements
+from oracles import (
+    class_ages_over_conductor,
+    group_field,
+    union_find_class_rep,
+    walk_group_exponent,
+)
 from test_acceptance import FACTOR_POOL, random_automorphism, random_variety
 from test_golden import FIXTURES, SL_DIAG, sl_diag_document, translated_sl_diag_document
 
@@ -260,13 +263,13 @@ class TestFixedLoci:
         assert [list(r) for r in lat.basis_rows()] == [[1, 0, 0, 0], [0, 1, 0, 0]]
 
     def test_kummer_sixteen_points(self, kummer_group):
-        g = kummer_group.nontrivial_elements()[0]
+        g = nontrivial_elements(kummer_group)[0]
         loc = fixed_locus(g)
         assert loc.dim == 0
         assert len(loc.representatives) == 16
 
     def test_bielliptic_fixed_free(self, bielliptic_group):
-        g = bielliptic_group.nontrivial_elements()[0]
+        g = nontrivial_elements(bielliptic_group)[0]
         assert not fixed_locus(g).nonempty
         assert fixed_locus(g).dim is None
 
@@ -324,67 +327,58 @@ class TestStabilizer:
 
 class TestAges:
     def test_mult_by_i_diagonal(self, rot4_square_group):
-        field = cyclo_field_for(rot4_square_group)
-        ages = sorted(element_age(g, field) for g in rot4_square_group.elements)
+        ages = sorted(element_age(g) for g in rot4_square_group.elements)
         # id, [i]x[i], [-1]x[-1], [-i]x[-i]
         assert ages == [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
 
     def test_minus_one_times_i(self, e_times_ei):
         g = automorphism(e_times_ei, [[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])
-        group = close_group([g])
-        field = cyclo_field_for(group)
-        assert element_age(g, field) == Fraction(3, 4)
+        assert element_age(g) == Fraction(3, 4)
 
     def test_kummer_age_one(self, kummer_group):
-        field = cyclo_field_for(kummer_group)
-        g = kummer_group.nontrivial_elements()[0]
-        assert element_age(g, field) == Fraction(1)
+        g = nontrivial_elements(kummer_group)[0]
+        assert element_age(g) == Fraction(1)
 
     def test_age_pairing(self, rot4_square_group, sign_rot4_group, p1_group):
         # age(g) + age(g^-1) = codim of the holonomy-fixed analytic subspace
         for group in (rot4_square_group, sign_rot4_group, p1_group):
-            field = cyclo_field_for(group)
             by_hol = {g.holonomy: g for g in group.elements}
             for g in group.elements:
                 inv = g.holonomy
                 while not inv.compose(g.holonomy).is_identity():
                     inv = inv.compose(g.holonomy)
-                total = element_age(g, field) + element_age(by_hol[inv], field)
+                total = element_age(g) + element_age(by_hol[inv])
                 assert total.denominator == 1
 
     def test_ages_do_not_depend_on_the_field(self):
-        # ages are exact, so Q(zeta_2m) gives every class the age that
-        # Q(zeta_m), the group's own field, gives it
+        # ages are exact, so counting over the 2d-th roots, in
+        # Q(zeta_lcm(12, 2d)) modulo its own prime, gives every class the age
+        # that the d-th roots give it in Q(zeta_lcm(12, d))
         texts = [(FIXTURE_DIR / f"{name}.json").read_text() for name in FIXTURES]
         texts += [json.dumps(sl_diag_document(*args)) for args in SL_DIAG.values()]
         for text in texts:
             group = close_group(parse_input(text)[1])
-            field = cyclo_field_for(group)
-            double = CycloField(2 * field.m)
             for root, k, d in group.power_walk.values():
                 g = group.elements[root]
-                assert age(g, double, d)(k) == age(g, field, d)(k), text
+                assert age(g, 2 * d)(k) == age(g, d)(k), text
 
     def test_mult_by_i_single_factor(self, p1_group):
-        field = cyclo_field_for(p1_group)
         g = next(x for x in p1_group.elements
                  if holonomy_order(x.holonomy) == 4)
-        assert element_age(g, field) == Fraction(1, 4)
+        assert element_age(g) == Fraction(1, 4)
 
-    def test_field_too_small(self, p1_group):
-        g = next(x for x in p1_group.elements
-                 if holonomy_order(x.holonomy) == 4)
+    def test_wrong_order_is_a_certificate_error(self):
         variety = AbelianVarietyModel.of(EllipticFactor("zeta4"),
                                          EllipticFactor("zeta4"))
-        # [[0, i], [1, 0]] squares to i . Id, so its holonomy order is 8
+        # [[0, i], [1, 0]] squares to i . Id, so its holonomy order is 8 and
+        # its eigenvalues are zeta_8 and zeta_8^5
         order8 = automorphism(variety, [[(0, 0), (0, 1)], [(1, 0), (0, 0)]])
         assert holonomy_order(order8.holonomy) == 8
-        group8 = close_group([order8])
-        assert cyclo_field_for(group8).m == 24
-        with pytest.raises(InputError) as exc:
-            element_age(order8, CycloField(12))
-        assert exc.value.code == "field-too-small"
-        assert element_age(g, CycloField(12)) == Fraction(1, 4)
+        assert element_age(order8) == Fraction(3, 4)
+        # the 4th roots of unity hold no eigenvalue: the counts stay below n
+        with pytest.raises(CertificateError) as exc:
+            age(order8, 4)
+        assert str(exc.value) == f"order 4 does not kill the spectrum of {order8}"
 
 
 class TestDescend:
@@ -401,11 +395,16 @@ class TestDescend:
         assert descend_multiplication(close_group([g])) == 4
 
 
+def exponent(group):
+    """The lcm of the holonomy orders ``power_walk`` records."""
+    return lcm(*(d for _, _, d in group.power_walk.values()))
+
+
 class TestHolonomyInvariants:
     def test_exponents(self, rot4_square_group, sign_rot4_group, kummer_group):
-        assert group_exponent(rot4_square_group) == 4
-        assert group_exponent(sign_rot4_group) == 4
-        assert group_exponent(kummer_group) == 2
+        assert exponent(rot4_square_group) == 4
+        assert exponent(sign_rot4_group) == 4
+        assert exponent(kummer_group) == 2
         # S3 permuting E^3: no element has order 6, the exponent
         e = EllipticFactor("generic", "E")
         variety = AbelianVarietyModel.of(e, e, e)
@@ -413,7 +412,7 @@ class TestHolonomyInvariants:
         s3 = close_group([
             automorphism(variety, [[zero, one, zero], [zero, zero, one], [one, zero, zero]]),
             automorphism(variety, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])])
-        assert s3.order == 6 and group_exponent(s3) == 6
+        assert s3.order == 6 and exponent(s3) == 6
         holonomies = dict.fromkeys(g.holonomy for g in s3.elements)
         assert sorted(holonomy_order(phi) for phi in holonomies) == [1, 2, 2, 2, 3, 3]
 
@@ -843,14 +842,14 @@ def reference_group_exponent(group):
 
 
 class TestExponentOnTables:
-    """``group_exponent`` walks powers in the closure tables; the oracle
-    multiplies matrices."""
+    """``power_walk`` walks powers in the closure tables, and its orders
+    have the exponent's lcm; the oracle multiplies matrices."""
 
     def test_gallery(self, rot4_square_group, sign_rot4_group, kummer_group, p1_group,
                      bielliptic_group):
         groups = [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
                   bielliptic_group] + nonabelian_groups()
-        exponents = [group_exponent(group) for group in groups]
+        exponents = [exponent(group) for group in groups]
         assert exponents == [reference_group_exponent(group) for group in groups]
         assert exponents == [walk_group_exponent(group) for group in groups]
         assert exponents == [4, 4, 2, 4, 2, 6, 8, 12, 6]
@@ -858,19 +857,19 @@ class TestExponentOnTables:
     @ORACLE
     @given(small_groups())
     def test_random_groups(self, group):
-        assert group_exponent(group) == reference_group_exponent(group)
-        assert group_exponent(group) == walk_group_exponent(group)
+        assert exponent(group) == reference_group_exponent(group)
+        assert exponent(group) == walk_group_exponent(group)
 
     def test_order_108_makes_no_product(self, monkeypatch):
         group = nonabelian_groups()[-1]
         assert group.order == 108
 
         def refuse(*args):
-            raise AssertionError("a matrix product in group_exponent")
+            raise AssertionError("a matrix product in power_walk")
 
         monkeypatch.setattr(action_module, "mat_mul", refuse)
         monkeypatch.setattr(linalg, "mat_mul", refuse)
-        assert group_exponent(group) == 6
+        assert exponent(group) == 6
 
 
 def assert_power_walk(group):
@@ -889,7 +888,7 @@ def assert_power_walk(group):
         for _ in range(k):
             power = group.tables.left(power)[root]
         assert rep[power] == c
-    assert class_ages(group) == class_ages_over_conductor(group, cyclo_field_for(group))
+    assert class_ages(group) == class_ages_over_conductor(group, group_field(group))
 
 
 class TestPowerWalkAges:
@@ -924,12 +923,10 @@ class TestPowerWalkAges:
 # ages from the spectrum mod p against the cyclotomic reference
 
 def reference_age(phi, field):
-    """The age by eigen_multiplicity over Q(zeta_m): one kernel rank per
-    primitive root of each order dividing the holonomy order; None when the
-    field does not hold the spectrum."""
+    """The age by eigen_multiplicity over Q(zeta_m), which must hold the
+    spectrum: one kernel rank per primitive root of each order dividing the
+    holonomy order."""
     order = holonomy_order(phi)
-    if field.m % order:
-        return None
     mat = analytic_rep(phi, field)
     total = Fraction(0)
     for d in range(2, order + 1):
@@ -973,18 +970,18 @@ def finite_order_holonomies(draw, sizes=st.integers(1, 4), monomial_only=False):
 
 
 class TestSpectrumModP:
-    def assert_matches_reference(self, phi, field):
-        # the age of every power phi^k, read off the one spectrum of phi
+    def assert_matches_reference(self, phi, wrong_order=False):
+        # the age of every power phi^k, read off the one spectrum of phi,
+        # against the reference over Q(zeta_lcm(12, d)); d - 1, no multiple
+        # of the order d > 1, is a certificate failure naming the root
         g = AffineAutomorphism.of(phi)
         d = holonomy_order(phi)
-        want = reference_age(phi, field)
-        if want is None:
-            with pytest.raises(InputError) as exc:
-                age(g, field, d)
-            assert exc.value.code == "field-too-small"
-            return
-        ages = age(g, field, d)
-        assert ages(1) == want
+        if wrong_order and d > 1:
+            with pytest.raises(CertificateError) as exc:
+                age(g, d - 1)
+            assert str(exc.value) == f"order {d - 1} does not kill the spectrum of {g}"
+        field = CycloField(lcm(12, d))
+        ages = age(g, d)
         power = EndoBlockMatrix.identity(phi.variety)
         for k in range(d):
             assert ages(k) == reference_age(power, field), k
@@ -993,11 +990,8 @@ class TestSpectrumModP:
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(finite_order_holonomies(), st.booleans())
-    def test_random_holonomies(self, phi, smallest):
-        # the group's field, lcm(12, order), or Q(zeta_12), which may be too
-        # small for the spectrum
-        m = 12 if smallest else lcm(12, holonomy_order(phi))
-        self.assert_matches_reference(phi, CycloField(m))
+    def test_random_holonomies(self, phi, wrong_order):
+        self.assert_matches_reference(phi, wrong_order)
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -1005,15 +999,14 @@ class TestSpectrumModP:
     def test_six_factors(self, phi):
         # p > 2n + 1 = 13 rules out 13 for m = 12
         assert split_prime(12, 13)[0] == 37
-        self.assert_matches_reference(phi, CycloField(lcm(12, holonomy_order(phi))))
+        self.assert_matches_reference(phi)
 
     def test_order_eight(self):
         z4 = EllipticFactor("zeta4")
         order8 = EndoBlockMatrix.from_rows(AbelianVarietyModel.of(z4, z4),
                                            [[(0, 0), (0, 1)], [(1, 0), (0, 0)]])
         assert holonomy_order(order8) == 8
-        self.assert_matches_reference(order8, CycloField(12))
-        self.assert_matches_reference(order8, CycloField(24))
+        self.assert_matches_reference(order8, wrong_order=True)
 
     def test_split_prime(self):
         for m in (12, 24, 36, 60, 120):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from fqav.action import close_group, cyclo_field_for, fixed_locus, pointwise_stabilizer
+from fqav.action import close_group, fixed_locus, pointwise_stabilizer
 from fqav.cli import build_report, parse_input
 from fqav.classify import (
     classification_report,
@@ -21,12 +21,12 @@ from fqav.errors import InputError
 from fqav.linalg import Lattice, mat_vec
 from fqav.variety import SubtorusTranslate, rational_rep
 
-from conftest import element_age
-from oracles import conductor_age
+from conftest import element_age, nontrivial_elements
+from oracles import conductor_age, group_field
 from test_acceptance import random_automorphism, random_variety
 from test_action import ORACLE, nonabelian_groups, small_groups
 from test_cli import count_calls
-from test_golden import sl_diag_document
+from test_golden import sl_diag_document, translated_sl_diag_document
 
 # the module, whose ``reid_tai`` reads ``age`` by name
 classify_module = importlib.import_module("fqav.classify")
@@ -95,8 +95,8 @@ class TestReidTai:
         holds, witness, witness_age = reid_tai(rot4_square_group)
         assert not holds
         assert witness is not None
-        assert element_age(witness, cyclo_field_for(rot4_square_group)) < 1
-        assert witness_age == element_age(witness, cyclo_field_for(rot4_square_group))
+        assert element_age(witness) < 1
+        assert witness_age == element_age(witness)
 
     def test_kummer_holds(self, kummer_group):
         holds, witness, witness_age = reid_tai(kummer_group)
@@ -230,7 +230,7 @@ class TestRamificationOracle:
 
 def reference_is_quasietale(group):
     n = group.variety.n
-    for g in group.nontrivial_elements():
+    for g in nontrivial_elements(group):
         loc = fixed_locus(g)
         if loc.nonempty and loc.dim > n - 2:
             return False
@@ -238,8 +238,8 @@ def reference_is_quasietale(group):
 
 
 def reference_reid_tai(group):
-    field = cyclo_field_for(group)
-    for g in group.nontrivial_elements():
+    field = group_field(group)
+    for g in nontrivial_elements(group):
         if g.holonomy.is_identity() or not fixed_locus(g).nonempty:
             continue
         g_age = conductor_age(g, field)
@@ -252,7 +252,7 @@ def reference_ramification(group):
     """(components, indices): every element's divisorial fixed locus."""
     n = group.variety.n
     by_key = {}
-    for g in group.nontrivial_elements():
+    for g in nontrivial_elements(group):
         loc = fixed_locus(g)
         if loc.dim != n - 1:
             continue
@@ -300,6 +300,25 @@ class TestAgesWriteNoRank:
         # the order-108 group reads its 19 class ages off 7 spectra
         assert (spectra[108], read[108]) == (7, 19)
         assert sum(read.values()) > sum(spectra.values())
+
+
+class TestSpectraPerRootHolonomy:
+    @pytest.mark.parametrize("document, spectra", [
+        (translated_sl_diag_document(), 15),
+        (sl_diag_document("zeta6", cycle=True), 7),
+    ], ids=["order-6912", "sl-diag-c3-108"])
+    def test_one_spectrum_per_root_holonomy(self, document, spectra, monkeypatch):
+        # walk roots of one holonomy matrix share its spectrum.  The order-
+        # 6912 group's walk has 24 roots on 16 distinct matrices, classes
+        # that share a holonomy but not a translation; Reid-Tai holds, so
+        # every class is visited, and the roots it visits hold 15 distinct
+        # matrices.  The order-108 group has no translation, so each of its
+        # 7 roots is its own matrix
+        calls = Counter()
+        count_calls(monkeypatch, "age", calls)
+        doc = build_report(*parse_input(json.dumps(document)), "reidtai")
+        assert doc["reid_tai"]["holds"]
+        assert calls == Counter(age=spectra)
 
 
 class TestClassPathOracle:

@@ -1,19 +1,19 @@
-import importlib
 import json
 import re
 import sys
 from collections import Counter
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqav.action import FiniteGroupAction, close_group, fixed_locus
+from fqav.action import FiniteGroupAction, close_group, fixed_locus, holonomy_order
 from fqav.cli import COMMANDS, MAX_DENOMINATOR_BITS, build_report, main, parse_input, serialize
-from fqav.cyclotomic import CycloField, split_prime
+from fqav.cyclotomic import split_prime
 from fqav.errors import InputError
-from fqav.linalg import FixedPointSolver, elementary_divisors, identity_minus
+from fqav.linalg import FixedPointSolver, identity_minus
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, elementary_divisors
 from test_golden import sl_diag_document
 
 FIXTURES = ("rot4-square.json", "sign-rot4.json", "kummer.json",
@@ -396,21 +396,19 @@ class TestMain:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_command_checks_the_conductor(self, command, tmp_path, capsys,
                                                 monkeypatch):
-        # an order-8 holonomy needs 8 | m: the conductor comes from the group,
-        # lcm(12, 8) = 24, so no command finds its field too small, and only
-        # the commands that print Reid-Tai find it.  The group is cyclic, so
-        # one power walk reaches every class, and its one spectrum is
-        # counted over the 8th roots
-        fields, spectra = [], Counter()
-        count_calls(monkeypatch, "cyclo_field_for", Counter(), fields)
-        count_calls(monkeypatch, "age", spectra, key=lambda g, field, d: (field.m, d))
+        # an order-8 holonomy needs 8 | m: each spectrum picks its own
+        # conductor from its root's holonomy order d, lcm(12, 8) = 24, so
+        # only the commands that print Reid-Tai take one.  The group is
+        # cyclic, so one power walk reaches every class, and its one
+        # spectrum is counted over the 8th roots
+        spectra = Counter()
+        count_calls(monkeypatch, "age", spectra, key=lambda g, d: (lcm(12, d), d))
         p = tmp_path / "order8.json"
         p.write_text(json.dumps(ORDER8_DOC))
         assert main([command, str(p)]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         reads_ages = command in ("classify", "reidtai", "report")
-        assert [f.m for f in fields] == ([24] if reads_ages else [])
         assert spectra == (Counter({(24, 8): 1}) if reads_ages else Counter())
         if command == "report":
             doc = json.loads(captured.out)
@@ -418,19 +416,27 @@ class TestMain:
             assert doc["classification"]["reid_tai_witness"] == doc["reid_tai"]["witness"]
 
     @pytest.mark.parametrize("command", ["classify", "reidtai", "report"])
-    def test_forced_small_conductor_is_too_small(self, command, tmp_path, capsys,
-                                                 monkeypatch):
-        # with the conductor forced to 12, the order-8 holonomy's spectrum is
-        # counted over the gcd(12, 8) = 4th roots; its eigenvalues are
-        # primitive 8th roots, so the counts stay below n = 2
-        monkeypatch.setattr(importlib.import_module("fqav.classify"), "cyclo_field_for",
-                            lambda group: CycloField(12))
+    def test_wrong_walk_order_exits_two(self, command, tmp_path, capsys, monkeypatch):
+        # a power walk that stops at g^4 on the order-8 holonomy counts its
+        # spectrum over the 4th roots; its eigenvalues are primitive 8th
+        # roots, so the counts stay below n = 2: an internal fault, which
+        # names the root
+        walk = FiniteGroupAction.power_walk
+
+        def halved(group):
+            return {c: (root, k, d // 2) for c, (root, k, d) in walk.func(group).items()}
+
+        monkeypatch.setattr(FiniteGroupAction, "power_walk", property(halved))
         p = tmp_path / "order8.json"
         p.write_text(json.dumps(ORDER8_DOC))
-        assert main([command, str(p)]) == 1
+        group = close_group(parse_input(p.read_text())[1])
+        root = group.elements[walk.func(group)[1][0]]
+        assert holonomy_order(root.holonomy) == 8
+        assert main([command, str(p)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error[field-too-small]: ")
+        assert captured.err == (f"certificate failure: order 4 does not kill the spectrum "
+                                f"of {root}\n")
 
     @pytest.mark.parametrize("argv", [
         ["validate", "kummer.json", "--cap", "abc"],
@@ -659,8 +665,9 @@ class TestComputeOnce:
         assert calls["age"] == 1
 
     def test_split_prime_searched_once(self, monkeypatch):
-        # every spectrum of a group is counted modulo the prime of (m, 2n +
-        # 1), so the order-108 group takes its 7 spectra on one search
+        # a spectrum over the d-th roots is counted modulo the prime of
+        # (lcm(12, d), 2n + 1); every holonomy order of the order-108 group
+        # divides 12, so its 7 spectra take one search
         calls = Counter()
         count_calls(monkeypatch, "age", calls)
         split_prime.cache_clear()

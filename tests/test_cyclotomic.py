@@ -5,7 +5,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fqav.action import cyclo_field_for
 from fqav.classify import reid_tai
 from fqav import cyclotomic
 from fqav.cyclotomic import (
@@ -320,7 +319,7 @@ def test_ages_never_invert(rot4_square_group, sign_rot4_group,
                   bielliptic_group):
         reid_tai(group)
         for g in group.elements:
-            element_age(g, cyclo_field_for(group))
+            element_age(g)
 
 
 # ---------------------------------------------------------------------------

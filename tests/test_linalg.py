@@ -29,14 +29,13 @@ from fqav.linalg import (
     saturate,
     snf,
     solve_affine_mod_lattice,
-    elementary_divisors,
     factor_affine,
     matrix_rank,
     solve_factored,
 )
 from fqav.variety import rational_rep, subtorus_kappa
 
-from conftest import automorphism
+from conftest import automorphism, elementary_divisors
 from oracles import determinant, gauss_jordan_rank, solve_rational
 from test_action import finite_order_holonomies
 
