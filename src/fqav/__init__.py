@@ -38,7 +38,6 @@ from .variety import (
     EllipticFactor,
     EndoBlockMatrix,
     SubtorusTranslate,
-    analytic_rep,
     rational_rep,
 )
 

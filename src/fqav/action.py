@@ -44,7 +44,7 @@ def mat_eq_identity(m):
     return m == _identity_rows(len(m))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LatticeElement:
     """An affine map x -> W x + a on the torus R^N/Z^N, W unimodular.  It
     equals each element, of either class, with its (matrix, translation)."""
@@ -75,7 +75,9 @@ class LatticeElement:
         return self.translation.is_zero() and mat_eq_identity(self.matrix)
 
     def with_data(self, matrix, translation):
-        return LatticeElement(matrix, translation)
+        """The element of this class with these data, ``bfs_closure``'s
+        build hook."""
+        return type(self)(matrix, translation)
 
     def compose(self, other):
         """(t_a . W)(t_b . V) = t_(a + W b) . (W V)."""
@@ -99,12 +101,12 @@ class LatticeElement:
         return f"x -> [{rows}] x + [{coords}]"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AffineAutomorphism(LatticeElement):
     """g = t_a . phi with finite-order holonomy phi and torsion translation
-    a: the lattice element (rho(phi), a) of the variety ``variety``."""
-
-    variety: AbelianVarietyModel
+    a: the lattice element (rho(phi), a).  The variety is the group's,
+    ``FiniteGroupAction.variety``; ``block_pairs`` reads phi's blocks back
+    off the matrix."""
 
     @classmethod
     def of(cls, holonomy, translation=None):
@@ -113,19 +115,7 @@ class AffineAutomorphism(LatticeElement):
             translation = TorsionPoint.zero(n2)
         if len(translation.num) != n2:
             raise InputError("translation has wrong length", code="bad-translation")
-        g = cls(holonomy.matrix, translation, holonomy.variety)
-        g.__dict__["holonomy"] = holonomy  # the cached property, known already
-        return g
-
-    @cached_property
-    def holonomy(self):
-        """phi, the ``EndoBlockMatrix`` read off the matrix."""
-        return EndoBlockMatrix(self.variety, block_pairs(self.matrix), self.matrix)
-
-    def with_data(self, matrix, translation):
-        """The automorphism of this variety with these data; ``matrix`` must
-        be the rational representation of an endomorphism."""
-        return AffineAutomorphism(matrix, translation, self.variety)
+        return cls(holonomy.matrix, translation)
 
     def compose(self, other):
         """``LatticeElement.compose``, on this class to be traced apart."""
@@ -277,10 +267,10 @@ def bfs_closure(identity, gens, cap, overflow):
     depends only on the generator list.  The exception ``overflow`` is raised as soon as
     the closure holds more than ``cap`` elements.
 
-    The elements are affine maps of one kind, with ``matrix``,
-    ``translation``, ``with_data``, ``row_key`` and ``key_rows``; two are
-    equal iff their data (matrix, translation) are.  Elements are composed
-    in the order they are found.
+    The elements are affine maps of one class, records of the two fields
+    ``matrix`` and ``translation``, whose class has ``with_data``,
+    ``row_key`` and ``key_rows``; two are equal iff their data are.
+    Elements are composed in the order they are found.
 
     No matrix product is made.  Row i of M N is (row i of M) N, so the
     search numbers the distinct matrix rows, ``rows``, and keeps for each
@@ -381,22 +371,35 @@ def bfs_closure(identity, gens, cap, overflow):
     return [found[k] for k in numbers], tables
 
 
-def close_group(gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
+def _blocks_on(variety, g):
+    """The blocks of g's holonomy, read off its matrix, which must be the
+    rational representation of an endomorphism of ``variety``."""
+    blocks = block_pairs(g.matrix)
+    try:
+        if EndoBlockMatrix.from_rows(variety, blocks).matrix == g.matrix:
+            return blocks
+    except InputError:  # the wrong rank, or blocks the factors do not admit
+        pass
+    raise InputError("generator is not an endomorphism of the variety", code="mixed-varieties")
+
+
+def close_group(variety, gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
     """Breadth-first closure under composition (lexicographic tie-break per
     level); a finite closed set under composition containing the generators
-    is automatically a group.  A generator whose holonomy is not an
-    automorphism or has infinite order is rejected before closing, by
+    is automatically a group.  Before closing, a generator that is not an
+    endomorphism of ``variety`` is rejected by ``_blocks_on``, and one whose
+    holonomy is not an automorphism or has infinite order by
     ``holonomy_order``; the others have finite order, since their
     translations are torsion."""
     if not gens:
         raise InputError("no generators", code="no-generators")
-    variety = gens[0].variety
+    keys = {}  # each distinct generator -> its sort_key, off the blocks checked
     for g in gens:
-        if g.variety != variety:
-            raise InputError("generators on different varieties", code="mixed-varieties")
-        holonomy_order(g.holonomy)
+        if g not in keys:
+            keys[g] = (_blocks_on(variety, g), g.translation.sort_key())
+            holonomy_order(g.matrix)
     ident = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
-    gens_sorted = sorted(set(gens), key=AffineAutomorphism.sort_key)
+    gens_sorted = sorted(keys, key=keys.__getitem__)
     elements, tables = bfs_closure(
         ident, gens_sorted, cap, InputError("group order exceeds cap", code="cap-exceeded"))
     return FiniteGroupAction(variety, tuple(gens_sorted), tuple(elements), tables)
@@ -441,7 +444,7 @@ def order_bound(rank):
     return lcm(*(d for d in range(1, top + 1) if phi[d] <= rank))
 
 
-# the prime modulo which ``holonomy_order`` raises phi to the K-th power
+# the prime modulo which ``holonomy_order`` raises rho to the K-th power
 _ORDER_PRIME = (1 << 61) - 1
 
 
@@ -462,16 +465,16 @@ def _check_unimodular(rho):
         raise InputError("holonomy is not an automorphism", code="not-automorphism")
 
 
-def holonomy_order(phi: EndoBlockMatrix):
-    """Order of phi, the order of its rational representation rho.  Every
-    finite order divides K = ``order_bound``, so phi has infinite order when
-    none of its first K powers is the identity.  At most DEFAULT_GROUP_CAP
-    powers are tried.  When K exceeds that cap, rho^K is first taken mod a
-    prime: a result other than I proves infinite order.  Otherwise a search
+def holonomy_order(rho):
+    """Order of the holonomy whose rational representation is the int rows
+    rho.  Every finite order divides K = ``order_bound``, so rho has
+    infinite order when none of its first K powers is the identity.  At
+    most DEFAULT_GROUP_CAP powers are tried.  When K exceeds that cap, rho^K
+    is first taken mod a prime: a result other than I proves infinite order.  Otherwise a search
     that reaches the cap means the order exceeds the default group cap,
     finite or not.  A power whose trace exceeds 2n = rank in absolute value
     ends the walk: one of finite order has 2n roots of unity as eigenvalues,
-    so this power, and with it phi, has infinite order.
+    so this power, and with it rho, has infinite order.
 
     A rho that is not unimodular raises not-automorphism, which wins over
     the order errors.  Its determinant is taken only when the walk does not
@@ -480,7 +483,6 @@ def holonomy_order(phi: EndoBlockMatrix):
     after rank powers, or before the walk raises, whichever comes first, so
     such a rho walks at most rank powers (after rho^K mod a prime, when K
     exceeds the cap)."""
-    rho = phi.matrix
     rank = len(rho)
     infinite = InputError("holonomy has infinite order", code="infinite-order")
     bound = order_bound(rank)
@@ -506,11 +508,12 @@ def holonomy_order(phi: EndoBlockMatrix):
         raise
 
 
-def age(g: AffineAutomorphism, d):
+def age(g: AffineAutomorphism, d, variety):
     """The function k -> the age of g^k, for d a multiple of the order of
-    the holonomy A of g; every command passes the order that ``power_walk``
-    records.  The age of g is the sum of the r_j over the analytic
-    eigenvalues e^(2 pi i r_j) of A, r_j in [0,1); 0 for identity holonomy.
+    the holonomy A of g, an automorphism of ``variety``; every command
+    passes the order that ``power_walk`` records.  The age of g is the sum
+    of the r_j over the analytic eigenvalues e^(2 pi i r_j) of A, r_j in
+    [0,1); 0 for identity holonomy.
 
     The spectrum of A is counted modulo p, with m = lcm(12, d), the least
     conductor that holds the d-th roots of unity and the zeta4 and zeta6
@@ -528,11 +531,10 @@ def age(g: AffineAutomorphism, d):
     so the walk that gave d is at fault: a ``CertificateError`` naming g.
     Then the eigenvalues of A^k are the k-th powers of the zeta_d^e, so g^k
     has age sum_e count_e ((k e mod d) / d)."""
-    phi = g.holonomy
-    n = phi.variety.n
     m = lcm(12, d)
-    p, z = split_prime(m, 2 * n + 1)
-    counts = spectrum_mod(analytic_rep_mod(phi, m, p, z), p, pow(z, m // d, p), d)
+    p, z = split_prime(m, 2 * variety.n + 1)
+    counts = spectrum_mod(analytic_rep_mod(variety, block_pairs(g.matrix), m, p, z),
+                          p, pow(z, m // d, p), d)
     if counts is None:
         raise CertificateError(f"order {d} does not kill the spectrum of {g}")
     spectrum = [(e, count) for e, count in enumerate(counts) if count]

@@ -151,7 +151,7 @@ def reid_tai(group: FiniteGroupAction):
         root, k, d = walk[i]
         matrix = elements[root].matrix
         if matrix not in ages:
-            ages[matrix] = age(elements[root], d)
+            ages[matrix] = age(elements[root], d, group.variety)
         g_age = ages[matrix](k)
         if g_age < 1 and fixed_locus(g, group.solver).nonempty:
             return False, g, g_age

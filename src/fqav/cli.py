@@ -19,7 +19,7 @@ from .action import AffineAutomorphism, DEFAULT_GROUP_CAP, close_group
 from .classify import Analysis
 from .errors import CertificateError, InputError
 from .linalg import TorsionPoint
-from .variety import AbelianVarietyModel, EllipticFactor, EndoBlockMatrix
+from .variety import AbelianVarietyModel, EllipticFactor, EndoBlockMatrix, block_pairs
 
 SCHEMA_VERSION = 1
 
@@ -187,7 +187,7 @@ def _lattice_doc(lat):
 
 
 def _element_doc(g):
-    return {"holonomy": [[[c, d] for c, d in row] for row in g.holonomy.blocks],
+    return {"holonomy": [[[c, d] for c, d in row] for row in block_pairs(g.matrix)],
             "translation": _point_doc(g.translation)}
 
 
@@ -252,7 +252,7 @@ def _decomposition_doc(result):
 
 
 def build_report(variety, gens, options, command):
-    group = close_group(gens, cap=options["group_cap"])
+    group = close_group(variety, gens, cap=options["group_cap"])
     doc = {"schema_version": SCHEMA_VERSION,
            "command": command,
            "input": _input_echo(variety, gens, options)}

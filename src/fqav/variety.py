@@ -11,7 +11,6 @@ import dataclasses
 from dataclasses import dataclass
 from functools import cache
 
-from .cyclotomic import CycloField
 from .errors import CertificateError, InputError
 from .linalg import (
     Lattice,
@@ -100,13 +99,13 @@ class EndoBlockMatrix:
         n = variety.n
         if len(blocks) != n or any(len(r) != n for r in blocks):
             raise InputError("holonomy block shape mismatch", code="not-endomorphism")
-        for j in range(n):
-            for k in range(n):
-                c, d = blocks[j][k]
-                if fs[j].hom_key(fs[k]) is None:
-                    if (c, d) != (0, 0):
+        keys = [f.hom_key(f) for f in fs]  # factors j, k admit homs iff keys agree
+        for j, row in enumerate(blocks):
+            for k, (c, d) in enumerate(row):
+                if keys[j] != keys[k]:
+                    if c or d:
                         raise InputError("not an endomorphism", code="not-endomorphism")
-                elif d != 0 and not fs[j].has_cm:
+                elif d and not fs[j].has_cm:
                     raise InputError("not an endomorphism", code="not-endomorphism")
         phi = cls(variety, blocks, ())
         object.__setattr__(phi, "matrix", tuple(map(tuple, rational_rep(phi))))
@@ -149,49 +148,26 @@ def rational_rep(phi: EndoBlockMatrix):
     fs = phi.variety.factors
     n = phi.variety.n
     out = [[0] * (2 * n) for _ in range(2 * n)]
-    for j in range(n):
-        for k in range(n):
-            c, d = phi.blocks[j][k]
-            if (c, d) == (0, 0):
-                continue
-            if d == 0:
-                block = [[c, 0], [0, c]]
-            else:
-                t = fs[k].tau_block
-                block = [[c + d * t[0][0], d * t[0][1]],
-                         [d * t[1][0], c + d * t[1][1]]]
-            for a in range(2):
-                for b in range(2):
-                    out[2 * j + a][2 * k + b] = block[a][b]
-    return out
-
-
-def analytic_rep(phi: EndoBlockMatrix, field: CycloField):
-    """The n x n action on the tangent space, with entries in Q(zeta_m)."""
-    fs = phi.variety.factors
-    n = phi.variety.n
-    out = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            c, d = phi.blocks[j][k]
-            entry = field.rational(c)
+    for top, bottom, row in zip(out[0::2], out[1::2], phi.blocks):
+        for k, (c, d) in enumerate(row):
             if d:
-                tau = field.root_of_unity(4 if fs[k].cm == ZETA4 else 6)
-                entry = entry + field.rational(d) * tau
-            row.append(entry)
-        out.append(row)
+                (t00, t01), (t10, t11) = fs[k].tau_block
+                top[2 * k:2 * k + 2] = c + d * t00, d * t01
+                bottom[2 * k:2 * k + 2] = d * t10, c + d * t11
+            elif c:
+                top[2 * k] = bottom[2 * k + 1] = c
     return out
 
 
-def analytic_rep_mod(phi: EndoBlockMatrix, m, p, z):
-    """``analytic_rep(phi, Q(zeta_m))`` reduced modulo the prime of
-    Z[zeta_m] that sends zeta_m to z mod p: c + d*tau becomes c + d z^(m/4)
-    on a zeta4 factor and c + d z^(m/6) on a zeta6 factor, as int rows in
-    [0, p)."""
+def analytic_rep_mod(variety, blocks, m, p, z):
+    """The n x n action on the tangent space of the endomorphism of
+    ``variety`` with these blocks, over Q(zeta_m), reduced modulo the prime
+    of Z[zeta_m] that sends zeta_m to z mod p: c + d*tau becomes c + d
+    z^(m/4) on a zeta4 factor and c + d z^(m/6) on a zeta6 factor, as int
+    rows in [0, p)."""
     taus = [pow(z, m // (4 if f.cm == ZETA4 else 6), p) if f.has_cm else 0
-            for f in phi.variety.factors]
-    return [[(c + d * tau) % p for (c, d), tau in zip(row, taus)] for row in phi.blocks]
+            for f in variety.factors]
+    return [[(c + d * tau) % p for (c, d), tau in zip(row, taus)] for row in blocks]
 
 
 @dataclass(frozen=True)

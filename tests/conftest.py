@@ -15,6 +15,7 @@ from fqav import (
 )
 from fqav.action import holonomy_order
 from fqav.linalg import snf
+from fqav.variety import block_pairs
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -26,10 +27,16 @@ def automorphism(variety, rows, translation=None):
     return AffineAutomorphism.of(phi, trans)
 
 
-def element_age(g):
-    """The age of g by ``age``: its function of k at k = 1, for the order
-    of g's holonomy."""
-    return age(g, holonomy_order(g.holonomy))(1)
+def holonomy(g, variety):
+    """The holonomy of g, an endomorphism of ``variety``, read back off g's
+    matrix."""
+    return EndoBlockMatrix.from_rows(variety, block_pairs(g.matrix))
+
+
+def element_age(g, variety):
+    """The age of g, an automorphism of ``variety``, by ``age``: its
+    function of k at k = 1, for the order of g's holonomy."""
+    return age(g, holonomy_order(g.matrix), variety)(1)
 
 
 def class_ages(group):
@@ -39,7 +46,7 @@ def class_ages(group):
     ages = {}
     for root, _, d in walk.values():
         if root not in ages:
-            ages[root] = age(elements[root], d)
+            ages[root] = age(elements[root], d, group.variety)
     return {c: ages[root](k) for c, (root, k, _) in walk.items() if c}
 
 
@@ -70,13 +77,13 @@ def e_times_ei():
 @pytest.fixture
 def rot4_square_group(ei_squared):
     g = automorphism(ei_squared, [[(0, 1), (0, 0)], [(0, 0), (0, 1)]])
-    return close_group([g])
+    return close_group(ei_squared, [g])
 
 
 @pytest.fixture
 def sign_rot4_group(e_times_ei):
     g = automorphism(e_times_ei, [[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])
-    return close_group([g])
+    return close_group(e_times_ei, [g])
 
 
 @pytest.fixture
@@ -84,7 +91,7 @@ def kummer_group():
     variety = AbelianVarietyModel.of(EllipticFactor("generic", "E1"),
                                      EllipticFactor("generic", "E2"))
     g = automorphism(variety, [[(-1, 0), (0, 0)], [(0, 0), (-1, 0)]])
-    return close_group([g])
+    return close_group(variety, [g])
 
 
 @pytest.fixture
@@ -93,14 +100,14 @@ def bielliptic_group():
                                      EllipticFactor("generic", "E'"))
     g = automorphism(variety, [[(1, 0), (0, 0)], [(0, 0), (-1, 0)]],
                      ["1/2", 0, 0, 0])
-    return close_group([g])
+    return close_group(variety, [g])
 
 
 @pytest.fixture
 def p1_group():
     variety = AbelianVarietyModel.of(EllipticFactor("zeta4"))
     g = automorphism(variety, [[(0, 1)]])
-    return close_group([g])
+    return close_group(variety, [g])
 
 
 # ---------------------------------------------------------------------------

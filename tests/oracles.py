@@ -11,14 +11,16 @@
   per element over every m-th root of unity.  The runtime reads the
   classes off orbit walks, and every class's age off one power walk per
   class that no earlier walk reached, counted over lcm(12, d) for the
-  walk's holonomy order d; it builds no group-wide field."""
+  walk's holonomy order d; it builds no group-wide field.
+- The exact analytic representation over Q(zeta_m), ``analytic_rep``; the
+  runtime reduces it modulo a split prime as it builds it."""
 
 from fractions import Fraction
 from math import lcm
 
 from fqav.action import mat_eq_identity
 from fqav.cyclotomic import CycloField, spectrum_mod, split_prime
-from fqav.variety import analytic_rep_mod
+from fqav.variety import ZETA4, analytic_rep_mod, block_pairs
 
 
 def gauss_jordan(matrix, cols):
@@ -136,15 +138,33 @@ def group_field(group):
     return CycloField(lcm(12, walk_group_exponent(group)))
 
 
-def conductor_age(g, field):
-    """The age of g over Q(zeta_m): the counts n - rank_p(A - z^e I) for
-    every e < m, z of order m mod p, until they reach n, and then sum(e
-    count_e) / m.  The field must hold the spectrum of g's holonomy."""
-    phi = g.holonomy
+def analytic_rep(phi, field):
+    """The n x n action of the endomorphism phi on the tangent space, with
+    entries in the ``CycloField`` Q(zeta_m)."""
+    fs = phi.variety.factors
     n = phi.variety.n
+    out = []
+    for j in range(n):
+        row = []
+        for k in range(n):
+            c, d = phi.blocks[j][k]
+            entry = field.rational(c)
+            if d:
+                tau = field.root_of_unity(4 if fs[k].cm == ZETA4 else 6)
+                entry = entry + field.rational(d) * tau
+            row.append(entry)
+        out.append(row)
+    return out
+
+
+def conductor_age(g, variety, field):
+    """The age of g, an automorphism of ``variety``, over Q(zeta_m): the
+    counts n - rank_p(A - z^e I) for every e < m, z of order m mod p, until
+    they reach n, and then sum(e count_e) / m.  The field must hold the
+    spectrum of g's holonomy."""
     m = field.m
-    p, z = split_prime(m, 2 * n + 1)
-    counts = spectrum_mod(analytic_rep_mod(phi, m, p, z), p, z, m)
+    p, z = split_prime(m, 2 * variety.n + 1)
+    counts = spectrum_mod(analytic_rep_mod(variety, block_pairs(g.matrix), m, p, z), p, z, m)
     if counts is None:
         raise AssertionError(f"Q(zeta_{m}) does not hold the spectrum of {g}")
     return Fraction(sum(e * count for e, count in enumerate(counts)), m)
@@ -153,5 +173,5 @@ def conductor_age(g, field):
 def class_ages_over_conductor(group, field):
     """{first element of each nontrivial class: its ``conductor_age``}."""
     rep = union_find_class_rep(group)
-    return {i: conductor_age(group.elements[i], field)
+    return {i: conductor_age(group.elements[i], group.variety, field)
             for i in range(1, len(rep)) if rep[i] == i}

@@ -34,12 +34,11 @@ from fqav.variety import (
     AbelianVarietyModel,
     EllipticFactor,
     EndoBlockMatrix,
-    analytic_rep,
     rational_rep,
 )
 
-from conftest import automorphism, element_age, nontrivial_elements
-from oracles import determinant, group_field
+from conftest import automorphism, element_age, holonomy, nontrivial_elements
+from oracles import analytic_rep, determinant, group_field
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ def brute_force_count(m, point, q):
 def test_criterion_1_rot4_square_quotient(rot4_square_group):
     group = rot4_square_group
     gen = group.generators[0]
-    assert element_age(gen) == Fraction(1, 2)
+    assert element_age(gen, group.variety) == Fraction(1, 2)
     r = classification_report(group)
     assert r.quasietale is True
     assert r.q_abelian is True
@@ -150,10 +149,10 @@ def test_criterion_3_kummer(kummer_group):
     assert loc.dim == 0
     assert len(loc.representatives) == 16
     # oracle: 2-torsion count by brute force
-    rho = rational_rep(g.holonomy)
+    rho = rational_rep(holonomy(g, group.variety))
     m = identity_minus(rho)
     assert brute_force_count(m, g.translation, 2) == 16
-    assert element_age(g) == Fraction(1)
+    assert element_age(g, group.variety) == Fraction(1)
     r = classification_report(group)
     assert r.quasietale is True
     assert r.reid_tai_holds is True
@@ -185,12 +184,12 @@ def test_criterion_5_bielliptic(bielliptic_group):
     # exact commutation certificate: [m] . g == g . [m] on the torus
     m = 3
     for g in group.elements:
-        rho = rational_rep(g.holonomy)
+        rho = rational_rep(holonomy(g, group.variety))
         lhs = g.translation.scaled(m)
         rhs = g.translation
         diff = lhs - rhs
         assert all(c.denominator == 1 for c in diff.coords)
-        assert rho == rational_rep(g.holonomy)
+        assert tuple(map(tuple, rho)) == g.matrix
 
 
 def test_criterion_6_linear_algebra_properties():
@@ -224,7 +223,7 @@ def test_criterion_6_linear_algebra_properties():
         g = random_automorphism(rng, variety, max_order=12)
         if g is None:
             continue
-        rho = rational_rep(g.holonomy)
+        rho = rational_rep(holonomy(g, variety))
         m = identity_minus(rho)
         sol = solve_affine_mod_lattice(m, g.translation)
         q = 1
@@ -248,7 +247,7 @@ def test_criterion_7_spectra(rot4_square_group, sign_rot4_group, kummer_group,
                   bielliptic_group):
         field = group_field(group)
         n = group.variety.n
-        by_hol = {g.holonomy: g for g in group.elements}
+        by_hol = {holonomy(g, group.variety): g for g in group.elements}
         roots = []
         for d in range(1, field.m + 1):
             if field.m % d:
@@ -257,8 +256,9 @@ def test_criterion_7_spectra(rot4_square_group, sign_rot4_group, kummer_group,
                 if d == 1 or gcd(k, d) == 1:
                     roots.append(field.root_of_unity(d, k if d > 1 else 0))
         for g in group.elements:
-            mat_a = analytic_rep(g.holonomy, field)
-            mat_r = [[field.rational(x) for x in row] for row in rational_rep(g.holonomy)]
+            phi = holonomy(g, group.variety)
+            mat_a = analytic_rep(phi, field)
+            mat_r = [[field.rational(x) for x in row] for row in rational_rep(phi)]
             mults = {}
             total = 0
             for z in roots:
@@ -272,10 +272,10 @@ def test_criterion_7_spectra(rot4_square_group, sign_rot4_group, kummer_group,
                 assert eigen_multiplicity(mat_r, z) == \
                     mults[z] + mults[z.conjugate()]
             # age(g) + age(g^-1) = number of eigenvalues != 1
-            inv = g.holonomy
-            while not inv.compose(g.holonomy).is_identity():
-                inv = inv.compose(g.holonomy)
-            pair = element_age(g) + element_age(by_hol[inv])
+            inv = phi
+            while not inv.compose(phi).is_identity():
+                inv = inv.compose(phi)
+            pair = element_age(g, group.variety) + element_age(by_hol[inv], group.variety)
             assert pair == n - mults[field.one()]
 
 
@@ -295,7 +295,7 @@ def test_criterion_8_cross_theorem_consistency(rot4_square_group, sign_rot4_grou
         if not gens:
             continue
         try:
-            group = close_group(gens, cap=48)
+            group = close_group(variety, gens, cap=48)
         except InputError:
             continue
         groups.append(group)

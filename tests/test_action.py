@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import random
@@ -28,6 +29,7 @@ from fqav.action import (
 )
 from fqav.cli import main, parse_input
 from fqav.cyclotomic import CycloField, eigen_multiplicity, split_prime
+from fqav.decompose import decompose
 from fqav.errors import CertificateError, InputError
 from fqav.linalg import (
     TorsionPoint,
@@ -39,12 +41,19 @@ from fqav.variety import (
     EllipticFactor,
     EndoBlockMatrix,
     SubtorusTranslate,
-    analytic_rep,
     rational_rep,
 )
 
-from conftest import FIXTURE_DIR, automorphism, class_ages, element_age, nontrivial_elements
+from conftest import (
+    FIXTURE_DIR,
+    automorphism,
+    class_ages,
+    element_age,
+    holonomy,
+    nontrivial_elements,
+)
 from oracles import (
+    analytic_rep,
     class_ages_over_conductor,
     group_field,
     union_find_class_rep,
@@ -76,7 +85,7 @@ class TestClosure:
     def test_cap(self, ei_squared):
         g = automorphism(ei_squared, [[(0, 1), (0, 0)], [(0, 0), (0, 1)]])
         with pytest.raises(InputError) as exc:
-            close_group([g], cap=3)
+            close_group(ei_squared, [g], cap=3)
         assert exc.value.code == "cap-exceeded"
 
     def test_cap_checked_per_new_element(self, ei_squared, monkeypatch):
@@ -93,7 +102,7 @@ class TestClosure:
 
         monkeypatch.setattr(AffineAutomorphism, "with_data", counting)
         with pytest.raises(InputError) as exc:
-            close_group(gens, cap=4)
+            close_group(ei_squared, gens, cap=4)
         assert exc.value.code == "cap-exceeded"
         # the first level builds one element per generator; the next new
         # element, the first of the second level, exceeds the cap
@@ -107,10 +116,10 @@ class TestClosure:
         variety = AbelianVarietyModel.of(e, e)
         g = automorphism(variety, [[(c, 0) for c in row] for row in block])
         with pytest.raises(InputError) as exc:
-            holonomy_order(g.holonomy)
+            holonomy_order(g.matrix)
         assert exc.value.code == "infinite-order"
         with pytest.raises(InputError) as exc:
-            close_group([g], cap=1)
+            close_group(variety, [g], cap=1)
         assert exc.value.code == "infinite-order"
 
     def test_huge_holonomy_rejected_in_one_product(self, monkeypatch):
@@ -134,7 +143,7 @@ class TestClosure:
             g = automorphism(variety, rows)
             products.clear()
             with pytest.raises(InputError) as exc:
-                close_group([g])
+                close_group(variety, [g])
             assert exc.value.code == "infinite-order"
             assert len(products) == made
 
@@ -147,7 +156,7 @@ class TestClosure:
         rows = [[(int(i == j) + int((i, j) == (0, 1)), 0) for j in range(5)]
                 for i in range(5)]
         with pytest.raises(InputError) as exc:
-            holonomy_order(automorphism(variety, rows).holonomy)
+            holonomy_order(automorphism(variety, rows).matrix)
         assert exc.value.code == "infinite-order"
 
     @pytest.mark.parametrize("images,order", [((1, 2, 3, 4, 0), 5),
@@ -158,7 +167,7 @@ class TestClosure:
         e = EllipticFactor("generic", "E")
         variety = AbelianVarietyModel.of(*[e] * 5)
         rows = [[(int(images[k] == j), 0) for k in range(5)] for j in range(5)]
-        assert holonomy_order(automorphism(variety, rows).holonomy) == order
+        assert holonomy_order(automorphism(variety, rows).matrix) == order
 
     def test_order_bound(self):
         # lcm of the d with phi(d) <= rank
@@ -168,13 +177,13 @@ class TestClosure:
         g = automorphism(ei_squared,
                          [[(1, 0), (0, 0)], [(0, 0), (1, 0)]],
                          ["1/3", 0, 0, 0])
-        group = close_group([g])
+        group = close_group(ei_squared, [g])
         assert group.order == 3
 
     def test_non_invertible_holonomy_rejected(self, ei_squared):
         doubling = automorphism(ei_squared, [[(2, 0), (0, 0)], [(0, 0), (1, 0)]])
         with pytest.raises(InputError) as exc:
-            close_group([doubling])
+            close_group(ei_squared, [doubling])
         assert exc.value.code == "not-automorphism"
 
 
@@ -247,7 +256,7 @@ class TestGeneratorChecks:
 class TestFixedLoci:
     def test_mult_by_i_has_four_fixed_points(self, p1_group):
         g = next(x for x in p1_group.elements
-                 if holonomy_order(x.holonomy) == 4)
+                 if holonomy_order(x.matrix) == 4)
         loc = fixed_locus(g)
         assert loc.nonempty
         assert loc.dim == 0
@@ -255,7 +264,7 @@ class TestFixedLoci:
 
     def test_sign_rot4_square_is_curve_times_torsion(self, sign_rot4_group):
         sq = next(x for x in sign_rot4_group.elements
-                  if holonomy_order(x.holonomy) == 2)
+                  if holonomy_order(x.matrix) == 2)
         loc = fixed_locus(sq)
         assert loc.dim == 1
         assert len(loc.representatives) == 4
@@ -280,9 +289,10 @@ class TestFixedLoci:
         els = list(rot4_square_group.elements)
         for g in els:
             for h in els:
-                inv = h.holonomy
-                while not inv.compose(h.holonomy).is_identity():
-                    inv = inv.compose(h.holonomy)
+                phi = holonomy(h, rot4_square_group.variety)
+                inv = phi
+                while not inv.compose(phi).is_identity():
+                    inv = inv.compose(phi)
                 h_inv = AffineAutomorphism.of(
                     inv, (-h.translation).apply_matrix(rational_rep(inv)))
                 assert h.compose(h_inv).is_identity()
@@ -292,7 +302,7 @@ class TestFixedLoci:
                 assert left.nonempty == right.nonempty
                 if not left.nonempty:
                     continue
-                rho_h = rational_rep(h.holonomy)
+                rho_h = rational_rep(phi)
                 moved = {
                     SubtorusTranslate(
                         Lattice.from_vectors(
@@ -308,13 +318,12 @@ class TestFixedLoci:
 class TestStabilizer:
     def test_sign_rot4_component_stabilizer(self, sign_rot4_group):
         sq = next(x for x in sign_rot4_group.elements
-                  if holonomy_order(x.holonomy) == 2)
+                  if holonomy_order(x.matrix) == 2)
         loc = fixed_locus(sq)
         comp = SubtorusTranslate(loc.kernel, loc.representatives[0])
         members, e = pointwise_stabilizer(comp, sign_rot4_group)
         assert e == 2
-        assert {m.holonomy for m in members} == {
-            sign_rot4_group.identity().holonomy, sq.holonomy}
+        assert {m.matrix for m in members} == {sign_rot4_group.identity().matrix, sq.matrix}
 
     def test_free_action_trivial_stabilizers(self, bielliptic_group):
         from fqav.linalg import Lattice
@@ -327,27 +336,29 @@ class TestStabilizer:
 
 class TestAges:
     def test_mult_by_i_diagonal(self, rot4_square_group):
-        ages = sorted(element_age(g) for g in rot4_square_group.elements)
+        ages = sorted(element_age(g, rot4_square_group.variety)
+                      for g in rot4_square_group.elements)
         # id, [i]x[i], [-1]x[-1], [-i]x[-i]
         assert ages == [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
 
     def test_minus_one_times_i(self, e_times_ei):
         g = automorphism(e_times_ei, [[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])
-        assert element_age(g) == Fraction(3, 4)
+        assert element_age(g, e_times_ei) == Fraction(3, 4)
 
     def test_kummer_age_one(self, kummer_group):
         g = nontrivial_elements(kummer_group)[0]
-        assert element_age(g) == Fraction(1)
+        assert element_age(g, kummer_group.variety) == Fraction(1)
 
     def test_age_pairing(self, rot4_square_group, sign_rot4_group, p1_group):
         # age(g) + age(g^-1) = codim of the holonomy-fixed analytic subspace
         for group in (rot4_square_group, sign_rot4_group, p1_group):
-            by_hol = {g.holonomy: g for g in group.elements}
+            by_hol = {holonomy(g, group.variety): g for g in group.elements}
             for g in group.elements:
-                inv = g.holonomy
-                while not inv.compose(g.holonomy).is_identity():
-                    inv = inv.compose(g.holonomy)
-                total = element_age(g) + element_age(by_hol[inv])
+                phi = holonomy(g, group.variety)
+                inv = phi
+                while not inv.compose(phi).is_identity():
+                    inv = inv.compose(phi)
+                total = element_age(g, group.variety) + element_age(by_hol[inv], group.variety)
                 assert total.denominator == 1
 
     def test_ages_do_not_depend_on_the_field(self):
@@ -357,15 +368,15 @@ class TestAges:
         texts = [(FIXTURE_DIR / f"{name}.json").read_text() for name in FIXTURES]
         texts += [json.dumps(sl_diag_document(*args)) for args in SL_DIAG.values()]
         for text in texts:
-            group = close_group(parse_input(text)[1])
+            group = close_group(*parse_input(text)[:2])
             for root, k, d in group.power_walk.values():
                 g = group.elements[root]
-                assert age(g, 2 * d)(k) == age(g, d)(k), text
+                assert age(g, 2 * d, group.variety)(k) == age(g, d, group.variety)(k), text
 
     def test_mult_by_i_single_factor(self, p1_group):
         g = next(x for x in p1_group.elements
-                 if holonomy_order(x.holonomy) == 4)
-        assert element_age(g) == Fraction(1, 4)
+                 if holonomy_order(x.matrix) == 4)
+        assert element_age(g, p1_group.variety) == Fraction(1, 4)
 
     def test_wrong_order_is_a_certificate_error(self):
         variety = AbelianVarietyModel.of(EllipticFactor("zeta4"),
@@ -373,11 +384,11 @@ class TestAges:
         # [[0, i], [1, 0]] squares to i . Id, so its holonomy order is 8 and
         # its eigenvalues are zeta_8 and zeta_8^5
         order8 = automorphism(variety, [[(0, 0), (0, 1)], [(1, 0), (0, 0)]])
-        assert holonomy_order(order8.holonomy) == 8
-        assert element_age(order8) == Fraction(3, 4)
+        assert holonomy_order(order8.matrix) == 8
+        assert element_age(order8, variety) == Fraction(3, 4)
         # the 4th roots of unity hold no eigenvalue: the counts stay below n
         with pytest.raises(CertificateError) as exc:
-            age(order8, 4)
+            age(order8, 4, variety)
         assert str(exc.value) == f"order 4 does not kill the spectrum of {order8}"
 
 
@@ -392,7 +403,7 @@ class TestDescend:
     def test_order_three_translation(self, ei_squared):
         g = automorphism(ei_squared, [[(1, 0), (0, 0)], [(0, 0), (1, 0)]],
                          ["1/3", 0, 0, 0])
-        assert descend_multiplication(close_group([g])) == 4
+        assert descend_multiplication(close_group(ei_squared, [g])) == 4
 
 
 def exponent(group):
@@ -409,16 +420,16 @@ class TestHolonomyInvariants:
         e = EllipticFactor("generic", "E")
         variety = AbelianVarietyModel.of(e, e, e)
         one, zero = (1, 0), (0, 0)
-        s3 = close_group([
+        s3 = close_group(variety, [
             automorphism(variety, [[zero, one, zero], [zero, zero, one], [one, zero, zero]]),
             automorphism(variety, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])])
         assert s3.order == 6 and exponent(s3) == 6
-        holonomies = dict.fromkeys(g.holonomy for g in s3.elements)
-        assert sorted(holonomy_order(phi) for phi in holonomies) == [1, 2, 2, 2, 3, 3]
+        holonomies = dict.fromkeys(g.matrix for g in s3.elements)
+        assert sorted(holonomy_order(rho) for rho in holonomies) == [1, 2, 2, 2, 3, 3]
 
     def test_fixed_space_dims(self, rot4_square_group, sign_rot4_group, bielliptic_group):
         def fixed_space_dim(group):
-            holonomies = dict.fromkeys(g.holonomy for g in group.elements)
+            holonomies = dict.fromkeys(holonomy(g, group.variety) for g in group.elements)
             reps = [rational_rep(phi) for phi in holonomies]
             return fixed_lattice(reps, group.variety.ambient_rank).rank
 
@@ -441,7 +452,7 @@ UNITS = {"zeta4": ((1, 0), (-1, 0), (0, 1), (0, -1)),
 
 
 def random_generators(rng, denoms=(1, 1, 2)):
-    """Generators of one variety, not closed.  Half the draws take one to
+    """A variety and generators on it, not closed.  Half the draws take one to
     three like acceptance criterion 8, with translations over ``denoms``,
     and may take none.  The other half act on a power of one curve by a
     diagonal of units and a coordinate permutation, each with a 2-torsion
@@ -449,8 +460,9 @@ def random_generators(rng, denoms=(1, 1, 2)):
     non-abelian."""
     if rng.randrange(2):
         variety = random_variety(rng)
-        return [g for g in (random_automorphism(rng, variety, max_order=12, denoms=denoms)
-                            for _ in range(rng.randint(1, 3))) if g is not None]
+        return variety, [g for g in (random_automorphism(rng, variety, max_order=12,
+                                                         denoms=denoms)
+                                     for _ in range(rng.randint(1, 3))) if g is not None]
     n = rng.randint(2, 3)
     factor = rng.choice(FACTOR_POOL)
     variety = AbelianVarietyModel.of(*[factor] * n)
@@ -460,8 +472,8 @@ def random_generators(rng, denoms=(1, 1, 2)):
     monomial = ([[units[j] if j == k else (0, 0) for k in range(n)] for j in range(n)],
                 [[(1, 0) if images[k] == j else (0, 0) for k in range(n)]
                  for j in range(n)])
-    return [automorphism(variety, rows, [rng.choice((0, "1/2")) for _ in range(2 * n)])
-            for rows in monomial]
+    return variety, [automorphism(variety, rows, [rng.choice((0, "1/2")) for _ in range(2 * n)])
+                     for rows in monomial]
 
 
 @st.composite
@@ -469,11 +481,11 @@ def small_groups(draw):
     """A closed group of order at most 48, from ``random_generators``."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     while True:
-        gens = random_generators(rng)
+        variety, gens = random_generators(rng)
         if not gens:
             continue
         try:
-            return close_group(gens, cap=48)
+            return close_group(variety, gens, cap=48)
         except InputError:
             continue
 
@@ -487,13 +499,13 @@ def nonabelian_groups():
     one, zero, i = (1, 0), (0, 0), (0, 1)
     cycle = [[zero, one, zero], [zero, zero, one], [one, zero, zero]]
     swap = [[zero, one, zero], [one, zero, zero], [zero, zero, one]]
-    s3 = close_group([automorphism(AbelianVarietyModel.of(e, e, e), cycle),
-                      automorphism(AbelianVarietyModel.of(e, e, e), swap)])
+    e3 = AbelianVarietyModel.of(e, e, e)
+    s3 = close_group(e3, [automorphism(e3, cycle), automorphism(e3, swap)])
     ei3 = AbelianVarietyModel.of(*[EllipticFactor("zeta4")] * 3)
-    reflection_swap = close_group([
+    reflection_swap = close_group(ei3, [
         automorphism(ei3, [[i, zero, zero], [zero, one, zero], [zero, zero, one]]),
         automorphism(ei3, swap, [0, 0, 0, 0, "1/2", 0])])
-    sl = [close_group(parse_input(json.dumps(sl_diag_document(cm, True)))[1])
+    sl = [close_group(*parse_input(json.dumps(sl_diag_document(cm, True)))[:2])
           for cm in ("zeta4", "zeta6")]
     return [s3, reflection_swap] + sl
 
@@ -641,13 +653,14 @@ def assert_closure_matches_oracle(group):
 def assert_lattice_data(group):
     """Each element and generator equals the plain lattice element of its
     data, hashes like it and sorts by its holonomy's blocks, and its matrix
-    is the rational representation of the holonomy read off it."""
+    is the rational representation of the holonomy read off it, an
+    endomorphism of the group's variety."""
     for g in group.elements + group.generators:
         plain = LatticeElement(g.matrix, g.translation)
         assert g == plain and plain == g and hash(g) == hash(plain)
-        assert tuple(map(tuple, rational_rep(g.holonomy))) == g.matrix
-        assert EndoBlockMatrix.from_rows(group.variety, g.holonomy.blocks) == g.holonomy
-        assert g.sort_key() == (g.holonomy.sort_key(), g.translation.sort_key())
+        phi = holonomy(g, group.variety)
+        assert tuple(map(tuple, rational_rep(phi))) == g.matrix
+        assert g.sort_key() == (phi.sort_key(), g.translation.sort_key())
 
 
 class TestOneElementType:
@@ -663,16 +676,66 @@ class TestOneElementType:
         assert_lattice_data(group)
 
     def test_variety_is_not_data(self, ei_squared):
-        # the automorphisms of two varieties with the same data are equal
-        # as lattice elements; a closure never mixes them
+        # the automorphisms of two varieties with the same data are one
+        # lattice element, and either variety closes it to the same group;
+        # the variety is the group's, which refuses a generator that is no
+        # endomorphism of it
         e = EllipticFactor("generic", "E")
         generic = AbelianVarietyModel.of(e, e)
         rows = [[(-1, 0), (0, 0)], [(0, 0), (1, 0)]]
         g, h = automorphism(ei_squared, rows), automorphism(generic, rows)
-        assert g == h and g.variety != h.variety
-        with pytest.raises(InputError) as exc:
-            close_group([g, h])
-        assert exc.value.code == "mixed-varieties"
+        assert g == h
+        assert close_group(generic, [g]).elements == close_group(ei_squared, [h]).elements
+        z6 = EllipticFactor("zeta6")
+        i_first = automorphism(ei_squared, [[(0, 1), (0, 0)], [(0, 0), (1, 0)]])
+        i_alone = automorphism(AbelianVarietyModel.of(EllipticFactor("zeta4")), [[(0, 1)]])
+        refused = [
+            # zeta4's tau on a zeta6 curve: blocks it admits, another matrix
+            (AbelianVarietyModel.of(z6, z6), [i_first]),
+            # blocks a curve without CM does not admit
+            (generic, [g, i_first]),
+            # the wrong rank
+            (ei_squared, [i_alone]),
+            (AbelianVarietyModel.of(*[EllipticFactor("zeta4")] * 3), [i_first]),
+        ]
+        for variety, gens in refused:
+            with pytest.raises(InputError) as exc:
+                close_group(variety, gens)
+            assert exc.value.code == "mixed-varieties", (variety, gens)
+
+
+def assert_slotted_records(elements):
+    """Each element is a slotted record of its data alone: no instance
+    ``__dict__``, and the dataclass fields (matrix, translation)."""
+    for g in elements:
+        assert not hasattr(g, "__dict__"), g
+        assert tuple(f.name for f in dataclasses.fields(g)) == ("matrix", "translation")
+
+
+class TestSlottedRecord:
+    def test_classes(self):
+        # AffineAutomorphism adds no field, cache or build hook of its own
+        for cls in (LatticeElement, AffineAutomorphism):
+            assert tuple(f.name for f in dataclasses.fields(cls)) == ("matrix", "translation")
+        assert AffineAutomorphism.__slots__ == ()
+        assert not {"holonomy", "with_data", "variety"} & set(vars(AffineAutomorphism))
+
+    def test_gallery(self, rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                     bielliptic_group):
+        for group in [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
+                      bielliptic_group] + nonabelian_groups():
+            assert_slotted_records(group.elements + group.generators)
+
+    def test_decomposition_stage(self, sign_rot4_group):
+        fano = decompose(sign_rot4_group).fano_part
+        assert fano.order == 2
+        assert all(type(x) is LatticeElement for x in fano.elements)
+        assert_slotted_records(fano.elements)
+
+    def test_parsed_generators(self):
+        for name in FIXTURES:
+            _, gens, _ = parse_input((FIXTURE_DIR / f"{name}.json").read_text())
+            assert_slotted_records(gens)
 
 
 class TestRawKeyClosure:
@@ -697,7 +760,7 @@ class TestRawKeyClosure:
             return original(self, matrix, translation)
 
         monkeypatch.setattr(AffineAutomorphism, "with_data", counting)
-        closed = close_group(list(group.generators))
+        closed = close_group(group.variety, list(group.generators))
         # one build per element but the identity, though most products repeat
         assert len(built) == closed.order - 1 < closed.order * len(closed.generators) // 2
 
@@ -713,16 +776,16 @@ class TestRowTableClosure:
         rng = random.Random(seed)
         gens = []
         while not gens:
-            gens = random_generators(rng, denoms=(1, 2, 3, 4))
-        identity = AffineAutomorphism.of(EndoBlockMatrix.identity(gens[0].variety))
+            variety, gens = random_generators(rng, denoms=(1, 2, 3, 4))
+        identity = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
         assert_closure_matches_product_closure(identity, gens, cap)
         assert_closure_matches_product_closure(lattice_elements([identity])[0],
                                                lattice_elements(gens), cap)
 
     def test_order_108_makes_no_product(self, monkeypatch):
-        gens = sorted(set(parse_input(json.dumps(sl_diag_document("zeta6", True)))[1]),
-                      key=AffineAutomorphism.sort_key)
-        identity = AffineAutomorphism.of(EndoBlockMatrix.identity(gens[0].variety))
+        variety, gens, _ = parse_input(json.dumps(sl_diag_document("zeta6", True)))
+        gens = sorted(set(gens), key=AffineAutomorphism.sort_key)
+        identity = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
         overflow = AssertionError("closure too large")
         want = product_closure(identity, gens, 108, overflow)
 
@@ -769,9 +832,9 @@ class TestClosureKeys:
         count_calls(monkeypatch, action_module, "block_pairs", calls)
         count_calls(monkeypatch, TorsionPoint, "sort_key", calls)
         count_calls(monkeypatch, TorsionPoint, "over", calls)
-        _, gens, options = parse_input(json.dumps(document))
+        variety, gens, options = parse_input(json.dumps(document))
         calls.clear()
-        group = close_group(gens, cap=options["group_cap"])
+        group = close_group(variety, gens, cap=options["group_cap"])
         return group, calls
 
     def test_order_108_sorts_the_generators_only(self, monkeypatch):
@@ -882,7 +945,7 @@ def assert_power_walk(group):
     assert firsts <= set(walk)
     for c, (root, k, d) in walk.items():
         assert walk[root] == (root, 1, d)
-        assert d == holonomy_order(elements[root].holonomy)
+        assert d == holonomy_order(elements[root].matrix)
         assert 1 <= k <= d
         power = 0
         for _ in range(k):
@@ -912,7 +975,7 @@ class TestPowerWalkAges:
 
     def test_translated_group(self):
         # order 6912: classes that share a holonomy but not a translation
-        group = close_group(parse_input(json.dumps(translated_sl_diag_document()))[1],
+        group = close_group(*parse_input(json.dumps(translated_sl_diag_document()))[:2],
                             cap=200000)
         assert group.order == 6912
         assert group.class_rep == union_find_class_rep(group)
@@ -926,7 +989,7 @@ def reference_age(phi, field):
     """The age by eigen_multiplicity over Q(zeta_m), which must hold the
     spectrum: one kernel rank per primitive root of each order dividing the
     holonomy order."""
-    order = holonomy_order(phi)
+    order = holonomy_order(phi.matrix)
     mat = analytic_rep(phi, field)
     total = Fraction(0)
     for d in range(2, order + 1):
@@ -975,13 +1038,13 @@ class TestSpectrumModP:
         # against the reference over Q(zeta_lcm(12, d)); d - 1, no multiple
         # of the order d > 1, is a certificate failure naming the root
         g = AffineAutomorphism.of(phi)
-        d = holonomy_order(phi)
+        d = holonomy_order(phi.matrix)
         if wrong_order and d > 1:
             with pytest.raises(CertificateError) as exc:
-                age(g, d - 1)
+                age(g, d - 1, phi.variety)
             assert str(exc.value) == f"order {d - 1} does not kill the spectrum of {g}"
         field = CycloField(lcm(12, d))
-        ages = age(g, d)
+        ages = age(g, d, phi.variety)
         power = EndoBlockMatrix.identity(phi.variety)
         for k in range(d):
             assert ages(k) == reference_age(power, field), k
@@ -1005,7 +1068,7 @@ class TestSpectrumModP:
         z4 = EllipticFactor("zeta4")
         order8 = EndoBlockMatrix.from_rows(AbelianVarietyModel.of(z4, z4),
                                            [[(0, 0), (0, 1)], [(1, 0), (0, 0)]])
-        assert holonomy_order(order8) == 8
+        assert holonomy_order(order8.matrix) == 8
         self.assert_matches_reference(order8, wrong_order=True)
 
     def test_split_prime(self):

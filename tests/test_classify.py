@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from fqav.action import close_group, fixed_locus, pointwise_stabilizer
+from fqav.action import close_group, fixed_locus, mat_eq_identity, pointwise_stabilizer
 from fqav.cli import build_report, parse_input
 from fqav.classify import (
     classification_report,
@@ -19,7 +19,7 @@ from fqav.classify import (
 )
 from fqav.errors import InputError
 from fqav.linalg import Lattice, mat_vec
-from fqav.variety import SubtorusTranslate, rational_rep
+from fqav.variety import SubtorusTranslate
 
 from conftest import element_age, nontrivial_elements
 from oracles import conductor_age, group_field
@@ -95,8 +95,8 @@ class TestReidTai:
         holds, witness, witness_age = reid_tai(rot4_square_group)
         assert not holds
         assert witness is not None
-        assert element_age(witness) < 1
-        assert witness_age == element_age(witness)
+        assert element_age(witness, rot4_square_group.variety) < 1
+        assert witness_age == element_age(witness, rot4_square_group.variety)
 
     def test_kummer_holds(self, kummer_group):
         holds, witness, witness_age = reid_tai(kummer_group)
@@ -184,14 +184,14 @@ def oracle_groups(fixture_groups, count=50):
         if not gens:
             continue
         try:
-            groups.append(close_group(gens, cap=48))
+            groups.append(close_group(variety, gens, cap=48))
         except InputError:
             continue
     return groups
 
 
 def image_key(g, comp):
-    rho = rational_rep(g.holonomy)
+    rho = g.matrix
     lat = Lattice.from_vectors(comp.lattice.ambient_rank,
                                [mat_vec(rho, v) for v in comp.lattice.basis_rows()])
     return SubtorusTranslate(lat, comp.translate.apply_matrix(rho)
@@ -240,9 +240,9 @@ def reference_is_quasietale(group):
 def reference_reid_tai(group):
     field = group_field(group)
     for g in nontrivial_elements(group):
-        if g.holonomy.is_identity() or not fixed_locus(g).nonempty:
+        if mat_eq_identity(g.matrix) or not fixed_locus(g).nonempty:
             continue
-        g_age = conductor_age(g, field)
+        g_age = conductor_age(g, group.variety, field)
         if g_age < 1:
             return False, g, g_age
     return True, None, None

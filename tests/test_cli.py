@@ -99,7 +99,7 @@ def translation_doc(first):
 
 def fixed_rank(g):
     """rank(I - rho) for the holonomy rho of g, from its Smith form."""
-    rho = g.holonomy.matrix
+    rho = g.matrix
     return len(elementary_divisors(identity_minus(rho)))
 
 
@@ -402,7 +402,7 @@ class TestMain:
         # cyclic, so one power walk reaches every class, and its one
         # spectrum is counted over the 8th roots
         spectra = Counter()
-        count_calls(monkeypatch, "age", spectra, key=lambda g, d: (lcm(12, d), d))
+        count_calls(monkeypatch, "age", spectra, key=lambda g, d, variety: (lcm(12, d), d))
         p = tmp_path / "order8.json"
         p.write_text(json.dumps(ORDER8_DOC))
         assert main([command, str(p)]) == 0
@@ -429,9 +429,9 @@ class TestMain:
         monkeypatch.setattr(FiniteGroupAction, "power_walk", property(halved))
         p = tmp_path / "order8.json"
         p.write_text(json.dumps(ORDER8_DOC))
-        group = close_group(parse_input(p.read_text())[1])
+        group = close_group(*parse_input(p.read_text())[:2])
         root = group.elements[walk.func(group)[1][0]]
-        assert holonomy_order(root.holonomy) == 8
+        assert holonomy_order(root.matrix) == 8
         assert main([command, str(p)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -709,7 +709,7 @@ class TestComputeOnce:
         for name in FIXTURES:
             variety, gens, options = parse_input(load(name))
             n = variety.n
-            group = close_group(gens)
+            group = close_group(variety, gens)
             rep = group.class_rep
             firsts = [i for i in range(1, group.order) if rep[i] == i]
             divisorial = [i for i in firsts if fixed_locus(group.elements[i]).dim == n - 1]

@@ -319,7 +319,7 @@ def test_ages_never_invert(rot4_square_group, sign_rot4_group,
                   bielliptic_group):
         reid_tai(group)
         for g in group.elements:
-            element_age(g)
+            element_age(g, group.variety)
 
 
 # ---------------------------------------------------------------------------

@@ -299,7 +299,7 @@ def random_groups(seed, count, cap=48):
         if not gens:
             continue
         try:
-            groups.append(close_group(gens, cap=cap))
+            groups.append(close_group(variety, gens, cap=cap))
         except InputError:
             continue
     return groups
@@ -812,7 +812,7 @@ class CountedProducts:
 class TestTableClosureMakesNoProduct:
     def test_no_affine_product(self, monkeypatch, gallery):
         text = json.dumps(diag_perm_document("zeta4"))
-        groups = gallery + nonabelian_groups() + [close_group(parse_input(text)[1])]
+        groups = gallery + nonabelian_groups() + [close_group(*parse_input(text)[:2])]
         stages = recorded_table_stages(monkeypatch, groups)
         assert max(len(elements) for elements, _, _ in stages) == 192
         for elements, generators, tables in stages:
@@ -882,7 +882,7 @@ class TestSnfCounts:
     def test_special_linear_decompose_makes_none(self, monkeypatch):
         # no element of SL-diag by the cycle (order 108) is a
         # quasi-reflection: every rank(I - W) is at least 3
-        group = close_group(parse_input(json.dumps(sl_diag_document("zeta6", cycle=True)))[1])
+        group = close_group(*parse_input(json.dumps(sl_diag_document("zeta6", cycle=True)))[:2])
         assert group.order == 108
         snf = CountedSnf(monkeypatch)
         result = decompose(group)

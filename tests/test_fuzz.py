@@ -9,7 +9,10 @@ import sys
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fqav.cli import COMMANDS, main
+from fqav.action import close_group
+from fqav.cli import COMMANDS, main, parse_input
+from fqav.errors import InputError
+from fqav.variety import EndoBlockMatrix, block_pairs
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -86,3 +89,24 @@ def schema_docs(draw):
 @given(st.sampled_from(COMMANDS), schema_docs())
 def test_schema_shaped_documents(command, doc):
     assert_clean_exit(command, json.dumps(doc))
+
+
+@FUZZ
+@given(st.sampled_from(COMMANDS), schema_docs())
+def test_cli_never_mixes_varieties(command, doc):
+    # parse_input builds every generator from blocks on the one variety it
+    # reads, so each passes close_group's check and no command can print
+    # error[mixed-varieties]
+    text = json.dumps(doc)
+    try:
+        variety, gens, _ = parse_input(text)
+    except InputError as exc:
+        assert exc.code != "mixed-varieties"
+    else:
+        for g in gens:
+            assert EndoBlockMatrix.from_rows(variety, block_pairs(g.matrix)).matrix == g.matrix
+        try:
+            close_group(variety, gens, cap=1)
+        except InputError as exc:
+            assert exc.code != "mixed-varieties"
+    assert "mixed-varieties" not in run_main(command, text)[2]

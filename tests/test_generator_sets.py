@@ -50,7 +50,7 @@ def assert_presentations_agree(group):
     """The invariants of ``group``, the same for each presentation."""
     want = invariants(group)
     for gens in presentations(group):
-        assert invariants(close_group(gens)) == want, gens
+        assert invariants(close_group(group.variety, gens)) == want, gens
     return want
 
 

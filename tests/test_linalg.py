@@ -33,7 +33,7 @@ from fqav.linalg import (
     matrix_rank,
     solve_factored,
 )
-from fqav.variety import rational_rep, subtorus_kappa
+from fqav.variety import subtorus_kappa
 
 from conftest import automorphism, elementary_divisors
 from oracles import determinant, gauss_jordan_rank, solve_rational
@@ -356,7 +356,7 @@ class TestIntegerKernel:
     def test_lattice_paths_never_call_snf(self, sign_rot4_group, monkeypatch):
         group = sign_rot4_group
         n2 = group.variety.ambient_rank
-        reps = [rational_rep(phi) for phi in dict.fromkeys(g.holonomy for g in group.elements)]
+        reps = list(dict.fromkeys(g.matrix for g in group.elements))
         stacked = [row for w in reps for row in identity_minus(w)]
         fixed = [fixed_lattice([w], n2) for w in reps]
         divisors = [lat for lat in fixed if lat.rank == n2 - 2]
@@ -811,11 +811,11 @@ def test_torsion_paths_make_no_fraction(bielliptic_group, monkeypatch):
     refl = automorphism(variety, [[i, zero, zero], [zero, one, zero], [zero, zero, one]])
     swap = automorphism(variety, [[zero, one, zero], [one, zero, zero], [zero, zero, one]],
                         [0, 0, 0, 0, "1/2", 0])
-    translated = close_group([refl, swap])
+    translated = close_group(variety, [refl, swap])
     bielliptic_gens = list(bielliptic_group.generators)
 
     def run():
-        return (close_group(bielliptic_gens).elements,
+        return (close_group(bielliptic_group.variety, bielliptic_gens).elements,
                 [fixed_locus(g).representatives for g in translated.elements],
                 decompose(translated))
 

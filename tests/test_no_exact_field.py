@@ -11,7 +11,7 @@ import pytest
 from test_definitions import SOURCE, parse
 
 EXACT_FIELD = {"CycloField", "CycloNumber", "kernel_dimension", "eigen_multiplicity"}
-COMMAND_MODULES = ("action", "classify", "decompose", "linalg", "cli")
+COMMAND_MODULES = ("action", "classify", "decompose", "linalg", "cli", "variety")
 
 
 def reads(tree):

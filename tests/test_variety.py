@@ -22,7 +22,6 @@ from fqav.variety import (
     EllipticFactor,
     EndoBlockMatrix,
     SubtorusTranslate,
-    analytic_rep,
     lattice_poincare_complement,
     rational_rep,
     standard_symplectic_form,
@@ -30,7 +29,7 @@ from fqav.variety import (
 )
 
 from conftest import automorphism
-from oracles import solve_rational
+from oracles import analytic_rep, solve_rational
 
 Z4 = EllipticFactor("zeta4")
 J = [[0, -1], [1, 0]]
@@ -137,9 +136,9 @@ class TestRationalRep:
         assert ident == EndoBlockMatrix.from_rows(a, [[(1, 0), (0, 0)], [(0, 0), (1, 0)]])
 
     def test_products_are_not_validated(self, monkeypatch):
-        """A product of endomorphisms is one: once the generators are
-        built, closure and decomposition never ask which factors admit
-        homomorphisms."""
+        """A product of endomorphisms is one: ``close_group`` checks each
+        generator's blocks on the variety once, and closure and
+        decomposition never again ask which factors admit homomorphisms."""
         variety = AbelianVarietyModel.of(Z4, Z4, Z4)
         one, zero, i = (1, 0), (0, 0), (0, 1)
         gens = [automorphism(variety, [[i, zero, zero], [zero, one, zero],
@@ -148,17 +147,23 @@ class TestRationalRep:
                                        [zero, zero, one]], [0, 0, 0, 0, "1/2", 0])]
 
         def run():
-            group = close_group(gens)
+            group = close_group(variety, gens)
             return group.elements, decompose(group)
 
         expected = run()
         assert len(expected[0]) == 32 and len(expected[1].stages) == 2
 
-        def no_hom_key(self, other):
-            raise AssertionError("a product was validated again")
+        asked = []
+        original = EllipticFactor.hom_key
 
-        monkeypatch.setattr(EllipticFactor, "hom_key", no_hom_key)
+        def counting(self, other):
+            asked.append((self, other))
+            return original(self, other)
+
+        monkeypatch.setattr(EllipticFactor, "hom_key", counting)
         assert run() == expected
+        # one question per block of each generator, none per product
+        assert len(asked) == len(gens) * variety.n
 
     def test_zeta6_functoriality(self):
         z6 = EllipticFactor("zeta6")
@@ -297,7 +302,7 @@ class TestIsAbelianSubvariety:
         ei_cubed = AbelianVarietyModel.of(z4, z4, z4)
         one, zero, i = (1, 0), (0, 0), (0, 1)
         # two stages, glued by 2-torsion
-        two_stage = close_group([
+        two_stage = close_group(ei_cubed, [
             automorphism(ei_cubed, [[i, zero, zero], [zero, one, zero], [zero, zero, one]]),
             automorphism(ei_cubed, [[zero, one, zero], [one, zero, zero], [zero, zero, one]],
                          [0, 0, 0, 0, "1/2", 0])])
