@@ -105,17 +105,8 @@ class LatticeElement:
 class AffineAutomorphism(LatticeElement):
     """g = t_a . phi with finite-order holonomy phi and torsion translation
     a: the lattice element (rho(phi), a).  The variety is the group's,
-    ``FiniteGroupAction.variety``; ``block_pairs`` reads phi's blocks back
-    off the matrix."""
-
-    @classmethod
-    def of(cls, holonomy, translation=None):
-        n2 = holonomy.variety.ambient_rank
-        if translation is None:
-            translation = TorsionPoint.zero(n2)
-        if len(translation.num) != n2:
-            raise InputError("translation has wrong length", code="bad-translation")
-        return cls(holonomy.matrix, translation)
+    ``FiniteGroupAction.variety``; ``close_group`` builds the generators,
+    and ``block_pairs`` reads phi's blocks back off the matrix."""
 
     def compose(self, other):
         """``LatticeElement.compose``, on this class to be traced apart."""
@@ -187,9 +178,6 @@ class FiniteGroupAction:
     @property
     def order(self):
         return len(self.elements)
-
-    def identity(self):
-        return AffineAutomorphism.of(EndoBlockMatrix.identity(self.variety))
 
     @cached_property
     def class_rep(self):
@@ -371,37 +359,36 @@ def bfs_closure(identity, gens, cap, overflow):
     return [found[k] for k in numbers], tables
 
 
-def _blocks_on(variety, g):
-    """The blocks of g's holonomy, read off its matrix, which must be the
-    rational representation of an endomorphism of ``variety``."""
-    blocks = block_pairs(g.matrix)
-    try:
-        if EndoBlockMatrix.from_rows(variety, blocks).matrix == g.matrix:
-            return blocks
-    except InputError:  # the wrong rank, or blocks the factors do not admit
-        pass
-    raise InputError("generator is not an endomorphism of the variety", code="mixed-varieties")
-
-
 def close_group(variety, gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
-    """Breadth-first closure under composition (lexicographic tie-break per
-    level); a finite closed set under composition containing the generators
-    is automatically a group.  Before closing, a generator that is not an
-    endomorphism of ``variety`` is rejected by ``_blocks_on``, and one whose
-    holonomy is not an automorphism or has infinite order by
+    """The group generated by ``gens``, each a pair (blocks, translation):
+    the n x n (c, d) rows of its holonomy on ``variety``, and a
+    ``TorsionPoint``, or None for zero.  Each generator is validated here,
+    in input order: its blocks by ``EndoBlockMatrix.from_rows``, then its
+    translation's length.  Then each distinct generator whose holonomy is
+    not an automorphism or has infinite order is rejected by
     ``holonomy_order``; the others have finite order, since their
-    translations are torsion."""
+    translations are torsion.  Breadth-first closure under composition
+    (lexicographic tie-break per level) follows; a finite closed set under
+    composition containing the generators is automatically a group."""
     if not gens:
         raise InputError("no generators", code="no-generators")
-    keys = {}  # each distinct generator -> its sort_key, off the blocks checked
-    for g in gens:
-        if g not in keys:
-            keys[g] = (_blocks_on(variety, g), g.translation.sort_key())
-            holonomy_order(g.matrix)
-    ident = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
+    n2 = variety.ambient_rank
+    zero = TorsionPoint.zero(n2)
+    keys = {}  # each distinct generator -> its sort_key, off its validated blocks
+    for blocks, translation in gens:
+        phi = EndoBlockMatrix.from_rows(variety, blocks)
+        if translation is None:
+            translation = zero
+        elif len(translation.num) != n2:
+            raise InputError("translation has wrong length", code="bad-translation")
+        keys.setdefault(AffineAutomorphism(phi.matrix, translation),
+                        (phi.blocks, translation.sort_key()))
+    for g in keys:
+        holonomy_order(g.matrix)
     gens_sorted = sorted(keys, key=keys.__getitem__)
     elements, tables = bfs_closure(
-        ident, gens_sorted, cap, InputError("group order exceeds cap", code="cap-exceeded"))
+        AffineAutomorphism(_identity_rows(n2), zero), gens_sorted, cap,
+        InputError("group order exceeds cap", code="cap-exceeded"))
     return FiniteGroupAction(variety, tuple(gens_sorted), tuple(elements), tables)
 
 

@@ -15,11 +15,11 @@ import sys
 from fractions import Fraction
 from math import lcm
 
-from .action import AffineAutomorphism, DEFAULT_GROUP_CAP, close_group
+from .action import DEFAULT_GROUP_CAP, close_group
 from .classify import Analysis
 from .errors import CertificateError, InputError
 from .linalg import TorsionPoint
-from .variety import AbelianVarietyModel, EllipticFactor, EndoBlockMatrix, block_pairs
+from .variety import AbelianVarietyModel, EllipticFactor, block_pairs
 
 SCHEMA_VERSION = 1
 
@@ -93,7 +93,8 @@ def _check_keys(doc, allowed, where):
 
 def parse_input(text):
     """Parse and validate an action description; returns (variety, generators,
-    options dict)."""
+    options dict), each generator the pair (holonomy block rows, translation)
+    that ``close_group`` validates against the variety and closes."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
@@ -145,14 +146,13 @@ def parse_input(text):
                                      code="bad-schema")
                 row.append((pair[0], pair[1]))
             rows.append(row)
-        phi = EndoBlockMatrix.from_rows(variety, rows)
         trans_doc = gd.get("translation", ["0"] * (2 * n))
         if not isinstance(trans_doc, list) or len(trans_doc) != 2 * n:
             raise InputError(f"generators[{i}]: translation needs {2 * n} entries",
                              code="bad-schema")
         trans = TorsionPoint.of([_parse_fraction(t) for t in trans_doc])
-        gens.append(AffineAutomorphism.of(phi, trans))
-    if lcm(*(g.translation.order for g in gens)).bit_length() > MAX_DENOMINATOR_BITS:
+        gens.append((rows, trans))
+    if lcm(*(trans.order for _, trans in gens)).bit_length() > MAX_DENOMINATOR_BITS:
         raise InputError("the lcm of the translation denominators has more than "
                          f"{MAX_DENOMINATOR_BITS} bits", code="bad-translation")
 
@@ -186,14 +186,18 @@ def _lattice_doc(lat):
             "basis": [list(v) for v in lat.basis]}
 
 
+def _generator_doc(blocks, translation):
+    return {"holonomy": [[[c, d] for c, d in row] for row in blocks],
+            "translation": _point_doc(translation)}
+
+
 def _element_doc(g):
-    return {"holonomy": [[[c, d] for c, d in row] for row in block_pairs(g.matrix)],
-            "translation": _point_doc(g.translation)}
+    return _generator_doc(block_pairs(g.matrix), g.translation)
 
 
 def _input_echo(variety, gens, options):
     return {"factors": [_factor_doc(f) for f in variety.factors],
-            "generators": [_element_doc(g) for g in gens],
+            "generators": [_generator_doc(*g) for g in gens],
             "options": dict(sorted(options.items()))}
 
 

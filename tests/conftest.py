@@ -20,11 +20,30 @@ from fqav.variety import block_pairs
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def automorphism(variety, rows, translation=None):
-    phi = EndoBlockMatrix.from_rows(variety, rows)
-    trans = None if translation is None else TorsionPoint.of(
+def generator(rows, translation=None):
+    """A generator as ``close_group`` takes it: the holonomy's block rows,
+    and the translation's coordinates as a ``TorsionPoint``, None for zero."""
+    return rows, None if translation is None else TorsionPoint.of(
         [Fraction(t) for t in translation])
-    return AffineAutomorphism.of(phi, trans)
+
+
+def as_generator(g):
+    """The generator pair of the element g: its blocks, read off its
+    matrix, and its translation."""
+    return block_pairs(g.matrix), g.translation
+
+
+def element(variety, gen):
+    """The element of a group on ``variety`` that the generator pair ``gen``
+    is, as ``close_group`` builds it."""
+    blocks, trans = gen
+    if trans is None:
+        trans = TorsionPoint.zero(variety.ambient_rank)
+    return AffineAutomorphism(EndoBlockMatrix.from_rows(variety, blocks).matrix, trans)
+
+
+def automorphism(variety, rows, translation=None):
+    return element(variety, generator(rows, translation))
 
 
 def holonomy(g, variety):
@@ -76,38 +95,33 @@ def e_times_ei():
 
 @pytest.fixture
 def rot4_square_group(ei_squared):
-    g = automorphism(ei_squared, [[(0, 1), (0, 0)], [(0, 0), (0, 1)]])
-    return close_group(ei_squared, [g])
+    return close_group(ei_squared, [generator([[(0, 1), (0, 0)], [(0, 0), (0, 1)]])])
 
 
 @pytest.fixture
 def sign_rot4_group(e_times_ei):
-    g = automorphism(e_times_ei, [[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])
-    return close_group(e_times_ei, [g])
+    return close_group(e_times_ei, [generator([[(-1, 0), (0, 0)], [(0, 0), (0, 1)]])])
 
 
 @pytest.fixture
 def kummer_group():
     variety = AbelianVarietyModel.of(EllipticFactor("generic", "E1"),
                                      EllipticFactor("generic", "E2"))
-    g = automorphism(variety, [[(-1, 0), (0, 0)], [(0, 0), (-1, 0)]])
-    return close_group(variety, [g])
+    return close_group(variety, [generator([[(-1, 0), (0, 0)], [(0, 0), (-1, 0)]])])
 
 
 @pytest.fixture
 def bielliptic_group():
     variety = AbelianVarietyModel.of(EllipticFactor("generic", "E"),
                                      EllipticFactor("generic", "E'"))
-    g = automorphism(variety, [[(1, 0), (0, 0)], [(0, 0), (-1, 0)]],
-                     ["1/2", 0, 0, 0])
-    return close_group(variety, [g])
+    return close_group(variety, [generator([[(1, 0), (0, 0)], [(0, 0), (-1, 0)]],
+                                           ["1/2", 0, 0, 0])])
 
 
 @pytest.fixture
 def p1_group():
     variety = AbelianVarietyModel.of(EllipticFactor("zeta4"))
-    g = automorphism(variety, [[(0, 1)]])
-    return close_group(variety, [g])
+    return close_group(variety, [generator([[(0, 1)]])])
 
 
 # ---------------------------------------------------------------------------

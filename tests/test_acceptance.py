@@ -11,7 +11,6 @@ from math import gcd, lcm
 import numpy as np
 
 from fqav.action import (
-    AffineAutomorphism,
     close_group,
     descend_multiplication,
     fixed_locus,
@@ -37,7 +36,7 @@ from fqav.variety import (
     rational_rep,
 )
 
-from conftest import automorphism, element_age, holonomy, nontrivial_elements
+from conftest import element_age, holonomy, nontrivial_elements
 from oracles import analytic_rep, determinant, group_field
 
 
@@ -85,7 +84,9 @@ def random_holonomy(rng, variety, max_order):
     return None
 
 
-def random_automorphism(rng, variety, max_order, denoms=(1, 2, 3, 4)):
+def random_generator(rng, variety, max_order, denoms=(1, 2, 3, 4)):
+    """A generator (blocks, translation) of finite order on the modeled
+    variety, with translation denominators from ``denoms``, or None."""
     phi = random_holonomy(rng, variety, max_order)
     if phi is None:
         return None
@@ -93,7 +94,7 @@ def random_automorphism(rng, variety, max_order, denoms=(1, 2, 3, 4)):
     for _ in range(variety.ambient_rank):
         d = rng.choice(denoms)
         coords.append(Fraction(rng.randrange(d), d))
-    return AffineAutomorphism.of(phi, TorsionPoint.of(coords))
+    return phi.blocks, TorsionPoint.of(coords)
 
 
 def brute_force_count(m, point, q):
@@ -220,14 +221,15 @@ def test_criterion_6_linear_algebra_properties():
     done = 0
     while done < 100:
         variety = random_variety(rng)
-        g = random_automorphism(rng, variety, max_order=12)
-        if g is None:
+        gen = random_generator(rng, variety, max_order=12)
+        if gen is None:
             continue
-        rho = rational_rep(holonomy(g, variety))
+        blocks, translation = gen
+        rho = rational_rep(EndoBlockMatrix.from_rows(variety, blocks))
         m = identity_minus(rho)
-        sol = solve_affine_mod_lattice(m, g.translation)
+        sol = solve_affine_mod_lattice(m, translation)
         q = 1
-        for c in g.translation.coords:
+        for c in translation.coords:
             q = lcm(q, c.denominator)
         for rep in sol.representatives:
             for c in rep.coords:
@@ -237,7 +239,7 @@ def test_criterion_6_linear_algebra_properties():
             continue
         predicted = (sol.component_count * q ** sol.kernel.rank
                      if sol.nonempty else 0)
-        assert brute_force_count(m, g.translation, q) == predicted
+        assert brute_force_count(m, translation, q) == predicted
         done += 1
 
 
@@ -289,7 +291,7 @@ def test_criterion_8_cross_theorem_consistency(rot4_square_group, sign_rot4_grou
         variety = random_variety(rng)
         gens = []
         for _ in range(rng.randint(1, 2)):
-            g = random_automorphism(rng, variety, max_order=12, denoms=(1, 1, 2))
+            g = random_generator(rng, variety, max_order=12, denoms=(1, 1, 2))
             if g is not None:
                 gens.append(g)
         if not gens:

@@ -46,9 +46,12 @@ from fqav.variety import (
 
 from conftest import (
     FIXTURE_DIR,
+    as_generator,
     automorphism,
     class_ages,
+    element,
     element_age,
+    generator,
     holonomy,
     nontrivial_elements,
 )
@@ -59,7 +62,7 @@ from oracles import (
     union_find_class_rep,
     walk_group_exponent,
 )
-from test_acceptance import FACTOR_POOL, random_automorphism, random_variety
+from test_acceptance import FACTOR_POOL, random_generator, random_variety
 from test_golden import FIXTURES, SL_DIAG, sl_diag_document, translated_sl_diag_document
 
 
@@ -83,16 +86,15 @@ class TestClosure:
                 assert a.compose(b) in els
 
     def test_cap(self, ei_squared):
-        g = automorphism(ei_squared, [[(0, 1), (0, 0)], [(0, 0), (0, 1)]])
+        g = generator([[(0, 1), (0, 0)], [(0, 0), (0, 1)]])
         with pytest.raises(InputError) as exc:
             close_group(ei_squared, [g], cap=3)
         assert exc.value.code == "cap-exceeded"
 
     def test_cap_checked_per_new_element(self, ei_squared, monkeypatch):
-        gens = [automorphism(ei_squared, [[(0, 1), (0, 0)], [(0, 0), (1, 0)]]),
-                automorphism(ei_squared, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]]),
-                automorphism(ei_squared, [[(1, 0), (0, 0)], [(0, 0), (1, 0)]],
-                             ["1/2", 0, 0, 0])]
+        gens = [generator([[(0, 1), (0, 0)], [(0, 0), (1, 0)]]),
+                generator([[(1, 0), (0, 0)], [(0, 0), (0, 1)]]),
+                generator([[(1, 0), (0, 0)], [(0, 0), (1, 0)]], ["1/2", 0, 0, 0])]
         built = []
         original = AffineAutomorphism.with_data
 
@@ -119,7 +121,7 @@ class TestClosure:
             holonomy_order(g.matrix)
         assert exc.value.code == "infinite-order"
         with pytest.raises(InputError) as exc:
-            close_group(variety, [g], cap=1)
+            close_group(variety, [as_generator(g)], cap=1)
         assert exc.value.code == "infinite-order"
 
     def test_huge_holonomy_rejected_in_one_product(self, monkeypatch):
@@ -140,10 +142,9 @@ class TestClosure:
         huge = [[(10 ** 1000, 0), one, zero], [(-1, 0), zero, zero], [zero, zero, one]]
         fibonacci = [[one, one, zero], [one, zero, zero], [zero, zero, one]]
         for rows, made in ((huge, 0), (fibonacci, 1)):
-            g = automorphism(variety, rows)
             products.clear()
             with pytest.raises(InputError) as exc:
-                close_group(variety, [g])
+                close_group(variety, [generator(rows)])
             assert exc.value.code == "infinite-order"
             assert len(products) == made
 
@@ -174,14 +175,12 @@ class TestClosure:
         assert [order_bound(r) for r in (2, 4, 6)] == [12, 120, 2520]
 
     def test_translation_only_generator_of_finite_order(self, ei_squared):
-        g = automorphism(ei_squared,
-                         [[(1, 0), (0, 0)], [(0, 0), (1, 0)]],
-                         ["1/3", 0, 0, 0])
+        g = generator([[(1, 0), (0, 0)], [(0, 0), (1, 0)]], ["1/3", 0, 0, 0])
         group = close_group(ei_squared, [g])
         assert group.order == 3
 
     def test_non_invertible_holonomy_rejected(self, ei_squared):
-        doubling = automorphism(ei_squared, [[(2, 0), (0, 0)], [(0, 0), (1, 0)]])
+        doubling = generator([[(2, 0), (0, 0)], [(0, 0), (1, 0)]])
         with pytest.raises(InputError) as exc:
             close_group(ei_squared, [doubling])
         assert exc.value.code == "not-automorphism"
@@ -293,8 +292,8 @@ class TestFixedLoci:
                 inv = phi
                 while not inv.compose(phi).is_identity():
                     inv = inv.compose(phi)
-                h_inv = AffineAutomorphism.of(
-                    inv, (-h.translation).apply_matrix(rational_rep(inv)))
+                h_inv = AffineAutomorphism(
+                    inv.matrix, (-h.translation).apply_matrix(rational_rep(inv)))
                 assert h.compose(h_inv).is_identity()
                 conj = h.compose(g).compose(h_inv)
                 left = fixed_locus(conj)
@@ -323,7 +322,7 @@ class TestStabilizer:
         comp = SubtorusTranslate(loc.kernel, loc.representatives[0])
         members, e = pointwise_stabilizer(comp, sign_rot4_group)
         assert e == 2
-        assert {m.matrix for m in members} == {sign_rot4_group.identity().matrix, sq.matrix}
+        assert {m.matrix for m in members} == {sign_rot4_group.elements[0].matrix, sq.matrix}
 
     def test_free_action_trivial_stabilizers(self, bielliptic_group):
         from fqav.linalg import Lattice
@@ -401,8 +400,7 @@ class TestDescend:
         assert descend_multiplication(bielliptic_group) == 3
 
     def test_order_three_translation(self, ei_squared):
-        g = automorphism(ei_squared, [[(1, 0), (0, 0)], [(0, 0), (1, 0)]],
-                         ["1/3", 0, 0, 0])
+        g = generator([[(1, 0), (0, 0)], [(0, 0), (1, 0)]], ["1/3", 0, 0, 0])
         assert descend_multiplication(close_group(ei_squared, [g])) == 4
 
 
@@ -421,8 +419,8 @@ class TestHolonomyInvariants:
         variety = AbelianVarietyModel.of(e, e, e)
         one, zero = (1, 0), (0, 0)
         s3 = close_group(variety, [
-            automorphism(variety, [[zero, one, zero], [zero, zero, one], [one, zero, zero]]),
-            automorphism(variety, [[zero, one, zero], [one, zero, zero], [zero, zero, one]])])
+            generator([[zero, one, zero], [zero, zero, one], [one, zero, zero]]),
+            generator([[zero, one, zero], [one, zero, zero], [zero, zero, one]])])
         assert s3.order == 6 and exponent(s3) == 6
         holonomies = dict.fromkeys(g.matrix for g in s3.elements)
         assert sorted(holonomy_order(rho) for rho in holonomies) == [1, 2, 2, 2, 3, 3]
@@ -460,8 +458,8 @@ def random_generators(rng, denoms=(1, 1, 2)):
     non-abelian."""
     if rng.randrange(2):
         variety = random_variety(rng)
-        return variety, [g for g in (random_automorphism(rng, variety, max_order=12,
-                                                         denoms=denoms)
+        return variety, [g for g in (random_generator(rng, variety, max_order=12,
+                                                      denoms=denoms)
                                      for _ in range(rng.randint(1, 3))) if g is not None]
     n = rng.randint(2, 3)
     factor = rng.choice(FACTOR_POOL)
@@ -472,7 +470,7 @@ def random_generators(rng, denoms=(1, 1, 2)):
     monomial = ([[units[j] if j == k else (0, 0) for k in range(n)] for j in range(n)],
                 [[(1, 0) if images[k] == j else (0, 0) for k in range(n)]
                  for j in range(n)])
-    return variety, [automorphism(variety, rows, [rng.choice((0, "1/2")) for _ in range(2 * n)])
+    return variety, [generator(rows, [rng.choice((0, "1/2")) for _ in range(2 * n)])
                      for rows in monomial]
 
 
@@ -500,11 +498,11 @@ def nonabelian_groups():
     cycle = [[zero, one, zero], [zero, zero, one], [one, zero, zero]]
     swap = [[zero, one, zero], [one, zero, zero], [zero, zero, one]]
     e3 = AbelianVarietyModel.of(e, e, e)
-    s3 = close_group(e3, [automorphism(e3, cycle), automorphism(e3, swap)])
+    s3 = close_group(e3, [generator(cycle), generator(swap)])
     ei3 = AbelianVarietyModel.of(*[EllipticFactor("zeta4")] * 3)
     reflection_swap = close_group(ei3, [
-        automorphism(ei3, [[i, zero, zero], [zero, one, zero], [zero, zero, one]]),
-        automorphism(ei3, swap, [0, 0, 0, 0, "1/2", 0])])
+        generator([[i, zero, zero], [zero, one, zero], [zero, zero, one]]),
+        generator(swap, [0, 0, 0, 0, "1/2", 0])])
     sl = [close_group(*parse_input(json.dumps(sl_diag_document(cm, True)))[:2])
           for cm in ("zeta4", "zeta6")]
     return [s3, reflection_swap] + sl
@@ -644,9 +642,9 @@ def assert_closure_matches_oracle(group):
     """bfs_closure equals the product closure, on the automorphisms and on
     their lattice elements, with the group's order as the cap."""
     assert assert_closure_matches_product_closure(
-        group.identity(), list(group.generators), group.order) == (
+        group.elements[0], list(group.generators), group.order) == (
         list(group.elements), group.tables)
-    assert_closure_matches_product_closure(lattice_elements([group.identity()])[0],
+    assert_closure_matches_product_closure(lattice_elements(group.elements[:1])[0],
                                            lattice_elements(group.generators), group.order)
 
 
@@ -663,6 +661,11 @@ def assert_lattice_data(group):
         assert g.sort_key() == (phi.sort_key(), g.translation.sort_key())
 
 
+# blocks on E_i^2: i x 1, and 2 x 1, an endomorphism but no automorphism
+I_FIRST = [[(0, 1), (0, 0)], [(0, 0), (1, 0)]]
+DOUBLING = [[(2, 0), (0, 0)], [(0, 0), (1, 0)]]
+
+
 class TestOneElementType:
     def test_gallery(self, rot4_square_group, sign_rot4_group, kummer_group, p1_group,
                      bielliptic_group):
@@ -676,32 +679,42 @@ class TestOneElementType:
         assert_lattice_data(group)
 
     def test_variety_is_not_data(self, ei_squared):
-        # the automorphisms of two varieties with the same data are one
-        # lattice element, and either variety closes it to the same group;
-        # the variety is the group's, which refuses a generator that is no
-        # endomorphism of it
+        # the same rows on two varieties are one lattice element, and either
+        # variety closes them to the same group; the variety is the group's,
+        # which refuses blocks that are no endomorphism of it
         e = EllipticFactor("generic", "E")
         generic = AbelianVarietyModel.of(e, e)
         rows = [[(-1, 0), (0, 0)], [(0, 0), (1, 0)]]
-        g, h = automorphism(ei_squared, rows), automorphism(generic, rows)
-        assert g == h
-        assert close_group(generic, [g]).elements == close_group(ei_squared, [h]).elements
-        z6 = EllipticFactor("zeta6")
-        i_first = automorphism(ei_squared, [[(0, 1), (0, 0)], [(0, 0), (1, 0)]])
-        i_alone = automorphism(AbelianVarietyModel.of(EllipticFactor("zeta4")), [[(0, 1)]])
+        assert automorphism(ei_squared, rows) == automorphism(generic, rows)
+        sign = generator(rows)
+        assert close_group(generic, [sign]).elements == close_group(ei_squared, [sign]).elements
+        i_first = generator(I_FIRST)
         refused = [
-            # zeta4's tau on a zeta6 curve: blocks it admits, another matrix
-            (AbelianVarietyModel.of(z6, z6), [i_first]),
             # blocks a curve without CM does not admit
-            (generic, [g, i_first]),
+            (generic, [sign, i_first]),
             # the wrong rank
-            (ei_squared, [i_alone]),
+            (ei_squared, [generator([[(0, 1)]])]),
             (AbelianVarietyModel.of(*[EllipticFactor("zeta4")] * 3), [i_first]),
         ]
         for variety, gens in refused:
             with pytest.raises(InputError) as exc:
                 close_group(variety, gens)
-            assert exc.value.code == "mixed-varieties", (variety, gens)
+            assert exc.value.code == "not-endomorphism", (variety, gens)
+
+    @pytest.mark.parametrize("gens, code", [
+        ([], "no-generators"),
+        ([generator(I_FIRST, ["1/2", 0])], "bad-translation"),
+        ([generator([[(0, 1)]])], "not-endomorphism"),
+        # every generator's blocks and translation are checked before any
+        # holonomy's order
+        ([generator(DOUBLING), generator([[(0, 1)]])], "not-endomorphism"),
+        ([generator(DOUBLING), generator(I_FIRST, [0])], "bad-translation"),
+    ], ids=["none", "short-translation", "wrong-rank", "wrong-rank-second",
+            "short-translation-second"])
+    def test_generators_validated(self, gens, code, ei_squared):
+        with pytest.raises(InputError) as exc:
+            close_group(ei_squared, gens)
+        assert exc.value.code == code
 
 
 def assert_slotted_records(elements):
@@ -734,8 +747,8 @@ class TestSlottedRecord:
 
     def test_parsed_generators(self):
         for name in FIXTURES:
-            _, gens, _ = parse_input((FIXTURE_DIR / f"{name}.json").read_text())
-            assert_slotted_records(gens)
+            group = close_group(*parse_input((FIXTURE_DIR / f"{name}.json").read_text())[:2])
+            assert_slotted_records(group.generators)
 
 
 class TestRawKeyClosure:
@@ -760,7 +773,7 @@ class TestRawKeyClosure:
             return original(self, matrix, translation)
 
         monkeypatch.setattr(AffineAutomorphism, "with_data", counting)
-        closed = close_group(group.variety, list(group.generators))
+        closed = close_group(group.variety, list(map(as_generator, group.generators)))
         # one build per element but the identity, though most products repeat
         assert len(built) == closed.order - 1 < closed.order * len(closed.generators) // 2
 
@@ -777,15 +790,16 @@ class TestRowTableClosure:
         gens = []
         while not gens:
             variety, gens = random_generators(rng, denoms=(1, 2, 3, 4))
-        identity = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
+        gens = [element(variety, g) for g in gens]
+        identity = element(variety, (EndoBlockMatrix.identity(variety).blocks, None))
         assert_closure_matches_product_closure(identity, gens, cap)
         assert_closure_matches_product_closure(lattice_elements([identity])[0],
                                                lattice_elements(gens), cap)
 
     def test_order_108_makes_no_product(self, monkeypatch):
         variety, gens, _ = parse_input(json.dumps(sl_diag_document("zeta6", True)))
-        gens = sorted(set(gens), key=AffineAutomorphism.sort_key)
-        identity = AffineAutomorphism.of(EndoBlockMatrix.identity(variety))
+        gens = sorted({element(variety, g) for g in gens}, key=AffineAutomorphism.sort_key)
+        identity = element(variety, (EndoBlockMatrix.identity(variety).blocks, None))
         overflow = AssertionError("closure too large")
         want = product_closure(identity, gens, 108, overflow)
 
@@ -825,30 +839,35 @@ def mutant(function, old, new):
 class TestClosureKeys:
     """The closure sorts by row numbers and sums translations over one
     denominator: it builds no per-element key and reduces no point per
-    product, and each of the two rules is caught when broken."""
+    product, and each of the two rules is caught when broken.  The
+    generators' keys are their validated blocks, so none is read back off a
+    matrix."""
 
     def closure_calls(self, monkeypatch, document):
         calls = Counter()
         count_calls(monkeypatch, action_module, "block_pairs", calls)
+        count_calls(monkeypatch, EndoBlockMatrix, "from_rows", calls)
         count_calls(monkeypatch, TorsionPoint, "sort_key", calls)
         count_calls(monkeypatch, TorsionPoint, "over", calls)
         variety, gens, options = parse_input(json.dumps(document))
+        assert "from_rows" not in calls
         calls.clear()
         group = close_group(variety, gens, cap=options["group_cap"])
+        assert calls.pop("from_rows") == len(gens)
         return group, calls
 
     def test_order_108_sorts_the_generators_only(self, monkeypatch):
         group, calls = self.closure_calls(monkeypatch, sl_diag_document("zeta6", True))
         assert group.order == 108
-        # block_pairs and TorsionPoint.sort_key run once per generator, in
-        # their sort; every translation is 0, one point of one sort_key
-        assert calls == {"block_pairs": 3, "sort_key": 3 + 1, "over": 1}
+        # TorsionPoint.sort_key runs once per generator, in their sort;
+        # every translation is 0, one point of one sort_key
+        assert calls == {"sort_key": 3 + 1, "over": 1}
 
     def test_order_6912_keys_each_translation_once(self, monkeypatch):
         group, calls = self.closure_calls(monkeypatch, translated_sl_diag_document())
         translations = len({g.translation for g in group.elements})
         assert (group.order, translations) == (6912, 64)
-        assert calls["block_pairs"] == len(group.generators) == 3
+        assert calls["block_pairs"] == 0 and len(group.generators) == 3
         assert calls["over"] <= translations
         assert calls["sort_key"] <= translations + len(group.generators)
 
@@ -1037,7 +1056,7 @@ class TestSpectrumModP:
         # the age of every power phi^k, read off the one spectrum of phi,
         # against the reference over Q(zeta_lcm(12, d)); d - 1, no multiple
         # of the order d > 1, is a certificate failure naming the root
-        g = AffineAutomorphism.of(phi)
+        g = element(phi.variety, (phi.blocks, None))
         d = holonomy_order(phi.matrix)
         if wrong_order and d > 1:
             with pytest.raises(CertificateError) as exc:

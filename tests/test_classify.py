@@ -23,7 +23,7 @@ from fqav.variety import SubtorusTranslate
 
 from conftest import element_age, nontrivial_elements
 from oracles import conductor_age, group_field
-from test_acceptance import random_automorphism, random_variety
+from test_acceptance import random_generator, random_variety
 from test_action import ORACLE, nonabelian_groups, small_groups
 from test_cli import count_calls
 from test_golden import sl_diag_document, translated_sl_diag_document
@@ -178,8 +178,8 @@ def oracle_groups(fixture_groups, count=50):
     groups = list(fixture_groups)
     while len(groups) < len(fixture_groups) + count:
         variety = random_variety(rng)
-        gens = [g for g in (random_automorphism(rng, variety, max_order=12,
-                                                denoms=(1, 1, 2))
+        gens = [g for g in (random_generator(rng, variety, max_order=12,
+                                             denoms=(1, 1, 2))
                             for _ in range(rng.randint(1, 2))) if g is not None]
         if not gens:
             continue

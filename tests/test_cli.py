@@ -11,10 +11,11 @@ from fqav.action import FiniteGroupAction, close_group, fixed_locus, holonomy_or
 from fqav.cli import COMMANDS, MAX_DENOMINATOR_BITS, build_report, main, parse_input, serialize
 from fqav.cyclotomic import split_prime
 from fqav.errors import InputError
-from fqav.linalg import FixedPointSolver, identity_minus
+from fqav.linalg import FixedPointSolver, TorsionPoint, identity_minus
+from fqav.variety import EndoBlockMatrix
 
 from conftest import FIXTURE_DIR, elementary_divisors
-from test_golden import sl_diag_document
+from test_golden import SL_DIAG, sl_diag_document
 
 FIXTURES = ("rot4-square.json", "sign-rot4.json", "kummer.json",
             "bielliptic.json", "p1-from-ei.json")
@@ -166,10 +167,21 @@ class TestParse:
         # more digits than int() converts
         (lambda d: d["generators"][0]["translation"].__setitem__(0, "1/" + "9" * 5000),
          "bad-rational"),
+        (lambda d: d["factors"][0].update(cm="zeta3"), "bad-factor"),
+        # a tau block on a curve without CM
+        (lambda d: d["generators"][0]["holonomy"][0].__setitem__(0, [1, 1]), "not-endomorphism"),
+        # a nonzero block between a curve without CM and a zeta4 curve
+        (lambda d: (d["factors"].__setitem__(1, {"cm": "zeta4"}),
+                    d["generators"][0]["holonomy"][0].__setitem__(1, [1, 0])),
+         "not-endomorphism"),
+        # a fault of the document is reported before one of the group
+        (lambda d: (d["generators"][0]["holonomy"][0].__setitem__(0, [1, 1]),
+                    d.update(options={"group_cap": 0})), "bad-schema"),
     ], ids=["generator-not-object", "label-not-string", "cm-not-string",
             "bool-holonomy", "bool-translation", "bool-group-cap", "bool-schema-version",
             "space-rational", "plus-rational", "underscore-rational", "arabic-indic-rational",
-            "long-rational"])
+            "long-rational", "unknown-cm", "tau-on-generic", "generic-to-zeta4",
+            "document-fault-first"])
     def test_malformed_node_exits_one(self, edit, code, tmp_path, capsys):
         doc = json.loads(load("bielliptic.json"))
         edit(doc)
@@ -437,6 +449,14 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == (f"certificate failure: order 4 does not kill the spectrum "
                                 f"of {root}\n")
+
+    def test_multiplication_map_not_commuting_exits_two(self, capsys, monkeypatch):
+        # with every translation order read as 1, [2] is the map to descend,
+        # and it moves the bielliptic generator's 1/2-translation
+        monkeypatch.setattr(TorsionPoint, "order", property(lambda self: 1))
+        assert main(["classify", str(FIXTURE_DIR / "bielliptic.json")]) == 2
+        assert capsys.readouterr() == (
+            "", "certificate failure: multiplication map does not commute\n")
 
     @pytest.mark.parametrize("argv", [
         ["validate", "kummer.json", "--cap", "abc"],
@@ -733,6 +753,29 @@ class TestComputeOnce:
                 # g^2 fixes a curve; g and g^3 fix points, and with
                 # rank(I - rho) = 4 they are never solved
                 assert [sol.dim for sol in solves] == [1]
+
+    def test_each_generator_validated_once(self, tmp_path, capsys, monkeypatch):
+        # close_group validates the blocks parse_input read, once per
+        # generator of the document, repeated ones included
+        docs = [json.loads(load(name)) for name in FIXTURES]
+        docs += [sl_diag_document(cm, cycle) for cm, cycle in SL_DIAG.values()]
+        docs += [RAMIFIED_72_DOC, {"factors": [{"cm": "zeta4"}],
+                                   "generators": [{"holonomy": [[[0, 1]]]}] * 2}]
+        from_rows = EndoBlockMatrix.from_rows.__func__
+        calls = []
+
+        def counting(cls, variety, rows):
+            calls.append(rows)
+            return from_rows(cls, variety, rows)
+
+        monkeypatch.setattr(EndoBlockMatrix, "from_rows", classmethod(counting))
+        p = tmp_path / "doc.json"
+        for doc in docs:
+            p.write_text(json.dumps(doc))
+            calls.clear()
+            assert main(["validate", str(p)]) == 0
+            capsys.readouterr()
+            assert len(calls) == len(doc["generators"]), doc
 
     def test_each_matrix_ranked_and_factored_once(self, monkeypatch):
         # the class path and every decomposition stage share one solver, so

@@ -186,8 +186,9 @@ def test_phi_known_small():
 
 
 def test_conductor_must_be_divisible_by_12():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         CycloField(5)
+    assert exc.value.code == "bad-conductor"
 
 
 class TestArithmetic:
@@ -213,8 +214,9 @@ class TestArithmetic:
             assert power == self.field.one()
 
     def test_root_order_outside_field(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as exc:
             self.field.root_of_unity(5, 1)
+        assert exc.value.code == "root-order"
 
 
 class TestEigenMultiplicity:

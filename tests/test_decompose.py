@@ -37,7 +37,7 @@ from fqav.linalg import (
 )
 from fqav.variety import lattice_poincare_complement, standard_symplectic_form, subtorus_kappa
 
-from test_acceptance import random_automorphism, random_variety
+from test_acceptance import random_generator, random_variety
 from test_action import (
     ORACLE,
     assert_closure_matches_product_closure,
@@ -294,7 +294,7 @@ def random_groups(seed, count, cap=48):
     groups = []
     while len(groups) < count:
         variety = random_variety(rng)
-        gens = [g for g in (random_automorphism(rng, variety, max_order=12, denoms=(1, 1, 2))
+        gens = [g for g in (random_generator(rng, variety, max_order=12, denoms=(1, 1, 2))
                             for _ in range(rng.randint(1, 2))) if g is not None]
         if not gens:
             continue

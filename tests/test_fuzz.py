@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fqav.action import close_group
 from fqav.cli import COMMANDS, main, parse_input
 from fqav.errors import InputError
-from fqav.variety import EndoBlockMatrix, block_pairs
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -91,22 +90,35 @@ def test_schema_shaped_documents(command, doc):
     assert_clean_exit(command, json.dumps(doc))
 
 
+# the faults of the group a document's generators generate, which
+# close_group finds; every other fault is the document's, which parse_input
+# finds
+GROUP_CODES = {"not-endomorphism", "not-automorphism", "infinite-order", "cap-exceeded"}
+
+
 @FUZZ
-@given(st.sampled_from(COMMANDS), schema_docs())
-def test_cli_never_mixes_varieties(command, doc):
-    # parse_input builds every generator from blocks on the one variety it
-    # reads, so each passes close_group's check and no command can print
-    # error[mixed-varieties]
+@given(st.sampled_from(COMMANDS), schema_docs(), st.sampled_from([None, 0, "8"]))
+def test_document_errors_before_group_errors(command, doc, bad_cap):
+    # a document with faults of both kinds, here a group_cap that is not
+    # a positive integer, fails on the document's; the pairs parse_input
+    # returns fail in close_group only on the group's
+    if bad_cap is not None:
+        doc["options"]["group_cap"] = bad_cap
     text = json.dumps(doc)
+    code = None
     try:
-        variety, gens, _ = parse_input(text)
+        variety, gens, options = parse_input(text)
     except InputError as exc:
-        assert exc.code != "mixed-varieties"
+        assert exc.code not in GROUP_CODES
+        code = exc.code
     else:
-        for g in gens:
-            assert EndoBlockMatrix.from_rows(variety, block_pairs(g.matrix)).matrix == g.matrix
         try:
-            close_group(variety, gens, cap=1)
+            close_group(variety, gens, cap=options["group_cap"])
         except InputError as exc:
-            assert exc.code != "mixed-varieties"
-    assert "mixed-varieties" not in run_main(command, text)[2]
+            assert exc.code in GROUP_CODES
+            code = exc.code
+    exit_code, _, err = run_main(command, text)
+    if code is None:
+        assert (exit_code, err) == (0, "")
+    else:
+        assert exit_code == 1 and err.startswith(f"error[{code}]:"), err

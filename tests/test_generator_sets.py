@@ -15,16 +15,17 @@ from hypothesis import given
 from fqav.action import close_group
 from fqav.classify import Analysis
 
-from conftest import class_ages
+from conftest import as_generator, class_ages
 from test_action import ORACLE, nonabelian_groups, small_groups
 from test_decompose import random_groups
 
 
 def presentations(group):
-    """The group's generators three more ways; with one generator, the
-    product added is its square."""
+    """The group's generators three more ways, as generator pairs; with one
+    generator, the product added is its square."""
     gens = list(group.generators)
-    return [gens[::-1], gens + [gens[0].compose(gens[-1])], gens + gens[:1]]
+    return [list(map(as_generator, p))
+            for p in (gens[::-1], gens + [gens[0].compose(gens[-1])], gens + gens[:1])]
 
 
 def invariants(group):

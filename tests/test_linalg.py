@@ -35,7 +35,7 @@ from fqav.linalg import (
 )
 from fqav.variety import subtorus_kappa
 
-from conftest import automorphism, elementary_divisors
+from conftest import as_generator, elementary_divisors, generator
 from oracles import determinant, gauss_jordan_rank, solve_rational
 from test_action import finite_order_holonomies
 
@@ -808,11 +808,11 @@ def test_torsion_paths_make_no_fraction(bielliptic_group, monkeypatch):
     z4 = EllipticFactor("zeta4")
     variety = AbelianVarietyModel.of(z4, z4, z4)
     one, zero, i = (1, 0), (0, 0), (0, 1)
-    refl = automorphism(variety, [[i, zero, zero], [zero, one, zero], [zero, zero, one]])
-    swap = automorphism(variety, [[zero, one, zero], [one, zero, zero], [zero, zero, one]],
-                        [0, 0, 0, 0, "1/2", 0])
+    refl = generator([[i, zero, zero], [zero, one, zero], [zero, zero, one]])
+    swap = generator([[zero, one, zero], [one, zero, zero], [zero, zero, one]],
+                     [0, 0, 0, 0, "1/2", 0])
     translated = close_group(variety, [refl, swap])
-    bielliptic_gens = list(bielliptic_group.generators)
+    bielliptic_gens = list(map(as_generator, bielliptic_group.generators))
 
     def run():
         return (close_group(bielliptic_group.variety, bielliptic_gens).elements,

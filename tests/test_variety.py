@@ -28,7 +28,7 @@ from fqav.variety import (
     subtorus_kappa,
 )
 
-from conftest import automorphism
+from conftest import generator
 from oracles import analytic_rep, solve_rational
 
 Z4 = EllipticFactor("zeta4")
@@ -141,10 +141,9 @@ class TestRationalRep:
         decomposition never again ask which factors admit homomorphisms."""
         variety = AbelianVarietyModel.of(Z4, Z4, Z4)
         one, zero, i = (1, 0), (0, 0), (0, 1)
-        gens = [automorphism(variety, [[i, zero, zero], [zero, one, zero],
-                                       [zero, zero, one]]),
-                automorphism(variety, [[zero, one, zero], [one, zero, zero],
-                                       [zero, zero, one]], [0, 0, 0, 0, "1/2", 0])]
+        gens = [generator([[i, zero, zero], [zero, one, zero], [zero, zero, one]]),
+                generator([[zero, one, zero], [one, zero, zero], [zero, zero, one]],
+                          [0, 0, 0, 0, "1/2", 0])]
 
         def run():
             group = close_group(variety, gens)
@@ -303,9 +302,9 @@ class TestIsAbelianSubvariety:
         one, zero, i = (1, 0), (0, 0), (0, 1)
         # two stages, glued by 2-torsion
         two_stage = close_group(ei_cubed, [
-            automorphism(ei_cubed, [[i, zero, zero], [zero, one, zero], [zero, zero, one]]),
-            automorphism(ei_cubed, [[zero, one, zero], [one, zero, zero], [zero, zero, one]],
-                         [0, 0, 0, 0, "1/2", 0])])
+            generator([[i, zero, zero], [zero, one, zero], [zero, zero, one]]),
+            generator([[zero, one, zero], [one, zero, zero], [zero, zero, one]],
+                      [0, 0, 0, 0, "1/2", 0])])
         groups = [rot4_square_group, sign_rot4_group, kummer_group, p1_group,
                   bielliptic_group, two_stage]
         for group in groups:
