@@ -15,10 +15,7 @@ from .classify import (
     Analysis,
     ClassificationReport,
     RamificationData,
-    classification_report,
     irregularity,
-    is_quasietale,
-    kappa_anticanonical,
     ramification_data,
     reid_tai,
 )

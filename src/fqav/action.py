@@ -392,12 +392,9 @@ def close_group(variety, gens, cap=DEFAULT_GROUP_CAP) -> FiniteGroupAction:
     return FiniteGroupAction(variety, tuple(gens_sorted), tuple(elements), tables)
 
 
-def fixed_locus(g: AffineAutomorphism, solver=None) -> AffineSolutionSet:
+def fixed_locus(g: AffineAutomorphism, solver) -> AffineSolutionSet:
     """Fix(t_a . phi) = solutions of (I - rho(phi)) x == a on the torus, by
-    ``solver``, a ``FixedPointSolver`` (a new one when omitted), which keeps
-    the solve for every later request of the same data."""
-    if solver is None:
-        solver = FixedPointSolver()
+    the ``FixedPointSolver`` ``solver``, which keeps each solve."""
     return solver.solve(g.matrix, g.translation)
 
 
@@ -431,6 +428,26 @@ def order_bound(rank):
     return lcm(*(d for d in range(1, top + 1) if phi[d] <= rank))
 
 
+@cache
+def max_finite_order(rank):
+    """M = the largest finite order of an integer matrix of this rank: as in
+    ``order_bound``, the largest lcm of distinct d_i with sum phi(d_i) <=
+    rank, which a block companion matrix of the Phi_(d_i) attains.
+    Splitting each d_i into its prime powers keeps the lcm and does not
+    raise the sum, except for 2 q^k, q odd, as phi(2 q^k) = phi(q^k): so M
+    is the largest product of powers of distinct primes with sum phi(p^k)
+    <= rank, where a factor 2 is free beside an odd prime power."""
+    best = [1] * (rank + 1)  # c -> the largest product of odd prime powers of phi sum <= c
+    for p in range(3, rank + 2, 2):
+        if all(p % q for q in range(3, p, 2)):  # p is prime
+            powers = [(p ** k, (p - 1) * p ** (k - 1)) for k in range(1, rank + 1)]
+            best = [max([b] + [best[c - cost] * q for q, cost in powers if cost <= c])
+                    for c, b in enumerate(best)]
+    # 2 itself, or 2^k for k >= 2 at phi(2^k) = 2^(k-1)
+    return max([2 * best[rank]] + [2 ** k * best[rank - 2 ** (k - 1)]
+                                   for k in range(2, rank.bit_length() + 1)])
+
+
 # the prime modulo which ``holonomy_order`` raises rho to the K-th power
 _ORDER_PRIME = (1 << 61) - 1
 
@@ -454,28 +471,30 @@ def _check_unimodular(rho):
 
 def holonomy_order(rho):
     """Order of the holonomy whose rational representation is the int rows
-    rho.  Every finite order divides K = ``order_bound``, so rho has
-    infinite order when none of its first K powers is the identity.  At
-    most DEFAULT_GROUP_CAP powers are tried.  When K exceeds that cap, rho^K
-    is first taken mod a prime: a result other than I proves infinite order.  Otherwise a search
-    that reaches the cap means the order exceeds the default group cap,
-    finite or not.  A power whose trace exceeds 2n = rank in absolute value
-    ends the walk: one of finite order has 2n roots of unity as eigenvalues,
-    so this power, and with it rho, has infinite order.
+    rho.  Every finite order is at most M = ``max_finite_order``, so rho
+    has infinite order when none of its first M powers is the identity.  At
+    most DEFAULT_GROUP_CAP powers are tried.  When M exceeds that cap (from
+    rank 28 on), rho^K is first taken mod a prime, K = ``order_bound``,
+    which every finite order divides: a result other than I proves infinite
+    order.  Otherwise a search that reaches the cap means the order exceeds
+    the default group cap, finite or not.  A power whose trace exceeds 2n =
+    rank in absolute value ends the walk: one of finite order has 2n roots
+    of unity as eigenvalues, so this power, and with it rho, has infinite
+    order.
 
     A rho that is not unimodular raises not-automorphism, which wins over
     the order errors.  Its determinant is taken only when the walk does not
     settle it: rho^k = I gives det(rho)^k = 1, so det rho = +-1, and a walk
     that reaches I within rank powers needs none.  Otherwise it is taken
     after rank powers, or before the walk raises, whichever comes first, so
-    such a rho walks at most rank powers (after rho^K mod a prime, when K
+    such a rho walks at most rank powers (after rho^K mod a prime, when M
     exceeds the cap)."""
     rank = len(rho)
     infinite = InputError("holonomy has infinite order", code="infinite-order")
-    bound = order_bound(rank)
+    bound = max_finite_order(rank)
     ident = identity_matrix(rank)
     try:
-        if bound > DEFAULT_GROUP_CAP and _power_mod(rho, bound, _ORDER_PRIME) != ident:
+        if bound > DEFAULT_GROUP_CAP and _power_mod(rho, order_bound(rank), _ORDER_PRIME) != ident:
             raise infinite
         power = [list(row) for row in rho]
         for k in range(1, min(bound, DEFAULT_GROUP_CAP) + 1):

@@ -34,6 +34,7 @@ class RamificationData:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    # the fields, in this order, are the keys the CLI prints
     n: int
     group_order: int
     quasietale: bool
@@ -50,13 +51,6 @@ class ClassificationReport:
     kappa_zero: Optional[bool]
     polarized_endo_m: int
     notes: tuple = ()
-
-
-def is_quasietale(group: FiniteGroupAction) -> bool:
-    """True iff no nontrivial element fixes a divisor: every fixed locus is
-    empty or of complex codimension >= 2, so the ramification has no
-    component."""
-    return not ramification_data(group).components
 
 
 def ramification_data(group: FiniteGroupAction) -> RamificationData:
@@ -126,12 +120,6 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
     return RamificationData(components, indices, tuple(orbits), coeffs, n - kappa)
 
 
-def kappa_anticanonical(group: FiniteGroupAction):
-    """kappa(-K_X) = n - dim of the common subtorus of the ramification
-    components; Q-Fano iff kappa = n."""
-    return Analysis(group).kappa
-
-
 def reid_tai(group: FiniteGroupAction):
     """Reid-Tai condition: every nontrivial-holonomy element with nonempty
     fixed locus has age >= 1.  Returns (holds, witness or None, the
@@ -182,7 +170,8 @@ class Analysis:
 
     @cached_property
     def kappa(self):
-        """(kappa(-K_X), Q-Fano flag), as ``kappa_anticanonical`` returns it."""
+        """(kappa(-K_X), Q-Fano flag): n - dim of the common subtorus of the
+        ramification components, and whether it is n."""
         n = self.group.variety.n
         kappa = n - self.ramification.intersection_dim
         return kappa, kappa == n
@@ -256,7 +245,3 @@ class Analysis:
             polarized_endo_m=m,
             notes=tuple(notes),
         )
-
-
-def classification_report(group: FiniteGroupAction) -> ClassificationReport:
-    return Analysis(group).classification

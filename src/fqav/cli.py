@@ -66,12 +66,6 @@ def _parse_fraction(text):
     raise InputError(f"not a rational: {text!r}", code="bad-rational")
 
 
-def _format_fraction(f):
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _unique_keys(pairs):
     """The object of ``pairs``, which ``json.loads`` hands over in order; a
     repeated key is refused, where a dict would keep its last value."""
@@ -202,25 +196,11 @@ def _input_echo(variety, gens, options):
 
 
 def _classification_doc(report):
-    return {
-        "n": report.n,
-        "group_order": report.group_order,
-        "quasietale": report.quasietale,
-        "kappa_anticanonical": report.kappa_anticanonical,
-        "q_fano": report.q_fano,
-        "fano_type": report.fano_type,
-        "q_abelian": report.q_abelian,
-        "q_x": report.q_x,
-        "q_circle": report.q_circle,
-        "reid_tai_holds": report.reid_tai_holds,
-        "reid_tai_witness": (None if report.reid_tai_witness is None
-                             else _element_doc(report.reid_tai_witness)),
-        "uniruled": report.uniruled,
-        "canonical": report.canonical,
-        "kappa_zero": report.kappa_zero,
-        "polarized_endo_m": report.polarized_endo_m,
-        "notes": list(report.notes),
-    }
+    doc = dict(vars(report))
+    if report.reid_tai_witness is not None:
+        doc["reid_tai_witness"] = _element_doc(report.reid_tai_witness)
+    doc["notes"] = list(report.notes)
+    return doc
 
 
 def _ramification_doc(data):
@@ -231,7 +211,7 @@ def _ramification_doc(data):
                         "index": e}
                        for c, e in zip(data.components, data.indices)],
         "orbits": [list(o) for o in data.orbits],
-        "boundary_coeffs": [_format_fraction(c) for c in data.boundary_coeffs],
+        "boundary_coeffs": [str(c) for c in data.boundary_coeffs],
         "intersection_dim": data.intersection_dim,
     }
 
@@ -246,12 +226,7 @@ def _decomposition_doc(result):
             "group_order": result.fano_part.order,
             "embedding": [list(v) for v in result.fano_part.embedding],
         },
-        "stages": [{"n_order": s.n_order,
-                    "ker_mu_order": s.ker_mu_order,
-                    "quasietale_outside_check": s.quasietale_outside_check,
-                    "fano_kappa_check": s.fano_kappa_check,
-                    "n_tilde_order": s.n_tilde_order}
-                   for s in result.stages],
+        "stages": [dict(vars(s)) for s in result.stages],
     }
 
 
@@ -272,8 +247,7 @@ def build_report(variety, gens, options, command):
         holds, witness, witness_age = analysis.reid_tai
         doc["reid_tai"] = {"holds": holds,
                            "witness": None if witness is None else _element_doc(witness),
-                           "witness_age": (None if witness is None
-                                           else _format_fraction(witness_age))}
+                           "witness_age": None if witness is None else str(witness_age)}
     if command in ("decompose", "report"):
         doc["decomposition"] = _decomposition_doc(analysis.decomposition)
     if command == "report":

@@ -39,14 +39,12 @@ def close_elements(gens):
 
 
 def close_with_tables(gens, bound=math.inf, overflow=None):
-    """Closure of lattice elements under composition, the generators it
-    kept, and the ``ClosureTables`` of the closure of those.  The exception
-    ``overflow`` is raised as soon as the closure holds more than ``bound``
-    elements.  Generators are taken in ``sort_key`` order, and one already
-    in the closure of the generators kept so far is skipped: it would add
-    nothing to the subgroup."""
-    if not gens:
-        return [], [], None
+    """Closure of the lattice elements ``gens``, at least one, under
+    composition, the generators it kept, and the ``ClosureTables`` of the
+    closure of those.  The exception ``overflow`` is raised as soon as the
+    closure holds more than ``bound`` elements.  Generators are taken in
+    ``sort_key`` order, and one already in the closure of the generators
+    kept so far is skipped: it would add nothing to the subgroup."""
     ident = LatticeElement.of(identity_matrix(gens[0].rank))
     kept = []
     elements, tables = [ident], ClosureTables([], [-1], [-1])
@@ -60,11 +58,8 @@ def close_with_tables(gens, bound=math.inf, overflow=None):
     return elements, kept, tables
 
 
-def element_fixed_solution(e: LatticeElement, solver=None):
-    """The solutions of (I - W) x == a for e = (W, a), by ``solver``, a
-    ``FixedPointSolver`` (a new one when omitted)."""
-    if solver is None:
-        solver = FixedPointSolver()
+def element_fixed_solution(e: LatticeElement, solver):
+    """The solutions of (I - W) x == a for e = (W, a), by ``solver``."""
     return solver.solve(e.matrix, e.translation)
 
 
@@ -106,6 +101,7 @@ class SublatticeAction:
 
 @dataclass(frozen=True)
 class StageCertificate:
+    # the fields, in this order, are the keys the CLI prints per stage
     n_order: int
     ker_mu_order: int
     quasietale_outside_check: bool

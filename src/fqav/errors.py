@@ -7,9 +7,10 @@ class FqavError(Exception):
 
 class InputError(FqavError):
     """Invalid user input: bad schema, non-endomorphism blocks, non-torsion
-    translations, or a group closure that exceeds its cap."""
+    translations, or a group closure that exceeds its cap; ``code`` names
+    the fault, as the CLI prints it: ``error[code]: message``."""
 
-    def __init__(self, message, code="input-error"):
+    def __init__(self, message, *, code):
         super().__init__(message)
         self.code = code
 

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import CertificateError, InputError
 from .linalg import (
     Lattice,
     TorsionPoint,
     abs_determinant,
-    identity_matrix,
     integer_kernel,
     mat_mul,
     mat_transpose,
@@ -84,8 +82,8 @@ class AbelianVarietyModel:
 class EndoBlockMatrix:
     """Endomorphism of A in n x n block form; block (j, k) is a pair (c, d)
     meaning c + d*tau acting from factor k to factor j.  ``matrix`` is its
-    rational representation, a tuple of int rows; equality, hashing and
-    order read the blocks only.  Build one with ``from_rows``, which
+    rational representation, a tuple of int rows; equality and hashing
+    read the blocks only.  Build one with ``from_rows``, which
     validates the blocks and computes ``matrix`` once."""
 
     variety: AbelianVarietyModel
@@ -111,18 +109,6 @@ class EndoBlockMatrix:
         object.__setattr__(phi, "matrix", tuple(map(tuple, rational_rep(phi))))
         return phi
 
-    @classmethod
-    @cache
-    def identity(cls, variety):
-        """The identity of the variety, built once per variety: an
-        endomorphism of every variety, with rational representation I."""
-        n = variety.n
-        blocks = tuple(tuple((1, 0) if i == j else (0, 0) for j in range(n)) for i in range(n))
-        return cls(variety, blocks, tuple(map(tuple, identity_matrix(2 * n))))
-
-    def is_identity(self):
-        return self == EndoBlockMatrix.identity(self.variety)
-
     def compose(self, other):
         """The product of the rational representations, with the blocks read
         back off it.  rational_rep is an injective ring homomorphism, so this
@@ -130,9 +116,6 @@ class EndoBlockMatrix:
         validation."""
         m = tuple(map(tuple, mat_mul(self.matrix, other.matrix)))
         return EndoBlockMatrix(self.variety, block_pairs(m), m)
-
-    def sort_key(self):
-        return self.blocks
 
 
 def block_pairs(m):

@@ -42,6 +42,16 @@ def element(variety, gen):
     return AffineAutomorphism(EndoBlockMatrix.from_rows(variety, blocks).matrix, trans)
 
 
+def identity_blocks(n):
+    """The block rows of the identity of a variety of dimension n."""
+    return tuple(tuple((int(j == k), 0) for k in range(n)) for j in range(n))
+
+
+def identity(variety):
+    """The identity endomorphism of ``variety``, built by ``from_rows``."""
+    return EndoBlockMatrix.from_rows(variety, identity_blocks(variety.n))
+
+
 def automorphism(variety, rows, translation=None):
     return element(variety, generator(rows, translation))
 

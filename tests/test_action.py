@@ -24,6 +24,7 @@ from fqav.action import (
     descend_multiplication,
     fixed_locus,
     holonomy_order,
+    max_finite_order,
     order_bound,
     pointwise_stabilizer,
 )
@@ -53,6 +54,8 @@ from conftest import (
     element_age,
     generator,
     holonomy,
+    identity,
+    identity_blocks,
     nontrivial_elements,
 )
 from oracles import (
@@ -149,13 +152,13 @@ class TestClosure:
             assert len(products) == made
 
     def test_order_search_stops_at_default_cap(self):
-        # on E^5, K = 55440 exceeds the default cap, so the power search
-        # would stop there; phi^K != I mod a prime proves the unipotent
-        # holonomy has infinite order before that search starts
+        # on E^14, M = 13860 exceeds the default cap, so the power search
+        # would stop there, with cap-exceeded; phi^K != I mod a prime proves
+        # the unipotent holonomy has infinite order before that search starts
         e = EllipticFactor("generic", "E")
-        variety = AbelianVarietyModel.of(*[e] * 5)
-        rows = [[(int(i == j) + int((i, j) == (0, 1)), 0) for j in range(5)]
-                for i in range(5)]
+        variety = AbelianVarietyModel.of(*[e] * 14)
+        rows = [[(int(i == j) + int((i, j) == (0, 1)), 0) for j in range(14)]
+                for i in range(14)]
         with pytest.raises(InputError) as exc:
             holonomy_order(automorphism(variety, rows).matrix)
         assert exc.value.code == "infinite-order"
@@ -163,16 +166,35 @@ class TestClosure:
     @pytest.mark.parametrize("images,order", [((1, 2, 3, 4, 0), 5),
                                               ((1, 0, 3, 4, 2), 6)])
     def test_finite_order_above_the_cap_bound(self, images, order):
-        # on E^5 a permuting holonomy passes the mod-prime power check and
+        # on E^14 a permuting holonomy passes the mod-prime power check and
         # the search finds its order
         e = EllipticFactor("generic", "E")
-        variety = AbelianVarietyModel.of(*[e] * 5)
-        rows = [[(int(images[k] == j), 0) for k in range(5)] for j in range(5)]
+        variety = AbelianVarietyModel.of(*[e] * 14)
+        images += tuple(range(5, 14))
+        rows = [[(int(images[k] == j), 0) for k in range(14)] for j in range(14)]
         assert holonomy_order(automorphism(variety, rows).matrix) == order
 
     def test_order_bound(self):
         # lcm of the d with phi(d) <= rank
         assert [order_bound(r) for r in (2, 4, 6)] == [12, 120, 2520]
+
+    def test_max_finite_order(self):
+        # the largest lcm of distinct d_i with sum phi(d_i) <= rank, by
+        # search over the sets of such d_i
+        def largest_lcm(budget, ds, current=1):
+            return max([current] + [largest_lcm(budget - totient(d), ds[i + 1:], lcm(current, d))
+                                    for i, d in enumerate(ds) if totient(d) <= budget])
+
+        def totient(d):
+            return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+
+        for rank in range(1, 11):
+            ds = [d for d in range(1, 2 * rank * rank + 1) if totient(d) <= rank]
+            assert max_finite_order(rank) == largest_lcm(rank, ds), rank
+        assert [max_finite_order(r) for r in (2, 4, 6, 10, 26, 28)] == \
+            [6, 12, 30, 120, 9240, 13860]
+        # every finite order divides order_bound, M among them
+        assert all(order_bound(r) % max_finite_order(r) == 0 for r in range(1, 29))
 
     def test_translation_only_generator_of_finite_order(self, ei_squared):
         g = generator([[(1, 0), (0, 0)], [(0, 0), (1, 0)]], ["1/3", 0, 0, 0])
@@ -199,19 +221,21 @@ REJECTION = {"not-automorphism": "holonomy is not an automorphism",
              "infinite-order": "holonomy has infinite order"}
 # n -> the rejection code and the number of mat_mul calls of each holonomy
 # on E_i^n.  A walk that does not reach I within 2n powers takes the
-# determinant, so one that is not unimodular makes 2n - 1 products, or none
-# when its first trace exceeds 2n; the unipotent one walks all K =
-# order_bound(2n) powers.  On E^5, K = 55440 exceeds the default cap, and
-# every holonomy first makes the 22 products of phi^K mod a prime
+# determinant, so one that is not unimodular makes 2n - 1 products, or fewer
+# when a power's trace exceeds 2n first: none for doubled-row, and 6 for
+# one-plus-i on E_i^5, whose seventh power has trace 24.  The unipotent one
+# walks all M = max_finite_order(2n) powers, with no power mod a prime, as
+# each M is below the default cap
 CHECKS = {
     2: {"zero-block": ("not-automorphism", 3), "nilpotent": ("not-automorphism", 3),
         "one-plus-i": ("not-automorphism", 3), "doubled-row": ("not-automorphism", 0),
-        "unipotent": ("infinite-order", 120)},
+        "unipotent": ("infinite-order", 12)},
     3: {"zero-block": ("not-automorphism", 5), "nilpotent": ("not-automorphism", 5),
         "one-plus-i": ("not-automorphism", 5), "doubled-row": ("not-automorphism", 0),
-        "unipotent": ("infinite-order", 2520)},
-    5: {name: ("infinite-order" if name == "unipotent" else "not-automorphism", 22)
-        for name in REJECTED},
+        "unipotent": ("infinite-order", 30)},
+    5: {"zero-block": ("not-automorphism", 9), "nilpotent": ("not-automorphism", 9),
+        "one-plus-i": ("not-automorphism", 6), "doubled-row": ("not-automorphism", 0),
+        "unipotent": ("infinite-order", 120)},
 }
 
 
@@ -251,12 +275,34 @@ class TestGeneratorChecks:
             assert capsys.readouterr() == ("", f"error[{code}]: {REJECTION[code]}\n"), names
             assert len(products) == made, names
 
+    def test_infinite_order_congruent_to_the_identity(self, monkeypatch, tmp_path, capsys):
+        # I + (2^61 - 1) e_(0, 2) on E^5 is I mod the prime of the power
+        # check, so rho^K is I mod that prime for every K; its first M = 120
+        # powers are not I, which proves infinite order within the cap
+        products = []
+
+        def counting(a, b):
+            products.append(a)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(action_module, "mat_mul", counting)
+        n = 5
+        holonomy = [[[int(j == k) + (2 ** 61 - 1) * ((j, k) == (0, 1)), 0]
+                     for k in range(n)] for j in range(n)]
+        doc = {"factors": [{"cm": "generic", "label": "E"}] * n,
+               "generators": [{"holonomy": holonomy}]}
+        path = tmp_path / "congruent.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error[infinite-order]: holonomy has infinite order\n")
+        assert len(products) == max_finite_order(2 * n) == 120
+
 
 class TestFixedLoci:
     def test_mult_by_i_has_four_fixed_points(self, p1_group):
         g = next(x for x in p1_group.elements
                  if holonomy_order(x.matrix) == 4)
-        loc = fixed_locus(g)
+        loc = fixed_locus(g, p1_group.solver)
         assert loc.nonempty
         assert loc.dim == 0
         assert len(loc.representatives) == 2
@@ -264,7 +310,7 @@ class TestFixedLoci:
     def test_sign_rot4_square_is_curve_times_torsion(self, sign_rot4_group):
         sq = next(x for x in sign_rot4_group.elements
                   if holonomy_order(x.matrix) == 2)
-        loc = fixed_locus(sq)
+        loc = fixed_locus(sq, sign_rot4_group.solver)
         assert loc.dim == 1
         assert len(loc.representatives) == 4
         lat = loc.kernel
@@ -272,14 +318,14 @@ class TestFixedLoci:
 
     def test_kummer_sixteen_points(self, kummer_group):
         g = nontrivial_elements(kummer_group)[0]
-        loc = fixed_locus(g)
+        loc = fixed_locus(g, kummer_group.solver)
         assert loc.dim == 0
         assert len(loc.representatives) == 16
 
     def test_bielliptic_fixed_free(self, bielliptic_group):
         g = nontrivial_elements(bielliptic_group)[0]
-        assert not fixed_locus(g).nonempty
-        assert fixed_locus(g).dim is None
+        assert not fixed_locus(g, bielliptic_group.solver).nonempty
+        assert fixed_locus(g, bielliptic_group.solver).dim is None
 
     def test_conjugation_moves_fixed_locus(self, rot4_square_group):
         # Fix(h g h^-1) = h(Fix(g)) as sets of components
@@ -290,14 +336,14 @@ class TestFixedLoci:
             for h in els:
                 phi = holonomy(h, rot4_square_group.variety)
                 inv = phi
-                while not inv.compose(phi).is_identity():
+                while inv.compose(phi).blocks != identity_blocks(2):
                     inv = inv.compose(phi)
                 h_inv = AffineAutomorphism(
                     inv.matrix, (-h.translation).apply_matrix(rational_rep(inv)))
                 assert h.compose(h_inv).is_identity()
                 conj = h.compose(g).compose(h_inv)
-                left = fixed_locus(conj)
-                right = fixed_locus(g)
+                left = fixed_locus(conj, rot4_square_group.solver)
+                right = fixed_locus(g, rot4_square_group.solver)
                 assert left.nonempty == right.nonempty
                 if not left.nonempty:
                     continue
@@ -318,7 +364,7 @@ class TestStabilizer:
     def test_sign_rot4_component_stabilizer(self, sign_rot4_group):
         sq = next(x for x in sign_rot4_group.elements
                   if holonomy_order(x.matrix) == 2)
-        loc = fixed_locus(sq)
+        loc = fixed_locus(sq, sign_rot4_group.solver)
         comp = SubtorusTranslate(loc.kernel, loc.representatives[0])
         members, e = pointwise_stabilizer(comp, sign_rot4_group)
         assert e == 2
@@ -355,7 +401,7 @@ class TestAges:
             for g in group.elements:
                 phi = holonomy(g, group.variety)
                 inv = phi
-                while not inv.compose(phi).is_identity():
+                while inv.compose(phi).blocks != identity_blocks(group.variety.n):
                     inv = inv.compose(phi)
                 total = element_age(g, group.variety) + element_age(by_hol[inv], group.variety)
                 assert total.denominator == 1
@@ -658,7 +704,7 @@ def assert_lattice_data(group):
         assert g == plain and plain == g and hash(g) == hash(plain)
         phi = holonomy(g, group.variety)
         assert tuple(map(tuple, rational_rep(phi))) == g.matrix
-        assert g.sort_key() == (phi.sort_key(), g.translation.sort_key())
+        assert g.sort_key() == (phi.blocks, g.translation.sort_key())
 
 
 # blocks on E_i^2: i x 1, and 2 x 1, an endomorphism but no automorphism
@@ -791,7 +837,7 @@ class TestRowTableClosure:
         while not gens:
             variety, gens = random_generators(rng, denoms=(1, 2, 3, 4))
         gens = [element(variety, g) for g in gens]
-        identity = element(variety, (EndoBlockMatrix.identity(variety).blocks, None))
+        identity = element(variety, (identity_blocks(variety.n), None))
         assert_closure_matches_product_closure(identity, gens, cap)
         assert_closure_matches_product_closure(lattice_elements([identity])[0],
                                                lattice_elements(gens), cap)
@@ -799,7 +845,7 @@ class TestRowTableClosure:
     def test_order_108_makes_no_product(self, monkeypatch):
         variety, gens, _ = parse_input(json.dumps(sl_diag_document("zeta6", True)))
         gens = sorted({element(variety, g) for g in gens}, key=AffineAutomorphism.sort_key)
-        identity = element(variety, (EndoBlockMatrix.identity(variety).blocks, None))
+        identity = element(variety, (identity_blocks(variety.n), None))
         overflow = AssertionError("closure too large")
         want = product_closure(identity, gens, 108, overflow)
 
@@ -1064,7 +1110,7 @@ class TestSpectrumModP:
             assert str(exc.value) == f"order {d - 1} does not kill the spectrum of {g}"
         field = CycloField(lcm(12, d))
         ages = age(g, d, phi.variety)
-        power = EndoBlockMatrix.identity(phi.variety)
+        power = identity(phi.variety)
         for k in range(d):
             assert ages(k) == reference_age(power, field), k
             power = power.compose(phi)

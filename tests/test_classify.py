@@ -9,16 +9,9 @@ from hypothesis import given
 
 from fqav.action import close_group, fixed_locus, mat_eq_identity, pointwise_stabilizer
 from fqav.cli import build_report, parse_input
-from fqav.classify import (
-    classification_report,
-    irregularity,
-    is_quasietale,
-    kappa_anticanonical,
-    ramification_data,
-    reid_tai,
-)
+from fqav.classify import Analysis, irregularity, ramification_data, reid_tai
 from fqav.errors import InputError
-from fqav.linalg import Lattice, mat_vec
+from fqav.linalg import FixedPointSolver, Lattice, mat_vec
 from fqav.variety import SubtorusTranslate
 
 from conftest import element_age, nontrivial_elements
@@ -34,15 +27,15 @@ classify_module = importlib.import_module("fqav.classify")
 
 class TestQuasietale:
     def test_isolated_fixed_points_pass(self, rot4_square_group, kummer_group):
-        assert is_quasietale(rot4_square_group)
-        assert is_quasietale(kummer_group)
+        assert not Analysis(rot4_square_group).ramification.components
+        assert not Analysis(kummer_group).ramification.components
 
     def test_free_action_passes(self, bielliptic_group):
-        assert is_quasietale(bielliptic_group)
+        assert not Analysis(bielliptic_group).ramification.components
 
     def test_divisorial_fixing_fails(self, sign_rot4_group, p1_group):
-        assert not is_quasietale(sign_rot4_group)
-        assert not is_quasietale(p1_group)
+        assert Analysis(sign_rot4_group).ramification.components
+        assert Analysis(p1_group).ramification.components
 
 
 class TestRamification:
@@ -83,11 +76,11 @@ class TestRamification:
 class TestKappa:
     def test_values(self, rot4_square_group, sign_rot4_group, kummer_group, p1_group,
                     bielliptic_group):
-        assert kappa_anticanonical(rot4_square_group) == (0, False)
-        assert kappa_anticanonical(sign_rot4_group) == (1, False)
-        assert kappa_anticanonical(kummer_group) == (0, False)
-        assert kappa_anticanonical(p1_group) == (1, True)
-        assert kappa_anticanonical(bielliptic_group) == (0, False)
+        assert Analysis(rot4_square_group).kappa == (0, False)
+        assert Analysis(sign_rot4_group).kappa == (1, False)
+        assert Analysis(kummer_group).kappa == (0, False)
+        assert Analysis(p1_group).kappa == (1, True)
+        assert Analysis(bielliptic_group).kappa == (0, False)
 
 
 class TestReidTai:
@@ -117,7 +110,7 @@ class TestIrregularity:
 
 class TestReports:
     def test_rot4_square(self, rot4_square_group):
-        r = classification_report(rot4_square_group)
+        r = Analysis(rot4_square_group).classification
         assert r.n == 2 and r.group_order == 4
         assert r.quasietale and r.q_abelian
         assert r.kappa_anticanonical == 0 and not r.q_fano
@@ -128,7 +121,7 @@ class TestReports:
         assert r.polarized_endo_m == 2
 
     def test_sign_rot4(self, sign_rot4_group):
-        r = classification_report(sign_rot4_group)
+        r = Analysis(sign_rot4_group).classification
         assert not r.quasietale and not r.q_abelian
         assert r.kappa_anticanonical == 1 and not r.q_fano
         assert r.q_x == 0 and r.q_circle == 1
@@ -137,7 +130,7 @@ class TestReports:
         assert r.polarized_endo_m == 2
 
     def test_kummer(self, kummer_group):
-        r = classification_report(kummer_group)
+        r = Analysis(kummer_group).classification
         assert r.quasietale and r.q_abelian
         assert r.reid_tai_holds
         assert r.uniruled is False
@@ -145,7 +138,7 @@ class TestReports:
         assert r.q_x == 0 and r.q_circle == 2
 
     def test_p1(self, p1_group):
-        r = classification_report(p1_group)
+        r = Analysis(p1_group).classification
         assert not r.quasietale
         assert r.q_fano and r.fano_type
         assert r.kappa_anticanonical == 1
@@ -153,7 +146,7 @@ class TestReports:
         assert r.uniruled is True
 
     def test_bielliptic(self, bielliptic_group):
-        r = classification_report(bielliptic_group)
+        r = Analysis(bielliptic_group).classification
         assert r.quasietale and r.q_abelian
         assert r.reid_tai_holds and r.kappa_zero is True
         assert r.q_x == 1 and r.q_circle == 2
@@ -165,7 +158,7 @@ class TestReports:
                                                  bielliptic_group):
         for group in (rot4_square_group, sign_rot4_group, kummer_group, p1_group,
                       bielliptic_group):
-            r = classification_report(group)
+            r = Analysis(group).classification
             assert r.quasietale == (r.q_circle == r.n)
             assert r.q_fano == (r.q_circle == 0)
             assert r.kappa_anticanonical + r.q_circle >= r.n
@@ -231,7 +224,7 @@ class TestRamificationOracle:
 def reference_is_quasietale(group):
     n = group.variety.n
     for g in nontrivial_elements(group):
-        loc = fixed_locus(g)
+        loc = fixed_locus(g, FixedPointSolver())
         if loc.nonempty and loc.dim > n - 2:
             return False
     return True
@@ -240,7 +233,7 @@ def reference_is_quasietale(group):
 def reference_reid_tai(group):
     field = group_field(group)
     for g in nontrivial_elements(group):
-        if mat_eq_identity(g.matrix) or not fixed_locus(g).nonempty:
+        if mat_eq_identity(g.matrix) or not fixed_locus(g, FixedPointSolver()).nonempty:
             continue
         g_age = conductor_age(g, group.variety, field)
         if g_age < 1:
@@ -253,7 +246,7 @@ def reference_ramification(group):
     n = group.variety.n
     by_key = {}
     for g in nontrivial_elements(group):
-        loc = fixed_locus(g)
+        loc = fixed_locus(g, FixedPointSolver())
         if loc.dim != n - 1:
             continue
         for rep in loc.representatives:
@@ -264,7 +257,7 @@ def reference_ramification(group):
 
 
 def assert_class_path_matches_reference(group):
-    assert is_quasietale(group) == reference_is_quasietale(group)
+    assert (not Analysis(group).ramification.components) == reference_is_quasietale(group)
     assert reid_tai(group) == reference_reid_tai(group)
     data = ramification_data(group)
     assert (data.components, data.indices) == reference_ramification(group)

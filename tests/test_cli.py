@@ -732,7 +732,8 @@ class TestComputeOnce:
             group = close_group(variety, gens)
             rep = group.class_rep
             firsts = [i for i in range(1, group.order) if rep[i] == i]
-            divisorial = [i for i in firsts if fixed_locus(group.elements[i]).dim == n - 1]
+            divisorial = [i for i in firsts
+                          if fixed_locus(group.elements[i], FixedPointSolver()).dim == n - 1]
             expected = sum(1 for i in range(1, group.order) if rep[i] in divisorial)
             probes = sum(1 for i in firsts if i not in divisorial
                          and fixed_rank(group.elements[i]) <= 2)

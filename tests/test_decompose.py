@@ -61,7 +61,7 @@ D4_WITNESS = (f"ramification subgroup is not normal: generator {SWAP} conjugates
 
 def fixed_dim(e):
     """Complex dimension of the stage solve of e's fixed locus, None if empty."""
-    return element_fixed_solution(e).dim
+    return element_fixed_solution(e, FixedPointSolver()).dim
 
 
 def stage_ramification(elements):

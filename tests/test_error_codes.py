@@ -4,7 +4,8 @@ test of a code that no longer exists, fails here.  A raised code is a
 ``code="..."`` literal in a call in a fqav module.  A test expects a code
 when it compares the literal with a ``.code`` (directly or through a
 module-level collection of literals), spells it as ``error[...]`` in a
-string, or passes it as a ``code`` argument of ``pytest.mark.parametrize``."""
+string, or passes it as a ``code`` argument of ``pytest.mark.parametrize``.
+And every ``InputError`` fqav raises names its code."""
 
 import ast
 import pathlib
@@ -74,3 +75,18 @@ def test_every_raised_code_is_expected():
 def test_every_expected_code_is_raised():
     assert sorted(EXPECTED - RAISED) == []
     assert "not-endomorphism" in EXPECTED & RAISED
+
+
+def input_errors_without_code(tree):
+    """The line numbers of the ``InputError(...)`` calls with no ``code=``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "InputError"
+            and not any(kw.arg == "code" for kw in node.keywords)]
+
+
+def test_every_input_error_has_a_code():
+    missing = {path.name: lines for path in MODULES
+               if (lines := input_errors_without_code(parse(path)))}
+    assert missing == {}
+    assert input_errors_without_code(ast.parse('InputError("m")')) == [1]

@@ -269,18 +269,24 @@ def test_large_order_report_digest(name):
 @pytest.mark.parametrize("name", FIXTURES + tuple(SL_DIAG) + tuple(DIAG_PERM))
 def test_one_divisor_pass_per_command(name, monkeypatch):
     # classify and report read quasietaleness off the ramification's one
-    # pass over the classes: with ``is_quasietale`` unusable, the report
-    # bytes and the classification are those of the gallery
-    def unusable(group):
-        raise AssertionError("a command called is_quasietale")
+    # pass over the classes: each command makes one ``ramification_data``
+    # call, and the report bytes and the classification are the gallery's
+    classify = importlib.import_module("fqav.classify")
+    original, passes = classify.ramification_data, []
 
-    monkeypatch.setattr(importlib.import_module("fqav.classify"), "is_quasietale", unusable)
+    def counting(group):
+        passes.append(group)
+        return original(group)
+
+    monkeypatch.setattr(classify, "ramification_data", counting)
     variety, gens, options = parse_input(_document_text(name))
     report = build_report(variety, gens, options, "report")
+    assert len(passes) == 1
     for fmt in FORMATS:
         assert serialize(report, fmt) == (GOLDEN_DIR / f"{name}.{fmt}").read_text()
     classified = build_report(variety, gens, options, "classify")
     assert classified["classification"] == report["classification"]
+    assert len(passes) == 2
 
 
 def regenerate():

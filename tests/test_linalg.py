@@ -816,7 +816,8 @@ def test_torsion_paths_make_no_fraction(bielliptic_group, monkeypatch):
 
     def run():
         return (close_group(bielliptic_group.variety, bielliptic_gens).elements,
-                [fixed_locus(g).representatives for g in translated.elements],
+                [fixed_locus(g, FixedPointSolver()).representatives
+                 for g in translated.elements],
                 decompose(translated))
 
     expected = run()

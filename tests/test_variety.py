@@ -28,7 +28,7 @@ from fqav.variety import (
     subtorus_kappa,
 )
 
-from conftest import generator
+from conftest import generator, identity
 from oracles import analytic_rep, solve_rational
 
 Z4 = EllipticFactor("zeta4")
@@ -99,10 +99,7 @@ class TestRationalRep:
 
     def test_identity(self):
         a = AbelianVarietyModel.of(Z4, EllipticFactor("generic", "E"))
-        assert rational_rep(EndoBlockMatrix.identity(a)) == identity_matrix(4)
-        # built once per variety: an equal variety gets the same object
-        same = AbelianVarietyModel.of(Z4, EllipticFactor("generic", "E"))
-        assert EndoBlockMatrix.identity(same) is EndoBlockMatrix.identity(a)
+        assert rational_rep(identity(a)) == identity_matrix(4)
 
     def test_swap_functorial(self):
         a = AbelianVarietyModel.of(Z4, Z4)
@@ -110,7 +107,7 @@ class TestRationalRep:
         rho = rational_rep(swap)
         assert rho == [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
         assert mat_mul(rho, rho) == identity_matrix(4)
-        assert swap.compose(swap) == EndoBlockMatrix.identity(a)
+        assert swap.compose(swap) == identity(a)
 
     @settings(max_examples=200, deadline=None)
     @given(endomorphism_pairs())
@@ -131,9 +128,8 @@ class TestRationalRep:
         a = AbelianVarietyModel.of(Z4, EllipticFactor("zeta6"))
         phi = EndoBlockMatrix.from_rows(a, [[(2, -1), (0, 0)], [(0, 0), (1, 3)]])
         assert [list(r) for r in phi.matrix] == rational_rep(phi)
-        ident = EndoBlockMatrix.identity(a)
-        assert [list(r) for r in ident.matrix] == rational_rep(ident)
-        assert ident == EndoBlockMatrix.from_rows(a, [[(1, 0), (0, 0)], [(0, 0), (1, 0)]])
+        ident = identity(a)
+        assert [list(r) for r in ident.matrix] == rational_rep(ident) == identity_matrix(4)
 
     def test_products_are_not_validated(self, monkeypatch):
         """A product of endomorphisms is one: ``close_group`` checks each
@@ -172,7 +168,7 @@ class TestRationalRep:
         power = tau
         for _ in range(5):
             power = power.compose(tau)
-        assert power == EndoBlockMatrix.identity(a)
+        assert power == identity(a)
 
     def test_block_constraint_violations(self):
         mixed = AbelianVarietyModel.of(Z4, EllipticFactor("generic", "E"))
@@ -207,7 +203,7 @@ class TestAnalyticRep:
     def test_identity(self):
         a = AbelianVarietyModel.of(Z4)
         field = CycloField(12)
-        m = analytic_rep(EndoBlockMatrix.identity(a), field)
+        m = analytic_rep(identity(a), field)
         assert m[0][0] == field.one()
 
 
@@ -382,7 +378,7 @@ class TestPoincareComplement:
     def test_orthogonal_product_factors(self):
         a = AbelianVarietyModel.of(Z4, Z4)
         b = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        c, order = complement(b, [EndoBlockMatrix.identity(a)], a)
+        c, order = complement(b, [identity(a)], a)
         assert c == Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
         assert order == 1
 
@@ -390,7 +386,7 @@ class TestPoincareComplement:
         a = AbelianVarietyModel.of(Z4, Z4)
         b = Lattice.from_vectors(4, [[1, 0, 1, 0], [0, 1, 0, 1]])
         swap = EndoBlockMatrix.from_rows(a, [[(0, 0), (1, 0)], [(1, 0), (0, 0)]])
-        c, order = complement(b, [EndoBlockMatrix.identity(a), swap], a)
+        c, order = complement(b, [identity(a), swap], a)
         assert c == Lattice.from_vectors(4, [[1, 0, -1, 0], [0, 1, 0, -1]])
         assert order == 4
         assert is_abelian_subvariety(c, a)
@@ -398,7 +394,7 @@ class TestPoincareComplement:
     def test_sign_rot4_shape(self):
         a = AbelianVarietyModel.of(EllipticFactor("generic", "E"), Z4)
         b = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        n0 = [EndoBlockMatrix.identity(a),
+        n0 = [identity(a),
               EndoBlockMatrix.from_rows(a, [[(1, 0), (0, 0)], [(0, 0), (-1, 0)]])]
         c, order = complement(b, n0, a)
         assert c == Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
