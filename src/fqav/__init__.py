@@ -26,7 +26,6 @@ from .linalg import (
     AffineSolutionSet,
     Lattice,
     TorsionPoint,
-    saturate,
     snf,
     solve_affine_mod_lattice,
 )

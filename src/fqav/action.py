@@ -11,7 +11,7 @@ from functools import cache, cached_property
 from math import lcm
 from operator import add
 
-from .cyclotomic import spectrum_mod, split_prime
+from .cyclotomic import charpoly_from_power_sums, cyclotomic_orders, spectrum_mod, split_prime
 from .errors import CertificateError, InputError
 from .linalg import (
     AffineSolutionSet,
@@ -412,106 +412,48 @@ def pointwise_stabilizer(t: SubtorusTranslate, group: FiniteGroupAction):
     return members, len(members)
 
 
-@cache
-def order_bound(rank):
-    """K = lcm of the d with phi(d) <= rank.  A finite-order integer matrix
-    of this rank is diagonalizable with roots of unity as eigenvalues, so its
-    order is the lcm of their orders d; a primitive d-th root has degree
-    phi(d) over Q, so each d is one of these and the order divides K.
-    phi(d) >= sqrt(d / 2) bounds the search by d <= 2 rank^2."""
-    top = 2 * rank * rank
-    phi = list(range(top + 1))
-    for p in range(2, top + 1):
-        if phi[p] == p:  # p is prime
-            for k in range(p, top + 1, p):
-                phi[k] -= phi[k] // p
-    return lcm(*(d for d in range(1, top + 1) if phi[d] <= rank))
-
-
-@cache
-def max_finite_order(rank):
-    """M = the largest finite order of an integer matrix of this rank: as in
-    ``order_bound``, the largest lcm of distinct d_i with sum phi(d_i) <=
-    rank, which a block companion matrix of the Phi_(d_i) attains.
-    Splitting each d_i into its prime powers keeps the lcm and does not
-    raise the sum, except for 2 q^k, q odd, as phi(2 q^k) = phi(q^k): so M
-    is the largest product of powers of distinct primes with sum phi(p^k)
-    <= rank, where a factor 2 is free beside an odd prime power."""
-    best = [1] * (rank + 1)  # c -> the largest product of odd prime powers of phi sum <= c
-    for p in range(3, rank + 2, 2):
-        if all(p % q for q in range(3, p, 2)):  # p is prime
-            powers = [(p ** k, (p - 1) * p ** (k - 1)) for k in range(1, rank + 1)]
-            best = [max([b] + [best[c - cost] * q for q, cost in powers if cost <= c])
-                    for c, b in enumerate(best)]
-    # 2 itself, or 2^k for k >= 2 at phi(2^k) = 2^(k-1)
-    return max([2 * best[rank]] + [2 ** k * best[rank - 2 ** (k - 1)]
-                                   for k in range(2, rank.bit_length() + 1)])
-
-
-# the prime modulo which ``holonomy_order`` raises rho to the K-th power
-_ORDER_PRIME = (1 << 61) - 1
-
-
-def _power_mod(mat, e, p):
-    """mat^e with entries reduced mod p, by repeated squaring."""
-    result = identity_matrix(len(mat))
-    base = [[x % p for x in row] for row in mat]
-    while e:
-        if e & 1:
-            result = [[x % p for x in row] for row in mat_mul(result, base)]
-        base = [[x % p for x in row] for row in mat_mul(base, base)]
-        e >>= 1
-    return result
-
-
-def _check_unimodular(rho):
-    if abs_determinant(rho) != 1:
-        raise InputError("holonomy is not an automorphism", code="not-automorphism")
-
-
 def holonomy_order(rho):
-    """Order of the holonomy whose rational representation is the int rows
-    rho.  Every finite order is at most M = ``max_finite_order``, so rho
-    has infinite order when none of its first M powers is the identity.  At
-    most DEFAULT_GROUP_CAP powers are tried.  When M exceeds that cap (from
-    rank 28 on), rho^K is first taken mod a prime, K = ``order_bound``,
-    which every finite order divides: a result other than I proves infinite
-    order.  Otherwise a search that reaches the cap means the order exceeds
-    the default group cap, finite or not.  A power whose trace exceeds 2n =
-    rank in absolute value ends the walk: one of finite order has 2n roots
-    of unity as eigenvalues, so this power, and with it rho, has infinite
-    order.
+    """The order of the holonomy whose rational representation is the int
+    rows rho, of rank N = 2n.  A finite-order integer matrix is
+    diagonalizable with roots of unity as eigenvalues, so each of its powers
+    has trace at most N in absolute value, and its characteristic polynomial
+    chi is a product of Phi_d whose lcm L is its order.
 
-    A rho that is not unimodular raises not-automorphism, which wins over
-    the order errors.  Its determinant is taken only when the walk does not
-    settle it: rho^k = I gives det(rho)^k = 1, so det rho = +-1, and a walk
-    that reaches I within rank powers needs none.  Otherwise it is taken
-    after rank powers, or before the walk raises, whichever comes first, so
-    such a rho walks at most rank powers (after rho^K mod a prime, when M
-    exceeds the cap)."""
+    The walk returns the first k <= N with rho^k = I, and a power of trace
+    above N proves infinite order.  Otherwise Newton's identities read chi
+    off the N traces, and det rho = +-chi(0).  Then rho has finite order iff
+    chi is a product of Phi_d and rho^L = I, by repeated squaring, with L > N
+    as the walk did not reach I.  not-automorphism wins over infinite-order:
+    the trace screen takes the determinant before it raises."""
     rank = len(rho)
     infinite = InputError("holonomy has infinite order", code="infinite-order")
-    bound = max_finite_order(rank)
+    not_automorphism = InputError("holonomy is not an automorphism", code="not-automorphism")
     ident = identity_matrix(rank)
-    try:
-        if bound > DEFAULT_GROUP_CAP and _power_mod(rho, order_bound(rank), _ORDER_PRIME) != ident:
-            raise infinite
-        power = [list(row) for row in rho]
-        for k in range(1, min(bound, DEFAULT_GROUP_CAP) + 1):
-            if power == ident:
-                return k
-            if k == rank:
-                _check_unimodular(rho)
-            if abs(sum(row[i] for i, row in enumerate(power))) > rank:
-                raise infinite
+    power = [list(row) for row in rho]
+    traces = []
+    for k in range(1, rank + 1):
+        if power == ident:
+            return k
+        traces.append(sum(row[i] for i, row in enumerate(power)))
+        if abs(traces[-1]) > rank:
+            raise not_automorphism if abs_determinant(rho) != 1 else infinite
+        if k < rank:
             power = mat_mul(power, rho)
-        if bound <= DEFAULT_GROUP_CAP:
-            raise infinite
-        raise InputError("holonomy order exceeds cap", code="cap-exceeded")
-    except InputError as exc:
-        if exc.code != "not-automorphism":
-            _check_unimodular(rho)
-        raise
+    chi = charpoly_from_power_sums(traces)
+    if abs(chi[0]) != 1:
+        raise not_automorphism
+    orders = cyclotomic_orders(chi)
+    order = 0 if orders is None else lcm(*orders)
+    if order <= rank:
+        raise infinite
+    power = rho
+    for bit in bin(order)[3:]:
+        power = mat_mul(power, power)
+        if bit == "1":
+            power = mat_mul(power, rho)
+    if power != ident:
+        raise infinite
+    return order
 
 
 def age(g: AffineAutomorphism, d, variety):

@@ -1,9 +1,9 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_m) and kernel ranks of
-matrices over it.  An element is an integer residue modulo the monic m-th
-cyclotomic polynomial over one positive common denominator, so sums,
-products, conjugates and kernel ranks run on ints.  Eigenvalue counts of a
-matrix reduced modulo a prime that splits completely in Q(zeta_m) run on
-ints below that prime.
+"""Cyclotomic polynomials and factors, exact arithmetic in the cyclotomic
+field Q(zeta_m) and kernel ranks of matrices over it.  An element is an
+integer residue modulo the monic m-th cyclotomic polynomial over one
+positive common denominator, so sums, products, conjugates and kernel ranks
+run on ints.  Eigenvalue counts of a matrix reduced modulo a prime that
+splits completely in Q(zeta_m) run on ints below that prime.
 """
 
 from __future__ import annotations
@@ -56,6 +56,35 @@ def cyclotomic_polynomial(m):
             num, rem = _poly_divmod_exact(num, list(cyclotomic_polynomial(d)))
             assert not rem
     return tuple(num)
+
+
+@cache
+def _cyclotomics_of_degree_at_most(degree):
+    """The pairs (d, Phi_d) over the d with phi(d) <= degree, by a totient
+    sieve; phi(d) >= sqrt(d / 2) bounds the search by d <= 2 degree^2."""
+    top = 2 * degree * degree
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:  # p is prime
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return tuple((d, cyclotomic_polynomial(d)) for d in range(1, top + 1) if phi[d] <= degree)
+
+
+def cyclotomic_orders(poly):
+    """The d of the factors Phi_d of the monic integer polynomial ``poly``
+    (coefficients lowest degree first), once per factor, when it is a
+    product of cyclotomic polynomials; None otherwise."""
+    rest = list(poly)
+    orders = []
+    for d, phi_d in _cyclotomics_of_degree_at_most(len(rest) - 1):
+        while len(rest) >= len(phi_d):
+            quotient, remainder = _poly_divmod_exact(rest, phi_d)
+            if remainder:
+                break
+            rest = quotient
+            orders.append(d)
+    return orders if rest == [1] else None
 
 
 @dataclass(frozen=True)
@@ -316,12 +345,24 @@ def rank_mod(matrix, p):
     return r
 
 
+def charpoly_from_power_sums(sums, p=None):
+    """The coefficients of det(x I - M), lowest degree first, of an n x n
+    matrix M from its power sums s_k = tr(M^k), k = 1, ..., n, by Newton's
+    identities: c_n = 1 and k c_(n-k) = -(c_(n-k+1) s_1 + ... + c_n s_k).
+    Over the integers (p None) the division by k is exact; over F_p, p > n,
+    it is by k's inverse mod p."""
+    n = len(sums)
+    coeffs = [0] * n + [1]
+    for k in range(1, n + 1):
+        top = -sum(map(mul, coeffs[n - k + 1:], sums))
+        coeffs[n - k] = top // k if p is None else top * pow(k, -1, p) % p
+    return coeffs
+
+
 def charpoly_mod(matrix, p):
     """The coefficients of det(x I - M) over F_p, lowest degree first, of an
-    n x n matrix M of ints in [0, p) with n < p.  By Newton's identities,
-    as in Faddeev-LeVerrier, from the power sums s_k = tr(M^k):
-    c_n = 1 and k c_(n-k) = -(c_(n-k+1) s_1 + ... + c_n s_k).  This takes
-    n - 2 matrix products and divides only by k <= n < p."""
+    n x n matrix M of ints in [0, p) with n < p, from its power sums, as in
+    Faddeev-LeVerrier.  This takes n - 2 matrix products."""
     n = len(matrix)
     columns = list(zip(*matrix))
     sums = [sum(row[i] for i, row in enumerate(matrix))]
@@ -330,11 +371,7 @@ def charpoly_mod(matrix, p):
         sums.append(sum(sum(map(mul, row, col)) for row, col in zip(power, columns)))
         if k < n:
             power = [[sum(map(mul, row, col)) % p for col in columns] for row in power]
-    coeffs = [0] * n + [1]
-    for k in range(1, n + 1):
-        top = coeffs[n - k + 1:]
-        coeffs[n - k] = -sum(map(mul, top, sums)) * pow(k, -1, p) % p
-    return coeffs
+    return charpoly_from_power_sums(sums, p)
 
 
 def spectrum_mod(matrix, p, z, m):

@@ -288,12 +288,6 @@ class Lattice:
         return None if any(rest) else out
 
 
-def saturate(lat: Lattice) -> Lattice:
-    """Saturation (L tensor Q) intersect Z^N: same rank, torsion-free quotient.
-    It is the annihilator of the annihilator of L."""
-    return integer_kernel(orthogonal_complement_rows(lat), lat.ambient_rank)
-
-
 def integer_kernel(matrix, cols) -> Lattice:
     """Saturated lattice {x in Z^cols : M x = 0}.
 

@@ -13,13 +13,25 @@
   class that no earlier walk reached, counted over lcm(12, d) for the
   walk's holonomy order d; it builds no group-wide field.
 - The exact analytic representation over Q(zeta_m), ``analytic_rep``; the
-  runtime reduces it modulo a split prime as it builds it."""
+  runtime reduces it modulo a split prime as it builds it.
+- The order of an integer matrix by walking its first ``max_finite_order``
+  powers, the largest finite order at its rank.  The runtime walks 2n
+  powers and factors the characteristic polynomial their traces give.
+- ``saturate``, the saturation of a lattice, which no command takes."""
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from fqav.action import mat_eq_identity
 from fqav.cyclotomic import CycloField, spectrum_mod, split_prime
+from fqav.linalg import (
+    Lattice,
+    identity_matrix,
+    integer_kernel,
+    mat_mul,
+    orthogonal_complement_rows,
+)
 from fqav.variety import ZETA4, analytic_rep_mod, block_pairs
 
 
@@ -175,3 +187,43 @@ def class_ages_over_conductor(group, field):
     rep = union_find_class_rep(group)
     return {i: conductor_age(group.elements[i], group.variety, field)
             for i in range(1, len(rep)) if rep[i] == i}
+
+
+@cache
+def max_finite_order(rank):
+    """M = the largest finite order of an integer matrix of this rank.  A
+    finite-order integer matrix is diagonalizable with roots of unity as
+    eigenvalues; a primitive d-th root has degree phi(d) over Q, so M is the
+    largest lcm of distinct d_i with sum phi(d_i) <= rank, which a block
+    companion matrix of the Phi_(d_i) attains.  Splitting each d_i into its
+    prime powers keeps the lcm and does not raise the sum, except for
+    2 q^k, q odd, as phi(2 q^k) = phi(q^k): so M is the largest product of
+    powers of distinct primes with sum phi(p^k) <= rank, where a factor 2 is
+    free beside an odd prime power."""
+    best = [1] * (rank + 1)  # c -> the largest product of odd prime powers of phi sum <= c
+    for p in range(3, rank + 2, 2):
+        if all(p % q for q in range(3, p, 2)):  # p is prime
+            powers = [(p ** k, (p - 1) * p ** (k - 1)) for k in range(1, rank + 1)]
+            best = [max([b] + [best[c - cost] * q for q, cost in powers if cost <= c])
+                    for c, b in enumerate(best)]
+    # 2 itself, or 2^k for k >= 2 at phi(2^k) = 2^(k-1)
+    return max([2 * best[rank]] + [2 ** k * best[rank - 2 ** (k - 1)]
+                                   for k in range(2, rank.bit_length() + 1)])
+
+
+def bounded_walk_order(rho):
+    """The order of the square integer matrix rho, or None when it is
+    infinite: the first k <= ``max_finite_order`` with rho^k = I."""
+    ident = identity_matrix(len(rho))
+    power = [list(row) for row in rho]
+    for k in range(1, max_finite_order(len(rho)) + 1):
+        if power == ident:
+            return k
+        power = mat_mul(power, rho)
+    return None
+
+
+def saturate(lat: Lattice) -> Lattice:
+    """Saturation (L tensor Q) intersect Z^N: same rank, torsion-free quotient.
+    It is the annihilator of the annihilator of L."""
+    return integer_kernel(orthogonal_complement_rows(lat), lat.ambient_rank)

@@ -24,7 +24,6 @@ from fqav.linalg import (
     TorsionPoint,
     identity_minus,
     mat_mul,
-    saturate,
     snf,
     solve_affine_mod_lattice,
     Lattice,
@@ -37,7 +36,7 @@ from fqav.variety import (
 )
 
 from conftest import element_age, holonomy, identity_blocks, nontrivial_elements
-from oracles import analytic_rep, determinant, group_field
+from oracles import analytic_rep, determinant, group_field, saturate
 
 
 # ---------------------------------------------------------------------------

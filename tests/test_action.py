@@ -24,8 +24,6 @@ from fqav.action import (
     descend_multiplication,
     fixed_locus,
     holonomy_order,
-    max_finite_order,
-    order_bound,
     pointwise_stabilizer,
 )
 from fqav.cli import main, parse_input
@@ -60,8 +58,10 @@ from conftest import (
 )
 from oracles import (
     analytic_rep,
+    bounded_walk_order,
     class_ages_over_conductor,
     group_field,
+    max_finite_order,
     union_find_class_rep,
     walk_group_exponent,
 )
@@ -130,7 +130,8 @@ class TestClosure:
     def test_huge_holonomy_rejected_in_one_product(self, monkeypatch):
         # [[N, 1], [-1, 0]] + 1 on E^3 has det 1 and trace 2N + 2 > 6, so it
         # has infinite order; [[1, 1], [1, 0]] + 1 has trace 4, and its
-        # square, trace 8.  Neither search walks the 2520 powers, whose
+        # square, trace 8.  Each walk stops at that power, short of the 6
+        # powers whose traces give the characteristic polynomial, as their
         # entries grow with each one
         e = EllipticFactor("generic", "E")
         variety = AbelianVarietyModel.of(e, e, e)
@@ -151,36 +152,21 @@ class TestClosure:
             assert exc.value.code == "infinite-order"
             assert len(products) == made
 
-    def test_order_search_stops_at_default_cap(self):
-        # on E^14, M = 13860 exceeds the default cap, so the power search
-        # would stop there, with cap-exceeded; phi^K != I mod a prime proves
-        # the unipotent holonomy has infinite order before that search starts
-        e = EllipticFactor("generic", "E")
-        variety = AbelianVarietyModel.of(*[e] * 14)
-        rows = [[(int(i == j) + int((i, j) == (0, 1)), 0) for j in range(14)]
-                for i in range(14)]
-        with pytest.raises(InputError) as exc:
-            holonomy_order(automorphism(variety, rows).matrix)
-        assert exc.value.code == "infinite-order"
-
     @pytest.mark.parametrize("images,order", [((1, 2, 3, 4, 0), 5),
                                               ((1, 0, 3, 4, 2), 6)])
     def test_finite_order_above_the_cap_bound(self, images, order):
-        # on E^14 a permuting holonomy passes the mod-prime power check and
-        # the search finds its order
+        # on E^14, where the largest finite order 13860 exceeds the default
+        # group cap, the order of a permuting holonomy is found all the same:
+        # the order test reads no cap
         e = EllipticFactor("generic", "E")
         variety = AbelianVarietyModel.of(*[e] * 14)
         images += tuple(range(5, 14))
         rows = [[(int(images[k] == j), 0) for k in range(14)] for j in range(14)]
         assert holonomy_order(automorphism(variety, rows).matrix) == order
 
-    def test_order_bound(self):
-        # lcm of the d with phi(d) <= rank
-        assert [order_bound(r) for r in (2, 4, 6)] == [12, 120, 2520]
-
     def test_max_finite_order(self):
-        # the largest lcm of distinct d_i with sum phi(d_i) <= rank, by
-        # search over the sets of such d_i
+        # the oracle's walk bound, the largest lcm of distinct d_i with sum
+        # phi(d_i) <= rank, by search over the sets of such d_i
         def largest_lcm(budget, ds, current=1):
             return max([current] + [largest_lcm(budget - totient(d), ds[i + 1:], lcm(current, d))
                                     for i, d in enumerate(ds) if totient(d) <= budget])
@@ -193,8 +179,6 @@ class TestClosure:
             assert max_finite_order(rank) == largest_lcm(rank, ds), rank
         assert [max_finite_order(r) for r in (2, 4, 6, 10, 26, 28)] == \
             [6, 12, 30, 120, 9240, 13860]
-        # every finite order divides order_bound, M among them
-        assert all(order_bound(r) % max_finite_order(r) == 0 for r in range(1, 29))
 
     def test_translation_only_generator_of_finite_order(self, ei_squared):
         g = generator([[(1, 0), (0, 0)], [(0, 0), (1, 0)]], ["1/3", 0, 0, 0])
@@ -220,22 +204,22 @@ REJECTED = {
 REJECTION = {"not-automorphism": "holonomy is not an automorphism",
              "infinite-order": "holonomy has infinite order"}
 # n -> the rejection code and the number of mat_mul calls of each holonomy
-# on E_i^n.  A walk that does not reach I within 2n powers takes the
-# determinant, so one that is not unimodular makes 2n - 1 products, or fewer
-# when a power's trace exceeds 2n first: none for doubled-row, and 6 for
-# one-plus-i on E_i^5, whose seventh power has trace 24.  The unipotent one
-# walks all M = max_finite_order(2n) powers, with no power mod a prime, as
-# each M is below the default cap
+# on E_i^n.  A walk that does not reach I takes 2n powers in 2n - 1
+# products, and reads the determinant off the characteristic polynomial, or
+# fewer when a power's trace exceeds 2n first: none for doubled-row, and 6
+# for one-plus-i on E_i^5, whose seventh power has trace 24.  The unipotent
+# one has characteristic polynomial (x - 1)^(2n), so its order would be 1,
+# which the walk has already ruled out
 CHECKS = {
     2: {"zero-block": ("not-automorphism", 3), "nilpotent": ("not-automorphism", 3),
         "one-plus-i": ("not-automorphism", 3), "doubled-row": ("not-automorphism", 0),
-        "unipotent": ("infinite-order", 12)},
+        "unipotent": ("infinite-order", 3)},
     3: {"zero-block": ("not-automorphism", 5), "nilpotent": ("not-automorphism", 5),
         "one-plus-i": ("not-automorphism", 5), "doubled-row": ("not-automorphism", 0),
-        "unipotent": ("infinite-order", 30)},
+        "unipotent": ("infinite-order", 5)},
     5: {"zero-block": ("not-automorphism", 9), "nilpotent": ("not-automorphism", 9),
         "one-plus-i": ("not-automorphism", 6), "doubled-row": ("not-automorphism", 0),
-        "unipotent": ("infinite-order", 120)},
+        "unipotent": ("infinite-order", 9)},
 }
 
 
@@ -275,10 +259,9 @@ class TestGeneratorChecks:
             assert capsys.readouterr() == ("", f"error[{code}]: {REJECTION[code]}\n"), names
             assert len(products) == made, names
 
-    def test_infinite_order_congruent_to_the_identity(self, monkeypatch, tmp_path, capsys):
-        # I + (2^61 - 1) e_(0, 2) on E^5 is I mod the prime of the power
-        # check, so rho^K is I mod that prime for every K; its first M = 120
-        # powers are not I, which proves infinite order within the cap
+    def validate(self, factors, holonomy, monkeypatch, tmp_path, capsys):
+        """``validate`` of one generator on these factors: the exit code,
+        the standard output and error, and the number of mat_mul calls."""
         products = []
 
         def counting(a, b):
@@ -286,16 +269,47 @@ class TestGeneratorChecks:
             return mat_mul(a, b)
 
         monkeypatch.setattr(action_module, "mat_mul", counting)
-        n = 5
+        path = tmp_path / "one-generator.json"
+        path.write_text(json.dumps({"factors": factors, "generators": [{"holonomy": holonomy}]}))
+        return main(["validate", str(path)]), capsys.readouterr(), len(products)
+
+    def congruent_to_the_identity(self, n, monkeypatch, tmp_path, capsys):
+        # I + (2^61 - 1) e_(0, 2): its 2n powers have trace 2n, so its
+        # characteristic polynomial is (x - 1)^(2n) and its order would be 1
         holonomy = [[[int(j == k) + (2 ** 61 - 1) * ((j, k) == (0, 1)), 0]
                      for k in range(n)] for j in range(n)]
-        doc = {"factors": [{"cm": "generic", "label": "E"}] * n,
-               "generators": [{"holonomy": holonomy}]}
-        path = tmp_path / "congruent.json"
-        path.write_text(json.dumps(doc))
-        assert main(["validate", str(path)]) == 1
-        assert capsys.readouterr() == ("", "error[infinite-order]: holonomy has infinite order\n")
-        assert len(products) == max_finite_order(2 * n) == 120
+        generic = {"cm": "generic", "label": "E"}
+        assert self.validate([generic] * n, holonomy, monkeypatch, tmp_path, capsys) == \
+            (1, ("", "error[infinite-order]: holonomy has infinite order\n"), 2 * n - 1)
+
+    def test_infinite_order_congruent_to_the_identity(self, monkeypatch, tmp_path, capsys):
+        self.congruent_to_the_identity(5, monkeypatch, tmp_path, capsys)
+
+    def test_infinite_order_congruent_to_the_identity_on_e14(self, monkeypatch, tmp_path,
+                                                             capsys):
+        # where the largest finite order, 13860, exceeds the default group
+        # cap, and no cap is read
+        self.congruent_to_the_identity(14, monkeypatch, tmp_path, capsys)
+
+    def test_order_above_2n_from_the_characteristic_polynomial(self, monkeypatch, tmp_path,
+                                                               capsys):
+        # diag(i, zeta6) on E_i x E_zeta6 has order 12 > 2n = 4: the walk
+        # takes 4 powers in 3 products, chi = Phi_4 Phi_6, and rho^12 = I by
+        # 4 products of repeated squaring
+        factors = [{"cm": "zeta4"}, {"cm": "zeta6"}]
+        holonomy = [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]
+        code, (out, err), made = self.validate(factors, holonomy, monkeypatch, tmp_path, capsys)
+        assert (code, err, made) == (0, "", 3 + 4)
+        assert json.loads(out)["group_order"] == 12
+
+    def test_order_70_permutation_on_e14(self, monkeypatch, tmp_path, capsys):
+        # the cycles (0 1), (2 3 4 5 6) and (7 ... 13)
+        images = [1, 0, 3, 4, 5, 6, 2, 8, 9, 10, 11, 12, 13, 7]
+        holonomy = [[[int(images[k] == j), 0] for k in range(14)] for j in range(14)]
+        code, (out, err), _ = self.validate([{"cm": "generic", "label": "E"}] * 14, holonomy,
+                                            monkeypatch, tmp_path, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["group_order"] == 70
 
 
 class TestFixedLoci:
@@ -1081,20 +1095,56 @@ def finite_order_holonomies(draw, sizes=st.integers(1, 4), monomial_only=False):
     units = [draw(st.sampled_from(UNITS[f.cm])) for f in factors]
     rows = [[units[j] if image[j] == k else (0, 0) for k in range(n)] for j in range(n)]
     phi = EndoBlockMatrix.from_rows(variety, rows)
-    pairs = [(j, k) for j in range(n) for k in range(n)
-             if j != k and factors[j].hom_key(factors[k]) is not None]
-    for _ in range(0 if monomial_only or not pairs else draw(st.integers(0, 2))):
-        j, k = draw(st.sampled_from(pairs))
-        c = draw(st.integers(-2, 2))
-        d = draw(st.integers(-2, 2)) if factors[j].has_cm else 0
-
-        def transvection(sign):
-            return EndoBlockMatrix.from_rows(variety, [
-                [(sign * c, sign * d) if (a, b) == (j, k) else ((1, 0) if a == b else (0, 0))
-                 for b in range(n)] for a in range(n)])
-
-        phi = transvection(1).compose(phi).compose(transvection(-1))
+    if monomial_only or not transvection_pairs(variety):
+        return phi
+    for _ in range(draw(st.integers(0, 2))):
+        transvection, inverse = draw(transvections(variety))
+        phi = transvection.compose(phi).compose(inverse)
     return phi
+
+
+def transvection_pairs(variety):
+    """The (j, k), j != k, with a homomorphism from factor k to factor j."""
+    factors = variety.factors
+    return [(j, k) for j in range(variety.n) for k in range(variety.n)
+            if j != k and factors[j].hom_key(factors[k]) is not None]
+
+
+@st.composite
+def transvections(draw, variety):
+    """A transvection I + x e_jk of ``variety`` and its inverse I - x e_jk,
+    (j, k) one of ``transvection_pairs`` and x with entries in [-2, 2]."""
+    n = variety.n
+    j, k = draw(st.sampled_from(transvection_pairs(variety)))
+    c = draw(st.integers(-2, 2))
+    d = draw(st.integers(-2, 2)) if variety.factors[j].has_cm else 0
+
+    def transvection(sign):
+        return EndoBlockMatrix.from_rows(variety, [
+            [(sign * c, sign * d) if (a, b) == (j, k) else ((1, 0) if a == b else (0, 0))
+             for b in range(n)] for a in range(n)])
+
+    return transvection(1), transvection(-1)
+
+
+class TestHolonomyOrder:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_agrees_with_the_bounded_walk(self, data):
+        # a finite-order holonomy on n <= 5 factors, or its product with a
+        # transvection, of finite or infinite order, against the walk of
+        # max_finite_order(2n) powers
+        phi = data.draw(finite_order_holonomies(sizes=st.integers(1, 5)))
+        if transvection_pairs(phi.variety) and data.draw(st.booleans()):
+            phi = phi.compose(data.draw(transvections(phi.variety))[0])
+        order = bounded_walk_order(phi.matrix)
+        if order is not None:
+            assert holonomy_order(phi.matrix) == order
+            return
+        with pytest.raises(InputError) as exc:
+            holonomy_order(phi.matrix)
+        assert exc.value.code == "infinite-order"
 
 
 class TestSpectrumModP:

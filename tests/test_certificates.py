@@ -1,7 +1,9 @@
-"""Every cross-check of ``Analysis.classification`` fires.  Each test
+"""Every cross-check of ``Analysis.classification`` fires, and so do the
+certificate checks of ``ramification_data`` and ``irregularity``.  Each test
 replaces one real result upstream of its check, by ``dataclasses.replace``
-of a record or a shifted value, so that the checks before it still pass;
-``classify`` then exits 2 with that check's message and prints nothing."""
+of a record, a shifted value or a changed lattice or vector, so that the
+checks before it still pass; ``classify`` then exits 2 with that check's
+message and prints nothing."""
 
 import dataclasses
 import importlib
@@ -9,6 +11,7 @@ import importlib
 import pytest
 
 from fqav.cli import main
+from fqav.linalg import Lattice
 
 from conftest import FIXTURE_DIR
 
@@ -42,12 +45,20 @@ CROSS_CHECKS = [
     pytest.param("sign-rot4", "ramification_data",
                  lambda data: dataclasses.replace(data, intersection_dim=2),
                  "kappa inconsistent with the abelian factor dim", id="kappa"),
+    # sign-rot4 has ramification divisors; doubling the image of each basis
+    # vector makes each image lattice index 4 in a component's
+    pytest.param("sign-rot4", "mat_vec", lambda v: [2 * x for x in v],
+                 "orbit leaves the component set", id="orbit"),
+    # bielliptic: q(X) = 1, so its holonomy fixed lattice has rank 2
+    pytest.param("bielliptic", "fixed_lattice",
+                 lambda lat: Lattice.from_vectors(lat.ambient_rank, lat.basis[:1]),
+                 "holonomy fixed space has odd rational dimension", id="odd-fixed-space"),
 ]
 
 
 @pytest.mark.parametrize("fixture, name, change, message", CROSS_CHECKS)
 def test_cross_check_fires(fixture, name, change, message, monkeypatch, capsys):
     original = getattr(classify, name)
-    monkeypatch.setattr(classify, name, lambda group: change(original(group)))
+    monkeypatch.setattr(classify, name, lambda *args: change(original(*args)))
     assert main(["classify", str(FIXTURE_DIR / f"{fixture}.json")]) == 2
     assert capsys.readouterr() == ("", f"certificate failure: {message}\n")

@@ -26,7 +26,6 @@ from fqav.linalg import (
     mat_transpose,
     mat_vec,
     orthogonal_complement_rows,
-    saturate,
     snf,
     solve_affine_mod_lattice,
     factor_affine,
@@ -36,7 +35,7 @@ from fqav.linalg import (
 from fqav.variety import subtorus_kappa
 
 from conftest import as_generator, elementary_divisors, generator
-from oracles import determinant, gauss_jordan_rank, solve_rational
+from oracles import determinant, gauss_jordan_rank, saturate, solve_rational
 from test_action import finite_order_holonomies
 
 
