@@ -20,7 +20,7 @@ from .classify import (
     reid_tai,
 )
 from .cyclotomic import CycloField, CycloNumber, cyclotomic_polynomial, eigen_multiplicity
-from .decompose import DecompositionResult, SublatticeAction, decompose, decompose_fano_part
+from .decompose import DecompositionResult, SublatticeAction, decompose
 from .errors import CertificateError, FqavError, InputError
 from .linalg import (
     AffineSolutionSet,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .action import ClosureTables, LatticeElement, bfs_closure
 from .errors import CertificateError
 from .linalg import (
-    FixedPointSolver,
     Lattice,
     TorsionPoint,
     factor_affine,
@@ -419,11 +418,3 @@ def decompose(group) -> DecompositionResult:
     return decompose_lattice_action(group.elements, group.generators, group.tables,
                                     group.variety.ambient_rank, seed, group.solver)
 
-
-def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:
-    """Re-run the decomposition on a Q-Fano stage (idempotence check)."""
-    if fano.rank == 0:
-        return DecompositionResult((), 0, fano, ())
-    seed = _restrict_form(standard_symplectic_form(fano.ambient_rank // 2), fano.embedding)
-    return decompose_lattice_action(*close_with_tables(fano.elements), fano.rank, seed,
-                                    FixedPointSolver())

@@ -470,11 +470,11 @@ def solve_factored(factors, point: TorsionPoint) -> AffineSolutionSet:
 class FixedPointSolver:
     """Solves (I - W) x == a (mod Z^N) for square integer matrices W of
     finite order, as int tuple rows, each (W, a) once, taking the Smith form
-    of each I - W at most once, and tells whether rank(I - W) <= 2 by at
-    most one Hermite form per W.  Each entry is a function of W or (W, a)
-    alone, so the class path and every stage of a decomposition may share
-    one solver.  It keeps one object per distinct lattice, the kernel of
-    each I - W among them."""
+    of each I - W at most once, and tells whether rank(I - W) <= 2 from
+    tr W and tr W^2, or else off that Smith form.  Each entry is a function
+    of W or (W, a) alone, so the class path and every stage of a
+    decomposition may share one solver.  It keeps one object per distinct
+    lattice, the kernel of each I - W among them."""
 
     def __init__(self):
         self._factors = {}    # W -> the factor_affine tuple of I - W
@@ -487,36 +487,53 @@ class FixedPointSolver:
         that what a ``Lattice`` caches is computed once per lattice."""
         return self._lattices.setdefault(lat, lat)
 
+    def factors(self, w):
+        """The ``factor_affine`` tuple of I - W, taken once per W, with its
+        kernel the solver's object for that lattice."""
+        found = self._factors.get(w)
+        if found is None:
+            u, divisors, v, kernel = factor_affine(identity_minus(w), len(w))
+            found = self._factors[w] = (u, divisors, v, self.lattice(kernel))
+        return found
+
     def solve(self, w, point: TorsionPoint) -> AffineSolutionSet:
         """The solutions of (I - W) x == a, a = ``point``."""
         key = (w, point)
-        if key not in self._solutions:
-            if w not in self._factors:
-                u, divisors, v, kernel = factor_affine(identity_minus(w), len(w))
-                self._factors[w] = (u, divisors, v, self.lattice(kernel))
-                self._low_rank[w] = len(divisors) <= 2
-            self._solutions[key] = solve_factored(self._factors[w], point)
-        return self._solutions[key]
+        found = self._solutions.get(key)
+        if found is None:
+            found = self._solutions[key] = solve_factored(self.factors(w), point)
+        return found
 
     def may_fix_divisor(self, w):
         """Whether rank(I - W) <= 2.  Each component of a fixed locus of
         x -> W x + a has real codimension rank(I - W), so otherwise it holds
         no divisor.  W need not be complex, so the rank may be odd.  On a
-        lattice of rank 2 it always holds and no rank is taken.  W has
-        finite order, so its eigenvalues are roots of unity and it is
-        diagonalisable: rank(I - W) <= 2 leaves at least N - 2 eigenvalues
-        1, and the other two have real part at least -1, so tr W >= N - 4.
-        A lower trace answers False with no elimination.  Else it is the
-        verdict recorded when ``solve`` factored W, or read off the Hermite
-        form of I - W."""
+        lattice of rank 2 it always holds and nothing is computed.
+
+        W has finite order, so it is diagonalisable with root-of-unity
+        eigenvalues.  If rank(I - W) <= 2, they are 1 with multiplicity
+        N - 2 and two more, l and m, and (x - l)(x - m) is det(xI - W) over
+        (x - 1)^(N - 2), in Z[x]: s1 = l + m = tr W - (N - 2) and
+        s2 = l^2 + m^2 = tr W^2 - (N - 2) are integers, and
+        lm = (s1^2 - s2) / 2 is an integer root of unity, +1 or -1.  Also
+        s1 >= -2, that is tr W >= N - 4, as l and m have real part at least
+        -1.  A W that fails either test has rank(I - W) > 2, with no
+        elimination.  Any other W is decided by the number of Smith
+        divisors of I - W, taken by ``factors``, which every caller that
+        admits W then reads again to solve it.  Each call takes the trace;
+        past it, the verdict is kept per W."""
         n = len(w)
         if n <= 2:
             return True
-        if sum(row[i] for i, row in enumerate(w)) < n - 4:
+        trace = sum(row[i] for i, row in enumerate(w))
+        if trace < n - 4:
             return False
         low = self._low_rank.get(w)
         if low is None:
-            low = self._low_rank[w] = matrix_rank(identity_minus(w)) <= 2
+            s1 = trace - (n - 2)
+            s2 = sum(x * w[j][i] for i, row in enumerate(w) for j, x in enumerate(row)) - (n - 2)
+            low = self._low_rank[w] = (s1 * s1 - s2 in (2, -2)
+                                       and len(self.factors(w)[1]) <= 2)
         return low
 
 

@@ -17,7 +17,9 @@
 - The order of an integer matrix by walking its first ``max_finite_order``
   powers, the largest finite order at its rank.  The runtime walks 2n
   powers and factors the characteristic polynomial their traces give.
-- ``saturate``, the saturation of a lattice, which no command takes."""
+- ``saturate``, the saturation of a lattice, which no command takes.
+- ``decompose_fano_part``, the decomposition re-run on a Q-Fano stage with
+  a solver of its own, the idempotence check of the decomposition."""
 
 from fractions import Fraction
 from functools import cache
@@ -25,14 +27,22 @@ from math import lcm
 
 from fqav.action import mat_eq_identity
 from fqav.cyclotomic import CycloField, spectrum_mod, split_prime
+from fqav.decompose import (
+    DecompositionResult,
+    SublatticeAction,
+    _restrict_form,
+    close_with_tables,
+    decompose_lattice_action,
+)
 from fqav.linalg import (
+    FixedPointSolver,
     Lattice,
     identity_matrix,
     integer_kernel,
     mat_mul,
     orthogonal_complement_rows,
 )
-from fqav.variety import ZETA4, analytic_rep_mod, block_pairs
+from fqav.variety import ZETA4, analytic_rep_mod, block_pairs, standard_symplectic_form
 
 
 def gauss_jordan(matrix, cols):
@@ -227,3 +237,12 @@ def saturate(lat: Lattice) -> Lattice:
     """Saturation (L tensor Q) intersect Z^N: same rank, torsion-free quotient.
     It is the annihilator of the annihilator of L."""
     return integer_kernel(orthogonal_complement_rows(lat), lat.ambient_rank)
+
+
+def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:
+    """Re-run the decomposition on a Q-Fano stage (idempotence check)."""
+    if fano.rank == 0:
+        return DecompositionResult((), 0, fano, ())
+    seed = _restrict_form(standard_symplectic_form(fano.ambient_rank // 2), fano.embedding)
+    return decompose_lattice_action(*close_with_tables(fano.elements), fano.rank, seed,
+                                    FixedPointSolver())

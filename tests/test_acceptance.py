@@ -18,7 +18,7 @@ from fqav.action import (
 )
 from fqav.classify import Analysis
 from fqav.cyclotomic import eigen_multiplicity
-from fqav.decompose import decompose, decompose_fano_part
+from fqav.decompose import decompose
 from fqav.errors import InputError
 from fqav.linalg import (
     TorsionPoint,
@@ -36,7 +36,7 @@ from fqav.variety import (
 )
 
 from conftest import element_age, holonomy, identity_blocks, nontrivial_elements
-from oracles import analytic_rep, determinant, group_field, saturate
+from oracles import analytic_rep, decompose_fano_part, determinant, group_field, saturate
 
 
 # ---------------------------------------------------------------------------

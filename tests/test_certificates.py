@@ -1,12 +1,14 @@
 """Every cross-check of ``Analysis.classification`` fires, and so do the
-certificate checks of ``ramification_data`` and ``irregularity``.  Each test
-replaces one real result upstream of its check, by ``dataclasses.replace``
-of a record, a shifted value or a changed lattice or vector, so that the
-checks before it still pass; ``classify`` then exits 2 with that check's
-message and prints nothing."""
+certificate checks of ``ramification_data``, ``irregularity`` and
+``lattice_poincare_complement``.  Each test replaces one real result
+upstream of its check, by ``dataclasses.replace`` of a record, a shifted
+value or a changed lattice, vector or form, so that the checks before it
+still pass; the command then exits 2 with that check's message and prints
+nothing."""
 
 import dataclasses
 import importlib
+import json
 
 import pytest
 
@@ -14,9 +16,12 @@ from fqav.cli import main
 from fqav.linalg import Lattice
 
 from conftest import FIXTURE_DIR
+from test_cli import RAMIFIED_CM_DOCS
 
 # the module whose ``Analysis`` reads these functions by name
 classify = importlib.import_module("fqav.classify")
+# the module whose ``lattice_poincare_complement`` reads the averaged form
+variety = importlib.import_module("fqav.variety")
 
 
 def with_fano_rank_2(result):
@@ -61,4 +66,28 @@ def test_cross_check_fires(fixture, name, change, message, monkeypatch, capsys):
     original = getattr(classify, name)
     monkeypatch.setattr(classify, name, lambda *args: change(original(*args)))
     assert main(["classify", str(FIXTURE_DIR / f"{fixture}.json")]) == 2
+    assert capsys.readouterr() == ("", f"certificate failure: {message}\n")
+
+
+# zeta4^3:C2+t decomposes in two stages.  At the first, B is the lattice of
+# the third factor, and the form averaged over N pairs it with itself
+COMPLEMENT_CHECKS = [
+    # a zero form leaves every vector orthogonal to B
+    pytest.param(lambda form: [[0] * len(row) for row in form],
+                 "complement has wrong rank", id="wrong-rank"),
+    # swapping the columns of the first and third factors pairs B with the
+    # first factor, so B lies in its own complement
+    pytest.param(lambda form: [row[4:] + row[2:4] + row[:2] for row in form],
+                 "B + C is not of finite index", id="infinite-index"),
+]
+
+
+@pytest.mark.parametrize("change, message", COMPLEMENT_CHECKS)
+def test_complement_check_fires(change, message, tmp_path, monkeypatch, capsys):
+    doc, _ = RAMIFIED_CM_DOCS["zeta4^3:C2+t"]
+    path = tmp_path / "zeta4^3.json"
+    path.write_text(json.dumps(doc))
+    original = variety.averaged_polarization
+    monkeypatch.setattr(variety, "averaged_polarization", lambda *args: change(original(*args)))
+    assert main(["decompose", str(path)]) == 2
     assert capsys.readouterr() == ("", f"certificate failure: {message}\n")

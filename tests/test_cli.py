@@ -781,22 +781,43 @@ class TestComputeOnce:
     def test_each_matrix_ranked_and_factored_once(self, monkeypatch):
         # the class path and every decomposition stage share one solver, so
         # a report ranks each distinct matrix and takes its Smith form at
-        # most once
+        # most once.  It ranks no I - W: the solver decides rank(I - W) <= 2
+        # off tr W and tr W^2, or else off the Smith form of I - W that the
+        # caller then solves with
         texts = [load(name) for name in FIXTURES]
         texts.append(json.dumps(sl_diag_document("zeta6", cycle=True)))
+        original_may_fix = FixedPointSolver.may_fix_divisor
         made = Counter()
         for text in texts:
-            calls = Counter()
+            calls, asked = Counter(), set()
+
+            def recording(solver, w):
+                asked.add(w)
+                return original_may_fix(solver, w)
+
+            monkeypatch.setattr(FixedPointSolver, "may_fix_divisor", recording)
             for func in ("matrix_rank", "factor_affine"):
                 count_calls(monkeypatch, func, calls,
                             key=lambda m, *_, func=func: (func, tuple(map(tuple, m))))
             build_report(*parse_input(text), "report")
             monkeypatch.undo()
             assert max(calls.values(), default=1) == 1, text
+            assert not {("matrix_rank", tuple(map(tuple, identity_minus(w))))
+                        for w in asked} & set(calls), text
             made.update(func for func, _ in calls)
-        # kummer's report needs neither: the trace of its one nontrivial
+            made["asked"] += len(asked)
+        # kummer's report factors nothing: the trace of its one nontrivial
         # holonomy, -I, rules out rank(I - rho) <= 2
-        assert made["matrix_rank"] and made["factor_affine"]
+        assert made["asked"] and made["factor_affine"]
+
+    def test_order_72_report_hermite_forms(self, monkeypatch):
+        # one report on the order-72 group takes 44 Hermite forms on 27
+        # distinct inputs, none of them a rank of an I - W
+        calls = Counter()
+        count_calls(monkeypatch, "hermite_basis", calls,
+                    key=lambda m, width: (tuple(map(tuple, m)), width))
+        build_report(*parse_input(json.dumps(RAMIFIED_72_DOC)), "report")
+        assert (sum(calls.values()), len(calls)) == (44, 27)
 
     @pytest.mark.parametrize("command", ["classify", "report"])
     def test_each_lattice_complemented_and_kernel_taken_once(self, command, monkeypatch):

@@ -14,7 +14,6 @@ from fqav.decompose import (
     close_elements,
     close_with_tables,
     decompose,
-    decompose_fano_part,
     element_fixed_solution,
     fixed_solutions,
     lattice_kappa,
@@ -37,6 +36,7 @@ from fqav.linalg import (
 )
 from fqav.variety import lattice_poincare_complement, standard_symplectic_form, subtorus_kappa
 
+from oracles import decompose_fano_part
 from test_acceptance import random_generator, random_variety
 from test_action import (
     ORACLE,

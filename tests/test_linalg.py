@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -32,7 +33,7 @@ from fqav.linalg import (
     matrix_rank,
     solve_factored,
 )
-from fqav.variety import subtorus_kappa
+from fqav.variety import EndoBlockMatrix, subtorus_kappa
 
 from conftest import as_generator, elementary_divisors, generator
 from oracles import determinant, gauss_jordan_rank, saturate, solve_rational
@@ -768,6 +769,24 @@ def square_systems(draw):
     return w, [TorsionPoint.of(p) for p in points]
 
 
+def _e6_squared(rows):
+    """The rational representation of a holonomy of E_zeta6^2, given by its
+    block rows."""
+    z6 = EllipticFactor("zeta6")
+    return EndoBlockMatrix.from_rows(AbelianVarietyModel.of(z6, z6), rows).matrix
+
+
+def _counted(calls, func):
+    """``func``, counting its calls in ``calls`` under its name."""
+    def counted(*args):
+        calls[func.__name__] += 1
+        return func(*args)
+    return counted
+
+
+_ONE, _ZERO, _Z6 = (1, 0), (0, 0), (0, 1)
+
+
 class TestFixedPointSolver:
     @settings(max_examples=200, deadline=None)
     @given(square_systems())
@@ -775,26 +794,52 @@ class TestFixedPointSolver:
         w, points = case
         m = identity_minus(w)
         low_rank = matrix_rank(m) <= 2
-        ranks = []
-
-        def counting_rank(matrix):
-            ranks.append(matrix)
-            return matrix_rank(matrix)
-
+        wants = [solve_affine_mod_lattice(m, point) for point in points]
+        calls = Counter()
         ranked_first, solved_first = FixedPointSolver(), FixedPointSolver()
-        with mock.patch.object(linalg, "matrix_rank", counting_rank):
+        with mock.patch.object(linalg, "matrix_rank", _counted(calls, matrix_rank)), \
+                mock.patch.object(linalg, "factor_affine", _counted(calls, factor_affine)):
             assert ranked_first.may_fix_divisor(w) == ranked_first.may_fix_divisor(w) == low_rank
-            # one elimination, none on rank 2, and none when tr W < N - 4
-            trace = sum(row[i] for i, row in enumerate(w))
-            assert len(ranks) == (len(w) > 2 and trace >= len(w) - 4)
-            for point in points:
-                want = solve_affine_mod_lattice(m, point)
+            # no Hermite form of I - W; a W of rank at most 2 on a lattice
+            # of rank above 2 is decided by its Smith form, taken once
+            assert calls["factor_affine"] == 1 if len(w) > 2 and low_rank else \
+                calls["factor_affine"] <= 1
+            for point, want in zip(points, wants):
                 assert ranked_first.solve(w, point) == want
                 assert solved_first.solve(w, point) == want
-            ranks.clear()
             # once W is solved its rank is read off the factorisation
             assert solved_first.may_fix_divisor(w) == low_rank
-            assert ranks == []
+        assert calls == Counter({"factor_affine": 2})
+
+    @pytest.mark.parametrize("w, low_rank, factored", [
+        # rank 0: s1 = s2 = 2, lm = 1
+        pytest.param(tuple(map(tuple, identity_matrix(3))), True, 1, id="identity"),
+        # rank 1 on an odd rank: s1 = 0, s2 = 2, lm = -1
+        pytest.param(((1, 0, 0), (0, 1, 0), (0, 0, -1)), True, 1, id="odd-reflection"),
+        # a complex reflection: s1 = 1, s2 = -1, lm = 1
+        pytest.param(_e6_squared([[_Z6, _ZERO], [_ZERO, _ONE]]), True, 1,
+                     id="complex-reflection"),
+        # the swap: tr W = 0 = N - 4, s2 = 2, lm = 1
+        pytest.param(_e6_squared([[_ZERO, _ONE], [_ONE, _ZERO]]), True, 1, id="swap"),
+        # the swap times diag(zeta6, 1): tr W = 0 passes the trace test,
+        # but tr W^2 = 2 tr zeta6 = 2 gives s2 = 0 and lm = 2
+        pytest.param(_e6_squared([[_ZERO, _ONE], [_Z6, _ZERO]]), False, 0, id="swap-zeta6"),
+        # -I: tr W < N - 4, decided by the trace alone
+        pytest.param(tuple(tuple(-x for x in row) for row in identity_matrix(4)), False, 0,
+                     id="minus-identity"),
+        # rot60 + (-1) + (1): s1 = -1, s2 = -1, lm = 1 passes the screen,
+        # but rank(I - W) = 3, which the Smith form finds
+        pytest.param(((0, -1, 0, 0), (1, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1)), False, 1,
+                     id="rot60-rank-3"),
+    ])
+    def test_screen(self, w, low_rank, factored, monkeypatch):
+        assert (matrix_rank(identity_minus(w)) <= 2) == low_rank
+        calls = Counter()
+        for func in (matrix_rank, factor_affine):
+            monkeypatch.setattr(linalg, func.__name__, _counted(calls, func))
+        solver = FixedPointSolver()
+        assert solver.may_fix_divisor(w) == solver.may_fix_divisor(w) == low_rank
+        assert calls == Counter({"factor_affine": factored})
 
 
 def _raise_on_fraction(*_args, **_kwargs):
