@@ -148,27 +148,24 @@ def _not_normal(s, h, conj):
 def ramification_on_tables(elements, tables, fixed):
     """N, generated by the elements numbered by the keys of the stage's
     divisor map ``fixed``, its kept generators, the numbers of N and those
-    of the kept generators: ``close_elements`` of the reflections, on
-    look-ups in the stage's tables, which it cannot leave.  The search steps
-    by left products h . x, where ``close_elements`` steps by x . h; level
-    k is B_k - B_(k-1) either way, B_k the products of at most k kept
-    generators, so the levels, and the order of N, are the same."""
-    def key(x):
-        return LatticeElement.sort_key(elements[x])
-
-    kept, numbers, left, levels, members = [], [], [], [{0}], {0}
-    for g in sorted(fixed, key=key):
+    of the kept generators, on look-ups in the stage's tables, which it
+    cannot leave.  The keys are taken in ``sort_key`` order, as
+    ``close_elements`` takes generators, and one already in N is skipped;
+    each kept one's left multiplications then close N on from the members
+    it has.  N is listed in stage order, which no output reads: a stage
+    reads N's length, the sum over its distinct holonomies, its splittings
+    and, as a set, its restrictions to C."""
+    kept, numbers, left, members = [], [], [], {0}
+    for g in sorted(fixed, key=lambda x: LatticeElement.sort_key(elements[x])):
         if g not in members:
             kept.append(elements[g])
             numbers.append(g)
             left.append(tables.left(g))
-            levels, members = [{0}], {0}
-            while levels[-1]:  # the next BFS level: h . x for x in this one
-                level = set().union(*(map(h.__getitem__, levels[-1]) for h in left))
-                levels.append(level - members)
-                members |= level
-    n_sub = [elements[x] for level in levels for x in sorted(level, key=key)]
-    return n_sub, kept, members, numbers
+            new = members
+            while new:  # h . x for each kept h and each x new to N
+                new = {h[x] for h in left for x in new} - members
+                members |= new
+    return [elements[x] for x in sorted(members)], kept, members, numbers
 
 
 def check_normal_on_tables(elements, generators, tables, ramification):
@@ -226,13 +223,18 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     all torus-level splittings of each translation are enumerated through
     the kernel of the addition isogeny mu.  W fixes B, so g = t_a . W lifts
     to the maps t_(beta, gamma) . diag(I, W|_C), one per splitting of a.
+    B + C has finite index, so a has finitely many splittings, all listed.
+    When a lies in the C-subtorus, g restricts to t_gamma . W|_C on C, read
+    off the splitting (0, gamma): C^T gamma = a exactly when (0, gamma) is
+    a splitting, and gamma is unique, as C is saturated and so the C-torus
+    embeds.
     """
     n2 = b.ambient_rank
     bt = mat_transpose(b.basis_rows())
     ct = mat_transpose(c.basis_rows())
     m = [bt[i] + ct[i] for i in range(n2)]  # columns: B basis then C basis
 
-    # one factorisation of each of m and C^T serves every element of N
+    # one factorisation of m serves every element of N
     m_factors = factor_affine(m, b.rank + c.rank)
     ker_sol = solve_factored(m_factors, TorsionPoint.zero(n2))
     if not ker_sol.nonempty or ker_sol.component_count != ker_mu_order:
@@ -259,7 +261,6 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
             pair = restricted[w] = (w_c, lift)
         return pair
 
-    ct_factors = None
     n_tilde = []
     first_lift = {}
     n_c_gens = []
@@ -273,16 +274,11 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
         n_tilde.extend(lifts)
         # restriction to C: defined when the translation lies in the C-subtorus
         if g.translation.apply_matrix(k_c).is_zero():
-            if ct_factors is None:
-                ct_factors = factor_affine(ct, c.rank)
-            gamma_sol = solve_factored(ct_factors, g.translation)
-            if not gamma_sol.nonempty:
+            rep = next((r for r in splits.representatives if not any(r.num[:b.rank])), None)
+            if rep is None:
                 raise CertificateError("translation claims C-membership but does not solve")
-            # C saturated: the C-torus embeds, so the restriction is unique
-            n_c_gens.append(LatticeElement.of(w_c, gamma_sol.representatives[0]))
+            n_c_gens.append(LatticeElement.of(w_c, TorsionPoint.over(rep.num[b.rank:], rep.den)))
 
-    if len(n_tilde) != len(n_elements) * ker_mu_order:
-        raise CertificateError("N-tilde has wrong cardinality")
     ker_lifts = [LatticeElement.of(ident, rep) for rep in ker_sol.representatives]
     _check_n_tilde_group(n_tilde, ker_lifts + [first_lift[g] for g in n_generators])
     # a closed set holds its closure, so the closure may not outgrow it

@@ -19,7 +19,10 @@
   powers and factors the characteristic polynomial their traces give.
 - ``saturate``, the saturation of a lattice, which no command takes.
 - ``decompose_fano_part``, the decomposition re-run on a Q-Fano stage with
-  a solver of its own, the idempotence check of the decomposition."""
+  a solver of its own, the idempotence check of the decomposition.
+- ``c_restriction_translation``, the gamma with C^T gamma = a on the torus
+  by a Smith form of C^T.  The runtime reads gamma off the splittings of a
+  along B x C, from the Smith form of [B^T C^T]."""
 
 from fractions import Fraction
 from functools import cache
@@ -37,10 +40,14 @@ from fqav.decompose import (
 from fqav.linalg import (
     FixedPointSolver,
     Lattice,
+    TorsionPoint,
+    factor_affine,
     identity_matrix,
     integer_kernel,
     mat_mul,
+    mat_transpose,
     orthogonal_complement_rows,
+    solve_factored,
 )
 from fqav.variety import ZETA4, analytic_rep_mod, block_pairs, standard_symplectic_form
 
@@ -246,3 +253,13 @@ def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:
     seed = _restrict_form(standard_symplectic_form(fano.ambient_rank // 2), fano.embedding)
     return decompose_lattice_action(*close_with_tables(fano.elements), fano.rank, seed,
                                     FixedPointSolver())
+
+
+def c_restriction_translation(c: Lattice, a: TorsionPoint):
+    """The gamma with C^T gamma = a on the torus, unique as the lattice C is
+    saturated, or None when a is not in the C-subtorus."""
+    sol = solve_factored(factor_affine(mat_transpose(c.basis_rows()), c.rank), a)
+    if not sol.nonempty:
+        return None
+    (gamma,) = sol.representatives
+    return gamma

@@ -1,10 +1,10 @@
 """Every cross-check of ``Analysis.classification`` fires, and so do the
-certificate checks of ``ramification_data``, ``irregularity`` and
-``lattice_poincare_complement``.  Each test replaces one real result
-upstream of its check, by ``dataclasses.replace`` of a record, a shifted
-value or a changed lattice, vector or form, so that the checks before it
-still pass; the command then exits 2 with that check's message and prints
-nothing."""
+certificate checks of ``ramification_data``, ``irregularity``,
+``lattice_poincare_complement``, ``split_action`` and the decomposition
+stages.  Each test replaces one real result upstream of its check, by
+``dataclasses.replace`` of a record, a shifted value or a changed lattice,
+vector or form, so that the checks before it still pass; the command then
+exits 2 with that check's message and prints nothing."""
 
 import dataclasses
 import importlib
@@ -22,6 +22,8 @@ from test_cli import RAMIFIED_CM_DOCS
 classify = importlib.import_module("fqav.classify")
 # the module whose ``lattice_poincare_complement`` reads the averaged form
 variety = importlib.import_module("fqav.variety")
+# the module whose stages read these functions by name
+decompose = importlib.import_module("fqav.decompose")
 
 
 def with_fano_rank_2(result):
@@ -84,10 +86,86 @@ COMPLEMENT_CHECKS = [
 
 @pytest.mark.parametrize("change, message", COMPLEMENT_CHECKS)
 def test_complement_check_fires(change, message, tmp_path, monkeypatch, capsys):
-    doc, _ = RAMIFIED_CM_DOCS["zeta4^3:C2+t"]
-    path = tmp_path / "zeta4^3.json"
-    path.write_text(json.dumps(doc))
     original = variety.averaged_polarization
     monkeypatch.setattr(variety, "averaged_polarization", lambda *args: change(original(*args)))
-    assert main(["decompose", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"certificate failure: {message}\n")
+    assert run_decompose(RAMIFIED_CM_DOCS["zeta4^3:C2+t"][0], tmp_path, capsys) == (
+        2, ("", f"certificate failure: {message}\n"))
+
+
+def run_decompose(doc, tmp_path, capsys):
+    """The exit code of ``decompose`` on ``doc``, and what it printed."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return main(["decompose", str(path)]), capsys.readouterr()
+
+
+def fixture(name):
+    return json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+
+
+def with_complement_rows(rows):
+    """The C of ``lattice_poincare_complement``'s pair with complement rows
+    ``rows(C)`` in place of its own, and the index unchanged."""
+    def change(pair):
+        c, index = pair
+        c = dataclasses.replace(c)
+        c.__dict__["complement_rows"] = rows(c)
+        return c, index
+    return change
+
+
+# diag(i, 1) and the translation by (1/2, 0) on the first factor of E_i^2,
+# order 16.  Every element fixing a divisor has holonomy diag(i^k, 1), k != 0,
+# so N is the whole group, B the second factor and C the first, and every
+# translation lies in C
+EI2_DOC = {"factors": [{"cm": "zeta4"}] * 2,
+           "generators": [{"holonomy": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]},
+                          {"holonomy": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                           "translation": ["1/2", "0", "0", "0"]}]}
+
+# -swap on E^2 translated by (1/3, 0, 1/3, 0), which fixes a divisor: N is
+# the whole group of order 2, B the antidiagonal and C the diagonal, and
+# ker mu has order 4
+GLUE_DOC = {"factors": [{"cm": "generic"}] * 2,
+            "generators": [{"holonomy": [[[0, 0], [-1, 0]], [[-1, 0], [0, 0]]],
+                            "translation": ["1/3", "0", "1/3", "0"]}]}
+
+# the checks of ``split_action``, each given a changed pair (C, index) of
+# ``lattice_poincare_complement``, and the two stage certificates
+DECOMPOSITION_CHECKS = [
+    pytest.param(EI2_DOC, "lattice_poincare_complement", lambda pair: (pair[0], 2 * pair[1]),
+                 "kernel of the addition isogeny has wrong order", id="kernel-order"),
+    # with B in place of C the splittings are those along B alone, and the
+    # Smith form of [B^T B^T] has divisors 1, but the translation by (1/2, 0)
+    # is not in the B-subtorus
+    pytest.param(EI2_DOC, "lattice_poincare_complement",
+                 lambda pair: (Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]]), 1),
+                 "translation does not split along B x C", id="split"),
+    # with the whole lattice as C every translation lies in C, but C meets
+    # B, so [B^T C^T] has a kernel and its Smith form lists one splitting of
+    # each translation: that of (1/3, 0, 1/3, 0) has beta != 0
+    pytest.param(GLUE_DOC, "lattice_poincare_complement", lambda pair: (Lattice.full(4), 1),
+                 "translation claims C-membership but does not solve", id="c-membership"),
+    # a further row (1, 0, 0, 0) keeps the elements t_b . diag(i^k, 1) with
+    # b = (0, 0) or (0, 1/2): the square of t_(0, 1/2) . diag(i, 1) is
+    # t_(1/2, 1/2) . diag(-1, 1), which it drops
+    pytest.param(EI2_DOC, "lattice_poincare_complement",
+                 with_complement_rows(lambda c: c.complement_rows + ((1, 0, 0, 0),)),
+                 "restrictions to C do not form a closed set", id="closed-restrictions"),
+    # N replaced by the trivial subgroup, which is normal, but sign-rot4 has
+    # divisors outside it
+    pytest.param(fixture("sign-rot4"), "ramification_on_tables",
+                 lambda ramification: ([ramification[0][0]], [], {0}, []),
+                 "quotient by the ramification subgroup is not quasietale", id="quasietale"),
+    # p1-from-ei is Q-Fano of dimension 1, and its kappa is shifted to 0
+    pytest.param(fixture("p1-from-ei"), "subtorus_kappa", lambda kappa: kappa - 1,
+                 "final part fails the Q-Fano kappa certificate", id="fano-kappa"),
+]
+
+
+@pytest.mark.parametrize("doc, name, change, message", DECOMPOSITION_CHECKS)
+def test_decomposition_check_fires(doc, name, change, message, tmp_path, monkeypatch, capsys):
+    original = getattr(decompose, name)
+    monkeypatch.setattr(decompose, name, lambda *args: change(original(*args)))
+    assert run_decompose(doc, tmp_path, capsys) == (
+        2, ("", f"certificate failure: {message}\n"))

@@ -31,12 +31,20 @@ from fqav.linalg import (
     fixed_lattice,
     identity_matrix,
     identity_minus,
+    mat_vec,
     matrix_rank,
     solve_affine_mod_lattice,
 )
-from fqav.variety import lattice_poincare_complement, standard_symplectic_form, subtorus_kappa
+from fqav.variety import (
+    AbelianVarietyModel,
+    EllipticFactor,
+    lattice_poincare_complement,
+    standard_symplectic_form,
+    subtorus_kappa,
+)
 
-from oracles import decompose_fano_part
+from conftest import generator
+from oracles import c_restriction_translation, decompose_fano_part
 from test_acceptance import random_generator, random_variety
 from test_action import (
     ORACLE,
@@ -245,6 +253,64 @@ class TestSplitWithTorsionGlue:
             split_action(sub, kept, b, first, 1)
 
 
+def translated_ei_square():
+    """diag(i, 1) on E_i^2, translated by (1/2, 1/2) on the first factor:
+    N is the whole group, B the second factor and C the first, and the
+    translations lie in C, so some restriction to C has gamma != 0."""
+    ei = EllipticFactor("zeta4")
+    return close_group(AbelianVarietyModel.of(ei, ei),
+                       [generator([[(0, 1), (0, 0)], [(0, 0), (1, 0)]],
+                                  ["1/2", "1/2", 0, 0])])
+
+
+def recorded_splits(monkeypatch, groups):
+    """(N, C, N_C) of every split stage of the decompositions of
+    ``groups``."""
+    calls = []
+
+    def recording(n_elements, n_generators, b, c, ker_mu):
+        out = split_action(n_elements, n_generators, b, c, ker_mu)
+        calls.append((n_elements, c, out[1]))
+        return out
+
+    monkeypatch.setattr(decompose_module, "split_action", recording)
+    for group in groups:
+        decompose(group)
+    monkeypatch.undo()
+    return calls
+
+
+def assert_restrictions_solve_c_transpose(calls):
+    """N_C of each split stage is the set of t_gamma . W|_C, one for each
+    element t_a . W of N whose a the Smith form of C^T solves, gamma that
+    solve; the number of stages with some gamma != 0."""
+    nonzero = 0
+    for n_elements, c, n_c in calls:
+        want = set()
+        for g in n_elements:
+            gamma = c_restriction_translation(c, g.translation)
+            if gamma is not None:
+                w_c = zip(*(c.coordinates(mat_vec(g.matrix, v)) for v in c.basis_rows()))
+                want.add(LatticeElement.of(w_c, gamma))
+        assert set(n_c) == want
+        nonzero += any(not e.translation.is_zero() for e in n_c)
+    return nonzero
+
+
+class TestRestrictionToC:
+    def test_every_split_stage(self, monkeypatch, gallery):
+        groups = gallery + nonabelian_groups() + [translated_ei_square()]
+        calls = recorded_splits(monkeypatch, groups)
+        assert len(calls) > 5
+        assert assert_restrictions_solve_c_transpose(calls)
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        with pytest.MonkeyPatch.context() as patch:
+            assert_restrictions_solve_c_transpose(recorded_splits(patch, [group]))
+
+
 # ---------------------------------------------------------------------------
 # the generator-only certificates against the all-elements checks they replace
 
@@ -367,7 +433,7 @@ class TestGeneratorNormality:
 
     def test_inverse_needs_finite_order(self):
         shift = LatticeElement.of([[1, 1], [0, 1]])  # infinite order
-        with pytest.raises(CertificateError):
+        with pytest.raises(CertificateError, match="^group not closed under inversion$"):
             _element_inverse(shift, 12)
 
 
@@ -494,8 +560,17 @@ class TestGeneratorNTilde:
         assert message.endswith(f" is {n_tilde[i]}, outside it")
         assert any(f"generator {h} is" in message for h in generators)
         # the identity dropped
-        with pytest.raises(CertificateError, match="lacks the identity"):
+        with pytest.raises(CertificateError,
+                           match="^N-tilde is not closed under composition: it lacks the identity$"):
             _check_n_tilde_group([t for t in n_tilde if not t.is_identity()], generators)
+        # no generators: N-tilde is closed under right products with them,
+        # and its first element other than the identity is not generated
+        with pytest.raises(CertificateError) as exc:
+            _check_n_tilde_group(n_tilde, [])
+        missing = next(t for t in n_tilde if not t.is_identity())
+        assert str(exc.value) == (f"N-tilde is not closed under composition: {missing} is not "
+                                  "generated by the ker mu lifts and the lifts of the "
+                                  "generators of N")
 
     def test_agrees_with_pair_products(self, monkeypatch, gallery):
         groups = gallery + nonabelian_groups()
@@ -631,17 +706,17 @@ def table_subgroup(elements, tables, gens):
 
 def assert_table_closure_matches(elements, tables, gens):
     """The table closure of <gens> is ``close_elements(gens)``: the same
-    elements in the same order and the same kept generators, with the
-    numbers of N and of the kept generators, whose permutations, the ones
-    the search steps by, are left multiplications."""
+    kept generators, with the same numbers, and the same set of elements,
+    listed in stage order, the order of their numbers; the permutations of
+    the kept generators, the ones the search steps by, are left
+    multiplications."""
     n_sub, kept, members, numbers = table_subgroup(elements, tables, gens)
-    if gens:
-        assert (n_sub, kept) == close_elements(gens)
-    else:
-        assert n_sub == [elements[0]] and elements[0].is_identity() and kept == []
+    closed, want_kept = close_elements(gens) if gens else ([elements[0]], [])
+    assert elements[0].is_identity()
+    assert kept == want_kept and set(n_sub) == set(closed)
     number = {e: x for x, e in enumerate(elements)}
-    assert members == {number[x] for x in n_sub}
-    assert [elements[g] for g in numbers] == kept
+    assert numbers == [number[h] for h in want_kept]
+    assert [number[x] for x in n_sub] == sorted(members)
     for h, g in zip(kept, numbers):
         perm = tables.left(g)
         assert sorted(perm) == list(range(len(elements)))
@@ -889,7 +964,7 @@ class TestSnfCounts:
         assert result.is_q_abelian
         assert snf.calls == 0
 
-    def test_split_action_at_most_two_per_stage(self, monkeypatch, gallery):
+    def test_split_action_one_per_stage(self, monkeypatch, gallery):
         snf = CountedSnf(monkeypatch)
         per_stage = []
 
@@ -902,8 +977,10 @@ class TestSnfCounts:
         monkeypatch.setattr(decompose_module, "split_action", counted_split)
         for group in gallery + nonabelian_groups():
             decompose(group)
+        # the Smith form of [B^T C^T] gives the splittings, and the
+        # restrictions to C are read off them
         assert max(order for order, _ in per_stage) > 2
-        assert all(calls <= 2 for _, calls in per_stage)
+        assert all(calls == 1 for _, calls in per_stage)
 
 
 class TestTopStageReadsTheGroup:
