@@ -9,7 +9,6 @@ needed below the top level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .action import ClosureTables, LatticeElement, bfs_closure
@@ -37,13 +36,12 @@ def close_elements(gens):
     return close_with_tables(gens)[:2]
 
 
-def close_with_tables(gens, bound=math.inf, overflow=None):
+def close_with_tables(gens):
     """Closure of the lattice elements ``gens``, at least one, under
     composition, the generators it kept, and the ``ClosureTables`` of the
-    closure of those.  The exception ``overflow`` is raised as soon as the
-    closure holds more than ``bound`` elements.  Generators are taken in
-    ``sort_key`` order, and one already in the closure of the generators
-    kept so far is skipped: it would add nothing to the subgroup."""
+    closure of those.  Generators are taken in ``sort_key`` order, and one
+    already in the closure of the generators kept so far is skipped: it
+    would add nothing to the subgroup.  No command reaches it."""
     ident = LatticeElement.of(identity_matrix(gens[0].rank))
     kept = []
     elements, tables = [ident], ClosureTables([], [-1], [-1])
@@ -52,7 +50,7 @@ def close_with_tables(gens, bound=math.inf, overflow=None):
         if g in seen:
             continue
         kept.append(g)
-        elements, tables = bfs_closure(ident, kept, bound, overflow)
+        elements, tables = bfs_closure(ident, kept, float("inf"), None)
         seen = set(elements)
     return elements, kept, tables
 
@@ -217,17 +215,21 @@ def lattice_kappa(fixed, n2):
 def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order):
     """Split N = <n_generators> along B x C: the certificate set N-tilde of
     affine maps on B x C, and the restricted group N_C in C-coordinates with
-    the generators its closure kept and the tables of that closure.
+    its generators, the restrictions of ``n_generators`` in their order, and
+    the tables of their closure.
 
     Coordinates on B x C are (beta, gamma) with a = B^T beta + C^T gamma;
     all torus-level splittings of each translation are enumerated through
     the kernel of the addition isogeny mu.  W fixes B, so g = t_a . W lifts
     to the maps t_(beta, gamma) . diag(I, W|_C), one per splitting of a.
     B + C has finite index, so a has finitely many splittings, all listed.
-    When a lies in the C-subtorus, g restricts to t_gamma . W|_C on C, read
-    off the splitting (0, gamma): C^T gamma = a exactly when (0, gamma) is
-    a splitting, and gamma is unique, as C is saturated and so the C-torus
-    embeds.
+
+    Each g = t_a . W in N restricts to r(g) = t_gamma . W|_C on C, where
+    (0, gamma) is a listed splitting of a and K_C a = 0 (K_C, a Hermite
+    kernel, checks the Smith form): a reflection's a is in (I - W) R^N + Z^N,
+    inside C_R + Z^N, which products keep.  gamma is unique, as C is
+    saturated, so r is a homomorphism, one-to-one as B + C has finite index,
+    and N_C = r(N) is the closure of r(n_generators), of order |N|.
     """
     n2 = b.ambient_rank
     bt = mat_transpose(b.basis_rows())
@@ -263,7 +265,7 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
 
     n_tilde = []
     first_lift = {}
-    n_c_gens = []
+    restriction = {}
     for g in n_elements:
         splits = solve_factored(m_factors, g.translation)
         if not splits.nonempty:
@@ -272,22 +274,20 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
         lifts = [LatticeElement(lift, rep) for rep in splits.representatives]
         first_lift[g] = lifts[0]
         n_tilde.extend(lifts)
-        # restriction to C: defined when the translation lies in the C-subtorus
-        if g.translation.apply_matrix(k_c).is_zero():
-            rep = next((r for r in splits.representatives if not any(r.num[:b.rank])), None)
-            if rep is None:
-                raise CertificateError("translation claims C-membership but does not solve")
-            n_c_gens.append(LatticeElement.of(w_c, TorsionPoint.over(rep.num[b.rank:], rep.den)))
+        rep = next((r for r in splits.representatives if not any(r.num[:b.rank])), None)
+        if rep is None or not g.translation.apply_matrix(k_c).is_zero():
+            raise CertificateError(f"element {g} of N does not restrict to C")
+        restriction[g] = LatticeElement.of(w_c, TorsionPoint.over(rep.num[b.rank:], rep.den))
 
     ker_lifts = [LatticeElement.of(ident, rep) for rep in ker_sol.representatives]
     _check_n_tilde_group(n_tilde, ker_lifts + [first_lift[g] for g in n_generators])
-    # a closed set holds its closure, so the closure may not outgrow it
-    not_closed = CertificateError("restrictions to C do not form a closed set")
-    distinct = set(n_c_gens)
-    n_c, n_c_kept, n_c_tables = close_with_tables(n_c_gens, len(distinct), not_closed)
-    if set(n_c) != distinct:
-        raise not_closed
-    return n_tilde, n_c, n_c_kept, n_c_tables
+    wrong = CertificateError(f"restrictions to C are not a group of order {len(n_elements)}")
+    n_c_generators = [restriction[g] for g in n_generators]
+    n_c, n_c_tables = bfs_closure(LatticeElement.of(identity_matrix(c.rank)), n_c_generators,
+                                  len(n_elements), wrong)
+    if len(n_c) != len(n_elements) or set(n_c) != set(restriction.values()):
+        raise wrong
+    return n_tilde, n_c, n_c_generators, n_c_tables
 
 
 class _Outgrown(Exception):
@@ -386,8 +386,7 @@ def _decompose_level(elements, generators, tables, embedding, ambient_rank, seed
     ct = c.basis_rows()
     next_embedding = _compose_embedding(embedding, ct)
     next_form = _restrict_form(seed_form, ct)
-    # split_action certified n_c closed, so it is the next stage group, and
-    # the generators its closure kept generate it
+    # N_C = r(N), on the tables of its generators' closure, is the next stage
     return _decompose_level(tuple(n_c), tuple(n_c_generators), n_c_tables, next_embedding,
                             ambient_rank, next_form, solver, factors, stages)
 

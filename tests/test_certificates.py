@@ -3,17 +3,18 @@ certificate checks of ``ramification_data``, ``irregularity``,
 ``lattice_poincare_complement``, ``split_action`` and the decomposition
 stages.  Each test replaces one real result upstream of its check, by
 ``dataclasses.replace`` of a record, a shifted value or a changed lattice,
-vector or form, so that the checks before it still pass; the command then
+vector, form or torsion point, so that the checks before it still pass; the command then
 exits 2 with that check's message and prints nothing."""
 
 import dataclasses
 import importlib
 import json
+import types
 
 import pytest
 
 from fqav.cli import main
-from fqav.linalg import Lattice
+from fqav.linalg import Lattice, TorsionPoint
 
 from conftest import FIXTURE_DIR
 from test_cli import RAMIFIED_CM_DOCS
@@ -130,6 +131,11 @@ GLUE_DOC = {"factors": [{"cm": "generic"}] * 2,
             "generators": [{"holonomy": [[[0, 0], [-1, 0]], [[-1, 0], [0, 0]]],
                             "translation": ["1/3", "0", "1/3", "0"]}]}
 
+# an element t_a . W of EI2_DOC with W = I and a = (1/2, 0, 0, 0), not in
+# the C-subtorus as a changed K_C reads it
+HALF_TRANSLATION = ("x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] x "
+                    "+ [1/2, 0, 0, 0]")
+
 # the checks of ``split_action``, each given a changed pair (C, index) of
 # ``lattice_poincare_complement``, and the two stage certificates
 DECOMPOSITION_CHECKS = [
@@ -145,13 +151,21 @@ DECOMPOSITION_CHECKS = [
     # B, so [B^T C^T] has a kernel and its Smith form lists one splitting of
     # each translation: that of (1/3, 0, 1/3, 0) has beta != 0
     pytest.param(GLUE_DOC, "lattice_poincare_complement", lambda pair: (Lattice.full(4), 1),
-                 "translation claims C-membership but does not solve", id="c-membership"),
+                 "element x -> [[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]] x "
+                 "+ [1/3, 0, 1/3, 0] of N does not restrict to C", id="c-membership"),
     # a further row (1, 0, 0, 0) keeps the elements t_b . diag(i^k, 1) with
-    # b = (0, 0) or (0, 1/2): the square of t_(0, 1/2) . diag(i, 1) is
-    # t_(1/2, 1/2) . diag(-1, 1), which it drops
+    # b = (0, 0) or (0, 1/2), a set that is not closed: the square of
+    # t_(0, 1/2) . diag(i, 1) is t_(1/2, 1/2) . diag(-1, 1)
     pytest.param(EI2_DOC, "lattice_poincare_complement",
                  with_complement_rows(lambda c: c.complement_rows + ((1, 0, 0, 0),)),
-                 "restrictions to C do not form a closed set", id="closed-restrictions"),
+                 f"element {HALF_TRANSLATION} of N does not restrict to C", id="dropped-set"),
+    # a further row (1, 1, 0, 0) keeps the 8 elements with b = (0, 0) or
+    # (1/2, 1/2), a subgroup, which a closure of the kept alone would take
+    # for N_C
+    pytest.param(EI2_DOC, "lattice_poincare_complement",
+                 with_complement_rows(lambda c: c.complement_rows + ((1, 1, 0, 0),)),
+                 f"element {HALF_TRANSLATION} of N does not restrict to C",
+                 id="dropped-subgroup"),
     # N replaced by the trivial subgroup, which is normal, but sign-rot4 has
     # divisors outside it
     pytest.param(fixture("sign-rot4"), "ramification_on_tables",
@@ -169,3 +183,36 @@ def test_decomposition_check_fires(doc, name, change, message, tmp_path, monkeyp
     monkeypatch.setattr(decompose, name, lambda *args: change(original(*args)))
     assert run_decompose(doc, tmp_path, capsys) == (
         2, ("", f"certificate failure: {message}\n"))
+
+
+def with_gammas(change):
+    """``TorsionPoint`` as ``split_action`` reads it, with each gamma it
+    builds by ``over``, the C-part of a splitting (0, gamma), changed."""
+    return types.SimpleNamespace(zero=TorsionPoint.zero,
+                                 over=lambda num, den: change(TorsionPoint.over(num, den)))
+
+
+HALF_HALF = TorsionPoint.over((1, 1), 2)
+
+# the closure check of ``split_action`` on EI2_DOC, of order 16, given
+# changed restrictions to C
+RESTRICTION_CHECKS = [
+    # every gamma read as 0: the restrictions are the 4 matrices diag(i^k),
+    # a group, but of order 4
+    pytest.param(lambda gamma: TorsionPoint.zero(2), id="lost-gamma"),
+    # every gamma shifted by (1/4, 0): the restriction of the identity is
+    # not, and the closure outgrows N
+    pytest.param(lambda gamma: gamma + TorsionPoint.over((1, 0), 4), id="shifted-gamma"),
+    # gamma (1/2, 1/2), which no kept generator's restriction has, read as 0:
+    # the kept restrictions close to the true N_C, of order 16, and the
+    # restrictions of the 4 elements with that gamma are outside it
+    pytest.param(lambda gamma: TorsionPoint.zero(2) if gamma == HALF_HALF else gamma,
+                 id="moved-gamma"),
+]
+
+
+@pytest.mark.parametrize("change", RESTRICTION_CHECKS)
+def test_restriction_check_fires(change, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(decompose, "TorsionPoint", with_gammas(change))
+    assert run_decompose(EI2_DOC, tmp_path, capsys) == (
+        2, ("", "certificate failure: restrictions to C are not a group of order 16\n"))

@@ -280,19 +280,24 @@ def recorded_splits(monkeypatch, groups):
     return calls
 
 
+def oracle_restriction(g, c):
+    """t_gamma . W|_C for g = t_a . W, gamma from the Smith form of C^T,
+    which must solve C^T gamma = a."""
+    gamma = c_restriction_translation(c, g.translation)
+    assert gamma is not None
+    w_c = zip(*(c.coordinates(mat_vec(g.matrix, v)) for v in c.basis_rows()))
+    return LatticeElement.of(w_c, gamma)
+
+
 def assert_restrictions_solve_c_transpose(calls):
-    """N_C of each split stage is the set of t_gamma . W|_C, one for each
-    element t_a . W of N whose a the Smith form of C^T solves, gamma that
-    solve; the number of stages with some gamma != 0."""
+    """Every element t_a . W of N at each split stage restricts to C, its a
+    solved by the Smith form of C^T, and N_C is the set of the |N|
+    restrictions t_gamma . W|_C, gamma that solve; the number of stages
+    with some gamma != 0."""
     nonzero = 0
     for n_elements, c, n_c in calls:
-        want = set()
-        for g in n_elements:
-            gamma = c_restriction_translation(c, g.translation)
-            if gamma is not None:
-                w_c = zip(*(c.coordinates(mat_vec(g.matrix, v)) for v in c.basis_rows()))
-                want.add(LatticeElement.of(w_c, gamma))
-        assert set(n_c) == want
+        assert len(n_c) == len(n_elements)
+        assert set(n_c) == {oracle_restriction(g, c) for g in n_elements}
         nonzero += any(not e.translation.is_zero() for e in n_c)
     return nonzero
 
@@ -309,6 +314,79 @@ class TestRestrictionToC:
     def test_random_groups(self, group):
         with pytest.MonkeyPatch.context() as patch:
             assert_restrictions_solve_c_transpose(recorded_splits(patch, [group]))
+
+    def test_next_stage_generators(self, monkeypatch, gallery):
+        # the stage below a split is generated by the restrictions of N's
+        # kept generators, in their order
+        events = []
+        level = decompose_module._decompose_level
+
+        def recording_level(elements, generators, *rest):
+            events.append(("level", generators))
+            return level(elements, generators, *rest)
+
+        def recording_split(n_elements, n_generators, b, c, ker_mu):
+            events.append(("split", tuple(oracle_restriction(g, c) for g in n_generators)))
+            return split_action(n_elements, n_generators, b, c, ker_mu)
+
+        monkeypatch.setattr(decompose_module, "_decompose_level", recording_level)
+        monkeypatch.setattr(decompose_module, "split_action", recording_split)
+        for group in gallery + nonabelian_groups() + [translated_ei_square()]:
+            decompose(group)
+        pairs = [(want, following) for (kind, want), following in zip(events, events[1:])
+                 if kind == "split"]
+        assert len(pairs) > 5 and max(len(want) for want, _ in pairs) > 1
+        assert all(following == ("level", want) for want, following in pairs)
+
+    def test_two_closures_per_split_stage(self, monkeypatch, gallery):
+        # one closure for N-tilde and one for N_C, whatever the number of
+        # N's kept generators
+        closures, per_stage = [], []
+        closure = decompose_module.bfs_closure
+
+        def counting_closure(*args):
+            closures.append(args)
+            return closure(*args)
+
+        def counted_split(n_elements, n_generators, *args):
+            before = len(closures)
+            out = split_action(n_elements, n_generators, *args)
+            per_stage.append((len(n_generators), len(closures) - before))
+            return out
+
+        monkeypatch.setattr(decompose_module, "bfs_closure", counting_closure)
+        monkeypatch.setattr(decompose_module, "split_action", counted_split)
+        for group in gallery + nonabelian_groups() + [translated_ei_square()]:
+            decompose(group)
+        assert len(per_stage) > 5 and max(kept for kept, _ in per_stage) > 1
+        assert all(calls == 2 for _, calls in per_stage)
+
+
+def assert_split_then_fano(result):
+    """A split stage of ``result`` is followed by exactly one stage, the
+    Q-Fano one, with the same n_order: N_C is isomorphic to N, its own
+    ramification subgroup, and fixes no vector of C; the number of split
+    stages."""
+    stages = result.stages
+    splits = [i for i, stage in enumerate(stages) if stage.n_tilde_order is not None]
+    for i in splits:
+        assert len(stages) == i + 2
+        fano = stages[-1]
+        assert fano.fano_kappa_check and fano.n_tilde_order is None
+        assert fano.n_order == stages[i].n_order == result.fano_part.order
+    return len(splits)
+
+
+class TestStageAfterSplit:
+    def test_gallery(self, gallery):
+        splits = [assert_split_then_fano(decompose(group))
+                  for group in gallery + nonabelian_groups() + [translated_ei_square()]]
+        assert sum(splits) > 5 and 0 in splits
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        assert_split_then_fano(decompose(group))
 
 
 # ---------------------------------------------------------------------------
