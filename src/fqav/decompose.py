@@ -1,10 +1,12 @@
 """Constructive splitting of a finite quotient of an abelian variety into an
 abelian factor and a Q-Fano remainder, with per-stage certificates.
 
-The recursion runs at the rational-representation level: a stage is a
-saturated sublattice with a closed group of affine maps on it, plus an
-embedding back into the original ambient lattice.  Analytic data is never
-needed below the top level.
+The decomposition runs at the rational-representation level.  The whole
+group is one stage: it is quasietale, Q-Fano, or split along B x C, B the
+lattice fixed by its ramification subgroup N and C the invariant
+complement.  A split leaves N_C, the restriction of N to C, as the Q-Fano
+part, certified on the restrictions of N's kept generators alone.
+Analytic data is never needed.
 """
 
 from __future__ import annotations
@@ -16,19 +18,15 @@ from .errors import CertificateError
 from .linalg import (
     Lattice,
     TorsionPoint,
+    abs_determinant,
     factor_affine,
     fixed_lattice,
     identity_matrix,
     mat_mul,
     mat_transpose,
-    mat_vec,
     solve_factored,
 )
-from .variety import (
-    lattice_poincare_complement,
-    standard_symplectic_form,
-    subtorus_kappa,
-)
+from .variety import subtorus_kappa
 
 
 def close_elements(gens):
@@ -212,6 +210,29 @@ def lattice_kappa(fixed, n2):
     return subtorus_kappa([sol.kernel for sol in fixed.values()], n2)
 
 
+def invariant_complement(b: Lattice, holonomies, solver):
+    """The complement C of B = ``fixed_lattice(holonomies)`` invariant under
+    the group H the ``holonomies`` generate, and |det(B; C)|, the order of
+    ker mu.  C is the saturation of V = sum of im(I - W): the complement of
+    the lattice fixed by every W^T (B when every W is symmetric), whose
+    complement rows the solver's object for it keeps.
+
+    W v = v - (I - W) v keeps V, and I - W W' = (I - W) + W (I - W') puts
+    each im(I - W), W in H, in V.  For an H-invariant inner product V is
+    then the orthogonal of B, an invariant complement.  Over Q the
+    representation is semisimple with fixed part B, so B has only one."""
+    n2 = b.ambient_rank
+    transposes = [tuple(zip(*w)) for w in holonomies]
+    annihilator = b if transposes == holonomies else fixed_lattice(transposes, n2)
+    c = Lattice(n2, solver.lattice(annihilator).complement_rows)
+    if b.rank + c.rank != n2:
+        raise CertificateError("complement has wrong rank")
+    index = abs_determinant(b.basis_rows() + c.basis_rows())
+    if index == 0:
+        raise CertificateError("B + C is not of finite index")
+    return c, index
+
+
 def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order):
     """Split N = <n_generators> along B x C: the certificate set N-tilde of
     affine maps on B x C, and the restricted group N_C in C-coordinates with
@@ -223,6 +244,13 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     the kernel of the addition isogeny mu.  W fixes B, so g = t_a . W lifts
     to the maps t_(beta, gamma) . diag(I, W|_C), one per splitting of a.
     B + C has finite index, so a has finitely many splittings, all listed.
+
+    With U [B^T C^T] V = S in Smith form and s the last divisor, the
+    C-coordinates of x are left x / s, left = V[rank B:] (s S^-1) U, so
+    W|_C = left W C^T / s.  For each holonomy of a generator of N the
+    integer quotient must satisfy C^T W|_C = W C^T: then the generators
+    keep C, so N does, and as B + C has finite index the division is exact
+    for every W in N.
 
     Each g = t_a . W in N restricts to r(g) = t_gamma . W|_C on C, where
     (0, gamma) is a listed splitting of a and K_C a = 0 (K_C, a Hermite
@@ -242,22 +270,18 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     if not ker_sol.nonempty or ker_sol.component_count != ker_mu_order:
         raise CertificateError("kernel of the addition isogeny has wrong order")
 
+    u, divisors, v, _ = m_factors
+    top = divisors[-1]
+    left = mat_mul(v[b.rank:], [[top // s * x for x in row] for s, row in zip(divisors, u)])
     k_c = c.complement_rows
     ident = identity_matrix(n2)
     restricted = {}
 
     def restrict_matrix(w):
-        """W|_C on the C basis (C must be W-invariant) and diag(I, W|_C) on
-        B x C, solved once per W."""
+        """W|_C on the C basis and diag(I, W|_C) on B x C, once per W."""
         pair = restricted.get(w)
         if pair is None:
-            out = []
-            for v in c.basis_rows():
-                coeffs = c.coordinates(mat_vec(w, v))
-                if coeffs is None:
-                    raise CertificateError("complement is not invariant")
-                out.append(coeffs)
-            w_c = tuple(zip(*out))
+            w_c = tuple(tuple(x // top for x in row) for row in mat_mul(left, mat_mul(w, ct)))
             lift = tuple(tuple(r) for r in ident[:b.rank]) + tuple(
                 (0,) * b.rank + row for row in w_c)
             pair = restricted[w] = (w_c, lift)
@@ -277,9 +301,13 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
         rep = next((r for r in splits.representatives if not any(r.num[:b.rank])), None)
         if rep is None or not g.translation.apply_matrix(k_c).is_zero():
             raise CertificateError(f"element {g} of N does not restrict to C")
-        restriction[g] = LatticeElement.of(w_c, TorsionPoint.over(rep.num[b.rank:], rep.den))
+        restriction[g] = LatticeElement(w_c, TorsionPoint.over(rep.num[b.rank:], rep.den))
 
-    ker_lifts = [LatticeElement.of(ident, rep) for rep in ker_sol.representatives]
+    for w in dict.fromkeys(g.matrix for g in n_generators):
+        if mat_mul(ct, restricted[w][0]) != mat_mul(w, ct):
+            raise CertificateError("complement is not invariant")
+    # the lifts of the Smith generators of ker mu generate its lifts
+    ker_lifts = [LatticeElement.of(ident, point) for point in ker_sol.generators]
     _check_n_tilde_group(n_tilde, ker_lifts + [first_lift[g] for g in n_generators])
     wrong = CertificateError(f"restrictions to C are not a group of order {len(n_elements)}")
     n_c_generators = [restriction[g] for g in n_generators]
@@ -335,81 +363,71 @@ def _check_n_tilde_group(n_tilde, generators):
 # ---------------------------------------------------------------------------
 # the decomposition algorithm
 
-def _restrict_form(form, basis):
-    """The form on the span of the basis rows, in their coordinates: B E B^T."""
-    rows = [list(v) for v in basis]
-    return mat_mul(rows, mat_mul(form, mat_transpose(rows)))
+def _divisors_after_split(n_c_generators, rank, solver):
+    """The divisor map of N_C on C, of rank ``rank``, read off the
+    restrictions of N's kept generators: each must have a nonempty fixed
+    locus with rank(I - W) <= 2, read off the Smith divisors of its solve,
+    and they must fix no vector of C.  The split certified that they
+    generate N_C and that none is the identity, so N_C is its own
+    ramification subgroup with B = 0.  Their divisor lattices meet in
+    Fix(N_C), as do those of every divisor of N_C: kappa is the same."""
+    fixed = {}
+    for x, r in enumerate(n_c_generators):
+        sol = fixed[x] = element_fixed_solution(r, solver)
+        if not sol.nonempty or len(sol.divisors) > 2:
+            raise CertificateError(f"restriction {r} of a kept generator of N fixes no "
+                                   "divisor of C")
+    if fixed_lattice(list(dict.fromkeys(r.matrix for r in n_c_generators)), rank).rank:
+        raise CertificateError("N_C fixes a vector of C")
+    return fixed
 
 
-def _compose_embedding(outer, local_basis):
-    """Express local basis vectors (rows) through an outer embedding."""
-    return tuple(tuple(mat_vec(mat_transpose([list(v) for v in outer]), row))
-                 for row in local_basis)
-
-
-def _decompose_level(elements, generators, tables, embedding, ambient_rank, seed_form,
-                     solver, factors, stages):
+def _fano_part(n_elements, fixed, embedding, ambient_rank):
+    """The Q-Fano part, N = ``n_elements`` on the lattice with basis
+    ``embedding``, and its stage, once its divisors ``fixed`` pass the
+    kappa certificate."""
     n2 = len(embedding)
+    if lattice_kappa(fixed, n2) != n2 // 2:
+        raise CertificateError("final part fails the Q-Fano kappa certificate")
+    return (SublatticeAction(tuple(n_elements), embedding, ambient_rank),
+            StageCertificate(len(n_elements), 1, True, True, None))
+
+
+def _decompose_level(elements, generators, tables, n2, solver) -> DecompositionResult:
+    """Decompose the closed group ``elements`` on Z^n2, the closure of
+    ``generators`` with ``ClosureTables`` ``tables``, solving its fixed
+    points by the ``FixedPointSolver`` ``solver``: it is quasietale,
+    Q-Fano, or split along B x C with N_C the Q-Fano part."""
     fixed = fixed_solutions(elements, solver)
     ramification = ramification_on_tables(elements, tables, fixed)
     check_normal_on_tables(elements, generators, tables, ramification)
     n_sub, n_generators, members = ramification[:3]
-    qout = lattice_quasietale_outside(members, fixed)
-    if not qout:
+    if not lattice_quasietale_outside(members, fixed):
         raise CertificateError("quotient by the ramification subgroup is not quasietale")
 
     if len(n_sub) == 1:
-        # quasietale case: the whole stage variety is abelian
-        if n2:
-            factors.append(Lattice.from_vectors(ambient_rank, [list(v) for v in embedding]))
-        return SublatticeAction((), (), ambient_rank)
+        # quasietale case: the whole variety is abelian
+        return DecompositionResult((Lattice.full(n2),) if n2 else (), n2 // 2,
+                                   SublatticeAction((), (), n2), ())
 
     # a vector fixed by the generators of N is fixed by N
-    b = fixed_lattice(list(dict.fromkeys(e.matrix for e in n_generators)), n2)
+    holonomies = list(dict.fromkeys(e.matrix for e in n_generators))
+    b = fixed_lattice(holonomies, n2)
     if b.rank == 0:
-        # Q-Fano remainder: quotient of the current lattice by N
-        kappa = lattice_kappa(fixed, n2)
-        if kappa != n2 // 2:
-            raise CertificateError("final part fails the Q-Fano kappa certificate")
-        stages.append(StageCertificate(len(n_sub), 1, qout, True, None))
-        return SublatticeAction(tuple(n_sub), embedding, ambient_rank)
+        fano, stage = _fano_part(n_sub, fixed, tuple(map(tuple, identity_matrix(n2))), n2)
+        return DecompositionResult((), 0, fano, (stage,))
 
-    holonomies = list(dict.fromkeys(e.matrix for e in n_sub))
-    c, ker_mu = lattice_poincare_complement(b, holonomies, seed_form)
-    n_tilde, n_c, n_c_generators, n_c_tables = split_action(n_sub, n_generators, b, c, ker_mu)
-
-    factors.append(Lattice.from_vectors(
-        ambient_rank, [list(v) for v in _compose_embedding(embedding, b.basis_rows())]))
-    stages.append(StageCertificate(len(n_sub), ker_mu, qout, None, len(n_tilde)))
-
-    # next stage: C in its own coordinates, with the form restricted to C
-    ct = c.basis_rows()
-    next_embedding = _compose_embedding(embedding, ct)
-    next_form = _restrict_form(seed_form, ct)
-    # N_C = r(N), on the tables of its generators' closure, is the next stage
-    return _decompose_level(tuple(n_c), tuple(n_c_generators), n_c_tables, next_embedding,
-                            ambient_rank, next_form, solver, factors, stages)
-
-
-def decompose_lattice_action(elements, generators, tables, ambient_rank, seed_form,
-                             solver) -> DecompositionResult:
-    """Decompose the closed group ``elements``, the closure of
-    ``generators`` with ``ClosureTables`` ``tables``, every stage solving
-    its fixed points by the ``FixedPointSolver`` ``solver``."""
-    factors = []
-    stages = []
-    embedding = tuple(tuple(r) for r in identity_matrix(ambient_rank))
-    fano = _decompose_level(tuple(elements), tuple(generators), tables, embedding,
-                            ambient_rank, seed_form, solver, factors, stages)
-    total = sum(lat.rank for lat in factors) // 2
-    return DecompositionResult(tuple(factors), total, fano, tuple(stages))
+    c, ker_mu = invariant_complement(b, holonomies, solver)
+    n_tilde, n_c, n_c_generators, _ = split_action(n_sub, n_generators, b, c, ker_mu)
+    fano, stage = _fano_part(n_c, _divisors_after_split(n_c_generators, c.rank, solver),
+                             c.basis, n2)
+    split = StageCertificate(len(n_sub), ker_mu, True, None, len(n_tilde))
+    return DecompositionResult((b,), b.rank // 2, fano, (split, stage))
 
 
 def decompose(group) -> DecompositionResult:
     """Build the quasietale cover (abelian factor) x (Q-Fano part) for the
-    quotient by the closed group, whose elements are the top stage's.  The
-    stages share the group's solver, whose entries depend on (W, a) alone."""
-    seed = standard_symplectic_form(group.variety.n)
-    return decompose_lattice_action(group.elements, group.generators, group.tables,
-                                    group.variety.ambient_rank, seed, group.solver)
-
+    quotient by the closed group, sharing the group's solver, whose entries
+    depend on (W, a) alone."""
+    return _decompose_level(group.elements, group.generators, group.tables,
+                            group.variety.ambient_rank, group.solver)

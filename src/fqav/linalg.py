@@ -439,6 +439,14 @@ class AffineSolutionSet:
             reps.append(TorsionPoint.over(mat_vec(self.transform, y + free), den * top))
         return tuple(sorted(reps, key=TorsionPoint.sort_key))
 
+    @property
+    def generators(self):
+        """For M x == 0: the points V e_i / s_i, one for each divisor
+        s_i > 1.  The solutions are the sums of their multiples, the direct
+        sum of the cyclic groups they generate."""
+        return tuple(TorsionPoint.over(col, s)
+                     for s, col in zip(self.divisors, zip(*self.transform)) if s > 1)
+
 
 def factor_affine(matrix, cols):
     """The Smith factorisation of an integer matrix with ``cols`` columns,

@@ -1,8 +1,6 @@
 """Model of A = E_1 x ... x E_n with CM data: endomorphisms in block form,
 their rational/analytic representations, subtorus translates, and the
-lattice-level quantities of divisors and polarizations: the Kodaira
-dimension of a divisor with subtorus components, the seed form, and the
-invariant complement it gives.
+Kodaira dimension of a divisor with subtorus components.
 """
 
 from __future__ import annotations
@@ -10,17 +8,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import CertificateError, InputError
-from .linalg import (
-    Lattice,
-    TorsionPoint,
-    abs_determinant,
-    integer_kernel,
-    mat_mul,
-    mat_transpose,
-    mat_vec,
-    matrix_rank,
-)
+from .errors import InputError
+from .linalg import Lattice, TorsionPoint, mat_mul, matrix_rank
 
 ZETA4 = "zeta4"
 ZETA6 = "zeta6"
@@ -186,41 +175,3 @@ def subtorus_kappa(lattices, ambient_rank):
         return ambient_rank // 2 - (distinct[0].rank if distinct else ambient_rank) // 2
     complements = [row for lat in distinct for row in lat.complement_rows]
     return ambient_rank // 2 - (ambient_rank - matrix_rank(complements)) // 2
-
-
-def standard_symplectic_form(n):
-    """The product principal polarization seed on E_1 x ... x E_n:
-    block-diagonal [[0,1],[-1,0]]."""
-    out = [[0] * (2 * n) for _ in range(2 * n)]
-    for j in range(n):
-        out[2 * j][2 * j + 1] = 1
-        out[2 * j + 1][2 * j] = -1
-    return out
-
-
-def averaged_polarization(n0_reps, seed):
-    """Sum of rho^T * E0 * rho over a closed set of rational representations."""
-    size = len(seed)
-    total = [[0] * size for _ in range(size)]
-    for rho in n0_reps:
-        term = mat_mul(mat_transpose(rho), mat_mul(seed, rho))
-        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)]
-    return total
-
-
-def lattice_poincare_complement(b: Lattice, holonomies, seed_form):
-    """A complement C of B invariant under the rational holonomies, which
-    must leave B invariant: average ``seed_form`` over them, take the
-    E-orthogonal complement {v : u^T E v = 0 for all u in B}, saturate.
-    Returns (C, index of B + C in the ambient lattice)."""
-    form = averaged_polarization(holonomies, seed_form)
-    # u^T E v = (E^T u) . v
-    rows = [mat_vec(mat_transpose(form), u) for u in b.basis_rows()]
-    c = integer_kernel(rows, b.ambient_rank)
-    if b.rank + c.rank != b.ambient_rank:
-        raise CertificateError("complement has wrong rank")
-    index = abs_determinant(b.basis_rows() + c.basis_rows())
-    if index == 0:
-        raise CertificateError("B + C is not of finite index")
-    return c, index
-

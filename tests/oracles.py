@@ -20,6 +20,10 @@
 - ``saturate``, the saturation of a lattice, which no command takes.
 - ``decompose_fano_part``, the decomposition re-run on a Q-Fano stage with
   a solver of its own, the idempotence check of the decomposition.
+- ``lattice_poincare_complement``, the complement of B orthogonal for the
+  product polarization ``standard_symplectic_form`` averaged over the
+  holonomies of N.  The runtime saturates the sum of the images of the
+  I - W over N's kept generators instead.
 - ``c_restriction_translation``, the gamma with C^T gamma = a on the torus
   by a Smith form of C^T.  The runtime reads gamma off the splittings of a
   along B x C, from the Smith form of [B^T C^T]."""
@@ -33,23 +37,24 @@ from fqav.cyclotomic import CycloField, spectrum_mod, split_prime
 from fqav.decompose import (
     DecompositionResult,
     SublatticeAction,
-    _restrict_form,
+    _decompose_level,
     close_with_tables,
-    decompose_lattice_action,
 )
 from fqav.linalg import (
     FixedPointSolver,
     Lattice,
     TorsionPoint,
+    abs_determinant,
     factor_affine,
     identity_matrix,
     integer_kernel,
     mat_mul,
     mat_transpose,
+    mat_vec,
     orthogonal_complement_rows,
     solve_factored,
 )
-from fqav.variety import ZETA4, analytic_rep_mod, block_pairs, standard_symplectic_form
+from fqav.variety import ZETA4, analytic_rep_mod, block_pairs
 
 
 def gauss_jordan(matrix, cols):
@@ -250,9 +255,7 @@ def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:
     """Re-run the decomposition on a Q-Fano stage (idempotence check)."""
     if fano.rank == 0:
         return DecompositionResult((), 0, fano, ())
-    seed = _restrict_form(standard_symplectic_form(fano.ambient_rank // 2), fano.embedding)
-    return decompose_lattice_action(*close_with_tables(fano.elements), fano.rank, seed,
-                                    FixedPointSolver())
+    return _decompose_level(*close_with_tables(fano.elements), fano.rank, FixedPointSolver())
 
 
 def c_restriction_translation(c: Lattice, a: TorsionPoint):
@@ -263,3 +266,39 @@ def c_restriction_translation(c: Lattice, a: TorsionPoint):
         return None
     (gamma,) = sol.representatives
     return gamma
+
+
+def standard_symplectic_form(n):
+    """The product principal polarization seed on E_1 x ... x E_n:
+    block-diagonal [[0,1],[-1,0]]."""
+    out = [[0] * (2 * n) for _ in range(2 * n)]
+    for j in range(n):
+        out[2 * j][2 * j + 1] = 1
+        out[2 * j + 1][2 * j] = -1
+    return out
+
+
+def averaged_polarization(n0_reps, seed):
+    """Sum of rho^T * E0 * rho over a closed set of rational representations."""
+    size = len(seed)
+    total = [[0] * size for _ in range(size)]
+    for rho in n0_reps:
+        term = mat_mul(mat_transpose(rho), mat_mul(seed, rho))
+        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term)]
+    return total
+
+
+def lattice_poincare_complement(b: Lattice, holonomies):
+    """A complement C of B invariant under the rational holonomies, which
+    must leave B invariant and form a group: average
+    ``standard_symplectic_form`` over them, take the E-orthogonal
+    complement {v : u^T E v = 0 for all u in B}, saturate, and assert that
+    C is a complement.  Returns (C, index of B + C in the ambient
+    lattice)."""
+    form = averaged_polarization(holonomies, standard_symplectic_form(b.ambient_rank // 2))
+    # u^T E v = (E^T u) . v
+    rows = [mat_vec(mat_transpose(form), u) for u in b.basis_rows()]
+    c = integer_kernel(rows, b.ambient_rank)
+    index = abs_determinant(b.basis_rows() + c.basis_rows())
+    assert b.rank + c.rank == b.ambient_rank and index
+    return c, index

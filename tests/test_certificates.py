@@ -1,6 +1,6 @@
 """Every cross-check of ``Analysis.classification`` fires, and so do the
 certificate checks of ``ramification_data``, ``irregularity``,
-``lattice_poincare_complement``, ``split_action`` and the decomposition
+``invariant_complement``, ``split_action`` and the decomposition
 stages.  Each test replaces one real result upstream of its check, by
 ``dataclasses.replace`` of a record, a shifted value or a changed lattice,
 vector, form or torsion point, so that the checks before it still pass; the command then
@@ -13,16 +13,15 @@ import types
 
 import pytest
 
+from fqav.action import LatticeElement
 from fqav.cli import main
-from fqav.linalg import Lattice, TorsionPoint
+from fqav.linalg import Lattice, TorsionPoint, identity_matrix
 
 from conftest import FIXTURE_DIR
 from test_cli import RAMIFIED_CM_DOCS
 
 # the module whose ``Analysis`` reads these functions by name
 classify = importlib.import_module("fqav.classify")
-# the module whose ``lattice_poincare_complement`` reads the averaged form
-variety = importlib.import_module("fqav.variety")
 # the module whose stages read these functions by name
 decompose = importlib.import_module("fqav.decompose")
 
@@ -73,22 +72,27 @@ def test_cross_check_fires(fixture, name, change, message, monkeypatch, capsys):
 
 
 # zeta4^3:C2+t decomposes in two stages.  At the first, B is the lattice of
-# the third factor, and the form averaged over N pairs it with itself
+# the third factor, and C the saturation of the images of the I - W over the
+# holonomies of N's kept generators, the first two factors
 COMPLEMENT_CHECKS = [
-    # a zero form leaves every vector orthogonal to B
-    pytest.param(lambda form: [[0] * len(row) for row in form],
+    # the zero matrix among the holonomies: its I - W is the identity, so C
+    # is the whole lattice
+    pytest.param(lambda holonomies: holonomies + [((0,) * 6,) * 6],
                  "complement has wrong rank", id="wrong-rank"),
-    # swapping the columns of the first and third factors pairs B with the
-    # first factor, so B lies in its own complement
-    pytest.param(lambda form: [row[4:] + row[2:4] + row[:2] for row in form],
+    # diag(-1, 1, i) in place of the holonomies: C is the first and third
+    # factors, which hold B
+    pytest.param(lambda holonomies: [((-1, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0),
+                                      (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+                                      (0, 0, 0, 0, 0, -1), (0, 0, 0, 0, 1, 0))],
                  "B + C is not of finite index", id="infinite-index"),
 ]
 
 
 @pytest.mark.parametrize("change, message", COMPLEMENT_CHECKS)
 def test_complement_check_fires(change, message, tmp_path, monkeypatch, capsys):
-    original = variety.averaged_polarization
-    monkeypatch.setattr(variety, "averaged_polarization", lambda *args: change(original(*args)))
+    original = decompose.invariant_complement
+    monkeypatch.setattr(decompose, "invariant_complement",
+                        lambda b, holonomies, solver: original(b, change(holonomies), solver))
     assert run_decompose(RAMIFIED_CM_DOCS["zeta4^3:C2+t"][0], tmp_path, capsys) == (
         2, ("", f"certificate failure: {message}\n"))
 
@@ -105,7 +109,7 @@ def fixture(name):
 
 
 def with_complement_rows(rows):
-    """The C of ``lattice_poincare_complement``'s pair with complement rows
+    """The C of ``invariant_complement``'s pair with complement rows
     ``rows(C)`` in place of its own, and the index unchanged."""
     def change(pair):
         c, index = pair
@@ -136,33 +140,43 @@ GLUE_DOC = {"factors": [{"cm": "generic"}] * 2,
 HALF_TRANSLATION = ("x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] x "
                     "+ [1/2, 0, 0, 0]")
 
+
+def with_restrictions(change):
+    """``split_action``'s result with the restrictions of N's kept
+    generators, N_C's generators, changed."""
+    def changed(result):
+        n_tilde, n_c, n_c_generators, tables = result
+        return n_tilde, n_c, change(n_c_generators), tables
+    return changed
+
+
 # the checks of ``split_action``, each given a changed pair (C, index) of
-# ``lattice_poincare_complement``, and the two stage certificates
+# ``invariant_complement``, and the stage certificates
 DECOMPOSITION_CHECKS = [
-    pytest.param(EI2_DOC, "lattice_poincare_complement", lambda pair: (pair[0], 2 * pair[1]),
+    pytest.param(EI2_DOC, "invariant_complement", lambda pair: (pair[0], 2 * pair[1]),
                  "kernel of the addition isogeny has wrong order", id="kernel-order"),
     # with B in place of C the splittings are those along B alone, and the
     # Smith form of [B^T B^T] has divisors 1, but the translation by (1/2, 0)
     # is not in the B-subtorus
-    pytest.param(EI2_DOC, "lattice_poincare_complement",
+    pytest.param(EI2_DOC, "invariant_complement",
                  lambda pair: (Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]]), 1),
                  "translation does not split along B x C", id="split"),
     # with the whole lattice as C every translation lies in C, but C meets
     # B, so [B^T C^T] has a kernel and its Smith form lists one splitting of
     # each translation: that of (1/3, 0, 1/3, 0) has beta != 0
-    pytest.param(GLUE_DOC, "lattice_poincare_complement", lambda pair: (Lattice.full(4), 1),
+    pytest.param(GLUE_DOC, "invariant_complement", lambda pair: (Lattice.full(4), 1),
                  "element x -> [[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]] x "
                  "+ [1/3, 0, 1/3, 0] of N does not restrict to C", id="c-membership"),
     # a further row (1, 0, 0, 0) keeps the elements t_b . diag(i^k, 1) with
     # b = (0, 0) or (0, 1/2), a set that is not closed: the square of
     # t_(0, 1/2) . diag(i, 1) is t_(1/2, 1/2) . diag(-1, 1)
-    pytest.param(EI2_DOC, "lattice_poincare_complement",
+    pytest.param(EI2_DOC, "invariant_complement",
                  with_complement_rows(lambda c: c.complement_rows + ((1, 0, 0, 0),)),
                  f"element {HALF_TRANSLATION} of N does not restrict to C", id="dropped-set"),
     # a further row (1, 1, 0, 0) keeps the 8 elements with b = (0, 0) or
     # (1/2, 1/2), a subgroup, which a closure of the kept alone would take
     # for N_C
-    pytest.param(EI2_DOC, "lattice_poincare_complement",
+    pytest.param(EI2_DOC, "invariant_complement",
                  with_complement_rows(lambda c: c.complement_rows + ((1, 1, 0, 0),)),
                  f"element {HALF_TRANSLATION} of N does not restrict to C",
                  id="dropped-subgroup"),
@@ -174,6 +188,30 @@ DECOMPOSITION_CHECKS = [
     # p1-from-ei is Q-Fano of dimension 1, and its kappa is shifted to 0
     pytest.param(fixture("p1-from-ei"), "subtorus_kappa", lambda kappa: kappa - 1,
                  "final part fails the Q-Fano kappa certificate", id="fano-kappa"),
+    # EI2_DOC splits, so its one kappa is that of N_C on C, shifted to 0
+    pytest.param(EI2_DOC, "subtorus_kappa", lambda kappa: kappa - 1,
+                 "final part fails the Q-Fano kappa certificate", id="fano-kappa-on-c"),
+    # the first of the four restrictions of N's kept generators replaced by
+    # a translation of C, whose fixed locus is empty
+    pytest.param(EI2_DOC, "split_action",
+                 with_restrictions(lambda rs: [LatticeElement.of(identity_matrix(2),
+                                                                 TorsionPoint.over((1, 0), 2))]
+                                   + rs[1:]),
+                 "restriction x -> [[1, 0], [0, 1]] x + [1/2, 0] of a kept generator of N "
+                 "fixes no divisor of C", id="restriction-divisor"),
+    # zeta4^3:C2+t splits with C of rank 4, the first two factors; the
+    # restrictions of N's kept generators replaced by -1, whose fixed locus
+    # is 16 points, no divisor, and which fixes no vector of C
+    pytest.param(RAMIFIED_CM_DOCS["zeta4^3:C2+t"][0], "split_action",
+                 with_restrictions(lambda rs: [LatticeElement.of(
+                     [[-int(i == j) for j in range(4)] for i in range(4)])]),
+                 "restriction x -> [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], "
+                 "[0, 0, 0, -1]] x + [0, 0, 0, 0] of a kept generator of N fixes no divisor "
+                 "of C", id="restriction-rank"),
+    # the four replaced by diag(-1, 1), which fixes a divisor and a vector of C
+    pytest.param(EI2_DOC, "split_action",
+                 with_restrictions(lambda rs: [LatticeElement.of([[-1, 0], [0, 1]])]),
+                 "N_C fixes a vector of C", id="fixed-vector-on-c"),
 ]
 
 

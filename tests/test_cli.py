@@ -819,6 +819,35 @@ class TestComputeOnce:
         build_report(*parse_input(json.dumps(RAMIFIED_72_DOC)), "report")
         assert (sum(calls.values()), len(calls)) == (44, 27)
 
+    @pytest.mark.parametrize("name, report_asked, decompose_solved", [
+        ("zeta4^3:C2+t", 44, 14), ("zeta6^3:mu6xmu3+t", 70, 18)])
+    def test_split_asks_no_element_of_n_c(self, name, report_asked, decompose_solved,
+                                          monkeypatch):
+        # after a split, the Q-Fano stage of N_C reads its divisors off the
+        # solves of the restrictions of N's kept generators (4 and 3 here):
+        # decompose asks may_fix_divisor once per nontrivial element of G,
+        # and a report makes |N| - 1 = 15 and 17 calls fewer than when that
+        # stage asked it of every element of N_C (59 and 87 calls), with 2
+        # and 4 fewer fixed-locus solves in decompose (16 and 22)
+        doc, order = RAMIFIED_CM_DOCS[name]
+        original = FixedPointSolver.may_fix_divisor
+        for command in ("decompose", "report"):
+            asked, solved = [], Counter()
+
+            def recording(solver, w):
+                asked.append(w)
+                return original(solver, w)
+
+            monkeypatch.setattr(FixedPointSolver, "may_fix_divisor", recording)
+            count_calls(monkeypatch, "element_fixed_solution", solved)
+            build_report(*parse_input(json.dumps(doc)), command)
+            monkeypatch.undo()
+            if command == "decompose":
+                assert (len(asked), solved["element_fixed_solution"]) == (
+                    order - 1, decompose_solved)
+            else:
+                assert len(asked) == report_asked
+
     @pytest.mark.parametrize("command", ["classify", "report"])
     def test_each_lattice_complemented_and_kernel_taken_once(self, command, monkeypatch):
         # the solver keeps one object per distinct lattice, which caches its

@@ -32,7 +32,7 @@ TEST_ONLY = {
     "cyclotomic": ("kernel_dimension", "eigen_multiplicity", "CycloField"),
 }
 TEST_ONLY_METHODS = ("variety.EndoBlockMatrix.compose", "action.LatticeElement.compose",
-                     "action.AffineAutomorphism.compose")
+                     "action.AffineAutomorphism.compose", "linalg.Lattice.coordinates")
 
 PACKAGE = [importlib.import_module("fqav")] + [
     importlib.import_module(f"fqav.{path.stem}") for path in MODULES if path.stem != "__init__"]

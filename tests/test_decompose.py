@@ -35,16 +35,10 @@ from fqav.linalg import (
     matrix_rank,
     solve_affine_mod_lattice,
 )
-from fqav.variety import (
-    AbelianVarietyModel,
-    EllipticFactor,
-    lattice_poincare_complement,
-    standard_symplectic_form,
-    subtorus_kappa,
-)
+from fqav.variety import AbelianVarietyModel, EllipticFactor, subtorus_kappa
 
 from conftest import generator
-from oracles import c_restriction_translation, decompose_fano_part
+from oracles import c_restriction_translation, decompose_fano_part, lattice_poincare_complement
 from test_acceptance import random_generator, random_variety
 from test_action import (
     ORACLE,
@@ -228,8 +222,7 @@ def glue_split():
     els, _ = close_elements([e])
     sub, kept = stage_ramification(els)
     b = invariant_torus(sub)
-    c, ker_mu = lattice_poincare_complement(b, [x.matrix for x in sub],
-                                            standard_symplectic_form(2))
+    c, ker_mu = lattice_poincare_complement(b, [x.matrix for x in sub])
     return sub, kept, b, c, ker_mu
 
 
@@ -264,13 +257,13 @@ def translated_ei_square():
 
 
 def recorded_splits(monkeypatch, groups):
-    """(N, C, N_C) of every split stage of the decompositions of
-    ``groups``."""
+    """The arguments and result of every ``split_action`` call in the
+    decompositions of ``groups``."""
     calls = []
 
-    def recording(n_elements, n_generators, b, c, ker_mu):
-        out = split_action(n_elements, n_generators, b, c, ker_mu)
-        calls.append((n_elements, c, out[1]))
+    def recording(*args):
+        out = split_action(*args)
+        calls.append((args, out))
         return out
 
     monkeypatch.setattr(decompose_module, "split_action", recording)
@@ -289,13 +282,26 @@ def oracle_restriction(g, c):
     return LatticeElement.of(w_c, gamma)
 
 
-def assert_restrictions_solve_c_transpose(calls):
-    """Every element t_a . W of N at each split stage restricts to C, its a
-    solved by the Smith form of C^T, and N_C is the set of the |N|
-    restrictions t_gamma . W|_C, gamma that solve; the number of stages
-    with some gamma != 0."""
+def assert_split_matches_oracles(calls):
+    """At each split stage, C and the index of B + C are those of the
+    polarization averaged over every holonomy of N, W|_C, read off the
+    first lift of each element t_a . W of N, is the coordinate solve of
+    W C^T on the C basis, every element restricts to C, its a solved by the
+    Smith form of C^T, and N_C is the set of the |N| restrictions
+    t_gamma . W|_C, gamma that solve; the number of stages with some
+    gamma != 0."""
     nonzero = 0
-    for n_elements, c, n_c in calls:
+    for (n_elements, _, b, c, ker_mu), (n_tilde, n_c, *_) in calls:
+        holonomies = list(dict.fromkeys(g.matrix for g in n_elements))
+        assert lattice_poincare_complement(b, holonomies) == (c, ker_mu)
+        assert len(n_tilde) == len(n_elements) * ker_mu
+        on_b = tuple(map(tuple, identity_matrix(b.ambient_rank)[:b.rank]))
+        restricted = {}
+        for k, g in enumerate(n_elements):
+            lift = n_tilde[k * ker_mu].matrix
+            assert lift[:b.rank] == on_b
+            restricted[g.matrix] = tuple(row[b.rank:] for row in lift[b.rank:])
+        assert restricted == {g.matrix: oracle_restriction(g, c).matrix for g in n_elements}
         assert len(n_c) == len(n_elements)
         assert set(n_c) == {oracle_restriction(g, c) for g in n_elements}
         nonzero += any(not e.translation.is_zero() for e in n_c)
@@ -303,40 +309,49 @@ def assert_restrictions_solve_c_transpose(calls):
 
 
 class TestRestrictionToC:
+    """``invariant_complement`` on the holonomies of N's kept generators
+    against the averaged polarization over all of N, and the one-product
+    W|_C and the restrictions of ``split_action`` against coordinate and
+    Smith solves."""
+
     def test_every_split_stage(self, monkeypatch, gallery):
         groups = gallery + nonabelian_groups() + [translated_ei_square()]
         calls = recorded_splits(monkeypatch, groups)
         assert len(calls) > 5
-        assert assert_restrictions_solve_c_transpose(calls)
+        # some stage has non-symmetric holonomies, and some C is not a sum
+        # of coordinate factors
+        assert any(any(w != tuple(zip(*w)) for w in {g.matrix for g in args[0]})
+                   for args, _ in calls)
+        assert any(any(sum(map(bool, row)) > 1 for row in args[3].basis) for args, _ in calls)
+        assert assert_split_matches_oracles(calls)
 
     @ORACLE
     @given(small_groups())
     def test_random_groups(self, group):
         with pytest.MonkeyPatch.context() as patch:
-            assert_restrictions_solve_c_transpose(recorded_splits(patch, [group]))
+            assert_split_matches_oracles(recorded_splits(patch, [group]))
 
     def test_next_stage_generators(self, monkeypatch, gallery):
-        # the stage below a split is generated by the restrictions of N's
-        # kept generators, in their order
-        events = []
-        level = decompose_module._decompose_level
-
-        def recording_level(elements, generators, *rest):
-            events.append(("level", generators))
-            return level(elements, generators, *rest)
+        # N_C, the Q-Fano part after a split, is generated by the
+        # restrictions of N's kept generators, in their order, and its
+        # tables are those of their closure
+        splits, recorded = [], []
 
         def recording_split(n_elements, n_generators, b, c, ker_mu):
-            events.append(("split", tuple(oracle_restriction(g, c) for g in n_generators)))
-            return split_action(n_elements, n_generators, b, c, ker_mu)
+            out = split_action(n_elements, n_generators, b, c, ker_mu)
+            splits.append(([oracle_restriction(g, c) for g in n_generators], out))
+            return out
 
-        monkeypatch.setattr(decompose_module, "_decompose_level", recording_level)
         monkeypatch.setattr(decompose_module, "split_action", recording_split)
         for group in gallery + nonabelian_groups() + [translated_ei_square()]:
-            decompose(group)
-        pairs = [(want, following) for (kind, want), following in zip(events, events[1:])
-                 if kind == "split"]
-        assert len(pairs) > 5 and max(len(want) for want, _ in pairs) > 1
-        assert all(following == ("level", want) for want, following in pairs)
+            del splits[:]
+            result = decompose(group)
+            for want, (_, n_c, n_c_generators, n_c_tables) in splits:
+                assert n_c_generators == want
+                assert result.fano_part.elements == tuple(n_c)
+                assert_tables(n_c, n_c_generators, n_c_tables)
+            recorded.extend(want for want, _ in splits)
+        assert len(recorded) > 5 and max(map(len, recorded)) > 1
 
     def test_two_closures_per_split_stage(self, monkeypatch, gallery):
         # one closure for N-tilde and one for N_C, whatever the number of
@@ -626,10 +641,12 @@ class TestGeneratorNTilde:
     def test_witness_named(self, monkeypatch):
         ((n_tilde, generators),) = recorded_n_tilde(monkeypatch,
                                                     lambda: split_action(*glue_split()))
-        # an element that is no generator, with gamma shifted: the closure of
-        # the generators is the true N-tilde, and the shifted set lacks one
-        # of its elements, a product of one it holds with a generator
-        i = next(i for i, t in enumerate(n_tilde) if t not in generators)
+        # an element that is neither a generator nor the identity, with gamma
+        # shifted: the closure of the generators is the true N-tilde, and the
+        # shifted set lacks one of its elements, a product of one it holds
+        # with a generator
+        i = next(i for i, t in enumerate(n_tilde)
+                 if t not in generators and not t.is_identity())
         mutated = n_tilde[:i] + [shifted(n_tilde[i])] + n_tilde[i + 1:]
         with pytest.raises(CertificateError) as exc:
             _check_n_tilde_group(mutated, generators)
@@ -760,7 +777,8 @@ class TestKeptGeneratorsInvariantTorus:
 
 def recorded_table_stages(monkeypatch, groups):
     """(elements, generators, tables) of every stage of the decompositions
-    of ``groups``."""
+    of ``groups``: the top stage's, and after a split N_C's, with the
+    restrictions of N's kept generators and the tables of their closure."""
     stages = []
     level = decompose_module._decompose_level
 
@@ -768,7 +786,13 @@ def recorded_table_stages(monkeypatch, groups):
         stages.append((elements, generators, tables))
         return level(elements, generators, tables, *rest)
 
+    def recording_split(*args):
+        out = split_action(*args)
+        stages.append((tuple(out[1]), tuple(out[2]), out[3]))
+        return out
+
     monkeypatch.setattr(decompose_module, "_decompose_level", recording)
+    monkeypatch.setattr(decompose_module, "split_action", recording_split)
     for group in groups:
         decompose(group)
     monkeypatch.undo()
@@ -854,9 +878,10 @@ class TestTableRamification:
 
 
 class TestPositionNumbering:
-    """Every stage's closure tables, the lower stages' from
-    ``close_with_tables``, number each element by its position: columns,
-    BFS tree, left and right multiplications against compositions."""
+    """Every stage's closure tables, N_C's from ``split_action``'s closure
+    of the restrictions of N's kept generators, number each element by its
+    position: columns, BFS tree, left and right multiplications against
+    compositions."""
 
     def test_every_stage(self, monkeypatch, gallery):
         groups = gallery + nonabelian_groups()
@@ -875,10 +900,10 @@ class TestPositionNumbering:
 
 
 class TestRowTableClosureOnStages:
-    """``bfs_closure`` on the lattice elements of every stage, the lower
-    stages' on sublattices as ``close_with_tables`` passes them, against the
-    product closure: the stage's generators with its order and one less as
-    the cap, and a few of its elements as generators."""
+    """``bfs_closure`` on the lattice elements of every stage, N_C's on C as
+    ``split_action`` closes them, against the product closure: the stage's
+    generators with its order and one less as the cap, and a few of its
+    elements as generators."""
 
     @staticmethod
     def assert_matches(stages, rng):

@@ -8,8 +8,10 @@ are large, and of three of these groups with a translation added (orders
 6912, 41472 and 82944; the last pinned by the sha256 of its json report).
 Three more large groups are pinned by that sha256 alone: E_zeta6^4 by
 ``diag(zeta6, 1, 1, 1)`` and the permutations of S4 (order 31104), and two
-diag-perm groups with a 1/3-translation (orders 34992 and 139968).  An
-optimisation must reproduce these bytes exactly.
+diag-perm groups with a 1/3-translation (orders 34992 and 139968).  So are
+three groups whose decomposition splits: S5 and S6 permuting the factors of
+E^5 and E^6, and a group of order 5184 on E_zeta6^5 whose B x C has a ker mu
+of order 4.  An optimisation must reproduce these bytes exactly.
 
 To regenerate after an intended output change::
 
@@ -19,7 +21,10 @@ To regenerate after an intended output change::
 import hashlib
 import importlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -175,6 +180,57 @@ LARGE_ORDER = {
 }
 
 
+def _permutation(images):
+    """The holonomy sending factor k to factor images[k]."""
+    n = len(images)
+    return [[_ONE if i == images[k] else _ZERO for k in range(n)] for i in range(n)]
+
+
+def symmetric_document(n):
+    """E^n, E one curve without CM, by the transposition of the first two
+    factors and the n-cycle sending factor k to factor k + 1: S_n of order
+    n!, which splits with B the diagonal, C the sum-zero sublattice and
+    ker mu of order n^2."""
+    holonomies = [_permutation([1, 0] + list(range(2, n))),
+                  _permutation([(k + 1) % n for k in range(n)])]
+    return {"schema_version": 1,
+            "factors": [{"cm": "generic", "label": "E"}] * n,
+            "generators": [{"holonomy": h, "translation": ["0"] * (2 * n)}
+                           for h in holonomies]}
+
+
+def glue_document():
+    """E_zeta6^5 by diag(zeta6, 1, 1, 1, 1), the 3-cycle of the first three
+    factors sending factor k to factor k + 1 and translating by 1/2 in the
+    first real coordinate of the last two factors, the transposition of the
+    first two factors, and -swap of the last two: order 5184, which splits
+    with B the antidiagonal of the last two factors and ker mu of order
+    4."""
+    diag = _diag(_Z6, _ONE, _ONE, _ONE, _ONE)
+    minus_swap = [[[-1, 0] if {i, j} == {3, 4} else (_ONE if i == j < 3 else _ZERO)
+                   for j in range(5)] for i in range(5)]
+    translation = ["0"] * 10
+    translation[6] = translation[8] = "1/2"
+    generators = [(diag, ["0"] * 10), (_permutation([1, 2, 0, 3, 4]), translation),
+                  (_permutation([1, 0, 2, 3, 4]), ["0"] * 10), (minus_swap, ["0"] * 10)]
+    return {"schema_version": 1,
+            "factors": [{"cm": "zeta6"}] * 5,
+            "generators": [{"holonomy": h, "translation": t} for h, t in generators]}
+
+
+# name -> (input document, order, (ker mu order, N-tilde order) of its split
+# stage, sha256 of its ``report --format json``): the inputs that split,
+# pinned without a golden file
+SPLIT = {
+    "sym-5-120": (lambda: symmetric_document(5), 120, (25, 3000),
+                  "dc7e1a15d11cb84b1d742626b0024fd09e7a5d62e757c82912963f7d05132d62"),
+    "sym-6-720": (lambda: symmetric_document(6), 720, (36, 25920),
+                  "9526c788efd316d5bd32e345a697b0a72d70bd2de548167045c453dc4bf019e3"),
+    "glue-2-5184": (glue_document, 5184, (4, 20736),
+                    "17e8bca5184f7e2ca4d8af1163d81e3e40a75bc72e6a2b55414618bbd5764c94"),
+}
+
+
 def _document_text(name):
     """The input document of the golden gallery's group ``name``."""
     if name in SL_DIAG:
@@ -264,6 +320,49 @@ def test_large_order_report_digest(name):
     assert report["classification"]["group_order"] == order
     text = serialize(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", list(SPLIT))
+def test_split_report_digest(name):
+    document, order, split, digest = SPLIT[name]
+    variety, gens, options = parse_input(json.dumps(document()))
+    report = build_report(variety, gens, options, "report")
+    assert report["classification"]["group_order"] == order
+    split_stage, fano_stage = report["decomposition"]["stages"]
+    assert (split_stage["ker_mu_order"], split_stage["n_tilde_order"]) == split
+    assert split_stage["n_order"] == fano_stage["n_order"] == order
+    text = serialize(report, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# prints the sha256 of ``report --format json`` on each input path it is given
+_DIGEST_SCRIPT = """
+import contextlib, hashlib, io, sys
+from fqav.cli import main
+for path in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["report", path, "--format", "json"]) == 0
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_report_does_not_depend_on_hash_seed(tmp_path):
+    # one interpreter per string hash seed, each reporting on the five
+    # fixtures and S5, which splits: every seed prints the same digests
+    s5 = tmp_path / "sym-5-120.json"
+    s5.write_text(json.dumps(symmetric_document(5)))
+    paths = [str(FIXTURE_DIR / f"{name}.json") for name in FIXTURES] + [str(s5)]
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, *paths], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == len(paths) and digests[0][-1] == SPLIT["sym-5-120"][-1]
+    assert all(d == digests[0] for d in digests)
 
 
 @pytest.mark.parametrize("name", FIXTURES + tuple(SL_DIAG) + tuple(DIAG_PERM))

@@ -688,6 +688,23 @@ class TestSolveAffineOracle:
         if solvable:
             assert sol.nonempty
 
+    @settings(max_examples=100, deadline=None)
+    @given(low_rank_systems())
+    def test_generators_generate_the_solutions_of_zero(self, case):
+        # the points V e_i / s_i, s_i > 1, generate the solutions of
+        # M x == 0 as a group, each of order its s_i
+        m, _, _ = case
+        nc = len(m[0]) if m else 1
+        sol = solve_affine_mod_lattice(m, TorsionPoint.zero(nc)) if m else None
+        assume(sol is not None)
+        gens = sol.generators
+        assert [g.order for g in gens] == [s for s in sol.divisors if s > 1]
+        closed, new = {TorsionPoint.zero(nc)}, {TorsionPoint.zero(nc)}
+        while new:
+            new = {x + g for x in new for g in gens} - closed
+            closed |= new
+        assert closed == set(sol.representatives)
+
 
 def one_step_solve(matrix, point):
     """Reference: the affine solve as one Smith form and one back-substitution

@@ -22,14 +22,16 @@ from fqav.variety import (
     EllipticFactor,
     EndoBlockMatrix,
     SubtorusTranslate,
-    lattice_poincare_complement,
     rational_rep,
-    standard_symplectic_form,
     subtorus_kappa,
 )
 
 from conftest import generator, identity
-from oracles import analytic_rep, solve_rational
+from oracles import (
+    analytic_rep,
+    lattice_poincare_complement,
+    solve_rational,
+)
 
 Z4 = EllipticFactor("zeta4")
 J = [[0, -1], [1, 0]]
@@ -367,18 +369,18 @@ class TestDivisors:
         assert lat.complement_rows is rows
 
 
-def complement(b, holonomies, variety):
-    """The complement of B the decomposition takes, from the standard seed
-    form averaged over the holonomies' rational representations."""
-    return lattice_poincare_complement(b, [phi.matrix for phi in holonomies],
-                                       standard_symplectic_form(variety.n))
+def complement(b, holonomies):
+    """The complement of B from the standard seed form averaged over the
+    holonomies' rational representations: the oracle for the complement
+    the decomposition takes."""
+    return lattice_poincare_complement(b, [phi.matrix for phi in holonomies])
 
 
 class TestPoincareComplement:
     def test_orthogonal_product_factors(self):
         a = AbelianVarietyModel.of(Z4, Z4)
         b = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-        c, order = complement(b, [identity(a)], a)
+        c, order = complement(b, [identity(a)])
         assert c == Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
         assert order == 1
 
@@ -386,7 +388,7 @@ class TestPoincareComplement:
         a = AbelianVarietyModel.of(Z4, Z4)
         b = Lattice.from_vectors(4, [[1, 0, 1, 0], [0, 1, 0, 1]])
         swap = EndoBlockMatrix.from_rows(a, [[(0, 0), (1, 0)], [(1, 0), (0, 0)]])
-        c, order = complement(b, [identity(a), swap], a)
+        c, order = complement(b, [identity(a), swap])
         assert c == Lattice.from_vectors(4, [[1, 0, -1, 0], [0, 1, 0, -1]])
         assert order == 4
         assert is_abelian_subvariety(c, a)
@@ -396,6 +398,6 @@ class TestPoincareComplement:
         b = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
         n0 = [identity(a),
               EndoBlockMatrix.from_rows(a, [[(1, 0), (0, 0)], [(0, 0), (-1, 0)]])]
-        c, order = complement(b, n0, a)
+        c, order = complement(b, n0)
         assert c == Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
         assert order == 1
