@@ -234,16 +234,16 @@ def invariant_complement(b: Lattice, holonomies, solver):
 
 
 def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order):
-    """Split N = <n_generators> along B x C: the certificate set N-tilde of
-    affine maps on B x C, and the restricted group N_C in C-coordinates with
-    its generators, the restrictions of ``n_generators`` in their order, and
-    the tables of their closure.
+    """Split N = <n_generators> along B x C: the order |N| |ker mu| of
+    N-tilde, the group of lifts of N to B x C, once certified, and the
+    restricted group N_C in C-coordinates with its generators, the
+    restrictions of ``n_generators`` in their order, and the tables of
+    their closure.
 
-    Coordinates on B x C are (beta, gamma) with a = B^T beta + C^T gamma;
-    all torus-level splittings of each translation are enumerated through
-    the kernel of the addition isogeny mu.  W fixes B, so g = t_a . W lifts
-    to the maps t_(beta, gamma) . diag(I, W|_C), one per splitting of a.
-    B + C has finite index, so a has finitely many splittings, all listed.
+    Coordinates on B x C are (beta, gamma) with a = B^T beta + C^T gamma,
+    the addition isogeny mu.  W fixes B, so g = t_a . W lifts to the maps
+    t_p . diag(I, W|_C), one per splitting p of a.  B + C has finite index,
+    so the splittings of a are the translates by ker mu of any one of them.
 
     With U [B^T C^T] V = S in Smith form and s the last divisor, the
     C-coordinates of x are left x / s, left = V[rank B:] (s S^-1) U, so
@@ -253,11 +253,13 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     for every W in N.
 
     Each g = t_a . W in N restricts to r(g) = t_gamma . W|_C on C, where
-    (0, gamma) is a listed splitting of a and K_C a = 0 (K_C, a Hermite
-    kernel, checks the Smith form): a reflection's a is in (I - W) R^N + Z^N,
-    inside C_R + Z^N, which products keep.  gamma is unique, as C is
-    saturated, so r is a homomorphism, one-to-one as B + C has finite index,
-    and N_C = r(N) is the closure of r(n_generators), of order |N|.
+    (0, gamma) splits a and K_C a = 0 (K_C, a Hermite kernel, checks the
+    Smith form): a reflection's a is in (I - W) R^N + Z^N, inside
+    C_R + Z^N, which products keep.  (0, gamma) is p + k for p the
+    splitting with every Smith k_i = 0 and k the point of ker mu whose
+    beta is -beta(p); k and gamma are unique, as C is saturated, so r is a
+    homomorphism, one-to-one as B + C has finite index, and N_C = r(N) is
+    the closure of r(n_generators), of order |N|.
     """
     n2 = b.ambient_rank
     bt = mat_transpose(b.basis_rows())
@@ -273,91 +275,70 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     u, divisors, v, _ = m_factors
     top = divisors[-1]
     left = mat_mul(v[b.rank:], [[top // s * x for x in row] for s, row in zip(divisors, u)])
+
+    # the points of ker mu by top beta, an int vector, as s_i | top
+    ker_mu = {tuple(y * top // k.den for y in k.num[:b.rank]): k
+              for k in ker_sol.representatives}
     k_c = c.complement_rows
-    ident = identity_matrix(n2)
-    restricted = {}
-
-    def restrict_matrix(w):
-        """W|_C on the C basis and diag(I, W|_C) on B x C, once per W."""
-        pair = restricted.get(w)
-        if pair is None:
-            w_c = tuple(tuple(x // top for x in row) for row in mat_mul(left, mat_mul(w, ct)))
-            lift = tuple(tuple(r) for r in ident[:b.rank]) + tuple(
-                (0,) * b.rank + row for row in w_c)
-            pair = restricted[w] = (w_c, lift)
-        return pair
-
-    n_tilde = []
-    first_lift = {}
-    restriction = {}
+    restricted, restriction, splitting = {}, {}, {}
     for g in n_elements:
+        w_c = restricted.get(g.matrix)
+        if w_c is None:
+            w_c = restricted[g.matrix] = tuple(
+                tuple(x // top for x in row) for row in mat_mul(left, mat_mul(g.matrix, ct)))
         splits = solve_factored(m_factors, g.translation)
         if not splits.nonempty:
             raise CertificateError("translation does not split along B x C")
-        w_c, lift = restrict_matrix(g.matrix)
-        lifts = [LatticeElement(lift, rep) for rep in splits.representatives]
-        first_lift[g] = lifts[0]
-        n_tilde.extend(lifts)
-        rep = next((r for r in splits.representatives if not any(r.num[:b.rank])), None)
-        if rep is None or not g.translation.apply_matrix(k_c).is_zero():
+        p = splitting[g] = splits.particular
+        k = ker_mu.get(tuple(-y * top // p.den % top for y in p.num[:b.rank]))
+        on_c = None if k is None else p + k
+        if (on_c is None or any(on_c.num[:b.rank])
+                or not g.translation.apply_matrix(k_c).is_zero()):
             raise CertificateError(f"element {g} of N does not restrict to C")
-        restriction[g] = LatticeElement(w_c, TorsionPoint.over(rep.num[b.rank:], rep.den))
+        restriction[g] = LatticeElement(w_c, TorsionPoint.over(on_c.num[b.rank:], on_c.den))
 
     for w in dict.fromkeys(g.matrix for g in n_generators):
-        if mat_mul(ct, restricted[w][0]) != mat_mul(w, ct):
+        if mat_mul(ct, restricted[w]) != mat_mul(w, ct):
             raise CertificateError("complement is not invariant")
-    # the lifts of the Smith generators of ker mu generate its lifts
-    ker_lifts = [LatticeElement.of(ident, point) for point in ker_sol.generators]
-    _check_n_tilde_group(n_tilde, ker_lifts + [first_lift[g] for g in n_generators])
+    on_b = tuple(map(tuple, identity_matrix(n2)[:b.rank]))
+    lifts = []
+    for g in n_generators:  # t_p . diag(I, W|_C)
+        rows = on_b + tuple((0,) * b.rank + row for row in restricted[g.matrix])
+        lifts.append((g, LatticeElement(rows, splitting[g])))
+    _check_n_tilde_group(m, lifts, ker_sol.generators)
     wrong = CertificateError(f"restrictions to C are not a group of order {len(n_elements)}")
     n_c_generators = [restriction[g] for g in n_generators]
     n_c, n_c_tables = bfs_closure(LatticeElement.of(identity_matrix(c.rank)), n_c_generators,
                                   len(n_elements), wrong)
     if len(n_c) != len(n_elements) or set(n_c) != set(restriction.values()):
         raise wrong
-    return n_tilde, n_c, n_c_generators, n_c_tables
+    return len(n_elements) * ker_mu_order, n_c, n_c_generators, n_c_tables
 
 
-class _Outgrown(Exception):
-    """The closure in ``_check_n_tilde_group`` outgrew N-tilde.  That check
-    catches it and goes on to name a witness."""
+def _check_n_tilde_group(m, lifts, ker_generators):
+    """Certify that N-tilde, the closure of the ker mu translations and of a
+    lift t = t_p . diag(I, W|_C) of each kept generator g = t_a . W of N,
+    the pairs (g, t) of ``lifts``, is the group of all lifts of N to B x C:
+    mu(p) = a, mu the addition map ``m`` = [B^T C^T], and diag(I, W|_C)
+    keeps ker mu, checked on its Smith generators ``ker_generators``.
 
-
-def _check_n_tilde_group(n_tilde, generators):
-    """Certify that N-tilde is a group: the closure of ``generators``, the
-    ker mu lifts and one lift of each generator of N, must be N-tilde.
-
-    Each element t of N-tilde lifts an element pi(t) of N: mu . t =
-    pi(t) . mu, and mu is onto, so pi(t t') = pi(t) pi(t') whenever t t' is
-    in N-tilde, and the ker mu lifts are the t with pi(t) = 1.  If N-tilde
-    is a group it holds the closure H of the generators; pi(H) holds the
-    generators of N, so pi(H) = N, and each t in N-tilde is h k with h in H,
-    pi(h) = pi(t) and k = h^-1 t a ker mu lift: H is N-tilde.  Conversely a
-    closure is a group.  So this is the same certificate as checking every
-    product of two elements of N-tilde.  On failure the message names a
-    witness."""
-    entries = set(n_tilde)
-    ident = LatticeElement.of(identity_matrix(n_tilde[0].rank))
-    gens = [h for h in dict.fromkeys(generators) if not h.is_identity()]
-    try:
-        closed = set(bfs_closure(ident, gens, len(entries), _Outgrown())[0])
-    except _Outgrown:
-        closed = set()
-    if closed == entries:
-        return
-    prefix = "N-tilde is not closed under composition: "
-    if ident not in entries:
-        raise CertificateError(prefix + "it lacks the identity")
-    # N-tilde holds the identity and the generators; if right products with
-    # the generators stay in it, it holds their closure
-    for t in n_tilde:
-        for h in gens:
-            p = t.compose(h)
-            if p not in entries:
-                raise CertificateError(prefix + f"{t} times generator {h} is {p}, outside it")
-    missing = next(t for t in n_tilde if t not in closed)
-    raise CertificateError(prefix + f"{missing} is not generated by the ker mu lifts "
-                           "and the lifts of the generators of N")
+    The lifts of g, the maps t with mu . t = g . mu, are the
+    t_(p + k) . diag(I, W|_C), k in ker mu.  With every a split, ker mu of
+    the order given and C^T W|_C = W C^T, as the split certified, the lifts
+    of N are |N| |ker mu| maps, closed under products.  Then these checks
+    put N-tilde inside them; it maps onto N, and onto 1 exactly on the
+    ker mu translations, so it has |N| |ker mu| elements and is all the
+    lifts: the certificate of closing N-tilde and comparing it with every
+    splitting of every element of N."""
+    prefix = "N-tilde is not an extension of N by ker mu: "
+    for g, lift in lifts:
+        if lift.translation.apply_matrix(m) != g.translation:
+            raise CertificateError(prefix + f"{lift} does not lift generator {g} of N")
+        for k in ker_generators:
+            if not k.apply_matrix(lift.matrix).apply_matrix(m).is_zero():
+                point = ", ".join(map(str, k.coords))
+                raise CertificateError(prefix + f"the lift {lift} of generator {g} of N "
+                                       f"moves [{point}] off ker mu")
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +399,10 @@ def _decompose_level(elements, generators, tables, n2, solver) -> DecompositionR
         return DecompositionResult((), 0, fano, (stage,))
 
     c, ker_mu = invariant_complement(b, holonomies, solver)
-    n_tilde, n_c, n_c_generators, _ = split_action(n_sub, n_generators, b, c, ker_mu)
+    n_tilde_order, n_c, n_c_generators, _ = split_action(n_sub, n_generators, b, c, ker_mu)
     fano, stage = _fano_part(n_c, _divisors_after_split(n_c_generators, c.rank, solver),
                              c.basis, n2)
-    split = StageCertificate(len(n_sub), ker_mu, True, None, len(n_tilde))
+    split = StageCertificate(len(n_sub), ker_mu, True, None, n_tilde_order)
     return DecompositionResult((b,), b.rank // 2, fano, (split, stage))
 
 

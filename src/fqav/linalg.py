@@ -440,6 +440,15 @@ class AffineSolutionSet:
         return tuple(sorted(reps, key=TorsionPoint.sort_key))
 
     @property
+    def particular(self):
+        """The solution with every k_i = 0, one of ``representatives``,
+        found without listing them; the set must be nonempty."""
+        top = self.divisors[-1] if self.divisors else 1
+        y = [b * (top // s) for b, s in zip(self.rhs, self.divisors)]
+        free = [0] * (self.kernel.ambient_rank - len(self.divisors))
+        return TorsionPoint.over(mat_vec(self.transform, y + free), self.den * top)
+
+    @property
     def generators(self):
         """For M x == 0: the points V e_i / s_i, one for each divisor
         s_i > 1.  The solutions are the sums of their multiples, the direct

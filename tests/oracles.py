@@ -26,13 +26,18 @@
   I - W over N's kept generators instead.
 - ``c_restriction_translation``, the gamma with C^T gamma = a on the torus
   by a Smith form of C^T.  The runtime reads gamma off the splittings of a
-  along B x C, from the Smith form of [B^T C^T]."""
+  along B x C, from the Smith form of [B^T C^T].
+- ``enumerated_n_tilde``, every lift to B x C of every element of N, one
+  per splitting of its translation, and ``generated_group``, the test that
+  such a set is a group: it is the closure of some of its elements.  The
+  runtime lists no lift; it certifies N-tilde as an extension of N by
+  ker mu from the lifts of N's kept generators."""
 
 from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from fqav.action import mat_eq_identity
+from fqav.action import LatticeElement, mat_eq_identity
 from fqav.cyclotomic import CycloField, spectrum_mod, split_prime
 from fqav.decompose import (
     DecompositionResult,
@@ -302,3 +307,63 @@ def lattice_poincare_complement(b: Lattice, holonomies):
     index = abs_determinant(b.basis_rows() + c.basis_rows())
     assert b.rank + c.rank == b.ambient_rank and index
     return c, index
+
+
+def enumerated_n_tilde(n_elements, b: Lattice, c: Lattice):
+    """g -> the lifts of g = t_a . W to B x C for each g in N: the maps
+    t_p . diag(I, W|_C), one per splitting p of a listed off the Smith form
+    of [B^T C^T], with W|_C solved on the C basis coordinate by
+    coordinate."""
+    n2 = b.ambient_rank
+    m = [bt + ct for bt, ct in zip(mat_transpose(b.basis_rows()),
+                                   mat_transpose(c.basis_rows()))]
+    factors = factor_affine(m, n2)
+    on_b = tuple(tuple(int(i == j) for j in range(n2)) for i in range(b.rank))
+    lifts = {}
+    for g in n_elements:
+        w_c = zip(*(c.coordinates(mat_vec(g.matrix, v)) for v in c.basis_rows()))
+        matrix = on_b + tuple((0,) * b.rank + row for row in w_c)
+        lifts[g] = [LatticeElement(matrix, p)
+                    for p in solve_factored(factors, g.translation).representatives]
+    return lifts
+
+
+def generated_group(elements, generators):
+    """True iff the set ``elements`` is the closure of ``generators`` under
+    composition: then it is a group, closed under the product of any two of
+    its elements.  The walk is breadth first, by right products
+    (t_q . M)(t_r . M') = t_(q + M r) . M M', and takes M M' and M r once
+    for each matrix M and each generator."""
+    n = elements[0].rank
+    ident = (tuple(map(tuple, identity_matrix(n))), TorsionPoint.zero(n))
+    parts = {}
+    seen, frontier = {ident}, [ident]
+    while frontier and len(seen) <= len(elements):
+        new = []
+        for matrix, q in frontier:
+            for x, h in enumerate(generators):
+                part = parts.get((matrix, x))
+                if part is None:
+                    part = parts[matrix, x] = (tuple(map(tuple, mat_mul(matrix, h.matrix))),
+                                               h.translation.apply_matrix(matrix))
+                y = (part[0], q + part[1])
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen == {(t.matrix, t.translation) for t in elements}
+
+
+def ker_mu_generators(identity_lifts):
+    """Some of the ``identity_lifts``, the translations by the points of
+    ker mu, that generate them all: taken by decreasing order, each is kept
+    when the ones kept before do not generate it."""
+    kept, span = [], {TorsionPoint.zero(identity_lifts[0].rank)}
+    for t in sorted(identity_lifts, key=lambda t: -t.translation.order):
+        if t.translation not in span:
+            kept.append(t)
+            new = span
+            while new:
+                new = {x + t.translation for x in new} - span
+                span |= new
+    return kept

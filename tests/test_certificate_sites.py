@@ -79,6 +79,7 @@ def test_sites_are_read():
     # the messages are distinct, and the three forms of a message are read
     assert len(SITES) == len(set(SITES)) > 20
     assert {"complement is not invariant", "order {} does not kill the spectrum of {}",
-            "N-tilde is not closed under composition: it lacks the identity"} <= set(SITES)
+            "N-tilde is not an extension of N by ker mu: {} does not lift generator {} of N"
+            } <= set(SITES)
     assert pattern("order {} does not kill the spectrum of {}").search(
         "certificate failure: order 4 does not kill the spectrum of x -> [[0]] x + [0]")

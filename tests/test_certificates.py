@@ -145,8 +145,8 @@ def with_restrictions(change):
     """``split_action``'s result with the restrictions of N's kept
     generators, N_C's generators, changed."""
     def changed(result):
-        n_tilde, n_c, n_c_generators, tables = result
-        return n_tilde, n_c, change(n_c_generators), tables
+        n_tilde_order, n_c, n_c_generators, tables = result
+        return n_tilde_order, n_c, change(n_c_generators), tables
     return changed
 
 

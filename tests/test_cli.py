@@ -7,7 +7,13 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqav.action import FiniteGroupAction, close_group, fixed_locus, holonomy_order
+from fqav.action import (
+    FiniteGroupAction,
+    LatticeElement,
+    close_group,
+    fixed_locus,
+    holonomy_order,
+)
 from fqav.cli import COMMANDS, MAX_DENOMINATOR_BITS, build_report, main, parse_input, serialize
 from fqav.cyclotomic import split_prime
 from fqav.errors import InputError
@@ -562,6 +568,12 @@ D4_DOC = {"factors": [{"cm": "generic", "label": "E"}] * 2,
                          {"holonomy": [[[-1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
 
 
+# -swap on E^2: N is the whole group of order 2, B the antidiagonal and C
+# the diagonal, and ker mu has order 4
+MINUS_SWAP_DOC = {"factors": [{"cm": "generic", "label": "E"}] * 2,
+                  "generators": [{"holonomy": [[[0, 0], [-1, 0]], [[-1, 0], [0, 0]]]}]}
+
+
 class TestCertificateWitness:
     """A failed certificate exits 2 and names its witness."""
 
@@ -591,27 +603,55 @@ class TestCertificateWitness:
             "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]] x + [0, 0, 0, 0], "
             "outside the subgroup\n")
 
-    def test_n_tilde_not_closed(self, capsys, monkeypatch):
+    def test_n_tilde_lift_not_a_lift(self, capsys, monkeypatch):
         decompose_module = sys.modules["fqav.decompose"]
         original = decompose_module._check_n_tilde_group
 
-        def drop_last(n_tilde, generators):
-            return original(n_tilde[:-1], generators)
+        def shifted(m, lifts, ker_generators):
+            # each lift's translation moved by 1/2 in the first coordinate
+            half = TorsionPoint.over((1, 0, 0, 0), 2)
+            return original(m, [(g, LatticeElement(t.matrix, t.translation + half))
+                                for g, t in lifts], ker_generators)
 
-        monkeypatch.setattr(decompose_module, "_check_n_tilde_group", drop_last)
+        monkeypatch.setattr(decompose_module, "_check_n_tilde_group", shifted)
         assert main(["decompose", str(FIXTURE_DIR / "sign-rot4.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        # N = <(-1) x 1>, B the first factor: N-tilde is the identity and
-        # the lift of (-1) x 1, and the identity times that is outside
+        # N = <1 x (-1)>, B the first factor and C the second: the lift of
+        # the generator is diag(1, 1, -1, -1), and mu of its translation,
+        # (1/2, 0) on B, is not the generator's translation 0
         assert captured.err == (
-            "certificate failure: N-tilde is not closed under composition: "
-            "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] x + [0, 0, 0, 0] "
-            "times generator "
+            "certificate failure: N-tilde is not an extension of N by ker mu: "
+            "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]] x + [1/2, 0, 0, 0] "
+            "does not lift generator "
             "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]] x + [0, 0, 0, 0] "
-            "is "
-            "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]] x + [0, 0, 0, 0], "
-            "outside it\n")
+            "of N\n")
+
+    def test_n_tilde_lift_leaves_ker_mu(self, tmp_path, capsys, monkeypatch):
+        decompose_module = sys.modules["fqav.decompose"]
+        original = decompose_module._check_n_tilde_group
+
+        def doubled(m, lifts, ker_generators):
+            # each lift's C block, W|_C, doubled
+            return original(m, [(g, LatticeElement(t.matrix[:2] + tuple(
+                row[:2] + tuple(2 * x for x in row[2:]) for row in t.matrix[2:]),
+                t.translation)) for g, t in lifts], ker_generators)
+
+        monkeypatch.setattr(decompose_module, "_check_n_tilde_group", doubled)
+        p = tmp_path / "minus-swap.json"
+        p.write_text(json.dumps(MINUS_SWAP_DOC))
+        assert main(["decompose", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # N = <-swap>, B the antidiagonal and C the diagonal, ker mu of
+        # order 4: the doubled lift sends its Smith generator (1/2, 0, 1/2, 0)
+        # to a point mu maps to (1/2, 0, 1/2, 0)
+        assert captured.err == (
+            "certificate failure: N-tilde is not an extension of N by ker mu: the lift "
+            "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]] x + [0, 0, 0, 0] "
+            "of generator "
+            "x -> [[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]] x + [0, 0, 0, 0] "
+            "of N moves [1/2, 0, 1/2, 0] off ker mu\n")
 
 
 # report section -> the command that prints it alone

@@ -1,8 +1,9 @@
 """No command reaches the names that only the tests read: with each of
 them stubbed to raise, every command on every fixture and golden-gallery
-input, and on the two-stage benchmark groups, exits with the same code and
-prints the same bytes.  The names are ROADMAP item 5's list of test-only
-runtime code; one the commands reach again fails here."""
+input, on the two-stage benchmark groups and on two splits with a ker mu
+of order 25 and 4, exits with the same code and prints the same bytes.
+The names are ROADMAP item 5's list of test-only runtime code; one the
+commands reach again fails here."""
 
 import contextlib
 import importlib
@@ -20,6 +21,8 @@ from test_golden import (
     FIXTURES,
     SL_DIAG,
     _document_text,
+    glue_document,
+    symmetric_document,
     translated_sl_diag_document,
 )
 
@@ -38,10 +41,13 @@ PACKAGE = [importlib.import_module("fqav")] + [
     importlib.import_module(f"fqav.{path.stem}") for path in MODULES if path.stem != "__init__"]
 
 # the golden gallery's inputs but the order-41472 one, whose six commands
-# alone take seconds, and the four ramified benchmark groups
+# alone take seconds, the four ramified benchmark groups, S5 and glue-2
 INPUTS = {name: _document_text(name) for name in FIXTURES + tuple(SL_DIAG) + tuple(DIAG_PERM)}
 INPUTS["sl-diag-c3-6912"] = json.dumps(translated_sl_diag_document())
 INPUTS.update((name, json.dumps(doc)) for name, (doc, _) in RAMIFIED_CM_DOCS.items())
+# two splits whose ker mu is not trivial
+INPUTS["sym-5-120"] = json.dumps(symmetric_document(5))
+INPUTS["glue-2-5184"] = json.dumps(glue_document())
 
 
 def run_commands(path):

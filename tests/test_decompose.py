@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import random
 
@@ -25,6 +26,7 @@ from fqav import action, linalg
 from fqav.cli import parse_input
 from fqav.errors import CertificateError, InputError
 from fqav.linalg import (
+    AffineSolutionSet,
     FixedPointSolver,
     Lattice,
     TorsionPoint,
@@ -38,7 +40,14 @@ from fqav.linalg import (
 from fqav.variety import AbelianVarietyModel, EllipticFactor, subtorus_kappa
 
 from conftest import generator
-from oracles import c_restriction_translation, decompose_fano_part, lattice_poincare_complement
+from oracles import (
+    c_restriction_translation,
+    decompose_fano_part,
+    enumerated_n_tilde,
+    generated_group,
+    ker_mu_generators,
+    lattice_poincare_complement,
+)
 from test_acceptance import random_generator, random_variety
 from test_action import (
     ORACLE,
@@ -47,7 +56,7 @@ from test_action import (
     nonabelian_groups,
     small_groups,
 )
-from test_golden import diag_perm_document, sl_diag_document
+from test_golden import SPLIT, diag_perm_document, sl_diag_document, symmetric_document
 
 # the module, which the package's ``decompose`` function shadows
 decompose_module = importlib.import_module("fqav.decompose")
@@ -232,11 +241,14 @@ class TestSplitWithTorsionGlue:
         assert len(sub) == 2 and len(kept) == 1
         assert b == Lattice.from_vectors(4, [[1, 0, -1, 0], [0, 1, 0, -1]])
         assert ker_mu == 4
-        n_tilde, n_c, n_c_kept, n_c_tables = split_action(sub, kept, b, c, ker_mu)
-        assert len(n_tilde) == 2 * 4
-        # the ker mu lifts are the elements of N-tilde with matrix I
-        assert sum(t.matrix == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-                   for t in n_tilde) == 4
+        n_tilde_order, n_c, n_c_kept, n_c_tables = split_action(sub, kept, b, c, ker_mu)
+        assert n_tilde_order == 2 * 4
+        lifts = assert_enumerated_n_tilde(sub, kept, b, c, n_tilde_order)
+        # the lifts of the identity are the 4 translations by ker mu
+        ident = identity_matrix(4)
+        (one,) = [g for g in sub if g.is_identity()]
+        assert [t.matrix for t in lifts[one]] == [tuple(map(tuple, ident))] * 4
+        assert len({t.translation for t in lifts[one]}) == 4
         assert len(n_c) == 2 and len(n_c_kept) == 1
         # the tables of the closure of the kept generator number N_C
         assert n_c_tables == ClosureTables([[1, 0]], [-1, 0], [-1, 0])
@@ -282,28 +294,45 @@ def oracle_restriction(g, c):
     return LatticeElement.of(w_c, gamma)
 
 
+def assert_enumerated_n_tilde(n_elements, n_generators, b, c, n_tilde_order):
+    """The enumerating check of N-tilde: every lift of every element of N,
+    one per splitting, is ``n_tilde_order`` distinct maps, the closure of
+    one lift of each of ``n_generators`` and of translations by ker mu that
+    generate the lifts of the identity, so a group; when there are at most
+    256, every product of two of them is one of them.  The lifts by
+    element."""
+    lifts = enumerated_n_tilde(n_elements, b, c)
+    n_tilde = [t for g in n_elements for t in lifts[g]]
+    assert len(set(n_tilde)) == len(n_tilde) == n_tilde_order
+    (one,) = [g for g in n_elements if g.is_identity()]
+    assert generated_group(n_tilde, [lifts[g][0] for g in n_generators]
+                           + ker_mu_generators(lifts[one]))
+    if len(n_tilde) <= 256:
+        entries = set(n_tilde)
+        assert all(s.compose(t) in entries for s in n_tilde for t in n_tilde)
+    return lifts
+
+
 def assert_split_matches_oracles(calls):
     """At each split stage, C and the index of B + C are those of the
-    polarization averaged over every holonomy of N, W|_C, read off the
-    first lift of each element t_a . W of N, is the coordinate solve of
-    W C^T on the C basis, every element restricts to C, its a solved by the
-    Smith form of C^T, and N_C is the set of the |N| restrictions
-    t_gamma . W|_C, gamma that solve; the number of stages with some
+    polarization averaged over every holonomy of N, N-tilde passes the
+    enumerating check with |N| |ker mu| elements, every element restricts
+    to C, its a solved by the Smith form of C^T, and N_C is the set of the
+    |N| restrictions t_gamma . W|_C, gamma that solve and W|_C the
+    coordinate solve of W C^T on the C basis, which is also the C block of
+    each enumerated lift of t_a . W; the number of stages with some
     gamma != 0."""
     nonzero = 0
-    for (n_elements, _, b, c, ker_mu), (n_tilde, n_c, *_) in calls:
+    for (n_elements, n_generators, b, c, ker_mu), (n_tilde_order, n_c, *_) in calls:
         holonomies = list(dict.fromkeys(g.matrix for g in n_elements))
         assert lattice_poincare_complement(b, holonomies) == (c, ker_mu)
-        assert len(n_tilde) == len(n_elements) * ker_mu
-        on_b = tuple(map(tuple, identity_matrix(b.ambient_rank)[:b.rank]))
-        restricted = {}
-        for k, g in enumerate(n_elements):
-            lift = n_tilde[k * ker_mu].matrix
-            assert lift[:b.rank] == on_b
-            restricted[g.matrix] = tuple(row[b.rank:] for row in lift[b.rank:])
-        assert restricted == {g.matrix: oracle_restriction(g, c).matrix for g in n_elements}
+        assert n_tilde_order == len(n_elements) * ker_mu
+        lifts = assert_enumerated_n_tilde(n_elements, n_generators, b, c, n_tilde_order)
         assert len(n_c) == len(n_elements)
         assert set(n_c) == {oracle_restriction(g, c) for g in n_elements}
+        for g in n_elements:
+            w_c = oracle_restriction(g, c).matrix
+            assert {tuple(row[b.rank:] for row in t.matrix[b.rank:]) for t in lifts[g]} == {w_c}
         nonzero += any(not e.translation.is_zero() for e in n_c)
     return nonzero
 
@@ -353,9 +382,9 @@ class TestRestrictionToC:
             recorded.extend(want for want, _ in splits)
         assert len(recorded) > 5 and max(map(len, recorded)) > 1
 
-    def test_two_closures_per_split_stage(self, monkeypatch, gallery):
-        # one closure for N-tilde and one for N_C, whatever the number of
-        # N's kept generators
+    def test_one_closure_per_split_stage(self, monkeypatch, gallery):
+        # one closure, for N_C, whatever the number of N's kept generators:
+        # N-tilde is certified from its generators and not closed
         closures, per_stage = [], []
         closure = decompose_module.bfs_closure
 
@@ -374,7 +403,39 @@ class TestRestrictionToC:
         for group in gallery + nonabelian_groups() + [translated_ei_square()]:
             decompose(group)
         assert len(per_stage) > 5 and max(kept for kept, _ in per_stage) > 1
-        assert all(calls == 2 for _, calls in per_stage)
+        assert all(calls == 1 for _, calls in per_stage)
+
+    def test_one_solve_per_element_of_n(self, monkeypatch, gallery):
+        # a split solves ker mu and each element of N once, and lists the
+        # points of ker mu alone: no element's splittings are listed
+        solves, listed, per_stage = [], [], []
+        solve = decompose_module.solve_factored
+        representatives = AffineSolutionSet.representatives.func
+
+        def counting_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        def counting_representatives(sol):
+            listed.append(sol)
+            return representatives(sol)
+
+        def counted_split(n_elements, *args):
+            before = len(solves), len(listed)
+            out = split_action(n_elements, *args)
+            per_stage.append((len(n_elements), args[3], len(solves) - before[0],
+                              len(listed) - before[1]))
+            return out
+
+        monkeypatch.setattr(decompose_module, "solve_factored", counting_solve)
+        monkeypatch.setattr(AffineSolutionSet, "representatives",
+                            property(counting_representatives))
+        monkeypatch.setattr(decompose_module, "split_action", counted_split)
+        s5 = close_group(*parse_input(json.dumps(symmetric_document(5)))[:2])
+        for group in gallery + nonabelian_groups() + [translated_ei_square(), s5]:
+            decompose(group)
+        assert len(per_stage) > 5 and (120, 25, 121, 1) in per_stage
+        assert all((solved, read) == (order + 1, 1) for order, _, solved, read in per_stage)
 
 
 def assert_split_then_fano(result):
@@ -578,113 +639,132 @@ class TestPrunedClosure:
 
 
 # ---------------------------------------------------------------------------
-# the generator-only N-tilde certificate against the pair products it replaces
+# the extension certificate of N-tilde against the enumeration it replaces
 
-def n_tilde_closed_by_pairs(n_tilde):
-    """Reference: every product of two elements of N-tilde is in it."""
-    entries = set(n_tilde)
-    return all(s.compose(t) in entries for s in n_tilde for t in n_tilde)
-
-
-def n_tilde_verdict(n_tilde, generators):
+def n_tilde_verdict(m, lifts, ker_generators):
     try:
-        _check_n_tilde_group(n_tilde, generators)
+        _check_n_tilde_group(m, lifts, ker_generators)
     except CertificateError as exc:
-        assert str(exc).startswith("N-tilde is not closed under composition: ")
+        assert str(exc).startswith("N-tilde is not an extension of N by ker mu: ")
         return False
     return True
 
 
 def recorded_n_tilde(monkeypatch, run):
-    """The (N-tilde, generators) pairs certified while ``run()`` runs."""
-    calls = []
+    """(split arguments, (m, lifts, ker mu generators)) of each split made
+    while ``run()`` runs, the second what ``_check_n_tilde_group``
+    certified."""
+    splits, checks = [], []
 
-    def recording(n_tilde, generators):
-        calls.append((list(n_tilde), list(generators)))
-        return _check_n_tilde_group(n_tilde, generators)
+    def recording_split(*args):
+        splits.append(args)
+        return split_action(*args)
 
+    def recording(m, lifts, ker_generators):
+        checks.append((m, list(lifts), list(ker_generators)))
+        return _check_n_tilde_group(m, lifts, ker_generators)
+
+    monkeypatch.setattr(decompose_module, "split_action", recording_split)
     monkeypatch.setattr(decompose_module, "_check_n_tilde_group", recording)
     run()
-    return calls
+    monkeypatch.undo()
+    assert len(splits) == len(checks)
+    return list(zip(splits, checks))
 
 
-def shifted(t):
-    """t with the last coordinate of its translation, one of gamma's, moved
-    by 1/3."""
-    n = t.rank
-    return LatticeElement(t.matrix, t.translation + TorsionPoint.over([0] * (n - 1) + [1], 3))
+def shifted(t, point):
+    """t with its translation moved by ``point``."""
+    return LatticeElement(t.matrix, t.translation + point)
 
 
-def mutations(n_tilde, generators):
-    """Each one-element mutation of N-tilde, as (set, generators): one
-    element dropped, or one element's gamma shifted (and with it the
-    generator it is)."""
-    for i, t in enumerate(n_tilde):
-        yield n_tilde[:i] + n_tilde[i + 1:], generators
-        u = shifted(t)
-        yield n_tilde[:i] + [u] + n_tilde[i + 1:], [u if h == t else h for h in generators]
+def doubled(t, b_rank):
+    """t with the C block of its matrix, W|_C, doubled."""
+    return LatticeElement(t.matrix[:b_rank] + tuple(
+        row[:b_rank] + tuple(2 * x for x in row[b_rank:]) for row in t.matrix[b_rank:]),
+        t.translation)
+
+
+def third(n):
+    """1/3 in the last of n coordinates, in gamma."""
+    return TorsionPoint.over([0] * (n - 1) + [1], 3)
 
 
 class TestGeneratorNTilde:
     def test_every_mutation_raises(self, monkeypatch):
-        ((n_tilde, generators),) = recorded_n_tilde(monkeypatch,
-                                                    lambda: split_action(*glue_split()))
-        assert len(n_tilde) == 8
-        count = 0
-        for mutated, gens in mutations(n_tilde, generators):
-            assert not n_tilde_closed_by_pairs(mutated)
-            with pytest.raises(CertificateError, match="N-tilde is not closed"):
-                _check_n_tilde_group(mutated, gens)
-            count += 1
-        assert count == 16
+        # the lift of -swap moved by each point of order 2 of the torus: it
+        # is another lift iff the point is in ker mu, of order 4; and the
+        # lift with W|_C doubled
+        ((args, (m, lifts, ker_generators)),) = recorded_n_tilde(
+            monkeypatch, lambda: decompose_module.split_action(*glue_split()))
+        assert len(lifts) == 1 and len(ker_generators) == 2
+        ((g, lift),) = lifts
+        kernel = {t.translation for t in enumerated_n_tilde(args[0], args[2], args[3])[g]}
+        kernel = {p - lift.translation for p in kernel}
+        points = [TorsionPoint.over(num, 2) for num in itertools.product((0, 1), repeat=4)]
+        for point in points:
+            assert n_tilde_verdict(m, [(g, shifted(lift, point))],
+                                   ker_generators) == (point in kernel)
+        assert len(kernel) == 4 and len(points) == 16
+        assert not n_tilde_verdict(m, [(g, doubled(lift, args[2].rank))], ker_generators)
 
     def test_witness_named(self, monkeypatch):
-        ((n_tilde, generators),) = recorded_n_tilde(monkeypatch,
-                                                    lambda: split_action(*glue_split()))
-        # an element that is neither a generator nor the identity, with gamma
-        # shifted: the closure of the generators is the true N-tilde, and the
-        # shifted set lacks one of its elements, a product of one it holds
-        # with a generator
-        i = next(i for i, t in enumerate(n_tilde)
-                 if t not in generators and not t.is_identity())
-        mutated = n_tilde[:i] + [shifted(n_tilde[i])] + n_tilde[i + 1:]
+        ((args, (m, lifts, ker_generators)),) = recorded_n_tilde(
+            monkeypatch, lambda: decompose_module.split_action(*glue_split()))
+        ((g, lift),) = lifts
+        for point in (third(4), TorsionPoint.over((1, 0, 0, 0), 2)):
+            with pytest.raises(CertificateError) as exc:
+                _check_n_tilde_group(m, [(g, shifted(lift, point))], ker_generators)
+            assert str(exc.value) == ("N-tilde is not an extension of N by ker mu: "
+                                      f"{shifted(lift, point)} does not lift generator {g} "
+                                      "of N")
         with pytest.raises(CertificateError) as exc:
-            _check_n_tilde_group(mutated, generators)
-        message = str(exc.value)
-        assert " times generator " in message
-        assert message.endswith(f" is {n_tilde[i]}, outside it")
-        assert any(f"generator {h} is" in message for h in generators)
-        # the identity dropped
-        with pytest.raises(CertificateError,
-                           match="^N-tilde is not closed under composition: it lacks the identity$"):
-            _check_n_tilde_group([t for t in n_tilde if not t.is_identity()], generators)
-        # no generators: N-tilde is closed under right products with them,
-        # and its first element other than the identity is not generated
-        with pytest.raises(CertificateError) as exc:
-            _check_n_tilde_group(n_tilde, [])
-        missing = next(t for t in n_tilde if not t.is_identity())
-        assert str(exc.value) == (f"N-tilde is not closed under composition: {missing} is not "
-                                  "generated by the ker mu lifts and the lifts of the "
-                                  "generators of N")
+            _check_n_tilde_group(m, [(g, doubled(lift, args[2].rank))], ker_generators)
+        assert str(exc.value) == (f"N-tilde is not an extension of N by ker mu: the lift "
+                                  f"{doubled(lift, args[2].rank)} of generator {g} of N moves "
+                                  "[1/2, 0, 1/2, 0] off ker mu")
 
-    def test_agrees_with_pair_products(self, monkeypatch, gallery):
-        groups = gallery + nonabelian_groups()
+    def test_agrees_with_enumeration(self, monkeypatch, gallery):
+        # on every split stage the certified lifts and ker mu generators
+        # generate the enumerated N-tilde, and a lift changed by a
+        # translation or by a doubled W|_C passes the certificate iff it is
+        # one of the enumerated lifts of its generator
+        groups = gallery + nonabelian_groups() + [translated_ei_square()]
         calls = recorded_n_tilde(monkeypatch, lambda: [decompose(g) for g in groups])
-        assert len(calls) >= 5
-        assert max(len(n_tilde) for n_tilde, _ in calls) >= 16
+        assert len(calls) > 5 and max(len(ks) for _, (_, _, ks) in calls) == 2
         verdicts = set()
-        for n_tilde, generators in calls:
-            assert n_tilde_closed_by_pairs(n_tilde)
-            assert n_tilde_verdict(n_tilde, generators)
-            for mutated, gens in mutations(n_tilde, generators):
-                if not set(gens) <= set(mutated):
-                    # a generator dropped: no longer a set the check is given
-                    assert not n_tilde_verdict(mutated, gens)
-                    continue
-                want = n_tilde_closed_by_pairs(mutated)
-                assert n_tilde_verdict(mutated, gens) == want
-                verdicts.add(want)
+        for (n_elements, _, b, c, _), (m, lifts, ker_generators) in calls:
+            enumerated = enumerated_n_tilde(n_elements, b, c)
+            n_tilde = [t for g in n_elements for t in enumerated[g]]
+            (one,) = [g for g in n_elements if g.is_identity()]
+            kernel = [t.translation for t in enumerated[one]]
+            translations = [LatticeElement(t.matrix, k) for t in enumerated[one][:1]
+                            for k in ker_generators]
+            assert generated_group(n_tilde, [lift for _, lift in lifts] + translations)
+            assert n_tilde_verdict(m, lifts, ker_generators)
+            for x, (g, lift) in enumerate(lifts):
+                changed = [shifted(lift, k) for k in kernel + [third(lift.rank)]]
+                wants = [mutant in enumerated[g] for mutant in changed]
+                # W|_C doubled keeps ker mu iff it maps each point into it
+                mutant = doubled(lift, b.rank)
+                changed.append(mutant)
+                wants.append(all(k.apply_matrix(mutant.matrix).apply_matrix(m).is_zero()
+                                 for k in kernel))
+                for mutant, want in zip(changed, wants):
+                    assert n_tilde_verdict(m, lifts[:x] + [(g, mutant)] + lifts[x + 1:],
+                                           ker_generators) == want
+                    verdicts.add(want)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", ["sym-5-120", "sym-6-720", "glue-2-5184"])
+    def test_split_inputs(self, name, monkeypatch):
+        # the enumerating check on the split inputs pinned by digest, whose
+        # N-tilde has up to 25920 elements
+        document = SPLIT[name][0]
+        group = close_group(*parse_input(json.dumps(document()))[:2])
+        ((args, _),) = recorded_n_tilde(monkeypatch, lambda: decompose(group))
+        n_elements, n_generators, b, c, ker_mu = args
+        assert (ker_mu, len(n_elements) * ker_mu) == SPLIT[name][2]
+        assert_enumerated_n_tilde(n_elements, n_generators, b, c, len(n_elements) * ker_mu)
 
 
 # ---------------------------------------------------------------------------

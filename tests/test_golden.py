@@ -9,8 +9,8 @@ are large, and of three of these groups with a translation added (orders
 Three more large groups are pinned by that sha256 alone: E_zeta6^4 by
 ``diag(zeta6, 1, 1, 1)`` and the permutations of S4 (order 31104), and two
 diag-perm groups with a 1/3-translation (orders 34992 and 139968).  So are
-three groups whose decomposition splits: S5 and S6 permuting the factors of
-E^5 and E^6, and a group of order 5184 on E_zeta6^5 whose B x C has a ker mu
+four groups whose decomposition splits: S5, S6 and S7 permuting the factors
+of E^5, E^6 and E^7, and a group of order 5184 on E_zeta6^5 whose B x C has a ker mu
 of order 4.  An optimisation must reproduce these bytes exactly.
 
 To regenerate after an intended output change::
@@ -226,6 +226,8 @@ SPLIT = {
                   "dc7e1a15d11cb84b1d742626b0024fd09e7a5d62e757c82912963f7d05132d62"),
     "sym-6-720": (lambda: symmetric_document(6), 720, (36, 25920),
                   "9526c788efd316d5bd32e345a697b0a72d70bd2de548167045c453dc4bf019e3"),
+    "sym-7-5040": (lambda: symmetric_document(7), 5040, (49, 246960),
+                   "eb8ac79df01d36becdb631a4971c62706ad2ca7a12f7832d89cc0e12f7148d24"),
     "glue-2-5184": (glue_document, 5184, (4, 20736),
                     "17e8bca5184f7e2ca4d8af1163d81e3e40a75bc72e6a2b55414618bbd5764c94"),
 }

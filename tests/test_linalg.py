@@ -689,6 +689,21 @@ class TestSolveAffineOracle:
             assert sol.nonempty
 
     @settings(max_examples=100, deadline=None)
+    @given(low_rank_systems(), st.booleans())
+    def test_particular_solves_and_is_a_representative(self, case, solvable):
+        # the solution with every k_i = 0, found without listing the
+        # others; with no rows every point solves
+        m, coords, x = case
+        if solvable and m:
+            coords = mat_vec(m, x)
+        point = TorsionPoint.of(coords)
+        sol = solve_affine_mod_lattice(m, point)
+        assume(sol.nonempty)
+        particular = sol.particular
+        assert particular.apply_matrix(m) == point if m else len(particular.num) == len(x)
+        assert particular in sol.representatives
+
+    @settings(max_examples=100, deadline=None)
     @given(low_rank_systems())
     def test_generators_generate_the_solutions_of_zero(self, case):
         # the points V e_i / s_i, s_i > 1, generate the solutions of
