@@ -149,8 +149,8 @@ def ramification_on_tables(elements, tables, fixed):
     ``close_elements`` takes generators, and one already in N is skipped;
     each kept one's left multiplications then close N on from the members
     it has.  N is listed in stage order, which no output reads: a stage
-    reads N's length, the sum over its distinct holonomies, its splittings
-    and, as a set, its restrictions to C."""
+    reads N's length, the sum over its distinct holonomies and, as a set,
+    its restrictions to C."""
     kept, numbers, left, members = [], [], [], {0}
     for g in sorted(fixed, key=lambda x: LatticeElement.sort_key(elements[x])):
         if g not in members:
@@ -241,70 +241,53 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     their closure.
 
     Coordinates on B x C are (beta, gamma) with a = B^T beta + C^T gamma,
-    the addition isogeny mu.  W fixes B, so g = t_a . W lifts to the maps
-    t_p . diag(I, W|_C), one per splitting p of a.  B + C has finite index,
-    so the splittings of a are the translates by ker mu of any one of them.
+    the addition isogeny mu, whose kernel ker mu is read off the Smith form
+    of [B^T C^T].  C is saturated, so U C^T V = [I 0]^T and L = V U[:rank C]
+    is an integer left inverse of C^T: W|_C = L W C^T, and for each
+    holonomy of a generator of N it must satisfy C^T W|_C = W C^T.  Then
+    the generators keep C, so N does.
 
-    With U [B^T C^T] V = S in Smith form and s the last divisor, the
-    C-coordinates of x are left x / s, left = V[rank B:] (s S^-1) U, so
-    W|_C = left W C^T / s.  For each holonomy of a generator of N the
-    integer quotient must satisfy C^T W|_C = W C^T: then the generators
-    keep C, so N does, and as B + C has finite index the division is exact
-    for every W in N.
-
-    Each g = t_a . W in N restricts to r(g) = t_gamma . W|_C on C, where
-    (0, gamma) splits a and K_C a = 0 (K_C, a Hermite kernel, checks the
-    Smith form): a reflection's a is in (I - W) R^N + Z^N, inside
-    C_R + Z^N, which products keep.  (0, gamma) is p + k for p the
-    splitting with every Smith k_i = 0 and k the point of ker mu whose
-    beta is -beta(p); k and gamma are unique, as C is saturated, so r is a
+    Each g = t_a . W in N restricts to r(g) = t_gamma . W|_C on C, gamma
+    the solution of C^T gamma = a (mod Z^N), which one product checks: a
+    reflection's a is in (I - W) R^N + Z^N, inside C_R + Z^N, which
+    products keep.  gamma is unique, as C is saturated, so r is a
     homomorphism, one-to-one as B + C has finite index, and N_C = r(N) is
-    the closure of r(n_generators), of order |N|.
+    the closure of r(n_generators), of order |N|.  g lifts to
+    t_(0, gamma) . diag(I, W|_C).
     """
     n2 = b.ambient_rank
     bt = mat_transpose(b.basis_rows())
     ct = mat_transpose(c.basis_rows())
     m = [bt[i] + ct[i] for i in range(n2)]  # columns: B basis then C basis
-
-    # one factorisation of m serves every element of N
-    m_factors = factor_affine(m, b.rank + c.rank)
-    ker_sol = solve_factored(m_factors, TorsionPoint.zero(n2))
+    ker_sol = solve_factored(factor_affine(m, b.rank + c.rank), TorsionPoint.zero(n2))
     if not ker_sol.nonempty or ker_sol.component_count != ker_mu_order:
         raise CertificateError("kernel of the addition isogeny has wrong order")
 
-    u, divisors, v, _ = m_factors
-    top = divisors[-1]
-    left = mat_mul(v[b.rank:], [[top // s * x for x in row] for s, row in zip(divisors, u)])
-
-    # the points of ker mu by top beta, an int vector, as s_i | top
-    ker_mu = {tuple(y * top // k.den for y in k.num[:b.rank]): k
-              for k in ker_sol.representatives}
-    k_c = c.complement_rows
-    restricted, restriction, splitting = {}, {}, {}
+    # one factorisation of C^T serves every element of N
+    c_factors = factor_affine(ct, c.rank)
+    u, _, v, _ = c_factors
+    left = mat_mul(v, u[:c.rank])
+    restricted, restriction = {}, {}
     for g in n_elements:
         w_c = restricted.get(g.matrix)
         if w_c is None:
-            w_c = restricted[g.matrix] = tuple(
-                tuple(x // top for x in row) for row in mat_mul(left, mat_mul(g.matrix, ct)))
-        splits = solve_factored(m_factors, g.translation)
-        if not splits.nonempty:
-            raise CertificateError("translation does not split along B x C")
-        p = splitting[g] = splits.particular
-        k = ker_mu.get(tuple(-y * top // p.den % top for y in p.num[:b.rank]))
-        on_c = None if k is None else p + k
-        if (on_c is None or any(on_c.num[:b.rank])
-                or not g.translation.apply_matrix(k_c).is_zero()):
+            w_c = restricted[g.matrix] = tuple(map(tuple, mat_mul(left, mat_mul(g.matrix, ct))))
+        sol = solve_factored(c_factors, g.translation)
+        gamma = sol.particular if sol.nonempty else None
+        if gamma is None or gamma.apply_matrix(ct) != g.translation:
             raise CertificateError(f"element {g} of N does not restrict to C")
-        restriction[g] = LatticeElement(w_c, TorsionPoint.over(on_c.num[b.rank:], on_c.den))
+        restriction[g] = LatticeElement(w_c, gamma)
 
     for w in dict.fromkeys(g.matrix for g in n_generators):
         if mat_mul(ct, restricted[w]) != mat_mul(w, ct):
             raise CertificateError("complement is not invariant")
     on_b = tuple(map(tuple, identity_matrix(n2)[:b.rank]))
     lifts = []
-    for g in n_generators:  # t_p . diag(I, W|_C)
-        rows = on_b + tuple((0,) * b.rank + row for row in restricted[g.matrix])
-        lifts.append((g, LatticeElement(rows, splitting[g])))
+    for g in n_generators:  # t_(0, gamma) . diag(I, W|_C)
+        r = restriction[g]
+        rows = on_b + tuple((0,) * b.rank + row for row in r.matrix)
+        p = TorsionPoint.over((0,) * b.rank + r.translation.num, r.translation.den)
+        lifts.append((g, LatticeElement(rows, p)))
     _check_n_tilde_group(m, lifts, ker_sol.generators)
     wrong = CertificateError(f"restrictions to C are not a group of order {len(n_elements)}")
     n_c_generators = [restriction[g] for g in n_generators]
@@ -317,19 +300,20 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
 
 def _check_n_tilde_group(m, lifts, ker_generators):
     """Certify that N-tilde, the closure of the ker mu translations and of a
-    lift t = t_p . diag(I, W|_C) of each kept generator g = t_a . W of N,
-    the pairs (g, t) of ``lifts``, is the group of all lifts of N to B x C:
-    mu(p) = a, mu the addition map ``m`` = [B^T C^T], and diag(I, W|_C)
-    keeps ker mu, checked on its Smith generators ``ker_generators``.
+    lift t = t_p . diag(I, W|_C), p = (0, gamma), of each kept generator
+    g = t_a . W of N, the pairs (g, t) of ``lifts``, is the group of all
+    lifts of N to B x C: mu(p) = a, mu the addition map ``m`` = [B^T C^T],
+    and diag(I, W|_C) keeps ker mu, checked on its Smith generators
+    ``ker_generators``.
 
     The lifts of g, the maps t with mu . t = g . mu, are the
-    t_(p + k) . diag(I, W|_C), k in ker mu.  With every a split, ker mu of
-    the order given and C^T W|_C = W C^T, as the split certified, the lifts
-    of N are |N| |ker mu| maps, closed under products.  Then these checks
-    put N-tilde inside them; it maps onto N, and onto 1 exactly on the
-    ker mu translations, so it has |N| |ker mu| elements and is all the
-    lifts: the certificate of closing N-tilde and comparing it with every
-    splitting of every element of N."""
+    t_(p + k) . diag(I, W|_C), k in ker mu.  With every element restricted
+    to C, ker mu of the order given and C^T W|_C = W C^T, as the split
+    certified, the lifts of N are |N| |ker mu| maps, closed under
+    products.  Then these checks put N-tilde inside them; it maps onto N,
+    and onto 1 exactly on the ker mu translations, so it has |N| |ker mu|
+    elements and is all the lifts: the certificate of closing N-tilde and
+    comparing it with every splitting of every element of N."""
     prefix = "N-tilde is not an extension of N by ker mu: "
     for g, lift in lifts:
         if lift.translation.apply_matrix(m) != g.translation:

@@ -9,7 +9,6 @@ exits 2 with that check's message and prints nothing."""
 import dataclasses
 import importlib
 import json
-import types
 
 import pytest
 
@@ -108,17 +107,6 @@ def fixture(name):
     return json.loads((FIXTURE_DIR / f"{name}.json").read_text())
 
 
-def with_complement_rows(rows):
-    """The C of ``invariant_complement``'s pair with complement rows
-    ``rows(C)`` in place of its own, and the index unchanged."""
-    def change(pair):
-        c, index = pair
-        c = dataclasses.replace(c)
-        c.__dict__["complement_rows"] = rows(c)
-        return c, index
-    return change
-
-
 # diag(i, 1) and the translation by (1/2, 0) on the first factor of E_i^2,
 # order 16.  Every element fixing a divisor has holonomy diag(i^k, 1), k != 0,
 # so N is the whole group, B the second factor and C the first, and every
@@ -135,10 +123,39 @@ GLUE_DOC = {"factors": [{"cm": "generic"}] * 2,
             "generators": [{"holonomy": [[[0, 0], [-1, 0]], [[-1, 0], [0, 0]]],
                             "translation": ["1/3", "0", "1/3", "0"]}]}
 
-# an element t_a . W of EI2_DOC with W = I and a = (1/2, 0, 0, 0), not in
-# the C-subtorus as a changed K_C reads it
+# an element t_a . W of EI2_DOC with W = I and a = (1/2, 0, 0, 0), the
+# first of N whose gamma has a nonzero first coordinate
 HALF_TRANSLATION = ("x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] x "
                     "+ [1/2, 0, 0, 0]")
+
+
+class ChangedGamma:
+    """A solution set of ``solve_factored`` as ``split_action`` reads it,
+    with its particular solution, the gamma of a restriction t_gamma . W|_C
+    to C, changed by ``change``."""
+
+    def __init__(self, sol, change):
+        self.sol, self.change = sol, change
+
+    @property
+    def particular(self):
+        return self.change(self.sol.particular)
+
+    def __getattr__(self, name):
+        return getattr(self.sol, name)
+
+
+def with_gammas(change):
+    """``solve_factored``'s result with each gamma it gives changed."""
+    return lambda sol: ChangedGamma(sol, change)
+
+
+def doubled_complement(pair):
+    """2C, not saturated, in place of C, and |det(B; 2C)| in place of
+    |det(B; C)|, so that the kernel-order check still passes."""
+    c, index = pair
+    return Lattice(c.ambient_rank, tuple(tuple(2 * x for x in row) for row in c.basis)), \
+        2 ** c.rank * index
 
 
 def with_restrictions(change):
@@ -155,31 +172,47 @@ def with_restrictions(change):
 DECOMPOSITION_CHECKS = [
     pytest.param(EI2_DOC, "invariant_complement", lambda pair: (pair[0], 2 * pair[1]),
                  "kernel of the addition isogeny has wrong order", id="kernel-order"),
-    # with B in place of C the splittings are those along B alone, and the
-    # Smith form of [B^T B^T] has divisors 1, but the translation by (1/2, 0)
-    # is not in the B-subtorus
+    # with B in place of C, [B^T B^T] has Smith divisors 1, so ker mu has
+    # order 1, but the translation by (1/2, 0) is not in the B-subtorus:
+    # C^T gamma = a has no solution
     pytest.param(EI2_DOC, "invariant_complement",
                  lambda pair: (Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]]), 1),
-                 "translation does not split along B x C", id="split"),
-    # with the whole lattice as C every translation lies in C, but C meets
-    # B, so [B^T C^T] has a kernel and its Smith form lists one splitting of
-    # each translation: that of (1/3, 0, 1/3, 0) has beta != 0
+                 f"element {HALF_TRANSLATION} of N does not restrict to C", id="split"),
+    # with the whole lattice as C, index 1, every translation lies in C and
+    # [B^T C^T] has Smith divisors 1, so every element restricts, by
+    # W|_C = W; but C holds B, which the restrictions fix
     pytest.param(GLUE_DOC, "invariant_complement", lambda pair: (Lattice.full(4), 1),
-                 "element x -> [[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -1, 0, 0]] x "
-                 "+ [1/3, 0, 1/3, 0] of N does not restrict to C", id="c-membership"),
-    # a further row (1, 0, 0, 0) keeps the elements t_b . diag(i^k, 1) with
-    # b = (0, 0) or (0, 1/2), a set that is not closed: the square of
-    # t_(0, 1/2) . diag(i, 1) is t_(1/2, 1/2) . diag(-1, 1)
-    pytest.param(EI2_DOC, "invariant_complement",
-                 with_complement_rows(lambda c: c.complement_rows + ((1, 0, 0, 0),)),
+                 "N_C fixes a vector of C", id="c-membership"),
+    # each gamma read with its first coordinate 0, so in the set of the
+    # gamma (0, 0) and (0, 1/2), which is not closed: the square of
+    # t_(0, 1/2) . diag(i, 1) is t_(1/2, 1/2) . diag(-1, 1).  The product
+    # C^T gamma = a fails on the first element of N whose gamma is moved
+    pytest.param(EI2_DOC, "solve_factored",
+                 with_gammas(lambda gamma: TorsionPoint.over((0,) + gamma.num[1:], gamma.den)),
                  f"element {HALF_TRANSLATION} of N does not restrict to C", id="dropped-set"),
-    # a further row (1, 1, 0, 0) keeps the 8 elements with b = (0, 0) or
-    # (1/2, 1/2), a subgroup, which a closure of the kept alone would take
-    # for N_C
-    pytest.param(EI2_DOC, "invariant_complement",
-                 with_complement_rows(lambda c: c.complement_rows + ((1, 1, 0, 0),)),
+    # each gamma read as (gamma_2, gamma_2), so in the subgroup of the 8
+    # elements with gamma (0, 0) or (1/2, 1/2)
+    pytest.param(EI2_DOC, "solve_factored",
+                 with_gammas(lambda gamma: TorsionPoint.over(gamma.num[1:] * 2, gamma.den)),
                  f"element {HALF_TRANSLATION} of N does not restrict to C",
                  id="dropped-subgroup"),
+    # 2C, which is not saturated, in place of C: every C^T gamma = a still
+    # holds for the gamma read, but L = V U[:rank C] is 2 C^T's left inverse
+    # times 4, so L W C^T is twice W|_C
+    pytest.param(EI2_DOC, "invariant_complement", doubled_complement,
+                 "complement is not invariant", id="unsaturated"),
+    pytest.param(RAMIFIED_CM_DOCS["zeta4^3:C2+t"][0], "invariant_complement",
+                 doubled_complement, "complement is not invariant", id="unsaturated-rank-4"),
+    # N_C's closure without its last element, and with that element's
+    # translation shifted: one is short, the other is not the set of the
+    # restrictions
+    pytest.param(EI2_DOC, "bfs_closure", lambda out: (out[0][:-1], out[1]),
+                 "restrictions to C are not a group of order 16", id="closure-order"),
+    pytest.param(EI2_DOC, "bfs_closure",
+                 lambda out: (out[0][:-1] + [LatticeElement(
+                     out[0][-1].matrix, out[0][-1].translation + TorsionPoint.over((1, 0), 4))],
+                     out[1]),
+                 "restrictions to C are not a group of order 16", id="closure-set"),
     # N replaced by the trivial subgroup, which is normal, but sign-rot4 has
     # divisors outside it
     pytest.param(fixture("sign-rot4"), "ramification_on_tables",
@@ -223,34 +256,30 @@ def test_decomposition_check_fires(doc, name, change, message, tmp_path, monkeyp
         2, ("", f"certificate failure: {message}\n"))
 
 
-def with_gammas(change):
-    """``TorsionPoint`` as ``split_action`` reads it, with each gamma it
-    builds by ``over``, the C-part of a splitting (0, gamma), changed."""
-    return types.SimpleNamespace(zero=TorsionPoint.zero,
-                                 over=lambda num, den: change(TorsionPoint.over(num, den)))
-
-
 HALF_HALF = TorsionPoint.over((1, 1), 2)
 
-# the closure check of ``split_action`` on EI2_DOC, of order 16, given
-# changed restrictions to C
+# the per-element check C^T gamma = a of ``split_action`` on EI2_DOC, of
+# order 16, given a changed gamma for some restrictions to C
 RESTRICTION_CHECKS = [
     # every gamma read as 0: the restrictions are the 4 matrices diag(i^k),
     # a group, but of order 4
-    pytest.param(lambda gamma: TorsionPoint.zero(2), id="lost-gamma"),
+    pytest.param(lambda gamma: TorsionPoint.zero(2), HALF_TRANSLATION, id="lost-gamma"),
     # every gamma shifted by (1/4, 0): the restriction of the identity is
-    # not, and the closure outgrows N
-    pytest.param(lambda gamma: gamma + TorsionPoint.over((1, 0), 4), id="shifted-gamma"),
+    # not, and the closure would outgrow N
+    pytest.param(lambda gamma: gamma + TorsionPoint.over((1, 0), 4),
+                 "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] x + [0, 0, 0, 0]",
+                 id="shifted-gamma"),
     # gamma (1/2, 1/2), which no kept generator's restriction has, read as 0:
-    # the kept restrictions close to the true N_C, of order 16, and the
-    # restrictions of the 4 elements with that gamma are outside it
+    # the kept restrictions would close to the true N_C, of order 16, and
+    # the restrictions of the 4 elements with that gamma lie outside it
     pytest.param(lambda gamma: TorsionPoint.zero(2) if gamma == HALF_HALF else gamma,
-                 id="moved-gamma"),
+                 "x -> [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] x "
+                 "+ [1/2, 1/2, 0, 0]", id="moved-gamma"),
 ]
 
 
-@pytest.mark.parametrize("change", RESTRICTION_CHECKS)
-def test_restriction_check_fires(change, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(decompose, "TorsionPoint", with_gammas(change))
-    assert run_decompose(EI2_DOC, tmp_path, capsys) == (
-        2, ("", "certificate failure: restrictions to C are not a group of order 16\n"))
+@pytest.mark.parametrize("change, witness", RESTRICTION_CHECKS)
+def test_restriction_check_fires(change, witness, tmp_path, monkeypatch, capsys):
+    test_decomposition_check_fires(EI2_DOC, "solve_factored", with_gammas(change),
+                                   f"element {witness} of N does not restrict to C",
+                                   tmp_path, monkeypatch, capsys)

@@ -406,8 +406,8 @@ class TestRestrictionToC:
         assert all(calls == 1 for _, calls in per_stage)
 
     def test_one_solve_per_element_of_n(self, monkeypatch, gallery):
-        # a split solves ker mu and each element of N once, and lists the
-        # points of ker mu alone: no element's splittings are listed
+        # a split solves ker mu and each element of N once, by one C^T
+        # solve, and lists no point of ker mu or of any element's solutions
         solves, listed, per_stage = [], [], []
         solve = decompose_module.solve_factored
         representatives = AffineSolutionSet.representatives.func
@@ -434,8 +434,8 @@ class TestRestrictionToC:
         s5 = close_group(*parse_input(json.dumps(symmetric_document(5)))[:2])
         for group in gallery + nonabelian_groups() + [translated_ei_square(), s5]:
             decompose(group)
-        assert len(per_stage) > 5 and (120, 25, 121, 1) in per_stage
-        assert all((solved, read) == (order + 1, 1) for order, _, solved, read in per_stage)
+        assert len(per_stage) > 5 and (120, 25, 121, 0) in per_stage
+        assert all((solved, read) == (order + 1, 0) for order, _, solved, read in per_stage)
 
 
 def assert_split_then_fano(result):
@@ -1147,7 +1147,7 @@ class TestSnfCounts:
         assert result.is_q_abelian
         assert snf.calls == 0
 
-    def test_split_action_one_per_stage(self, monkeypatch, gallery):
+    def test_split_action_two_per_stage(self, monkeypatch, gallery):
         snf = CountedSnf(monkeypatch)
         per_stage = []
 
@@ -1160,10 +1160,10 @@ class TestSnfCounts:
         monkeypatch.setattr(decompose_module, "split_action", counted_split)
         for group in gallery + nonabelian_groups():
             decompose(group)
-        # the Smith form of [B^T C^T] gives the splittings, and the
-        # restrictions to C are read off them
+        # the Smith form of [B^T C^T] gives ker mu, and that of C^T every
+        # restriction to C
         assert max(order for order, _ in per_stage) > 2
-        assert all(calls == 1 for _, calls in per_stage)
+        assert all(calls == 2 for _, calls in per_stage)
 
 
 class TestTopStageReadsTheGroup:

@@ -9,9 +9,10 @@ are large, and of three of these groups with a translation added (orders
 Three more large groups are pinned by that sha256 alone: E_zeta6^4 by
 ``diag(zeta6, 1, 1, 1)`` and the permutations of S4 (order 31104), and two
 diag-perm groups with a 1/3-translation (orders 34992 and 139968).  So are
-four groups whose decomposition splits: S5, S6 and S7 permuting the factors
-of E^5, E^6 and E^7, and a group of order 5184 on E_zeta6^5 whose B x C has a ker mu
-of order 4.  An optimisation must reproduce these bytes exactly.
+six groups whose decomposition splits: S5, S6 and S7 permuting the factors
+of E^5, E^6 and E^7, two groups of order 5184 and 15552 on E_zeta6^5 whose
+B x C has a ker mu of order 4, and one of order 62208 on E_zeta6^5 whose
+ramification subgroup has index 2.  An optimisation must reproduce these bytes exactly.
 
 To regenerate after an intended output change::
 
@@ -199,28 +200,48 @@ def symmetric_document(n):
                            for h in holonomies]}
 
 
-def glue_document():
+def glue_document(den=2):
     """E_zeta6^5 by diag(zeta6, 1, 1, 1, 1), the 3-cycle of the first three
-    factors sending factor k to factor k + 1 and translating by 1/2 in the
+    factors sending factor k to factor k + 1 and translating by 1/den in the
     first real coordinate of the last two factors, the transposition of the
-    first two factors, and -swap of the last two: order 5184, which splits
-    with B the antidiagonal of the last two factors and ker mu of order
-    4."""
+    first two factors, and -swap of the last two: order 5184 with den 2 and
+    15552 with den 6, which split with B the antidiagonal of the last two
+    factors and ker mu of order 4."""
     diag = _diag(_Z6, _ONE, _ONE, _ONE, _ONE)
     minus_swap = [[[-1, 0] if {i, j} == {3, 4} else (_ONE if i == j < 3 else _ZERO)
                    for j in range(5)] for i in range(5)]
     translation = ["0"] * 10
-    translation[6] = translation[8] = "1/2"
+    translation[6] = translation[8] = f"1/{den}"
     generators = [(diag, ["0"] * 10), (_permutation([1, 2, 0, 3, 4]), translation),
                   (_permutation([1, 0, 2, 3, 4]), ["0"] * 10), (minus_swap, ["0"] * 10)]
+    doc = {"schema_version": 1,
+           "factors": [{"cm": "zeta6"}] * 5,
+           "generators": [{"holonomy": h, "translation": t} for h, t in generators]}
+    if den != 2:
+        doc["options"] = {"group_cap": 2000000}
+    return doc
+
+
+def s4_split_document():
+    """E_zeta6^5 by diag(zeta6, 1, 1, 1, 1), the 4-cycle of the first four
+    factors sending factor k to factor k + 1 and translating by 1/2 in the
+    first real coordinate of the last factor, and the transposition of the
+    first two factors: order 62208, with a ramification subgroup of order
+    31104 that splits with ker mu of order 1."""
+    translation = ["0"] * 10
+    translation[8] = "1/2"
+    generators = [(_diag(_Z6, _ONE, _ONE, _ONE, _ONE), ["0"] * 10),
+                  (_permutation([1, 2, 3, 0, 4]), translation),
+                  (_permutation([1, 0, 2, 3, 4]), ["0"] * 10)]
     return {"schema_version": 1,
             "factors": [{"cm": "zeta6"}] * 5,
-            "generators": [{"holonomy": h, "translation": t} for h, t in generators]}
+            "generators": [{"holonomy": h, "translation": t} for h, t in generators],
+            "options": {"group_cap": 2000000}}
 
 
 # name -> (input document, order, (ker mu order, N-tilde order) of its split
 # stage, sha256 of its ``report --format json``): the inputs that split,
-# pinned without a golden file
+# pinned without a golden file.  N-tilde has |N| |ker mu| elements
 SPLIT = {
     "sym-5-120": (lambda: symmetric_document(5), 120, (25, 3000),
                   "dc7e1a15d11cb84b1d742626b0024fd09e7a5d62e757c82912963f7d05132d62"),
@@ -230,6 +251,10 @@ SPLIT = {
                    "eb8ac79df01d36becdb631a4971c62706ad2ca7a12f7832d89cc0e12f7148d24"),
     "glue-2-5184": (glue_document, 5184, (4, 20736),
                     "17e8bca5184f7e2ca4d8af1163d81e3e40a75bc72e6a2b55414618bbd5764c94"),
+    "glue-6-15552": (lambda: glue_document(6), 15552, (4, 62208),
+                     "e635cfb80aabda199cdc2be3440c62829440e1a02b42d49fd3bf6d7a54a8adc2"),
+    "s4-split-62208": (s4_split_document, 62208, (1, 31104),
+                       "fd9c33bf1b94847aa005bef17d4228c71f77f2a8571f5665424359d0fee4a11e"),
 }
 
 
@@ -332,7 +357,7 @@ def test_split_report_digest(name):
     assert report["classification"]["group_order"] == order
     split_stage, fano_stage = report["decomposition"]["stages"]
     assert (split_stage["ker_mu_order"], split_stage["n_tilde_order"]) == split
-    assert split_stage["n_order"] == fano_stage["n_order"] == order
+    assert split_stage["n_order"] == fano_stage["n_order"] == split[1] // split[0]
     text = serialize(report, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
