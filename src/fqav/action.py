@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
 from operator import add
+from typing import NamedTuple
 
 from .cyclotomic import charpoly_from_power_sums, cyclotomic_orders, spectrum_mod, split_prime
 from .errors import CertificateError, InputError
@@ -162,6 +163,63 @@ class ClosureTables:
         word.reverse()
         return word
 
+    @cached_property
+    def classes(self):
+        """The conjugacy classes, as a ``ClassWalk``, read off the tables
+        without a composition.  For a generator s_j, u -> s_j^-1 u s_j is
+        the permutation s_j x -> x s_j, read off ``left(s_j)`` and column
+        j.  The generators' conjugations generate those of the whole group,
+        so a class is the orbit of any of its elements under them; that of
+        a central generator, the identity, is skipped.  Walking the
+        elements in order, each one no orbit reached starts its class, and
+        so is that class's first element; its orbit is then walked breadth
+        first, and each element v first reached as s_j^-1 u s_j records u
+        and j."""
+        size = len(self.parent)
+        columns = self.columns
+        conjugations = []
+        for j, column in enumerate(columns):
+            s = column[0]
+            if all(other[s] == column[other[0]] for other in columns):
+                continue  # s_j s_k = s_k s_j for every k: s_j is central
+            conjugation = [0] * size
+            for y, c in zip(self.left(s), column):  # s_j x -> x s_j
+                conjugation[y] = c
+            conjugations.append((j, conjugation))
+        if not conjugations:  # abelian: each element is its own class
+            return ClassWalk(list(range(size)), list(range(size)), list(range(size)), [-1] * size)
+        rep, conjugator, via = [-1] * size, list(range(size)), [-1] * size
+        reached = []
+        for g in range(size):
+            if rep[g] >= 0:
+                continue
+            rep[g] = g
+            orbit = [g]
+            for u in orbit:  # the loop reaches what it appends
+                for j, conjugation in conjugations:
+                    v = conjugation[u]
+                    if rep[v] < 0:
+                        rep[v], conjugator[v], via[v] = g, u, j
+                        orbit.append(v)
+            reached += orbit
+        return ClassWalk(rep, reached, conjugator, via)
+
+
+class ClassWalk(NamedTuple):
+    """The conjugacy classes ``ClosureTables.classes`` walks, lists of
+    plain ints indexed by element number.
+
+    - ``rep[v]`` is the number of the first element of v's class.
+    - ``reached`` lists every element in the order the walk reached it.
+    - ``conjugator[v]`` = u and ``via[v]`` = j, with v = s_j^-1 u s_j and u
+      reached before v, for each v that does not start its class; a v
+      that does has the record (v, -1)."""
+
+    rep: list
+    reached: list
+    conjugator: list
+    via: list
+
 
 @dataclass(frozen=True)
 class FiniteGroupAction:
@@ -179,38 +237,11 @@ class FiniteGroupAction:
     def order(self):
         return len(self.elements)
 
-    @cached_property
+    @property
     def class_rep(self):
         """``class_rep[i]`` is the index of the first element of the
-        conjugacy class of ``elements[i]``, read off the closure's tables
-        without a composition.  For a generator s, u -> s^-1 u s is the
-        permutation ``column[left^-1(u)]``, left = ``tables.left(s)`` and
-        column x -> x . s; the generators' conjugations generate those of
-        the whole group, so a class is the orbit of any of its elements
-        under them.  Walking the elements in order, each one no orbit
-        reached starts its class, and so is that class's first element."""
-        t = self.tables
-        size = len(t.parent)
-        conjugations = []
-        for column in t.columns:
-            inverse = [0] * size
-            for x, y in enumerate(t.left(column[0])):
-                inverse[y] = x
-            conjugations.append(list(map(column.__getitem__, inverse)))
-        rep = [-1] * size
-        for g in range(size):
-            if rep[g] >= 0:
-                continue
-            rep[g] = g
-            stack = [g]
-            while stack:
-                u = stack.pop()
-                for conjugation in conjugations:
-                    v = conjugation[u]
-                    if rep[v] < 0:
-                        rep[v] = g
-                        stack.append(v)
-        return rep
+        conjugacy class of ``elements[i]``, ``tables.classes.rep``."""
+        return self.tables.classes.rep
 
     @cached_property
     def power_walk(self):

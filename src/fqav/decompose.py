@@ -5,13 +5,16 @@ The decomposition runs at the rational-representation level.  The whole
 group is one stage: it is quasietale, Q-Fano, or split along B x C, B the
 lattice fixed by its ramification subgroup N and C the invariant
 complement.  A split leaves N_C, the restriction of N to C, as the Q-Fano
-part, certified on the restrictions of N's kept generators alone.
-Analytic data is never needed.
+part, certified on the restrictions of N's kept generators alone.  The
+divisors are decided once per conjugacy class, on a class partition
+certified against the closure tables first.  Analytic data is never
+needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 
 from .action import ClosureTables, LatticeElement, bfs_closure
 from .errors import CertificateError
@@ -58,18 +61,49 @@ def element_fixed_solution(e: LatticeElement, solver):
     return solver.solve(e.matrix, e.translation)
 
 
-def fixed_solutions(elements, solver):
-    """The divisors of a stage: the nonempty fixed-locus solves, by
-    ``solver``, of the nontrivial elements (W, a) that
-    ``solver.may_fix_divisor(W)`` admits, keyed by their positions in
-    ``elements``; a stage passes this map to each of its certificates.  Such
-    an element fixes a divisor exactly when its locus is nonempty: with
-    rank(I - W) = 0 it is a translation by a != 0 and fixes nothing, and
-    with rank 1 or 2 each component has complex dimension
-    (2n - rank) // 2 = n - 1.  No other element fixes a divisor."""
-    solves = ((x, element_fixed_solution(e, solver)) for x, e in enumerate(elements)
-              if x and solver.may_fix_divisor(e.matrix))
-    return {x: sol for x, sol in solves if sol.nonempty}
+def certified_class_rep(elements, tables):
+    """``tables.classes.rep``, the number of the first element of each
+    element's conjugacy class, once the walk's records show every element
+    of ``elements`` conjugate to it, on the tables alone.  A class's first
+    element starts it.  Any other v, taken in the order the walk reached
+    it, must have a record (u, j) with u certified before it, in v's
+    class, and s_j v = u s_j, one look-up in the left multiplication by
+    s_j and one in column j: then v = s_j^-1 u s_j.  By induction on that
+    order every element is then conjugate to its class's first element,
+    so a partition that merges two classes fails here; one that splits a
+    class is still a partition into sets of conjugates."""
+    rep, reached, conjugator, via = tables.classes
+    linked = bytearray(map(eq, rep, range(len(elements))))  # the first elements
+    if linked.find(0) < 0:
+        return rep  # every element is its own class
+    columns = tables.columns
+    lefts = {j: tables.left(columns[j][0]) for j in set(via) if j >= 0}
+    for v in reached:
+        if not linked[v]:
+            u, j = conjugator[v], via[v]
+            linked[v] = linked[u] and rep[u] == rep[v] and lefts[j][v] == columns[j][u]
+    v = linked.find(0)
+    if v >= 0:
+        raise CertificateError(f"class walk does not conjugate {elements[v]} to "
+                               f"{elements[rep[v]]}, the first element of its class")
+    return rep
+
+
+def class_divisors(elements, rep, solver):
+    """The divisors of a stage: the numbers of the nontrivial elements of
+    ``elements`` that fix a divisor, with ``rep`` their class partition.
+    Those are the elements of the classes whose first element (W, a)
+    passes ``solver.may_fix_divisor(W)`` and has a nonempty fixed-locus
+    solve; no other element is asked or solved.  Such an element fixes a
+    divisor exactly when its locus is nonempty: with rank(I - W) = 0 it
+    is a translation by a != 0 and fixes nothing, and with rank 1 or 2
+    each component has complex dimension (2n - rank) // 2 = n - 1.  No
+    other element fixes a divisor.  rank(I - W) is a class function, and
+    Fix(h g h^-1) = h . Fix(g), so the first element decides its class."""
+    divisorial = {g for g in range(1, len(rep))
+                  if rep[g] == g and solver.may_fix_divisor(elements[g].matrix)
+                  and element_fixed_solution(elements[g], solver).nonempty}
+    return [x for x in range(1, len(rep)) if rep[x] in divisorial]
 
 
 @dataclass(frozen=True)
@@ -141,18 +175,18 @@ def _not_normal(s, h, conj):
                             f"{h} to {conj}, outside the subgroup")
 
 
-def ramification_on_tables(elements, tables, fixed):
-    """N, generated by the elements numbered by the keys of the stage's
-    divisor map ``fixed``, its kept generators, the numbers of N and those
-    of the kept generators, on look-ups in the stage's tables, which it
-    cannot leave.  The keys are taken in ``sort_key`` order, as
+def ramification_on_tables(elements, tables, divisors):
+    """N, generated by the elements numbered ``divisors``, the stage's
+    divisors, its kept generators, the numbers of N and those of the kept
+    generators, on look-ups in the stage's tables, which it cannot leave.
+    The divisors are taken in ``sort_key`` order, as
     ``close_elements`` takes generators, and one already in N is skipped;
     each kept one's left multiplications then close N on from the members
     it has.  N is listed in stage order, which no output reads: a stage
     reads N's length, the sum over its distinct holonomies and, as a set,
     its restrictions to C."""
     kept, numbers, left, members = [], [], [], {0}
-    for g in sorted(fixed, key=lambda x: LatticeElement.sort_key(elements[x])):
+    for g in sorted(divisors, key=lambda x: LatticeElement.sort_key(elements[x])):
         if g not in members:
             kept.append(elements[g])
             numbers.append(g)
@@ -195,19 +229,19 @@ def _element_inverse(g, group_order):
     raise CertificateError("group not closed under inversion")
 
 
-def lattice_quasietale_outside(members, fixed):
+def lattice_quasietale_outside(members, divisors):
     """True iff no element outside the subgroup N, numbered ``members``,
-    fixes a divisor: every key of the stage's divisor map ``fixed`` is in
-    N."""
-    return fixed.keys() <= members
+    fixes a divisor: each of the stage's ``divisors`` is in N."""
+    return members.issuperset(divisors)
 
 
-def lattice_kappa(fixed, n2):
-    """n - dim of the intersection of the divisor lattices in ``fixed``, the
-    ``fixed_solutions`` map of a stage of rank n2 = 2n: the anticanonical
-    Kodaira dimension of the quotient by the group N that those elements
-    generate."""
-    return subtorus_kappa([sol.kernel for sol in fixed.values()], n2)
+def lattice_kappa(solves, n2):
+    """n - dim of the intersection of the kernels of the fixed-locus
+    ``solves``, on a stage of rank n2 = 2n.  For the solves of generators
+    of a group N that fix divisors, that intersection is Fix(N), the one
+    of all of N's divisor lattices: the anticanonical Kodaira dimension of
+    the quotient by N."""
+    return subtorus_kappa([sol.kernel for sol in solves], n2)
 
 
 def invariant_complement(b: Lattice, holonomies, solver):
@@ -329,30 +363,31 @@ def _check_n_tilde_group(m, lifts, ker_generators):
 # the decomposition algorithm
 
 def _divisors_after_split(n_c_generators, rank, solver):
-    """The divisor map of N_C on C, of rank ``rank``, read off the
-    restrictions of N's kept generators: each must have a nonempty fixed
-    locus with rank(I - W) <= 2, read off the Smith divisors of its solve,
-    and they must fix no vector of C.  The split certified that they
-    generate N_C and that none is the identity, so N_C is its own
-    ramification subgroup with B = 0.  Their divisor lattices meet in
-    Fix(N_C), as do those of every divisor of N_C: kappa is the same."""
-    fixed = {}
-    for x, r in enumerate(n_c_generators):
-        sol = fixed[x] = element_fixed_solution(r, solver)
+    """The fixed-locus solves of the restrictions of N's kept generators to
+    C, of rank ``rank``: each must have a nonempty fixed locus with
+    rank(I - W) <= 2, read off the Smith divisors of its solve, and they
+    must fix no vector of C.  The split certified that they generate N_C
+    and that none is the identity, so N_C is its own ramification subgroup
+    with B = 0."""
+    solves = []
+    for r in n_c_generators:
+        sol = element_fixed_solution(r, solver)
         if not sol.nonempty or len(sol.divisors) > 2:
             raise CertificateError(f"restriction {r} of a kept generator of N fixes no "
                                    "divisor of C")
+        solves.append(sol)
     if fixed_lattice(list(dict.fromkeys(r.matrix for r in n_c_generators)), rank).rank:
         raise CertificateError("N_C fixes a vector of C")
-    return fixed
+    return solves
 
 
-def _fano_part(n_elements, fixed, embedding, ambient_rank):
+def _fano_part(n_elements, solves, embedding, ambient_rank):
     """The Q-Fano part, N = ``n_elements`` on the lattice with basis
-    ``embedding``, and its stage, once its divisors ``fixed`` pass the
-    kappa certificate."""
+    ``embedding``, and its stage, once the fixed-locus ``solves`` of N's
+    kept generators pass the kappa certificate: their divisor lattices
+    meet in Fix(N), as do those of every divisor of N."""
     n2 = len(embedding)
-    if lattice_kappa(fixed, n2) != n2 // 2:
+    if lattice_kappa(solves, n2) != n2 // 2:
         raise CertificateError("final part fails the Q-Fano kappa certificate")
     return (SublatticeAction(tuple(n_elements), embedding, ambient_rank),
             StageCertificate(len(n_elements), 1, True, True, None))
@@ -362,12 +397,14 @@ def _decompose_level(elements, generators, tables, n2, solver) -> DecompositionR
     """Decompose the closed group ``elements`` on Z^n2, the closure of
     ``generators`` with ``ClosureTables`` ``tables``, solving its fixed
     points by the ``FixedPointSolver`` ``solver``: it is quasietale,
-    Q-Fano, or split along B x C with N_C the Q-Fano part."""
-    fixed = fixed_solutions(elements, solver)
-    ramification = ramification_on_tables(elements, tables, fixed)
+    Q-Fano, or split along B x C with N_C the Q-Fano part.  Its divisors
+    are decided once per class of the partition the tables' class walk
+    gives, which is certified first."""
+    divisors = class_divisors(elements, certified_class_rep(elements, tables), solver)
+    ramification = ramification_on_tables(elements, tables, divisors)
     check_normal_on_tables(elements, generators, tables, ramification)
     n_sub, n_generators, members = ramification[:3]
-    if not lattice_quasietale_outside(members, fixed):
+    if not lattice_quasietale_outside(members, divisors):
         raise CertificateError("quotient by the ramification subgroup is not quasietale")
 
     if len(n_sub) == 1:
@@ -379,7 +416,8 @@ def _decompose_level(elements, generators, tables, n2, solver) -> DecompositionR
     holonomies = list(dict.fromkeys(e.matrix for e in n_generators))
     b = fixed_lattice(holonomies, n2)
     if b.rank == 0:
-        fano, stage = _fano_part(n_sub, fixed, tuple(map(tuple, identity_matrix(n2))), n2)
+        solves = [element_fixed_solution(g, solver) for g in n_generators]
+        fano, stage = _fano_part(n_sub, solves, tuple(map(tuple, identity_matrix(n2))), n2)
         return DecompositionResult((), 0, fano, (stage,))
 
     c, ker_mu = invariant_complement(b, holonomies, solver)

@@ -17,6 +17,11 @@
 - The order of an integer matrix by walking its first ``max_finite_order``
   powers, the largest finite order at its rank.  The runtime walks 2n
   powers and factors the characteristic polynomial their traces give.
+- ``fixed_solutions``, the divisors of a stage decided element by element:
+  each nontrivial element is asked ``may_fix_divisor`` and, if it passes,
+  solved.  The runtime asks and solves the first element of each class of
+  a certified partition, and reads kappa off the solves of N's kept
+  generators.
 - ``saturate``, the saturation of a lattice, which no command takes.
 - ``decompose_fano_part``, the decomposition re-run on a Q-Fano stage with
   a solver of its own, the idempotence check of the decomposition.
@@ -44,6 +49,7 @@ from fqav.decompose import (
     SublatticeAction,
     _decompose_level,
     close_with_tables,
+    element_fixed_solution,
 )
 from fqav.linalg import (
     FixedPointSolver,
@@ -248,6 +254,19 @@ def bounded_walk_order(rho):
             return k
         power = mat_mul(power, rho)
     return None
+
+
+def fixed_solutions(elements, solver):
+    """The divisors of a stage: the nonempty fixed-locus solves, by
+    ``solver``, of the nontrivial elements (W, a) that
+    ``solver.may_fix_divisor(W)`` admits, keyed by their positions in
+    ``elements``.  Such an element fixes a divisor exactly when its locus
+    is nonempty: with rank(I - W) = 0 it is a translation by a != 0 and
+    fixes nothing, and with rank 1 or 2 each component has complex
+    dimension (2n - rank) // 2 = n - 1.  No other element fixes one."""
+    solves = ((x, element_fixed_solution(e, solver)) for x, e in enumerate(elements)
+              if x and solver.may_fix_divisor(e.matrix))
+    return {x: sol for x, sol in solves if sol.nonempty}
 
 
 def saturate(lat: Lattice) -> Lattice:

@@ -1,8 +1,9 @@
 """Every cross-check of ``Analysis.classification`` fires, and so do the
 certificate checks of ``ramification_data``, ``irregularity``,
-``invariant_complement``, ``split_action`` and the decomposition
-stages.  Each test replaces one real result upstream of its check, by
-``dataclasses.replace`` of a record, a shifted value or a changed lattice,
+``invariant_complement``, ``split_action``, the class partition the
+decomposition reads and the decomposition stages.  Each test replaces
+one real result upstream of its check, by ``dataclasses.replace`` of a
+record, a shifted value or a changed lattice,
 vector, form or torsion point, so that the checks before it still pass; the command then
 exits 2 with that check's message and prints nothing."""
 
@@ -12,9 +13,9 @@ import json
 
 import pytest
 
-from fqav.action import LatticeElement
+from fqav.action import ClosureTables, LatticeElement
 from fqav.cli import main
-from fqav.linalg import Lattice, TorsionPoint, identity_matrix
+from fqav.linalg import FixedPointSolver, Lattice, TorsionPoint, identity_matrix
 
 from conftest import FIXTURE_DIR
 from test_cli import RAMIFIED_CM_DOCS
@@ -283,3 +284,100 @@ def test_restriction_check_fires(change, witness, tmp_path, monkeypatch, capsys)
     test_decomposition_check_fires(EI2_DOC, "solve_factored", with_gammas(change),
                                    f"element {witness} of N does not restrict to C",
                                    tmp_path, monkeypatch, capsys)
+
+
+# the class walk itself, which ``ClosureTables.classes`` caches
+walk_classes = ClosureTables.classes.func
+
+
+def with_records(**changes):
+    """``ClosureTables.classes`` with entries of the walk's lists replaced:
+    each keyword names a list of the ``ClassWalk`` and maps element numbers
+    to their new entries."""
+    def classes(tables):
+        walk = walk_classes(tables)
+        for field, entries in changes.items():
+            for v, value in entries.items():
+                getattr(walk, field)[v] = value
+        return walk
+    return property(classes)
+
+
+def not_conjugate(v, first):
+    return f"class walk does not conjugate {v} to {first}, the first element of its class"
+
+
+def ei2_element(matrix, translation):
+    return f"x -> {matrix} x + [{translation}, 0, 0]"
+
+
+# sign-rot4 is cyclic of order 4, so each element is its own class
+SIGN_ROT4_G = "x -> [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]] x + [0, 0, 0, 0]"
+SIGN_ROT4_G2 = "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]] x + [0, 0, 0, 0]"
+# in EI2_DOC's walk, element 1 = diag(i, 1) and element 8 = diag(-i, 1)
+# start divisorial classes; 2 and 14, the translations by (1/2, 0) and
+# (0, 1/2), form a class, with the record (2, 0) for 14; and 15, the
+# translation by (1/2, 1/2), is its own class, reached last
+DIAG_I = "[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+DIAG_MINUS_I = "[[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+EYE = "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+
+CLASS_CHECKS = [
+    # g, with rank(I - W) = 4, put in the class of g^2, which fixes a
+    # curve: g starts its class in the walk, so its record is (g, -1)
+    pytest.param(fixture("sign-rot4"), with_records(rep={1: 2}),
+                 not_conjugate(SIGN_ROT4_G, SIGN_ROT4_G2), id="joined"),
+    # the translation by (1/2, 1/2) put in the class of diag(-i, 1), with
+    # the record (8, 0): s_0 v = u s_0 fails
+    pytest.param(EI2_DOC, with_records(rep={15: 8}, conjugator={15: 8}, via={15: 0}),
+                 not_conjugate(ei2_element(EYE, "1/2, 1/2"), ei2_element(DIAG_MINUS_I, "0, 0")),
+                 id="forged-record"),
+    # the translation by (0, 1/2) put in the class of diag(i, 1), keeping
+    # its true record, whose u is in another class
+    pytest.param(EI2_DOC, with_records(rep={14: 1}),
+                 not_conjugate(ei2_element(EYE, "0, 1/2"), ei2_element(DIAG_I, "0, 0")),
+                 id="relabelled"),
+    # both translations put in that class, each recorded as the other's
+    # conjugate by s_0: true conjugations, which reach no element of it
+    pytest.param(EI2_DOC, with_records(rep={2: 1, 14: 1}, conjugator={2: 14}, via={2: 0}),
+                 not_conjugate(HALF_TRANSLATION, ei2_element(DIAG_I, "0, 0")), id="cycle"),
+]
+
+
+@pytest.mark.parametrize("doc, classes, message", CLASS_CHECKS)
+def test_class_check_fires(doc, classes, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ClosureTables, "classes", classes)
+    assert run_decompose(doc, tmp_path, capsys) == (
+        2, ("", f"certificate failure: {message}\n"))
+
+
+def test_finer_partition_prints_the_same_bytes(tmp_path, monkeypatch, capsys):
+    # every element its own class: a partition into sets of conjugates
+    # that splits classes, so decompose asks may_fix_divisor of all 31
+    # nontrivial elements of zeta4^3:C2+t, not 13, and the commands that
+    # read the partition print what they print on the classes
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(RAMIFIED_CM_DOCS["zeta4^3:C2+t"][0]))
+    commands = ("decompose", "ramification", "reidtai", "report")
+
+    def run():
+        return [(main([command, str(path)]), capsys.readouterr()) for command in commands]
+
+    want = run()
+    asked = []
+    original = FixedPointSolver.may_fix_divisor
+
+    def recording(solver, w):
+        asked.append(w)
+        return original(solver, w)
+
+    monkeypatch.setattr(FixedPointSolver, "may_fix_divisor", recording)
+    assert main(["decompose", str(path)]) == 0 and len(asked) == 13
+    capsys.readouterr()
+    monkeypatch.setattr(ClosureTables, "classes", with_records(
+        rep={v: v for v in range(32)}, conjugator={v: v for v in range(32)},
+        via={v: -1 for v in range(32)}))
+    asked.clear()
+    assert run() == want and want[0][0] == 0
+    # 31 in decompose, in ramification, and in each of report's two readers
+    assert len(asked) == 31 * 4

@@ -21,6 +21,7 @@ from fqav.linalg import FixedPointSolver, TorsionPoint, identity_minus
 from fqav.variety import EndoBlockMatrix
 
 from conftest import FIXTURE_DIR, elementary_divisors
+from oracles import union_find_class_rep
 from test_golden import SL_DIAG, sl_diag_document
 
 FIXTURES = ("rot4-square.json", "sign-rot4.json", "kummer.json",
@@ -585,10 +586,10 @@ class TestCertificateWitness:
 
         original = decompose_module.ramification_on_tables
 
-        def flip_only(elements, tables, fixed):
+        def flip_only(elements, tables, divisors):
             # <(-1) x 1> in place of the ramification subgroup: not normal
-            return original(elements, tables, {x: sol for x, sol in fixed.items()
-                                               if elements[x].matrix == flip})
+            return original(elements, tables, [x for x in divisors
+                                               if elements[x].matrix == flip])
 
         monkeypatch.setattr(decompose_module, "ramification_on_tables", flip_only)
         assert main(["decompose", str(p)]) == 2
@@ -860,16 +861,20 @@ class TestComputeOnce:
         assert (sum(calls.values()), len(calls)) == (44, 27)
 
     @pytest.mark.parametrize("name, report_asked, decompose_solved", [
-        ("zeta4^3:C2+t", 44, 14), ("zeta6^3:mu6xmu3+t", 70, 18)])
+        ("zeta4^3:C2+t", 26, 8), ("zeta6^3:mu6xmu3+t", 70, 18)])
     def test_split_asks_no_element_of_n_c(self, name, report_asked, decompose_solved,
                                           monkeypatch):
-        # after a split, the Q-Fano stage of N_C reads its divisors off the
-        # solves of the restrictions of N's kept generators (4 and 3 here):
-        # decompose asks may_fix_divisor once per nontrivial element of G,
-        # and a report makes |N| - 1 = 15 and 17 calls fewer than when that
-        # stage asked it of every element of N_C (59 and 87 calls), with 2
-        # and 4 fewer fixed-locus solves in decompose (16 and 22)
-        doc, order = RAMIFIED_CM_DOCS[name]
+        # decompose asks may_fix_divisor once per nontrivial class of G: 13
+        # of the 14 classes of the order-32 group, and all 35 nontrivial
+        # elements of the abelian order-36 one.  It solves the first
+        # element of each class that passes, and after a split, the Q-Fano
+        # stage of N_C reads its divisors off the solves of the
+        # restrictions of N's kept generators (4 and 3 here), asking no
+        # element of N_C.  A report asks once more per class in
+        # ramification_data
+        doc, _ = RAMIFIED_CM_DOCS[name]
+        variety, gens, _ = parse_input(json.dumps(doc))
+        classes = len(set(union_find_class_rep(close_group(variety, gens))))
         original = FixedPointSolver.may_fix_divisor
         for command in ("decompose", "report"):
             asked, solved = [], Counter()
@@ -884,7 +889,7 @@ class TestComputeOnce:
             monkeypatch.undo()
             if command == "decompose":
                 assert (len(asked), solved["element_fixed_solution"]) == (
-                    order - 1, decompose_solved)
+                    classes - 1, decompose_solved)
             else:
                 assert len(asked) == report_asked
 

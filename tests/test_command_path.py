@@ -3,7 +3,9 @@ them stubbed to raise, every command on every fixture and golden-gallery
 input, on the two-stage benchmark groups and on two splits with a ker mu
 of order 25 and 4, exits with the same code and prints the same bytes.
 The names are ROADMAP item 5's list of test-only runtime code; one the
-commands reach again fails here."""
+commands reach again fails here.  Runtime code that moved into
+``tests/oracles.py`` is stubbed there too, and no fqav module may bind it
+again."""
 
 import contextlib
 import importlib
@@ -36,6 +38,8 @@ TEST_ONLY = {
 }
 TEST_ONLY_METHODS = ("variety.EndoBlockMatrix.compose", "action.LatticeElement.compose",
                      "action.AffineAutomorphism.compose", "linalg.Lattice.coordinates")
+# runtime code that is now a test-side oracle in ``tests/oracles.py``
+ORACLES = ("fixed_solutions",)
 
 PACKAGE = [importlib.import_module("fqav")] + [
     importlib.import_module(f"fqav.{path.stem}") for path in MODULES if path.stem != "__init__"]
@@ -86,6 +90,10 @@ def stub_test_only(monkeypatch):
         cls = getattr(importlib.import_module(f"fqav.{module_name}"), class_name)
         monkeypatch.setattr(cls, method, refusing(dotted))
         stubbed.append(dotted)
+    oracles = importlib.import_module("oracles")
+    for name in ORACLES:
+        monkeypatch.setattr(oracles, name, refusing(name))
+        stubbed.append(f"oracles.{name}")
     for module in PACKAGE:
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
@@ -98,8 +106,14 @@ def test_stubs_bind_every_name(monkeypatch):
     for module_name, names in TEST_ONLY.items():
         assert {f"fqav.{module_name}.{name}" for name in names} <= set(stubbed)
     assert "fqav.decompose.close_with_tables" in stubbed and "fqav.CycloField" in stubbed
+    assert {f"oracles.{name}" for name in ORACLES} <= set(stubbed)
     with pytest.raises(AssertionError, match="a command reached close_with_tables"):
         importlib.import_module("fqav.decompose").close_with_tables([])
+
+
+def test_oracles_not_bound_in_the_runtime():
+    assert [f"{module.__name__}.{name}" for module in PACKAGE for name in ORACLES
+            if hasattr(module, name)] == []
 
 
 @pytest.mark.parametrize("name", list(INPUTS))

@@ -10,13 +10,14 @@ from fqav.action import ClosureTables, LatticeElement, bfs_closure, close_group
 from fqav.decompose import (
     _check_n_tilde_group,
     _element_inverse,
+    certified_class_rep,
     check_normal,
     check_normal_on_tables,
+    class_divisors,
     close_elements,
     close_with_tables,
     decompose,
     element_fixed_solution,
-    fixed_solutions,
     lattice_kappa,
     lattice_quasietale_outside,
     ramification_on_tables,
@@ -44,9 +45,11 @@ from oracles import (
     c_restriction_translation,
     decompose_fano_part,
     enumerated_n_tilde,
+    fixed_solutions,
     generated_group,
     ker_mu_generators,
     lattice_poincare_complement,
+    union_find_class_rep,
 )
 from test_acceptance import random_generator, random_variety
 from test_action import (
@@ -56,7 +59,15 @@ from test_action import (
     nonabelian_groups,
     small_groups,
 )
-from test_golden import SPLIT, diag_perm_document, sl_diag_document, symmetric_document
+from test_cli import RAMIFIED_CM_DOCS
+from test_golden import (
+    SPLIT,
+    diag_perm_document,
+    glue_document,
+    sl_diag_document,
+    symmetric_document,
+    translated_sl_diag_document,
+)
 
 # the module, which the package's ``decompose`` function shadows
 decompose_module = importlib.import_module("fqav.decompose")
@@ -138,12 +149,12 @@ class TestKappaCertificate:
     def test_minus_one_on_elliptic_curve(self):
         e = LatticeElement.of([[-1, 0], [0, -1]])
         els, _ = close_elements([e])
-        assert lattice_kappa(fixed_solutions(els, FixedPointSolver()), 2) == 1
+        assert lattice_kappa(fixed_solutions(els, FixedPointSolver()).values(), 2) == 1
 
     def test_order_four_rotation(self):
         e = LatticeElement.of([[0, -1], [1, 0]])
         els, _ = close_elements([e])
-        assert lattice_kappa(fixed_solutions(els, FixedPointSolver()), 2) == 1
+        assert lattice_kappa(fixed_solutions(els, FixedPointSolver()).values(), 2) == 1
 
 
 class TestDecompose:
@@ -783,7 +794,7 @@ def stage_readings(elements, tables, fixed):
     kappa of N is also read off the solves of N's elements alone."""
     sub, _, members, _ = ramification_on_tables(elements, tables, fixed)
     n2 = elements[0].rank
-    kappa = lattice_kappa(fixed, n2)
+    kappa = lattice_kappa(fixed.values(), n2)
     assert kappa == subtorus_kappa([fixed[x].kernel for x in members if x in fixed], n2)
     return sub, lattice_quasietale_outside(members, fixed), kappa
 
@@ -828,6 +839,58 @@ class TestRankFirstSolves:
             ((x, sol),) = fixed.items()
             assert elements[x] == flip and sol.dim == n2 // 2 - 1
             assert_rank_first_matches_every_solve(elements, tables)
+
+
+def assert_class_divisors_match(elements, tables):
+    """The divisors a stage decides once per class of its certified
+    partition are the keys of ``fixed_solutions``, which asks and solves
+    every element; and kappa over the solves of N's kept generators, as
+    the Q-Fano stage reads it, is kappa over every divisor: both
+    intersections are Fix(N)."""
+    solver = FixedPointSolver()
+    fixed = fixed_solutions(elements, FixedPointSolver())
+    divisors = class_divisors(elements, certified_class_rep(elements, tables), solver)
+    assert divisors == sorted(fixed)
+    kept = ramification_on_tables(elements, tables, divisors)[1]
+    n2 = elements[0].rank
+    if kept:
+        assert lattice_kappa([element_fixed_solution(g, solver) for g in kept], n2) == \
+            lattice_kappa(fixed.values(), n2)
+    return bool(kept) and fixed_lattice([g.matrix for g in kept], n2).rank == 0
+
+
+def document_group(doc):
+    return close_group(*parse_input(json.dumps(doc))[:2])
+
+
+class TestClassDivisors:
+    def test_every_stage(self, monkeypatch, gallery):
+        groups = gallery + nonabelian_groups() + [translated_ei_square()]
+        groups += [document_group(doc) for doc, _ in RAMIFIED_CM_DOCS.values()]
+        groups += [document_group(doc) for doc in (
+            symmetric_document(5), symmetric_document(6), glue_document(),
+            translated_sl_diag_document())]
+        assert [len(g.elements) for g in groups[-4:]] == [120, 720, 5184, 6912]
+        stages = recorded_table_stages(monkeypatch, groups)
+        fano = [assert_class_divisors_match(elements, tables) for elements, _, tables in stages]
+        # both Q-Fano stages, whose kappa is read off N's kept generators,
+        # and other stages are reached
+        assert 0 < sum(fano) < len(stages)
+
+    @ORACLE
+    @given(small_groups())
+    def test_random_groups(self, group):
+        assert_class_divisors_match(group.elements, group.tables)
+
+    def test_classes_certified_on_tables(self, gallery):
+        # the certified partition is the oracle's, and the walk's records
+        # reach every element from its class's first element
+        for group in gallery + nonabelian_groups():
+            rep = certified_class_rep(group.elements, group.tables)
+            assert rep == union_find_class_rep(group)
+            walk = group.tables.classes
+            assert sorted(walk.reached) == list(range(group.order))
+            assert all((walk.conjugator[v] == v) == (rep[v] == v) for v in range(group.order))
 
 
 class TestKeptGeneratorsInvariantTorus:
@@ -1115,7 +1178,7 @@ class TestStagesHashNoElement:
             ramification = ramification_on_tables(elements, tables, fixed)
             check_normal_on_tables(elements, generators, tables, ramification)
             assert lattice_quasietale_outside(ramification[2], fixed)
-            lattice_kappa(fixed, elements[0].rank)
+            lattice_kappa(fixed.values(), elements[0].rank)
         assert hashed == []
         # the counter sees the top stage's elements, which are automorphisms
         hash(stages[0][0][0])
