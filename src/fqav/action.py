@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
-from operator import add
+from operator import add, eq
 from typing import NamedTuple
 
 from .cyclotomic import charpoly_from_power_sums, cyclotomic_orders, spectrum_mod, split_prime
@@ -151,6 +151,18 @@ class ClosureTables:
             left[x] = columns[via[x]][left[parent[x]]]
         return left
 
+    @cached_property
+    def _generator_lefts(self):
+        return {}
+
+    def generator_left(self, j):
+        """``left`` of generator j, computed once for these tables: the class
+        walk and its certificate read the same list."""
+        lefts = self._generator_lefts
+        if j not in lefts:
+            lefts[j] = self.left(self.columns[j][0])
+        return lefts[j]
+
     def word(self, x):
         """The generator indices on x's BFS path from the identity, so that
         x = gens[j_1] ... gens[j_d] and y . x is y pushed through the
@@ -183,7 +195,7 @@ class ClosureTables:
             if all(other[s] == column[other[0]] for other in columns):
                 continue  # s_j s_k = s_k s_j for every k: s_j is central
             conjugation = [0] * size
-            for y, c in zip(self.left(s), column):  # s_j x -> x s_j
+            for y, c in zip(self.generator_left(j), column):  # s_j x -> x s_j
                 conjugation[y] = c
             conjugations.append((j, conjugation))
         if not conjugations:  # abelian: each element is its own class
@@ -221,6 +233,35 @@ class ClassWalk(NamedTuple):
     via: list
 
 
+def certified_class_rep(elements, tables):
+    """``tables.classes.rep``, the number of the first element of each
+    element's conjugacy class, once the walk's records show every element
+    of ``elements`` conjugate to it, on the tables alone.  A class's first
+    element starts it.  Any other v, taken in the order the walk reached
+    it, must have a record (u, j) with u certified before it, in v's
+    class, and s_j v = u s_j, one look-up in the left multiplication by
+    s_j, which the walk built, and one in column j: then v = s_j^-1 u s_j.
+    By induction on that order every element is then conjugate to its
+    class's first element, so a partition that merges two classes fails
+    here; one that splits a class is still a partition into sets of
+    conjugates."""
+    rep, reached, conjugator, via = tables.classes
+    linked = bytearray(map(eq, rep, range(len(elements))))  # the first elements
+    if linked.find(0) < 0:
+        return rep  # every element is its own class
+    columns = tables.columns
+    lefts = {j: tables.generator_left(j) for j in set(via) if j >= 0}
+    for v in reached:
+        if not linked[v]:
+            u, j = conjugator[v], via[v]
+            linked[v] = linked[u] and rep[u] == rep[v] and lefts[j][v] == columns[j][u]
+    v = linked.find(0)
+    if v >= 0:
+        raise CertificateError(f"class walk does not conjugate {elements[v]} to "
+                               f"{elements[rep[v]]}, the first element of its class")
+    return rep
+
+
 @dataclass(frozen=True)
 class FiniteGroupAction:
     variety: AbelianVarietyModel
@@ -237,11 +278,13 @@ class FiniteGroupAction:
     def order(self):
         return len(self.elements)
 
-    @property
+    @cached_property
     def class_rep(self):
         """``class_rep[i]`` is the index of the first element of the
-        conjugacy class of ``elements[i]``, ``tables.classes.rep``."""
-        return self.tables.classes.rep
+        conjugacy class of ``elements[i]``, ``tables.classes.rep`` once
+        ``certified_class_rep`` has checked it: every reader of the
+        partition reads it certified, and it is certified once."""
+        return certified_class_rep(self.elements, self.tables)
 
     @cached_property
     def power_walk(self):

@@ -13,8 +13,9 @@ needed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from operator import eq
+from operator import getitem
 
 from .action import ClosureTables, LatticeElement, bfs_closure
 from .errors import CertificateError
@@ -59,34 +60,6 @@ def close_with_tables(gens):
 def element_fixed_solution(e: LatticeElement, solver):
     """The solutions of (I - W) x == a for e = (W, a), by ``solver``."""
     return solver.solve(e.matrix, e.translation)
-
-
-def certified_class_rep(elements, tables):
-    """``tables.classes.rep``, the number of the first element of each
-    element's conjugacy class, once the walk's records show every element
-    of ``elements`` conjugate to it, on the tables alone.  A class's first
-    element starts it.  Any other v, taken in the order the walk reached
-    it, must have a record (u, j) with u certified before it, in v's
-    class, and s_j v = u s_j, one look-up in the left multiplication by
-    s_j and one in column j: then v = s_j^-1 u s_j.  By induction on that
-    order every element is then conjugate to its class's first element,
-    so a partition that merges two classes fails here; one that splits a
-    class is still a partition into sets of conjugates."""
-    rep, reached, conjugator, via = tables.classes
-    linked = bytearray(map(eq, rep, range(len(elements))))  # the first elements
-    if linked.find(0) < 0:
-        return rep  # every element is its own class
-    columns = tables.columns
-    lefts = {j: tables.left(columns[j][0]) for j in set(via) if j >= 0}
-    for v in reached:
-        if not linked[v]:
-            u, j = conjugator[v], via[v]
-            linked[v] = linked[u] and rep[u] == rep[v] and lefts[j][v] == columns[j][u]
-    v = linked.find(0)
-    if v >= 0:
-        raise CertificateError(f"class walk does not conjugate {elements[v]} to "
-                               f"{elements[rep[v]]}, the first element of its class")
-    return rep
 
 
 def class_divisors(elements, rep, solver):
@@ -277,17 +250,21 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     Coordinates on B x C are (beta, gamma) with a = B^T beta + C^T gamma,
     the addition isogeny mu, whose kernel ker mu is read off the Smith form
     of [B^T C^T].  C is saturated, so U C^T V = [I 0]^T and L = V U[:rank C]
-    is an integer left inverse of C^T: W|_C = L W C^T, and for each
-    holonomy of a generator of N it must satisfy C^T W|_C = W C^T.  Then
-    the generators keep C, so N does.
+    is an integer left inverse of C^T.  W|_C = L W C^T is formed only for
+    each distinct holonomy of a generator of N, and must satisfy
+    C^T W|_C = W C^T.  Then the generators keep C, so N does, and
+    W -> L W C^T is a homomorphism on N's holonomies.
 
     Each g = t_a . W in N restricts to r(g) = t_gamma . W|_C on C, gamma
-    the solution of C^T gamma = a (mod Z^N), which one product checks: a
-    reflection's a is in (I - W) R^N + Z^N, inside C_R + Z^N, which
-    products keep.  gamma is unique, as C is saturated, so r is a
-    homomorphism, one-to-one as B + C has finite index, and N_C = r(N) is
-    the closure of r(n_generators), of order |N|.  g lifts to
-    t_(0, gamma) . diag(I, W|_C).
+    the solution of C^T gamma = a (mod Z^N), solved once per distinct a in
+    N and checked by one product: a reflection's a is in (I - W) R^N + Z^N,
+    inside C_R + Z^N, which products keep.  gamma is unique, as C is
+    saturated, so r is a homomorphism, one-to-one as N fixes B and B + C
+    has finite index, and N_C = r(N) is the closure of r(n_generators), of
+    order |N|; no other restriction is formed.  W is the identity on B, so
+    tr W = rank B + tr W|_C: the closure must hold each pair
+    (tr W|_C, gamma) as often as N holds (tr W - rank B, gamma(a)).  g
+    lifts to t_(0, gamma) . diag(I, W|_C).
     """
     n2 = b.ambient_rank
     bt = mat_transpose(b.basis_rows())
@@ -297,39 +274,48 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     if not ker_sol.nonempty or ker_sol.component_count != ker_mu_order:
         raise CertificateError("kernel of the addition isogeny has wrong order")
 
-    # one factorisation of C^T serves every element of N
+    # one factorisation of C^T serves every translation of N
     c_factors = factor_affine(ct, c.rank)
     u, _, v, _ = c_factors
     left = mat_mul(v, u[:c.rank])
-    restricted, restriction = {}, {}
-    for g in n_elements:
-        w_c = restricted.get(g.matrix)
-        if w_c is None:
-            w_c = restricted[g.matrix] = tuple(map(tuple, mat_mul(left, mat_mul(g.matrix, ct))))
-        sol = solve_factored(c_factors, g.translation)
+    gammas = {}  # each distinct translation a of N -> gamma
+    for a in dict.fromkeys(g.translation for g in n_elements):
+        sol = solve_factored(c_factors, a)
         gamma = sol.particular if sol.nonempty else None
-        if gamma is None or gamma.apply_matrix(ct) != g.translation:
+        if gamma is None or gamma.apply_matrix(ct) != a:
+            g = next(g for g in n_elements if g.translation == a)
             raise CertificateError(f"element {g} of N does not restrict to C")
-        restriction[g] = LatticeElement(w_c, gamma)
-
+        gammas[a] = gamma
+    restricted = {}  # each distinct holonomy W of a generator -> W|_C
     for w in dict.fromkeys(g.matrix for g in n_generators):
-        if mat_mul(ct, restricted[w]) != mat_mul(w, ct):
+        w_ct = mat_mul(w, ct)
+        w_c = restricted[w] = tuple(map(tuple, mat_mul(left, w_ct)))
+        if mat_mul(ct, w_c) != w_ct:
             raise CertificateError("complement is not invariant")
+    n_c_generators = [LatticeElement(restricted[g.matrix], gammas[g.translation])
+                      for g in n_generators]
+
     on_b = tuple(map(tuple, identity_matrix(n2)[:b.rank]))
     lifts = []
-    for g in n_generators:  # t_(0, gamma) . diag(I, W|_C)
-        r = restriction[g]
+    for g, r in zip(n_generators, n_c_generators):  # t_(0, gamma) . diag(I, W|_C)
         rows = on_b + tuple((0,) * b.rank + row for row in r.matrix)
         p = TorsionPoint.over((0,) * b.rank + r.translation.num, r.translation.den)
         lifts.append((g, LatticeElement(rows, p)))
     _check_n_tilde_group(m, lifts, ker_sol.generators)
     wrong = CertificateError(f"restrictions to C are not a group of order {len(n_elements)}")
-    n_c_generators = [restriction[g] for g in n_generators]
     n_c, n_c_tables = bfs_closure(LatticeElement.of(identity_matrix(c.rank)), n_c_generators,
                                   len(n_elements), wrong)
-    if len(n_c) != len(n_elements) or set(n_c) != set(restriction.values()):
+    if len(n_c) != len(n_elements):
         raise wrong
+    if Counter((_trace(r.matrix), r.translation) for r in n_c) != Counter(
+            (_trace(g.matrix) - b.rank, gammas[g.translation]) for g in n_elements):
+        raise CertificateError("restrictions to C do not have the traces and translations "
+                               "of N")
     return len(n_elements) * ker_mu_order, n_c, n_c_generators, n_c_tables
+
+
+def _trace(matrix):
+    return sum(map(getitem, matrix, range(len(matrix))))
 
 
 def _check_n_tilde_group(m, lifts, ker_generators):
@@ -393,14 +379,14 @@ def _fano_part(n_elements, solves, embedding, ambient_rank):
             StageCertificate(len(n_elements), 1, True, True, None))
 
 
-def _decompose_level(elements, generators, tables, n2, solver) -> DecompositionResult:
+def _decompose_level(elements, generators, tables, rep, n2, solver) -> DecompositionResult:
     """Decompose the closed group ``elements`` on Z^n2, the closure of
     ``generators`` with ``ClosureTables`` ``tables``, solving its fixed
     points by the ``FixedPointSolver`` ``solver``: it is quasietale,
     Q-Fano, or split along B x C with N_C the Q-Fano part.  Its divisors
-    are decided once per class of the partition the tables' class walk
-    gives, which is certified first."""
-    divisors = class_divisors(elements, certified_class_rep(elements, tables), solver)
+    are decided once per class of ``rep``, the class partition
+    ``certified_class_rep`` certified on the tables."""
+    divisors = class_divisors(elements, rep, solver)
     ramification = ramification_on_tables(elements, tables, divisors)
     check_normal_on_tables(elements, generators, tables, ramification)
     n_sub, n_generators, members = ramification[:3]
@@ -431,6 +417,6 @@ def _decompose_level(elements, generators, tables, n2, solver) -> DecompositionR
 def decompose(group) -> DecompositionResult:
     """Build the quasietale cover (abelian factor) x (Q-Fano part) for the
     quotient by the closed group, sharing the group's solver, whose entries
-    depend on (W, a) alone."""
-    return _decompose_level(group.elements, group.generators, group.tables,
+    depend on (W, a) alone, and its certified class partition."""
+    return _decompose_level(group.elements, group.generators, group.tables, group.class_rep,
                             group.variety.ambient_rank, group.solver)

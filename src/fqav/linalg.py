@@ -267,26 +267,6 @@ class Lattice:
         """``orthogonal_complement_rows`` of this lattice, computed once."""
         return orthogonal_complement_rows(self)
 
-    @cached_property
-    def pivots(self):
-        """The pivot column of each basis row."""
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
-
-    def coordinates(self, vector):
-        """The integer x with sum x_k basis_k = vector, or None when the
-        vector is not in the lattice.  The basis is in Hermite form, so x_k
-        is read off the k-th pivot once the earlier rows are subtracted."""
-        rest = list(vector)
-        out = []
-        for row, c in zip(self.basis, self.pivots):
-            q, r = divmod(rest[c], row[c])
-            if r:
-                return None
-            if q:
-                rest = [x - q * y for x, y in zip(rest, row)]
-            out.append(q)
-        return None if any(rest) else out
-
 
 def integer_kernel(matrix, cols) -> Lattice:
     """Saturated lattice {x in Z^cols : M x = 0}.

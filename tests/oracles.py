@@ -30,8 +30,12 @@
   holonomies of N.  The runtime saturates the sum of the images of the
   I - W over N's kept generators instead.
 - ``c_restriction_translation``, the gamma with C^T gamma = a on the torus
-  by a Smith form of C^T.  The runtime reads gamma off the splittings of a
-  along B x C, from the Smith form of [B^T C^T].
+  by a Smith form of C^T of its own.  The runtime solves it once per
+  distinct translation of N, off one factorisation of C^T.
+- ``lattice_coordinates``, a vector's integer coordinates on a lattice's
+  Hermite basis, with which the oracles solve W|_C coordinate by
+  coordinate.  The runtime takes W|_C = L W C^T for the holonomies of N's
+  kept generators only, and reads the others off the closure of N_C.
 - ``enumerated_n_tilde``, every lift to B x C of every element of N, one
   per splitting of its translation, and ``generated_group``, the test that
   such a set is a group: it is the closure of some of its elements.  The
@@ -42,7 +46,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from fqav.action import LatticeElement, mat_eq_identity
+from fqav.action import LatticeElement, certified_class_rep, mat_eq_identity
 from fqav.cyclotomic import CycloField, spectrum_mod, split_prime
 from fqav.decompose import (
     DecompositionResult,
@@ -279,7 +283,26 @@ def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:
     """Re-run the decomposition on a Q-Fano stage (idempotence check)."""
     if fano.rank == 0:
         return DecompositionResult((), 0, fano, ())
-    return _decompose_level(*close_with_tables(fano.elements), fano.rank, FixedPointSolver())
+    elements, kept, tables = close_with_tables(fano.elements)
+    return _decompose_level(elements, kept, tables, certified_class_rep(elements, tables),
+                            fano.rank, FixedPointSolver())
+
+
+def lattice_coordinates(lat: Lattice, vector):
+    """The integer x with sum x_k basis_k = vector, or None when the
+    vector is not in the lattice ``lat``.  The basis is in Hermite form, so
+    x_k is read off the k-th pivot once the earlier rows are subtracted."""
+    rest = list(vector)
+    out = []
+    for row in lat.basis:
+        c = next(j for j, x in enumerate(row) if x)  # the row's pivot
+        q, r = divmod(rest[c], row[c])
+        if r:
+            return None
+        if q:
+            rest = [x - q * y for x, y in zip(rest, row)]
+        out.append(q)
+    return None if any(rest) else out
 
 
 def c_restriction_translation(c: Lattice, a: TorsionPoint):
@@ -340,7 +363,7 @@ def enumerated_n_tilde(n_elements, b: Lattice, c: Lattice):
     on_b = tuple(tuple(int(i == j) for j in range(n2)) for i in range(b.rank))
     lifts = {}
     for g in n_elements:
-        w_c = zip(*(c.coordinates(mat_vec(g.matrix, v)) for v in c.basis_rows()))
+        w_c = zip(*(lattice_coordinates(c, mat_vec(g.matrix, v)) for v in c.basis_rows()))
         matrix = on_b + tuple((0,) * b.rank + row for row in w_c)
         lifts[g] = [LatticeElement(matrix, p)
                     for p in solve_factored(factors, g.translation).representatives]

@@ -1,7 +1,7 @@
 """Every cross-check of ``Analysis.classification`` fires, and so do the
 certificate checks of ``ramification_data``, ``irregularity``,
-``invariant_complement``, ``split_action``, the class partition the
-decomposition reads and the decomposition stages.  Each test replaces
+``invariant_complement``, ``split_action``, the class partition every
+command reads and the decomposition stages.  Each test replaces
 one real result upstream of its check, by ``dataclasses.replace`` of a
 record, a shifted value or a changed lattice,
 vector, form or torsion point, so that the checks before it still pass; the command then
@@ -168,6 +168,9 @@ def with_restrictions(change):
     return changed
 
 
+TRACES_AND_TRANSLATIONS = "restrictions to C do not have the traces and translations of N"
+
+
 # the checks of ``split_action``, each given a changed pair (C, index) of
 # ``invariant_complement``, and the stage certificates
 DECOMPOSITION_CHECKS = [
@@ -181,9 +184,9 @@ DECOMPOSITION_CHECKS = [
                  f"element {HALF_TRANSLATION} of N does not restrict to C", id="split"),
     # with the whole lattice as C, index 1, every translation lies in C and
     # [B^T C^T] has Smith divisors 1, so every element restricts, by
-    # W|_C = W; but C holds B, which the restrictions fix
+    # W|_C = W; but C holds B, so tr W|_C = tr W is not tr W - rank B
     pytest.param(GLUE_DOC, "invariant_complement", lambda pair: (Lattice.full(4), 1),
-                 "N_C fixes a vector of C", id="c-membership"),
+                 TRACES_AND_TRANSLATIONS, id="c-membership"),
     # each gamma read with its first coordinate 0, so in the set of the
     # gamma (0, 0) and (0, 1/2), which is not closed: the square of
     # t_(0, 1/2) . diag(i, 1) is t_(1/2, 1/2) . diag(-1, 1).  The product
@@ -204,16 +207,21 @@ DECOMPOSITION_CHECKS = [
                  "complement is not invariant", id="unsaturated"),
     pytest.param(RAMIFIED_CM_DOCS["zeta4^3:C2+t"][0], "invariant_complement",
                  doubled_complement, "complement is not invariant", id="unsaturated-rank-4"),
-    # N_C's closure without its last element, and with that element's
-    # translation shifted: one is short, the other is not the set of the
-    # restrictions
+    # N_C's closure without its last element, with that element's
+    # translation shifted, and with its matrix, of trace 0, replaced by the
+    # identity's: the first is short, the other two have |N| elements but
+    # not N's translations, or not its traces
     pytest.param(EI2_DOC, "bfs_closure", lambda out: (out[0][:-1], out[1]),
                  "restrictions to C are not a group of order 16", id="closure-order"),
     pytest.param(EI2_DOC, "bfs_closure",
                  lambda out: (out[0][:-1] + [LatticeElement(
                      out[0][-1].matrix, out[0][-1].translation + TorsionPoint.over((1, 0), 4))],
                      out[1]),
-                 "restrictions to C are not a group of order 16", id="closure-set"),
+                 TRACES_AND_TRANSLATIONS, id="closure-set"),
+    pytest.param(EI2_DOC, "bfs_closure",
+                 lambda out: (out[0][:-1] + [LatticeElement(
+                     out[0][0].matrix, out[0][-1].translation)], out[1]),
+                 TRACES_AND_TRANSLATIONS, id="closure-matrix"),
     # N replaced by the trivial subgroup, which is normal, but sign-rot4 has
     # divisors outside it
     pytest.param(fixture("sign-rot4"), "ramification_on_tables",
@@ -346,9 +354,13 @@ CLASS_CHECKS = [
 
 @pytest.mark.parametrize("doc, classes, message", CLASS_CHECKS)
 def test_class_check_fires(doc, classes, message, tmp_path, monkeypatch, capsys):
+    # every command that reads the partition reads it certified
     monkeypatch.setattr(ClosureTables, "classes", classes)
-    assert run_decompose(doc, tmp_path, capsys) == (
-        2, ("", f"certificate failure: {message}\n"))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    for command in ("decompose", "ramification", "reidtai"):
+        assert (main([command, str(path)]), capsys.readouterr()) == (
+            2, ("", f"certificate failure: {message}\n")), command
 
 
 def test_finer_partition_prints_the_same_bytes(tmp_path, monkeypatch, capsys):

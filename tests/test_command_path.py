@@ -37,9 +37,9 @@ TEST_ONLY = {
     "cyclotomic": ("kernel_dimension", "eigen_multiplicity", "CycloField"),
 }
 TEST_ONLY_METHODS = ("variety.EndoBlockMatrix.compose", "action.LatticeElement.compose",
-                     "action.AffineAutomorphism.compose", "linalg.Lattice.coordinates")
+                     "action.AffineAutomorphism.compose")
 # runtime code that is now a test-side oracle in ``tests/oracles.py``
-ORACLES = ("fixed_solutions",)
+ORACLES = ("fixed_solutions", "lattice_coordinates")
 
 PACKAGE = [importlib.import_module("fqav")] + [
     importlib.import_module(f"fqav.{path.stem}") for path in MODULES if path.stem != "__init__"]

@@ -6,11 +6,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fqav.action import ClosureTables, LatticeElement, bfs_closure, close_group
+from fqav.action import (
+    ClosureTables,
+    LatticeElement,
+    bfs_closure,
+    certified_class_rep,
+    close_group,
+)
 from fqav.decompose import (
     _check_n_tilde_group,
     _element_inverse,
-    certified_class_rep,
     check_normal,
     check_normal_on_tables,
     class_divisors,
@@ -48,6 +53,7 @@ from oracles import (
     fixed_solutions,
     generated_group,
     ker_mu_generators,
+    lattice_coordinates,
     lattice_poincare_complement,
     union_find_class_rep,
 )
@@ -301,7 +307,7 @@ def oracle_restriction(g, c):
     which must solve C^T gamma = a."""
     gamma = c_restriction_translation(c, g.translation)
     assert gamma is not None
-    w_c = zip(*(c.coordinates(mat_vec(g.matrix, v)) for v in c.basis_rows()))
+    w_c = zip(*(lattice_coordinates(c, mat_vec(g.matrix, v)) for v in c.basis_rows()))
     return LatticeElement.of(w_c, gamma)
 
 
@@ -416,9 +422,10 @@ class TestRestrictionToC:
         assert len(per_stage) > 5 and max(kept for kept, _ in per_stage) > 1
         assert all(calls == 1 for _, calls in per_stage)
 
-    def test_one_solve_per_element_of_n(self, monkeypatch, gallery):
-        # a split solves ker mu and each element of N once, by one C^T
-        # solve, and lists no point of ker mu or of any element's solutions
+    def test_one_solve_per_translation_of_n(self, monkeypatch, gallery):
+        # a split solves ker mu once and each distinct translation of N
+        # once, by one C^T solve, and lists no point of ker mu or of any
+        # solution set
         solves, listed, per_stage = [], [], []
         solve = decompose_module.solve_factored
         representatives = AffineSolutionSet.representatives.func
@@ -434,19 +441,51 @@ class TestRestrictionToC:
         def counted_split(n_elements, *args):
             before = len(solves), len(listed)
             out = split_action(n_elements, *args)
-            per_stage.append((len(n_elements), args[3], len(solves) - before[0],
-                              len(listed) - before[1]))
+            per_stage.append((len(n_elements), len({g.translation for g in n_elements}),
+                              args[3], len(solves) - before[0], len(listed) - before[1]))
             return out
 
         monkeypatch.setattr(decompose_module, "solve_factored", counting_solve)
         monkeypatch.setattr(AffineSolutionSet, "representatives",
                             property(counting_representatives))
         monkeypatch.setattr(decompose_module, "split_action", counted_split)
-        s5 = close_group(*parse_input(json.dumps(symmetric_document(5)))[:2])
-        for group in gallery + nonabelian_groups() + [translated_ei_square(), s5]:
+        groups = gallery + nonabelian_groups() + [translated_ei_square()]
+        groups += [document_group(doc) for doc in (symmetric_document(5), glue_document())]
+        for group in groups:
             decompose(group)
-        assert len(per_stage) > 5 and (120, 25, 121, 0) in per_stage
-        assert all((solved, read) == (order + 1, 0) for order, _, solved, read in per_stage)
+        # S_5 has no translation, and glue-2's N of order 5184 has 2
+        assert len(per_stage) > 5 and (120, 1, 25, 2, 0) in per_stage
+        assert (5184, 2, 4, 3, 0) in per_stage
+        assert all((solved, read) == (translations + 1, 0)
+                   for _, translations, _, solved, read in per_stage)
+
+    @pytest.mark.parametrize("doc, order, products", [
+        (symmetric_document(5), 120, 13), (glue_document(), 5184, 16)])
+    def test_products_per_kept_holonomy(self, doc, order, products, monkeypatch):
+        # a split takes L and, for each distinct holonomy W of N's kept
+        # generators, W C^T, W|_C = L W C^T and C^T W|_C: no product per
+        # element or holonomy of N, whose restrictions the closure of N_C
+        # forms.  S_5's N has 120 holonomies and 4 kept generators; glue-2's
+        # has 2592 holonomies and 6 kept generators with 5 holonomies
+        calls, per_stage = [], []
+        product = decompose_module.mat_mul
+
+        def counting_product(*args):
+            calls.append(args)
+            return product(*args)
+
+        def counted_split(n_elements, n_generators, *args):
+            before = len(calls)
+            out = split_action(n_elements, n_generators, *args)
+            per_stage.append((len(n_elements), len({g.matrix for g in n_generators}),
+                              len(calls) - before))
+            return out
+
+        monkeypatch.setattr(decompose_module, "mat_mul", counting_product)
+        monkeypatch.setattr(decompose_module, "split_action", counted_split)
+        decompose(document_group(doc))
+        ((n_order, kept, made),) = per_stage
+        assert n_order == order and made == 1 + 3 * kept == products
 
 
 def assert_split_then_fano(result):

@@ -9,8 +9,8 @@ are large, and of three of these groups with a translation added (orders
 Three more large groups are pinned by that sha256 alone: E_zeta6^4 by
 ``diag(zeta6, 1, 1, 1)`` and the permutations of S4 (order 31104), and two
 diag-perm groups with a 1/3-translation (orders 34992 and 139968).  So are
-six groups whose decomposition splits: S5, S6 and S7 permuting the factors
-of E^5, E^6 and E^7, two groups of order 5184 and 15552 on E_zeta6^5 whose
+seven groups whose decomposition splits: S5, S6, S7 and S8 permuting the
+factors of E^5 to E^8, two groups of order 5184 and 15552 on E_zeta6^5 whose
 B x C has a ker mu of order 4, and one of order 62208 on E_zeta6^5 whose
 ramification subgroup has index 2.  An optimisation must reproduce these bytes exactly.
 
@@ -191,13 +191,16 @@ def symmetric_document(n):
     """E^n, E one curve without CM, by the transposition of the first two
     factors and the n-cycle sending factor k to factor k + 1: S_n of order
     n!, which splits with B the diagonal, C the sum-zero sublattice and
-    ker mu of order n^2."""
+    ker mu of order n^2; ``group_cap`` is 2000000 from n = 8 on."""
     holonomies = [_permutation([1, 0] + list(range(2, n))),
                   _permutation([(k + 1) % n for k in range(n)])]
-    return {"schema_version": 1,
-            "factors": [{"cm": "generic", "label": "E"}] * n,
-            "generators": [{"holonomy": h, "translation": ["0"] * (2 * n)}
-                           for h in holonomies]}
+    doc = {"schema_version": 1,
+           "factors": [{"cm": "generic", "label": "E"}] * n,
+           "generators": [{"holonomy": h, "translation": ["0"] * (2 * n)}
+                          for h in holonomies]}
+    if n >= 8:
+        doc["options"] = {"group_cap": 2000000}
+    return doc
 
 
 def glue_document(den=2):
@@ -249,6 +252,8 @@ SPLIT = {
                   "9526c788efd316d5bd32e345a697b0a72d70bd2de548167045c453dc4bf019e3"),
     "sym-7-5040": (lambda: symmetric_document(7), 5040, (49, 246960),
                    "eb8ac79df01d36becdb631a4971c62706ad2ca7a12f7832d89cc0e12f7148d24"),
+    "sym-8-40320": (lambda: symmetric_document(8), 40320, (64, 2580480),
+                    "786d265eebc410c31a3d5f1c4d9127f58f961b7c25ae68e9a3f4f952826fe6de"),
     "glue-2-5184": (glue_document, 5184, (4, 20736),
                     "17e8bca5184f7e2ca4d8af1163d81e3e40a75bc72e6a2b55414618bbd5764c94"),
     "glue-6-15552": (lambda: glue_document(6), 15552, (4, 62208),

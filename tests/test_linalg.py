@@ -36,7 +36,13 @@ from fqav.linalg import (
 from fqav.variety import EndoBlockMatrix, subtorus_kappa
 
 from conftest import as_generator, elementary_divisors, generator
-from oracles import determinant, gauss_jordan_rank, saturate, solve_rational
+from oracles import (
+    determinant,
+    gauss_jordan_rank,
+    lattice_coordinates,
+    saturate,
+    solve_rational,
+)
 from test_action import finite_order_holonomies
 
 
@@ -399,7 +405,7 @@ class TestCoordinates:
         else:
             x = None if any(v) else []
         in_lattice = x is not None and all(c.denominator == 1 for c in x)
-        assert lat.coordinates(v) == ([int(c) for c in x] if in_lattice else None)
+        assert lattice_coordinates(lat, v) == ([int(c) for c in x] if in_lattice else None)
 
 
 class TestSaturate:
