@@ -5,17 +5,15 @@ The decomposition runs at the rational-representation level.  The whole
 group is one stage: it is quasietale, Q-Fano, or split along B x C, B the
 lattice fixed by its ramification subgroup N and C the invariant
 complement.  A split leaves N_C, the restriction of N to C, as the Q-Fano
-part, certified on the restrictions of N's kept generators alone.  The
-divisors are decided once per conjugacy class, on a class partition
-certified against the closure tables first.  Analytic data is never
-needed.
+part: the restrictions of N's kept generators and |N|, certified on those
+restrictions alone.  No element of N or of N_C is listed.  The divisors
+are decided once per conjugacy class, on a class partition certified
+against the closure tables first.  Analytic data is never needed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import getitem
 
 from .action import ClosureTables, LatticeElement, bfs_closure
 from .errors import CertificateError
@@ -81,10 +79,12 @@ def class_divisors(elements, rep, solver):
 
 @dataclass(frozen=True)
 class SublatticeAction:
-    """A stage variety: rank-2m lattice with a closed affine group on it and
-    the embedding of its coordinates into the original ambient lattice."""
+    """A stage variety: rank-2m lattice with an affine group on it, given by
+    generators and its order, and the embedding of its coordinates into the
+    original ambient lattice."""
 
-    elements: tuple          # closed LatticeElement group in local coordinates
+    generators: tuple        # LatticeElement generators in local coordinates
+    order: int               # order of the group they generate
     embedding: tuple         # local basis vectors expressed in original coords
     ambient_rank: int        # rank of the original lattice
 
@@ -95,10 +95,6 @@ class SublatticeAction:
     @property
     def dim(self):
         return self.rank // 2
-
-    @property
-    def order(self):
-        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -150,14 +146,13 @@ def _not_normal(s, h, conj):
 
 def ramification_on_tables(elements, tables, divisors):
     """N, generated by the elements numbered ``divisors``, the stage's
-    divisors, its kept generators, the numbers of N and those of the kept
+    divisors: its kept generators, the numbers of N and those of the kept
     generators, on look-ups in the stage's tables, which it cannot leave.
     The divisors are taken in ``sort_key`` order, as
     ``close_elements`` takes generators, and one already in N is skipped;
     each kept one's left multiplications then close N on from the members
-    it has.  N is listed in stage order, which no output reads: a stage
-    reads N's length, the sum over its distinct holonomies and, as a set,
-    its restrictions to C."""
+    it has.  No element of N is listed: a stage reads |N|, N's kept
+    generators and, for the quasietale check, its numbers."""
     kept, numbers, left, members = [], [], [], {0}
     for g in sorted(divisors, key=lambda x: LatticeElement.sort_key(elements[x])):
         if g not in members:
@@ -168,7 +163,7 @@ def ramification_on_tables(elements, tables, divisors):
             while new:  # h . x for each kept h and each x new to N
                 new = {h[x] for h in left for x in new} - members
                 members |= new
-    return [elements[x] for x in sorted(members)], kept, members, numbers
+    return kept, members, numbers
 
 
 def check_normal_on_tables(elements, generators, tables, ramification):
@@ -176,7 +171,7 @@ def check_normal_on_tables(elements, generators, tables, ramification):
     ``elements`` of ``generators``: s h s^-1 is in N iff s h is in N s, and
     s h is s pushed through h's word.  On failure s h s^-1 is the y with
     y s = s h, named in ``check_normal``'s words."""
-    _, kept, members, numbers = ramification
+    kept, members, numbers = ramification
     if not kept:
         return  # the trivial subgroup is normal
     columns = tables.columns
@@ -240,12 +235,11 @@ def invariant_complement(b: Lattice, holonomies, solver):
     return c, index
 
 
-def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order):
-    """Split N = <n_generators> along B x C: the order |N| |ker mu| of
-    N-tilde, the group of lifts of N to B x C, once certified, and the
-    restricted group N_C in C-coordinates with its generators, the
-    restrictions of ``n_generators`` in their order, and the tables of
-    their closure.
+def split_action(n_order, n_generators, b: Lattice, c: Lattice, ker_mu_order):
+    """Split N = <n_generators>, of order ``n_order``, along B x C: the order
+    |N| |ker mu| of N-tilde, the group of lifts of N to B x C, once
+    certified, and the restrictions of ``n_generators`` to C, in their
+    order, which generate N_C, a group of order |N|.
 
     Coordinates on B x C are (beta, gamma) with a = B^T beta + C^T gamma,
     the addition isogeny mu, whose kernel ker mu is read off the Smith form
@@ -255,16 +249,16 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     C^T W|_C = W C^T.  Then the generators keep C, so N does, and
     W -> L W C^T is a homomorphism on N's holonomies.
 
-    Each g = t_a . W in N restricts to r(g) = t_gamma . W|_C on C, gamma
-    the solution of C^T gamma = a (mod Z^N), solved once per distinct a in
-    N and checked by one product: a reflection's a is in (I - W) R^N + Z^N,
-    inside C_R + Z^N, which products keep.  gamma is unique, as C is
-    saturated, so r is a homomorphism, one-to-one as N fixes B and B + C
-    has finite index, and N_C = r(N) is the closure of r(n_generators), of
-    order |N|; no other restriction is formed.  W is the identity on B, so
-    tr W = rank B + tr W|_C: the closure must hold each pair
-    (tr W|_C, gamma) as often as N holds (tr W - rank B, gamma(a)).  g
-    lifts to t_(0, gamma) . diag(I, W|_C).
+    Each generator t_a . W restricts to r = t_gamma . W|_C on C, gamma the
+    solution of C^T gamma = a (mod Z^N), solved once per distinct a of a
+    generator and checked by one product: a reflection's a is in
+    (I - W) R^N + Z^N, inside C_R + Z^N.  Then every element of N
+    restricts, as a = C^T gamma_a and b = C^T gamma_b give
+    a + W b = C^T (gamma_a + W|_C gamma_b).  gamma is unique, as C is
+    saturated, so r is a homomorphism on N, one-to-one as N fixes B and
+    B + C has finite index: N_C = r(N) has order |N|, and no restriction
+    of an element that is not a generator is formed.  g lifts to
+    t_(0, gamma) . diag(I, W|_C).
     """
     n2 = b.ambient_rank
     bt = mat_transpose(b.basis_rows())
@@ -274,18 +268,18 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
     if not ker_sol.nonempty or ker_sol.component_count != ker_mu_order:
         raise CertificateError("kernel of the addition isogeny has wrong order")
 
-    # one factorisation of C^T serves every translation of N
+    # one factorisation of C^T serves every translation of a generator
     c_factors = factor_affine(ct, c.rank)
     u, _, v, _ = c_factors
     left = mat_mul(v, u[:c.rank])
-    gammas = {}  # each distinct translation a of N -> gamma
-    for a in dict.fromkeys(g.translation for g in n_elements):
-        sol = solve_factored(c_factors, a)
-        gamma = sol.particular if sol.nonempty else None
-        if gamma is None or gamma.apply_matrix(ct) != a:
-            g = next(g for g in n_elements if g.translation == a)
-            raise CertificateError(f"element {g} of N does not restrict to C")
-        gammas[a] = gamma
+    gammas = {}  # each distinct translation a of a generator -> gamma
+    for g in n_generators:
+        if g.translation not in gammas:
+            sol = solve_factored(c_factors, g.translation)
+            gamma = sol.particular if sol.nonempty else None
+            if gamma is None or gamma.apply_matrix(ct) != g.translation:
+                raise CertificateError(f"kept generator {g} of N does not restrict to C")
+            gammas[g.translation] = gamma
     restricted = {}  # each distinct holonomy W of a generator -> W|_C
     for w in dict.fromkeys(g.matrix for g in n_generators):
         w_ct = mat_mul(w, ct)
@@ -302,20 +296,7 @@ def split_action(n_elements, n_generators, b: Lattice, c: Lattice, ker_mu_order)
         p = TorsionPoint.over((0,) * b.rank + r.translation.num, r.translation.den)
         lifts.append((g, LatticeElement(rows, p)))
     _check_n_tilde_group(m, lifts, ker_sol.generators)
-    wrong = CertificateError(f"restrictions to C are not a group of order {len(n_elements)}")
-    n_c, n_c_tables = bfs_closure(LatticeElement.of(identity_matrix(c.rank)), n_c_generators,
-                                  len(n_elements), wrong)
-    if len(n_c) != len(n_elements):
-        raise wrong
-    if Counter((_trace(r.matrix), r.translation) for r in n_c) != Counter(
-            (_trace(g.matrix) - b.rank, gammas[g.translation]) for g in n_elements):
-        raise CertificateError("restrictions to C do not have the traces and translations "
-                               "of N")
-    return len(n_elements) * ker_mu_order, n_c, n_c_generators, n_c_tables
-
-
-def _trace(matrix):
-    return sum(map(getitem, matrix, range(len(matrix))))
+    return n_order * ker_mu_order, n_c_generators
 
 
 def _check_n_tilde_group(m, lifts, ker_generators):
@@ -327,13 +308,14 @@ def _check_n_tilde_group(m, lifts, ker_generators):
     ``ker_generators``.
 
     The lifts of g, the maps t with mu . t = g . mu, are the
-    t_(p + k) . diag(I, W|_C), k in ker mu.  With every element restricted
-    to C, ker mu of the order given and C^T W|_C = W C^T, as the split
-    certified, the lifts of N are |N| |ker mu| maps, closed under
-    products.  Then these checks put N-tilde inside them; it maps onto N,
-    and onto 1 exactly on the ker mu translations, so it has |N| |ker mu|
-    elements and is all the lifts: the certificate of closing N-tilde and
-    comparing it with every splitting of every element of N."""
+    t_(p + k) . diag(I, W|_C), k in ker mu.  With every element of N
+    restricted to C, as its generators are, ker mu of the order given and
+    C^T W|_C = W C^T, as the split certified, the lifts of N are
+    |N| |ker mu| maps, closed under products.  Then these checks put
+    N-tilde inside them; it maps onto N, and onto 1 exactly on the ker mu
+    translations, so it has |N| |ker mu| elements and is all the lifts: the
+    certificate of closing N-tilde and comparing it with every splitting
+    of every element of N."""
     prefix = "N-tilde is not an extension of N by ker mu: "
     for g, lift in lifts:
         if lift.translation.apply_matrix(m) != g.translation:
@@ -352,9 +334,9 @@ def _divisors_after_split(n_c_generators, rank, solver):
     """The fixed-locus solves of the restrictions of N's kept generators to
     C, of rank ``rank``: each must have a nonempty fixed locus with
     rank(I - W) <= 2, read off the Smith divisors of its solve, and they
-    must fix no vector of C.  The split certified that they generate N_C
-    and that none is the identity, so N_C is its own ramification subgroup
-    with B = 0."""
+    must fix no vector of C.  The split certified that they generate N_C,
+    isomorphic to N, so none is the identity, and N_C is its own
+    ramification subgroup with B = 0."""
     solves = []
     for r in n_c_generators:
         sol = element_fixed_solution(r, solver)
@@ -367,16 +349,16 @@ def _divisors_after_split(n_c_generators, rank, solver):
     return solves
 
 
-def _fano_part(n_elements, solves, embedding, ambient_rank):
-    """The Q-Fano part, N = ``n_elements`` on the lattice with basis
-    ``embedding``, and its stage, once the fixed-locus ``solves`` of N's
-    kept generators pass the kappa certificate: their divisor lattices
-    meet in Fix(N), as do those of every divisor of N."""
+def _fano_part(n_generators, n_order, solves, embedding, ambient_rank):
+    """The Q-Fano part, N = <``n_generators``> of order ``n_order`` on the
+    lattice with basis ``embedding``, and its stage, once the fixed-locus
+    ``solves`` of N's kept generators pass the kappa certificate: their
+    divisor lattices meet in Fix(N), as do those of every divisor of N."""
     n2 = len(embedding)
     if lattice_kappa(solves, n2) != n2 // 2:
         raise CertificateError("final part fails the Q-Fano kappa certificate")
-    return (SublatticeAction(tuple(n_elements), embedding, ambient_rank),
-            StageCertificate(len(n_elements), 1, True, True, None))
+    return (SublatticeAction(tuple(n_generators), n_order, embedding, ambient_rank),
+            StageCertificate(n_order, 1, True, True, None))
 
 
 def _decompose_level(elements, generators, tables, rep, n2, solver) -> DecompositionResult:
@@ -389,28 +371,31 @@ def _decompose_level(elements, generators, tables, rep, n2, solver) -> Decomposi
     divisors = class_divisors(elements, rep, solver)
     ramification = ramification_on_tables(elements, tables, divisors)
     check_normal_on_tables(elements, generators, tables, ramification)
-    n_sub, n_generators, members = ramification[:3]
+    n_generators, members, _ = ramification
     if not lattice_quasietale_outside(members, divisors):
         raise CertificateError("quotient by the ramification subgroup is not quasietale")
 
-    if len(n_sub) == 1:
-        # quasietale case: the whole variety is abelian
+    n_order = len(members)
+    if n_order == 1:
+        # quasietale case: the whole variety is abelian; the empty part's
+        # order is printed as 0
         return DecompositionResult((Lattice.full(n2),) if n2 else (), n2 // 2,
-                                   SublatticeAction((), (), n2), ())
+                                   SublatticeAction((), 0, (), n2), ())
 
     # a vector fixed by the generators of N is fixed by N
     holonomies = list(dict.fromkeys(e.matrix for e in n_generators))
     b = fixed_lattice(holonomies, n2)
     if b.rank == 0:
         solves = [element_fixed_solution(g, solver) for g in n_generators]
-        fano, stage = _fano_part(n_sub, solves, tuple(map(tuple, identity_matrix(n2))), n2)
+        fano, stage = _fano_part(n_generators, n_order, solves,
+                                 tuple(map(tuple, identity_matrix(n2))), n2)
         return DecompositionResult((), 0, fano, (stage,))
 
     c, ker_mu = invariant_complement(b, holonomies, solver)
-    n_tilde_order, n_c, n_c_generators, _ = split_action(n_sub, n_generators, b, c, ker_mu)
-    fano, stage = _fano_part(n_c, _divisors_after_split(n_c_generators, c.rank, solver),
-                             c.basis, n2)
-    split = StageCertificate(len(n_sub), ker_mu, True, None, n_tilde_order)
+    n_tilde_order, n_c_generators = split_action(n_order, n_generators, b, c, ker_mu)
+    fano, stage = _fano_part(n_c_generators, n_order,
+                             _divisors_after_split(n_c_generators, c.rank, solver), c.basis, n2)
+    split = StageCertificate(n_order, ker_mu, True, None, n_tilde_order)
     return DecompositionResult((b,), b.rank // 2, fano, (split, stage))
 
 

@@ -23,19 +23,22 @@
   a certified partition, and reads kappa off the solves of N's kept
   generators.
 - ``saturate``, the saturation of a lattice, which no command takes.
-- ``decompose_fano_part``, the decomposition re-run on a Q-Fano stage with
-  a solver of its own, the idempotence check of the decomposition.
+- ``fano_elements``, the closure of the generators of a Q-Fano part, and
+  ``decompose_fano_part``, the decomposition re-run on it with a solver of
+  its own, the idempotence check of the decomposition.  The runtime lists
+  no element of the Q-Fano part: it holds its generators and its order.
 - ``lattice_poincare_complement``, the complement of B orthogonal for the
   product polarization ``standard_symplectic_form`` averaged over the
   holonomies of N.  The runtime saturates the sum of the images of the
   I - W over N's kept generators instead.
 - ``c_restriction_translation``, the gamma with C^T gamma = a on the torus
   by a Smith form of C^T of its own.  The runtime solves it once per
-  distinct translation of N, off one factorisation of C^T.
+  distinct translation of N's kept generators, off one factorisation of
+  C^T, and restricts no other element.
 - ``lattice_coordinates``, a vector's integer coordinates on a lattice's
   Hermite basis, with which the oracles solve W|_C coordinate by
   coordinate.  The runtime takes W|_C = L W C^T for the holonomies of N's
-  kept generators only, and reads the others off the closure of N_C.
+  kept generators only.
 - ``enumerated_n_tilde``, every lift to B x C of every element of N, one
   per splitting of its translation, and ``generated_group``, the test that
   such a set is a group: it is the closure of some of its elements.  The
@@ -279,11 +282,17 @@ def saturate(lat: Lattice) -> Lattice:
     return integer_kernel(orthogonal_complement_rows(lat), lat.ambient_rank)
 
 
+def fano_elements(fano: SublatticeAction):
+    """The closure of the generators of a nonempty Q-Fano part, the
+    generators it kept, and its tables."""
+    return close_with_tables(fano.generators)
+
+
 def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:
     """Re-run the decomposition on a Q-Fano stage (idempotence check)."""
     if fano.rank == 0:
         return DecompositionResult((), 0, fano, ())
-    elements, kept, tables = close_with_tables(fano.elements)
+    elements, kept, tables = fano_elements(fano)
     return _decompose_level(elements, kept, tables, certified_class_rep(elements, tables),
                             fano.rank, FixedPointSolver())
 

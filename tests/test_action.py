@@ -802,8 +802,8 @@ class TestSlottedRecord:
     def test_decomposition_stage(self, sign_rot4_group):
         fano = decompose(sign_rot4_group).fano_part
         assert fano.order == 2
-        assert all(type(x) is LatticeElement for x in fano.elements)
-        assert_slotted_records(fano.elements)
+        assert all(type(x) is LatticeElement for x in fano.generators)
+        assert_slotted_records(fano.generators)
 
     def test_parsed_generators(self):
         for name in FIXTURES:

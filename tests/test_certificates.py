@@ -124,10 +124,23 @@ GLUE_DOC = {"factors": [{"cm": "generic"}] * 2,
             "generators": [{"holonomy": [[[0, 0], [-1, 0]], [[-1, 0], [0, 0]]],
                             "translation": ["1/3", "0", "1/3", "0"]}]}
 
-# an element t_a . W of EI2_DOC with W = I and a = (1/2, 0, 0, 0), the
-# first of N whose gamma has a nonzero first coordinate
+# an element t_a . W of EI2_DOC with W = I and a = (1/2, 0, 0, 0)
 HALF_TRANSLATION = ("x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] x "
                     "+ [1/2, 0, 0, 0]")
+
+
+def ei2_element(matrix, translation):
+    return f"x -> {matrix} x + [{translation}, 0, 0]"
+
+
+def not_restricted(translation):
+    """The failure of C^T gamma = a on the kept generator of N on EI2_DOC
+    with holonomy diag(-1, 1) and first-factor translation ``translation``.
+    N's kept generators are diag(-1, 1) untranslated, translated by
+    (0, 1/2) and by (1/2, 0), and diag(i, 1), in this order."""
+    minus_first = "[[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+    return (f"kept generator {ei2_element(minus_first, translation)} of N does not "
+            "restrict to C")
 
 
 class ChangedGamma:
@@ -163,12 +176,9 @@ def with_restrictions(change):
     """``split_action``'s result with the restrictions of N's kept
     generators, N_C's generators, changed."""
     def changed(result):
-        n_tilde_order, n_c, n_c_generators, tables = result
-        return n_tilde_order, n_c, change(n_c_generators), tables
+        n_tilde_order, n_c_generators = result
+        return n_tilde_order, change(n_c_generators)
     return changed
-
-
-TRACES_AND_TRANSLATIONS = "restrictions to C do not have the traces and translations of N"
 
 
 # the checks of ``split_action``, each given a changed pair (C, index) of
@@ -177,29 +187,30 @@ DECOMPOSITION_CHECKS = [
     pytest.param(EI2_DOC, "invariant_complement", lambda pair: (pair[0], 2 * pair[1]),
                  "kernel of the addition isogeny has wrong order", id="kernel-order"),
     # with B in place of C, [B^T B^T] has Smith divisors 1, so ker mu has
-    # order 1, but the translation by (1/2, 0) is not in the B-subtorus:
-    # C^T gamma = a has no solution
+    # order 1, but the translation by (0, 1/2) of the second kept generator
+    # is not in the B-subtorus: C^T gamma = a has no solution
     pytest.param(EI2_DOC, "invariant_complement",
                  lambda pair: (Lattice.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]]), 1),
-                 f"element {HALF_TRANSLATION} of N does not restrict to C", id="split"),
+                 not_restricted("0, 1/2"), id="split"),
     # with the whole lattice as C, index 1, every translation lies in C and
     # [B^T C^T] has Smith divisors 1, so every element restricts, by
-    # W|_C = W; but C holds B, so tr W|_C = tr W is not tr W - rank B
+    # W|_C = W; but C holds B, which -swap fixes
     pytest.param(GLUE_DOC, "invariant_complement", lambda pair: (Lattice.full(4), 1),
-                 TRACES_AND_TRANSLATIONS, id="c-membership"),
+                 "N_C fixes a vector of C", id="c-membership"),
     # each gamma read with its first coordinate 0, so in the set of the
     # gamma (0, 0) and (0, 1/2), which is not closed: the square of
     # t_(0, 1/2) . diag(i, 1) is t_(1/2, 1/2) . diag(-1, 1).  The product
-    # C^T gamma = a fails on the first element of N whose gamma is moved
+    # C^T gamma = a fails on the first kept generator whose gamma is moved,
+    # the one translated by (1/2, 0)
     pytest.param(EI2_DOC, "solve_factored",
                  with_gammas(lambda gamma: TorsionPoint.over((0,) + gamma.num[1:], gamma.den)),
-                 f"element {HALF_TRANSLATION} of N does not restrict to C", id="dropped-set"),
+                 not_restricted("1/2, 0"), id="dropped-set"),
     # each gamma read as (gamma_2, gamma_2), so in the subgroup of the 8
-    # elements with gamma (0, 0) or (1/2, 1/2)
+    # elements with gamma (0, 0) or (1/2, 1/2): the kept generator
+    # translated by (0, 1/2) is read with gamma (1/2, 1/2)
     pytest.param(EI2_DOC, "solve_factored",
                  with_gammas(lambda gamma: TorsionPoint.over(gamma.num[1:] * 2, gamma.den)),
-                 f"element {HALF_TRANSLATION} of N does not restrict to C",
-                 id="dropped-subgroup"),
+                 not_restricted("0, 1/2"), id="dropped-subgroup"),
     # 2C, which is not saturated, in place of C: every C^T gamma = a still
     # holds for the gamma read, but L = V U[:rank C] is 2 C^T's left inverse
     # times 4, so L W C^T is twice W|_C
@@ -207,25 +218,10 @@ DECOMPOSITION_CHECKS = [
                  "complement is not invariant", id="unsaturated"),
     pytest.param(RAMIFIED_CM_DOCS["zeta4^3:C2+t"][0], "invariant_complement",
                  doubled_complement, "complement is not invariant", id="unsaturated-rank-4"),
-    # N_C's closure without its last element, with that element's
-    # translation shifted, and with its matrix, of trace 0, replaced by the
-    # identity's: the first is short, the other two have |N| elements but
-    # not N's translations, or not its traces
-    pytest.param(EI2_DOC, "bfs_closure", lambda out: (out[0][:-1], out[1]),
-                 "restrictions to C are not a group of order 16", id="closure-order"),
-    pytest.param(EI2_DOC, "bfs_closure",
-                 lambda out: (out[0][:-1] + [LatticeElement(
-                     out[0][-1].matrix, out[0][-1].translation + TorsionPoint.over((1, 0), 4))],
-                     out[1]),
-                 TRACES_AND_TRANSLATIONS, id="closure-set"),
-    pytest.param(EI2_DOC, "bfs_closure",
-                 lambda out: (out[0][:-1] + [LatticeElement(
-                     out[0][0].matrix, out[0][-1].translation)], out[1]),
-                 TRACES_AND_TRANSLATIONS, id="closure-matrix"),
     # N replaced by the trivial subgroup, which is normal, but sign-rot4 has
     # divisors outside it
     pytest.param(fixture("sign-rot4"), "ramification_on_tables",
-                 lambda ramification: ([ramification[0][0]], [], {0}, []),
+                 lambda ramification: ([], {0}, []),
                  "quotient by the ramification subgroup is not quasietale", id="quasietale"),
     # p1-from-ei is Q-Fano of dimension 1, and its kappa is shifted to 0
     pytest.param(fixture("p1-from-ei"), "subtorus_kappa", lambda kappa: kappa - 1,
@@ -265,33 +261,24 @@ def test_decomposition_check_fires(doc, name, change, message, tmp_path, monkeyp
         2, ("", f"certificate failure: {message}\n"))
 
 
-HALF_HALF = TorsionPoint.over((1, 1), 2)
-
-# the per-element check C^T gamma = a of ``split_action`` on EI2_DOC, of
-# order 16, given a changed gamma for some restrictions to C
+# the check C^T gamma = a of ``split_action`` on the translations of the
+# four kept generators of N on EI2_DOC, given a changed gamma for each
 RESTRICTION_CHECKS = [
-    # every gamma read as 0: the restrictions are the 4 matrices diag(i^k),
-    # a group, but of order 4
-    pytest.param(lambda gamma: TorsionPoint.zero(2), HALF_TRANSLATION, id="lost-gamma"),
-    # every gamma shifted by (1/4, 0): the restriction of the identity is
-    # not, and the closure would outgrow N
-    pytest.param(lambda gamma: gamma + TorsionPoint.over((1, 0), 4),
-                 "x -> [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] x + [0, 0, 0, 0]",
+    # every gamma read as 0: the restrictions would generate the 4 matrices
+    # diag(i^k), a group, but of order 4; the first translated kept
+    # generator fails
+    pytest.param(lambda gamma: TorsionPoint.zero(2), "0, 1/2", id="lost-gamma"),
+    # every gamma shifted by (1/4, 0): the untranslated kept generator's
+    # restriction is not, and the restrictions would generate more than N
+    pytest.param(lambda gamma: gamma + TorsionPoint.over((1, 0), 4), "0, 0",
                  id="shifted-gamma"),
-    # gamma (1/2, 1/2), which no kept generator's restriction has, read as 0:
-    # the kept restrictions would close to the true N_C, of order 16, and
-    # the restrictions of the 4 elements with that gamma lie outside it
-    pytest.param(lambda gamma: TorsionPoint.zero(2) if gamma == HALF_HALF else gamma,
-                 "x -> [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] x "
-                 "+ [1/2, 1/2, 0, 0]", id="moved-gamma"),
 ]
 
 
-@pytest.mark.parametrize("change, witness", RESTRICTION_CHECKS)
-def test_restriction_check_fires(change, witness, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("change, translation", RESTRICTION_CHECKS)
+def test_restriction_check_fires(change, translation, tmp_path, monkeypatch, capsys):
     test_decomposition_check_fires(EI2_DOC, "solve_factored", with_gammas(change),
-                                   f"element {witness} of N does not restrict to C",
-                                   tmp_path, monkeypatch, capsys)
+                                   not_restricted(translation), tmp_path, monkeypatch, capsys)
 
 
 # the class walk itself, which ``ClosureTables.classes`` caches
@@ -314,9 +301,6 @@ def with_records(**changes):
 def not_conjugate(v, first):
     return f"class walk does not conjugate {v} to {first}, the first element of its class"
 
-
-def ei2_element(matrix, translation):
-    return f"x -> {matrix} x + [{translation}, 0, 0]"
 
 
 # sign-rot4 is cyclic of order 4, so each element is its own class

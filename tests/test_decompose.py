@@ -2,12 +2,12 @@ import importlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fqav.action import (
-    ClosureTables,
     LatticeElement,
     bfs_closure,
     certified_class_rep,
@@ -29,7 +29,7 @@ from fqav.decompose import (
     split_action,
 )
 from fqav import action, linalg
-from fqav.cli import parse_input
+from fqav.cli import build_report, parse_input
 from fqav.errors import CertificateError, InputError
 from fqav.linalg import (
     AffineSolutionSet,
@@ -50,6 +50,7 @@ from oracles import (
     c_restriction_translation,
     decompose_fano_part,
     enumerated_n_tilde,
+    fano_elements,
     fixed_solutions,
     generated_group,
     ker_mu_generators,
@@ -65,11 +66,12 @@ from test_action import (
     nonabelian_groups,
     small_groups,
 )
-from test_cli import RAMIFIED_CM_DOCS
+from test_cli import RAMIFIED_CM_DOCS, count_calls
 from test_golden import (
     SPLIT,
     diag_perm_document,
     glue_document,
+    s4_split_document,
     sl_diag_document,
     symmetric_document,
     translated_sl_diag_document,
@@ -92,12 +94,19 @@ def fixed_dim(e):
     return element_fixed_solution(e, FixedPointSolver()).dim
 
 
+def n_listed(elements, ramification):
+    """N in stage order: the elements numbered by the members of a
+    ``ramification_on_tables`` result, which lists none of them."""
+    return [elements[x] for x in sorted(ramification[1])]
+
+
 def stage_ramification(elements):
     """N of the closed group ``elements`` and the generators its closure
     kept, on the tables of the closure of ``elements``."""
     closed, _, tables = close_with_tables(elements)
-    return ramification_on_tables(closed, tables,
-                                  fixed_solutions(closed, FixedPointSolver()))[:2]
+    ramification = ramification_on_tables(closed, tables,
+                                          fixed_solutions(closed, FixedPointSolver()))
+    return n_listed(closed, ramification), ramification[0]
 
 
 def invariant_torus(subgroup):
@@ -190,7 +199,7 @@ class TestDecompose:
 
     def test_fano_part_is_minus_one(self, sign_rot4_group):
         result = decompose(sign_rot4_group)
-        mats = sorted(e.matrix for e in result.fano_part.elements)
+        mats = sorted(e.matrix for e in fano_elements(result.fano_part)[0])
         assert mats == [((-1, 0), (0, -1)), ((1, 0), (0, 1))]
         # embedded in the second factor of the original lattice
         embedding = [list(v) for v in result.fano_part.embedding]
@@ -249,16 +258,17 @@ def glue_split():
     sub, kept = stage_ramification(els)
     b = invariant_torus(sub)
     c, ker_mu = lattice_poincare_complement(b, [x.matrix for x in sub])
-    return sub, kept, b, c, ker_mu
+    return len(sub), kept, b, c, ker_mu
 
 
 class TestSplitWithTorsionGlue:
     def test_diagonal_antidiagonal_kernel(self):
-        sub, kept, b, c, ker_mu = glue_split()
-        assert len(sub) == 2 and len(kept) == 1
+        n_order, kept, b, c, ker_mu = glue_split()
+        sub = close_elements(kept)[0]
+        assert n_order == len(sub) == 2 and len(kept) == 1
         assert b == Lattice.from_vectors(4, [[1, 0, -1, 0], [0, 1, 0, -1]])
         assert ker_mu == 4
-        n_tilde_order, n_c, n_c_kept, n_c_tables = split_action(sub, kept, b, c, ker_mu)
+        n_tilde_order, n_c_kept = split_action(n_order, kept, b, c, ker_mu)
         assert n_tilde_order == 2 * 4
         lifts = assert_enumerated_n_tilde(sub, kept, b, c, n_tilde_order)
         # the lifts of the identity are the 4 translations by ker mu
@@ -266,13 +276,14 @@ class TestSplitWithTorsionGlue:
         (one,) = [g for g in sub if g.is_identity()]
         assert [t.matrix for t in lifts[one]] == [tuple(map(tuple, ident))] * 4
         assert len({t.translation for t in lifts[one]}) == 4
-        assert len(n_c) == 2 and len(n_c_kept) == 1
-        # the tables of the closure of the kept generator number N_C
-        assert n_c_tables == ClosureTables([[1, 0]], [-1, 0], [-1, 0])
+        # the restriction of the kept generator is -1 on C, and closes to
+        # N_C of order 2
+        assert n_c_kept == [LatticeElement.of([[-1, 0], [0, -1]])]
+        assert len(close_elements(n_c_kept)[0]) == 2
         # the first factor is a complement of B that the swap does not keep
         first = Lattice.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
         with pytest.raises(CertificateError, match="complement is not invariant"):
-            split_action(sub, kept, b, first, 1)
+            split_action(n_order, kept, b, first, 1)
 
 
 def translated_ei_square():
@@ -330,26 +341,40 @@ def assert_enumerated_n_tilde(n_elements, n_generators, b, c, n_tilde_order):
     return lifts
 
 
+def trace(matrix):
+    return sum(matrix[i][i] for i in range(len(matrix)))
+
+
 def assert_split_matches_oracles(calls):
-    """At each split stage, C and the index of B + C are those of the
-    polarization averaged over every holonomy of N, N-tilde passes the
-    enumerating check with |N| |ker mu| elements, every element restricts
-    to C, its a solved by the Smith form of C^T, and N_C is the set of the
-    |N| restrictions t_gamma . W|_C, gamma that solve and W|_C the
-    coordinate solve of W C^T on the C basis, which is also the C block of
-    each enumerated lift of t_a . W; the number of stages with some
+    """At each split stage, N, enumerated as the closure of its kept
+    generators, has the order given; C and the index of B + C are those of
+    the polarization averaged over every holonomy of N, N-tilde passes the
+    enumerating check with |N| |ker mu| elements, and every element of N
+    restricts to C, its a solved by the Smith form of C^T, to
+    t_gamma . W|_C, W|_C the coordinate solve of W C^T on the C basis,
+    which is also the C block of each enumerated lift of t_a . W.  The
+    split's restrictions are those of N's kept generators, and their
+    closure N_C has |N| elements: the set of all the restrictions, with
+    the pair (tr W|_C, gamma) as often as N holds (tr W - rank B, gamma),
+    as W is the identity on B.  The number of stages with some
     gamma != 0."""
     nonzero = 0
-    for (n_elements, n_generators, b, c, ker_mu), (n_tilde_order, n_c, *_) in calls:
+    for (n_order, n_generators, b, c, ker_mu), (n_tilde_order, n_c_generators) in calls:
+        n_elements = close_elements(n_generators)[0]
+        assert len(n_elements) == n_order
         holonomies = list(dict.fromkeys(g.matrix for g in n_elements))
         assert lattice_poincare_complement(b, holonomies) == (c, ker_mu)
-        assert n_tilde_order == len(n_elements) * ker_mu
+        assert n_tilde_order == n_order * ker_mu
         lifts = assert_enumerated_n_tilde(n_elements, n_generators, b, c, n_tilde_order)
-        assert len(n_c) == len(n_elements)
-        assert set(n_c) == {oracle_restriction(g, c) for g in n_elements}
-        for g in n_elements:
-            w_c = oracle_restriction(g, c).matrix
-            assert {tuple(row[b.rank:] for row in t.matrix[b.rank:]) for t in lifts[g]} == {w_c}
+        assert n_c_generators == [oracle_restriction(g, c) for g in n_generators]
+        restrictions = [oracle_restriction(g, c) for g in n_elements]
+        n_c = close_elements(n_c_generators)[0]
+        assert len(n_c) == n_order and set(n_c) == set(restrictions)
+        assert Counter((trace(r.matrix), r.translation) for r in n_c) == Counter(
+            (trace(g.matrix) - b.rank, r.translation) for g, r in zip(n_elements, restrictions))
+        for g, r in zip(n_elements, restrictions):
+            assert {tuple(row[b.rank:] for row in t.matrix[b.rank:]) for t in lifts[g]} == \
+                {r.matrix}
         nonzero += any(not e.translation.is_zero() for e in n_c)
     return nonzero
 
@@ -366,7 +391,7 @@ class TestRestrictionToC:
         assert len(calls) > 5
         # some stage has non-symmetric holonomies, and some C is not a sum
         # of coordinate factors
-        assert any(any(w != tuple(zip(*w)) for w in {g.matrix for g in args[0]})
+        assert any(any(w != tuple(zip(*w)) for w in {g.matrix for g in close_elements(args[1])[0]})
                    for args, _ in calls)
         assert any(any(sum(map(bool, row)) > 1 for row in args[3].basis) for args, _ in calls)
         assert assert_split_matches_oracles(calls)
@@ -378,54 +403,59 @@ class TestRestrictionToC:
             assert_split_matches_oracles(recorded_splits(patch, [group]))
 
     def test_next_stage_generators(self, monkeypatch, gallery):
-        # N_C, the Q-Fano part after a split, is generated by the
-        # restrictions of N's kept generators, in their order, and its
-        # tables are those of their closure
+        # N_C, the Q-Fano part after a split, is held as the restrictions of
+        # N's kept generators, in their order, and |N|
         splits, recorded = [], []
 
-        def recording_split(n_elements, n_generators, b, c, ker_mu):
-            out = split_action(n_elements, n_generators, b, c, ker_mu)
-            splits.append(([oracle_restriction(g, c) for g in n_generators], out))
+        def recording_split(n_order, n_generators, b, c, ker_mu):
+            out = split_action(n_order, n_generators, b, c, ker_mu)
+            splits.append(([oracle_restriction(g, c) for g in n_generators], n_order, out))
             return out
 
         monkeypatch.setattr(decompose_module, "split_action", recording_split)
         for group in gallery + nonabelian_groups() + [translated_ei_square()]:
             del splits[:]
             result = decompose(group)
-            for want, (_, n_c, n_c_generators, n_c_tables) in splits:
+            for want, n_order, (_, n_c_generators) in splits:
                 assert n_c_generators == want
-                assert result.fano_part.elements == tuple(n_c)
-                assert_tables(n_c, n_c_generators, n_c_tables)
-            recorded.extend(want for want, _ in splits)
+                assert result.fano_part.generators == tuple(want)
+                assert result.fano_part.order == n_order == len(close_elements(want)[0])
+            recorded.extend(want for want, _, _ in splits)
         assert len(recorded) > 5 and max(map(len, recorded)) > 1
 
-    def test_one_closure_per_split_stage(self, monkeypatch, gallery):
-        # one closure, for N_C, whatever the number of N's kept generators:
-        # N-tilde is certified from its generators and not closed
-        closures, per_stage = [], []
-        closure = decompose_module.bfs_closure
+    def test_no_closure_per_split_stage(self, monkeypatch, gallery):
+        # a split closes neither N_C nor N-tilde, whatever the number of N's
+        # kept generators: N-tilde is certified from its generators, and
+        # |N_C| = |N| by the restriction being a one-to-one homomorphism
+        closures, per_stage = Counter(), []
 
-        def counting_closure(*args):
-            closures.append(args)
-            return closure(*args)
-
-        def counted_split(n_elements, n_generators, *args):
-            before = len(closures)
-            out = split_action(n_elements, n_generators, *args)
-            per_stage.append((len(n_generators), len(closures) - before))
+        def counted_split(n_order, n_generators, *args):
+            before = closures["bfs_closure"]
+            out = split_action(n_order, n_generators, *args)
+            per_stage.append((len(n_generators), closures["bfs_closure"] - before))
             return out
 
-        monkeypatch.setattr(decompose_module, "bfs_closure", counting_closure)
+        count_calls(monkeypatch, "bfs_closure", closures)
         monkeypatch.setattr(decompose_module, "split_action", counted_split)
         for group in gallery + nonabelian_groups() + [translated_ei_square()]:
             decompose(group)
         assert len(per_stage) > 5 and max(kept for kept, _ in per_stage) > 1
-        assert all(calls == 1 for _, calls in per_stage)
+        assert all(calls == 0 for _, calls in per_stage)
+
+    @pytest.mark.parametrize("doc", [s4_split_document(), symmetric_document(8)],
+                             ids=["s4-split", "sym-8"])
+    def test_report_closes_only_g(self, doc, monkeypatch):
+        # a report on a split input makes one closure, that of G
+        closures, splits = Counter(), []
+        count_calls(monkeypatch, "bfs_closure", closures)
+        count_calls(monkeypatch, "split_action", Counter(), splits)
+        build_report(*parse_input(json.dumps(doc)), "report")
+        assert len(splits) == 1 and closures["bfs_closure"] == 1
 
     def test_one_solve_per_translation_of_n(self, monkeypatch, gallery):
-        # a split solves ker mu once and each distinct translation of N
-        # once, by one C^T solve, and lists no point of ker mu or of any
-        # solution set
+        # a split solves ker mu once and each distinct translation of N's
+        # kept generators once, by one C^T solve, and lists no point of
+        # ker mu or of any solution set
         solves, listed, per_stage = [], [], []
         solve = decompose_module.solve_factored
         representatives = AffineSolutionSet.representatives.func
@@ -438,11 +468,11 @@ class TestRestrictionToC:
             listed.append(sol)
             return representatives(sol)
 
-        def counted_split(n_elements, *args):
+        def counted_split(n_order, n_generators, *args):
             before = len(solves), len(listed)
-            out = split_action(n_elements, *args)
-            per_stage.append((len(n_elements), len({g.translation for g in n_elements}),
-                              args[3], len(solves) - before[0], len(listed) - before[1]))
+            out = split_action(n_order, n_generators, *args)
+            per_stage.append((n_order, len({g.translation for g in n_generators}),
+                              args[2], len(solves) - before[0], len(listed) - before[1]))
             return out
 
         monkeypatch.setattr(decompose_module, "solve_factored", counting_solve)
@@ -464,9 +494,9 @@ class TestRestrictionToC:
     def test_products_per_kept_holonomy(self, doc, order, products, monkeypatch):
         # a split takes L and, for each distinct holonomy W of N's kept
         # generators, W C^T, W|_C = L W C^T and C^T W|_C: no product per
-        # element or holonomy of N, whose restrictions the closure of N_C
-        # forms.  S_5's N has 120 holonomies and 4 kept generators; glue-2's
-        # has 2592 holonomies and 6 kept generators with 5 holonomies
+        # element or holonomy of N, none of which is restricted.  S_5's N
+        # has 120 holonomies and 4 kept generators; glue-2's has 2592
+        # holonomies and 6 kept generators with 5 holonomies
         calls, per_stage = [], []
         product = decompose_module.mat_mul
 
@@ -474,10 +504,10 @@ class TestRestrictionToC:
             calls.append(args)
             return product(*args)
 
-        def counted_split(n_elements, n_generators, *args):
+        def counted_split(n_order, n_generators, *args):
             before = len(calls)
-            out = split_action(n_elements, n_generators, *args)
-            per_stage.append((len(n_elements), len({g.matrix for g in n_generators}),
+            out = split_action(n_order, n_generators, *args)
+            per_stage.append((n_order, len({g.matrix for g in n_generators}),
                               len(calls) - before))
             return out
 
@@ -647,7 +677,7 @@ class TestOnePassQuasietale:
         for group in gallery:
             elements, tables = group.elements, group.tables
             fixed = fixed_solutions(elements, FixedPointSolver())
-            subgroups = [ramification_on_tables(elements, tables, fixed)[0]]
+            subgroups = [n_listed(elements, ramification_on_tables(elements, tables, fixed))]
             if group.order <= 8:
                 subgroups += [sub for sub, _ in cyclic_subgroups(elements)]
             number = {e: x for x, e in enumerate(elements)}
@@ -748,7 +778,8 @@ class TestGeneratorNTilde:
             monkeypatch, lambda: decompose_module.split_action(*glue_split()))
         assert len(lifts) == 1 and len(ker_generators) == 2
         ((g, lift),) = lifts
-        kernel = {t.translation for t in enumerated_n_tilde(args[0], args[2], args[3])[g]}
+        n_elements = close_elements(args[1])[0]
+        kernel = {t.translation for t in enumerated_n_tilde(n_elements, args[2], args[3])[g]}
         kernel = {p - lift.translation for p in kernel}
         points = [TorsionPoint.over(num, 2) for num in itertools.product((0, 1), repeat=4)]
         for point in points:
@@ -782,7 +813,8 @@ class TestGeneratorNTilde:
         calls = recorded_n_tilde(monkeypatch, lambda: [decompose(g) for g in groups])
         assert len(calls) > 5 and max(len(ks) for _, (_, _, ks) in calls) == 2
         verdicts = set()
-        for (n_elements, _, b, c, _), (m, lifts, ker_generators) in calls:
+        for (_, n_generators, b, c, _), (m, lifts, ker_generators) in calls:
+            n_elements = close_elements(n_generators)[0]
             enumerated = enumerated_n_tilde(n_elements, b, c)
             n_tilde = [t for g in n_elements for t in enumerated[g]]
             (one,) = [g for g in n_elements if g.is_identity()]
@@ -812,9 +844,11 @@ class TestGeneratorNTilde:
         document = SPLIT[name][0]
         group = close_group(*parse_input(json.dumps(document()))[:2])
         ((args, _),) = recorded_n_tilde(monkeypatch, lambda: decompose(group))
-        n_elements, n_generators, b, c, ker_mu = args
-        assert (ker_mu, len(n_elements) * ker_mu) == SPLIT[name][2]
-        assert_enumerated_n_tilde(n_elements, n_generators, b, c, len(n_elements) * ker_mu)
+        n_order, n_generators, b, c, ker_mu = args
+        n_elements = close_elements(n_generators)[0]
+        assert len(n_elements) == n_order
+        assert (ker_mu, n_order * ker_mu) == SPLIT[name][2]
+        assert_enumerated_n_tilde(n_elements, n_generators, b, c, n_order * ker_mu)
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +865,8 @@ def solve_every_element(elements):
 def stage_readings(elements, tables, fixed):
     """N, the quasietale-outside-N verdict and kappa of N, from ``fixed``;
     kappa of N is also read off the solves of N's elements alone."""
-    sub, _, members, _ = ramification_on_tables(elements, tables, fixed)
+    ramification = ramification_on_tables(elements, tables, fixed)
+    sub, members = n_listed(elements, ramification), ramification[1]
     n2 = elements[0].rank
     kappa = lattice_kappa(fixed.values(), n2)
     assert kappa == subtorus_kappa([fixed[x].kernel for x in members if x in fixed], n2)
@@ -890,7 +925,7 @@ def assert_class_divisors_match(elements, tables):
     fixed = fixed_solutions(elements, FixedPointSolver())
     divisors = class_divisors(elements, certified_class_rep(elements, tables), solver)
     assert divisors == sorted(fixed)
-    kept = ramification_on_tables(elements, tables, divisors)[1]
+    kept = ramification_on_tables(elements, tables, divisors)[0]
     n2 = elements[0].rank
     if kept:
         assert lattice_kappa([element_fixed_solution(g, solver) for g in kept], n2) == \
@@ -938,7 +973,7 @@ class TestKeptGeneratorsInvariantTorus:
 
         def recording(elements, tables, fixed):
             ramification = ramification_on_tables(elements, tables, fixed)
-            found.append(ramification[:2])
+            found.append((n_listed(elements, ramification), ramification[0]))
             return ramification
 
         monkeypatch.setattr(decompose_module, "ramification_on_tables", recording)
@@ -959,8 +994,9 @@ class TestKeptGeneratorsInvariantTorus:
 
 def recorded_table_stages(monkeypatch, groups):
     """(elements, generators, tables) of every stage of the decompositions
-    of ``groups``: the top stage's, and after a split N_C's, with the
-    restrictions of N's kept generators and the tables of their closure."""
+    of ``groups``: the top stage's, and after a split N_C's, the closure
+    of the restrictions of N's kept generators, which no command makes,
+    with the generators that closure kept and its tables."""
     stages = []
     level = decompose_module._decompose_level
 
@@ -970,7 +1006,8 @@ def recorded_table_stages(monkeypatch, groups):
 
     def recording_split(*args):
         out = split_action(*args)
-        stages.append((tuple(out[1]), tuple(out[2]), out[3]))
+        n_c, kept, tables = close_with_tables(out[1])
+        stages.append((tuple(n_c), tuple(kept), tables))
         return out
 
     monkeypatch.setattr(decompose_module, "_decompose_level", recording)
@@ -991,16 +1028,15 @@ def table_subgroup(elements, tables, gens):
 def assert_table_closure_matches(elements, tables, gens):
     """The table closure of <gens> is ``close_elements(gens)``: the same
     kept generators, with the same numbers, and the same set of elements,
-    listed in stage order, the order of their numbers; the permutations of
-    the kept generators, the ones the search steps by, are left
-    multiplications."""
-    n_sub, kept, members, numbers = table_subgroup(elements, tables, gens)
+    numbered without repeats; the permutations of the kept generators, the
+    ones the search steps by, are left multiplications."""
+    kept, members, numbers = table_subgroup(elements, tables, gens)
+    n_sub = [elements[x] for x in sorted(members)]
     closed, want_kept = close_elements(gens) if gens else ([elements[0]], [])
     assert elements[0].is_identity()
-    assert kept == want_kept and set(n_sub) == set(closed)
+    assert kept == want_kept and len(n_sub) == len(closed) and set(n_sub) == set(closed)
     number = {e: x for x, e in enumerate(elements)}
     assert numbers == [number[h] for h in want_kept]
-    assert [number[x] for x in n_sub] == sorted(members)
     for h, g in zip(kept, numbers):
         perm = tables.left(g)
         assert sorted(perm) == list(range(len(elements)))
@@ -1022,7 +1058,8 @@ def assert_table_normality_matches(elements, generators, tables, subgroups):
     verdicts."""
     verdicts = set()
     for sub in subgroups:
-        want = normality_verdict(check_normal, generators, sub[0], sub[1], len(elements))
+        want = normality_verdict(check_normal, generators, n_listed(elements, sub), sub[0],
+                                 len(elements))
         assert normality_verdict(check_normal_on_tables, elements, generators, tables,
                                  sub) == want
         verdicts.add(want is None)
@@ -1060,8 +1097,8 @@ class TestTableRamification:
 
 
 class TestPositionNumbering:
-    """Every stage's closure tables, N_C's from ``split_action``'s closure
-    of the restrictions of N's kept generators, number each element by its
+    """Every stage's closure tables, N_C's from the closure of the
+    restrictions of N's kept generators, number each element by its
     position: columns, BFS tree, left and right multiplications against
     compositions."""
 
@@ -1082,8 +1119,9 @@ class TestPositionNumbering:
 
 
 class TestRowTableClosureOnStages:
-    """``bfs_closure`` on the lattice elements of every stage, N_C's on C as
-    ``split_action`` closes them, against the product closure: the stage's
+    """``bfs_closure`` on the lattice elements of every stage, N_C's on C
+    from the restrictions of N's kept generators, against the product
+    closure: the stage's
     generators with its order and one less as the cap, and a few of its
     elements as generators."""
 
@@ -1145,7 +1183,7 @@ class TestTableNormality:
         # witness is the one check_normal names
         elements, kept, tables = close_with_tables([SWAP, FLIP])
         sub = table_subgroup(elements, tables, [FLIP])
-        assert sub[:2] == close_elements([FLIP])
+        assert (n_listed(elements, sub), sub[0]) == close_elements([FLIP])
         with pytest.raises(CertificateError) as exc:
             check_normal_on_tables(elements, kept, tables, sub)
         assert str(exc.value) == D4_WITNESS
@@ -1195,8 +1233,8 @@ class TestTableClosureMakesNoProduct:
         with pytest.raises(CertificateError) as exc:
             check_normal_on_tables(elements, kept, tables, sub)
         assert products.calls == 0
-        assert str(exc.value) == normality_verdict(check_normal, kept, sub[0], [FLIP],
-                                                   len(elements)) == D4_WITNESS
+        assert str(exc.value) == normality_verdict(check_normal, kept, n_listed(elements, sub),
+                                                   [FLIP], len(elements)) == D4_WITNESS
 
 
 class TestStagesHashNoElement:
@@ -1216,7 +1254,7 @@ class TestStagesHashNoElement:
             fixed = fixed_solutions(elements, FixedPointSolver())
             ramification = ramification_on_tables(elements, tables, fixed)
             check_normal_on_tables(elements, generators, tables, ramification)
-            assert lattice_quasietale_outside(ramification[2], fixed)
+            assert lattice_quasietale_outside(ramification[1], fixed)
             lattice_kappa(fixed.values(), elements[0].rank)
         assert hashed == []
         # the counter sees the top stage's elements, which are automorphisms
@@ -1253,10 +1291,10 @@ class TestSnfCounts:
         snf = CountedSnf(monkeypatch)
         per_stage = []
 
-        def counted_split(n_elements, *args):
+        def counted_split(n_order, *args):
             before = snf.calls
-            out = split_action(n_elements, *args)
-            per_stage.append((len(n_elements), snf.calls - before))
+            out = split_action(n_order, *args)
+            per_stage.append((n_order, snf.calls - before))
             return out
 
         monkeypatch.setattr(decompose_module, "split_action", counted_split)
