@@ -14,7 +14,9 @@ from .action import (
 from .classify import (
     Analysis,
     ClassificationReport,
+    DivisorLattices,
     RamificationData,
+    divisor_lattices,
     irregularity,
     ramification_data,
     reid_tai,

@@ -85,6 +85,10 @@ class LatticeElement:
         return self.with_data(*affine_product(self.matrix, self.translation,
                                               other.matrix, other.translation))
 
+    def apply(self, point):
+        """The image W x + a of the torsion point x."""
+        return point.apply_matrix(self.matrix) + self.translation
+
     def sort_key(self):
         return (self.matrix, self.translation.sort_key())
 

@@ -1,7 +1,8 @@
-"""Classification of the quotient X = A/G: quasietale test, ramification
-data, anticanonical Kodaira dimension, Reid-Tai flags, irregularity, and the
-consolidated report with cross-checks between independent computations.
-``Analysis`` holds them for one group and computes each at most once."""
+"""Classification of the quotient X = A/G: the divisor lattices, off which
+the quasietale test and the anticanonical Kodaira dimension are read,
+ramification data, Reid-Tai flags, irregularity, and the consolidated
+report with cross-checks between independent computations.  ``Analysis``
+holds them for one group and computes each at most once."""
 
 from __future__ import annotations
 
@@ -17,10 +18,22 @@ from .action import (
     fixed_locus,
     mat_eq_identity,
 )
-from .decompose import decompose
+from .decompose import decompose, group_divisors
 from .errors import CertificateError
 from .linalg import Lattice, fixed_lattice, mat_vec
 from .variety import SubtorusTranslate, subtorus_kappa
+
+
+@dataclass(frozen=True)
+class DivisorLattices:
+    divisors: list           # numbers of the elements that fix a divisor
+    lattices: tuple          # the distinct component lattices, by basis
+    images: dict             # lattice -> its image under each generator
+    kappa: int               # kappa(-K_X), n - dim of their common subtorus
+
+    @property
+    def quasietale(self):
+        return not self.lattices
 
 
 @dataclass(frozen=True)
@@ -53,29 +66,59 @@ class ClassificationReport:
     notes: tuple = ()
 
 
-def ramification_data(group: FiniteGroupAction) -> RamificationData:
-    """All codimension-1 components of fixed loci, with ramification indices
-    and G-orbits.  A nontrivial fixed locus has dimension at most n - 1, so
-    a divisor T lies in Fix(g) exactly when it is one of its components; the
-    index e(T), the order of the pointwise stabilizer, is 1 (the identity)
-    plus the number of nontrivial g with T a component of Fix(g).  A
-    nontrivial g with rank(I - rho) <= 2 fixes a divisor exactly when its
-    locus is nonempty (rank 0 is a translation by a != 0, which fixes
-    nothing), and no other g fixes one.  Fix(h g h^-1) = h . Fix(g), so
-    only the first element of each class of rank at most 2 is solved, and
-    then every element of a class whose first element fixes a divisor; one
-    pass over the classes decides both the components and quasietaleness."""
-    n = group.variety.n
-    class_rep = group.class_rep
+def divisor_lattices(group: FiniteGroupAction, divisors) -> DivisorLattices:
+    """The lattices of the ramification components, read off ``divisors``,
+    the numbers of the elements that fix a divisor, as ``group_divisors``
+    screens them.  The components of Fix(g) are translates of the kernel of
+    I - W, so the component lattices are the distinct kernels of the
+    divisors' I - W, one per distinct holonomy, which the solver has
+    factored or factors once.  No component is listed.
+
+    g . T = rho(T) + a permutes the components, so each generator must map
+    each of these lattices to one of them, by one Hermite form per lattice
+    and generator, each image the solver's object for it: otherwise the
+    "orbit leaves the component set".  The divisor is empty exactly when
+    there are none, the quasietale case, and kappa(-K_X) is n - the
+    dimension of their common subtorus, ``subtorus_kappa``."""
     solver = group.solver
-    divisorial = {i for i, g in enumerate(group.elements)
-                  if i and class_rep[i] == i and solver.may_fix_divisor(g.matrix)
-                  and fixed_locus(g, solver).nonempty}
+    elements = group.elements
+    holonomies = dict.fromkeys(elements[x].matrix for x in divisors)
+    lattices = tuple(sorted(dict.fromkeys(solver.factors(w)[3] for w in holonomies),
+                            key=lambda lat: lat.basis))
+    n2 = group.variety.ambient_rank
+    rhos = [g.matrix for g in group.generators]
+    known = set(lattices)
+    images = {}
+    for lat in lattices:
+        row = images[lat] = tuple(solver.lattice(Lattice.from_vectors(
+            n2, [mat_vec(rho, v) for v in lat.basis])) for rho in rhos)
+        if not known.issuperset(row):
+            raise CertificateError("orbit leaves the component set")
+    return DivisorLattices(divisors, lattices, images, subtorus_kappa(lattices, n2))
+
+
+def ramification_data(group: FiniteGroupAction,
+                      divisor_pass: DivisorLattices) -> RamificationData:
+    """All codimension-1 components of fixed loci, with ramification indices
+    and G-orbits, on the divisors, lattice images and kappa of
+    ``divisor_pass``; only the ramification section reads them.  A
+    nontrivial fixed locus has dimension at most n - 1, so a divisor T lies
+    in Fix(g) exactly when it is one of its components; the index e(T),
+    the order of the pointwise stabilizer, is 1 (the identity) plus the
+    number of nontrivial g with T a component of Fix(g).  Each divisor is
+    solved once and its components listed, keyed by ``canonical_key``, and
+    each orbit's coefficient 1 - 1/e is built once, as (e - 1)/e.
+
+    The orbits are those of g . T = rho(T) + a under the generators: a
+    finite set mapped into itself by every generator is mapped onto itself
+    by the group they generate.  The image of T's lattice is the one
+    ``divisor_lattices`` certified; its translate must give a component,
+    or the "orbit moves a component translate off the component set"."""
+    solver = group.solver
+    elements = group.elements
     by_key = {}  # canonical key -> [component, index]
-    for i, g in enumerate(group.elements):
-        if class_rep[i] not in divisorial:
-            continue
-        loc = fixed_locus(g, solver)
+    for x in divisor_pass.divisors:
+        loc = fixed_locus(elements[x], solver)
         for rep in loc.representatives:
             comp = SubtorusTranslate(loc.kernel, rep)
             entry = by_key.setdefault(comp.canonical_key(), [comp, 1])
@@ -85,11 +128,6 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
     indices = tuple(e for _, (_, e) in ordered)
     position = {key: i for i, (key, _) in enumerate(ordered)}
 
-    # orbits under g . T = rho(T) + a; a finite set mapped into itself by
-    # every generator is mapped onto itself by the group they generate;
-    # images are kept by the solver, one object per lattice
-    maps = [(g.matrix, g.translation) for g in group.generators]
-    images = {}  # (lattice, generator index) -> the image lattice
     seen = set()
     orbits = []
     for i in range(len(components)):
@@ -99,25 +137,20 @@ def ramification_data(group: FiniteGroupAction) -> RamificationData:
         stack = [i]
         while stack:
             cj = components[stack.pop()]
-            for j, (rho, translation) in enumerate(maps):
-                lat = images.get((cj.lattice, j))
-                if lat is None:
-                    lat = images[cj.lattice, j] = solver.lattice(Lattice.from_vectors(
-                        cj.lattice.ambient_rank, [mat_vec(rho, v) for v in cj.lattice.basis]))
-                trans = cj.translate.apply_matrix(rho) + translation
-                k = position.get(SubtorusTranslate(lat, trans).canonical_key())
+            for g, lat in zip(group.generators, divisor_pass.images[cj.lattice]):
+                k = position.get(SubtorusTranslate(lat, g.apply(cj.translate)).canonical_key())
                 if k is None:
-                    raise CertificateError("orbit leaves the component set")
+                    raise CertificateError("orbit moves a component translate off the "
+                                           "component set")
                 if k not in orbit:
                     orbit.add(k)
                     stack.append(k)
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
 
-    coeffs = tuple(Fraction(1) - Fraction(1, indices[orbit[0]]) for orbit in orbits)
-    kappa = subtorus_kappa([comp.lattice for comp in components],
-                           group.variety.ambient_rank)
-    return RamificationData(components, indices, tuple(orbits), coeffs, n - kappa)
+    coeffs = tuple(Fraction(indices[orbit[0]] - 1, indices[orbit[0]]) for orbit in orbits)
+    return RamificationData(components, indices, tuple(orbits), coeffs,
+                            group.variety.n - divisor_pass.kappa)
 
 
 def reid_tai(group: FiniteGroupAction):
@@ -159,26 +192,39 @@ def irregularity(group: FiniteGroupAction) -> int:
 
 class Analysis:
     """What the commands report about the quotient by ``group``.  Each
-    quantity is computed at most once, and only when first read."""
+    quantity is computed at most once, and only when first read.  The
+    divisors are screened once, and the decomposition, the divisor
+    lattices and the ramification read them.  The quasietale flag and kappa
+    are read off the divisor lattices alone, so ``classify`` lists no
+    component; only the ramification section lists components, indices
+    and orbits, on the same divisors, lattice images and kappa."""
 
     def __init__(self, group: FiniteGroupAction):
         self.group = group
 
     @cached_property
+    def divisors(self):
+        """The numbers of the elements that fix a divisor, ``group_divisors``."""
+        return group_divisors(self.group)
+
+    @cached_property
+    def divisor_lattices(self) -> DivisorLattices:
+        return divisor_lattices(self.group, self.divisors)
+
+    @cached_property
     def ramification(self) -> RamificationData:
-        return ramification_data(self.group)
+        return ramification_data(self.group, self.divisor_lattices)
 
     @cached_property
     def kappa(self):
         """(kappa(-K_X), Q-Fano flag): n - dim of the common subtorus of the
         ramification components, and whether it is n."""
-        n = self.group.variety.n
-        kappa = n - self.ramification.intersection_dim
-        return kappa, kappa == n
+        kappa = self.divisor_lattices.kappa
+        return kappa, kappa == self.group.variety.n
 
     @cached_property
     def decomposition(self):
-        return decompose(self.group)
+        return decompose(self.group, self.divisors)
 
     @cached_property
     def reid_tai(self):
@@ -193,7 +239,7 @@ class Analysis:
         # Reid-Tai first: when it and a later analysis would both fail, the
         # command reports Reid-Tai's error
         rt_holds, rt_witness, _ = self.reid_tai
-        quasi = not self.ramification.components
+        quasi = self.divisor_lattices.quasietale
         kappa, q_fano = self.kappa
         decomposition = self.decomposition
         q_circle = decomposition.total_abelian_dim

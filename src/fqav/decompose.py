@@ -7,13 +7,16 @@ lattice fixed by its ramification subgroup N and C the invariant
 complement.  A split leaves N_C, the restriction of N to C, as the Q-Fano
 part: the restrictions of N's kept generators and |N|, certified on those
 restrictions alone.  No element of N or of N_C is listed.  The divisors
-are decided once per conjugacy class, on a class partition certified
-against the closure tables first.  Analytic data is never needed.
+are screened once per command: none, with no class partition read, when
+no holonomy passes the trace tests of a divisor, and else decided once
+per conjugacy class, on a class partition certified against the closure
+tables first.  Analytic data is never needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 
 from .action import ClosureTables, LatticeElement, bfs_closure
 from .errors import CertificateError
@@ -27,6 +30,7 @@ from .linalg import (
     mat_mul,
     mat_transpose,
     solve_factored,
+    traces_allow_low_rank,
 )
 from .variety import subtorus_kappa
 
@@ -70,11 +74,44 @@ def class_divisors(elements, rep, solver):
     is a translation by a != 0 and fixes nothing, and with rank 1 or 2
     each component has complex dimension (2n - rank) // 2 = n - 1.  No
     other element fixes a divisor.  rank(I - W) is a class function, and
-    Fix(h g h^-1) = h . Fix(g), so the first element decides its class."""
+    Fix(h g h^-1) = h . Fix(g), so the first element decides its class.
+    On a group it runs once per command, inside ``group_divisors``."""
     divisorial = {g for g in range(1, len(rep))
                   if rep[g] == g and solver.may_fix_divisor(elements[g].matrix)
                   and element_fixed_solution(elements[g], solver).nonempty}
     return [x for x in range(1, len(rep)) if rep[x] in divisorial]
+
+
+def may_have_divisors(elements):
+    """Whether an element of ``elements`` may fix a divisor: whether a
+    distinct holonomy other than the identity passes
+    ``traces_allow_low_rank``, tried in element order up to the first that
+    does.  Each element costs one trace, and the rest of the test runs once
+    per distinct holonomy whose trace t has N - 4 <= t < N: one of finite
+    order with t = N is the identity.  No Smith form is taken.  When none
+    passes, each nontrivial element is a translation, which fixes nothing,
+    or has rank(I - W) > 2: no element fixes a divisor."""
+    n = len(elements[0].matrix)
+    diagonal = range(n)
+    tried = set()
+    for e in elements:
+        w = e.matrix
+        if n - 4 <= sum(map(getitem, w, diagonal)) < n and w not in tried:
+            tried.add(w)
+            if traces_allow_low_rank(w):
+                return True
+    return False
+
+
+def group_divisors(group):
+    """The divisors of the closed ``group``: none, with no class partition
+    read, when ``may_have_divisors`` finds no holonomy that may fix one,
+    and else ``class_divisors`` on the group's certified partition.  It is
+    the one screen of a command: ``decompose``, ``divisor_lattices`` and
+    ``ramification_data`` read the divisors ``Analysis`` keeps."""
+    if not may_have_divisors(group.elements):
+        return []
+    return class_divisors(group.elements, group.class_rep, group.solver)
 
 
 @dataclass(frozen=True)
@@ -361,14 +398,13 @@ def _fano_part(n_generators, n_order, solves, embedding, ambient_rank):
             StageCertificate(n_order, 1, True, True, None))
 
 
-def _decompose_level(elements, generators, tables, rep, n2, solver) -> DecompositionResult:
+def _decompose_level(elements, generators, tables, divisors, n2, solver) -> DecompositionResult:
     """Decompose the closed group ``elements`` on Z^n2, the closure of
     ``generators`` with ``ClosureTables`` ``tables``, solving its fixed
     points by the ``FixedPointSolver`` ``solver``: it is quasietale,
-    Q-Fano, or split along B x C with N_C the Q-Fano part.  Its divisors
-    are decided once per class of ``rep``, the class partition
-    ``certified_class_rep`` certified on the tables."""
-    divisors = class_divisors(elements, rep, solver)
+    Q-Fano, or split along B x C with N_C the Q-Fano part.  ``divisors``
+    are the numbers of its elements that fix a divisor, as
+    ``class_divisors`` decides them once per class."""
     ramification = ramification_on_tables(elements, tables, divisors)
     check_normal_on_tables(elements, generators, tables, ramification)
     n_generators, members, _ = ramification
@@ -399,9 +435,12 @@ def _decompose_level(elements, generators, tables, rep, n2, solver) -> Decomposi
     return DecompositionResult((b,), b.rank // 2, fano, (split, stage))
 
 
-def decompose(group) -> DecompositionResult:
+def decompose(group, divisors=None) -> DecompositionResult:
     """Build the quasietale cover (abelian factor) x (Q-Fano part) for the
     quotient by the closed group, sharing the group's solver, whose entries
-    depend on (W, a) alone, and its certified class partition."""
-    return _decompose_level(group.elements, group.generators, group.tables, group.class_rep,
+    depend on (W, a) alone.  ``divisors`` are the group's, as
+    ``group_divisors`` screens them; it screens them when not given."""
+    if divisors is None:
+        divisors = group_divisors(group)
+    return _decompose_level(group.elements, group.generators, group.tables, divisors,
                             group.variety.ambient_rank, group.solver)

@@ -165,14 +165,39 @@ def snf(matrix):
 
 def hermite_basis(vectors, width):
     """Canonical basis (row HNF, positive pivots, reduced above) of the
-    lattice generated by the given integer vectors.  Each column is cleared
-    below its pivot by one extended-gcd row step per row (H. Cohen, A
-    Course in Computational Algebraic Number Theory, 2.4.2): rows p and x
-    with entries a and b become u p + v x and (a/d) x - (b/d) p, with
-    u a + v b = d = gcd(a, b), a unimodular step.  Both rows are 0 left of
-    the column, so only the columns from it on change.  The row HNF is
-    unique, so the basis does not depend on the steps taken."""
+    lattice generated by the given integer vectors: their nonzero rows as
+    given when those already are that basis, else ``hermite_eliminate`` of
+    them.  The row HNF is unique, so both give the same rows."""
     rows = [list(map(int, vec)) for vec in vectors if any(vec)]
+    return rows if is_reduced_hermite(rows) else hermite_eliminate(rows, width)
+
+
+def is_reduced_hermite(rows):
+    """Whether the nonzero int ``rows`` are a reduced row HNF: the pivot,
+    the first nonzero entry, of each row lies strictly right of the row
+    above's and is positive, and every entry above a pivot lies in
+    [0, pivot).  Entries below a pivot are then 0."""
+    last = -1
+    for i, row in enumerate(rows):
+        p = next(filter(None, row))
+        c = row.index(p)
+        if c <= last or p < 0:
+            return False
+        for above in rows[:i]:
+            if not 0 <= above[c] < p:
+                return False
+        last = c
+    return True
+
+
+def hermite_eliminate(rows, width):
+    """The reduced row HNF of the lattice the nonzero int lists ``rows``
+    generate, which it overwrites.  Each column is cleared below its pivot
+    by one extended-gcd row step per row (H. Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4.2): rows p and x with
+    entries a and b become u p + v x and (a/d) x - (b/d) p, with
+    u a + v b = d = gcd(a, b), a unimodular step.  Both rows are 0 left of
+    the column, so only the columns from it on change."""
     nr = len(rows)
     pivots = []
     r = 0
@@ -505,16 +530,8 @@ class FixedPointSolver:
         """Whether rank(I - W) <= 2.  Each component of a fixed locus of
         x -> W x + a has real codimension rank(I - W), so otherwise it holds
         no divisor.  W need not be complex, so the rank may be odd.  On a
-        lattice of rank 2 it always holds and nothing is computed.
-
-        W has finite order, so it is diagonalisable with root-of-unity
-        eigenvalues.  If rank(I - W) <= 2, they are 1 with multiplicity
-        N - 2 and two more, l and m, and (x - l)(x - m) is det(xI - W) over
-        (x - 1)^(N - 2), in Z[x]: s1 = l + m = tr W - (N - 2) and
-        s2 = l^2 + m^2 = tr W^2 - (N - 2) are integers, and
-        lm = (s1^2 - s2) / 2 is an integer root of unity, +1 or -1.  Also
-        s1 >= -2, that is tr W >= N - 4, as l and m have real part at least
-        -1.  A W that fails either test has rank(I - W) > 2, with no
+        lattice of rank 2 it always holds and nothing is computed.  A W
+        that fails ``traces_allow_low_rank`` has rank(I - W) > 2, with no
         elimination.  Any other W is decided by the number of Smith
         divisors of I - W, taken by ``factors``, which every caller that
         admits W then reads again to solve it.  Each call takes the trace;
@@ -522,16 +539,36 @@ class FixedPointSolver:
         n = len(w)
         if n <= 2:
             return True
-        trace = sum(row[i] for i, row in enumerate(w))
-        if trace < n - 4:
+        if sum(row[i] for i, row in enumerate(w)) < n - 4:
             return False
         low = self._low_rank.get(w)
         if low is None:
-            s1 = trace - (n - 2)
-            s2 = sum(x * w[j][i] for i, row in enumerate(w) for j, x in enumerate(row)) - (n - 2)
-            low = self._low_rank[w] = (s1 * s1 - s2 in (2, -2)
+            low = self._low_rank[w] = (traces_allow_low_rank(w)
                                        and len(self.factors(w)[1]) <= 2)
         return low
+
+
+def traces_allow_low_rank(w):
+    """Whether tr W and tr W^2 allow rank(I - W) <= 2, for a square integer
+    W of finite order; always on a lattice of rank at most 2.  No
+    elimination is made.
+
+    W is diagonalisable with root-of-unity eigenvalues.  If
+    rank(I - W) <= 2, they are 1 with multiplicity N - 2 and two more, l
+    and m, and (x - l)(x - m) is det(xI - W) over (x - 1)^(N - 2), in
+    Z[x]: s1 = l + m = tr W - (N - 2) and s2 = l^2 + m^2 = tr W^2 - (N - 2)
+    are integers, and lm = (s1^2 - s2) / 2 is an integer root of unity, +1
+    or -1.  Also s1 >= -2, that is tr W >= N - 4, as l and m have real
+    part at least -1.  A W that fails either test has rank(I - W) > 2."""
+    n = len(w)
+    if n <= 2:
+        return True
+    trace = sum(row[i] for i, row in enumerate(w))
+    if trace < n - 4:
+        return False
+    s1 = trace - (n - 2)
+    s2 = sum(map(operator.mul, itertools.chain(*w), itertools.chain(*zip(*w)))) - (n - 2)
+    return s1 * s1 - s2 in (2, -2)
 
 
 def solve_affine_mod_lattice(matrix, point: TorsionPoint) -> AffineSolutionSet:

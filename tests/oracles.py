@@ -55,6 +55,7 @@ from fqav.decompose import (
     DecompositionResult,
     SublatticeAction,
     _decompose_level,
+    class_divisors,
     close_with_tables,
     element_fixed_solution,
 )
@@ -293,8 +294,9 @@ def decompose_fano_part(fano: SublatticeAction) -> DecompositionResult:
     if fano.rank == 0:
         return DecompositionResult((), 0, fano, ())
     elements, kept, tables = fano_elements(fano)
-    return _decompose_level(elements, kept, tables, certified_class_rep(elements, tables),
-                            fano.rank, FixedPointSolver())
+    solver = FixedPointSolver()
+    divisors = class_divisors(elements, certified_class_rep(elements, tables), solver)
+    return _decompose_level(elements, kept, tables, divisors, fano.rank, solver)
 
 
 def lattice_coordinates(lat: Lattice, vector):

@@ -1,7 +1,7 @@
 """Every cross-check of ``Analysis.classification`` fires, and so do the
-certificate checks of ``ramification_data``, ``irregularity``,
-``invariant_complement``, ``split_action``, the class partition every
-command reads and the decomposition stages.  Each test replaces
+certificate checks of ``divisor_lattices``, ``ramification_data``,
+``irregularity``, ``invariant_complement``, ``split_action``, the class
+partition every command reads and the decomposition stages.  Each test replaces
 one real result upstream of its check, by ``dataclasses.replace`` of a
 record, a shifted value or a changed lattice,
 vector, form or torsion point, so that the checks before it still pass; the command then
@@ -49,11 +49,12 @@ CROSS_CHECKS = [
                  "abelian factor dimension out of range", id="dim-range"),
     pytest.param("kummer", "irregularity", lambda q_x: q_x + 3,
                  "irregularity exceeds the abelian factor dim", id="irregularity"),
-    pytest.param("sign-rot4", "ramification_data",
-                 lambda data: dataclasses.replace(data, intersection_dim=2),
+    pytest.param("sign-rot4", "divisor_lattices",
+                 lambda data: dataclasses.replace(data, kappa=0),
                  "kappa inconsistent with the abelian factor dim", id="kappa"),
     # sign-rot4 has ramification divisors; doubling the image of each basis
-    # vector makes each image lattice index 4 in a component's
+    # vector makes each image lattice index 4 in a component's; the divisor
+    # pass, which classify reads, checks the image lattices
     pytest.param("sign-rot4", "mat_vec", lambda v: [2 * x for x in v],
                  "orbit leaves the component set", id="orbit"),
     # bielliptic: q(X) = 1, so its holonomy fixed lattice has rank 2
@@ -69,6 +70,23 @@ def test_cross_check_fires(fixture, name, change, message, monkeypatch, capsys):
     monkeypatch.setattr(classify, name, lambda *args: change(original(*args)))
     assert main(["classify", str(FIXTURE_DIR / f"{fixture}.json")]) == 2
     assert capsys.readouterr() == ("", f"certificate failure: {message}\n")
+
+
+def test_translate_check_fires(monkeypatch, capsys):
+    # each image of a translate of a sign-rot4 component moved by
+    # (1/5, 1/5, 1/5, 1/5) in the orbit step alone: every image lattice is
+    # still a component's, so the lattice check passes, but no component
+    # has the moved translate.  classify reads no translate and prints its
+    # classification
+    original = LatticeElement.apply
+    shift = TorsionPoint.over((1, 1, 1, 1), 5)
+    monkeypatch.setattr(LatticeElement, "apply", lambda g, point: original(g, point) + shift)
+    path = str(FIXTURE_DIR / "sign-rot4.json")
+    for command in ("ramification", "report"):
+        assert (main([command, path]), capsys.readouterr()) == (2, (
+            "", "certificate failure: orbit moves a component translate off the component "
+            "set\n")), command
+    assert main(["classify", path]) == 0
 
 
 # zeta4^3:C2+t decomposes in two stages.  At the first, B is the lattice of
@@ -375,5 +393,6 @@ def test_finer_partition_prints_the_same_bytes(tmp_path, monkeypatch, capsys):
         via={v: -1 for v in range(32)}))
     asked.clear()
     assert run() == want and want[0][0] == 0
-    # 31 in decompose, in ramification, and in each of report's two readers
-    assert len(asked) == 31 * 4
+    # 31 in decompose, in ramification and in report, whose readers share
+    # one screen
+    assert len(asked) == 31 * 3

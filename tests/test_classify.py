@@ -9,7 +9,7 @@ from hypothesis import given
 
 from fqav.action import close_group, fixed_locus, mat_eq_identity, pointwise_stabilizer
 from fqav.cli import build_report, parse_input
-from fqav.classify import Analysis, irregularity, ramification_data, reid_tai
+from fqav.classify import Analysis, irregularity, reid_tai
 from fqav.errors import InputError
 from fqav.linalg import FixedPointSolver, Lattice, mat_vec
 from fqav.variety import SubtorusTranslate
@@ -41,12 +41,12 @@ class TestQuasietale:
 class TestRamification:
     def test_quasietale_has_no_components(self, kummer_group, bielliptic_group):
         for group in (kummer_group, bielliptic_group):
-            data = ramification_data(group)
+            data = Analysis(group).ramification
             assert data.components == ()
             assert data.orbits == ()
 
     def test_curve_times_torsion_components(self, sign_rot4_group):
-        data = ramification_data(sign_rot4_group)
+        data = Analysis(sign_rot4_group).ramification
         assert len(data.components) == 4
         assert data.indices == (2, 2, 2, 2)
         assert data.orbits == ((0,), (1, 2), (3,))
@@ -54,7 +54,7 @@ class TestRamification:
         assert data.intersection_dim == 1
 
     def test_single_factor_branch_points(self, p1_group):
-        data = ramification_data(p1_group)
+        data = Analysis(p1_group).ramification
         # branch points of E_i -> E_i/<i> = P^1
         assert all(c.dim == 0 for c in data.components)
         assert data.intersection_dim == 0
@@ -62,13 +62,13 @@ class TestRamification:
 
     def test_orbit_sum_covers_components(self, sign_rot4_group, p1_group):
         for group in (sign_rot4_group, p1_group):
-            data = ramification_data(group)
+            data = Analysis(group).ramification
             flat = sorted(i for orbit in data.orbits for i in orbit)
             assert flat == list(range(len(data.components)))
 
     def test_indices_constant_on_orbits(self, sign_rot4_group, p1_group):
         for group in (sign_rot4_group, p1_group):
-            data = ramification_data(group)
+            data = Analysis(group).ramification
             for orbit in data.orbits:
                 assert len({data.indices[i] for i in orbit}) == 1
 
@@ -201,7 +201,7 @@ class TestRamificationOracle:
     def test_indices_are_pointwise_stabilizer_orders(self, groups):
         ramified = 0
         for group in groups:
-            data = ramification_data(group)
+            data = Analysis(group).ramification
             assert data.indices == tuple(pointwise_stabilizer(comp, group)[1]
                                          for comp in data.components)
             ramified += bool(data.components)
@@ -209,7 +209,7 @@ class TestRamificationOracle:
 
     def test_orbits_are_orbits_under_every_element(self, groups):
         for group in groups:
-            data = ramification_data(group)
+            data = Analysis(group).ramification
             position = {comp.canonical_key(): i for i, comp in enumerate(data.components)}
             orbits = set()
             for comp in data.components:
@@ -257,10 +257,14 @@ def reference_ramification(group):
 
 
 def assert_class_path_matches_reference(group):
-    assert (not Analysis(group).ramification.components) == reference_is_quasietale(group)
+    analysis = Analysis(group)
+    assert analysis.divisor_lattices.quasietale == reference_is_quasietale(group)
     assert reid_tai(group) == reference_reid_tai(group)
-    data = ramification_data(group)
+    data = analysis.ramification
     assert (data.components, data.indices) == reference_ramification(group)
+    # the divisor pass's lattices are those of the components
+    assert analysis.divisor_lattices.lattices == tuple(sorted(
+        {comp.lattice for comp in data.components}, key=lambda lat: lat.basis))
 
 
 class TestAgesWriteNoRank:

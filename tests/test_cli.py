@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqav.action import (
+    ClosureTables,
     FiniteGroupAction,
     LatticeElement,
     close_group,
@@ -17,12 +18,12 @@ from fqav.action import (
 from fqav.cli import COMMANDS, MAX_DENOMINATOR_BITS, build_report, main, parse_input, serialize
 from fqav.cyclotomic import split_prime
 from fqav.errors import InputError
-from fqav.linalg import FixedPointSolver, TorsionPoint, identity_minus
-from fqav.variety import EndoBlockMatrix
+from fqav.linalg import AffineSolutionSet, FixedPointSolver, TorsionPoint, identity_minus
+from fqav.variety import EndoBlockMatrix, SubtorusTranslate
 
 from conftest import FIXTURE_DIR, elementary_divisors
 from oracles import union_find_class_rep
-from test_golden import SL_DIAG, sl_diag_document
+from test_golden import SL_DIAG, _document_text, sl_diag_document
 
 FIXTURES = ("rot4-square.json", "sign-rot4.json", "kummer.json",
             "bielliptic.json", "p1-from-ei.json")
@@ -664,20 +665,34 @@ SECTIONS = {"input": "validate", "classification": "classify",
 class TestComputeOnce:
     @pytest.mark.parametrize("command, expected", [
         ("validate", {}),
-        ("classify", {"decompose": 1, "ramification_data": 1, "reid_tai": 1}),
-        ("ramification", {"ramification_data": 1}),
+        ("classify", {"group_divisors": 1, "divisor_lattices": 1, "decompose": 1,
+                      "reid_tai": 1}),
+        ("ramification", {"group_divisors": 1, "divisor_lattices": 1,
+                          "ramification_data": 1}),
         ("reidtai", {"reid_tai": 1}),
-        ("decompose", {"decompose": 1}),
-        ("report", {"decompose": 1, "ramification_data": 1, "reid_tai": 1}),
+        ("decompose", {"group_divisors": 1, "decompose": 1}),
+        ("report", {"group_divisors": 1, "divisor_lattices": 1, "decompose": 1,
+                    "ramification_data": 1, "reid_tai": 1}),
     ])
     def test_each_analysis_runs_at_most_once(self, command, expected, monkeypatch):
+        # only the ramification section lists components: no other command
+        # enumerates a fixed locus or keys a component
+        listed = []
+        representatives = AffineSolutionSet.representatives.func
+        canonical_key = SubtorusTranslate.canonical_key
         for name in FIXTURES:
             calls = Counter()
-            for func in ("decompose", "ramification_data", "reid_tai"):
+            for func in ("group_divisors", "divisor_lattices", "decompose",
+                         "ramification_data", "reid_tai"):
                 count_calls(monkeypatch, func, calls)
+            monkeypatch.setattr(AffineSolutionSet, "representatives", property(
+                lambda sol: listed.append(sol) or representatives(sol)))
+            monkeypatch.setattr(SubtorusTranslate, "canonical_key",
+                                lambda comp: listed.append(comp) or canonical_key(comp))
             build_report(*parse_input(load(name)), command)
             assert calls == Counter(expected), name
             monkeypatch.undo()
+        assert bool(listed) == (command in ("ramification", "report"))
 
     @pytest.mark.parametrize("command", ["classify", "report"])
     def test_each_fixed_locus_solved_once(self, command, monkeypatch):
@@ -705,6 +720,26 @@ class TestComputeOnce:
             assert max(solved.values(), default=1) == 1, name
             solved_total += len(solved)
         assert solved_total
+
+    @pytest.mark.parametrize("name", ["kummer", "rot4-square", "sl-diag-c3-108"])
+    def test_no_partition_without_a_low_rank_holonomy(self, name, monkeypatch):
+        # no holonomy of these groups passes the trace tests, so no element
+        # fixes a divisor: decompose and ramification print their sections
+        # without reading the class partition, and take no Smith form
+        text = _document_text(name)
+        want = {command: build_report(*parse_input(text), command)
+                for command in ("decompose", "ramification")}
+
+        def unread(tables):
+            raise AssertionError("class partition read")
+
+        monkeypatch.setattr(ClosureTables, "classes", property(unread))
+        for command, doc in want.items():
+            calls = Counter()
+            count_calls(monkeypatch, "factor_affine", calls)
+            assert build_report(*parse_input(text), command) == doc
+            assert not calls, command
+        assert not want["ramification"]["ramification"]["components"]
 
     def test_fixed_loci_solved_lazily(self, monkeypatch):
         # the first nontrivial element of rot4-square is the Reid-Tai
@@ -779,7 +814,10 @@ class TestComputeOnce:
             probes = sum(1 for i in firsts if i not in divisorial
                          and fixed_rank(group.elements[i]) <= 2)
             solves = []
-            count_calls(monkeypatch, "fixed_locus", Counter(), solves)
+            # the class screen solves by ``element_fixed_solution``, the
+            # listing by ``fixed_locus``
+            for func in ("fixed_locus", "element_fixed_solution"):
+                count_calls(monkeypatch, func, Counter(), solves)
             build_report(variety, gens, options, "ramification")
             monkeypatch.undo()
             # the solver keeps each solution, so an element asked for twice
@@ -861,7 +899,7 @@ class TestComputeOnce:
         assert (sum(calls.values()), len(calls)) == (44, 27)
 
     @pytest.mark.parametrize("name, report_asked, decompose_solved", [
-        ("zeta4^3:C2+t", 26, 8), ("zeta6^3:mu6xmu3+t", 70, 18)])
+        ("zeta4^3:C2+t", 13, 8), ("zeta6^3:mu6xmu3+t", 35, 18)])
     def test_split_asks_no_element_of_n_c(self, name, report_asked, decompose_solved,
                                           monkeypatch):
         # decompose asks may_fix_divisor once per nontrivial class of G: 13
@@ -870,8 +908,8 @@ class TestComputeOnce:
         # element of each class that passes, and after a split, the Q-Fano
         # stage of N_C reads its divisors off the solves of the
         # restrictions of N's kept generators (4 and 3 here), asking no
-        # element of N_C.  A report asks once more per class in
-        # ramification_data
+        # element of N_C.  A report asks no more: its decomposition and
+        # ramification read one screen
         doc, _ = RAMIFIED_CM_DOCS[name]
         variety, gens, _ = parse_input(json.dumps(doc))
         classes = len(set(union_find_class_rep(close_group(variety, gens))))

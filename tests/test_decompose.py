@@ -25,6 +25,7 @@ from fqav.decompose import (
     element_fixed_solution,
     lattice_kappa,
     lattice_quasietale_outside,
+    may_have_divisors,
     ramification_on_tables,
     split_action,
 )
@@ -918,13 +919,16 @@ class TestRankFirstSolves:
 def assert_class_divisors_match(elements, tables):
     """The divisors a stage decides once per class of its certified
     partition are the keys of ``fixed_solutions``, which asks and solves
-    every element; and kappa over the solves of N's kept generators, as
+    every element, and there are none when no holonomy passes the trace
+    pre-screen; and kappa over the solves of N's kept generators, as
     the Q-Fano stage reads it, is kappa over every divisor: both
     intersections are Fix(N)."""
     solver = FixedPointSolver()
     fixed = fixed_solutions(elements, FixedPointSolver())
     divisors = class_divisors(elements, certified_class_rep(elements, tables), solver)
     assert divisors == sorted(fixed)
+    # the trace pre-screen rules out only stages with no divisor
+    assert may_have_divisors(elements) or not fixed
     kept = ramification_on_tables(elements, tables, divisors)[0]
     n2 = elements[0].rank
     if kept:

@@ -399,25 +399,28 @@ def test_report_does_not_depend_on_hash_seed(tmp_path):
 
 @pytest.mark.parametrize("name", FIXTURES + tuple(SL_DIAG) + tuple(DIAG_PERM))
 def test_one_divisor_pass_per_command(name, monkeypatch):
-    # classify and report read quasietaleness off the ramification's one
-    # pass over the classes: each command makes one ``ramification_data``
-    # call, and the report bytes and the classification are the gallery's
+    # classify and report read quasietaleness and kappa off one divisor
+    # pass each; only report lists the components, by one
+    # ``ramification_data`` call, and the report bytes and the
+    # classification are the gallery's
     classify = importlib.import_module("fqav.classify")
-    original, passes = classify.ramification_data, []
+    passes, listings = [], []
+    for func, calls in (("divisor_lattices", passes), ("ramification_data", listings)):
+        original = getattr(classify, func)
 
-    def counting(group):
-        passes.append(group)
-        return original(group)
+        def counting(*args, original=original, calls=calls):
+            calls.append(args[0])
+            return original(*args)
 
-    monkeypatch.setattr(classify, "ramification_data", counting)
+        monkeypatch.setattr(classify, func, counting)
     variety, gens, options = parse_input(_document_text(name))
     report = build_report(variety, gens, options, "report")
-    assert len(passes) == 1
+    assert (len(passes), len(listings)) == (1, 1)
     for fmt in FORMATS:
         assert serialize(report, fmt) == (GOLDEN_DIR / f"{name}.{fmt}").read_text()
     classified = build_report(variety, gens, options, "classify")
     assert classified["classification"] == report["classification"]
-    assert len(passes) == 2
+    assert (len(passes), len(listings)) == (2, 1)
 
 
 def regenerate():

@@ -20,9 +20,11 @@ from fqav.linalg import (
     abs_determinant,
     fixed_lattice,
     hermite_basis,
+    hermite_eliminate,
     identity_matrix,
     identity_minus,
     integer_kernel,
+    is_reduced_hermite,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -32,6 +34,7 @@ from fqav.linalg import (
     factor_affine,
     matrix_rank,
     solve_factored,
+    traces_allow_low_rank,
 )
 from fqav.variety import EndoBlockMatrix, subtorus_kappa
 
@@ -277,6 +280,55 @@ def hermite_inputs(draw):
             extra.append([draw(st.integers(-3, 3)) * x for x in row])
     vectors = rows + extra
     return draw(st.permutations(vectors)) if vectors else vectors, width
+
+
+@st.composite
+def reduced_hermite_rows(draw):
+    """A reduced row HNF of some width: positive pivots moving strictly
+    right, every entry above a pivot in [0, pivot), any entry right of it."""
+    width = draw(st.integers(0, 7))
+    pivots = sorted(draw(st.sets(st.integers(0, width - 1), max_size=width))) if width else []
+    rows = [[0] * c + [draw(st.integers(1, 9))]
+            + draw(st.lists(st.integers(-9, 9), min_size=width - c - 1, max_size=width - c - 1))
+            for c in pivots]
+    for i, c in enumerate(pivots):
+        for above in rows[:i]:
+            above[c] = draw(st.integers(0, rows[i][c] - 1))
+    return rows, width
+
+
+class TestReducedInput:
+    """``hermite_basis`` returns rows that already are the reduced row HNF
+    as given, and eliminates any others."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hermite_inputs())
+    def test_matches_full_elimination(self, case):
+        vectors, width = case
+        eliminated = hermite_eliminate([list(v) for v in vectors if any(v)], width)
+        assert hermite_basis(vectors, width) == eliminated
+        assert is_reduced_hermite(eliminated)
+        assert hermite_basis(eliminated, width) == eliminated
+
+    @settings(max_examples=300, deadline=None)
+    @given(reduced_hermite_rows(), st.data())
+    def test_reduced_rows_come_back_as_given(self, case, data):
+        rows, width = case
+        assert is_reduced_hermite(rows)
+        assert hermite_eliminate([list(r) for r in rows], width) == rows
+        # zero rows are dropped, and the nonzero rows kept as they are
+        padded = list(rows)
+        for _ in range(data.draw(st.integers(0, 2))):
+            padded.insert(data.draw(st.integers(0, len(padded))), [0] * width)
+        assert hermite_basis(padded, width) == rows
+
+    def test_unreduced_rows_are_eliminated(self):
+        # a negative pivot, an entry above a pivot out of [0, pivot), a
+        # pivot not right of the one above, and one below a pivot
+        for rows in ([[-1, 0]], [[1, 2], [0, 2]], [[1, -1], [0, 2]], [[0, 1], [1, 0]],
+                     [[1, 0], [1, 1]]):
+            assert not is_reduced_hermite(rows)
+            assert hermite_basis(rows, 2) == reference_hermite_basis(rows, 2)
 
 
 class TestAgainstOldKernels:
@@ -838,6 +890,8 @@ class TestFixedPointSolver:
         with mock.patch.object(linalg, "matrix_rank", _counted(calls, matrix_rank)), \
                 mock.patch.object(linalg, "factor_affine", _counted(calls, factor_affine)):
             assert ranked_first.may_fix_divisor(w) == ranked_first.may_fix_divisor(w) == low_rank
+            # the trace tests never rule out a W of rank at most 2
+            assert traces_allow_low_rank(w) or not low_rank
             # no Hermite form of I - W; a W of rank at most 2 on a lattice
             # of rank above 2 is decided by its Smith form, taken once
             assert calls["factor_affine"] == 1 if len(w) > 2 and low_rank else \
@@ -875,6 +929,9 @@ class TestFixedPointSolver:
         calls = Counter()
         for func in (matrix_rank, factor_affine):
             monkeypatch.setattr(linalg, func.__name__, _counted(calls, func))
+        # the trace tests alone pass exactly the W the solver then factors
+        assert traces_allow_low_rank(w) == bool(factored)
+        assert not calls
         solver = FixedPointSolver()
         assert solver.may_fix_divisor(w) == solver.may_fix_divisor(w) == low_rank
         assert calls == Counter({"factor_affine": factored})
